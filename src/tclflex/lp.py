@@ -8,7 +8,8 @@ Problems are stated in maximize form
 and handed to scipy's HiGHS backend.  Every reported optimum is
 re-verified against the raw problem data here, independently of the
 solver's own bookkeeping: a solution whose constraint violation exceeds
-the tolerance is downgraded to numerical-failure rather than trusted.
+the tolerance is downgraded to numerical-failure rather than trusted,
+after one re-solve with tighter HiGHS tolerances has failed the same check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .errors import InvalidInputError
 
 FEASIBILITY_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
+# HiGHS options for the single re-solve of an answer that failed the
+# checks above; its default feasibility tolerances are 1e-7
+RETRY_OPTIONS = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -114,7 +118,9 @@ def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolu
     Status is one of optimal / infeasible / unbounded / numerical-failure.
     For optimal solutions the scaled constraint violation is guaranteed
     to be at most feasibility_tol, and complementary slackness of the
-    reported duals is checked as well.
+    reported duals is checked as well.  An answer HiGHS calls optimal
+    that fails either check is re-solved once with RETRY_OPTIONS; the
+    re-solved answer faces the same checks.
     """
     n = lp.n_vars
     if lp.lo is None and lp.hi is None:
@@ -128,15 +134,26 @@ def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolu
             (None if not np.isfinite(l) else l, None if not np.isfinite(u) else u)
             for l, u in zip(lo, hi)
         ]
-    res = linprog(
-        -lp.c,
-        A_ub=lp.G,
-        b_ub=lp.h,
-        A_eq=lp.E,
-        b_eq=lp.f,
-        bounds=bounds,
-        method="highs",
-    )
+    for options in (None, RETRY_OPTIONS):
+        res = linprog(
+            -lp.c,
+            A_ub=lp.G,
+            b_ub=lp.h,
+            A_eq=lp.E,
+            b_eq=lp.f,
+            bounds=bounds,
+            method="highs",
+            options=options,
+        )
+        sol = _certify(lp, res, feasibility_tol)
+        if sol.status != NUMERICAL_FAILURE or sol.z is None:
+            break
+    return sol
+
+
+def _certify(lp: LinearProgram, res, feasibility_tol: float) -> LpSolution:
+    """Map a linprog result to an LpSolution, downgrading an optimum that
+    fails the violation or complementarity check (such answers keep z)."""
     if res.status == 2:
         return LpSolution(INFEASIBLE, None, None, None)
     if res.status == 3:

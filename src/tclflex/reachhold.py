@@ -10,7 +10,8 @@ is the reach; a pair (P_hold, T_hold) is achievable when some admissible
 plan keeps dP[k] >= P_hold for every k in 1..T_hold.  Three routes map
 the achievable set:
 
-* exact: the full LP over u (desk scale only),
+* exact: the LP over u on the smallest A-invariant set containing
+  supp(x_0), where every admissible plan lives (desk scale only),
 * inner: a feasible budget-allocation policy u[k] = alpha[k] x_0 whose
   lower-bound recursion exploits that a setpoint raise of at least one
   deadband empties the on block in one step,
@@ -52,8 +53,10 @@ INNER = "inner"
 OUTER = "outer"
 METHODS = (EXACT, INNER, OUTER)
 
-# max T_hold * n_states for the exact route; the dense constraint block
-# grows with the square of this product, so 5000 keeps it under ~200 MB
+# max T_hold * n_states for the exact route.  The LP itself is built on
+# the invariant support (18 of 80 states at the defaults, ~10 MB dense at
+# T_hold = 60), but the cap counts full states so that the holds it admits
+# do not depend on the estimated occupancy
 EXACT_LP_CAP = 5000
 DEFAULT_T_MAX = 480  # steps; 8 h at one-minute resolution
 DEFAULT_N_GRID = 50
@@ -294,17 +297,41 @@ def frontier_from_samples(
     return ReachHoldSet(points=keep, method=method, regime=regime, condition=condition)
 
 
+def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
+    """Sorted indices of the smallest state set that contains supp(x_0)
+    and that A maps into itself (reachability over A's nonzero pattern)."""
+    inside = x_0 > 0.0
+    while True:
+        grown = inside | (A.P[:, inside] != 0.0).any(axis=1)
+        if np.array_equal(grown, inside):
+            return np.flatnonzero(inside)
+        inside = grown
+
+
+def _fill_hold_rows(G: np.ndarray, d: np.ndarray, cols: np.ndarray, T: int) -> None:
+    """Write the hold rows P - sum_{m<k} d[k-m][cols] @ v[m] <= 0, k = 1..T,
+    into G[:T], for variables v[0..T-1] (len(cols) each) followed by P."""
+    S = cols.size
+    neg = -d[1 : T + 1][:, cols]  # neg[j] = -d[j+1][cols]
+    for k in range(1, T + 1):
+        G[k - 1, : k * S] = neg[k - 1 :: -1].ravel()  # m = 0..k-1 takes -d[k-m]
+    G[:T, -1] = 1.0
+
+
 def solve_exact(
     T_hold: int,
     kernels: ResponseKernels,
     x_0: np.ndarray,
     A: TransitionMatrix,
 ) -> tuple[float, ControlPlan, LpSolution]:
-    """Exact boundary value at T_hold by the full LP over u[0..T_hold-1].
+    """Exact boundary value at T_hold by the LP over u[0..T_hold-1].
 
-    Desk-scale only: refuses problems with T_hold * n_states above
-    EXACT_LP_CAP.  Admissibility uses the true propagated baseline
-    A^k x_0, not its stationary idealization.
+    Admissibility uses the true propagated baseline A^k x_0, not its
+    stationary idealization.  The LP is posed on S = invariant_support:
+    A^k x_0 vanishes off S, so every admissible plan does too, and the
+    rows and columns dropped are identically zero.  The plan comes back
+    on all states.  Desk-scale only: refuses problems with
+    T_hold * n_states above EXACT_LP_CAP.
     """
     n = x_0.size
     if T_hold < 1:
@@ -316,44 +343,37 @@ def solve_exact(
     if kernels.horizon < T_hold:
         raise InvalidInputError("kernels horizon too short for requested T_hold")
     T = T_hold
-    d = kernels.h - kernels.h_a
-    # variables: u[0..T-1] flattened, then P
-    n_vars = T * n + 1
+    cols = invariant_support(A, x_0)
+    S = cols.size
+    A_S = A.P[np.ix_(cols, cols)]
+    # variables: u[0..T-1] on S flattened, then P
+    n_vars = T * S + 1
     c_obj = np.zeros(n_vars)
     c_obj[-1] = 1.0
-    # A^m and A^m x_0 for admissibility rows
-    Apow = [np.eye(n)]
-    for _ in range(T - 1):
-        Apow.append(A.P @ Apow[-1])
-    base = [x_0]
-    for k in range(1, T):
-        base.append(A.P @ base[-1])
-    rows = []
-    rhs = []
-    for k in range(1, T + 1):  # hold rows: P - sum d[k-n] u[n] <= 0
-        row = np.zeros(n_vars)
-        for m in range(k):
-            row[m * n : (m + 1) * n] = -d[k - m]
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for k in range(1, T):  # admissibility: u[k] + sum A^{k-n} u[n] <= A^k x_0
-        block = np.zeros((n, n_vars))
-        for m in range(k):
-            block[:, m * n : (m + 1) * n] = Apow[k - m]
-        block[:, k * n : (k + 1) * n] += np.eye(n)
-        rows.append(block)
-        rhs.append(base[k])
-    G = np.vstack([np.atleast_2d(r) for r in rows])
-    h_vec = np.concatenate([np.atleast_1d(r) for r in rhs])
+    G = np.zeros((T + (T - 1) * S, n_vars))
+    h_vec = np.zeros(G.shape[0])
+    _fill_hold_rows(G, kernels.h - kernels.h_a, cols, T)
+    # admissibility for k = 1..T-1: u[k] + sum_{m<k} A^{k-m} u[m] <= A^k x_0
+    Apow = np.eye(S)
+    base = x_0[cols]
+    for p in range(1, T):
+        Apow = A_S @ Apow
+        base = A_S @ base
+        row0 = T + (p - 1) * S
+        h_vec[row0 : row0 + S] = base
+        G[row0 : row0 + S, p * S : (p + 1) * S] = np.eye(S)
+        for k in range(p, T):  # the A^p block pairs u[k-p] with row k
+            r = T + (k - 1) * S
+            G[r : r + S, (k - p) * S : (k - p + 1) * S] = Apow
     lo = np.zeros(n_vars)
     hi = np.full(n_vars, np.inf)
-    hi[:n] = x_0  # u[0] <= x[0]
+    hi[:S] = x_0[cols]  # u[0] <= x[0]
     lp = LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo, hi=hi)
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise NumericalFailureError(f"exact LP did not solve cleanly: status {sol.status}")
-    u = sol.z[:-1].reshape(T, n)
+    u = np.zeros((T, n))
+    u[:, cols] = sol.z[:-1].reshape(T, S)
     return float(sol.z[-1]), ControlPlan(u=np.clip(u, 0.0, None)), sol
 
 
@@ -567,7 +587,6 @@ def solve_outer(
         cols = np.arange(n)
     else:
         raise InvalidInputError(f"support must be 'full' or 'xout', got {support!r}")
-    d_out = kernels.h_out - kernels.h_a  # (K+1, n_states)
     T = T_hold
     S = cols.size
     n_vars = T * S + 1
@@ -575,10 +594,7 @@ def solve_outer(
     c_obj[-1] = 1.0
     G = np.zeros((T + 1, n_vars))
     h_vec = np.zeros(T + 1)
-    for k in range(1, T + 1):  # P - sum d_out[k-n][cols] @ v[n] <= 0
-        for m in range(k):
-            G[k - 1, m * S : (m + 1) * S] = -d_out[k - m][cols]
-        G[k - 1, -1] = 1.0
+    _fill_hold_rows(G, kernels.h_out - kernels.h_a, cols, T)
     G[T, : T * S] = 1.0  # total budget <= 1
     h_vec[T] = 1.0
     lo = np.zeros(n_vars)

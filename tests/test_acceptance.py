@@ -69,6 +69,23 @@ def test_criterion_01_sandwich_inner_exact_outer():
     print(f"[criterion 1] PASS sandwich holds at T=5,10,20,40 ({elapsed:.1f}s): {gaps}")
 
 
+def test_criterion_01_sandwich_at_paper_scale(fleet40):
+    t0 = time.perf_counter()
+    x_out = x_out_vector(fleet40.A.grid, T_SET, DEADBAND)
+    tol = 1e-6 * P_ON
+    gaps = []
+    for T in (30, 60):
+        p_inner = inner_p_at(T, fleet40.kernels, fleet40.x_0, T_max=480)
+        p_exact = solve_exact(T, fleet40.kernels, fleet40.x_0, fleet40.A)[0]
+        raw = solve_outer(T, fleet40.kernels, x_out, support="full")[0]
+        p_outer = min(raw, fleet40.p_nom_kw)
+        assert p_inner <= p_exact + tol, f"T={T}: inner {p_inner} > exact {p_exact}"
+        assert p_exact <= p_outer + tol, f"T={T}: exact {p_exact} > outer {p_outer}"
+        gaps.append((T, p_exact - p_inner, p_outer - p_exact))
+    elapsed = time.perf_counter() - t0
+    print(f"[criterion 1] PASS 40-bin sandwich holds at T=30,60 ({elapsed:.1f}s): {gaps}")
+
+
 def test_criterion_02_inner_plans_feasible_when_repropagated(fleet40):
     t0 = time.perf_counter()
     tol = 1e-9 * P_ON

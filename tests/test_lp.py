@@ -4,10 +4,13 @@ is known from construction (objective built from the active rows)."""
 import numpy as np
 import pytest
 
+import tclflex.lp
 from tclflex.errors import InvalidInputError
 from tclflex.lp import (
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
+    RETRY_OPTIONS,
     UNBOUNDED,
     LinearProgram,
     LpSolution,
@@ -125,6 +128,68 @@ class TestVerification:
         assert isinstance(sol, LpSolution)
         assert sol.max_constraint_violation is not None
         assert sol.max_constraint_violation >= 0.0
+
+
+def spoil_x(res):
+    res.x = res.x + 1e-3  # pushes past the active rows of known_optimum_lp
+
+
+def spoil_duals(res):
+    # a unit dual on a slack row breaks complementary slackness
+    slack_row = int(np.argmax(res.ineqlin.residual))
+    res.ineqlin.marginals[slack_row] = -1.0
+
+
+class TestRetry:
+    """An answer HiGHS calls optimal but the checks reject is re-solved
+    once with tight tolerances, and only a second reject is a failure."""
+
+    @staticmethod
+    def patch_linprog(monkeypatch, spoil, n_spoiled):
+        real = tclflex.lp.linprog
+        seen = []
+
+        def fake(*args, **kwargs):
+            seen.append(kwargs.get("options"))
+            res = real(*args, **kwargs)
+            if len(seen) <= n_spoiled:
+                spoil(res)
+            return res
+
+        monkeypatch.setattr(tclflex.lp, "linprog", fake)
+        return seen
+
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals])
+    def test_spoiled_first_answer_is_resolved_tightly(self, monkeypatch, spoil):
+        lp, z_star, obj_star = known_optimum_lp()
+        seen = self.patch_linprog(monkeypatch, spoil, n_spoiled=1)
+        sol = solve(lp)
+        assert seen == [None, RETRY_OPTIONS]
+        assert RETRY_OPTIONS == {
+            "primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9,
+        }
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(obj_star, rel=1e-6)
+        assert sol.max_constraint_violation <= 1e-7 * max(1.0, np.abs(lp.h).max())
+
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals])
+    def test_second_spoiled_answer_is_numerical_failure(self, monkeypatch, spoil):
+        lp, _, _ = known_optimum_lp()
+        seen = self.patch_linprog(monkeypatch, spoil, n_spoiled=2)
+        assert solve(lp).status == NUMERICAL_FAILURE
+        assert seen == [None, RETRY_OPTIONS]
+
+    def test_clean_answer_is_solved_once_with_default_options(self, monkeypatch):
+        lp, _, _ = known_optimum_lp()
+        seen = self.patch_linprog(monkeypatch, spoil_x, n_spoiled=0)
+        assert solve(lp).status == OPTIMAL
+        assert seen == [None]
+
+    def test_infeasible_is_not_retried(self, monkeypatch):
+        lp = LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1))
+        seen = self.patch_linprog(monkeypatch, spoil_x, n_spoiled=0)
+        assert solve(lp).status == INFEASIBLE
+        assert seen == [None]
 
 
 class TestDump:

@@ -8,6 +8,7 @@ import pytest
 
 from tclflex.errors import FrontierMonotonicityError, InvalidInputError
 from tclflex.etp import DEFAULT_PARAMS
+from tclflex.lp import OPTIMAL, LinearProgram, solve
 from tclflex.markov import (
     TransitionMatrix,
     build_grid,
@@ -31,6 +32,7 @@ from tclflex.reachhold import (
     inner_boundary,
     inner_p_at,
     inner_point,
+    invariant_support,
     load_set,
     make_regime,
     outer_boundary,
@@ -75,6 +77,36 @@ def tiny_system(A, A_a, horizon=10, p_on=10.0, A_out=None):
     c = output_vector(grid, p_on)
     out = mk(A_out) if A_out is not None else None
     return response_kernels(mk(A), mk(A_a), c, horizon=horizon, A_out=out)
+
+
+def full_support_exact(T, kernels, x_0, A):
+    """Oracle for solve_exact: the exact LP written out over every state,
+    hold rows then admissibility rows u[k] + sum A^{k-m} u[m] <= A^k x_0."""
+    n = x_0.size
+    d = kernels.h - kernels.h_a
+    n_vars = T * n + 1
+    rows, rhs = [], []
+    for k in range(1, T + 1):
+        row = np.zeros(n_vars)
+        for m in range(k):
+            row[m * n : (m + 1) * n] = -d[k - m]
+        row[-1] = 1.0
+        rows.append(row[None, :])
+        rhs.append([0.0])
+    for k in range(1, T):
+        block = np.zeros((n, n_vars))
+        for m in range(k):
+            block[:, m * n : (m + 1) * n] = np.linalg.matrix_power(A.P, k - m)
+        block[:, k * n : (k + 1) * n] += np.eye(n)
+        rows.append(block)
+        rhs.append(np.linalg.matrix_power(A.P, k) @ x_0)
+    hi = np.full(n_vars, np.inf)
+    hi[:n] = x_0
+    c = np.zeros(n_vars)
+    c[-1] = 1.0
+    sol = solve(LinearProgram(c=c, G=np.vstack(rows), h=np.concatenate(rhs), lo=np.zeros(n_vars), hi=hi))
+    assert sol.status == OPTIMAL
+    return float(sol.z[-1])
 
 
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
@@ -280,6 +312,65 @@ class TestSolveExact:
     def test_bad_hold_rejected(self, char10):
         with pytest.raises(InvalidInputError):
             solve_exact(0, char10.kernels, char10.x_0, char10.A)
+
+    @pytest.mark.parametrize("fleet, T", [("char10", 2), ("char10", 5), ("char10", 10), ("char40", 20)])
+    def test_matches_full_support_oracle(self, fleet, T, request):
+        ch = request.getfixturevalue(fleet)
+        P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A)
+        assert P == pytest.approx(full_support_exact(T, ch.kernels, ch.x_0, ch.A), abs=LP_TOL)
+        off = np.setdiff1d(np.arange(ch.x_0.size), invariant_support(ch.A, ch.x_0))
+        assert plan.u.shape == (T, ch.x_0.size)
+        assert np.all(plan.u[:, off] == 0.0)
+
+    def test_matches_oracle_when_support_grows(self):
+        # x_0 on state 1 only; A carries it on to 2 and then 3.  Actuated
+        # units switch off for one step and then rebound, so a two-step
+        # hold splits the mass between states 1 and 2
+        grid = build_grid(0.0, 1.0, 2)
+        mk = lambda M: TransitionMatrix(
+            P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
+            T_set=0.5, T_amb=1.0, deadband=1.0,
+        )
+        A = mk([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+        A_a = mk(np.eye(4)[[3, 0, 0, 0]].T)  # 1, 2, 3 -> 0 (off) -> 3 (on)
+        kernels = response_kernels(A, A_a, output_vector(grid, 10.0), horizon=6)
+        x_0 = np.array([0.0, 1.0, 0.0, 0.0])
+        assert invariant_support(A, x_0).tolist() == [1, 2, 3]
+        for T in (1, 2, 3, 6):
+            P, plan, _ = solve_exact(T, kernels, x_0, A)
+            assert P == pytest.approx(full_support_exact(T, kernels, x_0, A), abs=1e-7)
+            assert plan.u.shape == (T, 4)
+            assert np.all(plan.u[:, 0] == 0.0)
+        assert P == pytest.approx(5.0, abs=1e-7)
+        assert plan.u[1, 2] == pytest.approx(0.5, abs=1e-7)
+
+    def test_retried_instance_solves(self):
+        # at this estimation seed HiGHS's first answer fails the 1e-7
+        # violation gate and the tight-tolerance re-solve passes it
+        ch = characterize(
+            DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB,
+            P_ON_TOTAL, T_max=20, n_samples=20000, seed=2131644818, with_outer=False,
+        )
+        _, _, sol = solve_exact(20, ch.kernels, ch.x_0, ch.A)
+        assert sol.status == OPTIMAL
+
+
+class TestInvariantSupport:
+    @pytest.mark.parametrize("fleet", ["char10", "char40"])
+    def test_closed_superset_of_occupancy(self, fleet, request):
+        ch = request.getfixturevalue(fleet)
+        inside = np.zeros(ch.x_0.size, dtype=bool)
+        inside[invariant_support(ch.A, ch.x_0)] = True
+        assert np.all(inside[ch.x_0 > 0.0])
+        assert np.all(ch.A.P[np.ix_(~inside, inside)] == 0.0)
+        # the stationary occupancy is itself closed here
+        assert np.array_equal(inside, ch.x_0 > 0.0)
+
+    def test_grows_along_transitions(self):
+        grid = build_grid(0.0, 1.0, 2)
+        chain = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
+        A = TransitionMatrix(P=chain, grid=grid, dt_minutes=1.0, T_set=0.5, T_amb=1.0, deadband=1.0)
+        assert invariant_support(A, np.array([0.0, 1.0, 0.0, 0.0])).tolist() == [1, 2, 3]
 
 
 class TestOuterCondition:
