@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .reachhold import ReachHoldPoint, ReachHoldSet
+from .reachhold import ReachHoldPoint, ReachHoldSet, prune_to_frontier
 
 EXCLUSIVE = "exclusive"
 SIMULTANEOUS = "simultaneous"
@@ -80,23 +80,6 @@ class CombinedSet:
         )
 
 
-def _prune_to_frontier(points: list[tuple[int, float]], method: str) -> list[ReachHoldPoint]:
-    """Drop points dominated by an equal-or-longer hold at equal-or-larger
-    reduction; keep one point per T_hold."""
-    best: dict[int, float] = {}
-    for t, p in points:
-        if p > best.get(t, -1.0):
-            best[t] = p
-    keep: list[ReachHoldPoint] = []
-    run_max = -1.0
-    for t in sorted(best, reverse=True):
-        if best[t] > run_max + 1e-15:
-            keep.append(ReachHoldPoint(P_hold_kw=best[t], T_hold_steps=t, method=method))
-            run_max = best[t]
-    keep.reverse()
-    return keep
-
-
 def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
     """All three pairwise scheduling modes plus their upper envelope.
 
@@ -113,17 +96,16 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
     method = set1.method
     t_grid = sorted({p.T_hold_steps for s in (set1, set2) for p in s.points})
     p_grid = sorted({p.P_hold_kw for s in (set1, set2) for p in s.points})
-    exclusive = _prune_to_frontier(
-        [(t, max(query_p_at_t(set1, t), query_p_at_t(set2, t))) for t in t_grid], method
-    )
-    simultaneous = _prune_to_frontier(
-        [(t, query_p_at_t(set1, t) + query_p_at_t(set2, t)) for t in t_grid], method
-    )
-    consecutive = _prune_to_frontier(
-        [(query_t_at_p(set1, p) + query_t_at_p(set2, p), p) for p in p_grid], method
-    )
-    env_pts = [(pt.T_hold_steps, pt.P_hold_kw) for f in (exclusive, simultaneous, consecutive) for pt in f]
-    union = _prune_to_frontier(env_pts, method)
+
+    def as_frontier(pairs) -> list[ReachHoldPoint]:
+        return prune_to_frontier(
+            [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t, method=method) for t, p in pairs]
+        )
+
+    exclusive = as_frontier((t, max(query_p_at_t(set1, t), query_p_at_t(set2, t))) for t in t_grid)
+    simultaneous = as_frontier((t, query_p_at_t(set1, t) + query_p_at_t(set2, t)) for t in t_grid)
+    consecutive = as_frontier((query_t_at_p(set1, p) + query_t_at_p(set2, p), p) for p in p_grid)
+    union = prune_to_frontier(exclusive + simultaneous + consecutive)
     return CombinedSet(
         components=(set1, set2),
         exclusive=exclusive,

@@ -8,8 +8,9 @@ Problems are stated in maximize form
 and handed to scipy's HiGHS backend.  Every reported optimum is
 re-verified against the raw problem data here, independently of the
 solver's own bookkeeping: a solution whose constraint violation exceeds
-the tolerance is downgraded to numerical-failure rather than trusted,
-after one re-solve with tighter HiGHS tolerances has failed the same check.
+the tolerance is downgraded to numerical-failure rather than trusted.  Any
+numerical failure, including an answer HiGHS itself gives up on, is
+re-solved once with tighter HiGHS tolerances before it is reported.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import InvalidInputError
 
 FEASIBILITY_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
-# HiGHS options for the single re-solve of an answer that failed the
-# checks above; its default feasibility tolerances are 1e-7
+# HiGHS options for the single re-solve of a numerical failure; its
+# default feasibility tolerances are 1e-7
 RETRY_OPTIONS = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
 
 OPTIMAL = "optimal"
@@ -85,7 +86,6 @@ class LpSolution:
     objective_value: float | None
     max_constraint_violation: float | None
     duals_ineq: np.ndarray | None = None
-    duals_eq: np.ndarray | None = None
 
 
 def _constraint_scale(lp: LinearProgram) -> float:
@@ -118,9 +118,10 @@ def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolu
     Status is one of optimal / infeasible / unbounded / numerical-failure.
     For optimal solutions the scaled constraint violation is guaranteed
     to be at most feasibility_tol, and complementary slackness of the
-    reported duals is checked as well.  An answer HiGHS calls optimal
-    that fails either check is re-solved once with RETRY_OPTIONS; the
-    re-solved answer faces the same checks.
+    reported duals is checked as well.  A numerical failure (an answer
+    that fails either check, or one HiGHS cannot finish, such as its
+    status 4) is re-solved once with RETRY_OPTIONS; the re-solved answer
+    faces the same checks.
     """
     n = lp.n_vars
     if lp.lo is None and lp.hi is None:
@@ -146,7 +147,7 @@ def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolu
             options=options,
         )
         sol = _certify(lp, res, feasibility_tol)
-        if sol.status != NUMERICAL_FAILURE or sol.z is None:
+        if sol.status != NUMERICAL_FAILURE:
             break
     return sol
 
@@ -164,7 +165,6 @@ def _certify(lp: LinearProgram, res, feasibility_tol: float) -> LpSolution:
     violation = max_violation(lp, z)
     scale = _constraint_scale(lp)
     duals_ineq = None
-    duals_eq = None
     status = OPTIMAL
     if violation > feasibility_tol * scale:
         status = NUMERICAL_FAILURE
@@ -175,32 +175,11 @@ def _certify(lp: LinearProgram, res, feasibility_tol: float) -> LpSolution:
         comp = np.abs(duals_ineq * slack)
         if comp.size and comp.max() > COMPLEMENTARITY_TOL * scale * max(1.0, float(np.abs(duals_ineq).max())):
             status = NUMERICAL_FAILURE
-    if res.eqlin is not None and lp.E is not None:
-        duals_eq = -np.asarray(res.eqlin.marginals, dtype=float)
     return LpSolution(
         status=status,
         z=z,
         objective_value=float(lp.c @ z),
         max_constraint_violation=violation,
         duals_ineq=duals_ineq,
-        duals_eq=duals_eq,
     )
 
-
-def dump(lp: LinearProgram, path) -> None:
-    """Write the problem in a plain fixed-width text layout for inspection."""
-    with open(path, "w") as fh:
-        fh.write(f"maximize c @ z with {lp.n_vars} variables\n")
-        fh.write("c: " + " ".join(f"{v:.12g}" for v in lp.c) + "\n")
-        if lp.G is not None:
-            fh.write(f"subject to {lp.G.shape[0]} inequality rows G z <= h:\n")
-            for row, rhs in zip(lp.G, lp.h):
-                fh.write("  " + " ".join(f"{v:10.6g}" for v in row) + f" <= {rhs:.12g}\n")
-        if lp.E is not None:
-            fh.write(f"subject to {lp.E.shape[0]} equality rows E z == f:\n")
-            for row, rhs in zip(lp.E, lp.f):
-                fh.write("  " + " ".join(f"{v:10.6g}" for v in row) + f" == {rhs:.12g}\n")
-        if lp.lo is not None:
-            fh.write("lo: " + " ".join(f"{v:.12g}" for v in lp.lo) + "\n")
-        if lp.hi is not None:
-            fh.write("hi: " + " ".join(f"{v:.12g}" for v in lp.hi) + "\n")

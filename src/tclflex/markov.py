@@ -3,8 +3,8 @@
 State space: N temperature bins for compressor-off units followed by N
 bins for compressor-on units (2N states total, cold to hot within each
 block).  A column-stochastic matrix A maps the population fraction
-vector forward one timestep; columns are estimated by Monte-Carlo
-one-step simulation of a representative unit.
+vector forward one timestep; its columns follow in closed form from one
+exact step of a representative unit spread uniformly over each bin.
 
 Population fractions live in [0, 1] and sum to one over the whole fleet;
 multiplying by the fleet's connected power via the output vector turns
@@ -25,8 +25,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .etp import TclParams, apply_thermostat, discretize
-
-DEFAULT_N_SAMPLES = 20000
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def build_grid(T_min: float = 18.0, T_max: float = 24.0, n_bins: int = 40) -> Bi
 
 @dataclass
 class TransitionMatrix:
-    """Estimated one-step transition matrix with its operating point.
+    """One-step transition matrix with its operating point.
 
     P[j, i] is the probability of moving from state i to state j over
     one dt under thermostat control at (T_set, deadband) and ambient
@@ -124,20 +122,17 @@ def estimate_transition_matrix(
     deadband: float,
     T_amb: float,
     dt_minutes: float = 1.0,
-    n_samples: int = DEFAULT_N_SAMPLES,
-    seed: int = 0,
 ) -> TransitionMatrix:
-    """Monte-Carlo estimate of the one-step transition matrix.
+    """Exact one-step transition matrix of the bin model.
 
-    Each column draws n_samples air temperatures uniformly inside its
-    bin, sets the mass node to its quasi-steady value T_a + Q_m/H_m,
-    advances one exact ETP step in the bin's mode, applies the
-    thermostat at (T_set, deadband), and counts destination states.
-    Columns are normalized after counting.  Per-column seeds spawn from
-    the master seed, so results do not depend on evaluation order.
+    A unit drawn uniformly inside a bin, with its mass node at the
+    quasi-steady value T_a + Q_m/H_m, takes one exact ETP step in the
+    bin's mode.  The next air temperature s*T_a + c0 is affine in T_a
+    with slope s > 0, so the bin maps onto an interval with uniform law.
+    That interval is cut at the interior bin edges and the two thermostat
+    edges; each piece lands in one state, with probability equal to its
+    share of the interval's length.
     """
-    if n_samples < 1000:
-        raise InvalidInputError(f"n_samples must be >= 1000 per bin, got {n_samples}")
     if not grid.band_strictly_inside(T_set, deadband):
         raise InvalidConfigurationError(
             f"deadband [{T_set - deadband / 2}, {T_set + deadband / 2}] not strictly inside "
@@ -145,27 +140,23 @@ def estimate_transition_matrix(
         )
     N = grid.n_bins
     edges = grid.edges
-    maps = {on: discretize(params, T_amb, on, dt_minutes) for on in (False, True)}
-    T_m_offset = params.Q_m / params.H_m
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = root.spawn(2 * N)
+    cuts = np.sort(np.concatenate([edges[1:-1], [T_set - 0.5 * deadband, T_set + 0.5 * deadband]]))
+    cuts = np.concatenate([[-np.inf], cuts, [np.inf]])
     P = np.zeros((2 * N, 2 * N))
-    for i in range(2 * N):
-        on = i >= N
-        b = i % N
-        rng = np.random.default_rng(seeds[i])
-        T_a = rng.uniform(edges[b], edges[b + 1], size=n_samples)
-        T_m = T_a + T_m_offset
-        A_d, b_d = maps[on]
-        T_a_next = A_d[0, 0] * T_a + A_d[0, 1] * T_m + b_d[0]
-        on_next = apply_thermostat(T_a_next, T_set, np.full(n_samples, on), deadband)
-        dest = grid.state_index(T_a_next, on_next)
-        counts = np.bincount(dest, minlength=2 * N).astype(float)
-        total = counts.sum()
-        if total == 0.0:  # defensive: cannot happen for n_samples >= 1
-            P[i, i] = 1.0
-        else:
-            P[:, i] = counts / total
+    for on in (False, True):
+        A_d, b_d = discretize(params, T_amb, on, dt_minutes)
+        s = A_d[0, 0] + A_d[0, 1]
+        if not s > 0.0:
+            raise NumericalFailureError(f"one-step temperature map has slope {s!r} <= 0")
+        c0 = A_d[0, 1] * params.Q_m / params.H_m + b_d[0]
+        lo = s * edges[:-1] + c0
+        hi = s * edges[1:] + c0
+        pts = np.clip(cuts, lo[:, None], hi[:, None])  # (N, n_cuts), each row sorted
+        share = np.diff(pts, axis=1) / (hi - lo)[:, None]
+        mid = 0.5 * (pts[:, :-1] + pts[:, 1:])
+        dest = grid.state_index(mid, apply_thermostat(mid, T_set, on, deadband))
+        src = np.broadcast_to(np.arange(N)[:, None] + N * on, dest.shape)
+        np.add.at(P, (dest, src), share)
     tm = TransitionMatrix(P=P, grid=grid, dt_minutes=dt_minutes, T_set=T_set, T_amb=T_amb, deadband=deadband)
     tm.validate()
     return tm
@@ -173,73 +164,74 @@ def estimate_transition_matrix(
 
 @dataclass
 class StationaryResult:
-    """Outcome of the stationary-distribution search."""
+    """Outcome of the stationary-distribution solve."""
 
     x: np.ndarray
-    residual: float  # ||A x - x||_inf at the returned iterate
-    iterations: int
-    unique: bool  # single eigenvalue at 1 (within 1e-8)
+    residual: float  # ||A x - x||_inf
+    iterations: int  # reachability passes spent finding the recurrent class
+
+
+def reachable(P: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int]:
+    """States reachable from `start` along the nonzero pattern of the
+    column-stochastic P (P[j, i] != 0 means i -> j), start included.
+
+    `start` is a boolean mask of shape (n,), or (k, n) for k start sets at
+    once.  Returns the closed mask(s) and the number of passes taken.
+    """
+    step = (P != 0.0).T.astype(float)
+    inside = np.asarray(start, dtype=bool)
+    passes = 0
+    while True:
+        passes += 1
+        grown = inside | (inside.astype(float) @ step > 0.0)
+        if np.array_equal(grown, inside):
+            return inside, passes
+        inside = grown
 
 
 def _deadband_start(tm: TransitionMatrix) -> np.ndarray:
-    """Uniform mass over both mode blocks of the bins meeting the deadband."""
+    """Both mode blocks of the bins meeting the deadband (boolean mask)."""
     grid = tm.grid
     centers = grid.centers
     lo = tm.T_set - 0.5 * tm.deadband
     hi = tm.T_set + 0.5 * tm.deadband
     inside = (centers >= lo - grid.delta_tau) & (centers <= hi + grid.delta_tau)
-    x = np.concatenate([inside, inside]).astype(float)
-    return x / x.sum()
+    return np.concatenate([inside, inside])
 
 
-def stationary_distribution(
-    tm: TransitionMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 500_000,
-) -> StationaryResult:
-    """Fixed point of the transition matrix by power iteration.
+def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10) -> StationaryResult:
+    """The stationary distribution reached from the deadband bins.
 
-    Starts from uniform mass on the deadband bins and iterates, restarting
-    from the average of the last two iterates if progress stalls (this
-    suppresses oscillatory components without deflating anything).  The
-    iterate with the smallest residual is polished until no further
-    improvement and returned.  Residuals above `tol` raise
-    NumericalFailureError with the best residual achieved.
+    R is every state reachable from the deadband start; C, the states
+    reachable from every state of R, is then the single closed
+    communicating class inside R, and the stationary law is unique
+    exactly when C is nonempty.  It solves [A_CC - I; 1^T] x = [0; 1] and
+    is exactly zero off C.  A residual above `tol` raises
+    NumericalFailureError.
     """
     A = tm.P
-    x = _deadband_start(tm)
-    best_x = x
-    best_res = float(np.abs(A @ x - x).max())
-    iterations = 0
-    stall_window = 1000
-    last_improvement = 0
-    while iterations < max_iter:
-        x_next = A @ x
-        s = x_next.sum()
-        if s <= 0.0 or not np.isfinite(s):
-            raise NumericalFailureError("power iteration lost probability mass")
-        x_next = x_next / s
-        res = float(np.abs(A @ x_next - x_next).max())
-        iterations += 1
-        if res < best_res:
-            best_res, best_x = res, x_next
-            last_improvement = iterations
-        if iterations - last_improvement >= stall_window:
-            if best_res <= tol:
-                break
-            # deflation-free restart: averaged iterate kills period-2 modes
-            x_next = 0.5 * (x_next + x)
-            x_next = x_next / x_next.sum()
-            last_improvement = iterations
-        x = x_next
-    if best_res > tol:
+    n = A.shape[0]
+    R, passes_r = reachable(A, _deadband_start(tm))
+    rows = np.flatnonzero(R)
+    from_each, passes_c = reachable(A, np.eye(n, dtype=bool)[rows])
+    C = np.flatnonzero(from_each.all(axis=0))
+    if C.size == 0:
         raise NumericalFailureError(
-            f"stationary distribution did not converge: residual {best_res:.3e} > {tol:.1e} "
-            f"after {iterations} iterations"
+            "no unique stationary distribution: the states reachable from the deadband "
+            "hold more than one closed class"
         )
-    eigvals = np.linalg.eigvals(A)
-    unique = int(np.sum(np.abs(eigvals - 1.0) < 1e-8)) == 1
-    return StationaryResult(x=best_x, residual=best_res, iterations=iterations, unique=unique)
+    M = np.vstack([A[np.ix_(C, C)] - np.eye(C.size), np.ones((1, C.size))])
+    rhs = np.zeros(C.size + 1)
+    rhs[-1] = 1.0
+    x_C = np.clip(np.linalg.lstsq(M, rhs, rcond=None)[0], 0.0, None)
+    x = np.zeros(n)
+    x[C] = x_C / x_C.sum()
+    residual = float(np.abs(A @ x - x).max())
+    if residual > tol:
+        raise NumericalFailureError(
+            f"stationary solve residual {residual:.3e} > {tol:.1e} on {C.size} recurrent states"
+        )
+    return StationaryResult(x=x, residual=residual, iterations=passes_r + passes_c)
 
 
 @dataclass

@@ -43,6 +43,7 @@ from .markov import (
     aggregate_power,
     estimate_transition_matrix,
     output_vector,
+    reachable,
     stationary_distribution,
     step_population,
     x_out_vector,
@@ -54,9 +55,9 @@ OUTER = "outer"
 METHODS = (EXACT, INNER, OUTER)
 
 # max T_hold * n_states for the exact route.  The LP itself is built on
-# the invariant support (18 of 80 states at the defaults, ~10 MB dense at
-# T_hold = 60), but the cap counts full states so that the holds it admits
-# do not depend on the estimated occupancy
+# the invariant support (16 of 80 states at the defaults), but the cap
+# counts full states so that the holds it admits do not depend on the
+# occupancy
 EXACT_LP_CAP = 5000
 DEFAULT_T_MAX = 480  # steps; 8 h at one-minute resolution
 DEFAULT_N_GRID = 50
@@ -276,36 +277,43 @@ class ReachHoldSet:
         return self.condition.holds if self.condition is not None else None
 
 
-def frontier_from_samples(
-    samples: list[ReachHoldPoint], method: str, regime: dict, condition: ConditionReport | None = None
-) -> ReachHoldSet:
-    """Collapse sampled points to a frontier: max P_hold per T_hold, then
-    drop points dominated by a longer hold at equal or larger P."""
+# a shorter hold stays on a frontier only when its P_hold beats the longer
+# holds' by more than this fraction; smaller gaps are solver rounding
+FRONTIER_TIE_REL = 1e-9
+
+
+def prune_to_frontier(samples: list[ReachHoldPoint]) -> list[ReachHoldPoint]:
+    """Max P_hold per T_hold, then drop points dominated by a longer hold
+    at equal or larger P (within FRONTIER_TIE_REL); sorted by T_hold."""
     best: dict[int, ReachHoldPoint] = {}
     for p in samples:
         cur = best.get(p.T_hold_steps)
         if cur is None or p.P_hold_kw > cur.P_hold_kw:
             best[p.T_hold_steps] = p
-    pts = [best[t] for t in sorted(best)]
     keep: list[ReachHoldPoint] = []
     run_max = -np.inf
-    for p in reversed(pts):  # longest holds first; drop dominated shorter holds
-        if p.P_hold_kw > run_max + 1e-15:
+    for t in sorted(best, reverse=True):  # longest holds first
+        p = best[t]
+        if not keep or p.P_hold_kw > run_max + FRONTIER_TIE_REL * max(1.0, run_max):
             keep.append(p)
             run_max = p.P_hold_kw
     keep.reverse()
-    return ReachHoldSet(points=keep, method=method, regime=regime, condition=condition)
+    return keep
+
+
+def frontier_from_samples(
+    samples: list[ReachHoldPoint], method: str, regime: dict, condition: ConditionReport | None = None
+) -> ReachHoldSet:
+    """Collapse sampled points to a frontier set (see prune_to_frontier)."""
+    return ReachHoldSet(
+        points=prune_to_frontier(samples), method=method, regime=regime, condition=condition
+    )
 
 
 def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
     """Sorted indices of the smallest state set that contains supp(x_0)
     and that A maps into itself (reachability over A's nonzero pattern)."""
-    inside = x_0 > 0.0
-    while True:
-        grown = inside | (A.P[:, inside] != 0.0).any(axis=1)
-        if np.array_equal(grown, inside):
-            return np.flatnonzero(inside)
-        inside = grown
+    return np.flatnonzero(reachable(A.P, x_0 > 0.0)[0])
 
 
 def _fill_hold_rows(G: np.ndarray, d: np.ndarray, cols: np.ndarray, T: int) -> None:
@@ -523,15 +531,11 @@ def build_fictitious_system(
     deadband: float,
     T_amb: float,
     dt_minutes: float = 1.0,
-    n_samples: int = 20000,
-    seed: int = 0,
 ) -> TransitionMatrix:
     """Squeezed companion system for the outer bound: setpoint at the
     lower deadband edge, deadband narrowed to one bin width."""
     T_set_out = T_set - 0.5 * deadband
-    return estimate_transition_matrix(
-        params, grid, T_set_out, grid.delta_tau, T_amb, dt_minutes, n_samples, seed
-    )
+    return estimate_transition_matrix(params, grid, T_set_out, grid.delta_tau, T_amb, dt_minutes)
 
 
 def check_outer_condition(
@@ -699,30 +703,21 @@ def characterize(
     P_on_total: float,
     dt_minutes: float = 1.0,
     T_max: int = DEFAULT_T_MAX,
-    n_samples: int = 20000,
-    seed: int = 0,
     with_outer: bool = True,
     T_set_stationary: float | None = None,
 ) -> CharacterizedFleet:
-    """Estimate all matrices and kernels for one regime.
+    """Build all matrices and kernels for one regime.
 
     T_set_stationary lets the baseline occupancy come from a different
     setpoint than the thermostat program encoded in A (pre-cooling
     studies); by default both are T_set.
     """
-    seeds = np.random.SeedSequence(seed).spawn(3)
     base_set = T_set if T_set_stationary is None else T_set_stationary
-    A = estimate_transition_matrix(
-        params, grid, base_set, deadband, T_amb, dt_minutes, n_samples, seeds[0]
-    )
-    A_a = estimate_transition_matrix(
-        params, grid, T_set_new, deadband, T_amb, dt_minutes, n_samples, seeds[1]
-    )
+    A = estimate_transition_matrix(params, grid, base_set, deadband, T_amb, dt_minutes)
+    A_a = estimate_transition_matrix(params, grid, T_set_new, deadband, T_amb, dt_minutes)
     A_out = None
     if with_outer:
-        A_out = build_fictitious_system(
-            params, grid, base_set, deadband, T_amb, dt_minutes, n_samples, seeds[2]
-        )
+        A_out = build_fictitious_system(params, grid, base_set, deadband, T_amb, dt_minutes)
     x_0 = stationary_distribution(A).x
     c = output_vector(grid, P_on_total)
     kernels = response_kernels(A, A_a, c, horizon=T_max + 1, A_out=A_out)
@@ -744,15 +739,13 @@ def sweep_setpoint(
     dt_minutes: float = 1.0,
     T_max: int = DEFAULT_T_MAX,
     n_grid: int = DEFAULT_N_GRID,
-    n_samples: int = 20000,
-    seed: int = 0,
 ) -> list[ReachHoldSet]:
     """Inner frontiers for several raised setpoints from one baseline."""
     sets = []
-    for i, T_new in enumerate(new_setpoints):
+    for T_new in new_setpoints:
         fleet = characterize(
             params, grid, T_set, float(T_new), deadband, T_amb, P_on_total,
-            dt_minutes, T_max, n_samples, seed=seed + 1000 * i, with_outer=False,
+            dt_minutes, T_max, with_outer=False,
         )
         p_grid = default_p_grid(fleet.p_nom_kw, n_grid)
         sets.append(
@@ -773,8 +766,6 @@ def precool_compare(
     dt_minutes: float = 1.0,
     T_max: int = DEFAULT_T_MAX,
     n_grid: int = DEFAULT_N_GRID,
-    n_samples: int = 20000,
-    seed: int = 0,
 ) -> dict[str, ReachHoldSet]:
     """Inner frontiers starting from the nominal occupancy versus an
     occupancy pre-cooled to a lower setpoint, both released to T_set_new."""
@@ -782,9 +773,7 @@ def precool_compare(
     for label, start in (("baseline", T_set_nominal), ("precooled", T_set_precool)):
         fleet = characterize(
             params, grid, start, T_set_new, deadband, T_amb, P_on_total,
-            dt_minutes, T_max, n_samples,
-            seed=seed + (0 if label == "baseline" else 5000),
-            with_outer=False,
+            dt_minutes, T_max, with_outer=False,
         )
         fleet.regime["start_setpoint"] = start
         p_grid = default_p_grid(fleet.p_nom_kw, n_grid)

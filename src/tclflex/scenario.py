@@ -93,7 +93,6 @@ DEFAULTS: dict = {
         "Q_m": 0.0,
         "P_rate": 3.5,
     },
-    "estimation": {"n_samples": 20000},
     "reachhold": {"methods": ["inner", "outer"], "p_grid_points": 50, "t_grid": None},
     "fleet": {"n_units": 1000, "heterogeneity": 0.1},
     "validate": {
@@ -115,7 +114,6 @@ DEFAULTS: dict = {
 # the hold studies seed-robust margin over their acceptance threshold.
 PRESETS: dict[str, dict] = {
     "fig2": {
-        "estimation": {"n_samples": 20000, "seed": 0},
         "fleet": {"n_units": 1000, "heterogeneity": 0.15, "seed": 2024},
         "validate": {
             "mode": "step",
@@ -125,20 +123,10 @@ PRESETS: dict[str, dict] = {
             "selection_seed": 55,
         },
     },
-    "fig4": {
-        "estimation": {"n_samples": 20000, "seed": 0},
-        "reachhold": {"methods": ["inner", "outer"]},
-    },
-    "fig5": {
-        "estimation": {"n_samples": 20000, "seed": 0},
-        "sweep": {"new_setpoints": [21.0, 21.5, 22.0]},
-    },
-    "fig6": {
-        "estimation": {"n_samples": 20000, "seed": 0},
-        "precool": {"T_set_precool": 19.0},
-    },
+    "fig4": {"reachhold": {"methods": ["inner", "outer"]}},
+    "fig5": {"sweep": {"new_setpoints": [21.0, 21.5, 22.0]}},
+    "fig6": {"precool": {"T_set_precool": 19.0}},
     "fig7": {
-        "estimation": {"n_samples": 20000, "seed": 0},
         "fleet": {"n_units": 1000, "heterogeneity": 0.15, "seed": 777},
         "validate": {
             "mode": "blocks",
@@ -149,7 +137,6 @@ PRESETS: dict[str, dict] = {
     },
     "selfcheck": {
         "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
-        "estimation": {"n_samples": 2000, "seed": 0},
         "T_max_steps": 60,
     },
 }
@@ -169,6 +156,9 @@ def effective_config(user: dict) -> dict:
     """Merge a user config over the defaults (nested dicts merge keywise)."""
     if not isinstance(user, dict):
         raise InvalidConfigurationError("config must be a JSON object")
+    # older configs carry an `estimation` section (sample count and seed of
+    # a Monte-Carlo matrix build); the matrices are exact, so it sets nothing
+    user = {key: value for key, value in user.items() if key != "estimation"}
     return _deep_merge(DEFAULTS, user)
 
 
@@ -233,10 +223,6 @@ def validate_config(cfg: dict, subcommand: str) -> None:
     grid = make_grid(cfg)
     deadband = float(cfg["deadband"])
     _check_band(grid, float(cfg["T_set"]), deadband, "T_set")
-    est = cfg["estimation"]
-    if int(est.get("n_samples", 0)) < 1000:
-        raise InvalidConfigurationError("estimation.n_samples must be >= 1000")
-    _require_seed(est, "seed", "estimation.seed")
 
     if subcommand in ("build-model", "reachhold", "validate", "selfcheck"):
         _check_band(grid, float(cfg["T_set_new"]), deadband, "T_set_new")
@@ -320,7 +306,6 @@ def resolve_config(
             raise InvalidConfigurationError("--methods applies to the reachhold subcommand only")
         cfg["reachhold"]["methods"] = list(methods)
     if seed_override is not None:
-        cfg["estimation"]["seed"] = int(seed_override)
         cfg["fleet"]["seed"] = int(seed_override)
         cfg["validate"]["selection_seed"] = int(seed_override)
     validate_config(cfg, subcommand)
@@ -352,8 +337,6 @@ def _characterize_from(cfg: dict, with_outer: bool):
         float(cfg["P_on_total_kw"]),
         dt_minutes=float(cfg["dt_minutes"]),
         T_max=int(cfg["T_max_steps"]),
-        n_samples=int(cfg["estimation"]["n_samples"]),
-        seed=int(cfg["estimation"]["seed"]),
         with_outer=with_outer,
     )
 
@@ -550,7 +533,6 @@ def run_sweep_setpoint(cfg: dict, out_dir: Path) -> dict[str, str]:
         float(cfg["deadband"]), float(cfg["T_amb"]), float(cfg["P_on_total_kw"]),
         dt_minutes=float(cfg["dt_minutes"]), T_max=int(cfg["T_max_steps"]),
         n_grid=int(cfg["reachhold"]["p_grid_points"]),
-        n_samples=int(cfg["estimation"]["n_samples"]), seed=int(cfg["estimation"]["seed"]),
     )
     artifacts = {}
     entries = []
@@ -571,7 +553,6 @@ def run_sweep_precool(cfg: dict, out_dir: Path) -> dict[str, str]:
         float(cfg["deadband"]), float(cfg["T_amb"]), float(cfg["P_on_total_kw"]),
         dt_minutes=float(cfg["dt_minutes"]), T_max=int(cfg["T_max_steps"]),
         n_grid=int(cfg["reachhold"]["p_grid_points"]),
-        n_samples=int(cfg["estimation"]["n_samples"]), seed=int(cfg["estimation"]["seed"]),
     )
     artifacts = {}
     for label, rh in duo.items():
@@ -594,7 +575,7 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
     after persisting the full report."""
     ch = _characterize_from(cfg, with_outer=True)
     n = ch.x_0.size
-    rng = np.random.default_rng(int(cfg["estimation"]["seed"]))
+    rng = np.random.default_rng(0)  # fixed probe controls, part of the check
     checks = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -638,13 +619,11 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
         f"max cumulative count error {per_state.max():.3e} (bound 1 per state, {n} states)",
     )
 
-    seeds = np.random.SeedSequence(int(cfg["estimation"]["seed"])).spawn(3)
     A_again = estimate_transition_matrix(
         make_params(cfg), make_grid(cfg), float(cfg["T_set"]), float(cfg["deadband"]),
         float(cfg["T_amb"]), float(cfg["dt_minutes"]),
-        int(cfg["estimation"]["n_samples"]), seeds[0],
     )
-    record("determinism", bool(np.array_equal(A_again.P, ch.A.P)), "re-estimate matches bitwise")
+    record("determinism", bool(np.array_equal(A_again.P, ch.A.P)), "rebuilt matrix matches bitwise")
 
     all_passed = all(c["passed"] for c in checks)
     path = out_dir / "selfcheck.json"

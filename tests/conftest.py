@@ -1,4 +1,4 @@
-"""Shared fixtures: default-regime matrices are estimated once per session."""
+"""Shared fixtures: default-regime matrices are built once per session."""
 
 import pytest
 
@@ -25,14 +25,14 @@ def grid40():
 @pytest.fixture(scope="session")
 def tm_nominal(grid40):
     return estimate_transition_matrix(
-        DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, dt_minutes=1.0, n_samples=4000, seed=101
+        DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, dt_minutes=1.0
     )
 
 
 @pytest.fixture(scope="session")
 def tm_actuated(grid40):
     return estimate_transition_matrix(
-        DEFAULT_PARAMS, grid40, T_SET_NEW, DEADBAND, T_AMB, dt_minutes=1.0, n_samples=4000, seed=102
+        DEFAULT_PARAMS, grid40, T_SET_NEW, DEADBAND, T_AMB, dt_minutes=1.0
     )
 
 

@@ -43,7 +43,7 @@ def fleet40():
     """Shipped-default regime: 40-bin grid, 20 -> 22 step, 8-hour horizon."""
     return characterize(
         DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND,
-        T_AMB, P_ON, T_max=480, n_samples=20000, seed=0,
+        T_AMB, P_ON, T_max=480,
     )
 
 
@@ -51,7 +51,7 @@ def test_criterion_01_sandwich_inner_exact_outer():
     t0 = time.perf_counter()
     ch = characterize(
         DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), T_SET, T_SET_NEW, DEADBAND,
-        T_AMB, P_ON, T_max=60, n_samples=20000, seed=0,
+        T_AMB, P_ON, T_max=60,
     )
     x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
     tol = 1e-6 * P_ON
@@ -193,7 +193,7 @@ def test_criterion_06_inner_holds_verified_by_micro(tmp_path):
 def test_criterion_07_hold_duration_monotone_in_setpoint():
     sets = sweep_setpoint(
         DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, [21.0, 21.5, 22.0],
-        DEADBAND, T_AMB, P_ON, T_max=480, n_grid=50, n_samples=20000, seed=0,
+        DEADBAND, T_AMB, P_ON, T_max=480, n_grid=50,
     )
     holds = [query_t_at_p(s, 400.0) for s in sets]
     assert all(t > 0 for t in holds)
@@ -204,7 +204,7 @@ def test_criterion_07_hold_duration_monotone_in_setpoint():
 def test_criterion_08_precooling_dominates():
     duo = precool_compare(
         DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, 19.0, T_SET_NEW,
-        DEADBAND, T_AMB, P_ON, T_max=480, n_grid=50, n_samples=20000, seed=0,
+        DEADBAND, T_AMB, P_ON, T_max=480, n_grid=50,
     )
     base, pre = duo["baseline"], duo["precooled"]
     p_nom_base = base.regime["P_nom_kw"]
@@ -256,7 +256,7 @@ def test_criterion_09_identical_fleet_aggregation(fleet40):
 
 
 def test_criterion_10_invariant_suite_green(tmp_path):
-    cfg = effective_config({"estimation": {"n_samples": 20000, "seed": 0}})
+    cfg = effective_config({})
     validate_config(cfg, "selfcheck")
     run("selfcheck", cfg, tmp_path)
     payload = json.loads((tmp_path / "selfcheck.json").read_text())

@@ -15,7 +15,6 @@ from tclflex.scenario import DEFAULTS, PRESETS, effective_config, resolve_config
 TINY = {
     "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
     "T_max_steps": 30,
-    "estimation": {"n_samples": 2000, "seed": 3},
     "reachhold": {"methods": ["inner", "outer", "exact"], "p_grid_points": 4, "t_grid": [5, 10]},
 }
 
@@ -23,7 +22,6 @@ TINY = {
 # 100 units spread over 80 states cannot honor per-bin requests
 DEGRADING_BLOCKS = {
     "T_max_steps": 60,
-    "estimation": {"n_samples": 2000, "seed": 3},
     "P_on_total_kw": 350.0,
     "fleet": {"n_units": 100, "heterogeneity": 0.15, "seed": 42},
     "validate": {"mode": "blocks", "hold_steps": [10], "burn_in_steps": 60, "selection_seed": 9},
@@ -59,8 +57,13 @@ class TestConfigResolution:
         assert cfg["dt_minutes"] == DEFAULTS["dt_minutes"]
 
     def test_missing_seed_is_load_error(self, tmp_path):
-        path = write_config(tmp_path / "c.json", {"estimation": {"n_samples": 2000}})
-        rc = main(["build-model", "--config", path, "--out", str(tmp_path / "o")])
+        cfg = {
+            "P_on_total_kw": 700.0,
+            "fleet": {"n_units": 200, "heterogeneity": 0.1},
+            "validate": {"mode": "step", "selection_seed": 1},
+        }
+        path = write_config(tmp_path / "c.json", cfg)
+        rc = main(["validate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
     def test_config_and_preset_conflict(self, tiny_config_path, tmp_path):
@@ -106,14 +109,22 @@ class TestConfigResolution:
         )
         assert rc == EXIT_CONFIG
 
-    def test_low_sample_count_rejected(self, tmp_path):
-        cfg = {"estimation": {"n_samples": 500, "seed": 1}}
-        path = write_config(tmp_path / "c.json", cfg)
-        assert main(["build-model", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    def test_retired_estimation_section_is_ignored(self, tmp_path):
+        # configs written for the Monte-Carlo matrix build still load, and
+        # their sample count and seed change nothing
+        outs = []
+        for tag, estimation in (("a", {"n_samples": 500, "seed": 1}), ("b", None)):
+            cfg = dict(TINY, estimation=estimation) if estimation else dict(TINY)
+            path = write_config(tmp_path / f"{tag}.json", cfg)
+            out = tmp_path / tag
+            assert main(["build-model", "--config", path, "--out", str(out)]) == EXIT_OK
+            echo = json.loads((out / "effective_config.json").read_text())
+            assert "estimation" not in echo
+            outs.append((out / "A.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_seed_override_reaches_every_seed(self):
         cfg = resolve_config("validate", preset="fig2", seed_override=11)
-        assert cfg["estimation"]["seed"] == 11
         assert cfg["fleet"]["seed"] == 11
         assert cfg["validate"]["selection_seed"] == 11
 
@@ -124,7 +135,7 @@ class TestConfigResolution:
         ]:
             assert name in PRESETS
             cfg = resolve_config(sub, preset=name)
-            assert cfg["estimation"]["seed"] == 0
+            assert "estimation" not in cfg
 
 
 class TestBuildModel:
@@ -212,15 +223,14 @@ class TestReachhold:
             outs.append((out / "inner.csv").read_bytes())
         assert outs[0] == outs[1]
         echo = json.loads((tmp_path / "a" / "effective_config.json").read_text())
-        assert echo["estimation"]["seed"] == 77
+        assert echo["fleet"]["seed"] == 77
 
 
 class TestValidate:
     def test_step_mode_runs_clean(self, tmp_path):
         cfg = {
             "T_max_steps": 40,
-            "estimation": {"n_samples": 2000, "seed": 3},
-            "P_on_total_kw": 700.0,
+                    "P_on_total_kw": 700.0,
             "fleet": {"n_units": 200, "heterogeneity": 0.15, "seed": 42},
             "validate": {"mode": "step", "fraction": 0.5, "horizon": 40,
                          "burn_in_steps": 40, "selection_seed": 9},
@@ -248,8 +258,7 @@ class TestValidate:
 
     def test_fleet_scale_must_match_bin_model(self, tmp_path):
         cfg = {
-            "estimation": {"n_samples": 2000, "seed": 3},
-            "fleet": {"n_units": 200, "heterogeneity": 0.1, "seed": 1},
+                    "fleet": {"n_units": 200, "heterogeneity": 0.1, "seed": 1},
             "validate": {"mode": "step", "selection_seed": 1},
         }
         path = write_config(tmp_path / "c.json", cfg)
@@ -257,8 +266,7 @@ class TestValidate:
 
     def test_selection_seed_required(self, tmp_path):
         cfg = {
-            "estimation": {"n_samples": 2000, "seed": 3},
-            "P_on_total_kw": 700.0,
+                    "P_on_total_kw": 700.0,
             "fleet": {"n_units": 200, "heterogeneity": 0.1, "seed": 1},
         }
         path = write_config(tmp_path / "c.json", cfg)
@@ -290,8 +298,7 @@ class TestSweeps:
         cfg = {
             "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
             "T_max_steps": 20,
-            "estimation": {"n_samples": 2000, "seed": 3},
-            "reachhold": {"p_grid_points": 3},
+                    "reachhold": {"p_grid_points": 3},
             "sweep": {"new_setpoints": [21.0, 22.0]},
         }
         path = write_config(tmp_path / "c.json", cfg)
@@ -306,8 +313,7 @@ class TestSweeps:
         cfg = {
             "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
             "T_max_steps": 20,
-            "estimation": {"n_samples": 2000, "seed": 3},
-            "reachhold": {"p_grid_points": 3},
+                    "reachhold": {"p_grid_points": 3},
             "precool": {"T_set_precool": 19.0},
         }
         path = write_config(tmp_path / "c.json", cfg)

@@ -14,7 +14,6 @@ from tclflex.lp import (
     UNBOUNDED,
     LinearProgram,
     LpSolution,
-    dump,
     max_violation,
     solve,
 )
@@ -140,9 +139,16 @@ def spoil_duals(res):
     res.ineqlin.marginals[slack_row] = -1.0
 
 
+def give_up(res):
+    # HiGHS status 4: the solve ended without an answer to check
+    res.status = 4
+    res.x = None
+
+
 class TestRetry:
-    """An answer HiGHS calls optimal but the checks reject is re-solved
-    once with tight tolerances, and only a second reject is a failure."""
+    """A numerical failure (an answer the checks reject, or none at all)
+    is re-solved once with tight tolerances, and only a second failure is
+    reported."""
 
     @staticmethod
     def patch_linprog(monkeypatch, spoil, n_spoiled):
@@ -159,7 +165,7 @@ class TestRetry:
         monkeypatch.setattr(tclflex.lp, "linprog", fake)
         return seen
 
-    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals])
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_spoiled_first_answer_is_resolved_tightly(self, monkeypatch, spoil):
         lp, z_star, obj_star = known_optimum_lp()
         seen = self.patch_linprog(monkeypatch, spoil, n_spoiled=1)
@@ -172,7 +178,7 @@ class TestRetry:
         assert sol.objective_value == pytest.approx(obj_star, rel=1e-6)
         assert sol.max_constraint_violation <= 1e-7 * max(1.0, np.abs(lp.h).max())
 
-    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals])
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_second_spoiled_answer_is_numerical_failure(self, monkeypatch, spoil):
         lp, _, _ = known_optimum_lp()
         seen = self.patch_linprog(monkeypatch, spoil, n_spoiled=2)
@@ -191,17 +197,3 @@ class TestRetry:
         assert solve(lp).status == INFEASIBLE
         assert seen == [None]
 
-
-class TestDump:
-    def test_dump_is_readable(self, tmp_path):
-        lp = LinearProgram(
-            c=np.array([1.0, 2.0]),
-            G=np.array([[1.0, 1.0]]),
-            h=np.array([1.0]),
-            lo=np.zeros(2),
-        )
-        path = tmp_path / "problem.txt"
-        dump(lp, path)
-        text = path.read_text()
-        assert "maximize" in text
-        assert "<=" in text

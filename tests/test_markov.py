@@ -1,8 +1,11 @@
-"""Tests for the bin model: grids, Monte-Carlo estimation, stationary
-distributions, population stepping, and serialization."""
+"""Tests for the bin model: grids, the closed-form transition matrix
+against a Monte-Carlo oracle, stationary distributions, population
+stepping, and serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tclflex.errors import (
     ConstraintViolationError,
@@ -20,6 +23,7 @@ from tclflex.markov import (
     estimate_transition_matrix,
     load_matrix,
     output_vector,
+    reachable,
     save_matrix,
     stationary_distribution,
     step_population,
@@ -27,6 +31,7 @@ from tclflex.markov import (
 )
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET
+from mc_reference import monte_carlo_matrix
 
 
 class TestBinGrid:
@@ -66,10 +71,9 @@ class TestEstimateTransitionMatrix:
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
         assert np.all(tm_nominal.P >= 0.0)
 
-    def test_deterministic_in_seed(self, grid40):
-        a = estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=1000, seed=5)
-        b = estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=1000, seed=5)
-        assert np.array_equal(a.P, b.P)
+    def test_deterministic(self, grid40, tm_nominal):
+        again = estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB)
+        assert np.array_equal(again.P, tm_nominal.P)
 
     def test_on_units_inside_band_drift_cooler(self, grid40, tm_nominal):
         # pick the on bin at the band center; cooling moves mass to cooler bins
@@ -88,27 +92,57 @@ class TestEstimateTransitionMatrix:
         assert warmer > cooler
 
     def test_monte_carlo_convergence_on_doubling(self, grid40):
-        # Standardized entry differences between an n and a 2n estimate.
-        # Individual 3-sigma exceedances are expected at this matrix size,
-        # so the bound is: none beyond 5 sigma, at least 99% inside 3.
+        # The oracle's own noise is binomial, as the bound in
+        # TestMonteCarloOracle assumes: standardized entry differences
+        # between an n and a 2n estimate.  Individual 3-sigma exceedances
+        # are expected at this matrix size, so the bound is: none beyond
+        # 5 sigma, at least 99% inside 3.
         n = 4000
-        a = estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=n, seed=31)
-        b = estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=2 * n, seed=32)
-        pooled = (n * a.P + 2 * n * b.P) / (3 * n)
+        a = monte_carlo_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=n, seed=31)
+        b = monte_carlo_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=2 * n, seed=32)
+        pooled = (n * a + 2 * n * b) / (3 * n)
         var = pooled * (1.0 - pooled) * (1.0 / n + 1.0 / (2 * n))
         sigma = np.sqrt(var) + 1e-12
-        z = np.abs(a.P - b.P) / sigma
+        z = np.abs(a - b) / sigma
         assert z.max() < 5.0
         assert (z < 3.0).mean() >= 0.99
 
     def test_band_must_be_inside_grid(self):
         grid = build_grid(19.8, 23.0, 8)
         with pytest.raises(InvalidConfigurationError):
-            estimate_transition_matrix(DEFAULT_PARAMS, grid, T_SET, DEADBAND, T_AMB, n_samples=1000)
+            estimate_transition_matrix(DEFAULT_PARAMS, grid, T_SET, DEADBAND, T_AMB)
 
-    def test_sample_floor_enforced(self, grid40):
-        with pytest.raises(InvalidInputError):
-            estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=999)
+
+class TestMonteCarloOracle:
+    """The closed form against the Monte-Carlo estimator it replaced."""
+
+    N_SAMPLES = 4000
+
+    def test_defaults_match_pattern(self, grid40, tm_nominal):
+        mc = monte_carlo_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB, n_samples=self.N_SAMPLES)
+        assert np.array_equal(mc > 0.0, tm_nominal.P > 0.0)
+        assert np.count_nonzero(tm_nominal.P) == 159
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        T_amb=st.floats(26.0, 38.0),
+        T_set=st.floats(19.5, 22.5),
+        deadband=st.floats(0.4, 2.0),
+        n_bins=st.sampled_from([10, 40]),
+    )
+    @example(T_amb=T_AMB, T_set=T_SET, deadband=DEADBAND, n_bins=40)
+    def test_within_five_binomial_standard_errors(self, T_amb, T_set, deadband, n_bins):
+        grid = build_grid(18.0, 24.0, n_bins)
+        P = estimate_transition_matrix(DEFAULT_PARAMS, grid, T_set, deadband, T_amb).P
+        n = self.N_SAMPLES
+        mc = monte_carlo_matrix(DEFAULT_PARAMS, grid, T_set, deadband, T_amb, n_samples=n, seed=n_bins)
+        se = np.sqrt(P * (1.0 - P) / n)
+        # where P is 0 or 1 the bound is exact equality, so MC never lands
+        # outside the closed form's pattern
+        assert np.all(np.abs(mc - P) <= 5.0 * se + 1e-12)
+        # the closed form may only add entries too small for n samples to hit
+        missed = (P > 0.0) & (mc == 0.0)
+        assert np.all(P[missed] * n <= 25.0)
 
 
 class TestStationaryDistribution:
@@ -119,8 +153,9 @@ class TestStationaryDistribution:
         tm = TransitionMatrix(P=P, grid=grid, dt_minutes=1.0, T_set=20.0, T_amb=32.0, deadband=1.0)
         result = stationary_distribution(tm)
         assert result.x == pytest.approx([5.0 / 6.0, 1.0 / 6.0], abs=1e-9)
-        assert result.unique
+        assert np.sum(np.abs(np.linalg.eigvals(P) - 1.0) < 1e-8) == 1
         assert result.residual <= 1e-10
+        assert result.iterations >= 1
 
     def test_default_regime_converges(self, tm_nominal, x0_nominal):
         x = x0_nominal.x
@@ -133,6 +168,16 @@ class TestStationaryDistribution:
         inside = (centers >= T_SET - 0.6 * DEADBAND) & (centers <= T_SET + 0.6 * DEADBAND)
         assert x[inside].sum() > 0.95
 
+    def test_default_support_is_the_recurrent_class(self, tm_nominal, x0_nominal):
+        A = tm_nominal.P
+        supp = x0_nominal.x > 0.0
+        assert np.count_nonzero(supp) == 16
+        # C: states reachable from every state; x_0 lives exactly there
+        n = A.shape[0]
+        from_each, _ = reachable(A, np.eye(n, dtype=bool))
+        assert np.array_equal(supp, from_each.all(axis=0))
+        assert np.sum(np.abs(np.linalg.eigvals(A) - 1.0) < 1e-8) == 1
+
     def test_nominal_power_matches_micro_long_run(self, tm_nominal, x0_nominal, c_out):
         p_nom = float(c_out.c @ x0_nominal.x)
         spec = FleetSpec(n_units=800, heterogeneity=0.0, seed=71)
@@ -142,27 +187,26 @@ class TestStationaryDistribution:
         assert abs(p_nom - micro_mean) <= 0.05 * micro_mean
 
     def test_identity_matrix_flagged_non_unique(self):
+        # both states are closed classes: no unique distribution exists
         grid = BinGrid(T_min=19.5, T_max=20.5, n_bins=1)
         tm = TransitionMatrix(P=np.eye(2), grid=grid, dt_minutes=1.0, T_set=20.0, T_amb=32.0, deadband=1.0)
-        result = stationary_distribution(tm)
-        assert not result.unique
-        assert result.residual <= 1e-10
+        with pytest.raises(NumericalFailureError, match="unique"):
+            stationary_distribution(tm)
 
     def test_nonconvergent_chain_raises(self):
-        # pure two-cycle: power iteration cannot settle without the restart;
-        # with it, the averaged iterate is stationary, so build a matrix whose
-        # fixed point exists but make tol unreachable instead
+        # the periodic two-cycle has a fixed point and the solve finds it;
+        # a matrix that leaks mass has none, and the residual gate says so
         grid = BinGrid(T_min=19.5, T_max=20.5, n_bins=1)
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         tm = TransitionMatrix(P=P, grid=grid, dt_minutes=1.0, T_set=20.0, T_amb=32.0, deadband=1.0)
-        result = stationary_distribution(tm)  # restart handles periodicity
+        result = stationary_distribution(tm)
         assert result.x == pytest.approx([0.5, 0.5], abs=1e-9)
-        slow = TransitionMatrix(
-            P=np.array([[0.9, 0.5], [0.1, 0.5]]),
+        leaky = TransitionMatrix(
+            P=np.array([[0.9, 0.5], [0.05, 0.5]]),
             grid=grid, dt_minutes=1.0, T_set=20.0, T_amb=32.0, deadband=1.0,
         )
         with pytest.raises(NumericalFailureError, match="residual"):
-            stationary_distribution(slow, tol=1e-12, max_iter=2)
+            stationary_distribution(leaky)
 
 
 class TestPopulationStepping:
