@@ -13,8 +13,9 @@ the achievable set:
 * exact: the LP over u on the smallest A-invariant set containing
   supp(x_0), where every admissible plan lives (desk scale only),
 * inner: a feasible budget-allocation policy u[k] = alpha[k] x_0 whose
-  lower-bound recursion exploits that a setpoint raise of at least one
-  deadband empties the on block in one step,
+  lower-bound recursion discounts the power a freshly actuated cohort
+  still draws (c A_a x_0, zero once the raise exceeds one deadband),
+  and whose hold is scanned from the first step,
 * outer: an LP relaxation driven by a fictitious squeezed-deadband
   system whose transition matrix A_out concentrates mass at the lower
   deadband edge; its validity is certified empirically by comparing
@@ -385,6 +386,22 @@ def solve_exact(
     return float(sol.z[-1]), ControlPlan(u=np.clip(u, 0.0, None)), sol
 
 
+def _alpha_lb(
+    k: int, alpha: np.ndarray, committed: float, r: float, rec: np.ndarray, p_nom: float, gain: float
+) -> float:
+    """Lower bound on alpha[k] that keeps dP[k+1] >= P_hold = r P_nom.
+
+    rec[m] = c A_a^{m+1} x_0, committed = sum(alpha[:k]) and gain =
+    1 - rec[0] / P_nom.  Since A x_0 = x_0, dP[k+1] = sum_{n<=k} alpha[n]
+    (P_nom - rec[k-n]), so alpha[k] must cover what the committed prefix
+    misses, divided by the gain of a freshly actuated cohort.  No finite
+    alpha[k] helps when that gain is not positive."""
+    lb = r if k == 0 else r - committed + float(alpha[:k] @ rec[k:0:-1]) / p_nom
+    if gain <= 0.0:
+        return np.inf if lb > 0.0 else 0.0
+    return lb / gain
+
+
 def alpha_lower_bound(
     k: int,
     alpha: np.ndarray,
@@ -394,22 +411,18 @@ def alpha_lower_bound(
 ) -> float:
     """Minimum feasible alpha[k] given the committed prefix alpha[0..k-1].
 
-    Valid in the regime where the setpoint raise is at least one
-    deadband, so a freshly actuated cohort draws no power on its first
-    step.  For k = 0 this is P_hold / P_nom; for k >= 1 each committed
-    alpha[n] is discounted by the actuated cohort's power recovery
-    c A_a^{k-n+1} x_0."""
+    For k = 0 this is P_hold / (P_nom - c A_a x_0); for k >= 1 each
+    committed alpha[n] is discounted by the actuated cohort's power
+    recovery c A_a^{k-n+1} x_0 (see `_alpha_lb`)."""
     p_nom = float(kernels.h[0] @ x_0)
     if p_nom <= 0.0:
         raise InvalidInputError("P_nom must be positive")
-    r = P_hold / p_nom
-    if k == 0:
-        return r
     if kernels.horizon < k + 1:
         raise InvalidInputError(f"kernels horizon {kernels.horizon} too short for k={k}")
-    rec = kernels.h_a[2 : k + 2] @ x_0  # c A_a^{k-n+1} x_0 for n = k-1 .. 0
-    terms = -1.0 + rec[::-1] / p_nom
-    return r + float(np.asarray(alpha[:k]) @ terms)
+    alpha = np.asarray(alpha, dtype=float)
+    rec = kernels.h_a[1 : k + 2] @ x_0
+    gain = 1.0 - float(rec[0]) / p_nom
+    return _alpha_lb(k, alpha, float(alpha[:k].sum()), P_hold / p_nom, rec, p_nom, gain)
 
 
 @dataclass
@@ -430,8 +443,8 @@ def inner_point(
     T_max: int = DEFAULT_T_MAX,
 ) -> InnerPoint:
     """Greedy-minimal feasible allocation: alpha[k] = max(alpha_lb, 0)
-    until the unit budget depletes, then the hold duration is the last
-    step before the reduction falls below P_hold (T_max if it never
+    until the unit budget depletes; the hold duration is the last step
+    before the reduction first falls below P_hold (T_max if it never
     does, flagged horizon-limited)."""
     p_nom = float(kernels.h[0] @ x_0)
     if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
@@ -441,17 +454,12 @@ def inner_point(
     P_hold = float(np.clip(P_hold, 0.0, p_nom))
     rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
     r = P_hold / p_nom
+    gain = 1.0 - float(rec[0]) / p_nom
     alpha = np.zeros(T_max)
     depletion = None
     committed = 0.0
-    # recursion state: alpha_lb[k] = r + sum_{n<k} alpha[n] (-1 + rec[k-n]/p_nom)
     for k in range(T_max):
-        if k == 0:
-            lb = r
-        else:
-            # rec[k-n] = c A_a^{k-n+1} x_0 paired with alpha[n], n = 0..k-1
-            lb = r - committed + float(alpha[:k] @ rec[k:0:-1]) / p_nom
-        a = max(lb, 0.0)
+        a = max(_alpha_lb(k, alpha, committed, r, rec, p_nom, gain), 0.0)
         if committed + a >= 1.0:
             alpha[k] = 1.0 - committed
             depletion = k
@@ -462,13 +470,12 @@ def inner_point(
     plan = ControlPlan(alpha=alpha)
     response = delta_p(plan, kernels, x_0)
     dp = response.delta_p_kw
-    scan_from = (depletion + 1) if depletion is not None else 1
     # steps where alpha sat exactly at its lower bound satisfy the hold
     # with equality, so the violation test needs room for rounding noise
     hold_tol = 1e-10 * max(1.0, kernels.c.P_on_total)
     T_hold = T_max
     horizon_limited = True
-    for k in range(scan_from, T_max + 1):
+    for k in range(1, T_max + 1):
         if dp[k] < P_hold - hold_tol:
             T_hold = k - 1
             horizon_limited = False

@@ -107,6 +107,17 @@ class MicroRun:
         return self.shortfall_fraction > SHORTFALL_WARN_FRACTION
 
 
+def _state_pools(keys: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
+    """For each of `states`, the ascending indices of the units with that
+    key (np.flatnonzero(keys == i)), from one stable sort of the keys."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    states = states.astype(keys.dtype)
+    starts = np.searchsorted(sorted_keys, states, side="left")
+    ends = np.searchsorted(sorted_keys, states, side="right")
+    return [order[lo:hi] for lo, hi in zip(starts, ends)]
+
+
 def apply_plan_micro(
     fleet: Fleet,
     plan: DiscretizedPlan,
@@ -147,12 +158,16 @@ def apply_plan_micro(
     power[0] = stepper.power_kw()
     shortfalls: list[dict] = []
     selected_total = 0
+    # an actuated unit's key is its state + n_states, out of every pool;
+    # keys fit 16 bits at any practical grid, which makes the stable sort
+    # in _state_pools a radix sort
+    key_type = np.min_scalar_type(2 * grid.n_states)
     for k in range(K):
         if k < T and counts[k].any():
-            state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
-            for i in np.flatnonzero(counts[k]):
+            keys = grid.state_index(fleet.T_a, fleet.on + 2 * actuated).astype(key_type)
+            wanted = np.flatnonzero(counts[k])
+            for i, pool in zip(wanted, _state_pools(keys, wanted)):
                 want = int(counts[k][i])
-                pool = np.flatnonzero(~actuated & (state_idx == i))
                 take = min(want, pool.size)
                 if take < want:
                     shortfalls.append(

@@ -63,6 +63,9 @@ def test_criterion_01_sandwich_inner_exact_outer():
         p_outer = min(raw, ch.p_nom_kw)
         assert p_inner <= p_exact + tol, f"T={T}: inner {p_inner} > exact {p_exact}"
         assert p_exact <= p_outer + tol, f"T={T}: exact {p_exact} > outer {p_outer}"
+        # on this grid c A_a x_0 is 2.6 kW, not 0: the inner side must
+        # still reach near the exact value instead of collapsing to 0
+        assert p_inner >= 0.95 * p_exact, f"T={T}: inner {p_inner} far below exact {p_exact}"
         gaps.append((T, p_exact - p_inner, p_outer - p_exact))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"sandwich took {elapsed:.1f}s"
@@ -102,6 +105,32 @@ def test_criterion_02_inner_plans_feasible_when_repropagated(fleet40):
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"feasibility check took {elapsed:.1f}s"
     print(f"[criterion 2] PASS 20/20 plans feasible, worst margin {worst:.3e} kW ({elapsed:.1f}s)")
+
+
+def test_criterion_02_inner_plans_feasible_with_partial_raise():
+    # a raise of exactly one deadband leaves c A_a x_0 = 74.7 kW on: the
+    # inner recursion must discount it, and every hold it claims must
+    # survive re-propagation from the first step on
+    t0 = time.perf_counter()
+    ch = characterize(
+        DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET + DEADBAND, DEADBAND,
+        T_AMB, P_ON, T_max=480, with_outer=False,
+    )
+    assert float(ch.kernels.h_a[1] @ ch.x_0) > 0.05 * ch.p_nom_kw
+    tol = 1e-9 * P_ON
+    worst = np.inf
+    for P in default_p_grid(ch.p_nom_kw):
+        ip = inner_point(P, ch.kernels, ch.x_0, T_max=480)
+        T_h = ip.point.T_hold_steps
+        dp = delta_p_by_stepping(
+            ip.plan, ch.A, ch.A_a, ch.c, ch.x_0, horizon=max(T_h, 1)
+        ).delta_p_kw
+        margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
+        worst = min(worst, margin)
+        assert margin >= -tol, f"P={P:.1f} kW, T={T_h}: hold margin {margin} kW"
+        assert ip.min_margin_kw >= -tol
+    elapsed = time.perf_counter() - t0
+    print(f"[criterion 2] PASS 50/50 plans feasible at a one-deadband raise, worst margin {worst:.3e} kW ({elapsed:.1f}s)")
 
 
 def test_criterion_03_actuated_on_power_structural_zero(fleet40):

@@ -6,12 +6,17 @@ RK4 at one-second resolution with the thermostat checked every second.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import tclflex.etp
 from tclflex.errors import InvalidInputError
 from tclflex.etp import (
     DEFAULT_PARAMS,
     Fleet,
     FleetSpec,
+    FleetStepper,
     TclParams,
     TclState,
     discretize,
@@ -54,6 +59,43 @@ def rk4_reference(state, params, T_amb, deadband, minutes, sub_dt_s=1.0):
         elif T_a <= state.T_set - 0.5 * deadband:
             on = False
     return T_a, T_m, on, on_time / (n_sub * sub_dt_s)
+
+
+class ExpmStepper(FleetStepper):
+    """Oracle fleet stepper: per-unit, per-mode matrix exponentials of the
+    augmented 3x3 system [[F, g], [0, 0]], gathered and applied per step."""
+
+    def __init__(self, fleet, T_amb, dt_minutes=1.0):
+        self.fleet = fleet
+        self.deadband = fleet.spec.deadband
+        p = fleet.params
+        n = fleet.n_units
+        M = np.zeros((2, n, 3, 3))
+        for mode, q_a in enumerate((p["Q_a_off"], p["Q_a_on"])):
+            M[mode, :, 0, 0] = -(p["U_a"] + p["H_m"]) / p["C_a"]
+            M[mode, :, 0, 1] = p["H_m"] / p["C_a"]
+            M[mode, :, 1, 0] = p["H_m"] / p["C_m"]
+            M[mode, :, 1, 1] = -p["H_m"] / p["C_m"]
+            M[mode, :, 0, 2] = (p["U_a"] * T_amb + q_a) / p["C_a"]
+            M[mode, :, 1, 2] = p["Q_m"] / p["C_m"]
+        E = expm(M.reshape(2 * n, 3, 3) * (dt_minutes / 60.0)).reshape(2, n, 3, 3)
+        self.A_d = E[:, :, :2, :2]  # index 0: compressor off, 1: on
+        self.b_d = E[:, :, :2, 2]
+
+    def advance(self):
+        f = self.fleet
+        mode = f.on.astype(int)
+        units = np.arange(f.n_units)
+        x = np.stack([f.T_a, f.T_m], axis=1)
+        x = np.einsum("nij,nj->ni", self.A_d[mode, units], x) + self.b_d[mode, units]
+        f.T_a, f.T_m = x[:, 0], x[:, 1]
+        f.on = tclflex.etp.apply_thermostat(f.T_a, f.T_set, f.on, self.deadband)
+
+
+def close_per_unit(got, ref, axes, rel=1e-12):
+    """Each unit's largest error is within `rel` of the largest entry of
+    its reference map (an all-zero reference must be matched exactly)."""
+    return bool(np.all(np.abs(got - ref).max(axis=axes) <= rel * np.abs(ref).max(axis=axes)))
 
 
 def duty_cycle_measured(params, T_amb, T_set, deadband, dt_minutes, hours):
@@ -259,13 +301,41 @@ class TestSimulateFleet:
             expect = fleet.params["P_rate"][trace.on[k]].sum()
             assert trace.power_kw[k] == pytest.approx(expect, rel=1e-12)
 
-    def test_trace_csv_round_trip(self, tmp_path):
-        spec = FleetSpec(n_units=3, heterogeneity=0.0, seed=23)
-        trace = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 5)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "step,unit,T_a,T_m,on,T_set"
-        assert len(rows) == 1 + 6 * 3
-        first = rows[1].split(",")
-        assert float(first[2]) == trace.T_a[0, 0]
+    def test_power_matches_oracle_stepper(self, monkeypatch):
+        spec = FleetSpec(n_units=1000, heterogeneity=0.15, seed=29)
+        fast = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 480)
+        monkeypatch.setattr(tclflex.etp, "FleetStepper", ExpmStepper)
+        slow = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 480)
+        assert np.array_equal(fast.on, slow.on)
+        assert np.array_equal(fast.power_kw, slow.power_kw)
+        assert np.abs(fast.T_a - slow.T_a).max() <= 1e-11
+        assert np.abs(fast.T_m - slow.T_m).max() <= 1e-11
+
+
+class TestFleetStepper:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        heterogeneity=st.floats(0.0, 0.95),
+        T_amb=st.floats(20.0, 45.0),
+        log10_dt=st.floats(-9.0, np.log10(30.0)),
+    )
+    @example(heterogeneity=0.15, T_amb=32.0, log10_dt=0.0)
+    @example(heterogeneity=0.95, T_amb=45.0, log10_dt=np.log10(30.0))
+    @example(heterogeneity=0.0, T_amb=30.0, log10_dt=-9.0)
+    def test_closed_form_maps_match_expm(self, heterogeneity, T_amb, log10_dt):
+        dt = 10.0**log10_dt
+        fleet = sample_fleet(FleetSpec(n_units=64, heterogeneity=heterogeneity, seed=31))
+        stepper = FleetStepper(fleet, T_amb, dt)
+        oracle = ExpmStepper(fleet, T_amb, dt)
+        A_d = np.stack(
+            [np.stack([stepper.a00, stepper.a01], -1), np.stack([stepper.a10, stepper.a11], -1)], -2
+        )
+        for mode in (0, 1):
+            assert close_per_unit(A_d, oracle.A_d[mode], (1, 2))
+            b_d = np.stack(stepper.b_d[mode], -1)
+            assert close_per_unit(b_d, oracle.b_d[mode], 1)
+
+    def test_rejects_nonpositive_dt(self):
+        fleet = sample_fleet(FleetSpec(n_units=3))
+        with pytest.raises(InvalidInputError):
+            FleetStepper(fleet, 32.0, 0.0)

@@ -113,6 +113,7 @@ def full_support_exact(T, kernels, x_0, A):
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 ABSORB_OFF = [[1.0, 1.0], [0.0, 0.0]]  # everything parks in the off state
 MIXING = [[0.5, 0.5], [0.5, 0.5]]
+PARTIAL = [[0.75, 0.75], [0.25, 0.25]]
 
 
 class TestResponseKernels:
@@ -207,12 +208,27 @@ class TestAlphaLowerBound:
         assert lb == pytest.approx(0.0, abs=1e-15)
 
     def test_second_step_refills_under_full_recovery(self):
-        # mixing actuated dynamics put half the unit mass back on, so
-        # c A_a^2 x_0 = p_nom and the discount term cancels entirely
+        # mixing actuated dynamics put half the unit mass back on at once,
+        # so c A_a x_0 = p_nom: an actuated cohort saves nothing and no
+        # finite allocation holds the target
         kernels = tiny_system(IDENTITY, MIXING)
         x_0 = np.array([0.5, 0.5])
         lb = alpha_lower_bound(1, np.array([0.4]), 2.0, kernels, x_0)
-        assert lb == pytest.approx(0.4)
+        assert lb == np.inf
+
+    def test_partial_recovery_divides_by_gain(self):
+        # A_a leaves a quarter of the mass on each step: c A_a^m x_0 = 2.5
+        # = p_nom / 2 for every m >= 1, so each unit of alpha buys half
+        # its nominal share and the bounds below hold dP at exactly 2 kW
+        kernels = tiny_system(IDENTITY, PARTIAL)
+        x_0 = np.array([0.5, 0.5])
+        lb0 = alpha_lower_bound(0, np.array([]), 2.0, kernels, x_0)
+        assert lb0 == pytest.approx(0.8)
+        lb1 = alpha_lower_bound(1, np.array([lb0]), 2.0, kernels, x_0)
+        assert lb1 == pytest.approx(0.0, abs=1e-15)
+        plan = ControlPlan(alpha=np.array([lb0, lb1]))
+        dp = delta_p(plan, kernels, x_0).delta_p_kw
+        assert dp[1:3] == pytest.approx([2.0, 2.0])
 
     def test_horizon_guard(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=3)
@@ -257,6 +273,14 @@ class TestInnerPoint:
         assert ip.point.horizon_limited and ip.point.T_hold_steps == 19
         assert ip.plan.alpha[0] == pytest.approx(0.5)
         assert ip.plan.alpha[1:].sum() == pytest.approx(0.0, abs=1e-15)
+
+    def test_no_gain_holds_nothing(self):
+        # a fresh cohort that draws its full share again saves nothing:
+        # the budget goes at once and no positive target holds a step
+        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
+        ip = inner_point(2.0, kernels, np.array([0.5, 0.5]), T_max=19)
+        assert ip.depletion_step == 0
+        assert ip.point.T_hold_steps == 0 and not ip.point.horizon_limited
 
     def test_target_outside_range_rejected(self, char40):
         with pytest.raises(InvalidInputError):

@@ -11,6 +11,7 @@ from tclflex.markov import build_grid
 from tclflex.reachhold import ControlPlan
 from tclflex.validation import (
     DiscretizedPlan,
+    _state_pools,
     apply_plan_micro,
     burn_in,
     compare_traces,
@@ -83,6 +84,23 @@ def settled_fleet():
     fleet = sample_fleet(FleetSpec(n_units=200, seed=42, T_set=T_SET, T_amb=T_AMB))
     burn_in(fleet, T_AMB, DEADBAND, steps=240)
     return fleet
+
+
+class TestStatePools:
+    def test_grouped_pools_equal_flatnonzero_pools(self):
+        grid = build_grid(18.0, 24.0, 40)
+        fleet = sample_fleet(FleetSpec(n_units=5000, heterogeneity=0.15, seed=37))
+        burn_in(fleet, T_AMB, DEADBAND, steps=30)
+        actuated = np.random.default_rng(41).uniform(size=fleet.n_units) < 0.3
+        state_idx = grid.state_index(fleet.T_a, fleet.on)
+        # keyed as apply_plan_micro keys them: actuated units shift out
+        keys = grid.state_index(fleet.T_a, fleet.on + 2 * actuated)
+        keys = keys.astype(np.min_scalar_type(2 * grid.n_states))
+        states = np.arange(grid.n_states)
+        pools = _state_pools(keys, states)
+        assert sum(p.size for p in pools) == int((~actuated).sum())
+        for i, pool in zip(states, pools):
+            assert np.array_equal(pool, np.flatnonzero(~actuated & (state_idx == i)))
 
 
 class TestApplyPlanMicro:
