@@ -13,11 +13,10 @@ so every combined point inherits feasibility from component points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .reachhold import ReachHoldPoint, ReachHoldSet, prune_to_frontier
+from .reachhold import ReachHoldPoint, ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
 
 EXCLUSIVE = "exclusive"
 SIMULTANEOUS = "simultaneous"
@@ -145,7 +144,4 @@ def save_combined(combined: CombinedSet, csv_path) -> None:
         "component_regimes": [s.regime for s in combined.components],
         "modes": list(MODES),
     }
-    path = csv_path[: -len(".csv")] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, _sidecar_path(csv_path))

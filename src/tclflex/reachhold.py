@@ -11,15 +11,18 @@ plan keeps dP[k] >= P_hold for every k in 1..T_hold.  Three routes map
 the achievable set:
 
 * exact: the LP over u on the smallest A-invariant set containing
-  supp(x_0), where every admissible plan lives (desk scale only),
+  supp(x_0), where every admissible plan lives, with admissibility
+  carried by the mass left unactuated after each step (sparse rows;
+  desk scale only),
 * inner: a feasible budget-allocation policy u[k] = alpha[k] x_0 whose
   lower-bound recursion discounts the power a freshly actuated cohort
   still draws (c A_a x_0, zero once the raise exceeds one deadband),
   and whose hold is scanned from the first step,
 * outer: an LP relaxation driven by a fictitious squeezed-deadband
   system whose transition matrix A_out concentrates mass at the lower
-  deadband edge; its validity is certified empirically by comparing
-  kernels, never assumed.
+  deadband edge, solved by column generation over (step, state)
+  columns until a weak-duality bound meets the value; its validity is
+  certified empirically by comparing kernels, never assumed.
 """
 
 from __future__ import annotations
@@ -56,10 +59,18 @@ OUTER = "outer"
 METHODS = (EXACT, INNER, OUTER)
 
 # max T_hold * n_states for the exact route.  The LP itself is built on
-# the invariant support (16 of 80 states at the defaults), but the cap
-# counts full states so that the holds it admits do not depend on the
-# occupancy
+# the invariant support (16 of 80 states at the defaults), with
+# 2 T_hold |S| + 1 variables and sparse rows, but the cap counts full
+# states so that the holds it admits do not depend on the occupancy
 EXACT_LP_CAP = 5000
+# the outer column generation stops once its pricing bound is within this
+# fraction of the master's value, and gives up after this many rounds.  A
+# column that sits unused, priced below the value, in this many masters
+# in a row leaves the next one: keeping it slows every later master,
+# whose size is what each re-solve from scratch pays for
+OUTER_CG_GAP_REL = 1e-9
+OUTER_CG_MAX_ROUNDS = 200
+OUTER_CG_IDLE_ROUNDS = 2
 DEFAULT_T_MAX = 480  # steps; 8 h at one-minute resolution
 DEFAULT_N_GRID = 50
 
@@ -317,14 +328,13 @@ def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reachable(A.P, x_0 > 0.0)[0])
 
 
-def _fill_hold_rows(G: np.ndarray, d: np.ndarray, cols: np.ndarray, T: int) -> None:
-    """Write the hold rows P - sum_{m<k} d[k-m][cols] @ v[m] <= 0, k = 1..T,
-    into G[:T], for variables v[0..T-1] (len(cols) each) followed by P."""
-    S = cols.size
-    neg = -d[1 : T + 1][:, cols]  # neg[j] = -d[j+1][cols]
-    for k in range(1, T + 1):
-        G[k - 1, : k * S] = neg[k - 1 :: -1].ravel()  # m = 0..k-1 takes -d[k-m]
-    G[:T, -1] = 1.0
+def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Hold-row coefficients of the plan variables u[steps[i]][states[i]]:
+    the (T, len(steps)) block of the rows P - sum_{m<k} d[k-m] @ u[m] <= 0,
+    k = 1..T, whose row k-1 holds -d[k - steps[i]][states[i]] for k > steps[i]
+    and 0 otherwise."""
+    lag = np.arange(1, T + 1)[:, None] - steps[None, :]  # k - m
+    return np.where(lag > 0, -d[np.maximum(lag, 0), states[None, :]], 0.0)
 
 
 def solve_exact(
@@ -335,11 +345,13 @@ def solve_exact(
 ) -> tuple[float, ControlPlan, LpSolution]:
     """Exact boundary value at T_hold by the LP over u[0..T_hold-1].
 
-    Admissibility uses the true propagated baseline A^k x_0, not its
-    stationary idealization.  The LP is posed on S = invariant_support:
-    A^k x_0 vanishes off S, so every admissible plan does too, and the
-    rows and columns dropped are identically zero.  The plan comes back
-    on all states.  Desk-scale only: refuses problems with
+    Admissibility uses the true propagated baseline: the mass left
+    unactuated after step k, w[k] = x[k] - u[k] >= 0, moves on as
+    x[k+1] = A w[k] from x[0] = x_0, so u[0] + w[0] = x_0 and
+    u[k] + w[k] - A w[k-1] = 0.  The LP is posed on S =
+    invariant_support: A^k x_0 vanishes off S, so every admissible plan
+    does too, and the rows and columns dropped are identically zero.  The
+    plan comes back on all states.  Desk-scale only: refuses problems with
     T_hold * n_states above EXACT_LP_CAP.
     """
     n = x_0.size
@@ -354,35 +366,29 @@ def solve_exact(
     T = T_hold
     cols = invariant_support(A, x_0)
     S = cols.size
-    A_S = A.P[np.ix_(cols, cols)]
-    # variables: u[0..T-1] on S flattened, then P
-    n_vars = T * S + 1
+    n_u = T * S
+    # variables: u[0..T-1] on S flattened, then w[0..T-1] likewise, then P
+    n_vars = 2 * n_u + 1
     c_obj = np.zeros(n_vars)
     c_obj[-1] = 1.0
-    G = np.zeros((T + (T - 1) * S, n_vars))
-    h_vec = np.zeros(G.shape[0])
-    _fill_hold_rows(G, kernels.h - kernels.h_a, cols, T)
-    # admissibility for k = 1..T-1: u[k] + sum_{m<k} A^{k-m} u[m] <= A^k x_0
-    Apow = np.eye(S)
-    base = x_0[cols]
-    for p in range(1, T):
-        Apow = A_S @ Apow
-        base = A_S @ base
-        row0 = T + (p - 1) * S
-        h_vec[row0 : row0 + S] = base
-        G[row0 : row0 + S, p * S : (p + 1) * S] = np.eye(S)
-        for k in range(p, T):  # the A^p block pairs u[k-p] with row k
-            r = T + (k - 1) * S
-            G[r : r + S, (k - p) * S : (k - p + 1) * S] = Apow
-    lo = np.zeros(n_vars)
-    hi = np.full(n_vars, np.inf)
-    hi[:S] = x_0[cols]  # u[0] <= x[0]
-    lp = LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo, hi=hi)
+    G = np.zeros((T, n_vars))
+    G[:, :n_u] = _hold_block(kernels.h - kernels.h_a, T, np.repeat(np.arange(T), S), np.tile(cols, T))
+    G[:, -1] = 1.0
+    E = np.zeros((n_u, n_vars))
+    diag = np.arange(n_u)
+    E[diag, diag] = 1.0
+    E[diag, n_u + diag] = 1.0
+    A_S = A.P[np.ix_(cols, cols)]
+    for k in range(1, T):
+        E[k * S : (k + 1) * S, n_u + (k - 1) * S : n_u + k * S] = -A_S
+    f = np.zeros(n_u)
+    f[:S] = x_0[cols]
+    lp = LinearProgram(c=c_obj, G=G, h=np.zeros(T), E=E, f=f, lo=np.zeros(n_vars))
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise NumericalFailureError(f"exact LP did not solve cleanly: status {sol.status}")
     u = np.zeros((T, n))
-    u[:, cols] = sol.z[:-1].reshape(T, S)
+    u[:, cols] = sol.z[:n_u].reshape(T, S)
     return float(sol.z[-1]), ControlPlan(u=np.clip(u, 0.0, None)), sol
 
 
@@ -579,12 +585,25 @@ def solve_outer(
     x_out: np.ndarray,
     support: str = "xout",
 ) -> tuple[float, ControlPlan, LpSolution]:
-    """Outer-bound LP at T_hold.
+    """Outer-bound LP at T_hold, by column generation.
 
-    support "full" allows mass anywhere; "xout" restricts it to the
-    squeezed system's anchor bin, which eliminates most variables but
-    stays an overestimate only when the kernel-domination condition
-    verifies, so callers gate it on check_outer_condition."""
+    The LP maximizes P subject to the hold rows and a unit budget on
+    nonnegative u[m][s] over s in the support.  support "full" allows mass
+    anywhere; "xout" restricts it to the squeezed system's anchor bin,
+    which eliminates most variables but stays an overestimate only when
+    the kernel-domination condition verifies, so callers gate it on
+    check_outer_condition.
+
+    A master LP holds only an active set of (step, state) columns.  With
+    y its hold-row duals, clipped to >= 0 and scaled to sum 1, column
+    (m, s) prices at sum_{j<=T-m} y[m+j-1] d[j][s], and by weak duality
+    the largest price bounds the full LP from above.  Each round adds, for
+    every step, its best-priced column if that prices above the master's
+    value (so up to T_hold columns), and drops the columns that sat at
+    zero below that value in OUTER_CG_IDLE_ROUNDS masters in a row.  The
+    loop stops once the bound is within OUTER_CG_GAP_REL of the value,
+    and raises NumericalFailureError after OUTER_CG_MAX_ROUNDS rounds.
+    """
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
     if kernels.h_out is None:
@@ -600,23 +619,54 @@ def solve_outer(
         raise InvalidInputError(f"support must be 'full' or 'xout', got {support!r}")
     T = T_hold
     S = cols.size
-    n_vars = T * S + 1
-    c_obj = np.zeros(n_vars)
-    c_obj[-1] = 1.0
-    G = np.zeros((T + 1, n_vars))
+    d = kernels.h_out - kernels.h_a
+    D = d[1 : T + 1][:, cols]  # D[j-1] = d[j] on the support
+    hankel = np.arange(T)[:, None] + np.arange(T)[None, :]  # m + j - 1
+    y = np.full(T, 1.0 / T)  # the first round prices against a flat hold
+    active = np.zeros(T * S, dtype=bool)
+    idle = np.zeros(T * S, dtype=int)
+    z = np.zeros(T * S)  # the master's plan, on all columns
     h_vec = np.zeros(T + 1)
-    _fill_hold_rows(G, kernels.h_out - kernels.h_a, cols, T)
-    G[T, : T * S] = 1.0  # total budget <= 1
     h_vec[T] = 1.0
-    lo = np.zeros(n_vars)
-    lp = LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo)
-    sol = solve(lp)
-    if sol.status != OPTIMAL:
-        raise NumericalFailureError(f"outer LP did not solve cleanly: status {sol.status}")
-    v = sol.z[:-1].reshape(T, S)
+    value, sol = -np.inf, None
+    for _ in range(OUTER_CG_MAX_ROUNDS):
+        price = (np.concatenate([y, np.zeros(T)])[hankel] @ D).ravel()  # price[m*S + s]
+        tol = OUTER_CG_GAP_REL * max(1.0, abs(value))
+        if sol is not None and price.max() - value <= tol:
+            break
+        idle = np.where(active & (z <= 0.0) & (price < value - tol), idle + 1, 0)
+        active &= idle < OUTER_CG_IDLE_ROUNDS
+        # per step, the best-priced column not yet active
+        best = np.where(active, -np.inf, price).reshape(T, S).argmax(axis=1) + np.arange(T) * S
+        new = best[(price[best] > value) & ~active[best]]
+        if new.size == 0:
+            raise NumericalFailureError(
+                f"outer pricing at T={T} found no new column for a gap of {price.max() - value!r}"
+            )
+        active[new] = True
+        idx = np.flatnonzero(active)
+        K = idx.size
+        G = np.zeros((T + 1, K + 1))
+        G[:T, :K] = _hold_block(d, T, idx // S, cols[idx % S])
+        G[:T, K] = 1.0
+        G[T, :K] = 1.0  # total budget <= 1
+        c_obj = np.zeros(K + 1)
+        c_obj[K] = 1.0
+        sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(K + 1)))
+        if sol.status != OPTIMAL:
+            raise NumericalFailureError(f"outer LP did not solve cleanly: status {sol.status}")
+        value = float(sol.z[-1])
+        z[:] = 0.0
+        z[idx] = sol.z[:-1]
+        y = np.clip(sol.duals_ineq[:T], 0.0, None)
+        y /= y.sum()
+    else:
+        raise NumericalFailureError(
+            f"outer column generation at T={T} did not close its gap in {OUTER_CG_MAX_ROUNDS} rounds"
+        )
     u = np.zeros((T, n))
-    u[:, cols] = v
-    return float(sol.z[-1]), ControlPlan(u=np.clip(u, 0.0, None)), sol
+    u[:, cols] = z.reshape(T, S)
+    return value, ControlPlan(u=np.clip(u, 0.0, None)), sol
 
 
 def outer_boundary(
@@ -812,8 +862,14 @@ def save_set(rh_set: ReachHoldSet, csv_path) -> None:
             for p in rh_set.points
         ],
     }
-    with open(_sidecar_path(csv_path), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    write_json(sidecar, _sidecar_path(csv_path))
+
+
+def write_json(payload: dict, path) -> None:
+    """Write payload as indented JSON with sorted keys and a final
+    newline: the one format of every JSON artifact."""
+    with open(str(path), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

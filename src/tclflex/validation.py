@@ -18,7 +18,6 @@ compared against the bin model's prediction.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import InvalidInputError, ValidationDegradedWarning
 from .etp import Fleet, FleetStepper
 from .markov import BinGrid
-from .reachhold import ControlPlan
+from .reachhold import ControlPlan, write_json
 
 SHORTFALL_WARN_FRACTION = 0.05
 FLOOR_NUDGE = 1e-9  # absorbs float dust so exact integers floor cleanly
@@ -304,9 +303,7 @@ def save_validation_report(
     csv_path,
 ) -> None:
     """Persist the metrics as JSON and the paired traces as CSV."""
-    with open(str(json_path), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), json_path)
     markov_kw = np.asarray(markov_kw, dtype=float)
     micro_kw = np.asarray(micro_kw, dtype=float)
     if markov_kw.shape != micro_kw.shape:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import tclflex.lp
-from tclflex.errors import FrontierMonotonicityError, InvalidInputError
+import tclflex.reachhold
+from tclflex.errors import FrontierMonotonicityError, InvalidInputError, NumericalFailureError
 from tclflex.etp import DEFAULT_PARAMS
-from tclflex.lp import OPTIMAL, RETRY_OPTIONS, LinearProgram, solve
+from tclflex.lp import NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, LinearProgram, LpSolution, solve
 from tclflex.markov import (
     TransitionMatrix,
     build_grid,
@@ -48,6 +49,8 @@ from tclflex.reachhold import (
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
 
 LP_TOL = 1e-6 * P_ON_TOTAL
+# the exact LP at T=60 on the default 40-bin regime
+EXACT_T60_KW = 1385.2568493518
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,31 @@ def char40():
         DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
         T_max=120,
     )
+
+
+def record_linprog(monkeypatch):
+    """Record (options, HiGHS status) of every linprog call."""
+    real = tclflex.lp.linprog
+    seen = []
+
+    def record(*args, **kwargs):
+        res = real(*args, **kwargs)
+        seen.append((kwargs.get("options"), res.status))
+        return res
+
+    monkeypatch.setattr(tclflex.lp, "linprog", record)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def dense_exact_40(char40):
+    """The dense-block exact oracle at char40, T -> (linprog calls, answer)."""
+    out = {}
+    for T in (30, 45, 60):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_linprog(mp)
+            out[T] = (seen, dense_exact(T, char40.kernels, char40.x_0, char40.A))
+    return out
 
 
 def tiny_system(A, A_a, horizon=10, p_on=10.0, A_out=None):
@@ -108,6 +136,77 @@ def full_support_exact(T, kernels, x_0, A):
     sol = solve(LinearProgram(c=c, G=np.vstack(rows), h=np.concatenate(rhs), lo=np.zeros(n_vars), hi=hi))
     assert sol.status == OPTIMAL
     return float(sol.z[-1])
+
+
+def fill_hold_rows(G, d, cols, T):
+    """Hold rows P - sum_{m<k} d[k-m][cols] @ v[m] <= 0, k = 1..T, written
+    block by block into G[:T] for variables v[0..T-1] followed by P."""
+    S = cols.size
+    neg = -d[1 : T + 1][:, cols]  # neg[j] = -d[j+1][cols]
+    for k in range(1, T + 1):
+        G[k - 1, : k * S] = neg[k - 1 :: -1].ravel()  # m = 0..k-1 takes -d[k-m]
+    G[:T, -1] = 1.0
+
+
+def dense_exact(T, kernels, x_0, A):
+    """Oracle for solve_exact: the same LP on the invariant support with
+    admissibility written out through dense A^p blocks,
+    u[k] + sum_{m<k} A^{k-m} u[m] <= A^k x_0.  Returns the LP answer."""
+    cols = invariant_support(A, x_0)
+    S = cols.size
+    A_S = A.P[np.ix_(cols, cols)]
+    n_vars = T * S + 1
+    c_obj = np.zeros(n_vars)
+    c_obj[-1] = 1.0
+    G = np.zeros((T + (T - 1) * S, n_vars))
+    h_vec = np.zeros(G.shape[0])
+    fill_hold_rows(G, kernels.h - kernels.h_a, cols, T)
+    Apow = np.eye(S)
+    base = x_0[cols]
+    for p in range(1, T):
+        Apow = A_S @ Apow
+        base = A_S @ base
+        row0 = T + (p - 1) * S
+        h_vec[row0 : row0 + S] = base
+        G[row0 : row0 + S, p * S : (p + 1) * S] = np.eye(S)
+        for k in range(p, T):  # the A^p block pairs u[k-p] with row k
+            r = T + (k - 1) * S
+            G[r : r + S, (k - p) * S : (k - p + 1) * S] = Apow
+    lo = np.zeros(n_vars)
+    hi = np.full(n_vars, np.inf)
+    hi[:S] = x_0[cols]  # u[0] <= x[0]
+    return solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo, hi=hi))
+
+
+def full_column_outer(T, kernels, x_out, support):
+    """Oracle for solve_outer: the outer LP with every (step, state)
+    column of the support written out at once.  Returns the LP value."""
+    cols = np.flatnonzero(x_out > 0.0) if support == "xout" else np.arange(x_out.size)
+    S = cols.size
+    n_vars = T * S + 1
+    c_obj = np.zeros(n_vars)
+    c_obj[-1] = 1.0
+    G = np.zeros((T + 1, n_vars))
+    h_vec = np.zeros(T + 1)
+    fill_hold_rows(G, kernels.h_out - kernels.h_a, cols, T)
+    G[T, : T * S] = 1.0  # total budget <= 1
+    h_vec[T] = 1.0
+    sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(n_vars)))
+    assert sol.status == OPTIMAL
+    return float(sol.z[-1])
+
+
+def pricing_bound(T, kernels, x_out, support, duals):
+    """Weak-duality bound from the hold-row duals of a master: with y
+    clipped to >= 0 and scaled to sum 1, the largest price
+    sum_{k>m} y[k-1] d[k-m][s] over every step m and support state s."""
+    cols = np.flatnonzero(x_out > 0.0) if support == "xout" else np.arange(x_out.size)
+    d = (kernels.h_out - kernels.h_a)[:, cols]
+    y = np.clip(duals[:T], 0.0, None)
+    y = y / y.sum()
+    return max(
+        float(sum(y[k - 1] * d[k - m] for k in range(m + 1, T + 1)).max()) for m in range(T)
+    )
 
 
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
@@ -369,26 +468,39 @@ class TestSolveExact:
         assert P == pytest.approx(5.0, abs=1e-7)
         assert plan.u[1, 2] == pytest.approx(0.5, abs=1e-7)
 
-    def test_retried_instance_solves(self, monkeypatch):
-        # at the defaults HiGHS gives up on the T=60 LP (status 4, no
-        # answer) and the tight-tolerance re-solve finishes it
-        ch = characterize(
-            DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB,
-            P_ON_TOTAL, T_max=60, with_outer=False,
-        )
-        real = tclflex.lp.linprog
-        seen = []
-
-        def record(*args, **kwargs):
-            res = real(*args, **kwargs)
-            seen.append((kwargs.get("options"), res.status))
-            return res
-
-        monkeypatch.setattr(tclflex.lp, "linprog", record)
-        P, _, sol = solve_exact(60, ch.kernels, ch.x_0, ch.A)
+    def test_retried_instance_solves(self, dense_exact_40):
+        # at the defaults HiGHS gives up on the dense-block T=60 LP (status
+        # 4, no answer) and the tight-tolerance re-solve finishes it
+        seen, sol = dense_exact_40[60]
+        assert seen == [(None, 4), (RETRY_OPTIONS, 0)]
         assert sol.status == OPTIMAL
-        assert seen[-1] == (RETRY_OPTIONS, 0)
-        assert P == pytest.approx(1385.2568493518, abs=LP_TOL)
+        assert sol.z[-1] == pytest.approx(EXACT_T60_KW, abs=LP_TOL)
+
+    def test_lifted_instance_solves_at_first_attempt(self, char40, monkeypatch):
+        seen = record_linprog(monkeypatch)
+        P, _, sol = solve_exact(60, char40.kernels, char40.x_0, char40.A)
+        assert seen == [(None, 0)]
+        assert sol.status == OPTIMAL
+        assert P == pytest.approx(EXACT_T60_KW, abs=LP_TOL)
+
+    @pytest.mark.parametrize("T", [30, 45, 60])
+    def test_matches_dense_oracle(self, char40, dense_exact_40, T):
+        P, plan, _ = solve_exact(T, char40.kernels, char40.x_0, char40.A)
+        assert P == pytest.approx(dense_exact_40[T][1].z[-1], abs=LP_TOL)
+        hr = delta_p_by_stepping(plan, char40.A, char40.A_a, char40.c, char40.x_0, T)
+        assert np.all(hr.delta_p_kw[1 : T + 1] >= P - LP_TOL)
+
+    def test_lp_is_sparse(self, char40, monkeypatch):
+        # the remaining-mass rows replace the dense A^p blocks: u and w on
+        # S per step plus P, and far fewer nonzeros than the dense oracle
+        real = tclflex.reachhold.solve
+        lps = []
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or real(lp))
+        solve_exact(60, char40.kernels, char40.x_0, char40.A)
+        (lp,) = lps
+        S = invariant_support(char40.A, char40.x_0).size
+        assert lp.n_vars == 2 * 60 * S + 1
+        assert np.count_nonzero(lp.G) + np.count_nonzero(lp.E) < 40_000
 
 
 class TestInvariantSupport:
@@ -470,6 +582,41 @@ class TestSolveOuter:
         x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         with pytest.raises(InvalidInputError, match="support"):
             solve_outer(2, char10.kernels, x_out, support="everything")
+
+    @pytest.mark.parametrize("support", ["full", "xout"])
+    @pytest.mark.parametrize(
+        "fleet, T",
+        [("char10", 1), ("char10", 5), ("char10", 10), ("char10", 20), ("char40", 60), ("char40", 120)],
+    )
+    def test_matches_full_column_oracle(self, fleet, T, support, request):
+        ch = request.getfixturevalue(fleet)
+        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
+        P, plan, sol = solve_outer(T, ch.kernels, x_out, support=support)
+        assert P == pytest.approx(full_column_outer(T, ch.kernels, x_out, support), abs=LP_TOL)
+        # the last master's duals prove the value for every column
+        assert pricing_bound(T, ch.kernels, x_out, support, sol.duals_ineq) <= P * (1.0 + 1e-9)
+        # its plan stays on the support, within the budget, and holds P
+        u = plan.u
+        assert u.shape == (T, x_out.size)
+        if support == "xout":
+            assert np.all(u[:, x_out <= 0.0] == 0.0)
+        assert u.sum() <= 1.0 + 1e-9
+        d = ch.kernels.h_out - ch.kernels.h_a
+        held = [sum(d[k - m] @ u[m] for m in range(k)) for k in range(1, T + 1)]
+        assert min(held) >= P - LP_TOL
+
+    def test_failing_master_raises(self, char10, monkeypatch):
+        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
+        failed = LpSolution(NUMERICAL_FAILURE, None, None, None)
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: failed)
+        with pytest.raises(NumericalFailureError, match="outer LP"):
+            solve_outer(10, char10.kernels, x_out, support="full")
+
+    def test_round_cap_raises(self, char40, monkeypatch):
+        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
+        monkeypatch.setattr(tclflex.reachhold, "OUTER_CG_MAX_ROUNDS", 1)
+        with pytest.raises(NumericalFailureError, match="rounds"):
+            solve_outer(60, char40.kernels, x_out, support="full")
 
 
 class TestOuterBoundary:
