@@ -6,14 +6,13 @@ Each unit couples an air node and a lumped solid-mass node:
     C_m * dT_m/dt = H_m*(T_a - T_m) + Q_m
 
 Q_a depends on the compressor mode (Q_a_on while cooling, Q_a_off
-
 otherwise) and a hysteresis thermostat switches the mode: ON when the
 air temperature reaches the upper deadband edge T_set + deadband/2, OFF
 at the lower edge T_set - deadband/2.
 
 Within a step the mode is held fixed, so the dynamics are affine LTI and
-integrate exactly: `discretize` through the matrix exponential of the
-augmented system, `FleetStepper` through its closed form for 2x2 drifts.
+integrate exactly, in closed form from the 2x2 drift's two real
+eigenvalues: `discretize` for one unit, `FleetStepper` for a whole fleet.
 The thermostat is evaluated once per step, after integration; callers
 pick dt small enough that at most one switching event falls in a step
 (default 1 minute, far below typical residential cycle times).
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidInputError
 
@@ -179,33 +177,45 @@ class FleetTrace:
     dt_minutes: float
 
 
-def _continuous_matrices(params: TclParams, T_amb: float, on: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Drift matrix F and offset g of d/dt [T_a, T_m] = F x + g (per hour)."""
-    F = np.array(
-        [
-            [-(params.U_a + params.H_m) / params.C_a, params.H_m / params.C_a],
-            [params.H_m / params.C_m, -params.H_m / params.C_m],
-        ]
-    )
-    q_a = params.Q_a_on if on else params.Q_a_off
-    g = np.array([(params.U_a * T_amb + q_a) / params.C_a, params.Q_m / params.C_m])
-    return F, g
+def _step_maps(C_a, C_m, U_a, H_m, h):
+    """e^{Fh} and F^-1 (e^{Fh} - I) for the drift F of d/dt [T_a, T_m]
+    (per hour), each as its row-major entries; works elementwise on arrays.
+
+    F = [[a, b], [c, d]] has real eigenvalues s +- q, with s = (a + d)/2
+    and q = sqrt((a - d)^2/4 + bc) > 0 (F is similar to a symmetric matrix
+    through diag(sqrt(C))).  Any f(F) then has the closed form
+    p I + r (F - s I), with p = (f(s+q) + f(s-q))/2 and
+    r = (f(s+q) - f(s-q))/(2q) (Moler & Van Loan, SIAM Rev. 2003).  With
+    f(lambda) = exp(lambda h) this is A_d; with f(lambda) =
+    expm1(lambda h)/lambda it is the map from a mode's forcing g to the
+    offset b_d, free of cancellation at small h.
+    """
+    a = -(U_a + H_m) / C_a
+    b = H_m / C_a
+    c = H_m / C_m
+    d = -H_m / C_m
+    s = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    q = np.sqrt(half * half + b * c)
+
+    def entries(f):
+        f1, f2 = f(s + q), f(s - q)
+        p_f, r_f = 0.5 * (f1 + f2), (f1 - f2) / (2.0 * q)
+        return p_f + r_f * half, r_f * b, r_f * c, p_f - r_f * half
+
+    return entries(lambda lam: np.exp(lam * h)), entries(lambda lam: np.expm1(lam * h) / lam)
 
 
 def discretize(params: TclParams, T_amb: float, on: bool, dt_minutes: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact one-step map x' = A_d x + b_d for a fixed mode.
-
-    Uses the matrix exponential of the augmented 3x3 system, which is
-    exact for the affine dynamics regardless of dt.
-    """
+    """Exact one-step map x' = A_d x + b_d for a fixed mode, in closed form
+    (`_step_maps`), so exact for the affine dynamics regardless of dt."""
     if dt_minutes <= 0.0:
         raise InvalidInputError(f"dt_minutes must be positive, got {dt_minutes}")
-    F, g = _continuous_matrices(params, T_amb, on)
-    M = np.zeros((3, 3))
-    M[:2, :2] = F
-    M[:2, 2] = g
-    E = expm(M * (dt_minutes / 60.0))
-    return E[:2, :2], E[:2, 2]
+    p = params
+    (a00, a01, a10, a11), (g00, g01, g10, g11) = _step_maps(p.C_a, p.C_m, p.U_a, p.H_m, dt_minutes / 60.0)
+    g_a = (p.U_a * T_amb + (p.Q_a_on if on else p.Q_a_off)) / p.C_a
+    g_m = p.Q_m / p.C_m
+    return np.array([[a00, a01], [a10, a11]]), np.array([g00 * g_a + g01 * g_m, g10 * g_a + g11 * g_m])
 
 
 def apply_thermostat(T_a, T_set, on, deadband):
@@ -270,17 +280,9 @@ def sample_fleet(spec: FleetSpec) -> Fleet:
 class FleetStepper:
     """Precomputed per-unit one-step maps for both modes.
 
-    Caches the exact discretization for a fixed (T_amb, dt) pair so the
-    per-step work is one shared 2x2 linear map plus a per-mode offset.
-
-    The drift F = [[a, b], [c, d]] has real eigenvalues s +- q, with
-    s = (a + d)/2 and q = sqrt((a - d)^2/4 + bc) > 0 (F is similar to a
-    symmetric matrix through diag(sqrt(C))).  Any f(F) then has the
-    closed form p I + r (F - s I), with p = (f(s+q) + f(s-q))/2 and
-    r = (f(s+q) - f(s-q))/(2q) (Moler & Van Loan, SIAM Rev. 2003).  With
-    f(lambda) = exp(lambda h) this is A_d; with f(lambda) =
-    expm1(lambda h)/lambda it is F^-1 (e^{Fh} - I), which maps the
-    mode's forcing g to the offset b_d without cancellation.
+    Caches the exact discretization (`_step_maps`) for a fixed (T_amb, dt)
+    pair so the per-step work is one shared 2x2 linear map plus a
+    per-mode offset.
     """
 
     def __init__(self, fleet: Fleet, T_amb: float, dt_minutes: float = DEFAULT_DT_MINUTES):
@@ -291,34 +293,16 @@ class FleetStepper:
         self.dt_minutes = float(dt_minutes)
         self.deadband = fleet.spec.deadband
         p = fleet.params
-        h = dt_minutes / 60.0
-        a = -(p["U_a"] + p["H_m"]) / p["C_a"]
-        b = p["H_m"] / p["C_a"]
-        c = p["H_m"] / p["C_m"]
-        d = -p["H_m"] / p["C_m"]
-        s = 0.5 * (a + d)
-        half = 0.5 * (a - d)
-        q = np.sqrt(half * half + b * c)
-
-        def coefficients(f):
-            f1, f2 = f(s + q), f(s - q)
-            return 0.5 * (f1 + f2), (f1 - f2) / (2.0 * q)
-
-        p_e, r_e = coefficients(lambda lam: np.exp(lam * h))
-        # shared A_d = p_e I + r_e (F - s I), row-major
-        self.a00 = p_e + r_e * half
-        self.a01 = r_e * b
-        self.a10 = r_e * c
-        self.a11 = p_e - r_e * half
-        p_g, r_g = coefficients(lambda lam: np.expm1(lam * h) / lam)
+        # shared A_d, row-major
+        (self.a00, self.a01, self.a10, self.a11), (g00, g01, g10, g11) = _step_maps(
+            p["C_a"], p["C_m"], p["U_a"], p["H_m"], dt_minutes / 60.0
+        )
         g_m = p["Q_m"] / p["C_m"]
-        # b_d = (p_g I + r_g (F - s I)) g for each mode; index 0: off, 1: on
+        # b_d = (F^-1 (e^{Fh} - I)) g for each mode; index 0: off, 1: on
         self.b_d = []
         for q_a in (p["Q_a_off"], p["Q_a_on"]):
             g_a = (p["U_a"] * self.T_amb + q_a) / p["C_a"]
-            self.b_d.append(
-                ((p_g + r_g * half) * g_a + r_g * b * g_m, r_g * c * g_a + (p_g - r_g * half) * g_m)
-            )
+            self.b_d.append((g00 * g_a + g01 * g_m, g10 * g_a + g11 * g_m))
 
     def advance(self) -> None:
         """One in-place step of the whole fleet: integrate, then thermostat."""

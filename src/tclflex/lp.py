@@ -5,20 +5,27 @@ Problems are stated in maximize form
     max  c @ z
     s.t. G z <= h,  E z == f,  lo <= z <= hi
 
-and handed to scipy's HiGHS backend.  Every reported optimum is
-re-verified against the raw problem data here, independently of the
-solver's own bookkeeping: a solution whose constraint violation exceeds
-the tolerance is downgraded to numerical-failure rather than trusted.  Any
-numerical failure, including an answer HiGHS itself gives up on, is
-re-solved once with tighter HiGHS tolerances before it is reported.
+and handed to HiGHS (Huangfu & Hall, Math. Prog. Comp. 10, 2018) through
+the `_Highs` class of the HiGHS extension that scipy ships.  The
+extension is loaded from its file at the first solve, without importing
+`scipy.optimize`, so importing tclflex costs no solver start-up; the
+model, options and status codes are those `linprog(method="highs")`
+would use.  Every reported optimum is re-verified against the raw
+problem data here, independently of the solver's own bookkeeping: a
+solution whose constraint violation exceeds the tolerance is downgraded
+to numerical-failure rather than trusted.  Any numerical failure,
+including an answer HiGHS itself gives up on, is re-solved once with
+tighter HiGHS tolerances before it is reported.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InvalidInputError
 
@@ -49,6 +56,8 @@ class LinearProgram:
     def __post_init__(self) -> None:
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
         n = self.c.size
+        if not np.isfinite(self.c).all():
+            raise InvalidInputError("c must be finite")
         for mat_name, vec_name in (("G", "h"), ("E", "f")):
             mat = getattr(self, mat_name)
             vec = getattr(self, vec_name)
@@ -62,6 +71,8 @@ class LinearProgram:
                         f"{mat_name} shape {mat.shape} incompatible with "
                         f"{vec_name} ({vec.size}) and c ({n})"
                     )
+                if not (np.isfinite(mat).all() and np.isfinite(vec).all()):
+                    raise InvalidInputError(f"{mat_name} and {vec_name} must be finite")
                 setattr(self, mat_name, mat)
                 setattr(self, vec_name, vec)
         for name in ("lo", "hi"):
@@ -70,6 +81,8 @@ class LinearProgram:
                 bound = np.atleast_1d(np.asarray(bound, dtype=float))
                 if bound.size != n:
                     raise InvalidInputError(f"{name} has size {bound.size}, expected {n}")
+                if np.isnan(bound).any():
+                    raise InvalidInputError(f"{name} must not contain NaN")
                 setattr(self, name, bound)
 
     @property
@@ -112,6 +125,102 @@ def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
     return worst
 
 
+@dataclass
+class HighsResult:
+    """One HiGHS run in linprog's terms: status 0 optimal, 1 iteration or
+    time limit, 2 infeasible, 3 unbounded, 4 any other outcome.  x and the
+    G-row marginals (minimize form, so <= 0) are set only at status 0."""
+
+    status: int
+    x: np.ndarray | None = None
+    marginals: np.ndarray | None = None
+
+
+_core = None
+
+
+def _highs_core():
+    """scipy's compiled HiGHS module, loaded from its file on first use.
+
+    Running `scipy.optimize/__init__` would import scipy's linalg and
+    sparse packages, so the extension is located beside it and executed
+    on its own.  A later `import scipy.optimize` gets the same module
+    object, since Python keeps a loaded extension module for reuse.
+    """
+    global _core
+    if _core is None:
+        package = importlib.util.find_spec("scipy.optimize")
+        folder = Path(package.submodule_search_locations[0]) / "_highspy"
+        finder = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.optimize._highspy._core")
+        if spec is None:
+            import scipy
+
+            raise ImportError(
+                f"scipy.optimize._highspy._core not found in {folder} (scipy {scipy.__version__})"
+            )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _core = module
+    return _core
+
+
+def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
+    """One HiGHS solve of the LP, posed as linprog(method="highs") poses it:
+    minimize -c over the G rows (-inf, h] then the E rows [f, f], as one
+    column-wise matrix, with presolve on and the dual simplex.  options
+    are further HiGHS options set on top."""
+    core = _highs_core()
+    n = lp.n_vars
+    rows = [m for m in (lp.G, lp.E) if m is not None]
+    A_t = (np.vstack(rows) if rows else np.zeros((0, n))).T
+    h = np.zeros(0) if lp.G is None else lp.h
+    f = np.zeros(0) if lp.E is None else lp.f
+    nonzero = A_t != 0.0
+
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = A_t.shape[1]
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    # column-major nonzeros, rows ascending within a column
+    model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.int32)
+    model.a_matrix_.index_ = np.nonzero(nonzero)[1].astype(np.int32)
+    model.a_matrix_.value_ = A_t[nonzero]
+    model.col_cost_ = -lp.c
+    model.col_lower_ = np.full(n, -np.inf) if lp.lo is None else lp.lo
+    model.col_upper_ = np.full(n, np.inf) if lp.hi is None else lp.hi
+    model.row_lower_ = np.concatenate((np.full(h.size, -np.inf), f))
+    model.row_upper_ = np.concatenate((h, f))
+
+    settings = core.HighsOptions()
+    settings.presolve = "on"
+    settings.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    settings.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    settings.output_flag = settings.log_to_console = False
+    for key, value in (options or {}).items():
+        setattr(settings, key, value)
+    highs = core._Highs()
+    highs.passOptions(settings)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        # e.g. a lower bound of +inf; run() would then solve an empty
+        # model and call it optimal.  linprog reports such a model as 2.
+        return HighsResult(2)
+    highs.run()
+    codes = {
+        core.HighsModelStatus.kOptimal: 0,
+        core.HighsModelStatus.kTimeLimit: 1,
+        core.HighsModelStatus.kIterationLimit: 1,
+        core.HighsModelStatus.kInfeasible: 2,
+        core.HighsModelStatus.kModelError: 2,
+        core.HighsModelStatus.kUnbounded: 3,
+    }
+    status = codes.get(highs.getModelStatus(), 4)
+    if status != 0:
+        return HighsResult(status)
+    solution = highs.getSolution()
+    return HighsResult(0, np.array(solution.col_value), np.array(solution.row_dual)[: h.size])
+
+
 def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolution:
     """Solve the LP and certify the answer against the problem data.
 
@@ -123,37 +232,17 @@ def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolu
     status 4) is re-solved once with RETRY_OPTIONS; the re-solved answer
     faces the same checks.
     """
-    n = lp.n_vars
-    if lp.lo is None and lp.hi is None:
-        bounds = [(None, None)] * n
-    else:
-        lo = lp.lo if lp.lo is not None else np.full(n, -np.inf)
-        hi = lp.hi if lp.hi is not None else np.full(n, np.inf)
-        if np.any(lo > hi):
-            raise InvalidInputError("lower bound exceeds upper bound")
-        bounds = [
-            (None if not np.isfinite(l) else l, None if not np.isfinite(u) else u)
-            for l, u in zip(lo, hi)
-        ]
+    if lp.lo is not None and lp.hi is not None and np.any(lp.lo > lp.hi):
+        raise InvalidInputError("lower bound exceeds upper bound")
     for options in (None, RETRY_OPTIONS):
-        res = linprog(
-            -lp.c,
-            A_ub=lp.G,
-            b_ub=lp.h,
-            A_eq=lp.E,
-            b_eq=lp.f,
-            bounds=bounds,
-            method="highs",
-            options=options,
-        )
-        sol = _certify(lp, res, feasibility_tol)
+        sol = _certify(lp, run_highs(lp, options), feasibility_tol)
         if sol.status != NUMERICAL_FAILURE:
             break
     return sol
 
 
-def _certify(lp: LinearProgram, res, feasibility_tol: float) -> LpSolution:
-    """Map a linprog result to an LpSolution, downgrading an optimum that
+def _certify(lp: LinearProgram, res: HighsResult, feasibility_tol: float) -> LpSolution:
+    """Map a HiGHS result to an LpSolution, downgrading an optimum that
     fails the violation or complementarity check (such answers keep z)."""
     if res.status == 2:
         return LpSolution(INFEASIBLE, None, None, None)
@@ -168,9 +257,9 @@ def _certify(lp: LinearProgram, res, feasibility_tol: float) -> LpSolution:
     status = OPTIMAL
     if violation > feasibility_tol * scale:
         status = NUMERICAL_FAILURE
-    if status == OPTIMAL and res.ineqlin is not None and lp.G is not None:
+    if status == OPTIMAL and lp.G is not None:
         # minimize form reports nonpositive marginals for <= rows
-        duals_ineq = -np.asarray(res.ineqlin.marginals, dtype=float)
+        duals_ineq = -np.asarray(res.marginals, dtype=float)
         slack = lp.h - lp.G @ z
         comp = np.abs(duals_ineq * slack)
         if comp.size and comp.max() > COMPLEMENTARITY_TOL * scale * max(1.0, float(np.abs(duals_ineq).max())):
@@ -182,4 +271,3 @@ def _certify(lp: LinearProgram, res, feasibility_tol: float) -> LpSolution:
         max_constraint_violation=violation,
         duals_ineq=duals_ineq,
     )
-

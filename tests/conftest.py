@@ -9,6 +9,7 @@ from tclflex.markov import (
     output_vector,
     stationary_distribution,
 )
+from tclflex.reachhold import characterize
 
 T_AMB = 32.0
 T_SET = 20.0
@@ -44,3 +45,12 @@ def x0_nominal(tm_nominal):
 @pytest.fixture(scope="session")
 def c_out(grid40):
     return output_vector(grid40, P_ON_TOTAL)
+
+
+@pytest.fixture(scope="session")
+def char10():
+    grid = build_grid(18.0, 24.0, 10)
+    return characterize(
+        DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
+        T_max=60,
+    )

@@ -4,6 +4,8 @@ The reference integrator below is independent of the package: classic
 RK4 at one-second resolution with the thermostat checked every second.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,8 @@ from tclflex.etp import (
     simulate_fleet,
     step_tcl,
 )
+
+from expm_reference import expm_discretize
 
 
 def rk4_reference(state, params, T_amb, deadband, minutes, sub_dt_s=1.0):
@@ -196,6 +200,24 @@ class TestStepTcl:
 
 
 class TestDiscretize:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        scale=st.lists(st.floats(-0.95, 0.95), min_size=8, max_size=8),
+        T_amb=st.floats(20.0, 45.0),
+        log10_dt=st.floats(-9.0, np.log10(30.0)),
+    )
+    def test_closed_form_matches_expm(self, scale, T_amb, log10_dt):
+        # each map within 1e-12 of its largest entry, in both modes
+        params = TclParams(
+            **{f.name: getattr(DEFAULT_PARAMS, f.name) * (1.0 + r) for f, r in zip(fields(TclParams), scale)}
+        )
+        dt = 10.0**log10_dt
+        for on in (False, True):
+            A_d, b_d = discretize(params, T_amb, on, dt)
+            A_ref, b_ref = expm_discretize(params, T_amb, on, dt)
+            assert np.abs(A_d - A_ref).max() <= 1e-12 * np.abs(A_ref).max()
+            assert np.abs(b_d - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+
     def test_identity_at_tiny_dt(self):
         A_d, b_d = discretize(DEFAULT_PARAMS, T_amb=32.0, on=True, dt_minutes=1e-9)
         assert np.allclose(A_d, np.eye(2), atol=1e-9)

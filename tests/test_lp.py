@@ -1,10 +1,20 @@
 """LP layer tests, including a randomly generated problem whose optimum
-is known from construction (objective built from the active rows)."""
+is known from construction (objective built from the active rows), and
+`run_highs` checked bit for bit against scipy's linprog."""
+
+import importlib.machinery
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tclflex.lp
+import tclflex.reachhold
 from tclflex.errors import InvalidInputError
 from tclflex.lp import (
     INFEASIBLE,
@@ -12,11 +22,19 @@ from tclflex.lp import (
     OPTIMAL,
     RETRY_OPTIONS,
     UNBOUNDED,
+    HighsResult,
     LinearProgram,
     LpSolution,
     max_violation,
+    run_highs,
     solve,
 )
+from tclflex.markov import x_out_vector
+from tclflex.reachhold import solve_exact, solve_outer
+
+from conftest import DEADBAND, T_SET
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def known_optimum_lp(seed=77, n=20, n_slack_rows=30):
@@ -100,6 +118,22 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             LinearProgram(c=np.ones(2), lo=np.zeros(3))
 
+    def test_nonfinite_data_rejected(self):
+        # HiGHS itself reports an LP with a NaN cost as solved
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.array([np.nan, 1.0]), lo=np.zeros(2), hi=np.ones(2))
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.ones(2), G=np.array([[np.inf, 1.0]]), h=np.ones(1))
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.ones(2), E=np.ones((1, 2)), f=np.array([np.nan]))
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.ones(2), lo=np.array([0.0, np.nan]))
+
+    def test_model_highs_rejects_is_infeasible(self):
+        lp = LinearProgram(c=np.array([1.0]), lo=np.array([np.inf]))
+        assert run_highs(lp).status == 2
+        assert solve(lp).status == INFEASIBLE
+
     def test_crossed_bounds_rejected(self):
         lp = LinearProgram(c=np.ones(1), lo=np.array([2.0]), hi=np.array([1.0]))
         with pytest.raises(InvalidInputError):
@@ -129,17 +163,17 @@ class TestVerification:
         assert sol.max_constraint_violation >= 0.0
 
 
-def spoil_x(res):
+def spoil_x(lp, res):
     res.x = res.x + 1e-3  # pushes past the active rows of known_optimum_lp
 
 
-def spoil_duals(res):
+def spoil_duals(lp, res):
     # a unit dual on a slack row breaks complementary slackness
-    slack_row = int(np.argmax(res.ineqlin.residual))
-    res.ineqlin.marginals[slack_row] = -1.0
+    slack_row = int(np.argmax(lp.h - lp.G @ res.x))
+    res.marginals[slack_row] = -1.0
 
 
-def give_up(res):
+def give_up(lp, res):
     # HiGHS status 4: the solve ended without an answer to check
     res.status = 4
     res.x = None
@@ -151,24 +185,24 @@ class TestRetry:
     reported."""
 
     @staticmethod
-    def patch_linprog(monkeypatch, spoil, n_spoiled):
-        real = tclflex.lp.linprog
+    def patch_highs(monkeypatch, spoil, n_spoiled):
+        real = tclflex.lp.run_highs
         seen = []
 
-        def fake(*args, **kwargs):
-            seen.append(kwargs.get("options"))
-            res = real(*args, **kwargs)
+        def fake(lp, options=None):
+            seen.append(options)
+            res = real(lp, options)
             if len(seen) <= n_spoiled:
-                spoil(res)
+                spoil(lp, res)
             return res
 
-        monkeypatch.setattr(tclflex.lp, "linprog", fake)
+        monkeypatch.setattr(tclflex.lp, "run_highs", fake)
         return seen
 
     @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_spoiled_first_answer_is_resolved_tightly(self, monkeypatch, spoil):
         lp, z_star, obj_star = known_optimum_lp()
-        seen = self.patch_linprog(monkeypatch, spoil, n_spoiled=1)
+        seen = self.patch_highs(monkeypatch, spoil, n_spoiled=1)
         sol = solve(lp)
         assert seen == [None, RETRY_OPTIONS]
         assert RETRY_OPTIONS == {
@@ -181,19 +215,161 @@ class TestRetry:
     @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_second_spoiled_answer_is_numerical_failure(self, monkeypatch, spoil):
         lp, _, _ = known_optimum_lp()
-        seen = self.patch_linprog(monkeypatch, spoil, n_spoiled=2)
+        seen = self.patch_highs(monkeypatch, spoil, n_spoiled=2)
         assert solve(lp).status == NUMERICAL_FAILURE
         assert seen == [None, RETRY_OPTIONS]
 
     def test_clean_answer_is_solved_once_with_default_options(self, monkeypatch):
         lp, _, _ = known_optimum_lp()
-        seen = self.patch_linprog(monkeypatch, spoil_x, n_spoiled=0)
+        seen = self.patch_highs(monkeypatch, spoil_x, n_spoiled=0)
         assert solve(lp).status == OPTIMAL
         assert seen == [None]
 
     def test_infeasible_is_not_retried(self, monkeypatch):
         lp = LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1))
-        seen = self.patch_linprog(monkeypatch, spoil_x, n_spoiled=0)
+        seen = self.patch_highs(monkeypatch, spoil_x, n_spoiled=0)
         assert solve(lp).status == INFEASIBLE
         assert seen == [None]
 
+
+
+def linprog_answer(lp, options=None):
+    """The oracle: the same LP through scipy's linprog(method="highs"),
+    posed as `solve` posed it before it drove HiGHS itself."""
+    from scipy.optimize import linprog
+
+    n = lp.n_vars
+    lo = lp.lo if lp.lo is not None else np.full(n, -np.inf)
+    hi = lp.hi if lp.hi is not None else np.full(n, np.inf)
+    bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None) for l, u in zip(lo, hi)]
+    res = linprog(
+        -lp.c, A_ub=lp.G, b_ub=lp.h, A_eq=lp.E, b_eq=lp.f, bounds=bounds, method="highs", options=options,
+    )
+    if res.x is None:
+        return HighsResult(res.status)
+    return HighsResult(res.status, res.x, res.ineqlin.marginals)
+
+
+def reachhold_lps(monkeypatch, run):
+    """Every LinearProgram the bound routines hand to `solve` during run()."""
+    lps = []
+    real = tclflex.reachhold.solve
+    with monkeypatch.context() as mp:
+        mp.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or real(lp))
+        run()
+    return lps
+
+
+SMALL_LPS = {
+    "known-optimum": known_optimum_lp()[0],
+    "equality-only": LinearProgram(
+        c=np.array([2.0, 1.0, -1.0]), E=np.array([[1.0, 1.0, 1.0]]), f=np.array([1.0]), lo=np.zeros(3)
+    ),
+    "bounds-only": LinearProgram(c=np.array([1.0, -2.0]), lo=np.array([0.0, -1.0]), hi=np.array([1.0, 2.0])),
+    "unconstrained": LinearProgram(c=np.zeros(3)),
+    "infeasible": LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1)),
+    "unbounded": LinearProgram(c=np.array([1.0, 1.0]), G=np.array([[1.0, -1.0]]), h=np.array([1.0]), lo=np.zeros(2)),
+}
+
+
+class TestRunHighs:
+    """run_highs gives what linprog gives: status, x and G-row marginals
+    agree bit for bit, so `solve` certifies the same answers."""
+
+    @staticmethod
+    def assert_same(lp, monkeypatch):
+        for options in (None, RETRY_OPTIONS):
+            got, ref = run_highs(lp, options), linprog_answer(lp, options)
+            assert got.status == ref.status
+            for name in ("x", "marginals"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
+        sol = solve(lp)
+        with monkeypatch.context() as mp:
+            mp.setattr(tclflex.lp, "run_highs", linprog_answer)
+            ref = solve(lp)
+        assert sol.status == ref.status
+        assert sol.objective_value == ref.objective_value
+        for name in ("z", "duals_ineq"):
+            a, b = getattr(sol, name), getattr(ref, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_LPS))
+    def test_small_programs(self, name, monkeypatch):
+        self.assert_same(SMALL_LPS[name], monkeypatch)
+
+    def test_statuses_cover_every_outcome(self):
+        status = {name: run_highs(lp).status for name, lp in SMALL_LPS.items()}
+        assert status == {
+            "known-optimum": 0, "equality-only": 0, "bounds-only": 0, "unconstrained": 0,
+            "infeasible": 2, "unbounded": 3,
+        }
+
+    @pytest.mark.parametrize("T", [1, 5, 20])
+    def test_exact_lps(self, char10, T, monkeypatch):
+        (lp,) = reachhold_lps(monkeypatch, lambda: solve_exact(T, char10.kernels, char10.x_0, char10.A))
+        self.assert_same(lp, monkeypatch)
+
+    def test_outer_masters(self, char10, monkeypatch):
+        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
+        lps = []
+        for support in ("xout", "full"):
+            lps += reachhold_lps(monkeypatch, lambda: solve_outer(20, char10.kernels, x_out, support=support))
+        assert len(lps) >= 2
+        for lp in lps:
+            self.assert_same(lp, monkeypatch)
+
+
+IMPORT_SCRIPT = """
+import json, sys
+import tclflex
+from tclflex import scenario
+heavy = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.sparse") if m in sys.modules]
+from tclflex import lp, reachhold
+from tclflex.etp import DEFAULT_PARAMS
+from tclflex.markov import build_grid
+ch = reachhold.characterize(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0, T_max=20)
+P, _, _ = reachhold.solve_exact(5, ch.kernels, ch.x_0, ch.A)
+solved_without_optimize = "scipy.optimize" not in sys.modules
+from scipy.optimize import linprog
+res = linprog([-1.0], bounds=[(0.0, 2.0)], method="highs")
+import scipy.optimize._highspy._core as core
+print(json.dumps({
+    "heavy": heavy, "P": P, "solved_without_optimize": solved_without_optimize,
+    "linprog": [int(res.status), float(res.x[0])], "same_core": core is lp._highs_core(),
+}))
+"""
+
+
+class TestHighsLoading:
+    def test_import_and_solve_leave_scipy_optimize_unloaded(self):
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["heavy"] == []
+        assert out["P"] > 0.0
+        assert out["solved_without_optimize"]
+        # a later linprog call works and shares the loaded extension
+        assert out["linprog"] == [0, 2.0]
+        assert out["same_core"]
+
+    def test_missing_extension_is_an_import_error(self, monkeypatch, tmp_path):
+        real_find_spec = importlib.util.find_spec
+
+        def find_spec(name, package=None):
+            if name != "scipy.optimize":
+                return real_find_spec(name, package)
+            spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]  # holds no _highspy
+            return spec
+
+        monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+        monkeypatch.setattr(tclflex.lp, "_core", None)
+        with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core not found .*\(scipy \d"):
+            solve(LinearProgram(c=np.ones(1), lo=np.zeros(1), hi=np.ones(1)))

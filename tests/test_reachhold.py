@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tclflex.lp
+import tclflex.markov
 import tclflex.reachhold
 from tclflex.errors import FrontierMonotonicityError, InvalidInputError, NumericalFailureError
 from tclflex.etp import DEFAULT_PARAMS
@@ -47,19 +48,11 @@ from tclflex.reachhold import (
 )
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
+from expm_reference import expm_discretize
 
 LP_TOL = 1e-6 * P_ON_TOTAL
 # the exact LP at T=60 on the default 40-bin regime
 EXACT_T60_KW = 1385.2568493518
-
-
-@pytest.fixture(scope="module")
-def char10():
-    grid = build_grid(18.0, 24.0, 10)
-    return characterize(
-        DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
-        T_max=60,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -71,28 +64,36 @@ def char40():
     )
 
 
-def record_linprog(monkeypatch):
-    """Record (options, HiGHS status) of every linprog call."""
-    real = tclflex.lp.linprog
+def record_highs(monkeypatch):
+    """Record (options, status) of every HiGHS run."""
+    real = tclflex.lp.run_highs
     seen = []
 
-    def record(*args, **kwargs):
-        res = real(*args, **kwargs)
-        seen.append((kwargs.get("options"), res.status))
+    def record(lp, options=None):
+        res = real(lp, options)
+        seen.append((options, res.status))
         return res
 
-    monkeypatch.setattr(tclflex.lp, "linprog", record)
+    monkeypatch.setattr(tclflex.lp, "run_highs", record)
     return seen
 
 
 @pytest.fixture(scope="module")
-def dense_exact_40(char40):
-    """The dense-block exact oracle at char40, T -> (linprog calls, answer)."""
+def dense_exact_40():
+    """The dense-block exact oracle at the char40 regime, T -> (HiGHS runs,
+    answer).  Its bin models come from the matrix-exponential integrator,
+    on which HiGHS gives up at T=60 at its default tolerances."""
     out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tclflex.markov, "discretize", expm_discretize)
+        ch = characterize(
+            DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
+            T_max=60,
+        )
     for T in (30, 45, 60):
         with pytest.MonkeyPatch.context() as mp:
-            seen = record_linprog(mp)
-            out[T] = (seen, dense_exact(T, char40.kernels, char40.x_0, char40.A))
+            seen = record_highs(mp)
+            out[T] = (seen, dense_exact(T, ch.kernels, ch.x_0, ch.A))
     return out
 
 
@@ -477,7 +478,7 @@ class TestSolveExact:
         assert sol.z[-1] == pytest.approx(EXACT_T60_KW, abs=LP_TOL)
 
     def test_lifted_instance_solves_at_first_attempt(self, char40, monkeypatch):
-        seen = record_linprog(monkeypatch)
+        seen = record_highs(monkeypatch)
         P, _, sol = solve_exact(60, char40.kernels, char40.x_0, char40.A)
         assert seen == [(None, 0)]
         assert sol.status == OPTIMAL
