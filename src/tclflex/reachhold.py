@@ -28,12 +28,13 @@ the achievable set:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     FrontierMonotonicityError,
+    InvalidConfigurationError,
     InvalidInputError,
     NumericalFailureError,
 )
@@ -45,12 +46,12 @@ from .markov import (
     PopulationState,
     TransitionMatrix,
     aggregate_power,
+    build_grid,
     estimate_transition_matrix,
     output_vector,
     reachable,
     stationary_distribution,
     step_population,
-    x_out_vector,
 )
 
 EXACT = "exact"
@@ -551,13 +552,19 @@ def build_fictitious_system(
     return estimate_transition_matrix(params, grid, T_set_out, grid.delta_tau, T_amb, dt_minutes)
 
 
+# margins of different states tie up to rounding, so the condition report
+# names the first (step, state) within this fraction of the minimum
+CONDITION_TIE_REL = 1e-9
+
+
 def check_outer_condition(
     kernels: ResponseKernels,
     x_out: np.ndarray,
     horizon: int | None = None,
 ) -> ConditionReport:
     """Empirical validity condition for the outer bound (see module
-    docstring); reports the worst margin and where it occurs."""
+    docstring); reports the worst margin and where it occurs (the
+    first step and state within CONDITION_TIE_REL of it)."""
     if kernels.h_out is None:
         raise InvalidInputError("kernels were built without the squeezed system")
     K = horizon if horizon is not None else kernels.horizon
@@ -566,9 +573,9 @@ def check_outer_condition(
     d_out = (kernels.h_out[1 : K + 1] - kernels.h_a[1 : K + 1]) @ x_out  # (K,)
     d = kernels.h[1 : K + 1] - kernels.h_a[1 : K + 1]  # (K, n_states)
     margins = d_out[:, None] - d
-    flat = int(np.argmin(margins))
-    m_idx, s_idx = divmod(flat, margins.shape[1])
-    min_margin = float(margins[m_idx, s_idx])
+    min_margin = float(margins.min())
+    near = margins <= min_margin + CONDITION_TIE_REL * max(1.0, abs(min_margin))
+    m_idx, s_idx = divmod(int(np.argmax(near)), margins.shape[1])
     tol = 1e-12 * max(1.0, kernels.c.P_on_total)
     return ConditionReport(
         holds=min_margin >= -tol,
@@ -703,34 +710,72 @@ def outer_boundary(
     return frontier_from_samples(samples, OUTER, regime, condition=condition)
 
 
-def make_regime(
-    grid: BinGrid,
-    T_set: float,
-    T_set_new: float,
-    deadband: float,
-    T_amb: float,
-    dt_minutes: float,
-    P_on_total: float,
-    P_nom: float,
-    T_max: int,
-    extra: dict | None = None,
-) -> dict:
-    regime = {
-        "T_set": T_set,
-        "T_set_new": T_set_new,
-        "deadband": deadband,
-        "T_amb": T_amb,
-        "dt_minutes": dt_minutes,
-        "T_min": grid.T_min,
-        "T_max_grid": grid.T_max,
-        "n_bins": grid.n_bins,
-        "P_on_total_kw": P_on_total,
-        "P_nom_kw": P_nom,
-        "T_max_steps": T_max,
-    }
-    if extra:
-        regime.update(extra)
-    return regime
+@dataclass(frozen=True)
+class OperatingPoint:
+    """One operating point of a fleet: its unit model, bin grid, nominal
+    and raised setpoints, deadband, ambient temperature, connected load
+    and step length.  Both setpoints' deadbands must sit strictly inside
+    the grid."""
+
+    params: TclParams
+    grid: BinGrid
+    T_set: float
+    T_set_new: float
+    deadband: float
+    T_amb: float
+    P_on_total_kw: float
+    dt_minutes: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.dt_minutes > 0.0:
+            raise InvalidConfigurationError(f"dt_minutes must be positive, got {self.dt_minutes}")
+        if not self.P_on_total_kw > 0.0:
+            raise InvalidConfigurationError(f"P_on_total_kw must be positive, got {self.P_on_total_kw}")
+        self.check_band(self.T_set, "T_set")
+        self.check_band(self.T_set_new, "T_set_new")
+
+    def check_band(self, setpoint: float, label: str) -> None:
+        """Raise unless the deadband around setpoint sits strictly inside the grid."""
+        if not self.grid.band_strictly_inside(setpoint, self.deadband):
+            raise InvalidConfigurationError(
+                f"{label} band [{setpoint - self.deadband / 2}, {setpoint + self.deadband / 2}] is not "
+                f"strictly inside the grid [{self.grid.T_min}, {self.grid.T_max}]"
+            )
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> OperatingPoint:
+        """The point a scenario config describes."""
+        try:
+            params = TclParams(**cfg["params"])
+        except TypeError as exc:
+            raise InvalidConfigurationError(f"bad params section: {exc}") from exc
+        g = cfg["grid"]
+        return cls(
+            params=params,
+            grid=build_grid(float(g["T_min"]), float(g["T_max"]), int(g["n_bins"])),
+            T_set=float(cfg["T_set"]),
+            T_set_new=float(cfg["T_set_new"]),
+            deadband=float(cfg["deadband"]),
+            T_amb=float(cfg["T_amb"]),
+            P_on_total_kw=float(cfg["P_on_total_kw"]),
+            dt_minutes=float(cfg["dt_minutes"]),
+        )
+
+    def regime(self, P_nom: float, T_max: int) -> dict:
+        """The sidecar block that records this point and its normalization."""
+        return {
+            "T_set": self.T_set,
+            "T_set_new": self.T_set_new,
+            "deadband": self.deadband,
+            "T_amb": self.T_amb,
+            "dt_minutes": self.dt_minutes,
+            "T_min": self.grid.T_min,
+            "T_max_grid": self.grid.T_max,
+            "n_bins": self.grid.n_bins,
+            "P_on_total_kw": self.P_on_total_kw,
+            "P_nom_kw": P_nom,
+            "T_max_steps": T_max,
+        }
 
 
 @dataclass
@@ -750,92 +795,58 @@ class CharacterizedFleet:
         return float(self.c.c @ self.x_0)
 
 
-def characterize(
-    params: TclParams,
-    grid: BinGrid,
-    T_set: float,
-    T_set_new: float,
-    deadband: float,
-    T_amb: float,
-    P_on_total: float,
-    dt_minutes: float = 1.0,
-    T_max: int = DEFAULT_T_MAX,
-    with_outer: bool = True,
-    T_set_stationary: float | None = None,
+def _program(op: OperatingPoint, setpoint: float) -> tuple:
+    """Arguments of estimate_transition_matrix for the thermostat program
+    at `setpoint`; equal tuples give bitwise equal matrices."""
+    return (op.params, op.grid, setpoint, op.deadband, op.T_amb, op.dt_minutes)
+
+
+def _fleet(
+    op: OperatingPoint,
+    A: TransitionMatrix,
+    A_a: TransitionMatrix,
+    x_0: np.ndarray,
+    T_max: int,
+    A_out: TransitionMatrix | None = None,
 ) -> CharacterizedFleet:
-    """Build all matrices and kernels for one regime.
-
-    T_set_stationary lets the baseline occupancy come from a different
-    setpoint than the thermostat program encoded in A (pre-cooling
-    studies); by default both are T_set.
-    """
-    base_set = T_set if T_set_stationary is None else T_set_stationary
-    A = estimate_transition_matrix(params, grid, base_set, deadband, T_amb, dt_minutes)
-    A_a = estimate_transition_matrix(params, grid, T_set_new, deadband, T_amb, dt_minutes)
-    A_out = None
-    if with_outer:
-        A_out = build_fictitious_system(params, grid, base_set, deadband, T_amb, dt_minutes)
-    x_0 = stationary_distribution(A).x
-    c = output_vector(grid, P_on_total)
+    c = output_vector(op.grid, op.P_on_total_kw)
     kernels = response_kernels(A, A_a, c, horizon=T_max + 1, A_out=A_out)
-    regime = make_regime(
-        grid, base_set, T_set_new, deadband, T_amb, dt_minutes, P_on_total,
-        float(c.c @ x_0), T_max,
+    return CharacterizedFleet(
+        A=A, A_a=A_a, A_out=A_out, x_0=x_0, c=c, kernels=kernels, regime=op.regime(float(c.c @ x_0), T_max)
     )
-    return CharacterizedFleet(A=A, A_a=A_a, A_out=A_out, x_0=x_0, c=c, kernels=kernels, regime=regime)
 
 
-def sweep_setpoint(
-    params: TclParams,
-    grid: BinGrid,
-    T_set: float,
-    new_setpoints: list[float],
-    deadband: float,
-    T_amb: float,
-    P_on_total: float,
-    dt_minutes: float = 1.0,
-    T_max: int = DEFAULT_T_MAX,
-    n_grid: int = DEFAULT_N_GRID,
+def characterize(
+    op: OperatingPoint, T_max: int = DEFAULT_T_MAX, with_outer: bool = True
+) -> CharacterizedFleet:
+    """Build all matrices and kernels at one operating point."""
+    base = _program(op, op.T_set)
+    A = estimate_transition_matrix(*base)
+    A_a = estimate_transition_matrix(*_program(op, op.T_set_new))
+    A_out = build_fictitious_system(*base) if with_outer else None
+    return _fleet(op, A, A_a, stationary_distribution(A).x, T_max, A_out)
+
+
+def sweep(
+    points: list[OperatingPoint], T_max: int = DEFAULT_T_MAX, n_grid: int = DEFAULT_N_GRID
 ) -> list[ReachHoldSet]:
-    """Inner frontiers for several raised setpoints from one baseline."""
+    """Inner frontier at each point.  Each distinct thermostat program is
+    built once and each distinct baseline occupancy solved once, so points
+    that differ only in T_set_new share their baseline."""
+    matrices: dict[tuple, TransitionMatrix] = {}
+    occupancy: dict[tuple, np.ndarray] = {}
     sets = []
-    for T_new in new_setpoints:
-        fleet = characterize(
-            params, grid, T_set, float(T_new), deadband, T_amb, P_on_total,
-            dt_minutes, T_max, with_outer=False,
-        )
+    for op in points:
+        base, actuated = _program(op, op.T_set), _program(op, op.T_set_new)
+        for key in (base, actuated):
+            if key not in matrices:
+                matrices[key] = estimate_transition_matrix(*key)
+        if base not in occupancy:
+            occupancy[base] = stationary_distribution(matrices[base]).x
+        fleet = _fleet(op, matrices[base], matrices[actuated], occupancy[base], T_max)
         p_grid = default_p_grid(fleet.p_nom_kw, n_grid)
-        sets.append(
-            inner_boundary(fleet.kernels, fleet.x_0, T_max, p_grid, regime=fleet.regime)
-        )
+        sets.append(inner_boundary(fleet.kernels, fleet.x_0, T_max, p_grid, regime=fleet.regime))
     return sets
-
-
-def precool_compare(
-    params: TclParams,
-    grid: BinGrid,
-    T_set_nominal: float,
-    T_set_precool: float,
-    T_set_new: float,
-    deadband: float,
-    T_amb: float,
-    P_on_total: float,
-    dt_minutes: float = 1.0,
-    T_max: int = DEFAULT_T_MAX,
-    n_grid: int = DEFAULT_N_GRID,
-) -> dict[str, ReachHoldSet]:
-    """Inner frontiers starting from the nominal occupancy versus an
-    occupancy pre-cooled to a lower setpoint, both released to T_set_new."""
-    out: dict[str, ReachHoldSet] = {}
-    for label, start in (("baseline", T_set_nominal), ("precooled", T_set_precool)):
-        fleet = characterize(
-            params, grid, start, T_set_new, deadband, T_amb, P_on_total,
-            dt_minutes, T_max, with_outer=False,
-        )
-        fleet.regime["start_setpoint"] = start
-        p_grid = default_p_grid(fleet.p_nom_kw, n_grid)
-        out[label] = inner_boundary(fleet.kernels, fleet.x_0, T_max, p_grid, regime=fleet.regime)
-    return out
 
 
 def save_set(rh_set: ReachHoldSet, csv_path) -> None:

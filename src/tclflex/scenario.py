@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +20,11 @@ import numpy as np
 from .aggregation import combine, save_combined
 from .errors import (
     InvalidConfigurationError,
-    InvalidInputError,
     NumericalFailureError,
 )
-from .etp import FleetSpec, TclParams, sample_fleet, simulate_fleet
+from .etp import FleetSpec, sample_fleet, simulate_fleet
 from .markov import (
-    BinGrid,
     PopulationState,
-    build_grid,
     estimate_transition_matrix,
     save_matrix,
     step_population,
@@ -39,6 +37,7 @@ from .reachhold import (
     METHODS,
     OUTER,
     ControlPlan,
+    OperatingPoint,
     ReachHoldPoint,
     characterize,
     default_p_grid,
@@ -49,10 +48,9 @@ from .reachhold import (
     inner_point,
     load_set,
     outer_boundary,
-    precool_compare,
     save_set,
     solve_exact,
-    sweep_setpoint,
+    sweep,
     write_json,
 )
 from .validation import (
@@ -174,18 +172,6 @@ def load_config(path) -> dict:
     return effective_config(user)
 
 
-def make_params(cfg: dict) -> TclParams:
-    try:
-        return TclParams(**cfg["params"])
-    except TypeError as exc:
-        raise InvalidConfigurationError(f"bad params section: {exc}") from exc
-
-
-def make_grid(cfg: dict) -> BinGrid:
-    g = cfg["grid"]
-    return build_grid(float(g["T_min"]), float(g["T_max"]), int(g["n_bins"]))
-
-
 def _require_seed(section: dict, key: str, where: str) -> None:
     if key not in section or section[key] is None:
         raise InvalidConfigurationError(
@@ -193,14 +179,6 @@ def _require_seed(section: dict, key: str, where: str) -> None:
         )
     if not isinstance(section[key], int):
         raise InvalidConfigurationError(f"{where} must be an integer, got {section[key]!r}")
-
-
-def _check_band(grid: BinGrid, T_set: float, deadband: float, label: str) -> None:
-    if not grid.band_strictly_inside(T_set, deadband):
-        raise InvalidConfigurationError(
-            f"{label} band [{T_set - deadband / 2}, {T_set + deadband / 2}] is not "
-            f"strictly inside the grid [{grid.T_min}, {grid.T_max}]"
-        )
 
 
 def validate_config(cfg: dict, subcommand: str) -> None:
@@ -214,19 +192,9 @@ def validate_config(cfg: dict, subcommand: str) -> None:
             raise InvalidConfigurationError("aggregate.inputs must list exactly two saved sets")
         return  # pure set algebra: no model build, no randomness
 
-    if cfg["dt_minutes"] <= 0.0:
-        raise InvalidConfigurationError(f"dt_minutes must be positive, got {cfg['dt_minutes']}")
     if int(cfg["T_max_steps"]) < 1:
         raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {cfg['T_max_steps']}")
-    if cfg["P_on_total_kw"] <= 0.0:
-        raise InvalidConfigurationError(f"P_on_total_kw must be positive, got {cfg['P_on_total_kw']}")
-    make_params(cfg)
-    grid = make_grid(cfg)
-    deadband = float(cfg["deadband"])
-    _check_band(grid, float(cfg["T_set"]), deadband, "T_set")
-
-    if subcommand in ("build-model", "reachhold", "validate", "selfcheck"):
-        _check_band(grid, float(cfg["T_set_new"]), deadband, "T_set_new")
+    op = OperatingPoint.from_config(cfg)
     if subcommand == "reachhold":
         rh = cfg["reachhold"]
         methods = rh.get("methods", [])
@@ -248,8 +216,8 @@ def validate_config(cfg: dict, subcommand: str) -> None:
             raise InvalidConfigurationError("fleet.n_units must be >= 1")
         _require_seed(fleet, "seed", "fleet.seed")
         # the micro fleet and the bin model must describe the same load
-        connected = int(fleet["n_units"]) * float(cfg["params"]["P_rate"])
-        if abs(connected - float(cfg["P_on_total_kw"])) > 1e-6 * float(cfg["P_on_total_kw"]):
+        connected = int(fleet["n_units"]) * float(op.params.P_rate)
+        if abs(connected - op.P_on_total_kw) > 1e-6 * op.P_on_total_kw:
             raise InvalidConfigurationError(
                 f"fleet.n_units x params.P_rate = {connected} kW does not match "
                 f"P_on_total_kw = {cfg['P_on_total_kw']}"
@@ -274,10 +242,9 @@ def validate_config(cfg: dict, subcommand: str) -> None:
         if not setpoints:
             raise InvalidConfigurationError("sweep.new_setpoints must be nonempty")
         for T_new in setpoints:
-            _check_band(grid, float(T_new), deadband, f"new setpoint {T_new}")
+            op.check_band(float(T_new), f"new setpoint {T_new}")
     if subcommand == "sweep-precool":
-        _check_band(grid, float(cfg["T_set_new"]), deadband, "T_set_new")
-        _check_band(grid, float(cfg["precool"]["T_set_precool"]), deadband, "pre-cool setpoint")
+        op.check_band(float(cfg["precool"]["T_set_precool"]), "pre-cool setpoint")
 
 
 def resolve_config(
@@ -324,21 +291,6 @@ def write_effective_config(cfg: dict, out_dir) -> Path:
 _write_json = write_json
 
 
-def _characterize_from(cfg: dict, with_outer: bool):
-    return characterize(
-        make_params(cfg),
-        make_grid(cfg),
-        float(cfg["T_set"]),
-        float(cfg["T_set_new"]),
-        float(cfg["deadband"]),
-        float(cfg["T_amb"]),
-        float(cfg["P_on_total_kw"]),
-        dt_minutes=float(cfg["dt_minutes"]),
-        T_max=int(cfg["T_max_steps"]),
-        with_outer=with_outer,
-    )
-
-
 def default_t_grid(T_max: int) -> list[int]:
     ramp = [1, 2, 3, 5, 8, 12, 20, 30, 45, 60, 90, 120, 180, 240, 360, 480]
     grid = [t for t in ramp if t <= T_max]
@@ -348,7 +300,7 @@ def default_t_grid(T_max: int) -> list[int]:
 
 
 def run_build_model(cfg: dict, out_dir: Path) -> dict[str, str]:
-    ch = _characterize_from(cfg, with_outer=True)
+    ch = characterize(OperatingPoint.from_config(cfg), int(cfg["T_max_steps"]), with_outer=True)
     artifacts = {}
     for name, tm in (("A", ch.A), ("A_actuated", ch.A_a), ("A_squeezed", ch.A_out)):
         path = out_dir / f"{name}.csv"
@@ -369,8 +321,9 @@ def run_build_model(cfg: dict, out_dir: Path) -> dict[str, str]:
 
 def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
     methods = cfg["reachhold"]["methods"]
-    ch = _characterize_from(cfg, with_outer=OUTER in methods)
+    op = OperatingPoint.from_config(cfg)
     T_max = int(cfg["T_max_steps"])
+    ch = characterize(op, T_max, with_outer=OUTER in methods)
     t_grid = cfg["reachhold"]["t_grid"] or default_t_grid(T_max)
     t_grid = [int(t) for t in t_grid]
     artifacts = {}
@@ -381,7 +334,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
         save_set(rh, path)
         artifacts[INNER] = str(path)
     if OUTER in methods:
-        x_out = x_out_vector(ch.A.grid, float(cfg["T_set"]), float(cfg["deadband"]))
+        x_out = x_out_vector(op.grid, op.T_set, op.deadband)
         rh = outer_boundary(ch.kernels, x_out, np.array(t_grid), ch.regime)
         path = out_dir / "outer.csv"
         save_set(rh, path)
@@ -423,15 +376,15 @@ def run_aggregate(cfg: dict, out_dir: Path) -> dict[str, str]:
     return {"combined": str(path)}
 
 
-def _sample_config_fleet(cfg: dict, seed: int):
+def _sample_config_fleet(cfg: dict, op: OperatingPoint, seed: int):
     return sample_fleet(
         FleetSpec(
             n_units=int(cfg["fleet"]["n_units"]),
-            nominal=make_params(cfg),
+            nominal=op.params,
             heterogeneity=float(cfg["fleet"]["heterogeneity"]),
-            deadband=float(cfg["deadband"]),
-            T_amb=float(cfg["T_amb"]),
-            T_set=float(cfg["T_set"]),
+            deadband=op.deadband,
+            T_amb=op.T_amb,
+            T_set=op.T_set,
             seed=seed,
         )
     )
@@ -440,17 +393,16 @@ def _sample_config_fleet(cfg: dict, seed: int):
 def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     """Markov-versus-micro comparison; returns artifacts and whether any
     micro run was degraded by actuation shortfalls."""
-    ch = _characterize_from(cfg, with_outer=False)
+    op = OperatingPoint.from_config(cfg)
+    T_max = int(cfg["T_max_steps"])
+    ch = characterize(op, T_max, with_outer=False)
     v = cfg["validate"]
-    grid = make_grid(cfg)
-    dt = float(cfg["dt_minutes"])
-    deadband = float(cfg["deadband"])
-    T_amb, T_set_new = float(cfg["T_amb"]), float(cfg["T_set_new"])
-    p_on_total = float(cfg["P_on_total_kw"])
+    dt, deadband, T_amb, T_set_new = op.dt_minutes, op.deadband, op.T_amb, op.T_set_new
+    p_on_total = op.P_on_total_kw
     n_units = int(cfg["fleet"]["n_units"])
     burn_steps = int(v["burn_in_steps"])
     selection_seed = int(v["selection_seed"])
-    horizon = int(v["horizon"]) if v.get("horizon") else int(cfg["T_max_steps"])
+    horizon = int(v["horizon"]) if v.get("horizon") else T_max
     artifacts: dict[str, str] = {}
 
     if v["mode"] == "step":
@@ -458,7 +410,7 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
         plan = ControlPlan(alpha=np.array([fraction]))
         dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, horizon).delta_p_kw
         markov = ch.p_nom_kw - dp
-        fleet = _sample_config_fleet(cfg, int(cfg["fleet"]["seed"]))
+        fleet = _sample_config_fleet(cfg, op, int(cfg["fleet"]["seed"]))
         burn_in(fleet, T_amb, deadband, dt, burn_steps)
         # a step actuates a uniformly random fraction of units, so it can
         # never run short; per-bin selection is the plan-driven blocks path
@@ -480,7 +432,6 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
         return artifacts, report.degraded
 
     # blocks: one hold study per requested duration, fresh fleet each time
-    T_max = int(cfg["T_max_steps"])
     hold_tol_kw = float(v["hold_tol_fraction"]) * p_on_total
     summary = []
     any_degraded = False
@@ -490,12 +441,12 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
         block_horizon = min(T_max, T_hold + 60)
         dp = delta_p_by_stepping(ip.plan, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon).delta_p_kw
         markov = ch.p_nom_kw - dp
-        fleet = _sample_config_fleet(cfg, int(cfg["fleet"]["seed"]) + T_hold)
+        fleet = _sample_config_fleet(cfg, op, int(cfg["fleet"]["seed"]) + T_hold)
         baseline = burn_in(fleet, T_amb, deadband, dt, burn_steps)
         plan_b = ControlPlan(alpha=ip.plan.alpha[:block_horizon])
         dplan = discretize_plan(plan_b, n_units, ch.x_0)
         run = apply_plan_micro(
-            fleet, dplan, grid, T_set_new, T_amb, deadband, dt, block_horizon, selection_seed
+            fleet, dplan, op.grid, T_set_new, T_amb, deadband, dt, block_horizon, selection_seed
         )
         report = compare_traces(
             markov, run.power_kw, p_on_total,
@@ -524,14 +475,11 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     return artifacts, any_degraded
 
 
-def run_sweep_setpoint(cfg: dict, out_dir: Path) -> dict[str, str]:
+def run_setpoint_sweep(cfg: dict, out_dir: Path) -> dict[str, str]:
+    op = OperatingPoint.from_config(cfg)
     setpoints = [float(t) for t in cfg["sweep"]["new_setpoints"]]
-    sets = sweep_setpoint(
-        make_params(cfg), make_grid(cfg), float(cfg["T_set"]), setpoints,
-        float(cfg["deadband"]), float(cfg["T_amb"]), float(cfg["P_on_total_kw"]),
-        dt_minutes=float(cfg["dt_minutes"]), T_max=int(cfg["T_max_steps"]),
-        n_grid=int(cfg["reachhold"]["p_grid_points"]),
-    )
+    points = [replace(op, T_set_new=T_new) for T_new in setpoints]
+    sets = sweep(points, int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
     artifacts = {}
     entries = []
     for T_new, rh in zip(setpoints, sets):
@@ -544,24 +492,18 @@ def run_sweep_setpoint(cfg: dict, out_dir: Path) -> dict[str, str]:
     return artifacts
 
 
-def run_sweep_precool(cfg: dict, out_dir: Path) -> dict[str, str]:
-    duo = precool_compare(
-        make_params(cfg), make_grid(cfg), float(cfg["T_set"]),
-        float(cfg["precool"]["T_set_precool"]), float(cfg["T_set_new"]),
-        float(cfg["deadband"]), float(cfg["T_amb"]), float(cfg["P_on_total_kw"]),
-        dt_minutes=float(cfg["dt_minutes"]), T_max=int(cfg["T_max_steps"]),
-        n_grid=int(cfg["reachhold"]["p_grid_points"]),
-    )
+def run_precool_sweep(cfg: dict, out_dir: Path) -> dict[str, str]:
+    op = OperatingPoint.from_config(cfg)
+    points = [op, replace(op, T_set=float(cfg["precool"]["T_set_precool"]))]
+    sets = sweep(points, int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
     artifacts = {}
-    for label, rh in duo.items():
+    for label, point, rh in zip(("baseline", "precooled"), points, sets):
+        rh.regime["start_setpoint"] = point.T_set
         path = out_dir / f"{label}.csv"
         save_set(rh, path)
         artifacts[label] = str(path)
     _write_json(
-        {
-            "P_nom_baseline_kw": duo["baseline"].regime["P_nom_kw"],
-            "P_nom_precooled_kw": duo["precooled"].regime["P_nom_kw"],
-        },
+        {"P_nom_baseline_kw": sets[0].regime["P_nom_kw"], "P_nom_precooled_kw": sets[1].regime["P_nom_kw"]},
         out_dir / "summary.json",
     )
     artifacts["summary"] = str(out_dir / "summary.json")
@@ -571,7 +513,8 @@ def run_sweep_precool(cfg: dict, out_dir: Path) -> dict[str, str]:
 def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
     """Invariant suite over the configured model; raises on any failure
     after persisting the full report."""
-    ch = _characterize_from(cfg, with_outer=True)
+    op = OperatingPoint.from_config(cfg)
+    ch = characterize(op, int(cfg["T_max_steps"]), with_outer=True)
     n = ch.x_0.size
     rng = np.random.default_rng(0)  # fixed probe controls, part of the check
     checks = []
@@ -617,10 +560,7 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
         f"max cumulative count error {per_state.max():.3e} (bound 1 per state, {n} states)",
     )
 
-    A_again = estimate_transition_matrix(
-        make_params(cfg), make_grid(cfg), float(cfg["T_set"]), float(cfg["deadband"]),
-        float(cfg["T_amb"]), float(cfg["dt_minutes"]),
-    )
+    A_again = estimate_transition_matrix(op.params, op.grid, op.T_set, op.deadband, op.T_amb, op.dt_minutes)
     record("determinism", bool(np.array_equal(A_again.P, ch.A.P)), "rebuilt matrix matches bitwise")
 
     all_passed = all(c["passed"] for c in checks)
@@ -644,9 +584,9 @@ def run(subcommand: str, cfg: dict, out_dir) -> tuple[dict[str, str], bool]:
     if subcommand == "validate":
         return run_validate(cfg, out_dir)
     if subcommand == "sweep-setpoint":
-        return run_sweep_setpoint(cfg, out_dir), False
+        return run_setpoint_sweep(cfg, out_dir), False
     if subcommand == "sweep-precool":
-        return run_sweep_precool(cfg, out_dir), False
+        return run_precool_sweep(cfg, out_dir), False
     if subcommand == "selfcheck":
         return run_selfcheck(cfg, out_dir), False
     raise InvalidConfigurationError(f"unknown subcommand {subcommand!r}")

@@ -9,7 +9,7 @@ from tclflex.markov import (
     output_vector,
     stationary_distribution,
 )
-from tclflex.reachhold import characterize
+from tclflex.reachhold import OperatingPoint, characterize
 
 T_AMB = 32.0
 T_SET = 20.0
@@ -51,6 +51,6 @@ def c_out(grid40):
 def char10():
     grid = build_grid(18.0, 24.0, 10)
     return characterize(
-        DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
+        OperatingPoint(DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL),
         T_max=60,
     )

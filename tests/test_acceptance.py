@@ -6,6 +6,7 @@ self-contained apart from the shared default-regime characterization.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tclflex.etp import DEFAULT_PARAMS, FleetSpec, sample_fleet, simulate_fleet
 from tclflex.markov import build_grid, x_out_vector
 from tclflex.reachhold import (
     ControlPlan,
+    OperatingPoint,
     characterize,
     check_outer_condition,
     default_p_grid,
@@ -23,10 +25,9 @@ from tclflex.reachhold import (
     inner_p_at,
     inner_point,
     outer_boundary,
-    precool_compare,
     solve_exact,
     solve_outer,
-    sweep_setpoint,
+    sweep,
 )
 from tclflex.scenario import effective_config, resolve_config, run, validate_config
 from tclflex.validation import burn_in, compare_traces
@@ -42,16 +43,16 @@ DEADBAND = 1.0
 def fleet40():
     """Shipped-default regime: 40-bin grid, 20 -> 22 step, 8-hour horizon."""
     return characterize(
-        DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND,
-        T_AMB, P_ON, T_max=480,
+        OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON),
+        T_max=480,
     )
 
 
 def test_criterion_01_sandwich_inner_exact_outer():
     t0 = time.perf_counter()
     ch = characterize(
-        DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), T_SET, T_SET_NEW, DEADBAND,
-        T_AMB, P_ON, T_max=60,
+        OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON),
+        T_max=60,
     )
     x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
     tol = 1e-6 * P_ON
@@ -113,8 +114,8 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
     # survive re-propagation from the first step on
     t0 = time.perf_counter()
     ch = characterize(
-        DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET + DEADBAND, DEADBAND,
-        T_AMB, P_ON, T_max=480, with_outer=False,
+        OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET + DEADBAND, DEADBAND, T_AMB, P_ON),
+        T_max=480, with_outer=False,
     )
     assert float(ch.kernels.h_a[1] @ ch.x_0) > 0.05 * ch.p_nom_kw
     tol = 1e-9 * P_ON
@@ -220,10 +221,8 @@ def test_criterion_06_inner_holds_verified_by_micro(tmp_path):
 
 
 def test_criterion_07_hold_duration_monotone_in_setpoint():
-    sets = sweep_setpoint(
-        DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, [21.0, 21.5, 22.0],
-        DEADBAND, T_AMB, P_ON, T_max=480, n_grid=50,
-    )
+    base = OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
+    sets = sweep([replace(base, T_set_new=T) for T in (21.0, 21.5, 22.0)], T_max=480, n_grid=50)
     holds = [query_t_at_p(s, 400.0) for s in sets]
     assert all(t > 0 for t in holds)
     assert holds[0] <= holds[1] <= holds[2], f"T_hold at 400 kW not monotone: {holds}"
@@ -231,11 +230,8 @@ def test_criterion_07_hold_duration_monotone_in_setpoint():
 
 
 def test_criterion_08_precooling_dominates():
-    duo = precool_compare(
-        DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, 19.0, T_SET_NEW,
-        DEADBAND, T_AMB, P_ON, T_max=480, n_grid=50,
-    )
-    base, pre = duo["baseline"], duo["precooled"]
+    nominal = OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
+    base, pre = sweep([nominal, replace(nominal, T_set=19.0)], T_max=480, n_grid=50)
     p_nom_base = base.regime["P_nom_kw"]
     p_nom_pre = pre.regime["P_nom_kw"]
     assert p_nom_pre > p_nom_base

@@ -42,7 +42,8 @@ from tclflex.markov import build_grid, x_out_vector
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
-ch = reachhold.characterize(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0, T_max=20)
+op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
+ch = reachhold.characterize(op, T_max=20)
 scenario.solve_exact(5, ch.kernels, ch.x_0, ch.A)
 reachhold.solve_outer(20, ch.kernels, x_out_vector(ch.A.grid, 20.0, 1.0), support="full")
 spans = tracer.spans
@@ -51,6 +52,40 @@ print(json.dumps({
     "parents": [spans[s[3]][0] if s[3] >= 0 else None for s in spans if s[0] == "lp.solve"],
     "metrics": layers.from_spans(spans, 0),
 }))
+"""
+
+
+SWEEP_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import tracing
+from tclflex import reachhold, scenario
+
+# the benchmark worker captures every stationary solve this way
+solved = []
+solve_stationary = reachhold.stationary_distribution
+
+def capture_stationary(tm, *a, **kw):
+    solved.append(tm.T_set)
+    return solve_stationary(tm, *a, **kw)
+
+reachhold.stationary_distribution = capture_stationary
+tracer = tracing.Tracer()
+tracing.install(tracer)
+cfg = scenario.effective_config(
+    {"grid": {"n_bins": 10}, "T_max_steps": 60, "sweep": {"new_setpoints": [21.0, 21.5, 22.0]}}
+)
+solves = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for sub in ("sweep-setpoint", "sweep-precool"):
+        scenario.validate_config(cfg, sub)
+        out = Path(tmp) / sub
+        out.mkdir()
+        before = len(solved)
+        scenario.run(sub, cfg, out)
+        solves[sub] = solved[before:]
+print(json.dumps({"solves": solves, "spans": sorted({s[0] for s in tracer.spans})}))
 """
 
 
@@ -86,3 +121,12 @@ def test_every_lp_solve_is_tagged_by_its_bound():
     assert m["lp.solves"] == len(parents) and m["lp.nonoptimal"] == 0
     assert m["lp.n_vars.exact.T5"] == 2 * 5 * out["support"] + 1
     assert m["lp.nnz.outer.T20"] > 0
+
+
+def test_sweeps_solve_each_baseline_once():
+    # the three setpoints of sweep-setpoint share one baseline; pre-cooling
+    # compares two.  Every name the tracer wraps must still resolve
+    out = run_traced(SWEEP_SCRIPT)
+    assert out["solves"] == {"sweep-setpoint": [20.0], "sweep-precool": [20.0, 19.0]}
+    for name in ("scenario.run", "markov.stationary_distribution", "reachhold.inner_boundary", "scenario.save"):
+        assert name in out["spans"]

@@ -321,6 +321,8 @@ class TestSweeps:
         assert main(["sweep-precool", "--config", path, "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["P_nom_precooled_kw"] > summary["P_nom_baseline_kw"]
+        assert load_set(out / "baseline.csv").regime["start_setpoint"] == 20.0
+        assert load_set(out / "precooled.csv").regime["start_setpoint"] == 19.0
 
 
 class TestSelfcheck:

@@ -2,6 +2,7 @@
 routes, the empirical outer-bound condition, and set persistence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import pytest
 import tclflex.lp
 import tclflex.markov
 import tclflex.reachhold
-from tclflex.errors import FrontierMonotonicityError, InvalidInputError, NumericalFailureError
+from tclflex.errors import (
+    FrontierMonotonicityError,
+    InvalidConfigurationError,
+    InvalidInputError,
+    NumericalFailureError,
+)
 from tclflex.etp import DEFAULT_PARAMS
 from tclflex.lp import NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, LinearProgram, LpSolution, solve
 from tclflex.markov import (
@@ -23,7 +29,9 @@ from tclflex.reachhold import (
     INNER,
     OUTER,
     ControlPlan,
+    OperatingPoint,
     ReachHoldPoint,
+    ResponseKernels,
     ReachHoldSet,
     alpha_lower_bound,
     characterize,
@@ -37,14 +45,12 @@ from tclflex.reachhold import (
     inner_point,
     invariant_support,
     load_set,
-    make_regime,
     outer_boundary,
-    precool_compare,
     response_kernels,
     save_set,
     solve_exact,
     solve_outer,
-    sweep_setpoint,
+    sweep,
 )
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
@@ -57,10 +63,13 @@ EXACT_T60_KW = 1385.2568493518
 
 @pytest.fixture(scope="module")
 def char40():
-    grid = build_grid(18.0, 24.0, 40)
-    return characterize(
-        DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
-        T_max=120,
+    return characterize(point(40), T_max=120)
+
+
+def point(n_bins: int) -> OperatingPoint:
+    """The default operating point on an n_bins grid over 18-24 C."""
+    return OperatingPoint(
+        DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL
     )
 
 
@@ -86,10 +95,7 @@ def dense_exact_40():
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tclflex.markov, "discretize", expm_discretize)
-        ch = characterize(
-            DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
-            T_max=60,
-        )
+        ch = characterize(point(40), T_max=60)
     for T in (30, 45, 60):
         with pytest.MonkeyPatch.context() as mp:
             seen = record_highs(mp)
@@ -542,6 +548,17 @@ class TestOuterCondition:
         assert rep.holds
         assert rep.min_margin_kw == pytest.approx(10.0)
 
+    def test_tied_minimum_reports_first_state(self):
+        # state 1's margin is 1e-13 kW below state 0's: a rounding-level
+        # tie, so the report names state 0 and keeps the exact minimum
+        c = output_vector(build_grid(0.0, 1.0, 1), 10.0)
+        h = np.array([[0.0, 0.0], [1.0, 1.0 + 1e-13]])
+        zero = np.zeros_like(h)
+        kernels = ResponseKernels(h=h, h_a=zero, h_out=zero, c=c, horizon=1)
+        rep = check_outer_condition(kernels, np.array([0.0, 1.0]))
+        assert (rep.argmin_step, rep.argmin_state) == (1, 0)
+        assert rep.min_margin_kw == -(1.0 + 1e-13)
+
     def test_requires_squeezed_kernels(self, char40):
         bare = response_kernels(char40.A, char40.A_a, char40.c, horizon=5)
         with pytest.raises(InvalidInputError):
@@ -716,11 +733,8 @@ class TestFrontierAssembly:
 
 class TestCharacterize:
     def test_deterministic(self):
-        grid = build_grid(18.0, 24.0, 10)
-        a = characterize(DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB,
-                         P_ON_TOTAL, T_max=10)
-        b = characterize(DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB,
-                         P_ON_TOTAL, T_max=10)
+        a = characterize(point(10), T_max=10)
+        b = characterize(point(10), T_max=10)
         assert np.array_equal(a.A.P, b.A.P)
         assert np.array_equal(a.A_a.P, b.A_a.P)
         assert np.array_equal(a.A_out.P, b.A_out.P)
@@ -740,33 +754,43 @@ class TestCharacterize:
         assert char40.A_out.T_set == pytest.approx(T_SET - DEADBAND / 2)
         assert char40.A_out.deadband == pytest.approx(char40.A.grid.delta_tau)
 
-    def test_make_regime_merges_extra(self):
-        grid = build_grid(18.0, 24.0, 10)
-        r = make_regime(grid, 20.0, 22.0, 1.0, 32.0, 1.0, 3500.0, 1400.0, 60,
-                        extra={"note": 1})
-        assert r["note"] == 1 and r["T_max_steps"] == 60
+
+class TestOperatingPoint:
+    def test_regime_keys_and_values(self):
+        r = point(10).regime(1400.0, 60)
+        assert r == {
+            "T_set": T_SET, "T_set_new": T_SET_NEW, "deadband": DEADBAND, "T_amb": T_AMB,
+            "dt_minutes": 1.0, "T_min": 18.0, "T_max_grid": 24.0, "n_bins": 10,
+            "P_on_total_kw": P_ON_TOTAL, "P_nom_kw": 1400.0, "T_max_steps": 60,
+        }
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"dt_minutes": 0.0}, "dt_minutes"),
+            ({"dt_minutes": -1.0}, "dt_minutes"),
+            ({"P_on_total_kw": 0.0}, "P_on_total_kw"),
+            ({"T_set": 18.4}, "T_set band"),
+            ({"T_set_new": 23.6}, "T_set_new band"),
+            ({"deadband": 7.0}, "strictly inside"),
+        ],
+    )
+    def test_invalid_point_raises(self, change, match):
+        with pytest.raises(InvalidConfigurationError, match=match):
+            replace(point(10), **change)
 
 
 class TestSweeps:
     def test_setpoint_sweep_produces_regimes(self):
-        grid = build_grid(18.0, 24.0, 10)
-        sets = sweep_setpoint(
-            DEFAULT_PARAMS, grid, T_SET, [21.0, 22.0], DEADBAND, T_AMB, P_ON_TOTAL,
-            T_max=40, n_grid=5,
-        )
+        sets = sweep([replace(point(10), T_set_new=T) for T in (21.0, 22.0)], T_max=40, n_grid=5)
         assert [s.regime["T_set_new"] for s in sets] == [21.0, 22.0]
         assert all(s.method == INNER for s in sets)
         assert all(s.points for s in sets)
 
     def test_precool_lifts_nominal_power(self):
-        grid = build_grid(18.0, 24.0, 10)
-        out = precool_compare(
-            DEFAULT_PARAMS, grid, T_SET, 19.0, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL,
-            T_max=40, n_grid=5,
-        )
-        assert set(out) == {"baseline", "precooled"}
-        assert out["precooled"].regime["start_setpoint"] == 19.0
-        assert out["precooled"].regime["P_nom_kw"] > out["baseline"].regime["P_nom_kw"]
+        base, pre = sweep([point(10), replace(point(10), T_set=19.0)], T_max=40, n_grid=5)
+        assert pre.regime["T_set"] == 19.0
+        assert pre.regime["P_nom_kw"] > base.regime["P_nom_kw"]
 
 
 class TestSetPersistence:
