@@ -23,7 +23,7 @@ kW/degC, heat rates in kW, dt in minutes (converted to hours internally).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,18 +165,6 @@ class Fleet:
         )
 
 
-@dataclass
-class FleetTrace:
-    """Per-step record of a fleet simulation.  Arrays have horizon+1 rows."""
-
-    power_kw: np.ndarray  # (K+1,)
-    T_a: np.ndarray  # (K+1, n)
-    T_m: np.ndarray
-    on: np.ndarray  # bool
-    T_set: np.ndarray
-    dt_minutes: float
-
-
 def _step_maps(C_a, C_m, U_a, H_m, h):
     """e^{Fh} and F^-1 (e^{Fh} - I) for the drift F of d/dt [T_a, T_m]
     (per hour), each as its row-major entries; works elementwise on arrays.
@@ -280,18 +268,17 @@ def sample_fleet(spec: FleetSpec) -> Fleet:
 class FleetStepper:
     """Precomputed per-unit one-step maps for both modes.
 
-    Caches the exact discretization (`_step_maps`) for a fixed (T_amb, dt)
-    pair so the per-step work is one shared 2x2 linear map plus a
-    per-mode offset.
+    Caches the exact discretization (`_step_maps`) at the fleet's own
+    ambient temperature (fleet.spec.T_amb) and step length, so the
+    per-step work is one shared 2x2 linear map plus a per-mode offset;
+    the thermostat switches on the fleet's deadband (fleet.spec.deadband).
     """
 
-    def __init__(self, fleet: Fleet, T_amb: float, dt_minutes: float = DEFAULT_DT_MINUTES):
+    def __init__(self, fleet: Fleet, dt_minutes: float = DEFAULT_DT_MINUTES):
         if dt_minutes <= 0.0:
             raise InvalidInputError(f"dt_minutes must be positive, got {dt_minutes}")
         self.fleet = fleet
-        self.T_amb = float(T_amb)
         self.dt_minutes = float(dt_minutes)
-        self.deadband = fleet.spec.deadband
         p = fleet.params
         # shared A_d, row-major
         (self.a00, self.a01, self.a10, self.a11), (g00, g01, g10, g11) = _step_maps(
@@ -301,7 +288,7 @@ class FleetStepper:
         # b_d = (F^-1 (e^{Fh} - I)) g for each mode; index 0: off, 1: on
         self.b_d = []
         for q_a in (p["Q_a_off"], p["Q_a_on"]):
-            g_a = (p["U_a"] * self.T_amb + q_a) / p["C_a"]
+            g_a = (p["U_a"] * fleet.spec.T_amb + q_a) / p["C_a"]
             self.b_d.append((g00 * g_a + g01 * g_m, g10 * g_a + g11 * g_m))
 
     def advance(self) -> None:
@@ -311,7 +298,7 @@ class FleetStepper:
         T_a = self.a00 * f.T_a + self.a01 * f.T_m + np.where(f.on, on_a, off_a)
         T_m = self.a10 * f.T_a + self.a11 * f.T_m + np.where(f.on, on_m, off_m)
         f.T_a, f.T_m = T_a, T_m
-        f.on = apply_thermostat(f.T_a, f.T_set, f.on, self.deadband)
+        f.on = apply_thermostat(f.T_a, f.T_set, f.on, f.spec.deadband)
 
     def power_kw(self) -> float:
         """Current aggregate electrical demand, kW."""
@@ -320,48 +307,15 @@ class FleetStepper:
         return float(self.fleet.params["P_rate"].compress(self.fleet.on).sum())
 
 
-def simulate_fleet(
-    fleet: Fleet,
-    T_amb: float,
-    deadband: float,
-    dt_minutes: float,
-    horizon: int,
-    setpoint_schedule: dict[int, float] | None = None,
-    record_traces: bool = True,
-) -> FleetTrace:
-    """Simulate the fleet for `horizon` steps; the fleet is advanced in place.
-
-    setpoint_schedule maps step index k to a new common setpoint applied
-    just before the thermostat decision of step k.  The returned power
-    trace has horizon+1 samples, index 0 being the initial condition.
-    """
+def simulate_fleet(stepper: FleetStepper, horizon: int) -> np.ndarray:
+    """Advance the stepper's fleet `horizon` steps in place and return the
+    aggregate power trace: horizon+1 samples, index 0 being the initial
+    condition."""
     if horizon < 0:
         raise InvalidInputError(f"horizon must be >= 0, got {horizon}")
-    schedule = setpoint_schedule or {}
-    for k in schedule:
-        if not 0 <= k < max(horizon, 1):
-            raise InvalidInputError(f"setpoint schedule step {k} outside horizon {horizon}")
-    stepper = FleetStepper(fleet, T_amb, dt_minutes)
-    stepper.deadband = deadband
-    n = fleet.n_units
     power = np.empty(horizon + 1)
-    if record_traces:
-        T_a = np.empty((horizon + 1, n))
-        T_m = np.empty((horizon + 1, n))
-        on = np.empty((horizon + 1, n), dtype=bool)
-        T_set = np.empty((horizon + 1, n))
     power[0] = stepper.power_kw()
-    if record_traces:
-        T_a[0], T_m[0], on[0], T_set[0] = fleet.T_a, fleet.T_m, fleet.on, fleet.T_set
     for k in range(horizon):
-        if k in schedule:
-            fleet.T_set = np.full(n, float(schedule[k]))
         stepper.advance()
         power[k + 1] = stepper.power_kw()
-        if record_traces:
-            T_a[k + 1], T_m[k + 1] = fleet.T_a, fleet.T_m
-            on[k + 1], T_set[k + 1] = fleet.on, fleet.T_set
-    if not record_traces:
-        z2 = np.zeros((0, n))
-        return FleetTrace(power, z2, z2.copy(), z2.astype(bool), z2.copy(), dt_minutes)
-    return FleetTrace(power, T_a, T_m, on, T_set, dt_minutes)
+    return power

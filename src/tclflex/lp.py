@@ -221,12 +221,12 @@ def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
     return HighsResult(0, np.array(solution.col_value), np.array(solution.row_dual)[: h.size])
 
 
-def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP and certify the answer against the problem data.
 
     Status is one of optimal / infeasible / unbounded / numerical-failure.
     For optimal solutions the scaled constraint violation is guaranteed
-    to be at most feasibility_tol, and complementary slackness of the
+    to be at most FEASIBILITY_TOL, and complementary slackness of the
     reported duals is checked as well.  A numerical failure (an answer
     that fails either check, or one HiGHS cannot finish, such as its
     status 4) is re-solved once with RETRY_OPTIONS; the re-solved answer
@@ -235,13 +235,13 @@ def solve(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolu
     if lp.lo is not None and lp.hi is not None and np.any(lp.lo > lp.hi):
         raise InvalidInputError("lower bound exceeds upper bound")
     for options in (None, RETRY_OPTIONS):
-        sol = _certify(lp, run_highs(lp, options), feasibility_tol)
+        sol = _certify(lp, run_highs(lp, options))
         if sol.status != NUMERICAL_FAILURE:
             break
     return sol
 
 
-def _certify(lp: LinearProgram, res: HighsResult, feasibility_tol: float) -> LpSolution:
+def _certify(lp: LinearProgram, res: HighsResult) -> LpSolution:
     """Map a HiGHS result to an LpSolution, downgrading an optimum that
     fails the violation or complementarity check (such answers keep z)."""
     if res.status == 2:
@@ -255,7 +255,7 @@ def _certify(lp: LinearProgram, res: HighsResult, feasibility_tol: float) -> LpS
     scale = _constraint_scale(lp)
     duals_ineq = None
     status = OPTIMAL
-    if violation > feasibility_tol * scale:
+    if violation > FEASIBILITY_TOL * scale:
         status = NUMERICAL_FAILURE
     if status == OPTIMAL and lp.G is not None:
         # minimize form reports nonpositive marginals for <= rows

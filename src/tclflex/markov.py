@@ -199,14 +199,14 @@ def _deadband_start(tm: TransitionMatrix) -> np.ndarray:
     return np.concatenate([inside, inside])
 
 
-def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10) -> StationaryResult:
+def stationary_distribution(tm: TransitionMatrix) -> StationaryResult:
     """The stationary distribution reached from the deadband bins.
 
     R is every state reachable from the deadband start; C, the states
     reachable from every state of R, is then the single closed
     communicating class inside R, and the stationary law is unique
     exactly when C is nonempty.  It solves [A_CC - I; 1^T] x = [0; 1] and
-    is exactly zero off C.  A residual above `tol` raises
+    is exactly zero off C.  A residual above 1e-10 raises
     NumericalFailureError.
     """
     A = tm.P
@@ -227,9 +227,9 @@ def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10) -> Station
     x = np.zeros(n)
     x[C] = x_C / x_C.sum()
     residual = float(np.abs(A @ x - x).max())
-    if residual > tol:
+    if residual > 1e-10:
         raise NumericalFailureError(
-            f"stationary solve residual {residual:.3e} > {tol:.1e} on {C.size} recurrent states"
+            f"stationary solve residual {residual:.3e} > 1.0e-10 on {C.size} recurrent states"
         )
     return StationaryResult(x=x, residual=residual, iterations=passes_r + passes_c)
 

@@ -145,19 +145,11 @@ class ControlPlan:
         return self.alpha[:, None] * x_0[None, :]
 
 
-@dataclass
-class HoldResponse:
-    """Demand-reduction trace dP[k], k = 0..horizon (dP[0] = 0)."""
-
-    delta_p_kw: np.ndarray
-    p_nom_kw: float
-
-
-def delta_p(plan: ControlPlan, kernels: ResponseKernels, x_0: np.ndarray) -> HoldResponse:
-    """Reduction trace of a plan via the kernel convolution."""
+def delta_p(plan: ControlPlan, kernels: ResponseKernels, x_0: np.ndarray) -> np.ndarray:
+    """Demand-reduction trace dP[k], k = 0..horizon (dP[0] = 0), of a plan
+    via the kernel convolution."""
     K = kernels.horizon
     d = kernels.h - kernels.h_a  # (K+1, n_states)
-    p_nom = float(kernels.h[0] @ x_0)
     out = np.zeros(K + 1)
     if plan.alpha is not None:
         s = d[1:] @ x_0  # s[m-1] = d_m @ x_0
@@ -170,7 +162,7 @@ def delta_p(plan: ControlPlan, kernels: ResponseKernels, x_0: np.ndarray) -> Hol
             col = np.convolve(u[:, i], d[1:, i])
             acc += col[: K]
         out[1:] = acc
-    return HoldResponse(delta_p_kw=out, p_nom_kw=p_nom)
+    return out
 
 
 def delta_p_by_stepping(
@@ -180,9 +172,10 @@ def delta_p_by_stepping(
     c: OutputVector,
     x_0: np.ndarray,
     horizon: int,
-) -> HoldResponse:
-    """Reduction trace by direct population stepping (independent of the
-    kernel algebra; used for cross-checks and plan certification)."""
+) -> np.ndarray:
+    """Reduction trace dP[k], k = 0..horizon, by direct population stepping
+    (independent of the kernel algebra; used for cross-checks and plan
+    certification)."""
     u_full = plan.as_u(x_0)
     T = u_full.shape[0]
     p_nom = float(c.c @ x_0)
@@ -195,7 +188,7 @@ def delta_p_by_stepping(
         u_k = np.minimum(np.clip(u_full[k], 0.0, None), state.x) if k < T else zero
         state = step_population(state, u_k, A, A_a)
         out[k + 1] = p_nom - aggregate_power(state, c)
-    return HoldResponse(delta_p_kw=out, p_nom_kw=p_nom)
+    return out
 
 
 @dataclass
@@ -438,7 +431,7 @@ class InnerPoint:
 
     point: ReachHoldPoint
     plan: ControlPlan
-    response: HoldResponse
+    response: np.ndarray  # the plan's reduction trace, `delta_p`
     depletion_step: int | None  # step at which the budget hit 1, if it did
     min_margin_kw: float  # min over k <= T_hold of dP[k] - P_hold
 
@@ -475,8 +468,7 @@ def inner_point(
         alpha[k] = a
         committed += a
     plan = ControlPlan(alpha=alpha)
-    response = delta_p(plan, kernels, x_0)
-    dp = response.delta_p_kw
+    dp = delta_p(plan, kernels, x_0)
     # steps where alpha sat exactly at its lower bound satisfy the hold
     # with equality, so the violation test needs room for rounding noise
     hold_tol = 1e-10 * max(1.0, kernels.c.P_on_total)
@@ -492,7 +484,7 @@ def inner_point(
         P_hold_kw=P_hold, T_hold_steps=T_hold, method=INNER, horizon_limited=horizon_limited
     )
     return InnerPoint(
-        point=pt, plan=plan, response=response, depletion_step=depletion, min_margin_kw=margin
+        point=pt, plan=plan, response=dp, depletion_step=depletion, min_margin_kw=margin
     )
 
 
@@ -521,15 +513,14 @@ def inner_p_at(
     kernels: ResponseKernels,
     x_0: np.ndarray,
     T_max: int = DEFAULT_T_MAX,
-    tol_rel: float = 1e-9,
 ) -> float:
     """Largest grid-free inner reduction holdable for T_hold steps, by
-    bisection on the monotone feasibility predicate."""
+    bisection on the monotone feasibility predicate to 1e-9 of P_nom."""
     p_nom = float(kernels.h[0] @ x_0)
     if inner_point(p_nom, kernels, x_0, T_max).point.T_hold_steps >= T_hold:
         return p_nom
     lo, hi = 0.0, p_nom  # lo feasible, hi not
-    while hi - lo > tol_rel * p_nom:
+    while hi - lo > 1e-9 * p_nom:
         mid = 0.5 * (lo + hi)
         if inner_point(mid, kernels, x_0, T_max).point.T_hold_steps >= T_hold:
             lo = mid
@@ -889,10 +880,17 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def load_set(csv_path) -> ReachHoldSet:
-    """Read a frontier written by save_set."""
+    """Read a frontier written by save_set; a malformed row or sidecar
+    raises InvalidInputError."""
     csv_path = str(csv_path)
-    with open(_sidecar_path(csv_path)) as fh:
-        sidecar = json.load(fh)
+    sidecar_path = _sidecar_path(csv_path)
+    with open(sidecar_path) as fh:
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"sidecar {sidecar_path} is not valid JSON: {exc}") from exc
+    if not isinstance(sidecar, dict) or not {"method", "regime"} <= sidecar.keys():
+        raise InvalidInputError(f"sidecar {sidecar_path} lacks a method or regime")
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "T_hold_steps,T_hold_hours,P_hold_kW,method":
@@ -900,12 +898,16 @@ def load_set(csv_path) -> ReachHoldSet:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     flags = {p["T_hold_steps"]: p for p in sidecar.get("points", [])}
     points = []
-    for t_str, _, p_str, method in rows:
-        t = int(t_str)
+    for row in rows:
+        try:
+            t_str, _, p_str, method = row
+            t, P = int(t_str), float(p_str)
+        except ValueError as exc:
+            raise InvalidInputError(f"frontier row {','.join(row)!r} in {csv_path}: {exc}") from exc
         meta = flags.get(t, {})
         points.append(
             ReachHoldPoint(
-                P_hold_kw=float(p_str),
+                P_hold_kw=P,
                 T_hold_steps=t,
                 method=method,
                 horizon_limited=bool(meta.get("horizon_limited", False)),

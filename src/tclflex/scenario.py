@@ -22,7 +22,7 @@ from .errors import (
     InvalidConfigurationError,
     NumericalFailureError,
 )
-from .etp import FleetSpec, sample_fleet, simulate_fleet
+from .etp import FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from .markov import (
     PopulationState,
     estimate_transition_matrix,
@@ -376,18 +376,18 @@ def run_aggregate(cfg: dict, out_dir: Path) -> dict[str, str]:
     return {"combined": str(path)}
 
 
-def _sample_config_fleet(cfg: dict, op: OperatingPoint, seed: int):
-    return sample_fleet(
-        FleetSpec(
-            n_units=int(cfg["fleet"]["n_units"]),
-            nominal=op.params,
-            heterogeneity=float(cfg["fleet"]["heterogeneity"]),
-            deadband=op.deadband,
-            T_amb=op.T_amb,
-            T_set=op.T_set,
-            seed=seed,
-        )
+def _config_stepper(cfg: dict, op: OperatingPoint, seed: int) -> FleetStepper:
+    """A stepper over the config's fleet, sampled at the operating point."""
+    spec = FleetSpec(
+        n_units=int(cfg["fleet"]["n_units"]),
+        nominal=op.params,
+        heterogeneity=float(cfg["fleet"]["heterogeneity"]),
+        deadband=op.deadband,
+        T_amb=op.T_amb,
+        T_set=op.T_set,
+        seed=seed,
     )
+    return FleetStepper(sample_fleet(spec), op.dt_minutes)
 
 
 def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
@@ -397,7 +397,6 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     T_max = int(cfg["T_max_steps"])
     ch = characterize(op, T_max, with_outer=False)
     v = cfg["validate"]
-    dt, deadband, T_amb, T_set_new = op.dt_minutes, op.deadband, op.T_amb, op.T_set_new
     p_on_total = op.P_on_total_kw
     n_units = int(cfg["fleet"]["n_units"])
     burn_steps = int(v["burn_in_steps"])
@@ -408,22 +407,22 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     if v["mode"] == "step":
         fraction = float(v["fraction"])
         plan = ControlPlan(alpha=np.array([fraction]))
-        dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, horizon).delta_p_kw
+        dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, horizon)
         markov = ch.p_nom_kw - dp
-        fleet = _sample_config_fleet(cfg, op, int(cfg["fleet"]["seed"]))
-        burn_in(fleet, T_amb, deadband, dt, burn_steps)
+        stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]))
+        fleet = stepper.fleet
+        burn_in(stepper, burn_steps)
         # a step actuates a uniformly random fraction of units, so it can
         # never run short; per-bin selection is the plan-driven blocks path
         if fraction >= 1.0:
-            fleet.T_set = np.full(n_units, T_set_new)
+            fleet.T_set = np.full(n_units, op.T_set_new)
         else:
             rng = np.random.default_rng(selection_seed)
             switch = rng.choice(n_units, size=round(fraction * n_units), replace=False)
             fleet.T_set = fleet.T_set.copy()
-            fleet.T_set[switch] = T_set_new
-        trace = simulate_fleet(fleet, T_amb, deadband, dt, horizon, record_traces=False)
-        report = compare_traces(markov, trace.power_kw, p_on_total)
-        micro = trace.power_kw
+            fleet.T_set[switch] = op.T_set_new
+        micro = simulate_fleet(stepper, horizon)
+        report = compare_traces(markov, micro, p_on_total)
         save_validation_report(
             report, markov, micro, out_dir / "report.json", out_dir / "traces.csv"
         )
@@ -439,15 +438,14 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
         P_hold = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
         ip = inner_point(P_hold, ch.kernels, ch.x_0, T_max)
         block_horizon = min(T_max, T_hold + 60)
-        dp = delta_p_by_stepping(ip.plan, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon).delta_p_kw
+        dp = delta_p_by_stepping(ip.plan, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon)
         markov = ch.p_nom_kw - dp
-        fleet = _sample_config_fleet(cfg, op, int(cfg["fleet"]["seed"]) + T_hold)
-        baseline = burn_in(fleet, T_amb, deadband, dt, burn_steps)
+        stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]) + T_hold)
+        baseline = burn_in(stepper, burn_steps)
         plan_b = ControlPlan(alpha=ip.plan.alpha[:block_horizon])
         dplan = discretize_plan(plan_b, n_units, ch.x_0)
-        run = apply_plan_micro(
-            fleet, dplan, op.grid, T_set_new, T_amb, deadband, dt, block_horizon, selection_seed
-        )
+        run = apply_plan_micro(stepper, dplan, op.grid, op.T_set_new, block_horizon, selection_seed)
+        del stepper  # frees this block's fleet before the next one is sampled
         report = compare_traces(
             markov, run.power_kw, p_on_total,
             P_hold_kw=P_hold, T_hold_steps=T_hold, baseline_kw=baseline,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ValidationDegradedWarning
-from .etp import Fleet, FleetStepper
+from .etp import FleetStepper, simulate_fleet
 from .markov import BinGrid
 from .reachhold import ControlPlan, write_json
 
@@ -118,19 +118,17 @@ def _state_pools(keys: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
 
 
 def apply_plan_micro(
-    fleet: Fleet,
+    stepper: FleetStepper,
     plan: DiscretizedPlan,
     grid: BinGrid,
     T_set_new: float,
-    T_amb: float,
-    deadband: float,
-    dt_minutes: float = 1.0,
     horizon: int | None = None,
     seed: int = 0,
 ) -> MicroRun:
-    """Run the fleet forward, switching plan.counts[k, i] not-yet-actuated
-    units out of state i at each step k (uniform random within the bin,
-    deterministic in the seed).  The fleet is advanced in place.
+    """Run the stepper's fleet forward, switching plan.counts[k, i]
+    not-yet-actuated units out of state i at each step k (uniform random
+    within the bin, deterministic in the seed).  The fleet is advanced in
+    place.
 
     If a bin holds fewer eligible units than requested, all of them are
     taken and the shortfall is logged; a total shortfall above 5% of the
@@ -145,13 +143,12 @@ def apply_plan_micro(
         raise InvalidInputError(
             f"plan has {counts.shape[1]} states but the grid has {grid.n_states}"
         )
+    fleet = stepper.fleet
     if plan.n_units != fleet.n_units:
         raise InvalidInputError(
             f"plan discretized for {plan.n_units} units, fleet has {fleet.n_units}"
         )
     rng = np.random.default_rng(seed)
-    stepper = FleetStepper(fleet, T_amb, dt_minutes)
-    stepper.deadband = deadband
     actuated = np.zeros(fleet.n_units, dtype=bool)
     power = np.empty(K + 1)
     power[0] = stepper.power_kw()
@@ -185,7 +182,7 @@ def apply_plan_micro(
         shortfall_events=shortfalls,
         total_requested=plan.total_requested,
         total_selected=selected_total,
-        dt_minutes=dt_minutes,
+        dt_minutes=stepper.dt_minutes,
     )
     if run.degraded:
         warnings.warn(
@@ -195,28 +192,13 @@ def apply_plan_micro(
     return run
 
 
-def burn_in(
-    fleet: Fleet,
-    T_amb: float,
-    deadband: float,
-    dt_minutes: float = 1.0,
-    steps: int = 240,
-    baseline_window: int | None = None,
-) -> float:
-    """Advance the fleet to statistical steady state and return the mean
-    aggregate power over the trailing window (default: the second half),
-    which serves as the micro-side nominal demand estimate."""
+def burn_in(stepper: FleetStepper, steps: int) -> float:
+    """Advance the stepper's fleet to statistical steady state and return
+    the mean aggregate power over the second half of the steps, which
+    serves as the micro-side nominal demand estimate."""
     if steps < 1:
         raise InvalidInputError(f"steps must be >= 1, got {steps}")
-    stepper = FleetStepper(fleet, T_amb, dt_minutes)
-    stepper.deadband = deadband
-    power = np.empty(steps)
-    for k in range(steps):
-        stepper.advance()
-        power[k] = stepper.power_kw()
-    window = baseline_window if baseline_window is not None else steps // 2
-    window = max(1, min(window, steps))
-    return float(power[-window:].mean())
+    return float(simulate_fleet(stepper, steps)[-max(1, steps // 2) :].mean())
 
 
 @dataclass

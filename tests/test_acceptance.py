@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tclflex.aggregation import combine, query_p_at_t, query_t_at_p
-from tclflex.etp import DEFAULT_PARAMS, FleetSpec, sample_fleet, simulate_fleet
+from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import build_grid, x_out_vector
 from tclflex.reachhold import (
     ControlPlan,
@@ -99,7 +99,7 @@ def test_criterion_02_inner_plans_feasible_when_repropagated(fleet40):
         T_h = ip.point.T_hold_steps
         dp = delta_p_by_stepping(
             ip.plan, fleet40.A, fleet40.A_a, fleet40.c, fleet40.x_0, horizon=max(T_h, 1)
-        ).delta_p_kw
+        )
         margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
         worst = min(worst, margin)
         assert margin >= -tol, f"P={P:.1f} kW, T={T_h}: hold margin {margin} kW"
@@ -125,7 +125,7 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
         T_h = ip.point.T_hold_steps
         dp = delta_p_by_stepping(
             ip.plan, ch.A, ch.A_a, ch.c, ch.x_0, horizon=max(T_h, 1)
-        ).delta_p_kw
+        )
         margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
         worst = min(worst, margin)
         assert margin >= -tol, f"P={P:.1f} kW, T={T_h}: hold margin {margin} kW"
@@ -167,7 +167,7 @@ def test_criterion_05_markov_vs_micro_full_step(fleet40):
     plan = ControlPlan(alpha=np.array([1.0]))
     dp = delta_p_by_stepping(
         plan, fleet40.A, fleet40.A_a, fleet40.c, fleet40.x_0, horizon
-    ).delta_p_kw
+    )
     markov = fleet40.p_nom_kw - dp
     fleet = sample_fleet(
         FleetSpec(
@@ -175,9 +175,10 @@ def test_criterion_05_markov_vs_micro_full_step(fleet40):
             deadband=DEADBAND, T_amb=T_AMB, T_set=T_SET, seed=2024,
         )
     )
-    burn_in(fleet, T_AMB, DEADBAND, 1.0, 240)
+    stepper = FleetStepper(fleet, 1.0)
+    burn_in(stepper, 240)
     fleet.T_set = np.full(1000, T_SET_NEW)
-    micro = simulate_fleet(fleet, T_AMB, DEADBAND, 1.0, horizon, record_traces=False).power_kw
+    micro = simulate_fleet(stepper, horizon)
     report = compare_traces(markov, micro, P_ON)
     assert report.rmse <= 0.10, f"normalized RMSE {report.rmse:.4f} > 0.10"
 
@@ -267,7 +268,7 @@ def test_criterion_09_identical_fleet_aggregation(fleet40):
     plan = inner_point(P, fleet40.kernels, fleet40.x_0, T_max=480).plan
     dp = delta_p_by_stepping(
         plan, fleet40.A, fleet40.A_a, fleet40.c, fleet40.x_0, horizon=2 * T
-    ).delta_p_kw
+    )
     total = dp.copy()
     total[T + 1 :] += dp[1 : T + 1]
     worst = float((total[1 : 2 * T + 1] - P).min())

@@ -89,6 +89,34 @@ print(json.dumps({"solves": solves, "spans": sorted({s[0] for s in tracer.spans}
 """
 
 
+VALIDATE_SCRIPT = """
+import json, sys, tempfile, warnings
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import layers, tracing
+from tclflex import scenario
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+cfg = scenario.effective_config({
+    "grid": {"n_bins": 10},
+    "T_max_steps": 60,
+    "P_on_total_kw": 700.0,
+    "fleet": {"n_units": 200, "heterogeneity": 0.15, "seed": 5},
+    "validate": {"mode": "blocks", "hold_steps": [5, 10], "burn_in_steps": 60, "selection_seed": 9},
+})
+scenario.validate_config(cfg, "validate")
+with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    scenario.run("validate", cfg, Path(tmp))
+spans = tracer.spans
+print(json.dumps({
+    "spans": [[s[0], s[4]] for s in spans if s[0].startswith(("etp.", "validation."))],
+    "metrics": layers.from_spans(spans, 0),
+}))
+"""
+
+
 def run_traced(script: str) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -130,3 +158,24 @@ def test_sweeps_solve_each_baseline_once():
     assert out["solves"] == {"sweep-setpoint": [20.0], "sweep-precool": [20.0, 19.0]}
     for name in ("scenario.run", "markov.stationary_distribution", "reachhold.inner_boundary", "scenario.save"):
         assert name in out["spans"]
+
+
+def test_blocks_validate_builds_one_stepper_per_block():
+    # burn-in and plan replay share one stepper per block; the micro-path
+    # spans keep the fields the per-layer metrics read
+    out = run_traced(VALIDATE_SCRIPT)
+    spans = out["spans"]
+    names = [name for name, _ in spans]
+    assert names.count("etp.FleetStepper") == 2
+    assert names.count("validation.burn_in") == 2
+    assert names.count("validation.apply_plan_micro") == 2
+    for name, info in spans:
+        if name in ("etp.FleetStepper", "etp.advance"):
+            assert info == {"units": 200}
+        elif name == "validation.apply_plan_micro":
+            assert set(info) == {"requested", "selected", "shortfall_events"}
+            assert info["requested"] >= info["selected"] > 0
+    m = out["metrics"]
+    assert m["etp.steppers"] == 2
+    assert m["etp.unit_steps"] == 200 * names.count("etp.advance")
+    assert m["validation.burn_in_s"] > 0.0 and m["validation.apply_plan_s"] > 0.0

@@ -292,6 +292,27 @@ class TestAggregate:
         path = write_config(tmp_path / "c.json", cfg)
         assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "row, sidecar",
+        [
+            ("5,0.08333333333333333,abc,inner", None),
+            ("5,0.08333333333333333,100.0", None),
+            (None, "{not json"),
+            (None, '{"points": []}'),
+        ],
+        ids=["P_not_numeric", "three_fields", "sidecar_not_json", "sidecar_without_method"],
+    )
+    def test_malformed_frontier_is_config_error(self, reachhold_out, tmp_path, capsys, row, sidecar):
+        lines = (reachhold_out / "inner.csv").read_text().splitlines()
+        if row is not None:
+            lines[1] = row
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.json").write_text(sidecar or (reachhold_out / "inner.json").read_text())
+        cfg = {"aggregate": {"inputs": [str(tmp_path / "bad.csv"), str(reachhold_out / "inner.csv")]}}
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSweeps:
     def test_setpoint_sweep_artifacts(self, tmp_path):

@@ -67,11 +67,11 @@ def rk4_reference(state, params, T_amb, deadband, minutes, sub_dt_s=1.0):
 
 class ExpmStepper(FleetStepper):
     """Oracle fleet stepper: per-unit, per-mode matrix exponentials of the
-    augmented 3x3 system [[F, g], [0, 0]], gathered and applied per step."""
+    augmented 3x3 system [[F, g], [0, 0]] at the fleet's own ambient
+    temperature, gathered and applied per step."""
 
-    def __init__(self, fleet, T_amb, dt_minutes=1.0):
+    def __init__(self, fleet, dt_minutes=1.0):
         self.fleet = fleet
-        self.deadband = fleet.spec.deadband
         p = fleet.params
         n = fleet.n_units
         M = np.zeros((2, n, 3, 3))
@@ -80,7 +80,7 @@ class ExpmStepper(FleetStepper):
             M[mode, :, 0, 1] = p["H_m"] / p["C_a"]
             M[mode, :, 1, 0] = p["H_m"] / p["C_m"]
             M[mode, :, 1, 1] = -p["H_m"] / p["C_m"]
-            M[mode, :, 0, 2] = (p["U_a"] * T_amb + q_a) / p["C_a"]
+            M[mode, :, 0, 2] = (p["U_a"] * fleet.spec.T_amb + q_a) / p["C_a"]
             M[mode, :, 1, 2] = p["Q_m"] / p["C_m"]
         E = expm(M.reshape(2 * n, 3, 3) * (dt_minutes / 60.0)).reshape(2, n, 3, 3)
         self.A_d = E[:, :, :2, :2]  # index 0: compressor off, 1: on
@@ -93,7 +93,20 @@ class ExpmStepper(FleetStepper):
         x = np.stack([f.T_a, f.T_m], axis=1)
         x = np.einsum("nij,nj->ni", self.A_d[mode, units], x) + self.b_d[mode, units]
         f.T_a, f.T_m = x[:, 0], x[:, 1]
-        f.on = tclflex.etp.apply_thermostat(f.T_a, f.T_set, f.on, self.deadband)
+        f.on = tclflex.etp.apply_thermostat(f.T_a, f.T_set, f.on, f.spec.deadband)
+
+
+def step_states(stepper, horizon):
+    """Advance the stepper `horizon` steps; return its power trace and the
+    fleet's T_a, T_m and on at every step, each with horizon+1 rows."""
+    f = stepper.fleet
+    power, rows = [stepper.power_kw()], [(f.T_a, f.T_m, f.on)]
+    for _ in range(horizon):
+        stepper.advance()
+        power.append(stepper.power_kw())
+        rows.append((f.T_a, f.T_m, f.on))
+    T_a, T_m, on = (np.array(x) for x in zip(*rows))
+    return np.array(power), T_a, T_m, on
 
 
 def close_per_unit(got, ref, axes, rel=1e-12):
@@ -279,14 +292,15 @@ class TestSampleFleet:
 class TestSimulateFleet:
     def test_bit_identical_reruns(self):
         spec = FleetSpec(n_units=100, heterogeneity=0.1, seed=11)
-        t1 = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 120)
-        t2 = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 120)
-        assert np.array_equal(t1.power_kw, t2.power_kw)
-        assert np.array_equal(t1.T_a, t2.T_a)
+        fleets = [sample_fleet(spec) for _ in range(2)]
+        p1, p2 = (simulate_fleet(FleetStepper(f), 120) for f in fleets)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(fleets[0].T_a, fleets[1].T_a)
 
     def test_matches_scalar_stepper(self):
-        # vectorized fleet stepping agrees with the single-unit path
-        spec = FleetSpec(n_units=5, heterogeneity=0.2, seed=13)
+        # vectorized fleet stepping agrees with the single-unit path, at the
+        # ambient temperature and deadband the fleet was sampled with
+        spec = FleetSpec(n_units=5, heterogeneity=0.2, deadband=0.8, T_amb=35.0, seed=13)
         fleet = sample_fleet(spec)
         states = [
             TclState(float(fleet.T_a[i]), float(fleet.T_m[i]), bool(fleet.on[i]), float(fleet.T_set[i]))
@@ -295,43 +309,46 @@ class TestSimulateFleet:
         unit_params = [
             TclParams(**{k: float(fleet.params[k][i]) for k in fleet.params}) for i in range(5)
         ]
-        trace = simulate_fleet(fleet, spec.T_amb, spec.deadband, 1.0, 60)
+        _, T_a, _, on = step_states(FleetStepper(fleet, 1.0), 60)
         for k in range(60):
             states = [
                 step_tcl(s, p, spec.T_amb, spec.deadband, 1.0) for s, p in zip(states, unit_params)
             ]
             for i, s in enumerate(states):
-                assert trace.T_a[k + 1, i] == pytest.approx(s.T_a, abs=1e-12)
-                assert trace.on[k + 1, i] == s.on
+                assert T_a[k + 1, i] == pytest.approx(s.T_a, abs=1e-12)
+                assert on[k + 1, i] == s.on
 
-    def test_setpoint_schedule_shifts_band(self):
+    def test_raised_setpoint_shifts_band(self):
         spec = FleetSpec(n_units=200, heterogeneity=0.0, seed=17)
         fleet = sample_fleet(spec)
-        trace = simulate_fleet(fleet, spec.T_amb, spec.deadband, 1.0, 480, setpoint_schedule={0: 22.0})
-        # all raised setpoints recorded, fleet eventually cycles around 22
-        assert np.all(trace.T_set[1:] == 22.0)
-        late = trace.T_a[360:]
-        assert 21.0 < late.mean() < 23.0
+        fleet.T_set = np.full(spec.n_units, 22.0)
+        power, T_a, _, _ = step_states(FleetStepper(fleet), 480)
+        # the fleet eventually cycles around 22
+        assert 21.0 < T_a[360:].mean() < 23.0
         # immediately after the change everything shuts off within a few steps
-        assert trace.power_kw[3] == 0.0
+        assert power[3] == 0.0
 
     def test_power_is_sum_of_on_ratings(self):
         spec = FleetSpec(n_units=30, heterogeneity=0.1, seed=19)
         fleet = sample_fleet(spec)
-        trace = simulate_fleet(fleet, spec.T_amb, spec.deadband, 1.0, 10)
+        power = simulate_fleet(FleetStepper(fleet.copy()), 10)
+        _, _, _, on = step_states(FleetStepper(fleet), 10)
         for k in range(11):
-            expect = fleet.params["P_rate"][trace.on[k]].sum()
-            assert trace.power_kw[k] == pytest.approx(expect, rel=1e-12)
+            expect = fleet.params["P_rate"][on[k]].sum()
+            assert power[k] == pytest.approx(expect, rel=1e-12)
 
-    def test_power_matches_oracle_stepper(self, monkeypatch):
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            simulate_fleet(FleetStepper(sample_fleet(FleetSpec(n_units=3))), -1)
+
+    def test_power_matches_oracle_stepper(self):
         spec = FleetSpec(n_units=1000, heterogeneity=0.15, seed=29)
-        fast = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 480)
-        monkeypatch.setattr(tclflex.etp, "FleetStepper", ExpmStepper)
-        slow = simulate_fleet(sample_fleet(spec), spec.T_amb, spec.deadband, 1.0, 480)
-        assert np.array_equal(fast.on, slow.on)
-        assert np.array_equal(fast.power_kw, slow.power_kw)
-        assert np.abs(fast.T_a - slow.T_a).max() <= 1e-11
-        assert np.abs(fast.T_m - slow.T_m).max() <= 1e-11
+        fast = step_states(FleetStepper(sample_fleet(spec)), 480)
+        power, T_a, T_m, on = step_states(ExpmStepper(sample_fleet(spec)), 480)
+        assert np.array_equal(fast[3], on)
+        assert np.array_equal(fast[0], power)
+        assert np.abs(fast[1] - T_a).max() <= 1e-11
+        assert np.abs(fast[2] - T_m).max() <= 1e-11
 
 
 class TestFleetStepper:
@@ -346,9 +363,9 @@ class TestFleetStepper:
     @example(heterogeneity=0.0, T_amb=30.0, log10_dt=-9.0)
     def test_closed_form_maps_match_expm(self, heterogeneity, T_amb, log10_dt):
         dt = 10.0**log10_dt
-        fleet = sample_fleet(FleetSpec(n_units=64, heterogeneity=heterogeneity, seed=31))
-        stepper = FleetStepper(fleet, T_amb, dt)
-        oracle = ExpmStepper(fleet, T_amb, dt)
+        fleet = sample_fleet(FleetSpec(n_units=64, heterogeneity=heterogeneity, T_amb=T_amb, seed=31))
+        stepper = FleetStepper(fleet, dt)
+        oracle = ExpmStepper(fleet, dt)
         A_d = np.stack(
             [np.stack([stepper.a00, stepper.a01], -1), np.stack([stepper.a10, stepper.a11], -1)], -2
         )
@@ -360,4 +377,4 @@ class TestFleetStepper:
     def test_rejects_nonpositive_dt(self):
         fleet = sample_fleet(FleetSpec(n_units=3))
         with pytest.raises(InvalidInputError):
-            FleetStepper(fleet, 32.0, 0.0)
+            FleetStepper(fleet, 0.0)

@@ -13,7 +13,7 @@ from tclflex.errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from tclflex.etp import DEFAULT_PARAMS, FleetSpec, sample_fleet, simulate_fleet
+from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import (
     BinGrid,
     PopulationState,
@@ -182,8 +182,8 @@ class TestStationaryDistribution:
         p_nom = float(c_out.c @ x0_nominal.x)
         spec = FleetSpec(n_units=800, heterogeneity=0.0, seed=71)
         fleet = sample_fleet(spec)
-        trace = simulate_fleet(fleet, spec.T_amb, spec.deadband, 1.0, 24 * 60, record_traces=False)
-        micro_mean = trace.power_kw[120:].mean() * P_ON_TOTAL / fleet.P_on_total
+        power = simulate_fleet(FleetStepper(fleet), 24 * 60)
+        micro_mean = power[120:].mean() * P_ON_TOTAL / fleet.P_on_total
         assert abs(p_nom - micro_mean) <= 0.05 * micro_mean
 
     def test_identity_matrix_flagged_non_unique(self):

@@ -269,7 +269,7 @@ class TestControlPlan:
 class TestDeltaP:
     def test_impulse_recovers_nominal_power(self, char40):
         plan = ControlPlan(alpha=np.array([1.0]))
-        dp = delta_p(plan, char40.kernels, char40.x_0).delta_p_kw
+        dp = delta_p(plan, char40.kernels, char40.x_0)
         assert dp[0] == 0.0
         assert dp[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
 
@@ -278,10 +278,10 @@ class TestDeltaP:
         alpha = np.zeros(120)
         alpha[:5] = [0.3, 0.1, 0.0, 0.2, 0.05]
         plan = ControlPlan(alpha=alpha)
-        conv = delta_p(plan, char40.kernels, char40.x_0).delta_p_kw
+        conv = delta_p(plan, char40.kernels, char40.x_0)
         stepped = delta_p_by_stepping(
             plan, char40.A, char40.A_a, char40.c, char40.x_0, horizon=K
-        ).delta_p_kw
+        )
         assert conv == pytest.approx(stepped, abs=1e-8 * P_ON_TOTAL)
 
     def test_general_plan_matches_stepping(self, char40):
@@ -292,10 +292,10 @@ class TestDeltaP:
         x_1 = char40.A.P @ (char40.x_0 - u[0])
         u[2] = 0.5 * x_1  # strictly admissible by construction
         plan = ControlPlan(u=u)
-        conv = delta_p(plan, char40.kernels, char40.x_0).delta_p_kw
+        conv = delta_p(plan, char40.kernels, char40.x_0)
         stepped = delta_p_by_stepping(
             plan, char40.A, char40.A_a, char40.c, char40.x_0, horizon=K
-        ).delta_p_kw
+        )
         assert conv == pytest.approx(stepped, abs=1e-8 * P_ON_TOTAL)
 
 
@@ -333,7 +333,7 @@ class TestAlphaLowerBound:
         lb1 = alpha_lower_bound(1, np.array([lb0]), 2.0, kernels, x_0)
         assert lb1 == pytest.approx(0.0, abs=1e-15)
         plan = ControlPlan(alpha=np.array([lb0, lb1]))
-        dp = delta_p(plan, kernels, x_0).delta_p_kw
+        dp = delta_p(plan, kernels, x_0)
         assert dp[1:3] == pytest.approx([2.0, 2.0])
 
     def test_horizon_guard(self):
@@ -362,15 +362,15 @@ class TestInnerPoint:
         ip = inner_point(P, char40.kernels, char40.x_0, T_max=120)
         T_h = ip.point.T_hold_steps
         assert T_h >= 1
-        hr = delta_p_by_stepping(ip.plan, char40.A, char40.A_a, char40.c, char40.x_0, T_h)
-        assert np.all(hr.delta_p_kw[1 : T_h + 1] >= P - 1e-9 * P_ON_TOTAL)
+        dp = delta_p_by_stepping(ip.plan, char40.A, char40.A_a, char40.c, char40.x_0, T_h)
+        assert np.all(dp[1 : T_h + 1] >= P - 1e-9 * P_ON_TOTAL)
 
     def test_hold_ends_at_first_violation(self, char40):
         P = 0.8 * char40.p_nom_kw
         ip = inner_point(P, char40.kernels, char40.x_0, T_max=120)
         T_h = ip.point.T_hold_steps
         assert not ip.point.horizon_limited
-        assert ip.response.delta_p_kw[T_h + 1] < P - 1e-10 * P_ON_TOTAL
+        assert ip.response[T_h + 1] < P - 1e-10 * P_ON_TOTAL
 
     def test_absorbing_synthetic_holds_forever(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=20)
@@ -432,8 +432,8 @@ class TestSolveExact:
 
     def test_plan_is_admissible_and_achieves_value(self, char10):
         P, plan, _ = solve_exact(8, char10.kernels, char10.x_0, char10.A)
-        hr = delta_p_by_stepping(plan, char10.A, char10.A_a, char10.c, char10.x_0, 8)
-        assert np.all(hr.delta_p_kw[1:9] >= P - LP_TOL)
+        dp = delta_p_by_stepping(plan, char10.A, char10.A_a, char10.c, char10.x_0, 8)
+        assert np.all(dp[1:9] >= P - LP_TOL)
 
     def test_size_cap_enforced(self, char40):
         too_big = EXACT_LP_CAP // char40.x_0.size + 1
@@ -494,8 +494,8 @@ class TestSolveExact:
     def test_matches_dense_oracle(self, char40, dense_exact_40, T):
         P, plan, _ = solve_exact(T, char40.kernels, char40.x_0, char40.A)
         assert P == pytest.approx(dense_exact_40[T][1].z[-1], abs=LP_TOL)
-        hr = delta_p_by_stepping(plan, char40.A, char40.A_a, char40.c, char40.x_0, T)
-        assert np.all(hr.delta_p_kw[1 : T + 1] >= P - LP_TOL)
+        dp = delta_p_by_stepping(plan, char40.A, char40.A_a, char40.c, char40.x_0, T)
+        assert np.all(dp[1 : T + 1] >= P - LP_TOL)
 
     def test_lp_is_sparse(self, char40, monkeypatch):
         # the remaining-mass rows replace the dense A^p blocks: u and w on

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tclflex.errors import InvalidInputError, ValidationDegradedWarning
-from tclflex.etp import DEFAULT_PARAMS, FleetSpec, sample_fleet, simulate_fleet
+from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import build_grid
 from tclflex.reachhold import ControlPlan
 from tclflex.validation import (
@@ -19,7 +19,7 @@ from tclflex.validation import (
     save_validation_report,
 )
 
-from conftest import DEADBAND, T_AMB, T_SET, T_SET_NEW
+from conftest import T_AMB, T_SET, T_SET_NEW
 
 
 def single_bin_plan(per_step: float, steps: int, n_states: int = 4, bin_idx: int = 1) -> ControlPlan:
@@ -82,7 +82,7 @@ class TestDiscretizePlan:
 def settled_fleet():
     """A 200-unit homogeneous fleet burned in to its steady cycle."""
     fleet = sample_fleet(FleetSpec(n_units=200, seed=42, T_set=T_SET, T_amb=T_AMB))
-    burn_in(fleet, T_AMB, DEADBAND, steps=240)
+    burn_in(FleetStepper(fleet), steps=240)
     return fleet
 
 
@@ -90,7 +90,7 @@ class TestStatePools:
     def test_grouped_pools_equal_flatnonzero_pools(self):
         grid = build_grid(18.0, 24.0, 40)
         fleet = sample_fleet(FleetSpec(n_units=5000, heterogeneity=0.15, seed=37))
-        burn_in(fleet, T_AMB, DEADBAND, steps=30)
+        burn_in(FleetStepper(fleet), steps=30)
         actuated = np.random.default_rng(41).uniform(size=fleet.n_units) < 0.3
         state_idx = grid.state_index(fleet.T_a, fleet.on)
         # keyed as apply_plan_micro keys them: actuated units shift out
@@ -112,11 +112,11 @@ class TestApplyPlanMicro:
             n_units=200,
         )
         ref = settled_fleet.copy()
-        trace = simulate_fleet(ref, T_AMB, DEADBAND, 1.0, 12)
+        power = simulate_fleet(FleetStepper(ref), 12)
         run = apply_plan_micro(
-            settled_fleet.copy(), plan, grid, T_SET_NEW, T_AMB, DEADBAND, horizon=12, seed=3
+            FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=12, seed=3
         )
-        assert run.power_kw == pytest.approx(trace.power_kw, abs=1e-12)
+        assert run.power_kw == pytest.approx(power, abs=1e-12)
         assert run.total_selected == 0 and not run.shortfall_events
 
     def test_actuate_everyone_collapses_demand(self, settled_fleet):
@@ -127,7 +127,7 @@ class TestApplyPlanMicro:
         for i in state_idx:
             counts[0, i] += 1
         plan = DiscretizedPlan(counts=counts, carry=np.zeros((2, grid.n_states)), n_units=200)
-        run = apply_plan_micro(fleet, plan, grid, T_SET_NEW, T_AMB, DEADBAND, horizon=20, seed=5)
+        run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=20, seed=5)
         assert run.total_selected == 200
         # a 2 degC raise with a 1 degC band shuts every compressor within a step
         assert run.power_kw[2] == 0.0
@@ -141,12 +141,32 @@ class TestApplyPlanMicro:
         plan = DiscretizedPlan(counts=counts, carry=np.zeros((7, grid.n_states)), n_units=200)
         runs = [
             apply_plan_micro(
-                settled_fleet.copy(), plan, grid, T_SET_NEW, T_AMB, DEADBAND, horizon=30, seed=9
+                FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=30, seed=9
             )
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].power_kw, runs[1].power_kw)
         assert np.array_equal(runs[0].actuated, runs[1].actuated)
+
+    def test_one_stepper_carries_burn_in_into_replay(self):
+        # validate carries one stepper from burn-in into the replay; that
+        # gives the same trace, bit for bit, as a fresh stepper per phase
+        spec = FleetSpec(n_units=300, heterogeneity=0.15, deadband=0.8, T_amb=34.0, seed=43)
+        grid = build_grid(18.0, 24.0, 20)
+        counts = np.zeros((6, grid.n_states), dtype=int)
+        counts[::2, grid.n_bins + 5] = 3
+        counts[1::2, 6] = 2
+        plan = DiscretizedPlan(counts=counts, carry=np.zeros((7, grid.n_states)), n_units=300)
+        carried = FleetStepper(sample_fleet(spec))
+        baseline = burn_in(carried, 120)
+        run = apply_plan_micro(carried, plan, grid, T_SET_NEW, horizon=30, seed=9)
+        fleet = sample_fleet(spec)
+        fresh_baseline = burn_in(FleetStepper(fleet), 120)
+        fresh = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=30, seed=9)
+        assert run.total_selected > 0
+        assert baseline == fresh_baseline
+        assert np.array_equal(run.power_kw, fresh.power_kw)
+        assert np.array_equal(run.actuated, fresh.actuated)
 
     def test_empty_bin_shortfall_warns(self, settled_fleet):
         grid = build_grid(18.0, 24.0, 20)
@@ -155,7 +175,7 @@ class TestApplyPlanMicro:
         plan = DiscretizedPlan(counts=counts, carry=np.zeros((2, grid.n_states)), n_units=200)
         with pytest.warns(ValidationDegradedWarning):
             run = apply_plan_micro(
-                settled_fleet.copy(), plan, grid, T_SET_NEW, T_AMB, DEADBAND, horizon=3, seed=1
+                FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=3, seed=1
             )
         assert run.degraded
         assert run.shortfall_events[0]["requested"] == 10
@@ -172,7 +192,7 @@ class TestApplyPlanMicro:
         counts = np.zeros((2, grid.n_states), dtype=int)
         counts[:, busy] = take
         plan = DiscretizedPlan(counts=counts, carry=np.zeros((3, grid.n_states)), n_units=200)
-        run = apply_plan_micro(fleet, plan, grid, T_SET_NEW, T_AMB, DEADBAND, horizon=4, seed=2)
+        run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=4, seed=2)
         assert int(run.actuated.sum()) == run.total_selected
 
     def test_fleet_size_mismatch_rejected(self, settled_fleet):
@@ -183,7 +203,7 @@ class TestApplyPlanMicro:
             n_units=999,
         )
         with pytest.raises(InvalidInputError, match="999"):
-            apply_plan_micro(settled_fleet.copy(), plan, grid, T_SET_NEW, T_AMB, DEADBAND)
+            apply_plan_micro(FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW)
 
     def test_horizon_shorter_than_plan_rejected(self, settled_fleet):
         grid = build_grid(18.0, 24.0, 20)
@@ -194,21 +214,27 @@ class TestApplyPlanMicro:
         )
         with pytest.raises(InvalidInputError, match="horizon"):
             apply_plan_micro(
-                settled_fleet.copy(), plan, grid, T_SET_NEW, T_AMB, DEADBAND, horizon=3
+                FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=3
             )
 
 
 class TestBurnIn:
     def test_baseline_near_duty_cycle_mean(self):
         fleet = sample_fleet(FleetSpec(n_units=400, seed=7, T_set=T_SET, T_amb=T_AMB))
-        baseline = burn_in(fleet, T_AMB, DEADBAND, steps=360)
+        baseline = burn_in(FleetStepper(fleet), steps=360)
         duty = DEFAULT_PARAMS.duty_cycle(T_AMB, T_SET)
         assert baseline == pytest.approx(duty * fleet.P_on_total, rel=0.10)
+
+    def test_baseline_is_mean_of_second_half(self):
+        spec = FleetSpec(n_units=50, heterogeneity=0.1, seed=3)
+        power = simulate_fleet(FleetStepper(sample_fleet(spec)), 9)
+        assert burn_in(FleetStepper(sample_fleet(spec)), 9) == float(power[-4:].mean())
+        assert burn_in(FleetStepper(sample_fleet(spec)), 1) == power[1]
 
     def test_requires_positive_steps(self):
         fleet = sample_fleet(FleetSpec(n_units=2, seed=0))
         with pytest.raises(InvalidInputError):
-            burn_in(fleet, T_AMB, DEADBAND, steps=0)
+            burn_in(FleetStepper(fleet), steps=0)
 
 
 class TestCompareTraces:
