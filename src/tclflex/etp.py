@@ -278,7 +278,6 @@ class FleetStepper:
         if dt_minutes <= 0.0:
             raise InvalidInputError(f"dt_minutes must be positive, got {dt_minutes}")
         self.fleet = fleet
-        self.dt_minutes = float(dt_minutes)
         p = fleet.params
         # shared A_d, row-major
         (self.a00, self.a01, self.a10, self.a11), (g00, g01, g10, g11) = _step_maps(

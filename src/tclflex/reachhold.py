@@ -17,7 +17,11 @@ the achievable set:
 * inner: a feasible budget-allocation policy u[k] = alpha[k] x_0 whose
   lower-bound recursion discounts the power a freshly actuated cohort
   still draws (c A_a x_0, zero once the raise exceeds one deadband),
-  and whose hold is scanned from the first step,
+  and whose hold is scanned from the first step.  The recursion is linear
+  in r = P_hold / P_nom and in the committed prefix, and its clip at zero
+  keeps that since r > 0 (max(r x, 0) = r max(x, 0)), so alpha(r) =
+  r alpha_1 until the unit budget runs out: one run at r = 1 per fleet
+  serves every target,
 * outer: an LP relaxation driven by a fictitious squeezed-deadband
   system whose transition matrix A_out concentrates mass at the lower
   deadband edge, solved by column generation over (step, state)
@@ -436,56 +440,97 @@ class InnerPoint:
     min_margin_kw: float  # min over k <= T_hold of dP[k] - P_hold
 
 
+@dataclass
+class InnerProfile:
+    """The greedy allocation of one fleet at P_hold = P_nom with no budget.
+
+    Every target's allocation is r alpha_1 until the budget runs out (see
+    the module docstring), so `point` scales and truncates this profile
+    instead of re-running the recursion of `_alpha_lb`.  alpha_1 holds inf
+    from the first step no finite allocation covers (a cohort with no
+    gain)."""
+
+    alpha_1: np.ndarray  # (T_max,)
+    spent: np.ndarray  # running sum of alpha_1
+    s: np.ndarray  # s[m-1] = (h_m - h_a_m) @ x_0, m = 1..horizon
+    p_nom: float
+    hold_tol: float
+
+    def point(self, P_hold: float) -> InnerPoint:
+        """Greedy-minimal feasible allocation for P_hold: r alpha_1 until
+        the unit budget depletes at the first step k with r spent[k] >= 1,
+        whose share is what is left of the budget.  The hold duration is
+        the last step before the reduction first falls below P_hold (T_max
+        if it never does, flagged horizon-limited)."""
+        p_nom = self.p_nom
+        if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
+            raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
+        P_hold = float(np.clip(P_hold, 0.0, p_nom))
+        r = P_hold / p_nom
+        T_max = self.alpha_1.size
+        alpha = np.zeros(T_max)
+        depletion = None
+        if r > 0.0:  # at r = 0 the plan is empty, and 0 * inf would be NaN
+            out = r * self.spent >= 1.0
+            if out.any():
+                depletion = int(np.argmax(out))
+                alpha[:depletion] = r * self.alpha_1[:depletion]
+                alpha[depletion] = 1.0 - (r * self.spent[depletion - 1] if depletion else 0.0)
+            else:
+                alpha[:] = r * self.alpha_1
+        plan = ControlPlan(alpha=alpha)
+        dp = np.zeros(self.s.size + 1)
+        dp[1:] = np.convolve(alpha, self.s)[: self.s.size]
+        # steps where alpha sat exactly at its lower bound satisfy the hold
+        # with equality, so the violation test needs room for rounding noise
+        below = dp[1 : T_max + 1] < P_hold - self.hold_tol
+        horizon_limited = not below.any()
+        T_hold = T_max if horizon_limited else int(np.argmax(below))
+        margin = float((dp[1 : T_hold + 1] - P_hold).min()) if T_hold >= 1 else 0.0
+        pt = ReachHoldPoint(
+            P_hold_kw=P_hold, T_hold_steps=T_hold, method=INNER, horizon_limited=horizon_limited
+        )
+        return InnerPoint(
+            point=pt, plan=plan, response=dp, depletion_step=depletion, min_margin_kw=margin
+        )
+
+
+def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAULT_T_MAX) -> InnerProfile:
+    """Run the greedy recursion once, at r = 1 and without the budget."""
+    p_nom = float(kernels.h[0] @ x_0)
+    if kernels.horizon < T_max:
+        raise InvalidInputError(f"kernels horizon {kernels.horizon} < T_max {T_max}")
+    rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
+    gain = 1.0 - float(rec[0]) / p_nom
+    alpha_1 = np.zeros(T_max)
+    spent = np.zeros(T_max)
+    committed = 0.0
+    for k in range(T_max):
+        a = max(_alpha_lb(k, alpha_1, committed, 1.0, rec, p_nom, gain), 0.0)
+        if a == np.inf:  # every positive target depletes here
+            alpha_1[k:] = spent[k:] = np.inf
+            break
+        alpha_1[k] = a
+        committed += a
+        spent[k] = committed
+    return InnerProfile(
+        alpha_1=alpha_1,
+        spent=spent,
+        s=(kernels.h - kernels.h_a)[1:] @ x_0,  # as `delta_p` forms it
+        p_nom=p_nom,
+        hold_tol=1e-10 * max(1.0, kernels.c.P_on_total),
+    )
+
+
 def inner_point(
     P_hold: float,
     kernels: ResponseKernels,
     x_0: np.ndarray,
     T_max: int = DEFAULT_T_MAX,
 ) -> InnerPoint:
-    """Greedy-minimal feasible allocation: alpha[k] = max(alpha_lb, 0)
-    until the unit budget depletes; the hold duration is the last step
-    before the reduction first falls below P_hold (T_max if it never
-    does, flagged horizon-limited)."""
-    p_nom = float(kernels.h[0] @ x_0)
-    if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
-        raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
-    if kernels.horizon < T_max:
-        raise InvalidInputError(f"kernels horizon {kernels.horizon} < T_max {T_max}")
-    P_hold = float(np.clip(P_hold, 0.0, p_nom))
-    rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
-    r = P_hold / p_nom
-    gain = 1.0 - float(rec[0]) / p_nom
-    alpha = np.zeros(T_max)
-    depletion = None
-    committed = 0.0
-    for k in range(T_max):
-        a = max(_alpha_lb(k, alpha, committed, r, rec, p_nom, gain), 0.0)
-        if committed + a >= 1.0:
-            alpha[k] = 1.0 - committed
-            depletion = k
-            committed = 1.0
-            break
-        alpha[k] = a
-        committed += a
-    plan = ControlPlan(alpha=alpha)
-    dp = delta_p(plan, kernels, x_0)
-    # steps where alpha sat exactly at its lower bound satisfy the hold
-    # with equality, so the violation test needs room for rounding noise
-    hold_tol = 1e-10 * max(1.0, kernels.c.P_on_total)
-    T_hold = T_max
-    horizon_limited = True
-    for k in range(1, T_max + 1):
-        if dp[k] < P_hold - hold_tol:
-            T_hold = k - 1
-            horizon_limited = False
-            break
-    margin = float((dp[1 : T_hold + 1] - P_hold).min()) if T_hold >= 1 else 0.0
-    pt = ReachHoldPoint(
-        P_hold_kw=P_hold, T_hold_steps=T_hold, method=INNER, horizon_limited=horizon_limited
-    )
-    return InnerPoint(
-        point=pt, plan=plan, response=dp, depletion_step=depletion, min_margin_kw=margin
-    )
+    """Greedy-minimal feasible allocation for one target (see
+    `InnerProfile.point`)."""
+    return inner_profile(kernels, x_0, T_max).point(P_hold)
 
 
 def default_p_grid(p_nom: float, n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
@@ -500,11 +545,12 @@ def inner_boundary(
     p_grid: np.ndarray | None = None,
     regime: dict | None = None,
 ) -> ReachHoldSet:
-    """Inner frontier over a grid of target reductions."""
-    p_nom = float(kernels.h[0] @ x_0)
+    """Inner frontier over a grid of target reductions, all from one profile."""
+    profile = inner_profile(kernels, x_0, T_max)
+    p_nom = profile.p_nom
     if p_grid is None:
         p_grid = default_p_grid(p_nom)
-    samples = [inner_point(float(P), kernels, x_0, T_max).point for P in p_grid]
+    samples = [profile.point(float(P)).point for P in p_grid]
     return frontier_from_samples(samples, INNER, regime or {"P_nom_kw": p_nom, "dt_minutes": 1.0})
 
 
@@ -516,13 +562,14 @@ def inner_p_at(
 ) -> float:
     """Largest grid-free inner reduction holdable for T_hold steps, by
     bisection on the monotone feasibility predicate to 1e-9 of P_nom."""
-    p_nom = float(kernels.h[0] @ x_0)
-    if inner_point(p_nom, kernels, x_0, T_max).point.T_hold_steps >= T_hold:
+    profile = inner_profile(kernels, x_0, T_max)
+    p_nom = profile.p_nom
+    if profile.point(p_nom).point.T_hold_steps >= T_hold:
         return p_nom
     lo, hi = 0.0, p_nom  # lo feasible, hi not
     while hi - lo > 1e-9 * p_nom:
         mid = 0.5 * (lo + hi)
-        if inner_point(mid, kernels, x_0, T_max).point.T_hold_steps >= T_hold:
+        if profile.point(mid).point.T_hold_steps >= T_hold:
             lo = mid
         else:
             hi = mid
@@ -891,12 +938,17 @@ def load_set(csv_path) -> ReachHoldSet:
             raise InvalidInputError(f"sidecar {sidecar_path} is not valid JSON: {exc}") from exc
     if not isinstance(sidecar, dict) or not {"method", "regime"} <= sidecar.keys():
         raise InvalidInputError(f"sidecar {sidecar_path} lacks a method or regime")
+    if not isinstance(sidecar["regime"], dict):
+        raise InvalidInputError(f"sidecar {sidecar_path} has a regime that is not an object")
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "T_hold_steps,T_hold_hours,P_hold_kW,method":
             raise InvalidInputError(f"unrecognized frontier header: {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    flags = {p["T_hold_steps"]: p for p in sidecar.get("points", [])}
+    try:
+        flags = {p["T_hold_steps"]: p for p in sidecar.get("points", [])}
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(f"sidecar {sidecar_path} has malformed points: {exc!r}") from exc
     points = []
     for row in rows:
         try:
@@ -917,13 +969,16 @@ def load_set(csv_path) -> ReachHoldSet:
     condition = None
     if sidecar.get("condition"):
         cd = sidecar["condition"]
-        condition = ConditionReport(
-            holds=cd["holds"],
-            min_margin_kw=cd["min_margin_kw"],
-            argmin_step=cd["argmin_step"],
-            argmin_state=cd["argmin_state"],
-            horizon=cd["horizon"],
-        )
+        try:
+            condition = ConditionReport(
+                holds=cd["holds"],
+                min_margin_kw=cd["min_margin_kw"],
+                argmin_step=cd["argmin_step"],
+                argmin_state=cd["argmin_state"],
+                horizon=cd["horizon"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise InvalidInputError(f"sidecar {sidecar_path} has an incomplete condition block: {exc!r}") from exc
     return ReachHoldSet(
         points=points, method=sidecar["method"], regime=sidecar["regime"], condition=condition
     )

@@ -93,7 +93,6 @@ class MicroRun:
     shortfall_events: list[dict]  # {"step", "state", "requested", "selected"}
     total_requested: int
     total_selected: int
-    dt_minutes: float
 
     @property
     def shortfall_fraction(self) -> float:
@@ -182,7 +181,6 @@ def apply_plan_micro(
         shortfall_events=shortfalls,
         total_requested=plan.total_requested,
         total_selected=selected_total,
-        dt_minutes=stepper.dt_minutes,
     )
     if run.degraded:
         warnings.warn(

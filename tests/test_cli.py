@@ -314,6 +314,26 @@ class TestAggregate:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "source, breaks",
+        [
+            ("inner", lambda s: s["points"][0].pop("T_hold_steps")),
+            ("inner", lambda s: s.update(regime="default")),
+            ("outer", lambda s: s["condition"].pop("min_margin_kw")),
+        ],
+        ids=["point_without_T_hold", "regime_not_object", "condition_without_field"],
+    )
+    def test_malformed_sidecar_is_config_error(self, reachhold_out, tmp_path, capsys, source, breaks):
+        sidecar = json.loads((reachhold_out / f"{source}.json").read_text())
+        breaks(sidecar)
+        (tmp_path / "bad.csv").write_text((reachhold_out / f"{source}.csv").read_text())
+        (tmp_path / "bad.json").write_text(json.dumps(sidecar))
+        cfg = {"aggregate": {"inputs": [str(tmp_path / "bad.csv"), str(reachhold_out / "inner.csv")]}}
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+
 class TestSweeps:
     def test_setpoint_sweep_artifacts(self, tmp_path):
         cfg = {

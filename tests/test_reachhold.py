@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tclflex.lp
 import tclflex.markov
@@ -43,6 +45,7 @@ from tclflex.reachhold import (
     inner_boundary,
     inner_p_at,
     inner_point,
+    inner_profile,
     invariant_support,
     load_set,
     outer_boundary,
@@ -55,6 +58,7 @@ from tclflex.reachhold import (
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
 from expm_reference import expm_discretize
+from inner_reference import reference_inner_point, reference_p_at
 
 LP_TOL = 1e-6 * P_ON_TOTAL
 # the exact LP at T=60 on the default 40-bin regime
@@ -418,6 +422,66 @@ class TestInnerBoundary:
     def test_default_p_grid_spans_to_nominal(self):
         g = default_p_grid(1000.0, 4)
         assert g == pytest.approx([250.0, 500.0, 750.0, 1000.0])
+
+
+class TestInnerProfile:
+    """Every target's allocation is the one profile, scaled and cut at the
+    budget; the per-target recursion in inner_reference is the oracle."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        T_amb=st.floats(26.0, 38.0),
+        raise_k=st.floats(1.0, 2.5),
+        n_bins=st.sampled_from([10, 20, 40]),
+        T_hold=st.integers(1, 240),
+    )
+    @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40, T_hold=60)
+    def test_matches_per_target_reference(self, T_amb, raise_k, n_bins, T_hold):
+        T_max = 240
+        op = OperatingPoint(
+            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+        )
+        ch = characterize(op, T_max=T_max, with_outer=False)
+        for P in default_p_grid(ch.p_nom_kw):
+            ip = inner_point(float(P), ch.kernels, ch.x_0, T_max)
+            alpha, depletion, T_h, limited = reference_inner_point(float(P), ch.kernels, ch.x_0, T_max)
+            assert (ip.point.T_hold_steps, ip.point.horizon_limited, ip.depletion_step) == (T_h, limited, depletion)
+            assert np.abs(ip.plan.alpha - alpha).max() <= 1e-12 * alpha.max()
+        got = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
+        assert got == pytest.approx(reference_p_at(T_hold, ch.kernels, ch.x_0, T_max), abs=1e-9 * ch.p_nom_kw)
+
+    def test_no_gain_profile_holds_inf(self):
+        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
+        profile = inner_profile(kernels, np.array([0.5, 0.5]), T_max=19)
+        assert np.all(profile.alpha_1 == np.inf)
+
+    def test_no_gain_zero_target_is_empty_plan(self):
+        # 0 * inf would put NaN in the plan
+        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
+        ip = inner_point(0.0, kernels, np.array([0.5, 0.5]), T_max=19)
+        assert not np.isnan(ip.plan.alpha).any() and not np.isnan(ip.response).any()
+        assert np.all(ip.plan.alpha == 0.0)
+        assert ip.depletion_step is None
+        assert ip.point.T_hold_steps == 19 and ip.point.horizon_limited
+
+    @pytest.mark.parametrize("P", [1e-9, 0.5, 2.0, 5.0])
+    def test_no_gain_positive_target_depletes_at_once(self, P):
+        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
+        ip = inner_point(P, kernels, np.array([0.5, 0.5]), T_max=19)  # p_nom = 5
+        assert ip.depletion_step == 0
+        assert ip.plan.alpha[0] == 1.0 and np.all(ip.plan.alpha[1:] == 0.0)
+
+    def test_depleted_plans_pass_the_budget_check(self, char40):
+        # alpha[dep] = 1 - r C[dep-1] while the prefix is r alpha_1, so the
+        # sum meets 1 only up to rounding; ControlPlan allows 1e-9
+        depleted = 0
+        for P in np.linspace(0.01, 1.0, 200) * char40.p_nom_kw:
+            ip = inner_point(float(P), char40.kernels, char40.x_0, T_max=120)
+            if ip.depletion_step is not None:
+                depleted += 1
+                assert ip.plan.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+                ControlPlan(alpha=ip.plan.alpha)
+        assert depleted > 0
 
 
 class TestSolveExact:
