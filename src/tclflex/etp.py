@@ -272,6 +272,13 @@ class FleetStepper:
     ambient temperature (fleet.spec.T_amb) and step length, so the
     per-step work is one shared 2x2 linear map plus a per-mode offset;
     the thermostat switches on the fleet's deadband (fleet.spec.deadband).
+
+    The offsets of the mode each unit had at the last step are kept per
+    unit, beside a private copy of that mode mask; each step refreshes
+    only the units whose fleet.on differs from the copy (a few percent of
+    a cycling fleet), instead of gathering both offsets through the whole
+    mask.  The comparison is against the live fleet.on, so a caller may
+    replace or edit fleet.on (or fleet.T_set) between steps.
     """
 
     def __init__(self, fleet: Fleet, dt_minutes: float = DEFAULT_DT_MINUTES):
@@ -289,13 +296,22 @@ class FleetStepper:
         for q_a in (p["Q_a_off"], p["Q_a_on"]):
             g_a = (p["U_a"] * fleet.spec.T_amb + q_a) / p["C_a"]
             self.b_d.append((g00 * g_a + g01 * g_m, g10 * g_a + g11 * g_m))
+        (off_a, off_m), (on_a, on_m) = self.b_d
+        self._mode = fleet.on.copy()
+        self._b_a = np.where(self._mode, on_a, off_a)
+        self._b_m = np.where(self._mode, on_m, off_m)
 
     def advance(self) -> None:
         """One in-place step of the whole fleet: integrate, then thermostat."""
         f = self.fleet
         (off_a, off_m), (on_a, on_m) = self.b_d
-        T_a = self.a00 * f.T_a + self.a01 * f.T_m + np.where(f.on, on_a, off_a)
-        T_m = self.a10 * f.T_a + self.a11 * f.T_m + np.where(f.on, on_m, off_m)
+        switched = np.flatnonzero(f.on != self._mode)
+        mode = f.on[switched]
+        self._b_a[switched] = np.where(mode, on_a[switched], off_a[switched])
+        self._b_m[switched] = np.where(mode, on_m[switched], off_m[switched])
+        self._mode[switched] = mode
+        T_a = self.a00 * f.T_a + self.a01 * f.T_m + self._b_a
+        T_m = self.a10 * f.T_a + self.a11 * f.T_m + self._b_m
         f.T_a, f.T_m = T_a, T_m
         f.on = apply_thermostat(f.T_a, f.T_set, f.on, f.spec.deadband)
 

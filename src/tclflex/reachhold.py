@@ -940,6 +940,10 @@ def load_set(csv_path) -> ReachHoldSet:
         raise InvalidInputError(f"sidecar {sidecar_path} lacks a method or regime")
     if not isinstance(sidecar["regime"], dict):
         raise InvalidInputError(f"sidecar {sidecar_path} has a regime that is not an object")
+    for key in ("P_on_total_kw", "P_nom_kw"):
+        value = sidecar["regime"].get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidInputError(f"sidecar {sidecar_path} has a non-numeric regime {key}: {value!r}")
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "T_hold_steps,T_hold_hours,P_hold_kW,method":

@@ -153,15 +153,26 @@ def apply_plan_micro(
     power[0] = stepper.power_kw()
     shortfalls: list[dict] = []
     selected_total = 0
-    # an actuated unit's key is its state + n_states, out of every pool;
-    # keys fit 16 bits at any practical grid, which makes the stable sort
-    # in _state_pools a radix sort
-    key_type = np.min_scalar_type(2 * grid.n_states)
+    # each selection step keys only the units not yet actuated, with
+    # grid.state_index of their T_a and mode computed in one in-place
+    # pass; keys stay below n_states, which fits 8 bits up to 128 bins
+    # and makes the stable sort in _state_pools a radix sort
+    n_bins = grid.n_bins
+    key_type = np.min_scalar_type(grid.n_states - 1)
     for k in range(K):
         if k < T and counts[k].any():
-            keys = grid.state_index(fleet.T_a, fleet.on + 2 * actuated).astype(key_type)
+            eligible = np.flatnonzero(~actuated)
+            b = fleet.T_a[eligible]
+            b -= grid.T_min
+            b /= grid.delta_tau
+            np.floor(b, out=b)
+            np.maximum(b, 0, out=b)
+            np.minimum(b, n_bins - 1, out=b)
+            keys = b.astype(key_type)
+            keys += np.multiply(fleet.on[eligible], n_bins, dtype=key_type)
             wanted = np.flatnonzero(counts[k])
-            for i, pool in zip(wanted, _state_pools(keys, wanted)):
+            for i, sub in zip(wanted, _state_pools(keys, wanted)):
+                pool = eligible[sub]
                 want = int(counts[k][i])
                 take = min(want, pool.size)
                 if take < want:
@@ -169,7 +180,9 @@ def apply_plan_micro(
                         {"step": k, "state": int(i), "requested": want, "selected": take}
                     )
                 if take > 0:
-                    chosen = rng.choice(pool, size=take, replace=False)
+                    # the same units, from the same draws, as
+                    # rng.choice(pool, size=take, replace=False)
+                    chosen = pool[rng.choice(pool.size, size=take, replace=False)]
                     fleet.T_set[chosen] = T_set_new
                     actuated[chosen] = True
                     selected_total += take

@@ -320,8 +320,13 @@ class TestAggregate:
             ("inner", lambda s: s["points"][0].pop("T_hold_steps")),
             ("inner", lambda s: s.update(regime="default")),
             ("outer", lambda s: s["condition"].pop("min_margin_kw")),
+            ("inner", lambda s: s["regime"].update(P_on_total_kw="x")),
+            ("inner", lambda s: s["regime"].update(P_nom_kw="x")),
         ],
-        ids=["point_without_T_hold", "regime_not_object", "condition_without_field"],
+        ids=[
+            "point_without_T_hold", "regime_not_object", "condition_without_field",
+            "P_on_total_not_numeric", "P_nom_not_numeric",
+        ],
     )
     def test_malformed_sidecar_is_config_error(self, reachhold_out, tmp_path, capsys, source, breaks):
         sidecar = json.loads((reachhold_out / f"{source}.json").read_text())
@@ -331,7 +336,8 @@ class TestAggregate:
         cfg = {"aggregate": {"inputs": [str(tmp_path / "bad.csv"), str(reachhold_out / "inner.csv")]}}
         path = write_config(tmp_path / "c.json", cfg)
         assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
 
 class TestSweeps:

@@ -350,6 +350,35 @@ class TestSimulateFleet:
         assert np.abs(fast[1] - T_a).max() <= 1e-11
         assert np.abs(fast[2] - T_m).max() <= 1e-11
 
+    def test_cached_offsets_follow_edits_between_steps(self):
+        # the stepper caches each unit's offsets for its last mode; a caller
+        # that replaces or edits fleet.on, or replaces fleet.T_set, between
+        # steps must still get the oracle's trajectory
+        spec = FleetSpec(n_units=1000, heterogeneity=0.15, seed=29)
+        rng = np.random.default_rng(5)
+        new_on = rng.uniform(size=spec.n_units) < 0.5
+        flipped = rng.choice(spec.n_units, 100, replace=False)
+        new_T_set = rng.uniform(19.0, 22.0, size=spec.n_units)
+
+        def flip_in_place(f):
+            f.on[flipped] = ~f.on[flipped]
+
+        edits = [
+            flip_in_place,  # before the first step, too
+            lambda f: setattr(f, "on", new_on.copy()),
+            flip_in_place,
+            lambda f: setattr(f, "T_set", new_T_set.copy()),
+        ]
+        fast, oracle = FleetStepper(sample_fleet(spec)), ExpmStepper(sample_fleet(spec))
+        for edit in edits:
+            edit(fast.fleet)
+            edit(oracle.fleet)
+            got = step_states(fast, 40)
+            power, T_a, _, on = step_states(oracle, 40)
+            assert np.array_equal(got[3], on)
+            assert np.array_equal(got[0], power)
+            assert np.abs(got[1] - T_a).max() <= 1e-11
+
 
 class TestFleetStepper:
     @settings(max_examples=25, deadline=None, derandomize=True)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tclflex.errors import InvalidInputError, ValidationDegradedWarning
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
@@ -20,6 +22,7 @@ from tclflex.validation import (
 )
 
 from conftest import T_AMB, T_SET, T_SET_NEW
+from micro_reference import ReferenceStepper, reference_apply_plan_micro
 
 
 def single_bin_plan(per_step: float, steps: int, n_states: int = 4, bin_idx: int = 1) -> ControlPlan:
@@ -93,12 +96,13 @@ class TestStatePools:
         burn_in(FleetStepper(fleet), steps=30)
         actuated = np.random.default_rng(41).uniform(size=fleet.n_units) < 0.3
         state_idx = grid.state_index(fleet.T_a, fleet.on)
-        # keyed as apply_plan_micro keys them: actuated units shift out
-        keys = grid.state_index(fleet.T_a, fleet.on + 2 * actuated)
-        keys = keys.astype(np.min_scalar_type(2 * grid.n_states))
+        # keyed as apply_plan_micro keys them: only units not yet actuated
+        eligible = np.flatnonzero(~actuated)
+        keys = grid.state_index(fleet.T_a[eligible], fleet.on[eligible])
+        keys = keys.astype(np.min_scalar_type(grid.n_states - 1))
         states = np.arange(grid.n_states)
-        pools = _state_pools(keys, states)
-        assert sum(p.size for p in pools) == int((~actuated).sum())
+        pools = [eligible[sub] for sub in _state_pools(keys, states)]
+        assert sum(p.size for p in pools) == eligible.size
         for i, pool in zip(states, pools):
             assert np.array_equal(pool, np.flatnonzero(~actuated & (state_idx == i)))
 
@@ -167,6 +171,43 @@ class TestApplyPlanMicro:
         assert baseline == fresh_baseline
         assert np.array_equal(run.power_kw, fresh.power_kw)
         assert np.array_equal(run.actuated, fresh.actuated)
+
+    @pytest.mark.filterwarnings("ignore::tclflex.errors.ValidationDegradedWarning")
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        n_bins=st.sampled_from([10, 20, 40]),
+        fleet_seed=st.integers(0, 2**16),
+        plan_seed=st.integers(0, 2**16),
+        selection_seed=st.integers(0, 2**16),
+        max_count=st.integers(1, 12),
+    )
+    @example(n_bins=40, fleet_seed=1, plan_seed=2, selection_seed=3, max_count=12)
+    @example(n_bins=10, fleet_seed=4, plan_seed=5, selection_seed=6, max_count=1)
+    def test_matches_reference_replay(self, n_bins, fleet_seed, plan_seed, selection_seed, max_count):
+        spec = FleetSpec(n_units=240, heterogeneity=0.15, seed=fleet_seed)
+        grid = build_grid(18.0, 24.0, n_bins)
+        rng = np.random.default_rng(plan_seed)
+        # a dozen units well outside [T_min, T_max] exercise the key clip
+        fleet = sample_fleet(spec)
+        outside = rng.choice(spec.n_units, 12, replace=False)
+        fleet.T_a[outside[:6]] = grid.T_min - rng.uniform(0.1, 3.0, 6)
+        fleet.T_a[outside[6:]] = grid.T_max + rng.uniform(0.1, 3.0, 6)
+        fleet.T_m = fleet.T_a.copy()
+        counts = rng.integers(0, max_count + 1, size=(8, grid.n_states))
+        counts *= rng.uniform(size=counts.shape) < 0.15
+        while counts.sum() > spec.n_units:
+            counts //= 2
+        plan = DiscretizedPlan(counts=counts, carry=np.zeros((9, grid.n_states)), n_units=spec.n_units)
+        ref_fleet = fleet.copy()
+        run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, 12, selection_seed)
+        power, actuated, shortfalls = reference_apply_plan_micro(
+            ReferenceStepper(ref_fleet), counts, grid, T_SET_NEW, 12, selection_seed
+        )
+        assert np.array_equal(run.power_kw, power)
+        assert np.array_equal(run.actuated, actuated)
+        assert run.shortfall_events == shortfalls
+        assert np.array_equal(fleet.T_set, ref_fleet.T_set)
+        assert run.total_selected == int(actuated.sum())
 
     def test_empty_bin_shortfall_warns(self, settled_fleet):
         grid = build_grid(18.0, 24.0, 20)
