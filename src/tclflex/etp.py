@@ -12,7 +12,9 @@ at the lower edge T_set - deadband/2.
 
 Within a step the mode is held fixed, so the dynamics are affine LTI and
 integrate exactly, in closed form from the 2x2 drift's two real
-eigenvalues: `discretize` for one unit, `FleetStepper` for a whole fleet.
+eigenvalues.  `step_maps` is that one integrator, for one unit or a
+whole fleet at once; the bin model (`markov`) and the micro-simulation
+(`FleetStepper`) both take their one-step maps from it.
 The thermostat is evaluated once per step, after integration; callers
 pick dt small enough that at most one switching event falls in a step
 (default 1 minute, far below typical residential cycle times).
@@ -66,8 +68,8 @@ class TclParams:
 
     def __post_init__(self) -> None:
         for name in ("C_a", "C_m", "U_a", "H_m"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidInputError(f"{name} must be positive, got {getattr(self, name)!r}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         for name in ("Q_a_on", "Q_a_off", "Q_m", "P_rate"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -98,16 +100,6 @@ DEFAULT_PARAMS = TclParams(
 )
 
 
-@dataclass
-class TclState:
-    """Instantaneous state of one TCL."""
-
-    T_a: float
-    T_m: float
-    on: bool
-    T_set: float
-
-
 @dataclass(frozen=True)
 class FleetSpec:
     """Recipe for sampling a fleet of TCLs.
@@ -130,8 +122,10 @@ class FleetSpec:
             raise InvalidInputError(f"n_units must be >= 1, got {self.n_units}")
         if not 0.0 <= self.heterogeneity < 1.0:
             raise InvalidInputError(f"heterogeneity must lie in [0, 1), got {self.heterogeneity}")
-        if self.deadband <= 0.0:
-            raise InvalidInputError(f"deadband must be positive, got {self.deadband}")
+        if not 0.0 < self.deadband < np.inf:
+            raise InvalidInputError(f"deadband must be positive and finite, got {self.deadband}")
+        if not np.isfinite(self.T_amb) or not np.isfinite(self.T_set):
+            raise InvalidInputError(f"T_amb and T_set must be finite, got {self.T_amb!r} and {self.T_set!r}")
 
 
 @dataclass
@@ -165,19 +159,26 @@ class Fleet:
         )
 
 
-def _step_maps(C_a, C_m, U_a, H_m, h):
-    """e^{Fh} and F^-1 (e^{Fh} - I) for the drift F of d/dt [T_a, T_m]
-    (per hour), each as its row-major entries; works elementwise on arrays.
+def step_maps(params, T_amb, dt_minutes: float):
+    """Exact one-step maps x' = A_d x + b_d, elementwise over scalars or
+    per-unit arrays: A_d's row-major entries (a00, a01, a10, a11), shared
+    by both modes, and each mode's offset, ((T_a, T_m) off, (T_a, T_m) on).
+    `params` maps the TclParams field names to values (a fleet's
+    `params`, or `dataclasses.asdict` of one TclParams).
 
-    F = [[a, b], [c, d]] has real eigenvalues s +- q, with s = (a + d)/2
-    and q = sqrt((a - d)^2/4 + bc) > 0 (F is similar to a symmetric matrix
-    through diag(sqrt(C))).  Any f(F) then has the closed form
-    p I + r (F - s I), with p = (f(s+q) + f(s-q))/2 and
-    r = (f(s+q) - f(s-q))/(2q) (Moler & Van Loan, SIAM Rev. 2003).  With
-    f(lambda) = exp(lambda h) this is A_d; with f(lambda) =
-    expm1(lambda h)/lambda it is the map from a mode's forcing g to the
+    The drift F = [[a, b], [c, d]] of d/dt [T_a, T_m] (per hour) has real
+    eigenvalues s +- q, with s = (a + d)/2 and q = sqrt((a - d)^2/4 + bc)
+    > 0 (F is similar to a symmetric matrix through diag(sqrt(C))).  Any
+    f(F) then has the closed form p I + r (F - s I), with p = (f(s+q) +
+    f(s-q))/2 and r = (f(s+q) - f(s-q))/(2q) (Moler & Van Loan, SIAM Rev.
+    2003).  With f(lambda) = exp(lambda h) this is A_d; with f(lambda) =
+    expm1(lambda h)/lambda it is the map from a mode's forcing g to its
     offset b_d, free of cancellation at small h.
     """
+    if not dt_minutes > 0.0:
+        raise InvalidInputError(f"dt_minutes must be positive, got {dt_minutes}")
+    h = dt_minutes / 60.0
+    C_a, C_m, U_a, H_m = params["C_a"], params["C_m"], params["U_a"], params["H_m"]
     a = -(U_a + H_m) / C_a
     b = H_m / C_a
     c = H_m / C_m
@@ -191,19 +192,11 @@ def _step_maps(C_a, C_m, U_a, H_m, h):
         p_f, r_f = 0.5 * (f1 + f2), (f1 - f2) / (2.0 * q)
         return p_f + r_f * half, r_f * b, r_f * c, p_f - r_f * half
 
-    return entries(lambda lam: np.exp(lam * h)), entries(lambda lam: np.expm1(lam * h) / lam)
-
-
-def discretize(params: TclParams, T_amb: float, on: bool, dt_minutes: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact one-step map x' = A_d x + b_d for a fixed mode, in closed form
-    (`_step_maps`), so exact for the affine dynamics regardless of dt."""
-    if dt_minutes <= 0.0:
-        raise InvalidInputError(f"dt_minutes must be positive, got {dt_minutes}")
-    p = params
-    (a00, a01, a10, a11), (g00, g01, g10, g11) = _step_maps(p.C_a, p.C_m, p.U_a, p.H_m, dt_minutes / 60.0)
-    g_a = (p.U_a * T_amb + (p.Q_a_on if on else p.Q_a_off)) / p.C_a
-    g_m = p.Q_m / p.C_m
-    return np.array([[a00, a01], [a10, a11]]), np.array([g00 * g_a + g01 * g_m, g10 * g_a + g11 * g_m])
+    A_d = entries(lambda lam: np.exp(lam * h))
+    g00, g01, g10, g11 = entries(lambda lam: np.expm1(lam * h) / lam)
+    g_m = params["Q_m"] / C_m
+    g_a = [(U_a * T_amb + q_a) / C_a for q_a in (params["Q_a_off"], params["Q_a_on"])]
+    return A_d, tuple((g00 * g + g01 * g_m, g10 * g + g11 * g_m) for g in g_a)
 
 
 def apply_thermostat(T_a, T_set, on, deadband):
@@ -212,28 +205,6 @@ def apply_thermostat(T_a, T_set, on, deadband):
     lower = T_set - 0.5 * deadband
     # on at the upper edge, else keep the mode unless at the lower edge
     return np.logical_or(T_a >= upper, np.logical_and(on, np.logical_not(T_a <= lower)))
-
-
-def step_tcl(
-    state: TclState,
-    params: TclParams,
-    T_amb: float,
-    deadband: float,
-    dt_minutes: float = DEFAULT_DT_MINUTES,
-) -> TclState:
-    """Advance one TCL by one step: exact integration, then thermostat.
-
-    Returns a new TclState; the input is not modified.
-    """
-    if deadband <= 0.0:
-        raise InvalidInputError(f"deadband must be positive, got {deadband}")
-    for name, value in (("T_a", state.T_a), ("T_m", state.T_m), ("T_set", state.T_set), ("T_amb", T_amb)):
-        if not np.isfinite(value):
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
-    A_d, b_d = discretize(params, T_amb, state.on, dt_minutes)
-    x = A_d @ np.array([state.T_a, state.T_m]) + b_d
-    on = bool(apply_thermostat(x[0], state.T_set, state.on, deadband))
-    return TclState(T_a=float(x[0]), T_m=float(x[1]), on=on, T_set=state.T_set)
 
 
 def sample_fleet(spec: FleetSpec) -> Fleet:
@@ -268,7 +239,7 @@ def sample_fleet(spec: FleetSpec) -> Fleet:
 class FleetStepper:
     """Precomputed per-unit one-step maps for both modes.
 
-    Caches the exact discretization (`_step_maps`) at the fleet's own
+    Caches the exact one-step maps (`step_maps`) at the fleet's own
     ambient temperature (fleet.spec.T_amb) and step length, so the
     per-step work is one shared 2x2 linear map plus a per-mode offset;
     the thermostat switches on the fleet's deadband (fleet.spec.deadband).
@@ -282,20 +253,10 @@ class FleetStepper:
     """
 
     def __init__(self, fleet: Fleet, dt_minutes: float = DEFAULT_DT_MINUTES):
-        if dt_minutes <= 0.0:
-            raise InvalidInputError(f"dt_minutes must be positive, got {dt_minutes}")
         self.fleet = fleet
-        p = fleet.params
-        # shared A_d, row-major
-        (self.a00, self.a01, self.a10, self.a11), (g00, g01, g10, g11) = _step_maps(
-            p["C_a"], p["C_m"], p["U_a"], p["H_m"], dt_minutes / 60.0
-        )
-        g_m = p["Q_m"] / p["C_m"]
-        # b_d = (F^-1 (e^{Fh} - I)) g for each mode; index 0: off, 1: on
-        self.b_d = []
-        for q_a in (p["Q_a_off"], p["Q_a_on"]):
-            g_a = (p["U_a"] * fleet.spec.T_amb + q_a) / p["C_a"]
-            self.b_d.append((g00 * g_a + g01 * g_m, g10 * g_a + g11 * g_m))
+        # shared A_d, row-major, and per-mode offsets; index 0: off, 1: on
+        A_d, self.b_d = step_maps(fleet.params, fleet.spec.T_amb, dt_minutes)
+        self.a00, self.a01, self.a10, self.a11 = A_d
         (off_a, off_m), (on_a, on_m) = self.b_d
         self._mode = fleet.on.copy()
         self._b_a = np.where(self._mode, on_a, off_a)

@@ -14,7 +14,7 @@ occupancy of the on-block into aggregate demand in kW.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .etp import TclParams, apply_thermostat, discretize
+from .etp import TclParams, apply_thermostat, step_maps
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,13 @@ class BinGrid:
 
     def temp_bin(self, T_a) -> np.ndarray:
         """Temperature bin index (0..n_bins-1); excursions beyond the grid
-        clip into the boundary bins."""
-        idx = np.floor((np.asarray(T_a) - self.T_min) / self.delta_tau).astype(int)
-        return np.clip(idx, 0, self.n_bins - 1)
+        clip into the boundary bins.  Non-finite temperatures raise
+        InvalidInputError."""
+        T_a = np.asarray(T_a, dtype=float)
+        if not np.isfinite(T_a).all():
+            raise InvalidInputError("temperatures must be finite to be binned")
+        # clip in float before the cast, which has no int for a far excursion
+        return np.clip(np.floor((T_a - self.T_min) / self.delta_tau), 0, self.n_bins - 1).astype(int)
 
     def state_index(self, T_a, on) -> np.ndarray:
         """Full state index combining temperature bin and mode block."""
@@ -143,12 +147,12 @@ def estimate_transition_matrix(
     cuts = np.sort(np.concatenate([edges[1:-1], [T_set - 0.5 * deadband, T_set + 0.5 * deadband]]))
     cuts = np.concatenate([[-np.inf], cuts, [np.inf]])
     P = np.zeros((2 * N, 2 * N))
+    (a00, a01, _, _), b_d = step_maps(asdict(params), T_amb, dt_minutes)
+    s = a00 + a01
+    if not s > 0.0:
+        raise NumericalFailureError(f"one-step temperature map has slope {s!r} <= 0")
     for on in (False, True):
-        A_d, b_d = discretize(params, T_amb, on, dt_minutes)
-        s = A_d[0, 0] + A_d[0, 1]
-        if not s > 0.0:
-            raise NumericalFailureError(f"one-step temperature map has slope {s!r} <= 0")
-        c0 = A_d[0, 1] * params.Q_m / params.H_m + b_d[0]
+        c0 = a01 * params.Q_m / params.H_m + b_d[on][0]
         lo = s * edges[:-1] + c0
         hi = s * edges[1:] + c0
         pts = np.clip(cuts, lo[:, None], hi[:, None])  # (N, n_cuts), each row sorted

@@ -139,34 +139,10 @@ class ControlPlan:
             if self.alpha.sum() > 1.0 + 1e-9:
                 raise InvalidInputError(f"alpha budget {self.alpha.sum()!r} exceeds 1")
 
-    @property
-    def horizon(self) -> int:
-        return self.u.shape[0] if self.u is not None else self.alpha.size
-
     def as_u(self, x_0: np.ndarray) -> np.ndarray:
         if self.u is not None:
             return self.u
         return self.alpha[:, None] * x_0[None, :]
-
-
-def delta_p(plan: ControlPlan, kernels: ResponseKernels, x_0: np.ndarray) -> np.ndarray:
-    """Demand-reduction trace dP[k], k = 0..horizon (dP[0] = 0), of a plan
-    via the kernel convolution."""
-    K = kernels.horizon
-    d = kernels.h - kernels.h_a  # (K+1, n_states)
-    out = np.zeros(K + 1)
-    if plan.alpha is not None:
-        s = d[1:] @ x_0  # s[m-1] = d_m @ x_0
-        conv = np.convolve(plan.alpha, s)
-        out[1:] = conv[: K]
-    else:
-        u = plan.u
-        acc = np.zeros(K)
-        for i in range(u.shape[1]):
-            col = np.convolve(u[:, i], d[1:, i])
-            acc += col[: K]
-        out[1:] = acc
-    return out
 
 
 def delta_p_by_stepping(
@@ -276,10 +252,6 @@ class ReachHoldSet:
                 )
 
     @property
-    def dt_minutes(self) -> float:
-        return float(self.regime["dt_minutes"])
-
-    @property
     def verified(self) -> bool | None:
         """For outer sets with a condition report: whether the empirical
         kernel-domination check passed.  None when no report is attached
@@ -309,15 +281,6 @@ def prune_to_frontier(samples: list[ReachHoldPoint]) -> list[ReachHoldPoint]:
             run_max = p.P_hold_kw
     keep.reverse()
     return keep
-
-
-def frontier_from_samples(
-    samples: list[ReachHoldPoint], method: str, regime: dict, condition: ConditionReport | None = None
-) -> ReachHoldSet:
-    """Collapse sampled points to a frontier set (see prune_to_frontier)."""
-    return ReachHoldSet(
-        points=prune_to_frontier(samples), method=method, regime=regime, condition=condition
-    )
 
 
 def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
@@ -390,52 +353,13 @@ def solve_exact(
     return float(sol.z[-1]), ControlPlan(u=np.clip(u, 0.0, None)), sol
 
 
-def _alpha_lb(
-    k: int, alpha: np.ndarray, committed: float, r: float, rec: np.ndarray, p_nom: float, gain: float
-) -> float:
-    """Lower bound on alpha[k] that keeps dP[k+1] >= P_hold = r P_nom.
-
-    rec[m] = c A_a^{m+1} x_0, committed = sum(alpha[:k]) and gain =
-    1 - rec[0] / P_nom.  Since A x_0 = x_0, dP[k+1] = sum_{n<=k} alpha[n]
-    (P_nom - rec[k-n]), so alpha[k] must cover what the committed prefix
-    misses, divided by the gain of a freshly actuated cohort.  No finite
-    alpha[k] helps when that gain is not positive."""
-    lb = r if k == 0 else r - committed + float(alpha[:k] @ rec[k:0:-1]) / p_nom
-    if gain <= 0.0:
-        return np.inf if lb > 0.0 else 0.0
-    return lb / gain
-
-
-def alpha_lower_bound(
-    k: int,
-    alpha: np.ndarray,
-    P_hold: float,
-    kernels: ResponseKernels,
-    x_0: np.ndarray,
-) -> float:
-    """Minimum feasible alpha[k] given the committed prefix alpha[0..k-1].
-
-    For k = 0 this is P_hold / (P_nom - c A_a x_0); for k >= 1 each
-    committed alpha[n] is discounted by the actuated cohort's power
-    recovery c A_a^{k-n+1} x_0 (see `_alpha_lb`)."""
-    p_nom = float(kernels.h[0] @ x_0)
-    if p_nom <= 0.0:
-        raise InvalidInputError("P_nom must be positive")
-    if kernels.horizon < k + 1:
-        raise InvalidInputError(f"kernels horizon {kernels.horizon} too short for k={k}")
-    alpha = np.asarray(alpha, dtype=float)
-    rec = kernels.h_a[1 : k + 2] @ x_0
-    gain = 1.0 - float(rec[0]) / p_nom
-    return _alpha_lb(k, alpha, float(alpha[:k].sum()), P_hold / p_nom, rec, p_nom, gain)
-
-
 @dataclass
 class InnerPoint:
     """Result of the budget-allocation construction for one P_hold."""
 
     point: ReachHoldPoint
     plan: ControlPlan
-    response: np.ndarray  # the plan's reduction trace, `delta_p`
+    response: np.ndarray  # the plan's reduction trace dP[k], k = 0..kernels.horizon
     depletion_step: int | None  # step at which the budget hit 1, if it did
     min_margin_kw: float  # min over k <= T_hold of dP[k] - P_hold
 
@@ -446,8 +370,8 @@ class InnerProfile:
 
     Every target's allocation is r alpha_1 until the budget runs out (see
     the module docstring), so `point` scales and truncates this profile
-    instead of re-running the recursion of `_alpha_lb`.  alpha_1 holds inf
-    from the first step no finite allocation covers (a cohort with no
+    instead of re-running the recursion of `inner_profile`.  alpha_1 holds
+    inf from the first step no finite allocation covers (a cohort with no
     gain)."""
 
     alpha_1: np.ndarray  # (T_max,)
@@ -496,7 +420,14 @@ class InnerProfile:
 
 
 def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAULT_T_MAX) -> InnerProfile:
-    """Run the greedy recursion once, at r = 1 and without the budget."""
+    """Run the greedy recursion once, at r = 1 and without the budget.
+
+    alpha_1[k] is the least allocation that keeps dP[k+1] >= P_nom.  With
+    rec[m] = c A_a^{m+1} x_0 and A x_0 = x_0, dP[k+1] = sum_{n<=k}
+    alpha[n] (P_nom - rec[k-n]), so alpha[k] covers what the committed
+    prefix misses, divided by the gain 1 - rec[0] / P_nom of a freshly
+    actuated cohort.  No finite alpha[k] helps when that gain is not
+    positive."""
     p_nom = float(kernels.h[0] @ x_0)
     if kernels.horizon < T_max:
         raise InvalidInputError(f"kernels horizon {kernels.horizon} < T_max {T_max}")
@@ -506,7 +437,11 @@ def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAUL
     spent = np.zeros(T_max)
     committed = 0.0
     for k in range(T_max):
-        a = max(_alpha_lb(k, alpha_1, committed, 1.0, rec, p_nom, gain), 0.0)
+        lb = 1.0 if k == 0 else 1.0 - committed + float(alpha_1[:k] @ rec[k:0:-1]) / p_nom
+        if gain <= 0.0:
+            a = np.inf if lb > 0.0 else 0.0
+        else:
+            a = max(lb / gain, 0.0)
         if a == np.inf:  # every positive target depletes here
             alpha_1[k:] = spent[k:] = np.inf
             break
@@ -516,7 +451,7 @@ def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAUL
     return InnerProfile(
         alpha_1=alpha_1,
         spent=spent,
-        s=(kernels.h - kernels.h_a)[1:] @ x_0,  # as `delta_p` forms it
+        s=(kernels.h - kernels.h_a)[1:] @ x_0,
         p_nom=p_nom,
         hold_tol=1e-10 * max(1.0, kernels.c.P_on_total),
     )
@@ -543,15 +478,16 @@ def inner_boundary(
     x_0: np.ndarray,
     T_max: int = DEFAULT_T_MAX,
     p_grid: np.ndarray | None = None,
-    regime: dict | None = None,
+    *,
+    regime: dict,
 ) -> ReachHoldSet:
-    """Inner frontier over a grid of target reductions, all from one profile."""
+    """Inner frontier over a grid of target reductions, all from one
+    profile; `regime` is the fleet's (CharacterizedFleet.regime)."""
     profile = inner_profile(kernels, x_0, T_max)
-    p_nom = profile.p_nom
     if p_grid is None:
-        p_grid = default_p_grid(p_nom)
+        p_grid = default_p_grid(profile.p_nom)
     samples = [profile.point(float(P)).point for P in p_grid]
-    return frontier_from_samples(samples, INNER, regime or {"P_nom_kw": p_nom, "dt_minutes": 1.0})
+    return ReachHoldSet(points=prune_to_frontier(samples), method=INNER, regime=regime)
 
 
 def inner_p_at(
@@ -745,7 +681,7 @@ def outer_boundary(
                 raw_objective_kw=raw,
             )
         )
-    return frontier_from_samples(samples, OUTER, regime, condition=condition)
+    return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime, condition=condition)
 
 
 @dataclass(frozen=True)
@@ -765,10 +701,12 @@ class OperatingPoint:
     dt_minutes: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.dt_minutes > 0.0:
-            raise InvalidConfigurationError(f"dt_minutes must be positive, got {self.dt_minutes}")
-        if not self.P_on_total_kw > 0.0:
-            raise InvalidConfigurationError(f"P_on_total_kw must be positive, got {self.P_on_total_kw}")
+        for name in ("T_set", "T_set_new", "deadband", "T_amb", "P_on_total_kw", "dt_minutes"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("dt_minutes", "P_on_total_kw"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         self.check_band(self.T_set, "T_set")
         self.check_band(self.T_set_new, "T_set_new")
 

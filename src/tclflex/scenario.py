@@ -39,15 +39,16 @@ from .reachhold import (
     ControlPlan,
     OperatingPoint,
     ReachHoldPoint,
+    ReachHoldSet,
     characterize,
     default_p_grid,
     delta_p_by_stepping,
-    frontier_from_samples,
     inner_boundary,
     inner_p_at,
     inner_point,
     load_set,
     outer_boundary,
+    prune_to_frontier,
     save_set,
     solve_exact,
     sweep,
@@ -162,9 +163,16 @@ def effective_config(user: dict) -> dict:
 
 
 def load_config(path) -> dict:
+    def finite(token: str) -> float:
+        # json reads NaN, Infinity and overflowing literals as floats
+        value = float(token)
+        if not np.isfinite(value):
+            raise InvalidConfigurationError(f"config {path} holds the non-finite number {token}")
+        return value
+
     try:
         with open(str(path)) as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise InvalidConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -361,7 +369,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
             )
             for t, v in zip(t_exact, vals)
         ]
-        rh = frontier_from_samples(samples, EXACT, ch.regime)
+        rh = ReachHoldSet(points=prune_to_frontier(samples), method=EXACT, regime=ch.regime)
         path = out_dir / "exact.csv"
         save_set(rh, path)
         artifacts[EXACT] = str(path)

@@ -64,13 +64,9 @@ def discretize_plan(plan: ControlPlan, n_units: int, x_0: np.ndarray | None = No
     """
     if n_units < 1:
         raise InvalidInputError(f"n_units must be >= 1, got {n_units}")
-    if plan.alpha is not None:
-        if x_0 is None:
-            raise InvalidInputError("profile plans need x_0 to expand into per-bin mass")
-        u = plan.as_u(x_0)
-    else:
-        u = plan.u
-    U = np.clip(u, 0.0, None) * n_units
+    if plan.alpha is not None and x_0 is None:
+        raise InvalidInputError("profile plans need x_0 to expand into per-bin mass")
+    U = np.clip(plan.as_u(x_0), 0.0, None) * n_units
     T, n_states = U.shape
     counts = np.zeros((T, n_states), dtype=int)
     carry = np.zeros((T + 1, n_states))

@@ -28,6 +28,31 @@ DEGRADING_BLOCKS = {
 }
 
 
+# each number is one json reads as non-finite; the validate cases carry
+# the seeds that subcommand requires
+NONFINITE_CONFIGS = [
+    pytest.param("build-model", '{"T_max_steps": Infinity}', id="T_max_steps"),
+    pytest.param("build-model", '{"grid": {"n_bins": Infinity}}', id="grid.n_bins"),
+    pytest.param("reachhold", '{"reachhold": {"p_grid_points": Infinity}}', id="reachhold.p_grid_points"),
+    pytest.param("reachhold", '{"reachhold": {"t_grid": [5, Infinity]}}', id="reachhold.t_grid"),
+    pytest.param(
+        "validate",
+        '{"fleet": {"n_units": Infinity, "seed": 1}, "validate": {"selection_seed": 1}}',
+        id="fleet.n_units",
+    ),
+    pytest.param(
+        "validate",
+        '{"fleet": {"seed": 1}, "validate": {"burn_in_steps": Infinity, "selection_seed": 1}}',
+        id="validate.burn_in_steps",
+    ),
+    pytest.param("build-model", '{"T_amb": Infinity}', id="T_amb-inf"),
+    pytest.param("build-model", '{"T_amb": NaN}', id="T_amb-nan"),
+    pytest.param("build-model", '{"T_amb": 1e999}', id="T_amb-overflow"),
+    pytest.param("build-model", '{"dt_minutes": Infinity}', id="dt_minutes"),
+    pytest.param("build-model", '{"params": {"C_a": Infinity}}', id="params.C_a"),
+]
+
+
 def write_config(path, overrides):
     path.write_text(json.dumps(overrides, indent=2) + "\n")
     return str(path)
@@ -84,6 +109,13 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         rc = main(["build-model", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("subcommand, text", NONFINITE_CONFIGS)
+    def test_nonfinite_number_is_config_error(self, subcommand, text, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

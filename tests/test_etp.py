@@ -4,13 +4,12 @@ The reference integrator below is independent of the package: classic
 RK4 at one-second resolution with the thermostat checked every second.
 """
 
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 import tclflex.etp
 from tclflex.errors import InvalidInputError
@@ -20,24 +19,21 @@ from tclflex.etp import (
     FleetSpec,
     FleetStepper,
     TclParams,
-    TclState,
-    discretize,
     sample_fleet,
     simulate_fleet,
-    step_tcl,
+    step_maps,
 )
 
-from expm_reference import expm_discretize
+from expm_reference import expm_maps, expm_step_maps
 
 
-def rk4_reference(state, params, T_amb, deadband, minutes, sub_dt_s=1.0):
+def rk4_reference(T_a, T_m, on, T_set, params, T_amb, deadband, minutes, sub_dt_s=1.0):
     """Independent fine-step integration of the switched ODE.
 
     Advances `minutes` of wall time in RK4 sub-steps of sub_dt_s seconds,
     applying the thermostat after every sub-step.  Returns the final
     (T_a, T_m, on) and the fraction of time spent on.
     """
-    T_a, T_m, on = state.T_a, state.T_m, state.on
     h = sub_dt_s / 3600.0  # hours
     n_sub = int(round(minutes * 60.0 / sub_dt_s))
     on_time = 0.0
@@ -58,11 +54,31 @@ def rk4_reference(state, params, T_amb, deadband, minutes, sub_dt_s=1.0):
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         T_a, T_m = float(x[0]), float(x[1])
         on_time += sub_dt_s if on else 0.0
-        if T_a >= state.T_set + 0.5 * deadband:
+        if T_a >= T_set + 0.5 * deadband:
             on = True
-        elif T_a <= state.T_set - 0.5 * deadband:
+        elif T_a <= T_set - 0.5 * deadband:
             on = False
     return T_a, T_m, on, on_time / (n_sub * sub_dt_s)
+
+
+def unit_stepper(T_a, T_m, on, T_amb=32.0, deadband=1.0, dt_minutes=1.0, params=DEFAULT_PARAMS, T_set=20.0):
+    """A FleetStepper over a one-unit fleet in the given state."""
+    spec = FleetSpec(n_units=1, nominal=params, deadband=deadband, T_amb=T_amb, T_set=T_set)
+    fleet = Fleet(
+        spec=spec,
+        params={k: np.array([v]) for k, v in asdict(params).items()},
+        T_a=np.array([T_a]),
+        T_m=np.array([T_m]),
+        on=np.array([on]),
+        T_set=np.array([T_set]),
+    )
+    return FleetStepper(fleet, dt_minutes)
+
+
+def unit_state(stepper):
+    """(T_a, T_m, on) of a one-unit stepper's fleet."""
+    f = stepper.fleet
+    return float(f.T_a[0]), float(f.T_m[0]), bool(f.on[0])
 
 
 class ExpmStepper(FleetStepper):
@@ -72,19 +88,8 @@ class ExpmStepper(FleetStepper):
 
     def __init__(self, fleet, dt_minutes=1.0):
         self.fleet = fleet
-        p = fleet.params
-        n = fleet.n_units
-        M = np.zeros((2, n, 3, 3))
-        for mode, q_a in enumerate((p["Q_a_off"], p["Q_a_on"])):
-            M[mode, :, 0, 0] = -(p["U_a"] + p["H_m"]) / p["C_a"]
-            M[mode, :, 0, 1] = p["H_m"] / p["C_a"]
-            M[mode, :, 1, 0] = p["H_m"] / p["C_m"]
-            M[mode, :, 1, 1] = -p["H_m"] / p["C_m"]
-            M[mode, :, 0, 2] = (p["U_a"] * fleet.spec.T_amb + q_a) / p["C_a"]
-            M[mode, :, 1, 2] = p["Q_m"] / p["C_m"]
-        E = expm(M.reshape(2 * n, 3, 3) * (dt_minutes / 60.0)).reshape(2, n, 3, 3)
-        self.A_d = E[:, :, :2, :2]  # index 0: compressor off, 1: on
-        self.b_d = E[:, :, :2, 2]
+        # index 0: compressor off, 1: on
+        self.A_d, self.b_d = expm_maps(fleet.params, fleet.spec.T_amb, dt_minutes)
 
     def advance(self):
         f = self.fleet
@@ -117,69 +122,72 @@ def close_per_unit(got, ref, axes, rel=1e-12):
 
 def duty_cycle_measured(params, T_amb, T_set, deadband, dt_minutes, hours):
     """Fraction of steps spent on over a long window, package integrator."""
-    state = TclState(T_a=T_set, T_m=T_set, on=True, T_set=T_set)
+    stepper = unit_stepper(T_set, T_set, True, T_amb, deadband, dt_minutes, params, T_set)
     n_steps = int(hours * 60 / dt_minutes)
     on_count = 0
     for _ in range(n_steps):
-        state = step_tcl(state, params, T_amb, deadband, dt_minutes)
-        on_count += int(state.on)
+        stepper.advance()
+        on_count += int(stepper.fleet.on[0])
     return on_count / n_steps
 
 
 class TestStepTcl:
+    """One TCL stepped as a one-unit fleet."""
+
     def test_matches_fine_step_reference_within_mode(self):
         # no switching possible: wide deadband, start mid-band
-        params = DEFAULT_PARAMS
-        state = TclState(T_a=20.0, T_m=21.0, on=True, T_set=20.0)
-        got = step_tcl(state, params, T_amb=32.0, deadband=50.0, dt_minutes=10.0)
-        ref_Ta, ref_Tm, _, _ = rk4_reference(state, params, 32.0, 50.0, minutes=10.0, sub_dt_s=0.5)
-        assert got.T_a == pytest.approx(ref_Ta, abs=1e-7)
-        assert got.T_m == pytest.approx(ref_Tm, abs=1e-7)
+        stepper = unit_stepper(20.0, 21.0, True, T_amb=32.0, deadband=50.0, dt_minutes=10.0)
+        stepper.advance()
+        T_a, T_m, _ = unit_state(stepper)
+        ref_Ta, ref_Tm, _, _ = rk4_reference(
+            20.0, 21.0, True, 20.0, DEFAULT_PARAMS, 32.0, 50.0, minutes=10.0, sub_dt_s=0.5
+        )
+        assert T_a == pytest.approx(ref_Ta, abs=1e-7)
+        assert T_m == pytest.approx(ref_Tm, abs=1e-7)
 
     def test_exact_discretization_composes(self):
         # two dt steps equal one 2dt step while the mode is fixed
-        params = DEFAULT_PARAMS
-        state = TclState(T_a=22.0, T_m=20.5, on=False, T_set=20.0)
-        one = step_tcl(step_tcl(state, params, 32.0, 40.0, 1.0), params, 32.0, 40.0, 1.0)
-        two = step_tcl(state, params, 32.0, 40.0, 2.0)
-        assert one.T_a == pytest.approx(two.T_a, abs=1e-9)
-        assert one.T_m == pytest.approx(two.T_m, abs=1e-9)
+        one = unit_stepper(22.0, 20.5, False, deadband=40.0, dt_minutes=1.0)
+        one.advance()
+        one.advance()
+        two = unit_stepper(22.0, 20.5, False, deadband=40.0, dt_minutes=2.0)
+        two.advance()
+        assert unit_state(one)[:2] == pytest.approx(unit_state(two)[:2], abs=1e-9)
 
     def test_hysteresis_turns_on_at_upper_edge(self):
-        params = DEFAULT_PARAMS
-        state = TclState(T_a=20.49, T_m=20.5, on=False, T_set=20.0)
-        nxt = step_tcl(state, params, T_amb=32.0, deadband=1.0)
-        assert nxt.T_a > state.T_a  # off unit warms toward ambient
-        if nxt.T_a >= 20.5:
-            assert nxt.on
+        stepper = unit_stepper(20.49, 20.5, False)
+        stepper.advance()
+        T_a, _, on = unit_state(stepper)
+        assert T_a > 20.49  # off unit warms toward ambient
+        if T_a >= 20.5:
+            assert on
 
     def test_hysteresis_turns_off_at_lower_edge(self):
-        params = DEFAULT_PARAMS
-        state = TclState(T_a=19.52, T_m=20.0, on=True, T_set=20.0)
-        nxt = step_tcl(state, params, T_amb=32.0, deadband=1.0)
-        assert nxt.T_a < state.T_a
-        if nxt.T_a <= 19.5:
-            assert not nxt.on
+        stepper = unit_stepper(19.52, 20.0, True)
+        stepper.advance()
+        T_a, _, on = unit_state(stepper)
+        assert T_a < 19.52
+        if T_a <= 19.5:
+            assert not on
 
     def test_mode_retained_inside_deadband(self):
-        params = DEFAULT_PARAMS
         for on in (True, False):
-            state = TclState(T_a=20.0, T_m=20.0, on=on, T_set=20.0)
-            nxt = step_tcl(state, params, T_amb=32.0, deadband=5.0)
-            assert nxt.on == on
+            stepper = unit_stepper(20.0, 20.0, on, deadband=5.0)
+            stepper.advance()
+            assert unit_state(stepper)[2] == on
 
     def test_long_run_stays_within_deadband_plus_overshoot(self):
         # one-step overshoot past an edge is bounded by one step's travel
-        params = DEFAULT_PARAMS
-        state = TclState(T_a=20.0, T_m=20.0, on=False, T_set=20.0)
+        stepper = unit_stepper(20.0, 20.0, False)
         lo, hi = 19.5, 20.5
         max_step_move = 0.0
-        prev_T_a = state.T_a
+        prev_T_a = 20.0
         for _ in range(24 * 60):
-            state = step_tcl(state, params, T_amb=32.0, deadband=1.0)
-            max_step_move = max(max_step_move, abs(state.T_a - prev_T_a))
-            prev_T_a = state.T_a
-            assert lo - max_step_move <= state.T_a <= hi + max_step_move
+            stepper.advance()
+            T_a = unit_state(stepper)[0]
+            max_step_move = max(max_step_move, abs(T_a - prev_T_a))
+            prev_T_a = T_a
+            assert lo - max_step_move <= T_a <= hi + max_step_move
         assert max_step_move < 0.25  # sanity: cycles are slow vs dt
 
     def test_duty_cycle_matches_energy_balance_and_reference(self):
@@ -188,31 +196,44 @@ class TestStepTcl:
         analytic = params.duty_cycle(32.0, 20.0)
         assert duty == pytest.approx(analytic, abs=0.02)
         # independent fine-step reference over the same window
-        state = TclState(T_a=20.0, T_m=20.0, on=True, T_set=20.0)
-        _, _, _, ref_duty = rk4_reference(state, params, 32.0, 1.0, minutes=48 * 60.0, sub_dt_s=1.0)
+        _, _, _, ref_duty = rk4_reference(20.0, 20.0, True, 20.0, params, 32.0, 1.0, minutes=48 * 60.0)
         assert duty == pytest.approx(ref_duty, abs=0.02)
 
     def test_hotter_ambient_means_warmer_air_next_step(self):
-        params = DEFAULT_PARAMS
-        state = TclState(T_a=20.0, T_m=20.0, on=False, T_set=20.0)
-        cool = step_tcl(state, params, T_amb=28.0, deadband=5.0)
-        hot = step_tcl(state, params, T_amb=36.0, deadband=5.0)
-        assert hot.T_a > cool.T_a
+        cool = unit_stepper(20.0, 20.0, False, T_amb=28.0, deadband=5.0)
+        hot = unit_stepper(20.0, 20.0, False, T_amb=36.0, deadband=5.0)
+        cool.advance()
+        hot.advance()
+        assert unit_state(hot)[0] > unit_state(cool)[0]
 
     def test_rejects_bad_inputs(self):
-        params = DEFAULT_PARAMS
-        good = TclState(T_a=20.0, T_m=20.0, on=False, T_set=20.0)
         with pytest.raises(InvalidInputError):
-            step_tcl(good, params, T_amb=32.0, deadband=-1.0)
+            unit_stepper(20.0, 20.0, False, deadband=-1.0)
         with pytest.raises(InvalidInputError):
-            step_tcl(good, params, T_amb=float("nan"), deadband=1.0)
+            unit_stepper(20.0, 20.0, False, T_amb=float("nan"))
         with pytest.raises(InvalidInputError):
-            step_tcl(good, params, T_amb=32.0, deadband=1.0, dt_minutes=0.0)
+            unit_stepper(20.0, 20.0, False, dt_minutes=0.0)
         with pytest.raises(InvalidInputError):
             TclParams(C_a=-1.0, C_m=1.0, U_a=0.3, H_m=1.0, Q_a_on=-10.0, Q_a_off=0.0, Q_m=0.0, P_rate=3.0)
 
 
+class TestTclParams:
+    @pytest.mark.parametrize("name", ["C_a", "C_m", "U_a", "H_m"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+    def test_rejects_nonpositive_or_nonfinite_thermal_params(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            TclParams(**{**asdict(DEFAULT_PARAMS), name: value})
+
+
+def maps_as_matrices(maps, on):
+    """(A_d, b_d) of one mode from `step_maps`-layout entries."""
+    (a00, a01, a10, a11), b_d = maps
+    return np.array([[a00, a01], [a10, a11]]), np.array(b_d[on])
+
+
 class TestDiscretize:
+    """The closed-form one-step maps of `step_maps` for one unit."""
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         scale=st.lists(st.floats(-0.95, 0.95), min_size=8, max_size=8),
@@ -221,18 +242,19 @@ class TestDiscretize:
     )
     def test_closed_form_matches_expm(self, scale, T_amb, log10_dt):
         # each map within 1e-12 of its largest entry, in both modes
-        params = TclParams(
-            **{f.name: getattr(DEFAULT_PARAMS, f.name) * (1.0 + r) for f, r in zip(fields(TclParams), scale)}
-        )
+        params = asdict(DEFAULT_PARAMS)
+        params = {name: value * (1.0 + r) for (name, value), r in zip(params.items(), scale)}
         dt = 10.0**log10_dt
+        maps = step_maps(params, T_amb, dt)
+        ref = expm_step_maps(params, T_amb, dt)
         for on in (False, True):
-            A_d, b_d = discretize(params, T_amb, on, dt)
-            A_ref, b_ref = expm_discretize(params, T_amb, on, dt)
+            A_d, b_d = maps_as_matrices(maps, on)
+            A_ref, b_ref = maps_as_matrices(ref, on)
             assert np.abs(A_d - A_ref).max() <= 1e-12 * np.abs(A_ref).max()
             assert np.abs(b_d - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
 
     def test_identity_at_tiny_dt(self):
-        A_d, b_d = discretize(DEFAULT_PARAMS, T_amb=32.0, on=True, dt_minutes=1e-9)
+        A_d, b_d = maps_as_matrices(step_maps(asdict(DEFAULT_PARAMS), 32.0, 1e-9), on=True)
         assert np.allclose(A_d, np.eye(2), atol=1e-9)
         assert np.allclose(b_d, 0.0, atol=1e-9)
 
@@ -243,7 +265,7 @@ class TestDiscretize:
         # off mode: T_a -> T_amb + Q_a_off/U_a, T_m -> T_a + Q_m/H_m
         T_a_eq = T_amb + params.Q_a_off / params.U_a
         T_m_eq = T_a_eq + params.Q_m / params.H_m
-        A_d, b_d = discretize(params, T_amb, on=False, dt_minutes=30.0)
+        A_d, b_d = maps_as_matrices(step_maps(asdict(params), T_amb, 30.0), on=False)
         x = np.array([T_a_eq, T_m_eq])
         assert np.allclose(A_d @ x + b_d, x, atol=1e-9)
 
@@ -296,27 +318,6 @@ class TestSimulateFleet:
         p1, p2 = (simulate_fleet(FleetStepper(f), 120) for f in fleets)
         assert np.array_equal(p1, p2)
         assert np.array_equal(fleets[0].T_a, fleets[1].T_a)
-
-    def test_matches_scalar_stepper(self):
-        # vectorized fleet stepping agrees with the single-unit path, at the
-        # ambient temperature and deadband the fleet was sampled with
-        spec = FleetSpec(n_units=5, heterogeneity=0.2, deadband=0.8, T_amb=35.0, seed=13)
-        fleet = sample_fleet(spec)
-        states = [
-            TclState(float(fleet.T_a[i]), float(fleet.T_m[i]), bool(fleet.on[i]), float(fleet.T_set[i]))
-            for i in range(5)
-        ]
-        unit_params = [
-            TclParams(**{k: float(fleet.params[k][i]) for k in fleet.params}) for i in range(5)
-        ]
-        _, T_a, _, on = step_states(FleetStepper(fleet, 1.0), 60)
-        for k in range(60):
-            states = [
-                step_tcl(s, p, spec.T_amb, spec.deadband, 1.0) for s, p in zip(states, unit_params)
-            ]
-            for i, s in enumerate(states):
-                assert T_a[k + 1, i] == pytest.approx(s.T_a, abs=1e-12)
-                assert on[k + 1, i] == s.on
 
     def test_raised_setpoint_shifts_band(self):
         spec = FleetSpec(n_units=200, heterogeneity=0.0, seed=17)

@@ -58,6 +58,15 @@ class TestBinGrid:
         assert grid.temp_bin(40.0) == 7
         assert grid.temp_bin(23.0) == 7  # top edge belongs to the last bin
 
+    def test_far_excursions_clip_before_the_int_cast(self):
+        grid = build_grid(18.0, 24.0, 40)
+        assert grid.temp_bin([1e300, -1e300, 30.0, 10.0]).tolist() == [39, 0, 39, 0]
+
+    @pytest.mark.parametrize("T", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_temperature_rejected(self, T):
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_grid(18.0, 24.0, 40).temp_bin([20.0, T])
+
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInputError):
             build_grid(23.0, 19.0, 8)

@@ -35,13 +35,11 @@ from tclflex.reachhold import (
     ReachHoldPoint,
     ResponseKernels,
     ReachHoldSet,
-    alpha_lower_bound,
+    _hold_block,
     characterize,
     check_outer_condition,
     default_p_grid,
-    delta_p,
     delta_p_by_stepping,
-    frontier_from_samples,
     inner_boundary,
     inner_p_at,
     inner_point,
@@ -49,6 +47,7 @@ from tclflex.reachhold import (
     invariant_support,
     load_set,
     outer_boundary,
+    prune_to_frontier,
     response_kernels,
     save_set,
     solve_exact,
@@ -57,7 +56,7 @@ from tclflex.reachhold import (
 )
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
-from expm_reference import expm_discretize
+from expm_reference import expm_step_maps
 from inner_reference import reference_inner_point, reference_p_at
 
 LP_TOL = 1e-6 * P_ON_TOTAL
@@ -98,7 +97,7 @@ def dense_exact_40():
     on which HiGHS gives up at T=60 at its default tolerances."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tclflex.markov, "discretize", expm_discretize)
+        mp.setattr(tclflex.markov, "step_maps", expm_step_maps)
         ch = characterize(point(40), T_max=60)
     for T in (30, 45, 60):
         with pytest.MonkeyPatch.context() as mp:
@@ -272,59 +271,66 @@ class TestControlPlan:
 
 class TestDeltaP:
     def test_impulse_recovers_nominal_power(self, char40):
-        plan = ControlPlan(alpha=np.array([1.0]))
-        dp = delta_p(plan, char40.kernels, char40.x_0)
-        assert dp[0] == 0.0
-        assert dp[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
+        ip = inner_point(char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
+        assert ip.plan.alpha[0] == 1.0 and not ip.plan.alpha[1:].any()
+        assert ip.response[0] == 0.0
+        assert ip.response[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
 
     def test_profile_plan_matches_stepping(self, char40):
         K = char40.kernels.horizon
-        alpha = np.zeros(120)
-        alpha[:5] = [0.3, 0.1, 0.0, 0.2, 0.05]
-        plan = ControlPlan(alpha=alpha)
-        conv = delta_p(plan, char40.kernels, char40.x_0)
+        ip = inner_point(0.6 * char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
         stepped = delta_p_by_stepping(
-            plan, char40.A, char40.A_a, char40.c, char40.x_0, horizon=K
+            ip.plan, char40.A, char40.A_a, char40.c, char40.x_0, horizon=K
         )
-        assert conv == pytest.approx(stepped, abs=1e-8 * P_ON_TOTAL)
+        assert ip.response == pytest.approx(stepped, abs=1e-8 * P_ON_TOTAL)
 
     def test_general_plan_matches_stepping(self, char40):
-        K = char40.kernels.horizon
+        # the hold rows the exact and outer LPs hand HiGHS: -(block @ u)
+        # is the reduction trace dP[1..T] of any admissible plan u
+        T = 30
         n = char40.x_0.size
-        u = np.zeros((3, n))
-        u[0] = 0.4 * char40.x_0
-        x_1 = char40.A.P @ (char40.x_0 - u[0])
-        u[2] = 0.5 * x_1  # strictly admissible by construction
-        plan = ControlPlan(u=u)
-        conv = delta_p(plan, char40.kernels, char40.x_0)
+        rng = np.random.default_rng(3)
+        u = np.zeros((T, n))
+        x = char40.x_0
+        for k in range(T):
+            u[k] = rng.uniform(0.0, 0.3, n) * x  # strictly admissible
+            x = char40.A.P @ (x - u[k])
+        d = char40.kernels.h - char40.kernels.h_a
+        block = _hold_block(d, T, np.repeat(np.arange(T), n), np.tile(np.arange(n), T))
         stepped = delta_p_by_stepping(
-            plan, char40.A, char40.A_a, char40.c, char40.x_0, horizon=K
+            ControlPlan(u=u), char40.A, char40.A_a, char40.c, char40.x_0, horizon=T
         )
-        assert conv == pytest.approx(stepped, abs=1e-8 * P_ON_TOTAL)
+        assert stepped[1:].max() > 0.1 * char40.p_nom_kw
+        assert block @ u.ravel() == pytest.approx(-stepped[1:], abs=1e-8 * P_ON_TOTAL)
 
 
 class TestAlphaLowerBound:
+    """The greedy lower bounds alpha[k], read off `inner_profile(...).point`."""
+
     def test_first_step_is_target_fraction(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF)
         x_0 = np.array([0.5, 0.5])  # p_nom = 5
-        assert alpha_lower_bound(0, np.array([]), 2.0, kernels, x_0) == pytest.approx(0.4)
+        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).plan.alpha
+        assert alpha[0] == pytest.approx(0.4)
 
     def test_second_step_vanishes_without_recovery(self):
         # actuated mass that never draws power again: the committed
         # alpha[0] keeps covering the target, so the bound drops to zero
         kernels = tiny_system(IDENTITY, ABSORB_OFF)
         x_0 = np.array([0.5, 0.5])
-        lb = alpha_lower_bound(1, np.array([0.4]), 2.0, kernels, x_0)
-        assert lb == pytest.approx(0.0, abs=1e-15)
+        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).plan.alpha
+        assert alpha[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_second_step_refills_under_full_recovery(self):
         # mixing actuated dynamics put half the unit mass back on at once,
         # so c A_a x_0 = p_nom: an actuated cohort saves nothing and no
-        # finite allocation holds the target
+        # finite allocation holds the target, from the first step on
         kernels = tiny_system(IDENTITY, MIXING)
         x_0 = np.array([0.5, 0.5])
-        lb = alpha_lower_bound(1, np.array([0.4]), 2.0, kernels, x_0)
-        assert lb == np.inf
+        profile = inner_profile(kernels, x_0, T_max=9)
+        assert np.isinf(profile.alpha_1).all()
+        ip = profile.point(2.0)
+        assert ip.depletion_step == 0 and ip.plan.alpha[0] == 1.0
 
     def test_partial_recovery_divides_by_gain(self):
         # A_a leaves a quarter of the mass on each step: c A_a^m x_0 = 2.5
@@ -332,18 +338,15 @@ class TestAlphaLowerBound:
         # its nominal share and the bounds below hold dP at exactly 2 kW
         kernels = tiny_system(IDENTITY, PARTIAL)
         x_0 = np.array([0.5, 0.5])
-        lb0 = alpha_lower_bound(0, np.array([]), 2.0, kernels, x_0)
-        assert lb0 == pytest.approx(0.8)
-        lb1 = alpha_lower_bound(1, np.array([lb0]), 2.0, kernels, x_0)
-        assert lb1 == pytest.approx(0.0, abs=1e-15)
-        plan = ControlPlan(alpha=np.array([lb0, lb1]))
-        dp = delta_p(plan, kernels, x_0)
-        assert dp[1:3] == pytest.approx([2.0, 2.0])
+        ip = inner_profile(kernels, x_0, T_max=9).point(2.0)
+        assert ip.plan.alpha[0] == pytest.approx(0.8)
+        assert ip.plan.alpha[1] == pytest.approx(0.0, abs=1e-15)
+        assert ip.response[1:3] == pytest.approx([2.0, 2.0])
 
     def test_horizon_guard(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=3)
         with pytest.raises(InvalidInputError):
-            alpha_lower_bound(3, np.array([0.1, 0.1, 0.1]), 1.0, kernels, np.array([0.5, 0.5]))
+            inner_profile(kernels, np.array([0.5, 0.5]), T_max=4)
 
 
 class TestInnerPoint:
@@ -747,7 +750,7 @@ class TestFrontierAssembly:
             ReachHoldPoint(P_hold_kw=100.0, T_hold_steps=12, method=INNER),
             ReachHoldPoint(P_hold_kw=40.0, T_hold_steps=30, method=INNER),
         ]
-        rh = frontier_from_samples(pts, INNER, {"dt_minutes": 1.0})
+        rh = ReachHoldSet(points=prune_to_frontier(pts), method=INNER, regime={"dt_minutes": 1.0})
         assert [(p.T_hold_steps, p.P_hold_kw) for p in rh.points] == [(12, 100.0), (30, 40.0)]
 
     def test_last_bit_ties_go_to_the_longer_hold(self):
@@ -759,7 +762,7 @@ class TestFrontierAssembly:
             ReachHoldPoint(P_hold_kw=P, T_hold_steps=12, method=INNER),
             ReachHoldPoint(P_hold_kw=P * (1.0 + 1e-8), T_hold_steps=5, method=INNER),
         ]
-        rh = frontier_from_samples(pts, INNER, {"dt_minutes": 1.0})
+        rh = ReachHoldSet(points=prune_to_frontier(pts), method=INNER, regime={"dt_minutes": 1.0})
         assert [p.T_hold_steps for p in rh.points] == [5, 12]
 
     def test_duplicate_hold_rejected_directly(self):
@@ -837,6 +840,11 @@ class TestOperatingPoint:
             ({"T_set": 18.4}, "T_set band"),
             ({"T_set_new": 23.6}, "T_set_new band"),
             ({"deadband": 7.0}, "strictly inside"),
+        ]
+        + [
+            ({name: value}, f"{name} must be finite")
+            for name in ("T_set", "T_set_new", "deadband", "T_amb", "P_on_total_kw", "dt_minutes")
+            for value in (np.inf, -np.inf, np.nan)
         ],
     )
     def test_invalid_point_raises(self, change, match):
