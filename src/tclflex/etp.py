@@ -143,11 +143,6 @@ class Fleet:
     def n_units(self) -> int:
         return self.spec.n_units
 
-    @property
-    def P_on_total(self) -> float:
-        """Total connected compressor power, kW."""
-        return float(self.params["P_rate"].sum())
-
     def copy(self) -> "Fleet":
         return Fleet(
             spec=self.spec,

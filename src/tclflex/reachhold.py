@@ -10,10 +10,11 @@ is the reach; a pair (P_hold, T_hold) is achievable when some admissible
 plan keeps dP[k] >= P_hold for every k in 1..T_hold.  Three routes map
 the achievable set:
 
-* exact: the LP over u on the smallest A-invariant set containing
-  supp(x_0), where every admissible plan lives, with admissibility
-  carried by the mass left unactuated after each step (sparse rows;
-  desk scale only),
+* exact: the LP on the smallest A-invariant set containing supp(x_0),
+  where every admissible plan lives, over the mass left unactuated after
+  each step, from which the plan follows; admissibility is one sparse
+  inequality block per step and the plan is replayed to certify the
+  value (desk scale only),
 * inner: a feasible budget-allocation policy u[k] = alpha[k] x_0 whose
   lower-bound recursion discounts the power a freshly actuated cohort
   still draws (c A_a x_0, zero once the raise exceeds one deadband),
@@ -65,9 +66,12 @@ METHODS = (EXACT, INNER, OUTER)
 
 # max T_hold * n_states for the exact route.  The LP itself is built on
 # the invariant support (16 of 80 states at the defaults), with
-# 2 T_hold |S| + 1 variables and sparse rows, but the cap counts full
+# T_hold |S| + 2 variables and no equality rows, but the cap counts full
 # states so that the holds it admits do not depend on the occupancy
 EXACT_LP_CAP = 5000
+# an exact plan, replayed by delta_p_by_stepping, may fall at most this
+# fraction of P_on_total below the value the LP claims for it
+EXACT_REPLAY_TOL_REL = 1e-9
 # the outer column generation stops once its pricing bound is within this
 # fraction of the master's value, and gives up after this many rounds.  A
 # column that sits unused, priced below the value, in this many masters
@@ -290,10 +294,11 @@ def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
 
 
 def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Hold-row coefficients of the plan variables u[steps[i]][states[i]]:
-    the (T, len(steps)) block of the rows P - sum_{m<k} d[k-m] @ u[m] <= 0,
+    """Hold-row coefficients of the variables v[steps[i]][states[i]]:
+    the (T, len(steps)) block of the rows P - sum_{m<k} d[k-m] @ v[m] <= 0,
     k = 1..T, whose row k-1 holds -d[k - steps[i]][states[i]] for k > steps[i]
-    and 0 otherwise."""
+    and 0 otherwise.  v is the plan u for the outer LP and the unactuated
+    mass w for the exact LP, whose kernel is then -e."""
     lag = np.arange(1, T + 1)[:, None] - steps[None, :]  # k - m
     return np.where(lag > 0, -d[np.maximum(lag, 0), states[None, :]], 0.0)
 
@@ -303,17 +308,24 @@ def solve_exact(
     kernels: ResponseKernels,
     x_0: np.ndarray,
     A: TransitionMatrix,
+    A_a: TransitionMatrix,
 ) -> tuple[float, ControlPlan, LpSolution]:
-    """Exact boundary value at T_hold by the LP over u[0..T_hold-1].
+    """Exact boundary value at T_hold by the LP over the unactuated mass.
 
-    Admissibility uses the true propagated baseline: the mass left
-    unactuated after step k, w[k] = x[k] - u[k] >= 0, moves on as
-    x[k+1] = A w[k] from x[0] = x_0, so u[0] + w[0] = x_0 and
-    u[k] + w[k] - A w[k-1] = 0.  The LP is posed on S =
-    invariant_support: A^k x_0 vanishes off S, so every admissible plan
-    does too, and the rows and columns dropped are identically zero.  The
-    plan comes back on all states.  Desk-scale only: refuses problems with
-    T_hold * n_states above EXACT_LP_CAP.
+    w[k] = x[k] - u[k] is the mass left unactuated after step k; it moves
+    on as x[k+1] = A w[k] from x[0] = x_0, so the plan is
+    u[0] = x_0 - w[0] and u[k] = A w[k-1] - w[k], and admissibility
+    (u >= 0) reads w[0] <= x_0 and w[k] <= A w[k-1].  Substituting u into
+    the hold rows gives dP[k] = d[k] @ x_0 - sum_{m<k} e[k-m] @ w[m] with
+    e[1] = d[1] and e[j] = d[j] - d[j-1] A.  The LP is posed on S =
+    invariant_support (A^k x_0 vanishes off S, so every admissible plan
+    does too) over w[0..T-1], then P, then a variable fixed at 1 that
+    carries the x_0 terms, so every right-hand side is 0 and the solver's
+    violation check keeps its unit scale.  The plan comes back on all
+    states and is replayed by delta_p_by_stepping: a plan whose reduction
+    falls more than EXACT_REPLAY_TOL_REL P_on_total below the value at any
+    step of the hold raises NumericalFailureError.  Desk-scale only:
+    refuses problems with T_hold * n_states above EXACT_LP_CAP.
     """
     n = x_0.size
     if T_hold < 1:
@@ -327,30 +339,47 @@ def solve_exact(
     T = T_hold
     cols = invariant_support(A, x_0)
     S = cols.size
-    n_u = T * S
-    # variables: u[0..T-1] on S flattened, then w[0..T-1] likewise, then P
-    n_vars = 2 * n_u + 1
-    c_obj = np.zeros(n_vars)
-    c_obj[-1] = 1.0
-    G = np.zeros((T, n_vars))
-    G[:, :n_u] = _hold_block(kernels.h - kernels.h_a, T, np.repeat(np.arange(T), S), np.tile(cols, T))
-    G[:, -1] = 1.0
-    E = np.zeros((n_u, n_vars))
-    diag = np.arange(n_u)
-    E[diag, diag] = 1.0
-    E[diag, n_u + diag] = 1.0
+    n_w = T * S
     A_S = A.P[np.ix_(cols, cols)]
+    x_S = x_0[cols]
+    d = kernels.h[: T + 1, cols] - kernels.h_a[: T + 1, cols]
+    e = d.copy()  # e[0] is never read
+    e[2:] -= d[1:T] @ A_S
+    # variables: w[0..T-1] on S flattened, then P, then one
+    G = np.zeros((T + n_w, n_w + 2))
+    G[:T, :n_w] = _hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T))
+    G[:T, n_w] = 1.0
+    G[:T, n_w + 1] = -(d[1:] @ x_S)
+    diag = np.arange(n_w)
+    G[T + diag, diag] = 1.0
+    G[T : T + S, n_w + 1] = -x_S
     for k in range(1, T):
-        E[k * S : (k + 1) * S, n_u + (k - 1) * S : n_u + k * S] = -A_S
-    f = np.zeros(n_u)
-    f[:S] = x_0[cols]
-    lp = LinearProgram(c=c_obj, G=G, h=np.zeros(T), E=E, f=f, lo=np.zeros(n_vars))
+        G[T + k * S : T + (k + 1) * S, (k - 1) * S : k * S] = -A_S
+    c_obj = np.zeros(n_w + 2)
+    c_obj[n_w] = 1.0
+    lo = np.zeros(n_w + 2)
+    hi = np.full(n_w + 2, np.inf)
+    lo[-1] = hi[-1] = 1.0
+    lp = LinearProgram(c=c_obj, G=G, h=np.zeros(T + n_w), lo=lo, hi=hi)
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise NumericalFailureError(f"exact LP did not solve cleanly: status {sol.status}")
+    w = sol.z[:n_w].reshape(T, S)
     u = np.zeros((T, n))
-    u[:, cols] = sol.z[:n_u].reshape(T, S)
-    return float(sol.z[-1]), ControlPlan(u=np.clip(u, 0.0, None)), sol
+    u[0, cols] = x_S - w[0]
+    u[1:, cols] = w[:-1] @ A_S.T - w[1:]
+    value = float(sol.z[n_w])
+    plan = ControlPlan(u=np.clip(u, 0.0, None))
+    # the LP's reduction is measured from the unactuated trajectory, which
+    # stays at P_nom only when x_0 is stationary
+    dp = delta_p_by_stepping(plan, A, A_a, kernels.c, x_0, T)
+    baseline = delta_p_by_stepping(ControlPlan(alpha=np.zeros(T)), A, A_a, kernels.c, x_0, T)
+    margin = float((dp - baseline)[1:].min()) - value
+    if margin < -EXACT_REPLAY_TOL_REL * kernels.c.P_on_total:
+        raise NumericalFailureError(
+            f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
+        )
+    return value, plan, sol
 
 
 @dataclass
@@ -684,6 +713,15 @@ def outer_boundary(
     return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime, condition=condition)
 
 
+def config_count(value, name: str) -> int:
+    """A count read from a config: an integer, or a float with no
+    fractional part.  Anything else raises InvalidConfigurationError
+    rather than being truncated."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise InvalidConfigurationError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """One operating point of a fleet: its unit model, bin grid, nominal
@@ -728,7 +766,7 @@ class OperatingPoint:
         g = cfg["grid"]
         return cls(
             params=params,
-            grid=build_grid(float(g["T_min"]), float(g["T_max"]), int(g["n_bins"])),
+            grid=build_grid(float(g["T_min"]), float(g["T_max"]), config_count(g["n_bins"], "grid.n_bins")),
             T_set=float(cfg["T_set"]),
             T_set_new=float(cfg["T_set_new"]),
             deadband=float(cfg["deadband"]),

@@ -41,6 +41,7 @@ from .reachhold import (
     ReachHoldPoint,
     ReachHoldSet,
     characterize,
+    config_count,
     default_p_grid,
     delta_p_by_stepping,
     inner_boundary,
@@ -200,9 +201,13 @@ def validate_config(cfg: dict, subcommand: str) -> None:
             raise InvalidConfigurationError("aggregate.inputs must list exactly two saved sets")
         return  # pure set algebra: no model build, no randomness
 
-    if int(cfg["T_max_steps"]) < 1:
-        raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {cfg['T_max_steps']}")
+    T_max = config_count(cfg["T_max_steps"], "T_max_steps")
+    if T_max < 1:
+        raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {T_max}")
     op = OperatingPoint.from_config(cfg)
+    if subcommand in ("reachhold", "sweep-setpoint", "sweep-precool"):
+        if config_count(cfg["reachhold"].get("p_grid_points", 0), "reachhold.p_grid_points") < 1:
+            raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
     if subcommand == "reachhold":
         rh = cfg["reachhold"]
         methods = rh.get("methods", [])
@@ -210,17 +215,15 @@ def validate_config(cfg: dict, subcommand: str) -> None:
             raise InvalidConfigurationError(
                 f"reachhold.methods must be a nonempty subset of {METHODS}, got {methods!r}"
             )
-        if int(rh.get("p_grid_points", 0)) < 1:
-            raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
         t_grid = rh.get("t_grid")
         if t_grid is not None:
-            if not t_grid or any(int(t) < 1 or int(t) > int(cfg["T_max_steps"]) for t in t_grid):
+            if not t_grid or any(not 1 <= config_count(t, "reachhold.t_grid entry") <= T_max for t in t_grid):
                 raise InvalidConfigurationError(
                     "reachhold.t_grid entries must lie in 1..T_max_steps"
                 )
     if subcommand == "validate":
         fleet = cfg["fleet"]
-        if int(fleet.get("n_units", 0)) < 1:
+        if config_count(fleet.get("n_units", 0), "fleet.n_units") < 1:
             raise InvalidConfigurationError("fleet.n_units must be >= 1")
         _require_seed(fleet, "seed", "fleet.seed")
         # the micro fleet and the bin model must describe the same load
@@ -238,12 +241,12 @@ def validate_config(cfg: dict, subcommand: str) -> None:
             raise InvalidConfigurationError("validate.fraction must lie in [0, 1]")
         if v["mode"] == "blocks":
             holds = v.get("hold_steps", [])
-            if not holds or any(int(t) < 1 or int(t) > int(cfg["T_max_steps"]) for t in holds):
+            if not holds or any(not 1 <= config_count(t, "validate.hold_steps entry") <= T_max for t in holds):
                 raise InvalidConfigurationError("validate.hold_steps must lie in 1..T_max_steps")
-        if int(v.get("burn_in_steps", 0)) < 1:
+        if config_count(v.get("burn_in_steps", 0), "validate.burn_in_steps") < 1:
             raise InvalidConfigurationError("validate.burn_in_steps must be >= 1")
         horizon = v.get("horizon")
-        if horizon is not None and int(horizon) < 1:
+        if horizon is not None and config_count(horizon, "validate.horizon") < 1:
             raise InvalidConfigurationError("validate.horizon must be >= 1 when given")
     if subcommand == "sweep-setpoint":
         setpoints = cfg["sweep"].get("new_setpoints", [])
@@ -357,7 +360,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
             raise InvalidConfigurationError(
                 f"every t_grid entry exceeds the exact-LP cap ({EXACT_LP_CAP} variables)"
             )
-        vals = [solve_exact(t, ch.kernels, ch.x_0, ch.A)[0] for t in t_exact]
+        vals = [solve_exact(t, ch.kernels, ch.x_0, ch.A, ch.A_a)[0] for t in t_exact]
         # the true boundary is nonincreasing; a running min trims LP noise
         vals = np.minimum.accumulate(vals)
         samples = [

@@ -59,7 +59,7 @@ def test_criterion_01_sandwich_inner_exact_outer():
     gaps = []
     for T in (5, 10, 20, 40):
         p_inner = inner_p_at(T, ch.kernels, ch.x_0, T_max=60)
-        p_exact = solve_exact(T, ch.kernels, ch.x_0, ch.A)[0]
+        p_exact = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)[0]
         raw = solve_outer(T, ch.kernels, x_out, support="full")[0]
         p_outer = min(raw, ch.p_nom_kw)
         assert p_inner <= p_exact + tol, f"T={T}: inner {p_inner} > exact {p_exact}"
@@ -80,7 +80,7 @@ def test_criterion_01_sandwich_at_paper_scale(fleet40):
     gaps = []
     for T in (30, 60):
         p_inner = inner_p_at(T, fleet40.kernels, fleet40.x_0, T_max=480)
-        p_exact = solve_exact(T, fleet40.kernels, fleet40.x_0, fleet40.A)[0]
+        p_exact = solve_exact(T, fleet40.kernels, fleet40.x_0, fleet40.A, fleet40.A_a)[0]
         raw = solve_outer(T, fleet40.kernels, x_out, support="full")[0]
         p_outer = min(raw, fleet40.p_nom_kw)
         assert p_inner <= p_exact + tol, f"T={T}: inner {p_inner} > exact {p_exact}"

@@ -44,7 +44,7 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
 ch = reachhold.characterize(op, T_max=20)
-scenario.solve_exact(5, ch.kernels, ch.x_0, ch.A)
+scenario.solve_exact(5, ch.kernels, ch.x_0, ch.A, ch.A_a)
 reachhold.solve_outer(20, ch.kernels, x_out_vector(ch.A.grid, 20.0, 1.0), support="full")
 spans = tracer.spans
 print(json.dumps({
@@ -147,7 +147,8 @@ def test_every_lp_solve_is_tagged_by_its_bound():
     assert len(parents) >= 2 and set(parents[1:]) == {"reachhold.solve_outer"}
     m = out["metrics"]
     assert m["lp.solves"] == len(parents) and m["lp.nonoptimal"] == 0
-    assert m["lp.n_vars.exact.T5"] == 2 * 5 * out["support"] + 1
+    assert m["lp.n_vars.exact.T5"] == 5 * out["support"] + 2
+    assert m["lp.n_rows.exact.T5"] == 5 + 5 * out["support"]
     assert m["lp.nnz.outer.T20"] > 0
 
 

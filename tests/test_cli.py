@@ -9,8 +9,8 @@ import pytest
 
 from tclflex.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from tclflex.markov import load_matrix
-from tclflex.reachhold import load_set
-from tclflex.scenario import DEFAULTS, PRESETS, effective_config, resolve_config
+from tclflex.reachhold import OperatingPoint, load_set
+from tclflex.scenario import DEFAULTS, PRESETS, effective_config, resolve_config, validate_config
 
 TINY = {
     "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
@@ -52,6 +52,34 @@ NONFINITE_CONFIGS = [
     pytest.param("build-model", '{"params": {"C_a": Infinity}}', id="params.C_a"),
 ]
 
+# each count is fractional, and would have been truncated; the validate
+# cases carry the seeds that subcommand requires
+FLEET_SEED = {"seed": 1}
+FRACTIONAL_COUNTS = [
+    pytest.param("build-model", {"grid": {"n_bins": 40.7}}, id="grid.n_bins"),
+    pytest.param("build-model", {"T_max_steps": 60.9}, id="T_max_steps"),
+    pytest.param("reachhold", {"reachhold": {"p_grid_points": 4.5}}, id="reachhold.p_grid_points"),
+    pytest.param("reachhold", {"reachhold": {"t_grid": [5, 10.5]}}, id="reachhold.t_grid"),
+    pytest.param("sweep-setpoint", {"reachhold": {"p_grid_points": 4.5}}, id="sweep.p_grid_points"),
+    pytest.param(
+        "validate", {"fleet": {"n_units": 1000.5, "seed": 1}, "validate": {"selection_seed": 1}}, id="fleet.n_units"
+    ),
+    pytest.param(
+        "validate",
+        {"fleet": FLEET_SEED, "validate": {"selection_seed": 1, "burn_in_steps": 60.5}},
+        id="validate.burn_in_steps",
+    ),
+    pytest.param(
+        "validate",
+        {"fleet": FLEET_SEED, "validate": {"selection_seed": 1, "mode": "blocks", "hold_steps": [120, 240.5]}},
+        id="validate.hold_steps",
+    ),
+    pytest.param(
+        "validate",
+        {"fleet": FLEET_SEED, "validate": {"selection_seed": 1, "horizon": 100.5}},
+        id="validate.horizon",
+    ),
+]
 
 def write_config(path, overrides):
     path.write_text(json.dumps(overrides, indent=2) + "\n")
@@ -116,6 +144,17 @@ class TestConfigResolution:
         path.write_text(text)
         assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, cfg", FRACTIONAL_COUNTS)
+    def test_fractional_count_is_config_error(self, subcommand, cfg, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "whole number" in capsys.readouterr().err
+
+    def test_integral_float_count_is_accepted(self):
+        cfg = effective_config({"grid": {"n_bins": 10.0}, "T_max_steps": 30.0})
+        assert OperatingPoint.from_config(cfg).grid.n_bins == 10
+        validate_config(cfg, "build-model")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -307,7 +307,7 @@ class TestRunHighs:
 
     @pytest.mark.parametrize("T", [1, 5, 20])
     def test_exact_lps(self, char10, T, monkeypatch):
-        (lp,) = reachhold_lps(monkeypatch, lambda: solve_exact(T, char10.kernels, char10.x_0, char10.A))
+        (lp,) = reachhold_lps(monkeypatch, lambda: solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a))
         self.assert_same(lp, monkeypatch)
 
     def test_outer_masters(self, char10, monkeypatch):
@@ -330,7 +330,7 @@ from tclflex.etp import DEFAULT_PARAMS
 from tclflex.markov import build_grid
 op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
 ch = reachhold.characterize(op, T_max=20)
-P, _, _ = reachhold.solve_exact(5, ch.kernels, ch.x_0, ch.A)
+P, _, _ = reachhold.solve_exact(5, ch.kernels, ch.x_0, ch.A, ch.A_a)
 solved_without_optimize = "scipy.optimize" not in sys.modules
 from scipy.optimize import linprog
 res = linprog([-1.0], bounds=[(0.0, 2.0)], method="highs")

@@ -192,7 +192,7 @@ class TestStationaryDistribution:
         spec = FleetSpec(n_units=800, heterogeneity=0.0, seed=71)
         fleet = sample_fleet(spec)
         power = simulate_fleet(FleetStepper(fleet), 24 * 60)
-        micro_mean = power[120:].mean() * P_ON_TOTAL / fleet.P_on_total
+        micro_mean = power[120:].mean() * P_ON_TOTAL / fleet.params["P_rate"].sum()
         assert abs(p_nom - micro_mean) <= 0.05 * micro_mean
 
     def test_identity_matrix_flagged_non_unique(self):

@@ -57,6 +57,7 @@ from tclflex.reachhold import (
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
 from expm_reference import expm_step_maps
+from exact_reference import reference_exact
 from inner_reference import reference_inner_point, reference_p_at
 
 LP_TOL = 1e-6 * P_ON_TOTAL
@@ -489,32 +490,32 @@ class TestInnerProfile:
 
 class TestSolveExact:
     def test_single_step_recovers_nominal(self, char40):
-        P, plan, _ = solve_exact(1, char40.kernels, char40.x_0, char40.A)
+        P, plan, _ = solve_exact(1, char40.kernels, char40.x_0, char40.A, char40.A_a)
         assert P == pytest.approx(char40.p_nom_kw, abs=LP_TOL)
         assert plan.u.shape == (1, char40.x_0.size)
 
     def test_nonincreasing_in_hold_length(self, char10):
-        vals = [solve_exact(T, char10.kernels, char10.x_0, char10.A)[0] for T in (2, 5, 10)]
+        vals = [solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)[0] for T in (2, 5, 10)]
         assert vals[0] >= vals[1] - LP_TOL >= vals[2] - 2 * LP_TOL
 
     def test_plan_is_admissible_and_achieves_value(self, char10):
-        P, plan, _ = solve_exact(8, char10.kernels, char10.x_0, char10.A)
+        P, plan, _ = solve_exact(8, char10.kernels, char10.x_0, char10.A, char10.A_a)
         dp = delta_p_by_stepping(plan, char10.A, char10.A_a, char10.c, char10.x_0, 8)
         assert np.all(dp[1:9] >= P - LP_TOL)
 
     def test_size_cap_enforced(self, char40):
         too_big = EXACT_LP_CAP // char40.x_0.size + 1
         with pytest.raises(InvalidInputError, match="cap"):
-            solve_exact(too_big, char40.kernels, char40.x_0, char40.A)
+            solve_exact(too_big, char40.kernels, char40.x_0, char40.A, char40.A_a)
 
     def test_bad_hold_rejected(self, char10):
         with pytest.raises(InvalidInputError):
-            solve_exact(0, char10.kernels, char10.x_0, char10.A)
+            solve_exact(0, char10.kernels, char10.x_0, char10.A, char10.A_a)
 
     @pytest.mark.parametrize("fleet, T", [("char10", 2), ("char10", 5), ("char10", 10), ("char40", 20)])
     def test_matches_full_support_oracle(self, fleet, T, request):
         ch = request.getfixturevalue(fleet)
-        P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A)
+        P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
         assert P == pytest.approx(full_support_exact(T, ch.kernels, ch.x_0, ch.A), abs=LP_TOL)
         off = np.setdiff1d(np.arange(ch.x_0.size), invariant_support(ch.A, ch.x_0))
         assert plan.u.shape == (T, ch.x_0.size)
@@ -535,7 +536,7 @@ class TestSolveExact:
         x_0 = np.array([0.0, 1.0, 0.0, 0.0])
         assert invariant_support(A, x_0).tolist() == [1, 2, 3]
         for T in (1, 2, 3, 6):
-            P, plan, _ = solve_exact(T, kernels, x_0, A)
+            P, plan, _ = solve_exact(T, kernels, x_0, A, A_a)
             assert P == pytest.approx(full_support_exact(T, kernels, x_0, A), abs=1e-7)
             assert plan.u.shape == (T, 4)
             assert np.all(plan.u[:, 0] == 0.0)
@@ -552,29 +553,70 @@ class TestSolveExact:
 
     def test_lifted_instance_solves_at_first_attempt(self, char40, monkeypatch):
         seen = record_highs(monkeypatch)
-        P, _, sol = solve_exact(60, char40.kernels, char40.x_0, char40.A)
+        P, _, sol = solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
         assert seen == [(None, 0)]
         assert sol.status == OPTIMAL
         assert P == pytest.approx(EXACT_T60_KW, abs=LP_TOL)
 
     @pytest.mark.parametrize("T", [30, 45, 60])
     def test_matches_dense_oracle(self, char40, dense_exact_40, T):
-        P, plan, _ = solve_exact(T, char40.kernels, char40.x_0, char40.A)
+        P, plan, _ = solve_exact(T, char40.kernels, char40.x_0, char40.A, char40.A_a)
         assert P == pytest.approx(dense_exact_40[T][1].z[-1], abs=LP_TOL)
         dp = delta_p_by_stepping(plan, char40.A, char40.A_a, char40.c, char40.x_0, T)
         assert np.all(dp[1 : T + 1] >= P - LP_TOL)
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        T_amb=st.floats(28.0, 36.0),
+        raise_k=st.floats(0.5, 3.0),
+        n_bins=st.sampled_from([10, 20, 40]),
+        T=st.integers(1, EXACT_LP_CAP // 80),
+    )
+    @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40, T=20)
+    def test_matches_lifted_reference(self, T_amb, raise_k, n_bins, T):
+        # the u/w lifted LP of exact_reference poses the same feasible set
+        op = OperatingPoint(
+            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+        )
+        ch = characterize(op, T_max=T, with_outer=False)
+        P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
+        assert P == pytest.approx(reference_exact(T, ch.kernels, ch.x_0, ch.A)[0], abs=LP_TOL)
+        dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, T)
+        assert dp[1:].min() - P >= -1e-9 * P_ON_TOTAL
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda z: z.__setitem__(slice(None, -2), 0.0), id="plan"),  # all mass at step 0
+            pytest.param(lambda z: z.__setitem__(-2, z[-2] + 1e-8 * P_ON_TOTAL), id="value"),
+        ],
+    )
+    def test_replay_rejects_corrupted_answer(self, char40, corrupt, monkeypatch):
+        real = tclflex.reachhold.solve
+
+        def corrupted(lp):
+            sol = real(lp)
+            corrupt(sol.z)
+            return sol
+
+        monkeypatch.setattr(tclflex.reachhold, "solve", corrupted)
+        with pytest.raises(NumericalFailureError, match="replays"):
+            solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
+
     def test_lp_is_sparse(self, char40, monkeypatch):
-        # the remaining-mass rows replace the dense A^p blocks: u and w on
-        # S per step plus P, and far fewer nonzeros than the dense oracle
+        # pins the formulation, not a value: the unactuated mass w on S per
+        # step, then P and the fixed one, with admissibility as inequality
+        # rows (no equalities) and about half the lifted form's nonzeros
         real = tclflex.reachhold.solve
         lps = []
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or real(lp))
-        solve_exact(60, char40.kernels, char40.x_0, char40.A)
+        solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
         (lp,) = lps
         S = invariant_support(char40.A, char40.x_0).size
-        assert lp.n_vars == 2 * 60 * S + 1
-        assert np.count_nonzero(lp.G) + np.count_nonzero(lp.E) < 40_000
+        assert lp.n_vars == 60 * S + 2
+        assert lp.E is None
+        assert lp.G.shape == (60 + 60 * S, lp.n_vars)
+        assert np.count_nonzero(lp.G) <= 16_069
 
 
 class TestInvariantSupport:
@@ -643,7 +685,7 @@ class TestSolveOuter:
     def test_upper_bounds_exact_here(self, char10):
         x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         for T in (2, 5, 10):
-            exact, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A)
+            exact, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)
             relax, _, _ = solve_outer(T, char10.kernels, x_out, support="full")
             assert min(relax, char10.p_nom_kw) >= exact - LP_TOL
 
@@ -736,7 +778,7 @@ class TestOuterBoundary:
         x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         for T in (5, 10):
             lo = inner_p_at(T, char10.kernels, char10.x_0, T_max=60)
-            mid, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A)
+            mid, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)
             hi, _, _ = solve_outer(T, char10.kernels, x_out, support="full")
             assert lo <= mid + LP_TOL
             assert mid <= min(hi, char10.p_nom_kw) + LP_TOL

@@ -264,7 +264,7 @@ class TestBurnIn:
         fleet = sample_fleet(FleetSpec(n_units=400, seed=7, T_set=T_SET, T_amb=T_AMB))
         baseline = burn_in(FleetStepper(fleet), steps=360)
         duty = DEFAULT_PARAMS.duty_cycle(T_AMB, T_SET)
-        assert baseline == pytest.approx(duty * fleet.P_on_total, rel=0.10)
+        assert baseline == pytest.approx(duty * fleet.params["P_rate"].sum(), rel=0.10)
 
     def test_baseline_is_mean_of_second_half(self):
         spec = FleetSpec(n_units=50, heterogeneity=0.1, seed=3)
