@@ -92,14 +92,11 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
     if set1.method != set2.method:
         raise InvalidInputError(f"method mismatch: {set1.method} vs {set2.method}")
     dt = float(set1.regime.get("dt_minutes", 1.0))
-    method = set1.method
     t_grid = sorted({p.T_hold_steps for s in (set1, set2) for p in s.points})
     p_grid = sorted({p.P_hold_kw for s in (set1, set2) for p in s.points})
 
     def as_frontier(pairs) -> list[ReachHoldPoint]:
-        return prune_to_frontier(
-            [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t, method=method) for t, p in pairs]
-        )
+        return prune_to_frontier([ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs])
 
     exclusive = as_frontier((t, max(query_p_at_t(set1, t), query_p_at_t(set2, t))) for t in t_grid)
     simultaneous = as_frontier((t, query_p_at_t(set1, t) + query_p_at_t(set2, t)) for t in t_grid)
@@ -112,7 +109,7 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
         consecutive=consecutive,
         union=union,
         dt_minutes=dt,
-        method=method,
+        method=set1.method,
     )
 
 

@@ -17,6 +17,7 @@ from .errors import (
     TclFlexError,
 )
 from .scenario import PRESETS, SUBCOMMANDS, resolve_config, run, write_effective_config
+from .validation import SHORTFALL_WARN_FRACTION
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
         print(f"{name}: {artifacts[name]}")
     if degraded:
         print(
-            "validation degraded: actuation shortfall exceeded 5% of requests",
+            f"validation degraded: actuation shortfall exceeded {SHORTFALL_WARN_FRACTION:.0%} of requests",
             file=sys.stderr,
         )
         return EXIT_DEGRADED

@@ -143,16 +143,6 @@ class Fleet:
     def n_units(self) -> int:
         return self.spec.n_units
 
-    def copy(self) -> "Fleet":
-        return Fleet(
-            spec=self.spec,
-            params={k: v.copy() for k, v in self.params.items()},
-            T_a=self.T_a.copy(),
-            T_m=self.T_m.copy(),
-            on=self.on.copy(),
-            T_set=self.T_set.copy(),
-        )
-
 
 def step_maps(params, T_amb, dt_minutes: float):
     """Exact one-step maps x' = A_d x + b_d, elementwise over scalars or

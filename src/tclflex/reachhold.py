@@ -33,7 +33,8 @@ the achievable set:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -159,11 +160,13 @@ def delta_p_by_stepping(
 ) -> np.ndarray:
     """Reduction trace dP[k], k = 0..horizon, by direct population stepping
     (independent of the kernel algebra; used for cross-checks and plan
-    certification)."""
+    certification).  dP[k] is measured from the unactuated trajectory
+    c A^k x_0, stepped alongside, as every LP and the inner recursion
+    measure it; that is P_nom only when x_0 is stationary."""
     u_full = plan.as_u(x_0)
     T = u_full.shape[0]
-    p_nom = float(c.c @ x_0)
     state = PopulationState(x=x_0.copy(), x_a=np.zeros_like(x_0))
+    free = x_0
     out = np.zeros(horizon + 1)
     zero = np.zeros_like(x_0)
     for k in range(horizon):
@@ -171,25 +174,23 @@ def delta_p_by_stepping(
         # slack, and shrinking u only understates the reduction
         u_k = np.minimum(np.clip(u_full[k], 0.0, None), state.x) if k < T else zero
         state = step_population(state, u_k, A, A_a)
-        out[k + 1] = p_nom - aggregate_power(state, c)
+        free = A.P @ free
+        out[k + 1] = float(c.c @ free) - aggregate_power(state, c)
     return out
 
 
 @dataclass
 class ReachHoldPoint:
     """One boundary sample: reduction P_hold_kw sustainable for
-    T_hold_steps consecutive steps by `method`."""
+    T_hold_steps consecutive steps by the method of its set."""
 
     P_hold_kw: float
     T_hold_steps: int
-    method: str
     horizon_limited: bool = False
     raw_objective_kw: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise InvalidInputError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.P_hold_kw < 0.0:
+        if not self.P_hold_kw >= 0.0:  # NaN fails too
             raise InvalidInputError(f"P_hold_kw must be >= 0, got {self.P_hold_kw}")
         if self.T_hold_steps < 0:
             raise InvalidInputError(f"T_hold_steps must be >= 0, got {self.T_hold_steps}")
@@ -207,19 +208,11 @@ class ConditionReport:
     argmin_state: int
     horizon: int
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "min_margin_kw": self.min_margin_kw,
-            "argmin_step": self.argmin_step,
-            "argmin_state": self.argmin_state,
-            "horizon": self.horizon,
-        }
-
 
 @dataclass
 class ReachHoldSet:
-    """Boundary of the achievable (P_hold, T_hold) region for one method.
+    """Boundary of the achievable (P_hold, T_hold) region for one method,
+    which every point shares.
 
     Points are kept sorted by T_hold ascending with P_hold nonincreasing
     (strictly a frontier).  `regime` records the operating point and
@@ -232,6 +225,8 @@ class ReachHoldSet:
     condition: ConditionReport | None = None
 
     def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise InvalidInputError(f"method must be one of {METHODS}, got {self.method!r}")
         self.points = sorted(self.points, key=lambda p: (p.T_hold_steps, -p.P_hold_kw))
         self._check_frontier()
 
@@ -370,11 +365,7 @@ def solve_exact(
     u[1:, cols] = w[:-1] @ A_S.T - w[1:]
     value = float(sol.z[n_w])
     plan = ControlPlan(u=np.clip(u, 0.0, None))
-    # the LP's reduction is measured from the unactuated trajectory, which
-    # stays at P_nom only when x_0 is stationary
-    dp = delta_p_by_stepping(plan, A, A_a, kernels.c, x_0, T)
-    baseline = delta_p_by_stepping(ControlPlan(alpha=np.zeros(T)), A, A_a, kernels.c, x_0, T)
-    margin = float((dp - baseline)[1:].min()) - value
+    margin = float(delta_p_by_stepping(plan, A, A_a, kernels.c, x_0, T)[1:].min()) - value
     if margin < -EXACT_REPLAY_TOL_REL * kernels.c.P_on_total:
         raise NumericalFailureError(
             f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
@@ -440,9 +431,7 @@ class InnerProfile:
         horizon_limited = not below.any()
         T_hold = T_max if horizon_limited else int(np.argmax(below))
         margin = float((dp[1 : T_hold + 1] - P_hold).min()) if T_hold >= 1 else 0.0
-        pt = ReachHoldPoint(
-            P_hold_kw=P_hold, T_hold_steps=T_hold, method=INNER, horizon_limited=horizon_limited
-        )
+        pt = ReachHoldPoint(P_hold_kw=P_hold, T_hold_steps=T_hold, horizon_limited=horizon_limited)
         return InnerPoint(
             point=pt, plan=plan, response=dp, depletion_step=depletion, min_margin_kw=margin
         )
@@ -686,38 +675,41 @@ def outer_boundary(
     regime: dict,
     condition_horizon: int | None = None,
 ) -> ReachHoldSet:
-    """Outer frontier over hold durations.
+    """Outer frontier over hold durations, one LP per hold.
 
-    The full-support relaxation is always solved; the tighter anchor-bin
-    restriction is applied on top only when the kernel-domination
-    condition verifies.  Values are clipped to P_nom (the true reduction
-    can never exceed nominal demand) and the condition report rides
-    along so consumers can see whether the bound is certified.
+    The tighter anchor-bin restriction is solved when the kernel-
+    domination condition verifies, and the full-support relaxation
+    otherwise; the anchor-bin columns are a subset of the full ones, so
+    the restriction is never the looser of the two.  Values are clipped
+    to P_nom (the true reduction can never exceed nominal demand) and the
+    condition report rides along so consumers can see whether the bound
+    is certified.
     """
     p_nom = float(regime["P_nom_kw"])
     condition = check_outer_condition(kernels, x_out, condition_horizon)
+    support = "xout" if condition.holds else "full"
     samples = []
     for T in np.asarray(t_grid, dtype=int):
-        raw, _, _ = solve_outer(int(T), kernels, x_out, support="full")
-        if condition.holds:
-            raw_xout, _, _ = solve_outer(int(T), kernels, x_out, support="xout")
-            raw = min(raw, raw_xout)
+        raw, _, _ = solve_outer(int(T), kernels, x_out, support=support)
         samples.append(
-            ReachHoldPoint(
-                P_hold_kw=float(np.clip(raw, 0.0, p_nom)),
-                T_hold_steps=int(T),
-                method=OUTER,
-                raw_objective_kw=raw,
-            )
+            ReachHoldPoint(P_hold_kw=float(np.clip(raw, 0.0, p_nom)), T_hold_steps=int(T), raw_objective_kw=raw)
         )
     return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime, condition=condition)
 
 
+def config_number(value, name: str) -> float:
+    """A real number read from a config: a finite int or float, not a
+    bool.  Anything else raises InvalidConfigurationError naming the key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InvalidConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
 def config_count(value, name: str) -> int:
-    """A count read from a config: an integer, or a float with no
-    fractional part.  Anything else raises InvalidConfigurationError
-    rather than being truncated."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer():
+    """A count read from a config: a config_number with no fractional
+    part.  Anything else raises InvalidConfigurationError rather than
+    being truncated."""
+    if config_number(value, name).is_integer():
         return int(value)
     raise InvalidConfigurationError(f"{name} must be a whole number, got {value!r}")
 
@@ -738,8 +730,11 @@ class OperatingPoint:
     P_on_total_kw: float
     dt_minutes: float = 1.0
 
+    # the numbers a config gives at its top level, and a regime records
+    SCALARS = ("T_set", "T_set_new", "deadband", "T_amb", "P_on_total_kw", "dt_minutes")
+
     def __post_init__(self) -> None:
-        for name in ("T_set", "T_set_new", "deadband", "T_amb", "P_on_total_kw", "dt_minutes"):
+        for name in self.SCALARS:
             if not np.isfinite(getattr(self, name)):
                 raise InvalidConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("dt_minutes", "P_on_total_kw"):
@@ -760,33 +755,27 @@ class OperatingPoint:
     def from_config(cls, cfg: dict) -> OperatingPoint:
         """The point a scenario config describes."""
         try:
-            params = TclParams(**cfg["params"])
-        except TypeError as exc:
+            params = TclParams(**{k: config_number(v, f"params.{k}") for k, v in cfg["params"].items()})
+        except (TypeError, AttributeError) as exc:
             raise InvalidConfigurationError(f"bad params section: {exc}") from exc
         g = cfg["grid"]
         return cls(
             params=params,
-            grid=build_grid(float(g["T_min"]), float(g["T_max"]), config_count(g["n_bins"], "grid.n_bins")),
-            T_set=float(cfg["T_set"]),
-            T_set_new=float(cfg["T_set_new"]),
-            deadband=float(cfg["deadband"]),
-            T_amb=float(cfg["T_amb"]),
-            P_on_total_kw=float(cfg["P_on_total_kw"]),
-            dt_minutes=float(cfg["dt_minutes"]),
+            grid=build_grid(
+                config_number(g["T_min"], "grid.T_min"),
+                config_number(g["T_max"], "grid.T_max"),
+                config_count(g["n_bins"], "grid.n_bins"),
+            ),
+            **{name: config_number(cfg[name], name) for name in cls.SCALARS},
         )
 
     def regime(self, P_nom: float, T_max: int) -> dict:
         """The sidecar block that records this point and its normalization."""
         return {
-            "T_set": self.T_set,
-            "T_set_new": self.T_set_new,
-            "deadband": self.deadband,
-            "T_amb": self.T_amb,
-            "dt_minutes": self.dt_minutes,
+            **{name: getattr(self, name) for name in self.SCALARS},
             "T_min": self.grid.T_min,
             "T_max_grid": self.grid.T_max,
             "n_bins": self.grid.n_bins,
-            "P_on_total_kw": self.P_on_total_kw,
             "P_nom_kw": P_nom,
             "T_max_steps": T_max,
         }
@@ -872,11 +861,11 @@ def save_set(rh_set: ReachHoldSet, csv_path) -> None:
         fh.write("T_hold_steps,T_hold_hours,P_hold_kW,method\n")
         for p in rh_set.points:
             hours = p.T_hold_steps * dt_min / 60.0
-            fh.write(f"{p.T_hold_steps},{hours!r},{p.P_hold_kw!r},{p.method}\n")
+            fh.write(f"{p.T_hold_steps},{hours!r},{p.P_hold_kw!r},{rh_set.method}\n")
     sidecar = {
         "method": rh_set.method,
         "regime": rh_set.regime,
-        "condition": rh_set.condition.to_dict() if rh_set.condition else None,
+        "condition": asdict(rh_set.condition) if rh_set.condition else None,
         "points": [
             {
                 "T_hold_steps": p.T_hold_steps,
@@ -903,8 +892,9 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def load_set(csv_path) -> ReachHoldSet:
-    """Read a frontier written by save_set; a malformed row or sidecar
-    raises InvalidInputError."""
+    """Read a frontier written by save_set; a malformed row or sidecar, a
+    row whose method is not the sidecar's, or rows that do not form a
+    frontier raise InvalidInputError."""
     csv_path = str(csv_path)
     sidecar_path = _sidecar_path(csv_path)
     with open(sidecar_path) as fh:
@@ -936,12 +926,15 @@ def load_set(csv_path) -> ReachHoldSet:
             t, P = int(t_str), float(p_str)
         except ValueError as exc:
             raise InvalidInputError(f"frontier row {','.join(row)!r} in {csv_path}: {exc}") from exc
+        if method != sidecar["method"]:
+            raise InvalidInputError(
+                f"frontier row {','.join(row)!r} in {csv_path} says {method!r}, its sidecar {sidecar['method']!r}"
+            )
         meta = flags.get(t, {})
         points.append(
             ReachHoldPoint(
                 P_hold_kw=P,
                 T_hold_steps=t,
-                method=method,
                 horizon_limited=bool(meta.get("horizon_limited", False)),
                 raw_objective_kw=meta.get("raw_objective_kw"),
             )
@@ -950,15 +943,10 @@ def load_set(csv_path) -> ReachHoldSet:
     if sidecar.get("condition"):
         cd = sidecar["condition"]
         try:
-            condition = ConditionReport(
-                holds=cd["holds"],
-                min_margin_kw=cd["min_margin_kw"],
-                argmin_step=cd["argmin_step"],
-                argmin_state=cd["argmin_state"],
-                horizon=cd["horizon"],
-            )
+            condition = ConditionReport(**{f.name: cd[f.name] for f in fields(ConditionReport)})
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"sidecar {sidecar_path} has an incomplete condition block: {exc!r}") from exc
-    return ReachHoldSet(
-        points=points, method=sidecar["method"], regime=sidecar["regime"], condition=condition
-    )
+    try:
+        return ReachHoldSet(points=points, method=sidecar["method"], regime=sidecar["regime"], condition=condition)
+    except FrontierMonotonicityError as exc:
+        raise InvalidInputError(f"{csv_path} is not a frontier: {exc}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +22,18 @@ from .errors import (
     InvalidConfigurationError,
     NumericalFailureError,
 )
-from .etp import FleetSpec, FleetStepper, sample_fleet, simulate_fleet
+from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from .markov import (
     PopulationState,
+    build_grid,
     estimate_transition_matrix,
     save_matrix,
     step_population,
     x_out_vector,
 )
 from .reachhold import (
+    DEFAULT_N_GRID,
+    DEFAULT_T_MAX,
     EXACT,
     EXACT_LP_CAP,
     INNER,
@@ -42,6 +45,7 @@ from .reachhold import (
     ReachHoldSet,
     characterize,
     config_count,
+    config_number,
     default_p_grid,
     delta_p_by_stepping,
     inner_boundary,
@@ -75,26 +79,18 @@ SUBCOMMANDS = (
 
 # Everything a run depends on has a default here except seeds, which must
 # always be spelled out by the caller (config file, preset, or override).
+# Numbers the library already names are taken from it.
 DEFAULTS: dict = {
-    "dt_minutes": 1.0,
+    "dt_minutes": DEFAULT_DT_MINUTES,
     "T_amb": 32.0,
     "T_set": 20.0,
     "T_set_new": 22.0,
     "deadband": 1.0,
-    "T_max_steps": 480,
+    "T_max_steps": DEFAULT_T_MAX,
     "P_on_total_kw": 3500.0,
-    "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 40},
-    "params": {
-        "C_a": 3.0,
-        "C_m": 0.5,
-        "U_a": 0.35,
-        "H_m": 1.0,
-        "Q_a_on": -10.5,
-        "Q_a_off": 0.0,
-        "Q_m": 0.0,
-        "P_rate": 3.5,
-    },
-    "reachhold": {"methods": ["inner", "outer"], "p_grid_points": 50, "t_grid": None},
+    "grid": asdict(build_grid()),
+    "params": asdict(DEFAULT_PARAMS),
+    "reachhold": {"methods": ["inner", "outer"], "p_grid_points": DEFAULT_N_GRID, "t_grid": None},
     "fleet": {"n_units": 1000, "heterogeneity": 0.1},
     "validate": {
         "mode": "step",
@@ -190,9 +186,31 @@ def _require_seed(section: dict, key: str, where: str) -> None:
         raise InvalidConfigurationError(f"{where} must be an integer, got {section[key]!r}")
 
 
+def _config_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidConfigurationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _fleet_spec(cfg: dict, op: OperatingPoint, seed: int) -> FleetSpec:
+    """The config's micro fleet at the operating point; FleetSpec checks
+    its ranges."""
+    fleet = cfg["fleet"]
+    return FleetSpec(
+        n_units=config_count(fleet.get("n_units"), "fleet.n_units"),
+        nominal=op.params,
+        heterogeneity=config_number(fleet.get("heterogeneity"), "fleet.heterogeneity"),
+        deadband=op.deadband,
+        T_amb=op.T_amb,
+        T_set=op.T_set,
+        seed=seed,
+    )
+
+
 def validate_config(cfg: dict, subcommand: str) -> None:
-    """Load-time checks: shapes, band containment, and explicit seeds for
-    whatever randomness the subcommand will actually consume."""
+    """Load-time checks: shapes, numbers, ranges, band containment, and
+    explicit seeds for whatever randomness the subcommand will actually
+    consume."""
     if subcommand not in SUBCOMMANDS:
         raise InvalidConfigurationError(f"unknown subcommand {subcommand!r}")
     if subcommand == "aggregate":
@@ -210,24 +228,21 @@ def validate_config(cfg: dict, subcommand: str) -> None:
             raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
     if subcommand == "reachhold":
         rh = cfg["reachhold"]
-        methods = rh.get("methods", [])
+        methods = _config_list(rh.get("methods"), "reachhold.methods")
         if not methods or any(m not in METHODS for m in methods):
             raise InvalidConfigurationError(
                 f"reachhold.methods must be a nonempty subset of {METHODS}, got {methods!r}"
             )
         t_grid = rh.get("t_grid")
         if t_grid is not None:
-            if not t_grid or any(not 1 <= config_count(t, "reachhold.t_grid entry") <= T_max for t in t_grid):
-                raise InvalidConfigurationError(
-                    "reachhold.t_grid entries must lie in 1..T_max_steps"
-                )
+            entries = _config_list(t_grid, "reachhold.t_grid")
+            if not entries or any(not 1 <= config_count(t, "reachhold.t_grid entry") <= T_max for t in entries):
+                raise InvalidConfigurationError("reachhold.t_grid entries must lie in 1..T_max_steps")
     if subcommand == "validate":
-        fleet = cfg["fleet"]
-        if config_count(fleet.get("n_units", 0), "fleet.n_units") < 1:
-            raise InvalidConfigurationError("fleet.n_units must be >= 1")
-        _require_seed(fleet, "seed", "fleet.seed")
+        _require_seed(cfg["fleet"], "seed", "fleet.seed")
+        spec = _fleet_spec(cfg, op, cfg["fleet"]["seed"])
         # the micro fleet and the bin model must describe the same load
-        connected = int(fleet["n_units"]) * float(op.params.P_rate)
+        connected = spec.n_units * op.params.P_rate
         if abs(connected - op.P_on_total_kw) > 1e-6 * op.P_on_total_kw:
             raise InvalidConfigurationError(
                 f"fleet.n_units x params.P_rate = {connected} kW does not match "
@@ -237,25 +252,28 @@ def validate_config(cfg: dict, subcommand: str) -> None:
         _require_seed(v, "selection_seed", "validate.selection_seed")
         if v.get("mode") not in ("step", "blocks"):
             raise InvalidConfigurationError(f"validate.mode must be 'step' or 'blocks', got {v.get('mode')!r}")
-        if not 0.0 <= float(v.get("fraction", 1.0)) <= 1.0:
+        if not 0.0 <= config_number(v.get("fraction"), "validate.fraction") <= 1.0:
             raise InvalidConfigurationError("validate.fraction must lie in [0, 1]")
         if v["mode"] == "blocks":
-            holds = v.get("hold_steps", [])
+            holds = _config_list(v.get("hold_steps"), "validate.hold_steps")
             if not holds or any(not 1 <= config_count(t, "validate.hold_steps entry") <= T_max for t in holds):
                 raise InvalidConfigurationError("validate.hold_steps must lie in 1..T_max_steps")
+            if config_number(v.get("hold_tol_fraction"), "validate.hold_tol_fraction") < 0.0:
+                raise InvalidConfigurationError("validate.hold_tol_fraction must be >= 0")
         if config_count(v.get("burn_in_steps", 0), "validate.burn_in_steps") < 1:
             raise InvalidConfigurationError("validate.burn_in_steps must be >= 1")
         horizon = v.get("horizon")
         if horizon is not None and config_count(horizon, "validate.horizon") < 1:
             raise InvalidConfigurationError("validate.horizon must be >= 1 when given")
     if subcommand == "sweep-setpoint":
-        setpoints = cfg["sweep"].get("new_setpoints", [])
+        setpoints = _config_list(cfg["sweep"].get("new_setpoints"), "sweep.new_setpoints")
         if not setpoints:
             raise InvalidConfigurationError("sweep.new_setpoints must be nonempty")
         for T_new in setpoints:
-            op.check_band(float(T_new), f"new setpoint {T_new}")
+            op.check_band(config_number(T_new, "sweep.new_setpoints entry"), f"new setpoint {T_new}")
     if subcommand == "sweep-precool":
-        op.check_band(float(cfg["precool"]["T_set_precool"]), "pre-cool setpoint")
+        T_pre = config_number(cfg["precool"]["T_set_precool"], "precool.T_set_precool")
+        op.check_band(T_pre, "pre-cool setpoint")
 
 
 def resolve_config(
@@ -351,7 +369,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
         save_set(rh, path)
         artifacts[OUTER] = str(path)
         cond_path = out_dir / "condition.json"
-        _write_json({**rh.condition.to_dict(), "verified": rh.verified}, cond_path)
+        _write_json({**asdict(rh.condition), "verified": rh.verified}, cond_path)
         artifacts["condition"] = str(cond_path)
     if EXACT in methods:
         n = ch.x_0.size
@@ -364,12 +382,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
         # the true boundary is nonincreasing; a running min trims LP noise
         vals = np.minimum.accumulate(vals)
         samples = [
-            ReachHoldPoint(
-                P_hold_kw=float(np.clip(v, 0.0, ch.p_nom_kw)),
-                T_hold_steps=t,
-                method=EXACT,
-                raw_objective_kw=float(v),
-            )
+            ReachHoldPoint(P_hold_kw=float(np.clip(v, 0.0, ch.p_nom_kw)), T_hold_steps=t, raw_objective_kw=float(v))
             for t, v in zip(t_exact, vals)
         ]
         rh = ReachHoldSet(points=prune_to_frontier(samples), method=EXACT, regime=ch.regime)
@@ -389,16 +402,7 @@ def run_aggregate(cfg: dict, out_dir: Path) -> dict[str, str]:
 
 def _config_stepper(cfg: dict, op: OperatingPoint, seed: int) -> FleetStepper:
     """A stepper over the config's fleet, sampled at the operating point."""
-    spec = FleetSpec(
-        n_units=int(cfg["fleet"]["n_units"]),
-        nominal=op.params,
-        heterogeneity=float(cfg["fleet"]["heterogeneity"]),
-        deadband=op.deadband,
-        T_amb=op.T_amb,
-        T_set=op.T_set,
-        seed=seed,
-    )
-    return FleetStepper(sample_fleet(spec), op.dt_minutes)
+    return FleetStepper(sample_fleet(_fleet_spec(cfg, op, seed)), op.dt_minutes)
 
 
 def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:

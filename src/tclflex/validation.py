@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,10 +35,9 @@ FLOOR_NUDGE = 1e-9  # absorbs float dust so exact integers floor cleanly
 @dataclass
 class DiscretizedPlan:
     """Integer actuation schedule: counts[k, i] units to switch out of
-    state i at step k, plus the carry history that produced it."""
+    state i at step k."""
 
     counts: np.ndarray  # (T, n_states) int
-    carry: np.ndarray  # (T+1, n_states); carry[0] = 0, carry[-1] = final error
     n_units: int
 
     def __post_init__(self) -> None:
@@ -69,15 +68,13 @@ def discretize_plan(plan: ControlPlan, n_units: int, x_0: np.ndarray | None = No
     U = np.clip(plan.as_u(x_0), 0.0, None) * n_units
     T, n_states = U.shape
     counts = np.zeros((T, n_states), dtype=int)
-    carry = np.zeros((T + 1, n_states))
     e = np.zeros(n_states)
     for k in range(T):
         tot = U[k] + e
         c = np.floor(tot + FLOOR_NUDGE).astype(int)
         counts[k] = c
         e = tot - c
-        carry[k + 1] = e
-    return DiscretizedPlan(counts=counts, carry=carry, n_units=n_units)
+    return DiscretizedPlan(counts=counts, n_units=n_units)
 
 
 @dataclass
@@ -126,8 +123,9 @@ def apply_plan_micro(
     place.
 
     If a bin holds fewer eligible units than requested, all of them are
-    taken and the shortfall is logged; a total shortfall above 5% of the
-    requested actuations raises a validation-degraded warning.
+    taken and the shortfall is logged; a total shortfall above
+    SHORTFALL_WARN_FRACTION of the requested actuations raises a
+    validation-degraded warning.
     """
     counts = plan.counts
     T = counts.shape[0]
@@ -223,16 +221,6 @@ class ValidationReport:
     shortfall_events: list[dict]
     degraded: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "max_abs_dev": self.max_abs_dev,
-            "hold_satisfied_fraction": self.hold_satisfied_fraction,
-            "p_on_total_kw": self.p_on_total_kw,
-            "shortfall_events": self.shortfall_events,
-            "degraded": self.degraded,
-        }
-
 
 def compare_traces(
     markov_kw: np.ndarray,
@@ -249,8 +237,7 @@ def compare_traces(
 
     When a hold target (P_hold_kw, T_hold_steps) is given, the fraction
     of hold steps whose micro demand reduction baseline_kw - micro_kw[k]
-    stays within hold_tol_kw of the target is reported as well (default
-    tolerance 5% of connected power).
+    stays within hold_tol_kw of the target is reported as well.
     """
     markov_kw = np.asarray(markov_kw, dtype=float)
     micro_kw = np.asarray(micro_kw, dtype=float)
@@ -265,15 +252,14 @@ def compare_traces(
     max_abs = float(np.max(np.abs(dev)) / p_on_total)
     fraction = None
     if P_hold_kw is not None:
-        if T_hold_steps is None or baseline_kw is None:
-            raise InvalidInputError("hold checks need T_hold_steps and baseline_kw")
+        if T_hold_steps is None or baseline_kw is None or hold_tol_kw is None:
+            raise InvalidInputError("hold checks need T_hold_steps, baseline_kw and hold_tol_kw")
         if not 1 <= T_hold_steps < micro_kw.size:
             raise InvalidInputError(
                 f"T_hold_steps {T_hold_steps} outside the trace (len {micro_kw.size})"
             )
-        tol = hold_tol_kw if hold_tol_kw is not None else 0.05 * p_on_total
         reduction = baseline_kw - micro_kw[1 : T_hold_steps + 1]
-        fraction = float(np.mean(reduction >= P_hold_kw - tol))
+        fraction = float(np.mean(reduction >= P_hold_kw - hold_tol_kw))
     return ValidationReport(
         rmse=rmse,
         max_abs_dev=max_abs,
@@ -292,7 +278,7 @@ def save_validation_report(
     csv_path,
 ) -> None:
     """Persist the metrics as JSON and the paired traces as CSV."""
-    write_json(report.to_dict(), json_path)
+    write_json(asdict(report), json_path)
     markov_kw = np.asarray(markov_kw, dtype=float)
     micro_kw = np.asarray(micro_kw, dtype=float)
     if markov_kw.shape != micro_kw.shape:

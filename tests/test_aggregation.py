@@ -20,7 +20,7 @@ from tclflex.reachhold import INNER, ReachHoldPoint, ReachHoldSet
 def make_set(pairs, method=INNER, dt=1.0, **extra):
     """Frontier from (T_hold, P_hold) pairs."""
     regime = {"dt_minutes": dt, **extra}
-    points = [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t, method=method) for t, p in pairs]
+    points = [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs]
     return ReachHoldSet(points=points, method=method, regime=regime)
 
 

@@ -81,6 +81,63 @@ FRACTIONAL_COUNTS = [
     ),
 ]
 
+# each value is of the wrong type or range for its key and must be
+# refused when the config loads; validate cases carry the seeds that
+# subcommand requires
+VALIDATE_SEEDS = {"fleet": {"seed": 1}, "validate": {"selection_seed": 1}}
+BLOCKS = {"selection_seed": 1, "mode": "blocks"}
+MISTYPED_CONFIGS = [
+    pytest.param("build-model", {"T_amb": None}, "T_amb", id="T_amb-null"),
+    pytest.param("build-model", {"grid": {"T_min": None}}, "grid.T_min", id="grid.T_min-null"),
+    pytest.param("build-model", {"dt_minutes": "1"}, "dt_minutes", id="dt_minutes-string"),
+    pytest.param("build-model", {"params": {"Q_m": True}}, "params.Q_m", id="params.Q_m-bool"),
+    pytest.param("build-model", {"T_max_steps": 10**400}, "T_max_steps", id="T_max_steps-beyond-float"),
+    pytest.param("reachhold", {"reachhold": {"t_grid": 5}}, "reachhold.t_grid", id="reachhold.t_grid-scalar"),
+    pytest.param("reachhold", {"reachhold": {"methods": 5}}, "reachhold.methods", id="reachhold.methods-scalar"),
+    pytest.param(
+        "sweep-setpoint", {"sweep": {"new_setpoints": 21}}, "sweep.new_setpoints", id="sweep.new_setpoints-scalar"
+    ),
+    pytest.param(
+        "sweep-setpoint", {"sweep": {"new_setpoints": [21.0, None]}}, "sweep.new_setpoints", id="sweep.new_setpoints-null"
+    ),
+    pytest.param(
+        "sweep-precool", {"precool": {"T_set_precool": None}}, "precool.T_set_precool", id="precool.T_set_precool-null"
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {"selection_seed": 1, "fraction": None}}, "validate.fraction",
+        id="validate.fraction-null",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_steps": 120}}, "validate.hold_steps",
+        id="validate.hold_steps-scalar",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "fleet": {"seed": 1, "heterogeneity": "x"}}, "fleet.heterogeneity",
+        id="fleet.heterogeneity-string",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "fleet": {"seed": 1, "heterogeneity": None}}, "fleet.heterogeneity",
+        id="fleet.heterogeneity-null",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "fleet": {"seed": 1, "heterogeneity": 1.5}}, "heterogeneity",
+        id="fleet.heterogeneity-range",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_tol_fraction": "x"}}, "validate.hold_tol_fraction",
+        id="validate.hold_tol_fraction-string",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_tol_fraction": None}}, "validate.hold_tol_fraction",
+        id="validate.hold_tol_fraction-null",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_tol_fraction": -0.01}}, "validate.hold_tol_fraction",
+        id="validate.hold_tol_fraction-negative",
+    ),
+]
+
+
 def write_config(path, overrides):
     path.write_text(json.dumps(overrides, indent=2) + "\n")
     return str(path)
@@ -150,6 +207,15 @@ class TestConfigResolution:
         path = write_config(tmp_path / "c.json", cfg)
         assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, cfg, key", MISTYPED_CONFIGS)
+    def test_mistyped_value_is_config_error(self, subcommand, cfg, key, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not (out / "effective_config.json").exists()  # refused at load, before any run
 
     def test_integral_float_count_is_accepted(self):
         cfg = effective_config({"grid": {"n_bins": 10.0}, "T_max_steps": 30.0})
@@ -367,11 +433,19 @@ class TestAggregate:
         "row, sidecar",
         [
             ("5,0.08333333333333333,abc,inner", None),
+            ("5,0.08333333333333333,nan,inner", None),
             ("5,0.08333333333333333,100.0", None),
             (None, "{not json"),
             (None, '{"points": []}'),
+            # the rows below replace the first of two, P falling along T
+            ("0,0.0,1390.0,outer", None),
+            ("0,0.0,0.0,inner", None),
+            (f"{TINY['T_max_steps']},0.5,1390.0,inner", None),
         ],
-        ids=["P_not_numeric", "three_fields", "sidecar_not_json", "sidecar_without_method"],
+        ids=[
+            "P_not_numeric", "P_nan", "three_fields", "sidecar_not_json", "sidecar_without_method",
+            "row_label_disagrees_with_sidecar", "P_rises_along_T", "duplicate_T",
+        ],
     )
     def test_malformed_frontier_is_config_error(self, reachhold_out, tmp_path, capsys, row, sidecar):
         lines = (reachhold_out / "inner.csv").read_text().splitlines()
@@ -382,8 +456,8 @@ class TestAggregate:
         cfg = {"aggregate": {"inputs": [str(tmp_path / "bad.csv"), str(reachhold_out / "inner.csv")]}}
         path = write_config(tmp_path / "c.json", cfg)
         assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
-
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "source, breaks",
@@ -409,7 +483,6 @@ class TestAggregate:
         assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
-
 
 class TestSweeps:
     def test_setpoint_sweep_artifacts(self, tmp_path):

@@ -4,6 +4,7 @@ The reference integrator below is independent of the package: classic
 RK4 at one-second resolution with the thermostat checked every second.
 """
 
+import copy
 from dataclasses import asdict
 
 import numpy as np
@@ -332,7 +333,7 @@ class TestSimulateFleet:
     def test_power_is_sum_of_on_ratings(self):
         spec = FleetSpec(n_units=30, heterogeneity=0.1, seed=19)
         fleet = sample_fleet(spec)
-        power = simulate_fleet(FleetStepper(fleet.copy()), 10)
+        power = simulate_fleet(FleetStepper(copy.deepcopy(fleet)), 10)
         _, _, _, on = step_states(FleetStepper(fleet), 10)
         for k in range(11):
             expect = fleet.params["P_rate"][on[k]].sum()

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import re
 from pathlib import Path
 
 import tclflex
@@ -18,3 +19,10 @@ def test_all_lists_exactly_the_imported_public_names():
     }
     assert len(tclflex.__all__) == len(set(tclflex.__all__))
     assert set(tclflex.__all__) - {"__version__"} == imported
+
+
+def test_readme_example_runs():
+    # guards the README's library example against retired names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})

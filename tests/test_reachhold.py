@@ -304,6 +304,24 @@ class TestDeltaP:
         assert stepped[1:].max() > 0.1 * char40.p_nom_kw
         assert block @ u.ravel() == pytest.approx(-stepped[1:], abs=1e-8 * P_ON_TOTAL)
 
+    def test_empty_plan_reduces_nothing_off_stationarity(self):
+        # the reduction is measured from the unactuated trajectory c A^k x_0,
+        # which here jumps from 0 to 10 kW, not from c x_0
+        A, A_a, kernels, x_0 = growing_support_system()
+        dp = delta_p_by_stepping(ControlPlan(alpha=np.zeros(6)), A, A_a, kernels.c, x_0, 6)
+        assert np.array_equal(dp, np.zeros(7))
+
+    def test_matches_kernel_algebra_off_stationarity(self):
+        # the LP hold rows and the replay agree even when x_0 is not stationary
+        A, A_a, kernels, x_0 = growing_support_system()
+        u = np.zeros((3, 4))
+        u[1, 2] = 0.5
+        d = kernels.h - kernels.h_a
+        block = _hold_block(d, 3, np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3))
+        dp = delta_p_by_stepping(ControlPlan(u=u), A, A_a, kernels.c, x_0, 3)
+        assert dp[2] == pytest.approx(5.0)
+        assert block @ u.ravel() == pytest.approx(-dp[1:], abs=1e-12)
+
 
 class TestAlphaLowerBound:
     """The greedy lower bounds alpha[k], read off `inner_profile(...).point`."""
@@ -488,6 +506,21 @@ class TestInnerProfile:
         assert depleted > 0
 
 
+def growing_support_system():
+    """x_0 on state 1 only; A carries it on to 2 and then 3, so x_0 is not
+    stationary.  Actuated units switch off for one step and then rebound,
+    so a two-step hold splits the mass between states 1 and 2."""
+    grid = build_grid(0.0, 1.0, 2)
+    mk = lambda M: TransitionMatrix(
+        P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
+        T_set=0.5, T_amb=1.0, deadband=1.0,
+    )
+    A = mk([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    A_a = mk(np.eye(4)[[3, 0, 0, 0]].T)  # 1, 2, 3 -> 0 (off) -> 3 (on)
+    kernels = response_kernels(A, A_a, output_vector(grid, 10.0), horizon=6)
+    return A, A_a, kernels, np.array([0.0, 1.0, 0.0, 0.0])
+
+
 class TestSolveExact:
     def test_single_step_recovers_nominal(self, char40):
         P, plan, _ = solve_exact(1, char40.kernels, char40.x_0, char40.A, char40.A_a)
@@ -522,18 +555,7 @@ class TestSolveExact:
         assert np.all(plan.u[:, off] == 0.0)
 
     def test_matches_oracle_when_support_grows(self):
-        # x_0 on state 1 only; A carries it on to 2 and then 3.  Actuated
-        # units switch off for one step and then rebound, so a two-step
-        # hold splits the mass between states 1 and 2
-        grid = build_grid(0.0, 1.0, 2)
-        mk = lambda M: TransitionMatrix(
-            P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
-            T_set=0.5, T_amb=1.0, deadband=1.0,
-        )
-        A = mk([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
-        A_a = mk(np.eye(4)[[3, 0, 0, 0]].T)  # 1, 2, 3 -> 0 (off) -> 3 (on)
-        kernels = response_kernels(A, A_a, output_vector(grid, 10.0), horizon=6)
-        x_0 = np.array([0.0, 1.0, 0.0, 0.0])
+        A, A_a, kernels, x_0 = growing_support_system()
         assert invariant_support(A, x_0).tolist() == [1, 2, 3]
         for T in (1, 2, 3, 6):
             P, plan, _ = solve_exact(T, kernels, x_0, A, A_a)
@@ -761,12 +783,21 @@ class TestOuterBoundary:
             assert pt.P_hold_kw == pytest.approx(min(raw_full, p_nom))
             assert pt.P_hold_kw <= p_nom + 1e-9
 
-    def test_certified_synthetic_uses_tighter_support(self):
+    def test_certified_synthetic_uses_tighter_support(self, monkeypatch):
         kernels = tiny_system(ABSORB_OFF, ABSORB_OFF, A_out=IDENTITY, horizon=12)
         x_out = np.array([0.0, 1.0])
         regime = {"P_nom_kw": 5.0, "dt_minutes": 1.0, "P_on_total_kw": 10.0}
+        real = tclflex.reachhold.solve_outer
+        solves = []
+
+        def counted(T, *args, support):
+            solves.append((T, support))
+            return real(T, *args, support=support)
+
+        monkeypatch.setattr(tclflex.reachhold, "solve_outer", counted)
         rh = outer_boundary(kernels, x_out, np.array([3, 6]), regime)
         assert rh.verified is True
+        assert solves == [(3, "xout"), (6, "xout")]  # one LP per hold
         # both holds clip to P_nom, so pruning keeps only the longer one
         assert len(rh.points) == 1
         pt = rh.points[0]
@@ -787,10 +818,10 @@ class TestOuterBoundary:
 class TestFrontierAssembly:
     def test_dominated_samples_dropped(self):
         pts = [
-            ReachHoldPoint(P_hold_kw=100.0, T_hold_steps=10, method=INNER),
-            ReachHoldPoint(P_hold_kw=90.0, T_hold_steps=5, method=INNER),  # dominated
-            ReachHoldPoint(P_hold_kw=100.0, T_hold_steps=12, method=INNER),
-            ReachHoldPoint(P_hold_kw=40.0, T_hold_steps=30, method=INNER),
+            ReachHoldPoint(P_hold_kw=100.0, T_hold_steps=10),
+            ReachHoldPoint(P_hold_kw=90.0, T_hold_steps=5),  # dominated
+            ReachHoldPoint(P_hold_kw=100.0, T_hold_steps=12),
+            ReachHoldPoint(P_hold_kw=40.0, T_hold_steps=30),
         ]
         rh = ReachHoldSet(points=prune_to_frontier(pts), method=INNER, regime={"dt_minutes": 1.0})
         assert [(p.T_hold_steps, p.P_hold_kw) for p in rh.points] == [(12, 100.0), (30, 40.0)]
@@ -800,31 +831,31 @@ class TestFrontierAssembly:
         P = 1394.377563774904
         tie = np.nextafter(np.nextafter(P, np.inf), np.inf)
         pts = [
-            ReachHoldPoint(P_hold_kw=tie, T_hold_steps=8, method=INNER),
-            ReachHoldPoint(P_hold_kw=P, T_hold_steps=12, method=INNER),
-            ReachHoldPoint(P_hold_kw=P * (1.0 + 1e-8), T_hold_steps=5, method=INNER),
+            ReachHoldPoint(P_hold_kw=tie, T_hold_steps=8),
+            ReachHoldPoint(P_hold_kw=P, T_hold_steps=12),
+            ReachHoldPoint(P_hold_kw=P * (1.0 + 1e-8), T_hold_steps=5),
         ]
         rh = ReachHoldSet(points=prune_to_frontier(pts), method=INNER, regime={"dt_minutes": 1.0})
         assert [p.T_hold_steps for p in rh.points] == [5, 12]
 
     def test_duplicate_hold_rejected_directly(self):
         pts = [
-            ReachHoldPoint(P_hold_kw=10.0, T_hold_steps=4, method=INNER),
-            ReachHoldPoint(P_hold_kw=9.0, T_hold_steps=4, method=INNER),
+            ReachHoldPoint(P_hold_kw=10.0, T_hold_steps=4),
+            ReachHoldPoint(P_hold_kw=9.0, T_hold_steps=4),
         ]
         with pytest.raises(FrontierMonotonicityError, match="duplicate"):
             ReachHoldSet(points=pts, method=INNER, regime={"dt_minutes": 1.0})
 
     def test_increasing_frontier_rejected(self):
         pts = [
-            ReachHoldPoint(P_hold_kw=10.0, T_hold_steps=4, method=INNER),
-            ReachHoldPoint(P_hold_kw=50.0, T_hold_steps=9, method=INNER),
+            ReachHoldPoint(P_hold_kw=10.0, T_hold_steps=4),
+            ReachHoldPoint(P_hold_kw=50.0, T_hold_steps=9),
         ]
         with pytest.raises(FrontierMonotonicityError, match="increases"):
             ReachHoldSet(points=pts, method=INNER, regime={"dt_minutes": 1.0})
 
     def test_boundary_above_nominal_rejected(self):
-        pts = [ReachHoldPoint(P_hold_kw=2000.0, T_hold_steps=4, method=INNER)]
+        pts = [ReachHoldPoint(P_hold_kw=2000.0, T_hold_steps=4)]
         with pytest.raises(FrontierMonotonicityError, match="exceeds"):
             ReachHoldSet(
                 points=pts, method=INNER,
@@ -833,11 +864,13 @@ class TestFrontierAssembly:
 
     def test_point_validation(self):
         with pytest.raises(InvalidInputError):
-            ReachHoldPoint(P_hold_kw=-1.0, T_hold_steps=3, method=INNER)
+            ReachHoldPoint(P_hold_kw=-1.0, T_hold_steps=3)
         with pytest.raises(InvalidInputError):
-            ReachHoldPoint(P_hold_kw=1.0, T_hold_steps=-3, method=INNER)
+            ReachHoldPoint(P_hold_kw=float("nan"), T_hold_steps=3)
         with pytest.raises(InvalidInputError):
-            ReachHoldPoint(P_hold_kw=1.0, T_hold_steps=3, method="magic")
+            ReachHoldPoint(P_hold_kw=1.0, T_hold_steps=-3)
+        with pytest.raises(InvalidInputError, match="method"):
+            ReachHoldSet(points=[], method="magic", regime={"dt_minutes": 1.0})
 
 
 class TestCharacterize:

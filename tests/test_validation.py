@@ -1,5 +1,6 @@
 """Tests for the plan discretization and micro cross-validation layer."""
 
+import copy
 import json
 
 import numpy as np
@@ -34,12 +35,14 @@ def single_bin_plan(per_step: float, steps: int, n_states: int = 4, bin_idx: int
 class TestDiscretizePlan:
     def test_carry_recursion_hand_values(self):
         # U = 0.4 per step: totals cycle 0.4, 0.8, 1.2, 0.6, 1.0 so the
-        # floor pattern repeats 0,0,1,0,1 with carries 0.4,0.8,0.2,0.6,0.0
+        # floor pattern repeats 0,0,1,0,1 with carries 0.4,0.8,0.2,0.6,0.0;
+        # the carry after step k is what the cumulative counts still owe
         plan = single_bin_plan(0.4 / 1000, steps=10)
         d = discretize_plan(plan, n_units=1000)
         assert d.counts[:, 1].tolist() == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1]
-        expected_carry = [0.0, 0.4, 0.8, 0.2, 0.6, 0.0, 0.4, 0.8, 0.2, 0.6, 0.0]
-        assert d.carry[:, 1] == pytest.approx(expected_carry, abs=1e-9)
+        expected_carry = [0.4, 0.8, 0.2, 0.6, 0.0, 0.4, 0.8, 0.2, 0.6, 0.0]
+        owed = 0.4 * np.arange(1, 11) - np.cumsum(d.counts[:, 1])
+        assert owed == pytest.approx(expected_carry, abs=1e-9)
         assert d.counts[:, 0].sum() == 0 and d.counts[:, 2:].sum() == 0
 
     def test_integer_multiples_floor_exactly(self):
@@ -47,7 +50,7 @@ class TestDiscretizePlan:
         u[:, 0] = np.array([3, 0, 2, 1, 4]) / 200.0
         d = discretize_plan(ControlPlan(u=u), n_units=200)
         assert d.counts[:, 0].tolist() == [3, 0, 2, 1, 4]
-        assert np.all(d.carry == pytest.approx(0.0, abs=1e-9))
+        assert np.array_equal(np.cumsum(d.counts, axis=0), np.cumsum(np.rint(u * 200), axis=0))
 
     def test_cumulative_fidelity_within_one_unit_per_state(self):
         rng = np.random.default_rng(11)
@@ -112,25 +115,24 @@ class TestApplyPlanMicro:
         grid = build_grid(18.0, 24.0, 20)
         plan = DiscretizedPlan(
             counts=np.zeros((5, grid.n_states), dtype=int),
-            carry=np.zeros((6, grid.n_states)),
             n_units=200,
         )
-        ref = settled_fleet.copy()
+        ref = copy.deepcopy(settled_fleet)
         power = simulate_fleet(FleetStepper(ref), 12)
         run = apply_plan_micro(
-            FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=12, seed=3
+            FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=12, seed=3
         )
         assert run.power_kw == pytest.approx(power, abs=1e-12)
         assert run.total_selected == 0 and not run.shortfall_events
 
     def test_actuate_everyone_collapses_demand(self, settled_fleet):
         grid = build_grid(18.0, 24.0, 20)
-        fleet = settled_fleet.copy()
+        fleet = copy.deepcopy(settled_fleet)
         state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
         counts = np.zeros((1, grid.n_states), dtype=int)
         for i in state_idx:
             counts[0, i] += 1
-        plan = DiscretizedPlan(counts=counts, carry=np.zeros((2, grid.n_states)), n_units=200)
+        plan = DiscretizedPlan(counts=counts, n_units=200)
         run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=20, seed=5)
         assert run.total_selected == 200
         # a 2 degC raise with a 1 degC band shuts every compressor within a step
@@ -142,10 +144,10 @@ class TestApplyPlanMicro:
         counts = np.zeros((6, grid.n_states), dtype=int)
         counts[::2, grid.n_bins + 5] = 3  # pull from an on bin near the band
         counts[1::2, 6] = 2  # and an off bin inside it
-        plan = DiscretizedPlan(counts=counts, carry=np.zeros((7, grid.n_states)), n_units=200)
+        plan = DiscretizedPlan(counts=counts, n_units=200)
         runs = [
             apply_plan_micro(
-                FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=30, seed=9
+                FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=30, seed=9
             )
             for _ in range(2)
         ]
@@ -160,7 +162,7 @@ class TestApplyPlanMicro:
         counts = np.zeros((6, grid.n_states), dtype=int)
         counts[::2, grid.n_bins + 5] = 3
         counts[1::2, 6] = 2
-        plan = DiscretizedPlan(counts=counts, carry=np.zeros((7, grid.n_states)), n_units=300)
+        plan = DiscretizedPlan(counts=counts, n_units=300)
         carried = FleetStepper(sample_fleet(spec))
         baseline = burn_in(carried, 120)
         run = apply_plan_micro(carried, plan, grid, T_SET_NEW, horizon=30, seed=9)
@@ -197,8 +199,8 @@ class TestApplyPlanMicro:
         counts *= rng.uniform(size=counts.shape) < 0.15
         while counts.sum() > spec.n_units:
             counts //= 2
-        plan = DiscretizedPlan(counts=counts, carry=np.zeros((9, grid.n_states)), n_units=spec.n_units)
-        ref_fleet = fleet.copy()
+        plan = DiscretizedPlan(counts=counts, n_units=spec.n_units)
+        ref_fleet = copy.deepcopy(fleet)
         run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, 12, selection_seed)
         power, actuated, shortfalls = reference_apply_plan_micro(
             ReferenceStepper(ref_fleet), counts, grid, T_SET_NEW, 12, selection_seed
@@ -213,10 +215,10 @@ class TestApplyPlanMicro:
         grid = build_grid(18.0, 24.0, 20)
         counts = np.zeros((1, grid.n_states), dtype=int)
         counts[0, 0] = 10  # 18.0-18.3 degC: unoccupied at steady state
-        plan = DiscretizedPlan(counts=counts, carry=np.zeros((2, grid.n_states)), n_units=200)
+        plan = DiscretizedPlan(counts=counts, n_units=200)
         with pytest.warns(ValidationDegradedWarning):
             run = apply_plan_micro(
-                FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=3, seed=1
+                FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=3, seed=1
             )
         assert run.degraded
         assert run.shortfall_events[0]["requested"] == 10
@@ -224,7 +226,7 @@ class TestApplyPlanMicro:
 
     def test_units_never_actuated_twice(self, settled_fleet):
         grid = build_grid(18.0, 24.0, 20)
-        fleet = settled_fleet.copy()
+        fleet = copy.deepcopy(settled_fleet)
         state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
         occupancy = np.bincount(state_idx, minlength=grid.n_states)
         # ask for the same busy bin twice; second round must draw fresh units
@@ -232,7 +234,7 @@ class TestApplyPlanMicro:
         take = int(occupancy[busy]) // 2
         counts = np.zeros((2, grid.n_states), dtype=int)
         counts[:, busy] = take
-        plan = DiscretizedPlan(counts=counts, carry=np.zeros((3, grid.n_states)), n_units=200)
+        plan = DiscretizedPlan(counts=counts, n_units=200)
         run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=4, seed=2)
         assert int(run.actuated.sum()) == run.total_selected
 
@@ -240,22 +242,20 @@ class TestApplyPlanMicro:
         grid = build_grid(18.0, 24.0, 20)
         plan = DiscretizedPlan(
             counts=np.zeros((1, grid.n_states), dtype=int),
-            carry=np.zeros((2, grid.n_states)),
             n_units=999,
         )
         with pytest.raises(InvalidInputError, match="999"):
-            apply_plan_micro(FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW)
+            apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW)
 
     def test_horizon_shorter_than_plan_rejected(self, settled_fleet):
         grid = build_grid(18.0, 24.0, 20)
         plan = DiscretizedPlan(
             counts=np.zeros((5, grid.n_states), dtype=int),
-            carry=np.zeros((6, grid.n_states)),
             n_units=200,
         )
         with pytest.raises(InvalidInputError, match="horizon"):
             apply_plan_micro(
-                FleetStepper(settled_fleet.copy()), plan, grid, T_SET_NEW, horizon=3
+                FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=3
             )
 
 
@@ -282,7 +282,7 @@ class TestCompareTraces:
     def test_identical_traces(self):
         t = np.array([1000.0, 400.0, 300.0, 350.0])
         rep = compare_traces(
-            t, t, p_on_total=3500.0, P_hold_kw=600.0, T_hold_steps=3, baseline_kw=1000.0
+            t, t, p_on_total=3500.0, P_hold_kw=600.0, T_hold_steps=3, baseline_kw=1000.0, hold_tol_kw=0.0
         )
         assert rep.rmse == 0.0 and rep.max_abs_dev == 0.0
         assert rep.hold_satisfied_fraction == 1.0
@@ -310,6 +310,12 @@ class TestCompareTraces:
     def test_hold_args_must_travel_together(self):
         with pytest.raises(InvalidInputError):
             compare_traces(np.zeros(4), np.zeros(4), p_on_total=100.0, P_hold_kw=10.0)
+
+    def test_hold_tolerance_has_no_default(self):
+        with pytest.raises(InvalidInputError, match="hold_tol_kw"):
+            compare_traces(
+                np.zeros(4), np.zeros(4), p_on_total=100.0, P_hold_kw=10.0, T_hold_steps=2, baseline_kw=50.0
+            )
 
 
 class TestSaveReport:
