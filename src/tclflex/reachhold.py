@@ -122,49 +122,32 @@ def response_kernels(
     return ResponseKernels(h=h, h_a=h_a, h_out=h_out, c=c, horizon=horizon)
 
 
-@dataclass
-class ControlPlan:
-    """Either an absolute per-bin plan u (T, n_states) or a stationary-
-    profile plan alpha (T,) meaning u[k] = alpha[k] * x_0."""
-
-    u: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if (self.u is None) == (self.alpha is None):
-            raise InvalidInputError("exactly one of u and alpha must be given")
-        if self.u is not None:
-            self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
-            if np.any(self.u < -1e-12):
-                raise InvalidInputError("u must be nonnegative")
-        else:
-            self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-            if np.any(self.alpha < -1e-12):
-                raise InvalidInputError("alpha must be nonnegative")
-            if self.alpha.sum() > 1.0 + 1e-9:
-                raise InvalidInputError(f"alpha budget {self.alpha.sum()!r} exceeds 1")
-
-    def as_u(self, x_0: np.ndarray) -> np.ndarray:
-        if self.u is not None:
-            return self.u
-        return self.alpha[:, None] * x_0[None, :]
+def check_plan(u, n_states: int | None = None) -> np.ndarray:
+    """u as a float plan (T, n_states); InvalidInputError when it has
+    another shape or an entry below -1e-12."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or (n_states is not None and u.shape[1] != n_states):
+        raise InvalidInputError(f"a plan needs one row per step and one column per state, got shape {u.shape}")
+    if np.any(u < -1e-12):
+        raise InvalidInputError("plan entries must be nonnegative")
+    return u
 
 
 def delta_p_by_stepping(
-    plan: ControlPlan,
+    u: np.ndarray,
     A: TransitionMatrix,
     A_a: TransitionMatrix,
     c: OutputVector,
     x_0: np.ndarray,
     horizon: int,
 ) -> np.ndarray:
-    """Reduction trace dP[k], k = 0..horizon, by direct population stepping
-    (independent of the kernel algebra; used for cross-checks and plan
-    certification).  dP[k] is measured from the unactuated trajectory
+    """Reduction trace dP[k], k = 0..horizon, of plan u by direct population
+    stepping (independent of the kernel algebra; used for cross-checks and
+    plan certification).  dP[k] is measured from the unactuated trajectory
     c A^k x_0, stepped alongside, as every LP and the inner recursion
     measure it; that is P_nom only when x_0 is stationary."""
-    u_full = plan.as_u(x_0)
-    T = u_full.shape[0]
+    u = check_plan(u, x_0.size)
+    T = u.shape[0]
     state = PopulationState(x=x_0.copy(), x_a=np.zeros_like(x_0))
     free = x_0
     out = np.zeros(horizon + 1)
@@ -172,7 +155,7 @@ def delta_p_by_stepping(
     for k in range(horizon):
         # project onto the admissible set: LP answers carry solver-level
         # slack, and shrinking u only understates the reduction
-        u_k = np.minimum(np.clip(u_full[k], 0.0, None), state.x) if k < T else zero
+        u_k = np.minimum(np.clip(u[k], 0.0, None), state.x) if k < T else zero
         state = step_population(state, u_k, A, A_a)
         free = A.P @ free
         out[k + 1] = float(c.c @ free) - aggregate_power(state, c)
@@ -265,11 +248,12 @@ FRONTIER_TIE_REL = 1e-9
 
 def prune_to_frontier(samples: list[ReachHoldPoint]) -> list[ReachHoldPoint]:
     """Max P_hold per T_hold, then drop points dominated by a longer hold
-    at equal or larger P (within FRONTIER_TIE_REL); sorted by T_hold."""
+    at equal or larger P (within FRONTIER_TIE_REL); sorted by T_hold.
+    Samples that hold for no step are dropped: they claim nothing."""
     best: dict[int, ReachHoldPoint] = {}
     for p in samples:
         cur = best.get(p.T_hold_steps)
-        if cur is None or p.P_hold_kw > cur.P_hold_kw:
+        if p.T_hold_steps >= 1 and (cur is None or p.P_hold_kw > cur.P_hold_kw):
             best[p.T_hold_steps] = p
     keep: list[ReachHoldPoint] = []
     run_max = -np.inf
@@ -304,7 +288,7 @@ def solve_exact(
     x_0: np.ndarray,
     A: TransitionMatrix,
     A_a: TransitionMatrix,
-) -> tuple[float, ControlPlan, LpSolution]:
+) -> tuple[float, np.ndarray, LpSolution]:
     """Exact boundary value at T_hold by the LP over the unactuated mass.
 
     w[k] = x[k] - u[k] is the mass left unactuated after step k; it moves
@@ -364,7 +348,7 @@ def solve_exact(
     u[0, cols] = x_S - w[0]
     u[1:, cols] = w[:-1] @ A_S.T - w[1:]
     value = float(sol.z[n_w])
-    plan = ControlPlan(u=np.clip(u, 0.0, None))
+    plan = np.clip(u, 0.0, None)
     margin = float(delta_p_by_stepping(plan, A, A_a, kernels.c, x_0, T)[1:].min()) - value
     if margin < -EXACT_REPLAY_TOL_REL * kernels.c.P_on_total:
         raise NumericalFailureError(
@@ -375,13 +359,11 @@ def solve_exact(
 
 @dataclass
 class InnerPoint:
-    """Result of the budget-allocation construction for one P_hold."""
+    """Result of the budget-allocation construction for one P_hold: its
+    boundary point and the allocation alpha, whose plan is alpha[k] x_0."""
 
     point: ReachHoldPoint
-    plan: ControlPlan
-    response: np.ndarray  # the plan's reduction trace dP[k], k = 0..kernels.horizon
-    depletion_step: int | None  # step at which the budget hit 1, if it did
-    min_margin_kw: float  # min over k <= T_hold of dP[k] - P_hold
+    alpha: np.ndarray  # (T_max,)
 
 
 @dataclass
@@ -413,7 +395,6 @@ class InnerProfile:
         r = P_hold / p_nom
         T_max = self.alpha_1.size
         alpha = np.zeros(T_max)
-        depletion = None
         if r > 0.0:  # at r = 0 the plan is empty, and 0 * inf would be NaN
             out = r * self.spent >= 1.0
             if out.any():
@@ -422,19 +403,13 @@ class InnerProfile:
                 alpha[depletion] = 1.0 - (r * self.spent[depletion - 1] if depletion else 0.0)
             else:
                 alpha[:] = r * self.alpha_1
-        plan = ControlPlan(alpha=alpha)
-        dp = np.zeros(self.s.size + 1)
-        dp[1:] = np.convolve(alpha, self.s)[: self.s.size]
-        # steps where alpha sat exactly at its lower bound satisfy the hold
-        # with equality, so the violation test needs room for rounding noise
-        below = dp[1 : T_max + 1] < P_hold - self.hold_tol
+        # below[k-1]: dP[k] misses P_hold.  Steps where alpha sat exactly at
+        # its lower bound satisfy the hold with equality, so the violation
+        # test needs room for rounding noise
+        below = np.convolve(alpha, self.s)[:T_max] < P_hold - self.hold_tol
         horizon_limited = not below.any()
         T_hold = T_max if horizon_limited else int(np.argmax(below))
-        margin = float((dp[1 : T_hold + 1] - P_hold).min()) if T_hold >= 1 else 0.0
-        pt = ReachHoldPoint(P_hold_kw=P_hold, T_hold_steps=T_hold, horizon_limited=horizon_limited)
-        return InnerPoint(
-            point=pt, plan=plan, response=dp, depletion_step=depletion, min_margin_kw=margin
-        )
+        return InnerPoint(ReachHoldPoint(P_hold, T_hold, horizon_limited), alpha)
 
 
 def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAULT_T_MAX) -> InnerProfile:
@@ -583,7 +558,7 @@ def solve_outer(
     kernels: ResponseKernels,
     x_out: np.ndarray,
     support: str = "xout",
-) -> tuple[float, ControlPlan, LpSolution]:
+) -> tuple[float, np.ndarray, LpSolution]:
     """Outer-bound LP at T_hold, by column generation.
 
     The LP maximizes P subject to the hold rows and a unit budget on
@@ -665,7 +640,7 @@ def solve_outer(
         )
     u = np.zeros((T, n))
     u[:, cols] = z.reshape(T, S)
-    return value, ControlPlan(u=np.clip(u, 0.0, None)), sol
+    return value, np.clip(u, 0.0, None), sol
 
 
 def outer_boundary(

@@ -39,7 +39,6 @@ from .reachhold import (
     INNER,
     METHODS,
     OUTER,
-    ControlPlan,
     OperatingPoint,
     ReachHoldPoint,
     ReachHoldSet,
@@ -139,11 +138,14 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, where: str = "") -> dict:
+    """override over base, objects merged keywise; no object may become a non-object."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(out.get(key), dict):
+            if not isinstance(value, dict):
+                raise InvalidConfigurationError(f"{where}{key} must be an object, got {value!r}")
+            out[key] = _deep_merge(out[key], value, f"{where}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -421,8 +423,7 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
 
     if v["mode"] == "step":
         fraction = float(v["fraction"])
-        plan = ControlPlan(alpha=np.array([fraction]))
-        dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, horizon)
+        dp = delta_p_by_stepping((fraction * ch.x_0)[None, :], ch.A, ch.A_a, ch.c, ch.x_0, horizon)
         markov = ch.p_nom_kw - dp
         stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]))
         fleet = stepper.fleet
@@ -452,13 +453,13 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     for T_hold in [int(t) for t in v["hold_steps"]]:
         P_hold = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
         ip = inner_point(P_hold, ch.kernels, ch.x_0, T_max)
+        u = ip.alpha[:, None] * ch.x_0[None, :]
         block_horizon = min(T_max, T_hold + 60)
-        dp = delta_p_by_stepping(ip.plan, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon)
+        dp = delta_p_by_stepping(u, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon)
         markov = ch.p_nom_kw - dp
         stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]) + T_hold)
         baseline = burn_in(stepper, burn_steps)
-        plan_b = ControlPlan(alpha=ip.plan.alpha[:block_horizon])
-        dplan = discretize_plan(plan_b, n_units, ch.x_0)
+        dplan = discretize_plan(u[:block_horizon], n_units)
         run = apply_plan_micro(stepper, dplan, op.grid, op.T_set_new, block_horizon, selection_seed)
         del stepper  # frees this block's fleet before the next one is sampled
         report = compare_traces(
@@ -510,8 +511,7 @@ def run_precool_sweep(cfg: dict, out_dir: Path) -> dict[str, str]:
     points = [op, replace(op, T_set=float(cfg["precool"]["T_set_precool"]))]
     sets = sweep(points, int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
     artifacts = {}
-    for label, point, rh in zip(("baseline", "precooled"), points, sets):
-        rh.regime["start_setpoint"] = point.T_set
+    for label, rh in zip(("baseline", "precooled"), sets):
         path = out_dir / f"{label}.csv"
         save_set(rh, path)
         artifacts[label] = str(path)
@@ -564,9 +564,9 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
         record("frontier_monotone", False, str(exc))
 
     u = rng.uniform(size=(30, n))
-    plan = ControlPlan(u=u * (0.7 / u.sum()))  # request 70% of the fleet overall
-    dplan = discretize_plan(plan, 1000)
-    per_state = np.abs(dplan.counts.sum(axis=0) - plan.u.sum(axis=0) * 1000)
+    u = u * (0.7 / u.sum())  # request 70% of the fleet overall
+    dplan = discretize_plan(u, 1000)
+    per_state = np.abs(dplan.counts.sum(axis=0) - u.sum(axis=0) * 1000)
     record(
         "discretization_fidelity",
         bool((per_state <= 1.0 + 1e-9).all()),

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInputError, ValidationDegradedWarning
 from .etp import FleetStepper, simulate_fleet
 from .markov import BinGrid
-from .reachhold import ControlPlan, write_json
+from .reachhold import check_plan, write_json
 
 SHORTFALL_WARN_FRACTION = 0.05
 FLOOR_NUDGE = 1e-9  # absorbs float dust so exact integers floor cleanly
@@ -56,16 +56,11 @@ class DiscretizedPlan:
         return int(self.counts.sum())
 
 
-def discretize_plan(plan: ControlPlan, n_units: int, x_0: np.ndarray | None = None) -> DiscretizedPlan:
-    """Floor-with-carry conversion of a fractional plan to unit counts.
-
-    Profile plans (alpha form) need the occupancy x_0 they scale.
-    """
+def discretize_plan(u: np.ndarray, n_units: int) -> DiscretizedPlan:
+    """Floor-with-carry conversion of a fractional plan u to unit counts."""
     if n_units < 1:
         raise InvalidInputError(f"n_units must be >= 1, got {n_units}")
-    if plan.alpha is not None and x_0 is None:
-        raise InvalidInputError("profile plans need x_0 to expand into per-bin mass")
-    U = np.clip(plan.as_u(x_0), 0.0, None) * n_units
+    U = np.clip(check_plan(u), 0.0, None) * n_units
     T, n_states = U.shape
     counts = np.zeros((T, n_states), dtype=int)
     e = np.zeros(n_states)

@@ -111,7 +111,7 @@ with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
     scenario.run("validate", cfg, Path(tmp))
 spans = tracer.spans
 print(json.dumps({
-    "spans": [[s[0], s[4]] for s in spans if s[0].startswith(("etp.", "validation."))],
+    "spans": [[s[0], s[4]] for s in spans if s[0].startswith(("etp.", "validation.", "reachhold.inner_p"))],
     "metrics": layers.from_spans(spans, 0),
 }))
 """
@@ -163,10 +163,13 @@ def test_sweeps_solve_each_baseline_once():
 
 def test_blocks_validate_builds_one_stepper_per_block():
     # burn-in and plan replay share one stepper per block; the micro-path
-    # spans keep the fields the per-layer metrics read
+    # spans keep the fields the per-layer metrics read, and each block
+    # finds its target and plan through the wrapped inner names
     out = run_traced(VALIDATE_SCRIPT)
     spans = out["spans"]
     names = [name for name, _ in spans]
+    assert names.count("reachhold.inner_p_at") == 2
+    assert names.count("reachhold.inner_point") == 2
     assert names.count("etp.FleetStepper") == 2
     assert names.count("validation.burn_in") == 2
     assert names.count("validation.apply_plan_micro") == 2
@@ -180,3 +183,4 @@ def test_blocks_validate_builds_one_stepper_per_block():
     assert m["etp.steppers"] == 2
     assert m["etp.unit_steps"] == 200 * names.count("etp.advance")
     assert m["validation.burn_in_s"] > 0.0 and m["validation.apply_plan_s"] > 0.0
+    assert m["reachhold.inner_p_at_s"] > 0.0 and m["reachhold.inner_point_calls"] == 2

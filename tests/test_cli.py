@@ -138,6 +138,23 @@ MISTYPED_CONFIGS = [
 ]
 
 
+# each section is an object in DEFAULTS, and a number, null or list in
+# its place is refused when the config loads
+SECTION_SUBCOMMANDS = {
+    "grid": "build-model",
+    "reachhold": "reachhold",
+    "fleet": "validate",
+    "validate": "validate",
+    "precool": "sweep-precool",
+    "aggregate": "aggregate",
+}
+NON_OBJECT_SECTIONS = [
+    pytest.param(sub, key, value, id=f"{key}-{label}")
+    for key, sub in SECTION_SUBCOMMANDS.items()
+    for label, value in (("number", 5), ("null", None), ("list", [1]))
+]
+
+
 def write_config(path, overrides):
     path.write_text(json.dumps(overrides, indent=2) + "\n")
     return str(path)
@@ -216,6 +233,16 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
         assert not (out / "effective_config.json").exists()  # refused at load, before any run
+
+    @pytest.mark.parametrize("subcommand, key, value", NON_OBJECT_SECTIONS)
+    def test_non_object_section_is_config_error(self, subcommand, key, value, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", {key: value})
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{key} must be an object" in err
+        assert "Traceback" not in err
+        assert not (out / "effective_config.json").exists()
 
     def test_integral_float_count_is_accepted(self):
         cfg = effective_config({"grid": {"n_bins": 10.0}, "T_max_steps": 30.0})
@@ -437,7 +464,8 @@ class TestAggregate:
             ("5,0.08333333333333333,100.0", None),
             (None, "{not json"),
             (None, '{"points": []}'),
-            # the rows below replace the first of two, P falling along T
+            # the rows below go in ahead of TINY's one inner row at T=30,
+            # and are well formed but break the set it makes with that row
             ("0,0.0,1390.0,outer", None),
             ("0,0.0,0.0,inner", None),
             (f"{TINY['T_max_steps']},0.5,1390.0,inner", None),
@@ -450,7 +478,7 @@ class TestAggregate:
     def test_malformed_frontier_is_config_error(self, reachhold_out, tmp_path, capsys, row, sidecar):
         lines = (reachhold_out / "inner.csv").read_text().splitlines()
         if row is not None:
-            lines[1] = row
+            lines.insert(1, row)
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         (tmp_path / "bad.json").write_text(sidecar or (reachhold_out / "inner.json").read_text())
         cfg = {"aggregate": {"inputs": [str(tmp_path / "bad.csv"), str(reachhold_out / "inner.csv")]}}
@@ -512,8 +540,8 @@ class TestSweeps:
         assert main(["sweep-precool", "--config", path, "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["P_nom_precooled_kw"] > summary["P_nom_baseline_kw"]
-        assert load_set(out / "baseline.csv").regime["start_setpoint"] == 20.0
-        assert load_set(out / "precooled.csv").regime["start_setpoint"] == 19.0
+        assert load_set(out / "baseline.csv").regime["T_set"] == 20.0
+        assert load_set(out / "precooled.csv").regime["T_set"] == 19.0
 
 
 class TestSelfcheck:

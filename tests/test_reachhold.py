@@ -30,7 +30,6 @@ from tclflex.reachhold import (
     EXACT_LP_CAP,
     INNER,
     OUTER,
-    ControlPlan,
     OperatingPoint,
     ReachHoldPoint,
     ResponseKernels,
@@ -105,6 +104,19 @@ def dense_exact_40():
             seen = record_highs(mp)
             out[T] = (seen, dense_exact(T, ch.kernels, ch.x_0, ch.A))
     return out
+
+
+def replay(alpha: np.ndarray, ch, horizon: int) -> np.ndarray:
+    """dP[0..horizon] of the inner allocation alpha, whose plan is
+    alpha[k] x_0, by population stepping on fleet ch."""
+    return delta_p_by_stepping(alpha[:, None] * ch.x_0[None, :], ch.A, ch.A_a, ch.c, ch.x_0, horizon)
+
+
+def kernel_response(alpha: np.ndarray, kernels, x_0: np.ndarray) -> np.ndarray:
+    """dP[0..kernels.horizon] of the inner allocation alpha by the kernel
+    algebra: dP[k] = sum_{m<k} alpha[m] (h_{k-m} - h_{a,k-m}) @ x_0."""
+    s = (kernels.h - kernels.h_a)[1:] @ x_0
+    return np.concatenate([[0.0], np.convolve(alpha, s)[: s.size]])
 
 
 def tiny_system(A, A_a, horizon=10, p_on=10.0, A_out=None):
@@ -246,44 +258,38 @@ class TestResponseKernels:
             response_kernels(char10.A, char10.A_a, char10.c, horizon=0)
 
 
-class TestControlPlan:
-    def test_exactly_one_form(self):
-        with pytest.raises(InvalidInputError):
-            ControlPlan()
-        with pytest.raises(InvalidInputError):
-            ControlPlan(u=np.zeros((2, 4)), alpha=np.zeros(2))
+class TestPlanInput:
+    """A plan is one (T, n_states) array; delta_p_by_stepping checks it."""
 
-    def test_alpha_budget_capped(self):
-        with pytest.raises(InvalidInputError, match="budget"):
-            ControlPlan(alpha=np.array([0.7, 0.4]))
+    def test_wrong_shape_rejected(self):
+        A, A_a, kernels, x_0 = growing_support_system()
+        for u in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))):
+            with pytest.raises(InvalidInputError, match="shape"):
+                delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ControlPlan(alpha=np.array([-0.1]))
-        with pytest.raises(InvalidInputError):
-            ControlPlan(u=np.array([[-0.2, 0.0]]))
-
-    def test_as_u_expands_profile(self):
-        x_0 = np.array([0.25, 0.75])
-        plan = ControlPlan(alpha=np.array([0.4, 0.6]))
-        u = plan.as_u(x_0)
-        assert u == pytest.approx(np.outer([0.4, 0.6], x_0))
+        A, A_a, kernels, x_0 = growing_support_system()
+        u = np.zeros((2, 4))
+        u[1, 2] = -1e-9
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
+        u[1, 2] = -1e-13  # solver dust: accepted and clipped away
+        assert np.array_equal(delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3), np.zeros(4))
 
 
 class TestDeltaP:
     def test_impulse_recovers_nominal_power(self, char40):
         ip = inner_point(char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
-        assert ip.plan.alpha[0] == 1.0 and not ip.plan.alpha[1:].any()
-        assert ip.response[0] == 0.0
-        assert ip.response[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
+        assert ip.alpha[0] == 1.0 and not ip.alpha[1:].any()
+        dp = replay(ip.alpha, char40, 1)
+        assert dp[0] == 0.0
+        assert dp[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
 
     def test_profile_plan_matches_stepping(self, char40):
         K = char40.kernels.horizon
         ip = inner_point(0.6 * char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
-        stepped = delta_p_by_stepping(
-            ip.plan, char40.A, char40.A_a, char40.c, char40.x_0, horizon=K
-        )
-        assert ip.response == pytest.approx(stepped, abs=1e-8 * P_ON_TOTAL)
+        algebra = kernel_response(ip.alpha, char40.kernels, char40.x_0)
+        assert algebra == pytest.approx(replay(ip.alpha, char40, K), abs=1e-8 * P_ON_TOTAL)
 
     def test_general_plan_matches_stepping(self, char40):
         # the hold rows the exact and outer LPs hand HiGHS: -(block @ u)
@@ -298,9 +304,7 @@ class TestDeltaP:
             x = char40.A.P @ (x - u[k])
         d = char40.kernels.h - char40.kernels.h_a
         block = _hold_block(d, T, np.repeat(np.arange(T), n), np.tile(np.arange(n), T))
-        stepped = delta_p_by_stepping(
-            ControlPlan(u=u), char40.A, char40.A_a, char40.c, char40.x_0, horizon=T
-        )
+        stepped = delta_p_by_stepping(u, char40.A, char40.A_a, char40.c, char40.x_0, horizon=T)
         assert stepped[1:].max() > 0.1 * char40.p_nom_kw
         assert block @ u.ravel() == pytest.approx(-stepped[1:], abs=1e-8 * P_ON_TOTAL)
 
@@ -308,7 +312,7 @@ class TestDeltaP:
         # the reduction is measured from the unactuated trajectory c A^k x_0,
         # which here jumps from 0 to 10 kW, not from c x_0
         A, A_a, kernels, x_0 = growing_support_system()
-        dp = delta_p_by_stepping(ControlPlan(alpha=np.zeros(6)), A, A_a, kernels.c, x_0, 6)
+        dp = delta_p_by_stepping(np.zeros((6, 4)), A, A_a, kernels.c, x_0, 6)
         assert np.array_equal(dp, np.zeros(7))
 
     def test_matches_kernel_algebra_off_stationarity(self):
@@ -318,7 +322,7 @@ class TestDeltaP:
         u[1, 2] = 0.5
         d = kernels.h - kernels.h_a
         block = _hold_block(d, 3, np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3))
-        dp = delta_p_by_stepping(ControlPlan(u=u), A, A_a, kernels.c, x_0, 3)
+        dp = delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
         assert dp[2] == pytest.approx(5.0)
         assert block @ u.ravel() == pytest.approx(-dp[1:], abs=1e-12)
 
@@ -329,7 +333,7 @@ class TestAlphaLowerBound:
     def test_first_step_is_target_fraction(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF)
         x_0 = np.array([0.5, 0.5])  # p_nom = 5
-        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).plan.alpha
+        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).alpha
         assert alpha[0] == pytest.approx(0.4)
 
     def test_second_step_vanishes_without_recovery(self):
@@ -337,7 +341,7 @@ class TestAlphaLowerBound:
         # alpha[0] keeps covering the target, so the bound drops to zero
         kernels = tiny_system(IDENTITY, ABSORB_OFF)
         x_0 = np.array([0.5, 0.5])
-        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).plan.alpha
+        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).alpha
         assert alpha[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_second_step_refills_under_full_recovery(self):
@@ -349,7 +353,7 @@ class TestAlphaLowerBound:
         profile = inner_profile(kernels, x_0, T_max=9)
         assert np.isinf(profile.alpha_1).all()
         ip = profile.point(2.0)
-        assert ip.depletion_step == 0 and ip.plan.alpha[0] == 1.0
+        assert ip.alpha[0] == 1.0 and not ip.alpha[1:].any()  # the budget goes at once
 
     def test_partial_recovery_divides_by_gain(self):
         # A_a leaves a quarter of the mass on each step: c A_a^m x_0 = 2.5
@@ -358,9 +362,9 @@ class TestAlphaLowerBound:
         kernels = tiny_system(IDENTITY, PARTIAL)
         x_0 = np.array([0.5, 0.5])
         ip = inner_profile(kernels, x_0, T_max=9).point(2.0)
-        assert ip.plan.alpha[0] == pytest.approx(0.8)
-        assert ip.plan.alpha[1] == pytest.approx(0.0, abs=1e-15)
-        assert ip.response[1:3] == pytest.approx([2.0, 2.0])
+        assert ip.alpha[0] == pytest.approx(0.8)
+        assert ip.alpha[1] == pytest.approx(0.0, abs=1e-15)
+        assert kernel_response(ip.alpha, kernels, x_0)[1:3] == pytest.approx([2.0, 2.0])
 
     def test_horizon_guard(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=3)
@@ -373,12 +377,11 @@ class TestInnerPoint:
         ip = inner_point(0.0, char40.kernels, char40.x_0, T_max=120)
         assert ip.point.T_hold_steps == 120
         assert ip.point.horizon_limited
-        assert ip.plan.alpha.sum() == 0.0
+        assert ip.alpha.sum() == 0.0
 
     def test_full_nominal_depletes_immediately(self, char40):
         ip = inner_point(char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
-        assert ip.depletion_step == 0
-        assert ip.plan.alpha[0] == pytest.approx(1.0)
+        assert ip.alpha[0] == pytest.approx(1.0) and not ip.alpha[1:].any()
         # the whole fleet parks off, so the hold survives at least until
         # the actuated cohort warms back into the new band
         assert ip.point.T_hold_steps >= 1
@@ -388,7 +391,7 @@ class TestInnerPoint:
         ip = inner_point(P, char40.kernels, char40.x_0, T_max=120)
         T_h = ip.point.T_hold_steps
         assert T_h >= 1
-        dp = delta_p_by_stepping(ip.plan, char40.A, char40.A_a, char40.c, char40.x_0, T_h)
+        dp = replay(ip.alpha, char40, T_h)
         assert np.all(dp[1 : T_h + 1] >= P - 1e-9 * P_ON_TOTAL)
 
     def test_hold_ends_at_first_violation(self, char40):
@@ -396,22 +399,22 @@ class TestInnerPoint:
         ip = inner_point(P, char40.kernels, char40.x_0, T_max=120)
         T_h = ip.point.T_hold_steps
         assert not ip.point.horizon_limited
-        assert ip.response[T_h + 1] < P - 1e-10 * P_ON_TOTAL
+        assert replay(ip.alpha, char40, T_h + 1)[T_h + 1] < P - 1e-10 * P_ON_TOTAL
 
     def test_absorbing_synthetic_holds_forever(self):
         kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=20)
         x_0 = np.array([0.5, 0.5])
         ip = inner_point(2.5, kernels, x_0, T_max=19)
         assert ip.point.horizon_limited and ip.point.T_hold_steps == 19
-        assert ip.plan.alpha[0] == pytest.approx(0.5)
-        assert ip.plan.alpha[1:].sum() == pytest.approx(0.0, abs=1e-15)
+        assert ip.alpha[0] == pytest.approx(0.5)
+        assert ip.alpha[1:].sum() == pytest.approx(0.0, abs=1e-15)
 
     def test_no_gain_holds_nothing(self):
         # a fresh cohort that draws its full share again saves nothing:
         # the budget goes at once and no positive target holds a step
         kernels = tiny_system(IDENTITY, MIXING, horizon=20)
         ip = inner_point(2.0, kernels, np.array([0.5, 0.5]), T_max=19)
-        assert ip.depletion_step == 0
+        assert ip.alpha[0] == 1.0
         assert ip.point.T_hold_steps == 0 and not ip.point.horizon_limited
 
     def test_target_outside_range_rejected(self, char40):
@@ -437,6 +440,15 @@ class TestInnerBoundary:
         if p < char40.p_nom_kw:  # interior boundary point: a nudge above must fail
             bumped = min(p + 1e-6 * char40.p_nom_kw, char40.p_nom_kw)
             assert inner_point(bumped, char40.kernels, char40.x_0, 120).point.T_hold_steps < T
+
+    def test_one_deadband_raise_keeps_no_zero_hold(self):
+        # a cohort raised by exactly one deadband still draws c A_a x_0, so
+        # the full-nominal target holds no step; that sample claims nothing
+        # and stays off the frontier
+        ch = characterize(replace(point(40), T_set_new=T_SET + DEADBAND), T_max=120, with_outer=False)
+        assert inner_point(ch.p_nom_kw, ch.kernels, ch.x_0, 120).point.T_hold_steps == 0
+        rh = inner_boundary(ch.kernels, ch.x_0, 120, regime=ch.regime)
+        assert rh.points and all(p.T_hold_steps >= 1 for p in rh.points)
 
     def test_short_holds_reach_full_nominal(self, char40):
         assert inner_p_at(1, char40.kernels, char40.x_0, T_max=120) == char40.p_nom_kw
@@ -466,9 +478,9 @@ class TestInnerProfile:
         ch = characterize(op, T_max=T_max, with_outer=False)
         for P in default_p_grid(ch.p_nom_kw):
             ip = inner_point(float(P), ch.kernels, ch.x_0, T_max)
-            alpha, depletion, T_h, limited = reference_inner_point(float(P), ch.kernels, ch.x_0, T_max)
-            assert (ip.point.T_hold_steps, ip.point.horizon_limited, ip.depletion_step) == (T_h, limited, depletion)
-            assert np.abs(ip.plan.alpha - alpha).max() <= 1e-12 * alpha.max()
+            alpha, _, T_h, limited = reference_inner_point(float(P), ch.kernels, ch.x_0, T_max)
+            assert (ip.point.T_hold_steps, ip.point.horizon_limited) == (T_h, limited)
+            assert np.abs(ip.alpha - alpha).max() <= 1e-12 * alpha.max()
         got = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
         assert got == pytest.approx(reference_p_at(T_hold, ch.kernels, ch.x_0, T_max), abs=1e-9 * ch.p_nom_kw)
 
@@ -481,28 +493,26 @@ class TestInnerProfile:
         # 0 * inf would put NaN in the plan
         kernels = tiny_system(IDENTITY, MIXING, horizon=20)
         ip = inner_point(0.0, kernels, np.array([0.5, 0.5]), T_max=19)
-        assert not np.isnan(ip.plan.alpha).any() and not np.isnan(ip.response).any()
-        assert np.all(ip.plan.alpha == 0.0)
-        assert ip.depletion_step is None
+        assert np.all(ip.alpha == 0.0)
         assert ip.point.T_hold_steps == 19 and ip.point.horizon_limited
 
     @pytest.mark.parametrize("P", [1e-9, 0.5, 2.0, 5.0])
     def test_no_gain_positive_target_depletes_at_once(self, P):
         kernels = tiny_system(IDENTITY, MIXING, horizon=20)
         ip = inner_point(P, kernels, np.array([0.5, 0.5]), T_max=19)  # p_nom = 5
-        assert ip.depletion_step == 0
-        assert ip.plan.alpha[0] == 1.0 and np.all(ip.plan.alpha[1:] == 0.0)
+        assert ip.alpha[0] == 1.0 and np.all(ip.alpha[1:] == 0.0)
 
     def test_depleted_plans_pass_the_budget_check(self, char40):
         # alpha[dep] = 1 - r C[dep-1] while the prefix is r alpha_1, so the
-        # sum meets 1 only up to rounding; ControlPlan allows 1e-9
+        # sum meets 1 only up to rounding, within the 1e-9 every target's
+        # allocation must keep to
         depleted = 0
         for P in np.linspace(0.01, 1.0, 200) * char40.p_nom_kw:
-            ip = inner_point(float(P), char40.kernels, char40.x_0, T_max=120)
-            if ip.depletion_step is not None:
+            alpha = inner_point(float(P), char40.kernels, char40.x_0, T_max=120).alpha
+            assert np.all(alpha >= 0.0) and alpha.sum() <= 1.0 + 1e-9
+            if reference_inner_point(float(P), char40.kernels, char40.x_0, 120)[1] is not None:
                 depleted += 1
-                assert ip.plan.alpha.sum() == pytest.approx(1.0, abs=1e-12)
-                ControlPlan(alpha=ip.plan.alpha)
+                assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert depleted > 0
 
 
@@ -525,7 +535,7 @@ class TestSolveExact:
     def test_single_step_recovers_nominal(self, char40):
         P, plan, _ = solve_exact(1, char40.kernels, char40.x_0, char40.A, char40.A_a)
         assert P == pytest.approx(char40.p_nom_kw, abs=LP_TOL)
-        assert plan.u.shape == (1, char40.x_0.size)
+        assert plan.shape == (1, char40.x_0.size)
 
     def test_nonincreasing_in_hold_length(self, char10):
         vals = [solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)[0] for T in (2, 5, 10)]
@@ -551,8 +561,8 @@ class TestSolveExact:
         P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
         assert P == pytest.approx(full_support_exact(T, ch.kernels, ch.x_0, ch.A), abs=LP_TOL)
         off = np.setdiff1d(np.arange(ch.x_0.size), invariant_support(ch.A, ch.x_0))
-        assert plan.u.shape == (T, ch.x_0.size)
-        assert np.all(plan.u[:, off] == 0.0)
+        assert plan.shape == (T, ch.x_0.size)
+        assert np.all(plan[:, off] == 0.0)
 
     def test_matches_oracle_when_support_grows(self):
         A, A_a, kernels, x_0 = growing_support_system()
@@ -560,10 +570,10 @@ class TestSolveExact:
         for T in (1, 2, 3, 6):
             P, plan, _ = solve_exact(T, kernels, x_0, A, A_a)
             assert P == pytest.approx(full_support_exact(T, kernels, x_0, A), abs=1e-7)
-            assert plan.u.shape == (T, 4)
-            assert np.all(plan.u[:, 0] == 0.0)
+            assert plan.shape == (T, 4)
+            assert np.all(plan[:, 0] == 0.0)
         assert P == pytest.approx(5.0, abs=1e-7)
-        assert plan.u[1, 2] == pytest.approx(0.5, abs=1e-7)
+        assert plan[1, 2] == pytest.approx(0.5, abs=1e-7)
 
     def test_retried_instance_solves(self, dense_exact_40):
         # at the defaults HiGHS gives up on the dense-block T=60 LP (status
@@ -725,7 +735,7 @@ class TestSolveOuter:
         # spend the whole budget at step 0
         assert P_full == pytest.approx(10.0, abs=1e-7)
         assert P_xout == pytest.approx(10.0, abs=1e-7)
-        assert plan.u[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
+        assert plan[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_support_rejected(self, char10):
         x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
@@ -740,12 +750,11 @@ class TestSolveOuter:
     def test_matches_full_column_oracle(self, fleet, T, support, request):
         ch = request.getfixturevalue(fleet)
         x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
-        P, plan, sol = solve_outer(T, ch.kernels, x_out, support=support)
+        P, u, sol = solve_outer(T, ch.kernels, x_out, support=support)
         assert P == pytest.approx(full_column_outer(T, ch.kernels, x_out, support), abs=LP_TOL)
         # the last master's duals prove the value for every column
         assert pricing_bound(T, ch.kernels, x_out, support, sol.duals_ineq) <= P * (1.0 + 1e-9)
         # its plan stays on the support, within the budget, and holds P
-        u = plan.u
         assert u.shape == (T, x_out.size)
         if support == "xout":
             assert np.all(u[:, x_out <= 0.0] == 0.0)
@@ -822,6 +831,7 @@ class TestFrontierAssembly:
             ReachHoldPoint(P_hold_kw=90.0, T_hold_steps=5),  # dominated
             ReachHoldPoint(P_hold_kw=100.0, T_hold_steps=12),
             ReachHoldPoint(P_hold_kw=40.0, T_hold_steps=30),
+            ReachHoldPoint(P_hold_kw=150.0, T_hold_steps=0),  # holds nothing
         ]
         rh = ReachHoldSet(points=prune_to_frontier(pts), method=INNER, regime={"dt_minutes": 1.0})
         assert [(p.T_hold_steps, p.P_hold_kw) for p in rh.points] == [(12, 100.0), (30, 40.0)]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tclflex.errors import InvalidInputError, ValidationDegradedWarning
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import build_grid
-from tclflex.reachhold import ControlPlan
 from tclflex.validation import (
     DiscretizedPlan,
     _state_pools,
@@ -26,10 +25,10 @@ from conftest import T_AMB, T_SET, T_SET_NEW
 from micro_reference import ReferenceStepper, reference_apply_plan_micro
 
 
-def single_bin_plan(per_step: float, steps: int, n_states: int = 4, bin_idx: int = 1) -> ControlPlan:
+def single_bin_plan(per_step: float, steps: int, n_states: int = 4, bin_idx: int = 1) -> np.ndarray:
     u = np.zeros((steps, n_states))
     u[:, bin_idx] = per_step
-    return ControlPlan(u=u)
+    return u
 
 
 class TestDiscretizePlan:
@@ -48,7 +47,7 @@ class TestDiscretizePlan:
     def test_integer_multiples_floor_exactly(self):
         u = np.zeros((5, 3))
         u[:, 0] = np.array([3, 0, 2, 1, 4]) / 200.0
-        d = discretize_plan(ControlPlan(u=u), n_units=200)
+        d = discretize_plan(u, n_units=200)
         assert d.counts[:, 0].tolist() == [3, 0, 2, 1, 4]
         assert np.array_equal(np.cumsum(d.counts, axis=0), np.cumsum(np.rint(u * 200), axis=0))
 
@@ -56,7 +55,7 @@ class TestDiscretizePlan:
         rng = np.random.default_rng(11)
         u = rng.uniform(0.0, 0.02, size=(30, 8))
         u *= 0.9 / u.sum()  # admissible total budget
-        d = discretize_plan(ControlPlan(u=u), n_units=750)
+        d = discretize_plan(u, n_units=750)
         exact = np.cumsum(u * 750, axis=0)
         got = np.cumsum(d.counts, axis=0)
         assert np.all(np.abs(got - exact) <= 1.0 + 1e-9)
@@ -64,19 +63,26 @@ class TestDiscretizePlan:
 
     def test_alpha_plan_expands_through_x0(self):
         x_0 = np.array([0.5, 0.25, 0.25, 0.0])
-        plan = ControlPlan(alpha=np.array([0.2, 0.0, 0.8]))
-        d = discretize_plan(plan, n_units=100, x_0=x_0)
+        alpha = np.array([0.2, 0.0, 0.8])
+        d = discretize_plan(alpha[:, None] * x_0[None, :], n_units=100)
         assert d.counts[0].tolist() == [10, 5, 5, 0]  # floor of 0.2 * x_0 * 100
         assert d.counts.sum() == pytest.approx(100, abs=len(x_0))
 
     def test_alpha_plan_without_x0_rejected(self):
-        with pytest.raises(InvalidInputError, match="x_0"):
-            discretize_plan(ControlPlan(alpha=np.array([0.5])), n_units=10)
+        # a bare allocation is not a plan until it is expanded through x_0
+        with pytest.raises(InvalidInputError, match="shape"):
+            discretize_plan(np.array([0.5]), n_units=10)
+
+    def test_negative_entries_rejected(self):
+        u = single_bin_plan(0.1, steps=3)
+        u[2, 0] = -1e-9
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            discretize_plan(u, n_units=10)
 
     def test_over_budget_counts_rejected(self):
         u = np.full((4, 2), 0.25)  # total mass 2.0 > 1
         with pytest.raises(InvalidInputError, match="actuates"):
-            discretize_plan(ControlPlan(u=u), n_units=40)
+            discretize_plan(u, n_units=40)
 
     def test_requested_total_matches_counts(self):
         plan = single_bin_plan(0.4 / 50, steps=10)
