@@ -5,17 +5,18 @@ Problems are stated in maximize form
     max  c @ z
     s.t. G z <= h,  E z == f,  lo <= z <= hi
 
-and handed to HiGHS (Huangfu & Hall, Math. Prog. Comp. 10, 2018) through
-the `_Highs` class of the HiGHS extension that scipy ships.  The
-extension is loaded from its file at the first solve, without importing
-`scipy.optimize`, so importing tclflex costs no solver start-up; the
-model, options and status codes are those `linprog(method="highs")`
-would use.  Every reported optimum is re-verified against the raw
-problem data here, independently of the solver's own bookkeeping: a
-solution whose constraint violation exceeds the tolerance is downgraded
-to numerical-failure rather than trusted.  Any numerical failure,
-including an answer HiGHS itself gives up on, is re-solved once with
-tighter HiGHS tolerances before it is reported.
+with G and E stored column-wise and sparse (`ColumnMatrix`, the layout
+HiGHS takes), and handed to HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
+2018) through the `_Highs` class of the HiGHS extension that scipy ships.
+The extension is loaded from its file at the first solve, without
+importing `scipy.optimize`, so importing tclflex costs no solver
+start-up; the model, options and status codes are those
+`linprog(method="highs")` would use.  Every reported optimum is
+re-verified against the raw problem data here, independently of the
+solver's own bookkeeping: a solution whose constraint violation exceeds
+the tolerance is downgraded to numerical-failure rather than trusted.
+Any numerical failure, including an answer HiGHS itself gives up on, is
+re-solved once with tighter HiGHS tolerances before it is reported.
 """
 
 from __future__ import annotations
@@ -42,13 +43,74 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 
 @dataclass
+class ColumnMatrix:
+    """Sparse matrix in the column-wise layout HiGHS takes (kColwise):
+    column j holds value[start[j]:start[j+1]] in rows
+    index[start[j]:start[j+1]], rows strictly ascending, no stored zeros.
+    np.asarray gives the dense equivalent and `@` a matrix-vector product."""
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        n_rows, n_cols = self.shape = (int(self.shape[0]), int(self.shape[1]))
+        start, index = np.asarray(self.start), np.asarray(self.index)
+        self.value = np.asarray(self.value, dtype=float)
+        nnz = self.value.size
+        if start.dtype.kind not in "iu" or start.shape != (n_cols + 1,) or start[0] != 0 or start[-1] != nnz:
+            raise InvalidInputError(f"start must be {n_cols + 1} integers from 0 to the {nnz} nonzeros")
+        if index.dtype.kind not in "iu" or index.shape != (nnz,) or np.any((index < 0) | (index >= n_rows)):
+            raise InvalidInputError(f"index must hold {nnz} row numbers in 0..{n_rows - 1}")
+        if not np.isfinite(self.value).all() or np.any(self.value == 0.0):
+            raise InvalidInputError("value must be finite and nonzero")
+        counts = np.diff(start)
+        if np.any(counts < 0):
+            raise InvalidInputError("start must not decrease")
+        if np.any(np.diff(np.repeat(np.arange(n_cols), counts) * n_rows + index) <= 0):
+            raise InvalidInputError("rows must ascend strictly within each column")
+        self.start, self.index = start.astype(np.int32), index.astype(np.int32)
+
+    @classmethod
+    def from_entries(cls, pieces: list[tuple], shape) -> ColumnMatrix:
+        """From pieces of (row, col, value) arrays, entries in any order and
+        at distinct positions; zero values are dropped."""
+        row, col, value = (np.concatenate(part) for part in zip(*pieces))
+        keep = value != 0.0
+        row, col, value = row[keep], col[keep], value[keep]
+        order = np.argsort(col * np.int64(shape[0]) + row, kind="stable")  # by column, then row
+        start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=shape[1]))))
+        return cls(start, row[order], value[order], shape)
+
+    @classmethod
+    def from_dense(cls, M: np.ndarray) -> ColumnMatrix:
+        row, col = np.nonzero(M)
+        return cls.from_entries([(row, col, M[row, col])], M.shape)
+
+    def columns(self) -> np.ndarray:
+        """The column of each stored entry."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.start))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=dtype or float)
+        dense[self.index, self.columns()] = self.value
+        return dense
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        weights = self.value * np.repeat(np.asarray(z, dtype=float), np.diff(self.start))
+        return np.bincount(self.index, weights=weights, minlength=self.shape[0])
+
+
+@dataclass
 class LinearProgram:
-    """Dense LP in maximize form; any constraint block may be omitted."""
+    """LP in maximize form; any constraint block may be omitted.  G and E
+    are stored as ColumnMatrix; a dense array is converted once here."""
 
     c: np.ndarray
-    G: np.ndarray | None = None
+    G: ColumnMatrix | np.ndarray | None = None
     h: np.ndarray | None = None
-    E: np.ndarray | None = None
+    E: ColumnMatrix | np.ndarray | None = None
     f: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
@@ -64,15 +126,16 @@ class LinearProgram:
             if (mat is None) != (vec is None):
                 raise InvalidInputError(f"{mat_name} and {vec_name} must be given together")
             if mat is not None:
-                mat = np.atleast_2d(np.asarray(mat, dtype=float))
                 vec = np.atleast_1d(np.asarray(vec, dtype=float))
+                if not isinstance(mat, ColumnMatrix):
+                    mat = ColumnMatrix.from_dense(np.atleast_2d(np.asarray(mat, dtype=float)))
                 if mat.shape != (vec.size, n):
                     raise InvalidInputError(
                         f"{mat_name} shape {mat.shape} incompatible with "
                         f"{vec_name} ({vec.size}) and c ({n})"
                     )
-                if not (np.isfinite(mat).all() and np.isfinite(vec).all()):
-                    raise InvalidInputError(f"{mat_name} and {vec_name} must be finite")
+                if not np.isfinite(vec).all():
+                    raise InvalidInputError(f"{vec_name} must be finite")
                 setattr(self, mat_name, mat)
                 setattr(self, vec_name, vec)
         for name in ("lo", "hi"):
@@ -172,20 +235,20 @@ def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
     are further HiGHS options set on top."""
     core = _highs_core()
     n = lp.n_vars
-    rows = [m for m in (lp.G, lp.E) if m is not None]
-    A_t = (np.vstack(rows) if rows else np.zeros((0, n))).T
+    A = lp.G if lp.G is not None else ColumnMatrix.from_dense(np.zeros((0, n)))
     h = np.zeros(0) if lp.G is None else lp.h
     f = np.zeros(0) if lp.E is None else lp.f
-    nonzero = A_t != 0.0
+    if lp.E is not None:  # E's rows under G's, column by column
+        pieces = [(A.index, A.columns(), A.value), (lp.E.index + A.shape[0], lp.E.columns(), lp.E.value)]
+        A = ColumnMatrix.from_entries(pieces, (A.shape[0] + lp.E.shape[0], n))
 
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = A_t.shape[1]
+    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # column-major nonzeros, rows ascending within a column
-    model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.int32)
-    model.a_matrix_.index_ = np.nonzero(nonzero)[1].astype(np.int32)
-    model.a_matrix_.value_ = A_t[nonzero]
+    model.a_matrix_.start_ = A.start
+    model.a_matrix_.index_ = A.index
+    model.a_matrix_.value_ = A.value
     model.col_cost_ = -lp.c
     model.col_lower_ = np.full(n, -np.inf) if lp.lo is None else lp.lo
     model.col_upper_ = np.full(n, np.inf) if lp.hi is None else lp.hi

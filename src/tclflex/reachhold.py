@@ -45,7 +45,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .etp import TclParams
-from .lp import OPTIMAL, LinearProgram, LpSolution, solve
+from .lp import OPTIMAL, ColumnMatrix, LinearProgram, LpSolution, solve
 from .markov import (
     BinGrid,
     OutputVector,
@@ -272,14 +272,17 @@ def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reachable(A.P, x_0 > 0.0)[0])
 
 
-def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Hold-row coefficients of the variables v[steps[i]][states[i]]:
-    the (T, len(steps)) block of the rows P - sum_{m<k} d[k-m] @ v[m] <= 0,
-    k = 1..T, whose row k-1 holds -d[k - steps[i]][states[i]] for k > steps[i]
-    and 0 otherwise.  v is the plan u for the outer LP and the unactuated
-    mass w for the exact LP, whose kernel is then -e."""
-    lag = np.arange(1, T + 1)[:, None] - steps[None, :]  # k - m
-    return np.where(lag > 0, -d[np.maximum(lag, 0), states[None, :]], 0.0)
+def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> tuple:
+    """Entries (row, col, value) of the hold rows P - sum_{m<k} d[k-m] @ v[m]
+    <= 0, k = 1..T, over the variables v[steps[i]][states[i]] (column i
+    holds -d[k - steps[i]][states[i]] in row k-1 for k > steps[i]) and then
+    P.  v is the plan u for the outer LP and the unactuated mass w for the
+    exact LP, whose kernel is then -e."""
+    counts = T - steps
+    col = np.repeat(np.arange(steps.size), counts)
+    lag = np.arange(col.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1  # k - m
+    row = np.concatenate((steps[col] + lag - 1, np.arange(T)))
+    return row, np.concatenate((col, np.full(T, steps.size))), np.concatenate((-d[lag, states[col]], np.ones(T)))
 
 
 def solve_exact(
@@ -325,15 +328,19 @@ def solve_exact(
     e = d.copy()  # e[0] is never read
     e[2:] -= d[1:T] @ A_S
     # variables: w[0..T-1] on S flattened, then P, then one
-    G = np.zeros((T + n_w, n_w + 2))
-    G[:T, :n_w] = _hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T))
-    G[:T, n_w] = 1.0
-    G[:T, n_w + 1] = -(d[1:] @ x_S)
-    diag = np.arange(n_w)
-    G[T + diag, diag] = 1.0
-    G[T : T + S, n_w + 1] = -x_S
-    for k in range(1, T):
-        G[T + k * S : T + (k + 1) * S, (k - 1) * S : k * S] = -A_S
+    a_row, a_col = np.nonzero(A_S)
+    shift = S * np.arange(T - 1)[:, None]  # -A_S pairs w[k-1] with the rows of w[k]
+    G = ColumnMatrix.from_entries(
+        [
+            _hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T)),
+            (np.arange(T), np.full(T, n_w + 1), -(d[1:] @ x_S)),
+            # admissibility rows: w[0] - x_S <= 0 and w[k] - A_S w[k-1] <= 0
+            (T + np.arange(n_w), np.arange(n_w), np.ones(n_w)),
+            (T + np.arange(S), np.full(S, n_w + 1), -x_S),
+            ((T + S + shift + a_row).ravel(), (shift + a_col).ravel(), np.tile(-A_S[a_row, a_col], T - 1)),
+        ],
+        (T + n_w, n_w + 2),
+    )
     c_obj = np.zeros(n_w + 2)
     c_obj[n_w] = 1.0
     lo = np.zeros(n_w + 2)
@@ -620,10 +627,8 @@ def solve_outer(
         active[new] = True
         idx = np.flatnonzero(active)
         K = idx.size
-        G = np.zeros((T + 1, K + 1))
-        G[:T, :K] = _hold_block(d, T, idx // S, cols[idx % S])
-        G[:T, K] = 1.0
-        G[T, :K] = 1.0  # total budget <= 1
+        budget = (np.full(K, T), np.arange(K), np.ones(K))  # total budget <= 1
+        G = ColumnMatrix.from_entries([_hold_block(d, T, idx // S, cols[idx % S]), budget], (T + 1, K + 1))
         c_obj = np.zeros(K + 1)
         c_obj[K] = 1.0
         sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(K + 1)))

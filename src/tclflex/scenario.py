@@ -139,9 +139,12 @@ PRESETS: dict[str, dict] = {
 
 
 def _deep_merge(base: dict, override: dict, where: str = "") -> dict:
-    """override over base, objects merged keywise; no object may become a non-object."""
+    """override over base, objects merged keywise; no object may become a
+    non-object, and no key is new to base but the seeds."""
     out = copy.deepcopy(base)
     for key, value in override.items():
+        if key not in out and f"{where}{key}" not in ("fleet.seed", "validate.selection_seed"):
+            raise InvalidConfigurationError(f"unknown config key {where}{key}")
         if isinstance(out.get(key), dict):
             if not isinstance(value, dict):
                 raise InvalidConfigurationError(f"{where}{key} must be an object, got {value!r}")

@@ -10,7 +10,9 @@ and the hold rows over u.  Tests use it as an oracle for `solve_exact`.
 import numpy as np
 
 from tclflex.lp import OPTIMAL, LinearProgram, solve
-from tclflex.reachhold import _hold_block, invariant_support
+from tclflex.reachhold import invariant_support
+
+from lp_reference import dense_hold_block
 
 
 def reference_exact(T, kernels, x_0, A):
@@ -23,7 +25,7 @@ def reference_exact(T, kernels, x_0, A):
     c_obj = np.zeros(n_vars)
     c_obj[-1] = 1.0
     G = np.zeros((T, n_vars))
-    G[:, :n_u] = _hold_block(kernels.h - kernels.h_a, T, np.repeat(np.arange(T), S), np.tile(cols, T))
+    G[:, :n_u] = dense_hold_block(kernels.h - kernels.h_a, T, np.repeat(np.arange(T), S), np.tile(cols, T))
     G[:, -1] = 1.0
     E = np.zeros((n_u, n_vars))
     diag = np.arange(n_u)

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and scenario layer."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from tclflex.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from tclflex.markov import load_matrix
 from tclflex.reachhold import OperatingPoint, load_set
 from tclflex.scenario import DEFAULTS, PRESETS, effective_config, resolve_config, validate_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
@@ -154,6 +158,25 @@ NON_OBJECT_SECTIONS = [
     for label, value in (("number", 5), ("null", None), ("list", [1]))
 ]
 
+# each key is misspelled or misplaced; a seed is accepted only where its
+# subcommand reads it
+SEEDS = {"fleet": {"seed": 1}, "validate": {"selection_seed": 1}}
+UNKNOWN_KEYS = [
+    pytest.param("build-model", {"gird": {"n_bins": 10}}, "gird", id="section"),
+    pytest.param("build-model", {"T_max_step": 5}, "T_max_step", id="top-level"),
+    pytest.param("build-model", {"grid": {"n_bin": 10}}, "grid.n_bin", id="grid.n_bin"),
+    pytest.param("build-model", {"params": {"C_x": 1.0}}, "params.C_x", id="params.C_x"),
+    pytest.param("reachhold", {"reachhold": {"method": ["exact"]}}, "reachhold.method", id="reachhold.method"),
+    pytest.param("build-model", {"seed": 1}, "seed", id="seed-at-top"),
+    pytest.param(
+        "validate",
+        {"fleet": {"seed": 1, "selection_seed": 1}, "validate": {"selection_seed": 1}},
+        "fleet.selection_seed",
+        id="seed-misplaced",
+    ),
+    pytest.param("validate", dict(SEEDS, estimation={"seed": 1}, fleets={}), "fleets", id="beside-seeds"),
+]
+
 
 def write_config(path, overrides):
     path.write_text(json.dumps(overrides, indent=2) + "\n")
@@ -243,6 +266,24 @@ class TestConfigResolution:
         assert err.startswith("config error") and f"{key} must be an object" in err
         assert "Traceback" not in err
         assert not (out / "effective_config.json").exists()
+
+    @pytest.mark.parametrize("subcommand, cfg, key", UNKNOWN_KEYS)
+    def test_unknown_key_is_config_error(self, subcommand, cfg, key, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"unknown config key {key}" in err
+        assert not (out / "effective_config.json").exists()
+
+    def test_benchmark_workload_configs_resolve(self, tmp_path):
+        # they carry the retired estimation section and every seed key
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for step in workloads.steps(name, seed=1, index=0, out_root=tmp_path):
+                validate_config(effective_config(step["config"]), step["subcommand"])
 
     def test_integral_float_count_is_accepted(self):
         cfg = effective_config({"grid": {"n_bins": 10.0}, "T_max_steps": 30.0})

@@ -22,6 +22,7 @@ from tclflex.lp import (
     OPTIMAL,
     RETRY_OPTIONS,
     UNBOUNDED,
+    ColumnMatrix,
     HighsResult,
     LinearProgram,
     LpSolution,
@@ -138,6 +139,78 @@ class TestSolve:
         lp = LinearProgram(c=np.ones(1), lo=np.array([2.0]), hi=np.array([1.0]))
         with pytest.raises(InvalidInputError):
             solve(lp)
+
+
+def sparse_dense(seed, shape, density=0.3):
+    """A random dense matrix, about `density` nonzero, with some -0.0."""
+    rng = np.random.default_rng(seed)
+    M = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+    M[rng.random(shape) < 0.1] = -0.0
+    return M
+
+
+class TestColumnMatrix:
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 9), (9, 1), (0, 4), (4, 0), (30, 40)])
+    def test_dense_round_trip(self, shape):
+        M = sparse_dense(3, shape)
+        cm = ColumnMatrix.from_dense(M)
+        assert cm.shape == shape
+        assert np.array_equal(np.asarray(cm), M)
+        assert cm.value.size == np.count_nonzero(M)
+        assert np.all(cm.value != 0.0)  # -0.0 is not stored
+
+    def test_layout_is_column_wise(self):
+        M = np.array([[1.0, 0.0, 4.0], [0.0, 0.0, 5.0], [2.0, 3.0, -0.0]])
+        cm = ColumnMatrix.from_dense(M)
+        assert cm.start.tolist() == [0, 2, 3, 5]
+        assert cm.index.tolist() == [0, 2, 2, 0, 1]
+        assert cm.value.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cm.start.dtype == cm.index.dtype == np.int32
+
+    def test_from_entries_sorts_and_drops_zeros(self):
+        cm = ColumnMatrix.from_entries(
+            [
+                (np.array([2, 0]), np.array([1, 1]), np.array([3.0, 0.0])),
+                (np.array([1]), np.array([0]), np.array([-1.0])),
+            ],
+            (3, 2),
+        )
+        assert np.array_equal(np.asarray(cm), [[0.0, 0.0], [-1.0, 0.0], [0.0, 3.0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_product_matches_dense(self, seed):
+        M = sparse_dense(seed, (40, 60)) * 10.0 ** np.random.default_rng(seed).uniform(-3, 3, 60)
+        z = np.random.default_rng(seed + 100).normal(size=60)
+        err = np.abs(ColumnMatrix.from_dense(M) @ z - M @ z)
+        assert np.all(err <= 1e-12 * (np.abs(M) @ np.abs(z)))
+
+    @pytest.mark.parametrize(
+        "start, index, value, shape",
+        [
+            pytest.param([0, 2, 1, 3], [0, 1, 0], [1.0, 2.0, 3.0], (2, 3), id="start-decreases"),
+            pytest.param([1, 2, 3], [0, 1, 0], [1.0, 2.0, 3.0], (2, 2), id="start-not-from-zero"),
+            pytest.param([0, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0], (2, 2), id="start-short-of-nnz"),
+            pytest.param([0, 1, 3], [0, 1, 0], [1.0, 2.0, 3.0], (2, 3), id="start-wrong-length"),
+            pytest.param([0.0, 1.0, 2.0], [0, 1], [1.0, 2.0], (2, 2), id="start-not-integer"),
+            pytest.param([0, 1, 2], [0, 2], [1.0, 2.0], (2, 2), id="index-past-rows"),
+            pytest.param([0, 1, 2], [0, -1], [1.0, 2.0], (2, 2), id="index-negative"),
+            pytest.param([0, 1, 2], [0, 2**40], [1.0, 2.0], (2, 2), id="index-overflows"),
+            pytest.param([0, 2], [1, 0], [1.0, 2.0], (2, 1), id="rows-descend"),
+            pytest.param([0, 2], [1, 1], [1.0, 2.0], (2, 1), id="row-repeated"),
+            pytest.param([0, 1, 2], [0, 1], [1.0, np.nan], (2, 2), id="value-nan"),
+            pytest.param([0, 1, 2], [0, 1], [np.inf, 1.0], (2, 2), id="value-inf"),
+            pytest.param([0, 1, 2], [0, 1], [0.0, 1.0], (2, 2), id="value-zero"),
+        ],
+    )
+    def test_malformed_rejected(self, start, index, value, shape):
+        with pytest.raises(InvalidInputError):
+            ColumnMatrix(np.array(start), np.array(index), np.array(value), shape)
+
+    def test_linear_program_checks_a_sparse_shape(self):
+        G = ColumnMatrix.from_dense(np.ones((2, 3)))
+        with pytest.raises(InvalidInputError, match="shape"):
+            LinearProgram(c=np.ones(2), G=G, h=np.ones(2))
+        assert LinearProgram(c=np.ones(3), G=G, h=np.ones(2)).G is G
 
 
 class TestVerification:

@@ -2,6 +2,7 @@
 routes, the empirical outer-bound condition, and set persistence."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from tclflex.errors import (
     NumericalFailureError,
 )
 from tclflex.etp import DEFAULT_PARAMS
-from tclflex.lp import NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, LinearProgram, LpSolution, solve
+from tclflex.lp import NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, ColumnMatrix, LinearProgram, LpSolution, solve
 from tclflex.markov import (
     TransitionMatrix,
     build_grid,
@@ -57,6 +58,7 @@ from tclflex.reachhold import (
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
 from expm_reference import expm_step_maps
 from exact_reference import reference_exact
+from lp_reference import dense_exact_matrix, dense_outer_matrix
 from inner_reference import reference_inner_point, reference_p_at
 
 LP_TOL = 1e-6 * P_ON_TOTAL
@@ -303,10 +305,11 @@ class TestDeltaP:
             u[k] = rng.uniform(0.0, 0.3, n) * x  # strictly admissible
             x = char40.A.P @ (x - u[k])
         d = char40.kernels.h - char40.kernels.h_a
-        block = _hold_block(d, T, np.repeat(np.arange(T), n), np.tile(np.arange(n), T))
+        steps, states = np.repeat(np.arange(T), n), np.tile(np.arange(n), T)
+        block = ColumnMatrix.from_entries([_hold_block(d, T, steps, states)], (T, T * n + 1))
         stepped = delta_p_by_stepping(u, char40.A, char40.A_a, char40.c, char40.x_0, horizon=T)
         assert stepped[1:].max() > 0.1 * char40.p_nom_kw
-        assert block @ u.ravel() == pytest.approx(-stepped[1:], abs=1e-8 * P_ON_TOTAL)
+        assert block @ np.append(u.ravel(), 0.0) == pytest.approx(-stepped[1:], abs=1e-8 * P_ON_TOTAL)  # at P = 0
 
     def test_empty_plan_reduces_nothing_off_stationarity(self):
         # the reduction is measured from the unactuated trajectory c A^k x_0,
@@ -321,10 +324,11 @@ class TestDeltaP:
         u = np.zeros((3, 4))
         u[1, 2] = 0.5
         d = kernels.h - kernels.h_a
-        block = _hold_block(d, 3, np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3))
+        steps, states = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
+        block = ColumnMatrix.from_entries([_hold_block(d, 3, steps, states)], (3, 13))
         dp = delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
         assert dp[2] == pytest.approx(5.0)
-        assert block @ u.ravel() == pytest.approx(-dp[1:], abs=1e-12)
+        assert block @ np.append(u.ravel(), 0.0) == pytest.approx(-dp[1:], abs=1e-12)  # at P = 0
 
 
 class TestAlphaLowerBound:
@@ -648,7 +652,100 @@ class TestSolveExact:
         assert lp.n_vars == 60 * S + 2
         assert lp.E is None
         assert lp.G.shape == (60 + 60 * S, lp.n_vars)
-        assert np.count_nonzero(lp.G) <= 16_069
+        assert lp.G.value.size <= 16_069  # nonzeros as stored and handed to HiGHS
+
+    def test_builds_no_dense_matrix(self, char40):
+        # a dense G is 7.85 MB here, and a transposed copy of it as much again
+        solve_exact(1, char40.kernels, char40.x_0, char40.A, char40.A_a)  # loads HiGHS
+        tracemalloc.start()
+        try:
+            solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class LpCaptured(Exception):
+    pass
+
+
+def captured_exact_lp(T, ch) -> LinearProgram:
+    """The LinearProgram solve_exact hands to `solve`, without solving it."""
+    lps = []
+
+    def capture(lp):
+        lps.append(lp)
+        raise LpCaptured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tclflex.reachhold, "solve", capture)
+        with pytest.raises(LpCaptured):
+            solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
+    return lps[0]
+
+
+def assert_bitwise_equal(got: ColumnMatrix, want: ColumnMatrix) -> None:
+    assert got.shape == want.shape
+    for name in ("start", "index", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestSparseBuilders:
+    """The column-wise exact and outer matrices equal the former dense
+    construction of lp_reference, as HiGHS receives them: same nonzeros
+    in the same order, bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        T_amb=st.floats(28.0, 36.0),
+        raise_k=st.floats(0.5, 3.0),
+        n_bins=st.sampled_from([10, 20, 40]),
+        T_share=st.floats(0.0, 1.0),
+        full=st.booleans(),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40, T_share=1.0, full=True, density=1.0, seed=0)
+    def test_match_dense_reference(self, T_amb, raise_k, n_bins, T_share, full, density, seed):
+        op = OperatingPoint(
+            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+        )
+        T_cap = EXACT_LP_CAP // (2 * n_bins)  # 2 * n_bins states
+        T = max(1, round(T_share * T_cap))
+        ch = characterize(op, T_max=T, with_outer=True)
+        lp = captured_exact_lp(T, ch)
+        assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_exact_matrix(T, ch.kernels, ch.x_0, ch.A)))
+
+        # the hold rows over a random active set of either support, with
+        # the budget row as solve_outer adds it
+        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
+        cols = np.arange(x_out.size) if full else np.flatnonzero(x_out > 0.0)
+        S = cols.size
+        idx = np.flatnonzero(np.random.default_rng(seed).random(T * S) < density)
+        d = ch.kernels.h_out - ch.kernels.h_a
+        steps, states, K = idx // S, cols[idx % S], idx.size
+        master = ColumnMatrix.from_entries(
+            [_hold_block(d, T, steps, states), (np.full(K, T), np.arange(K), np.ones(K))], (T + 1, K + 1)
+        )
+        assert_bitwise_equal(master, ColumnMatrix.from_dense(dense_outer_matrix(d, T, steps, states)))
+
+    @pytest.mark.parametrize("support", ["full", "xout"])
+    @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
+    def test_outer_masters_match_dense_reference(self, fleet, T, support, request, monkeypatch):
+        # every master solve_outer poses, on the active set it poses it over
+        ch = request.getfixturevalue(fleet)
+        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
+        d = ch.kernels.h_out - ch.kernels.h_a
+        blocks, lps = [], []
+        hold_block, solve_lp = tclflex.reachhold._hold_block, tclflex.reachhold.solve
+        monkeypatch.setattr(tclflex.reachhold, "_hold_block", lambda *a: blocks.append(a[2:]) or hold_block(*a))
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or solve_lp(lp))
+        solve_outer(T, ch.kernels, x_out, support=support)
+        assert len(lps) == len(blocks) >= 1
+        for lp, (steps, states) in zip(lps, blocks):
+            assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_outer_matrix(d, T, steps, states)))
 
 
 class TestInvariantSupport:
