@@ -9,9 +9,12 @@ with G and E stored column-wise and sparse (`ColumnMatrix`, the layout
 HiGHS takes), and handed to HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
 2018) through the `_Highs` class of the HiGHS extension that scipy ships.
 The extension is loaded from its file at the first solve, without
-importing `scipy.optimize`, so importing tclflex costs no solver
+running scipy's package code, so importing tclflex costs no solver
 start-up; the model, options and status codes are those
-`linprog(method="highs")` would use.  Every reported optimum is
+`linprog(method="highs")` would use.  An optimal solution keeps its live
+solver, so an LP that extends it by new columns (column generation)
+is solved by appending them and restarting the simplex from the last
+basis rather than from scratch.  Every reported optimum is
 re-verified against the raw problem data here, independently of the
 solver's own bookkeeping: a solution whose constraint violation exceeds
 the tolerance is downgraded to numerical-failure rather than trusted.
@@ -22,7 +25,7 @@ re-solved once with tighter HiGHS tolerances before it is reported.
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
 
@@ -87,6 +90,17 @@ class ColumnMatrix:
     def from_dense(cls, M: np.ndarray) -> ColumnMatrix:
         row, col = np.nonzero(M)
         return cls.from_entries([(row, col, M[row, col])], M.shape)
+
+    def append(self, other: ColumnMatrix) -> ColumnMatrix:
+        """The columns of self, then those of other (a column-wise hstack)."""
+        if other.shape[0] != self.shape[0]:
+            raise InvalidInputError(f"cannot append columns of {other.shape[0]} rows to {self.shape[0]} rows")
+        return ColumnMatrix(
+            np.concatenate((self.start, other.start[1:] + self.start[-1])),
+            np.concatenate((self.index, other.index)),
+            np.concatenate((self.value, other.value)),
+            (self.shape[0], self.shape[1] + other.shape[1]),
+        )
 
     def columns(self) -> np.ndarray:
         """The column of each stored entry."""
@@ -155,13 +169,22 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solver outcome plus an independently computed violation measure."""
+    """Solver outcome plus an independently computed violation measure.
+    An optimum also keeps the LP it solves and HiGHS's live solver (None
+    when none was kept), which a later `solve(..., warm=)` restarts."""
 
     status: str
     z: np.ndarray | None
     objective_value: float | None
     max_constraint_violation: float | None
     duals_ineq: np.ndarray | None = None
+    _lp: LinearProgram | None = field(default=None, repr=False, compare=False)
+    _highs: object = field(default=None, repr=False, compare=False)
+
+    def release(self) -> None:
+        """Free the live solver now rather than with the solution; a
+        later warm start from it then solves cold."""
+        self._highs = None
 
 
 def _constraint_scale(lp: LinearProgram) -> float:
@@ -191,12 +214,14 @@ def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
 @dataclass
 class HighsResult:
     """One HiGHS run in linprog's terms: status 0 optimal, 1 iteration or
-    time limit, 2 infeasible, 3 unbounded, 4 any other outcome.  x and the
-    G-row marginals (minimize form, so <= 0) are set only at status 0."""
+    time limit, 2 infeasible, 3 unbounded, 4 any other outcome.  x, the
+    G-row marginals (minimize form, so <= 0) and the solver that found
+    them are set only at status 0."""
 
     status: int
     x: np.ndarray | None = None
     marginals: np.ndarray | None = None
+    highs: object = field(default=None, repr=False)
 
 
 _core = None
@@ -206,14 +231,15 @@ def _highs_core():
     """scipy's compiled HiGHS module, loaded from its file on first use.
 
     Running `scipy.optimize/__init__` would import scipy's linalg and
-    sparse packages, so the extension is located beside it and executed
+    sparse packages, so the extension is located from the spec of the
+    top-level `scipy` package, which finding does not execute, and run
     on its own.  A later `import scipy.optimize` gets the same module
     object, since Python keeps a loaded extension module for reuse.
     """
     global _core
     if _core is None:
-        package = importlib.util.find_spec("scipy.optimize")
-        folder = Path(package.submodule_search_locations[0]) / "_highspy"
+        package = importlib.util.find_spec("scipy")
+        folder = Path(package.submodule_search_locations[0]) / "optimize" / "_highspy"
         finder = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec("scipy.optimize._highspy._core")
         if spec is None:
@@ -268,6 +294,13 @@ def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
         # e.g. a lower bound of +inf; run() would then solve an empty
         # model and call it optimal.  linprog reports such a model as 2.
         return HighsResult(2)
+    return _run(highs, h.size)
+
+
+def _run(highs, n_ineq: int) -> HighsResult:
+    """Run a HiGHS instance that holds its model; the first n_ineq rows
+    are the G rows whose marginals are reported."""
+    core = _highs_core()
     highs.run()
     codes = {
         core.HighsModelStatus.kOptimal: 0,
@@ -281,10 +314,44 @@ def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
     if status != 0:
         return HighsResult(status)
     solution = highs.getSolution()
-    return HighsResult(0, np.array(solution.col_value), np.array(solution.row_dual)[: h.size])
+    return HighsResult(0, np.array(solution.col_value), np.array(solution.row_dual)[:n_ineq], highs)
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def _extends(lp: LinearProgram, old: LinearProgram) -> bool:
+    """Whether lp is old with columns appended: the same G rows and h, no
+    E, and old's columns (G entries, c, lo, hi) leading lp's."""
+    if lp.E is not None or old.E is not None or lp.G is None or old.G is None:
+        return False
+    if (lp.lo is None) != (old.lo is None) or (lp.hi is None) != (old.hi is None):
+        return False
+    n, nnz = old.n_vars, old.G.value.size
+    if lp.n_vars < n or lp.G.shape[0] != old.G.shape[0] or not np.array_equal(lp.h, old.h):
+        return False
+    pairs = [(lp.G.start[: n + 1], old.G.start), (lp.G.index[:nnz], old.G.index), (lp.G.value[:nnz], old.G.value)]
+    pairs += [(new[:n], prev) for new, prev in ((lp.c, old.c), (lp.lo, old.lo), (lp.hi, old.hi)) if new is not None]
+    return all(np.array_equal(a, b) for a, b in pairs)
+
+
+def _rerun(lp: LinearProgram, warm: LpSolution) -> HighsResult:
+    """Append lp's new columns to warm's live solver and run it again,
+    which restarts the simplex from warm's basis.  Status 4 when warm
+    kept no solver, released it, or its solver has since been extended."""
+    highs, n = warm._highs, warm._lp.n_vars
+    if highs is None or highs.getNumCol() != n:
+        return HighsResult(4)
+    G, m = lp.G, lp.n_vars
+    first = G.start[n]
+    lo = np.full(m - n, -np.inf) if lp.lo is None else lp.lo[n:]
+    hi = np.full(m - n, np.inf) if lp.hi is None else lp.hi[n:]
+    status = highs.addCols(
+        m - n, -lp.c[n:], lo, hi, G.value.size - first, G.start[n:-1] - first, G.index[first:], G.value[first:]
+    )
+    if status == _highs_core().HighsStatus.kError:
+        return HighsResult(4)
+    return _run(highs, lp.h.size)
+
+
+def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     """Solve the LP and certify the answer against the problem data.
 
     Status is one of optimal / infeasible / unbounded / numerical-failure.
@@ -294,9 +361,23 @@ def solve(lp: LinearProgram) -> LpSolution:
     that fails either check, or one HiGHS cannot finish, such as its
     status 4) is re-solved once with RETRY_OPTIONS; the re-solved answer
     faces the same checks.
+
+    warm, an optimal solution of an earlier `solve`, warm-starts lp when
+    lp is warm's LP with columns appended (same G rows and h, no E;
+    anything else raises InvalidInputError): the new columns are added
+    to warm's live solver, which restarts from its last basis and then
+    belongs to the answer, so a second use of warm solves cold.  That
+    answer faces the same checks, and one that fails them or is not
+    optimal is solved cold as above.
     """
     if lp.lo is not None and lp.hi is not None and np.any(lp.lo > lp.hi):
         raise InvalidInputError("lower bound exceeds upper bound")
+    if warm is not None:
+        if warm.status != OPTIMAL or warm._lp is None or not _extends(lp, warm._lp):
+            raise InvalidInputError("warm must be an optimum of an LP whose columns lead lp's, on the same rows")
+        sol = _certify(lp, _rerun(lp, warm))
+        if sol.status == OPTIMAL:
+            return sol
     for options in (None, RETRY_OPTIONS):
         sol = _certify(lp, run_highs(lp, options))
         if sol.status != NUMERICAL_FAILURE:
@@ -327,10 +408,13 @@ def _certify(lp: LinearProgram, res: HighsResult) -> LpSolution:
         comp = np.abs(duals_ineq * slack)
         if comp.size and comp.max() > COMPLEMENTARITY_TOL * scale * max(1.0, float(np.abs(duals_ineq).max())):
             status = NUMERICAL_FAILURE
+    optimal = status == OPTIMAL
     return LpSolution(
         status=status,
         z=z,
         objective_value=float(lp.c @ z),
         max_constraint_violation=violation,
         duals_ineq=duals_ineq,
+        _lp=lp if optimal else None,
+        _highs=res.highs if optimal else None,
     )

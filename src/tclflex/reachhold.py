@@ -74,13 +74,11 @@ EXACT_LP_CAP = 5000
 # fraction of P_on_total below the value the LP claims for it
 EXACT_REPLAY_TOL_REL = 1e-9
 # the outer column generation stops once its pricing bound is within this
-# fraction of the master's value, and gives up after this many rounds.  A
-# column that sits unused, priced below the value, in this many masters
-# in a row leaves the next one: keeping it slows every later master,
-# whose size is what each re-solve from scratch pays for
+# fraction of the master's value, and gives up after this many rounds.
+# Columns are only ever added: each master restarts HiGHS from the last
+# one's basis, so a column that sits unused costs little
 OUTER_CG_GAP_REL = 1e-9
 OUTER_CG_MAX_ROUNDS = 200
-OUTER_CG_IDLE_ROUNDS = 2
 DEFAULT_T_MAX = 480  # steps; 8 h at one-minute resolution
 DEFAULT_N_GRID = 50
 
@@ -273,16 +271,16 @@ def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
 
 
 def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> tuple:
-    """Entries (row, col, value) of the hold rows P - sum_{m<k} d[k-m] @ v[m]
-    <= 0, k = 1..T, over the variables v[steps[i]][states[i]] (column i
-    holds -d[k - steps[i]][states[i]] in row k-1 for k > steps[i]) and then
-    P.  v is the plan u for the outer LP and the unactuated mass w for the
-    exact LP, whose kernel is then -e."""
+    """Entries (row, col, value) of the variables v[steps[i]][states[i]]
+    in the hold rows P - sum_{m<k} d[k-m] @ v[m] <= 0, k = 1..T: column i
+    holds -d[k - steps[i]][states[i]] in row k-1 for k > steps[i].  P's
+    column (a one in every hold row) is the caller's.  v is the plan u
+    for the outer LP and the unactuated mass w for the exact LP, whose
+    kernel is then -e."""
     counts = T - steps
     col = np.repeat(np.arange(steps.size), counts)
     lag = np.arange(col.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1  # k - m
-    row = np.concatenate((steps[col] + lag - 1, np.arange(T)))
-    return row, np.concatenate((col, np.full(T, steps.size))), np.concatenate((-d[lag, states[col]], np.ones(T)))
+    return steps[col] + lag - 1, col, -d[lag, states[col]]
 
 
 def solve_exact(
@@ -333,6 +331,7 @@ def solve_exact(
     G = ColumnMatrix.from_entries(
         [
             _hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T)),
+            (np.arange(T), np.full(T, n_w), np.ones(T)),
             (np.arange(T), np.full(T, n_w + 1), -(d[1:] @ x_S)),
             # admissibility rows: w[0] - x_S <= 0 and w[k] - A_S w[k-1] <= 0
             (T + np.arange(n_w), np.arange(n_w), np.ones(n_w)),
@@ -348,6 +347,7 @@ def solve_exact(
     lo[-1] = hi[-1] = 1.0
     lp = LinearProgram(c=c_obj, G=G, h=np.zeros(T + n_w), lo=lo, hi=hi)
     sol = solve(lp)
+    sol.release()  # nothing warm-starts from it: free HiGHS before the replay
     if sol.status != OPTIMAL:
         raise NumericalFailureError(f"exact LP did not solve cleanly: status {sol.status}")
     w = sol.z[:n_w].reshape(T, S)
@@ -560,6 +560,14 @@ def check_outer_condition(
     )
 
 
+def _outer_columns(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> ColumnMatrix:
+    """Outer-master columns of the plan entries u[steps[i]][states[i]]:
+    their hold rows, then the budget row sum u <= 1."""
+    K = steps.size
+    budget = (np.full(K, T), np.arange(K), np.ones(K))
+    return ColumnMatrix.from_entries([_hold_block(d, T, steps, states), budget], (T + 1, K))
+
+
 def solve_outer(
     T_hold: int,
     kernels: ResponseKernels,
@@ -575,15 +583,16 @@ def solve_outer(
     the kernel-domination condition verifies, so callers gate it on
     check_outer_condition.
 
-    A master LP holds only an active set of (step, state) columns.  With
-    y its hold-row duals, clipped to >= 0 and scaled to sum 1, column
-    (m, s) prices at sum_{j<=T-m} y[m+j-1] d[j][s], and by weak duality
-    the largest price bounds the full LP from above.  Each round adds, for
-    every step, its best-priced column if that prices above the master's
-    value (so up to T_hold columns), and drops the columns that sat at
-    zero below that value in OUTER_CG_IDLE_ROUNDS masters in a row.  The
-    loop stops once the bound is within OUTER_CG_GAP_REL of the value,
-    and raises NumericalFailureError after OUTER_CG_MAX_ROUNDS rounds.
+    A master LP holds P, in column 0, and an active set of (step, state)
+    columns.  With y its hold-row duals, clipped to >= 0 and scaled to
+    sum 1, column (m, s) prices at sum_{j<=T-m} y[m+j-1] d[j][s], and by
+    weak duality the largest price bounds the full LP from above.  Each
+    round appends, for every step, its best-priced column if that prices
+    above the master's value (so up to T_hold columns), and re-solves
+    the master warm, from the last round's basis; no column is dropped.
+    The loop stops once the bound is within OUTER_CG_GAP_REL of the
+    value, and raises NumericalFailureError after OUTER_CG_MAX_ROUNDS
+    rounds.
     """
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
@@ -605,18 +614,15 @@ def solve_outer(
     hankel = np.arange(T)[:, None] + np.arange(T)[None, :]  # m + j - 1
     y = np.full(T, 1.0 / T)  # the first round prices against a flat hold
     active = np.zeros(T * S, dtype=bool)
-    idle = np.zeros(T * S, dtype=int)
-    z = np.zeros(T * S)  # the master's plan, on all columns
+    added = []  # the master's columns after P, in the order added
+    G = ColumnMatrix(np.array([0, T]), np.arange(T), np.ones(T), (T + 1, 1))  # P in every hold row
     h_vec = np.zeros(T + 1)
     h_vec[T] = 1.0
     value, sol = -np.inf, None
     for _ in range(OUTER_CG_MAX_ROUNDS):
         price = (np.concatenate([y, np.zeros(T)])[hankel] @ D).ravel()  # price[m*S + s]
-        tol = OUTER_CG_GAP_REL * max(1.0, abs(value))
-        if sol is not None and price.max() - value <= tol:
+        if sol is not None and price.max() - value <= OUTER_CG_GAP_REL * max(1.0, abs(value)):
             break
-        idle = np.where(active & (z <= 0.0) & (price < value - tol), idle + 1, 0)
-        active &= idle < OUTER_CG_IDLE_ROUNDS
         # per step, the best-priced column not yet active
         best = np.where(active, -np.inf, price).reshape(T, S).argmax(axis=1) + np.arange(T) * S
         new = best[(price[best] > value) & ~active[best]]
@@ -625,24 +631,23 @@ def solve_outer(
                 f"outer pricing at T={T} found no new column for a gap of {price.max() - value!r}"
             )
         active[new] = True
-        idx = np.flatnonzero(active)
-        K = idx.size
-        budget = (np.full(K, T), np.arange(K), np.ones(K))  # total budget <= 1
-        G = ColumnMatrix.from_entries([_hold_block(d, T, idx // S, cols[idx % S]), budget], (T + 1, K + 1))
-        c_obj = np.zeros(K + 1)
-        c_obj[K] = 1.0
-        sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(K + 1)))
+        added.append(new)
+        G = G.append(_outer_columns(d, T, new // S, cols[new % S]))
+        c_obj = np.zeros(G.shape[1])
+        c_obj[0] = 1.0
+        sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(G.shape[1])), warm=sol)
         if sol.status != OPTIMAL:
             raise NumericalFailureError(f"outer LP did not solve cleanly: status {sol.status}")
-        value = float(sol.z[-1])
-        z[:] = 0.0
-        z[idx] = sol.z[:-1]
+        value = float(sol.z[0])
         y = np.clip(sol.duals_ineq[:T], 0.0, None)
         y /= y.sum()
     else:
         raise NumericalFailureError(
             f"outer column generation at T={T} did not close its gap in {OUTER_CG_MAX_ROUNDS} rounds"
         )
+    sol.release()  # the hold's model goes now, not when the caller drops sol
+    z = np.zeros(T * S)
+    z[np.concatenate(added)] = sol.z[1:]
     u = np.zeros((T, n))
     u[:, cols] = z.reshape(T, S)
     return value, np.clip(u, 0.0, None), sol

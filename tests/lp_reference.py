@@ -44,10 +44,10 @@ def dense_exact_matrix(T, kernels, x_0, A):
 
 
 def dense_outer_matrix(d, T, steps, states):
-    """G of an outer master over the columns v[steps[i]][states[i]], then P."""
+    """G of an outer master over P, then the columns v[steps[i]][states[i]]."""
     K = steps.size
     G = np.zeros((T + 1, K + 1))
-    G[:T, :K] = dense_hold_block(d, T, steps, states)
-    G[:T, K] = 1.0
-    G[T, :K] = 1.0  # total budget <= 1
+    G[:T, 0] = 1.0
+    G[:T, 1:] = dense_hold_block(d, T, steps, states)
+    G[T, 1:] = 1.0  # total budget <= 1
     return G

@@ -17,6 +17,7 @@ import tclflex.lp
 import tclflex.reachhold
 from tclflex.errors import InvalidInputError
 from tclflex.lp import (
+    FEASIBILITY_TOL,
     INFEASIBLE,
     NUMERICAL_FAILURE,
     OPTIMAL,
@@ -206,6 +207,20 @@ class TestColumnMatrix:
         with pytest.raises(InvalidInputError):
             ColumnMatrix(np.array(start), np.array(index), np.array(value), shape)
 
+    @pytest.mark.parametrize("widths", [(5, 3), (0, 4), (4, 0), (1, 1), (30, 40)])
+    def test_append_is_hstack(self, widths):
+        left, right = sparse_dense(11, (7, widths[0])), sparse_dense(12, (7, widths[1]))
+        got = ColumnMatrix.from_dense(left).append(ColumnMatrix.from_dense(right))
+        want = ColumnMatrix.from_dense(np.hstack((left, right)))
+        assert got.shape == want.shape
+        for name in ("start", "index", "value"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_append_needs_equal_rows(self):
+        with pytest.raises(InvalidInputError, match="rows"):
+            ColumnMatrix.from_dense(np.ones((3, 2))).append(ColumnMatrix.from_dense(np.ones((4, 2))))
+
     def test_linear_program_checks_a_sparse_shape(self):
         G = ColumnMatrix.from_dense(np.ones((2, 3)))
         with pytest.raises(InvalidInputError, match="shape"):
@@ -252,30 +267,32 @@ def give_up(lp, res):
     res.x = None
 
 
+def patch_highs(monkeypatch, spoil=None, n_spoiled=0):
+    """Record the options of every cold HiGHS run, spoiling the first
+    n_spoiled answers."""
+    real = tclflex.lp.run_highs
+    seen = []
+
+    def fake(lp, options=None):
+        seen.append(options)
+        res = real(lp, options)
+        if len(seen) <= n_spoiled:
+            spoil(lp, res)
+        return res
+
+    monkeypatch.setattr(tclflex.lp, "run_highs", fake)
+    return seen
+
+
 class TestRetry:
     """A numerical failure (an answer the checks reject, or none at all)
     is re-solved once with tight tolerances, and only a second failure is
     reported."""
 
-    @staticmethod
-    def patch_highs(monkeypatch, spoil, n_spoiled):
-        real = tclflex.lp.run_highs
-        seen = []
-
-        def fake(lp, options=None):
-            seen.append(options)
-            res = real(lp, options)
-            if len(seen) <= n_spoiled:
-                spoil(lp, res)
-            return res
-
-        monkeypatch.setattr(tclflex.lp, "run_highs", fake)
-        return seen
-
     @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_spoiled_first_answer_is_resolved_tightly(self, monkeypatch, spoil):
         lp, z_star, obj_star = known_optimum_lp()
-        seen = self.patch_highs(monkeypatch, spoil, n_spoiled=1)
+        seen = patch_highs(monkeypatch, spoil, n_spoiled=1)
         sol = solve(lp)
         assert seen == [None, RETRY_OPTIONS]
         assert RETRY_OPTIONS == {
@@ -288,22 +305,129 @@ class TestRetry:
     @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_second_spoiled_answer_is_numerical_failure(self, monkeypatch, spoil):
         lp, _, _ = known_optimum_lp()
-        seen = self.patch_highs(monkeypatch, spoil, n_spoiled=2)
+        seen = patch_highs(monkeypatch, spoil, n_spoiled=2)
         assert solve(lp).status == NUMERICAL_FAILURE
         assert seen == [None, RETRY_OPTIONS]
 
     def test_clean_answer_is_solved_once_with_default_options(self, monkeypatch):
         lp, _, _ = known_optimum_lp()
-        seen = self.patch_highs(monkeypatch, spoil_x, n_spoiled=0)
+        seen = patch_highs(monkeypatch)
         assert solve(lp).status == OPTIMAL
         assert seen == [None]
 
     def test_infeasible_is_not_retried(self, monkeypatch):
         lp = LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1))
-        seen = self.patch_highs(monkeypatch, spoil_x, n_spoiled=0)
+        seen = patch_highs(monkeypatch)
         assert solve(lp).status == INFEASIBLE
         assert seen == [None]
 
+
+def packing_lp(n, seed=9, n_rows=12):
+    """max c @ z over G z <= 1, z >= 0 with G > 0 sparse-ish: feasible at
+    z = 0 and bounded, and so is the LP of any of its leading columns."""
+    rng = np.random.default_rng(seed)
+    G = np.where(rng.random((n_rows, n)) < 0.5, rng.uniform(0.1, 1.0, (n_rows, n)), 0.0)
+    G[rng.integers(n_rows, size=n), np.arange(n)] = rng.uniform(0.1, 1.0, n)  # no empty column
+    return LinearProgram(c=rng.uniform(0.5, 2.0, n), G=G, h=np.ones(n_rows), lo=np.zeros(n))
+
+
+def leading(lp, k):
+    """The LP of lp's first k columns."""
+    return LinearProgram(c=lp.c[:k], G=np.asarray(lp.G)[:, :k], h=lp.h, lo=lp.lo[:k])
+
+
+class TestWarmStart:
+    """An LP that extends an earlier optimum by new columns restarts that
+    optimum's solver instead of solving from scratch, and faces the same
+    checks."""
+
+    def test_appended_columns_solve_warm(self, monkeypatch):
+        full = packing_lp(40)
+        seen = patch_highs(monkeypatch)
+        sol = solve(leading(full, 10))
+        for k in (20, 21, 21, 40):
+            sol = solve(leading(full, k), warm=sol)
+            assert sol.status == OPTIMAL
+            assert sol.objective_value == pytest.approx(solve(leading(full, k)).objective_value, abs=1e-9)
+        assert len(seen) == 1 + 4  # the first solve and the four cold references
+        assert sol.max_constraint_violation <= FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
+    def test_warm_answer_that_fails_is_solved_cold(self, monkeypatch, spoil):
+        full = packing_lp(40)
+        first = solve(leading(full, 10))
+        real = tclflex.lp._rerun
+
+        def spoiled(lp, warm):
+            res = real(lp, warm)
+            spoil(lp, res)
+            return res
+
+        monkeypatch.setattr(tclflex.lp, "_rerun", spoiled)
+        seen = patch_highs(monkeypatch)
+        sol = solve(full, warm=first)
+        assert seen == [None]
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(solve(full).objective_value, abs=1e-9)
+        assert sol.max_constraint_violation <= FEASIBILITY_TOL
+
+    def test_spent_solver_is_solved_cold(self, monkeypatch):
+        # a warm start takes the solver over; a second use of the same
+        # optimum finds it extended and solves cold
+        full = packing_lp(40)
+        first = solve(leading(full, 10))
+        seen = patch_highs(monkeypatch)
+        grown = solve(leading(full, 30), warm=first)
+        again = solve(full, warm=first)
+        assert seen == [None]
+        assert again.status == grown.status == OPTIMAL
+        assert again.objective_value == pytest.approx(solve(full).objective_value, abs=1e-9)
+
+    @pytest.mark.parametrize("how", ["released", "from-linprog"])
+    def test_optimum_without_a_solver_is_solved_cold(self, monkeypatch, how):
+        full = packing_lp(30)
+        with monkeypatch.context() as mp:
+            if how == "from-linprog":
+                mp.setattr(tclflex.lp, "run_highs", linprog_answer)
+            first = solve(leading(full, 10))
+        if how == "released":
+            first.release()
+        seen = patch_highs(monkeypatch)
+        assert solve(full, warm=first).status == OPTIMAL
+        assert seen == [None]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda lp: leading(lp, 5), id="fewer-columns"),
+            pytest.param(lambda lp: LinearProgram(lp.c, lp.G, 2.0 * lp.h, lo=lp.lo), id="other-h"),
+            pytest.param(lambda lp: LinearProgram(lp.c, np.asarray(lp.G)[:-1], lp.h[:-1], lo=lp.lo), id="other-rows"),
+            pytest.param(
+                lambda lp: LinearProgram(np.r_[2.0, lp.c[1:]], lp.G, lp.h, lo=lp.lo), id="leading-cost-changed"
+            ),
+            pytest.param(
+                lambda lp: LinearProgram(lp.c, -np.asarray(lp.G), lp.h, lo=lp.lo), id="leading-entries-changed"
+            ),
+            pytest.param(lambda lp: LinearProgram(lp.c, lp.G, lp.h, lo=np.r_[1.0, lp.lo[1:]]), id="leading-lo-changed"),
+            pytest.param(lambda lp: LinearProgram(lp.c, lp.G, lp.h, lo=lp.lo, hi=np.ones(lp.n_vars)), id="hi-added"),
+            pytest.param(
+                lambda lp: LinearProgram(lp.c, lp.G, lp.h, E=np.ones((1, lp.n_vars)), f=np.ones(1), lo=lp.lo),
+                id="equality-rows",
+            ),
+        ],
+    )
+    def test_lp_that_does_not_extend_warm_is_rejected(self, change):
+        full = packing_lp(20)
+        first = solve(leading(full, 10))
+        with pytest.raises(InvalidInputError, match="warm"):
+            solve(change(full), warm=first)
+
+    def test_warm_must_be_optimal(self):
+        full = packing_lp(20)
+        with pytest.raises(InvalidInputError, match="warm"):
+            solve(full, warm=LpSolution(NUMERICAL_FAILURE, None, None, None))
+        with pytest.raises(InvalidInputError, match="warm"):
+            solve(full, warm=LpSolution(OPTIMAL, np.zeros(20), 0.0, 0.0))  # not from solve
 
 
 def linprog_answer(lp, options=None):
@@ -328,7 +452,7 @@ def reachhold_lps(monkeypatch, run):
     lps = []
     real = tclflex.reachhold.solve
     with monkeypatch.context() as mp:
-        mp.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or real(lp))
+        mp.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: lps.append(lp) or real(lp, warm))
         run()
     return lps
 
@@ -405,11 +529,13 @@ op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 
 ch = reachhold.characterize(op, T_max=20)
 P, _, _ = reachhold.solve_exact(5, ch.kernels, ch.x_0, ch.A, ch.A_a)
 solved_without_optimize = "scipy.optimize" not in sys.modules
+solved_without_scipy = "scipy" not in sys.modules
 from scipy.optimize import linprog
 res = linprog([-1.0], bounds=[(0.0, 2.0)], method="highs")
 import scipy.optimize._highspy._core as core
 print(json.dumps({
     "heavy": heavy, "P": P, "solved_without_optimize": solved_without_optimize,
+    "solved_without_scipy": solved_without_scipy,
     "linprog": [int(res.status), float(res.x[0])], "same_core": core is lp._highs_core(),
 }))
 """
@@ -429,6 +555,7 @@ class TestHighsLoading:
         assert out["heavy"] == []
         assert out["P"] > 0.0
         assert out["solved_without_optimize"]
+        assert out["solved_without_scipy"]  # not even scipy/__init__ ran
         # a later linprog call works and shares the loaded extension
         assert out["linprog"] == [0, 2.0]
         assert out["same_core"]
@@ -437,10 +564,10 @@ class TestHighsLoading:
         real_find_spec = importlib.util.find_spec
 
         def find_spec(name, package=None):
-            if name != "scipy.optimize":
+            if name != "scipy":
                 return real_find_spec(name, package)
             spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
-            spec.submodule_search_locations = [str(tmp_path)]  # holds no _highspy
+            spec.submodule_search_locations = [str(tmp_path)]  # holds no optimize/_highspy
             return spec
 
         monkeypatch.setattr(importlib.util, "find_spec", find_spec)

@@ -36,6 +36,7 @@ from tclflex.reachhold import (
     ResponseKernels,
     ReachHoldSet,
     _hold_block,
+    _outer_columns,
     characterize,
     check_outer_condition,
     default_p_grid,
@@ -718,33 +719,34 @@ class TestSparseBuilders:
         lp = captured_exact_lp(T, ch)
         assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_exact_matrix(T, ch.kernels, ch.x_0, ch.A)))
 
-        # the hold rows over a random active set of either support, with
-        # the budget row as solve_outer adds it
+        # P, then the columns of a random active set of either support
+        # with the budget row, as solve_outer appends them to a master
         x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
         cols = np.arange(x_out.size) if full else np.flatnonzero(x_out > 0.0)
         S = cols.size
         idx = np.flatnonzero(np.random.default_rng(seed).random(T * S) < density)
         d = ch.kernels.h_out - ch.kernels.h_a
-        steps, states, K = idx // S, cols[idx % S], idx.size
-        master = ColumnMatrix.from_entries(
-            [_hold_block(d, T, steps, states), (np.full(K, T), np.arange(K), np.ones(K))], (T + 1, K + 1)
-        )
+        steps, states = idx // S, cols[idx % S]
+        p_column = ColumnMatrix.from_dense(np.r_[np.ones(T), 0.0][:, None])
+        master = p_column.append(_outer_columns(d, T, steps, states))
         assert_bitwise_equal(master, ColumnMatrix.from_dense(dense_outer_matrix(d, T, steps, states)))
 
     @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
     def test_outer_masters_match_dense_reference(self, fleet, T, support, request, monkeypatch):
-        # every master solve_outer poses, on the active set it poses it over
+        # every master solve_outer poses: P, then every column added so
+        # far, in the order of the rounds that added them
         ch = request.getfixturevalue(fleet)
         x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
         d = ch.kernels.h_out - ch.kernels.h_a
         blocks, lps = [], []
         hold_block, solve_lp = tclflex.reachhold._hold_block, tclflex.reachhold.solve
         monkeypatch.setattr(tclflex.reachhold, "_hold_block", lambda *a: blocks.append(a[2:]) or hold_block(*a))
-        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or solve_lp(lp))
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: lps.append(lp) or solve_lp(lp, warm))
         solve_outer(T, ch.kernels, x_out, support=support)
         assert len(lps) == len(blocks) >= 1
-        for lp, (steps, states) in zip(lps, blocks):
+        for i, lp in enumerate(lps):
+            steps, states = (np.concatenate(part) for part in zip(*blocks[: i + 1]))
             assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_outer_matrix(d, T, steps, states)))
 
 
@@ -863,9 +865,46 @@ class TestSolveOuter:
     def test_failing_master_raises(self, char10, monkeypatch):
         x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         failed = LpSolution(NUMERICAL_FAILURE, None, None, None)
-        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: failed)
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: failed)
         with pytest.raises(NumericalFailureError, match="outer LP"):
             solve_outer(10, char10.kernels, x_out, support="full")
+
+    @pytest.mark.parametrize("support", ["full", "xout"])
+    @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
+    def test_warm_masters_match_cold(self, fleet, T, support, request, monkeypatch):
+        # each master is solved warm from the last; a cold solve of the
+        # same LP, and a cold column generation, reach the same values
+        ch = request.getfixturevalue(fleet)
+        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
+        real = tclflex.reachhold.solve
+        masters = []
+
+        def solve_recorded(lp, warm=None):
+            masters.append((lp, real(lp, warm)))
+            return masters[-1][1]
+
+        with monkeypatch.context() as mp:
+            cold_starts = record_highs(mp)
+            mp.setattr(tclflex.reachhold, "solve", solve_recorded)
+            P, _, _ = solve_outer(T, ch.kernels, x_out, support=support)
+        assert cold_starts == [(None, 0)] and masters  # the first master only
+        for lp, sol in masters:
+            assert sol.objective_value == pytest.approx(real(lp).objective_value, abs=LP_TOL)
+        with monkeypatch.context() as mp:
+            mp.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: real(lp))
+            P_cold, _, _ = solve_outer(T, ch.kernels, x_out, support=support)
+        assert P == pytest.approx(P_cold, abs=LP_TOL)
+
+    def test_one_cold_start_per_hold(self, char40, monkeypatch):
+        # guards the warm start against silently turning off
+        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
+        solve_lp, masters = tclflex.reachhold.solve, []
+        cold_starts = record_highs(monkeypatch)
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: masters.append(lp) or solve_lp(lp, warm))
+        holds = np.array([1, 5, 20, 60, 120])
+        outer_boundary(char40.kernels, x_out, holds, char40.regime)
+        assert cold_starts == [(None, 0)] * holds.size
+        assert len(masters) > holds.size  # the longer holds take several rounds
 
     def test_round_cap_raises(self, char40, monkeypatch):
         x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
