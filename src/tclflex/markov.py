@@ -304,27 +304,6 @@ def aggregate_power(state: PopulationState, c: OutputVector) -> float:
     return float(c.c @ (state.x + state.x_a))
 
 
-def x_out_vector(grid: BinGrid, T_set: float, deadband: float) -> np.ndarray:
-    """Unit mass at the lower deadband edge, compressor running.
-
-    The mass sits in the on-block bin containing T_set - deadband/2;
-    if the edge coincides with a bin boundary (within 1e-9), the colder
-    adjacent bin is used.  Running at the cold edge maximizes how long
-    the squeezed system keeps drawing rated power, which is what makes
-    it useful as a relaxation anchor.
-    """
-    T_edge = T_set - 0.5 * deadband
-    if not grid.T_min < T_edge < grid.T_max:
-        raise InvalidConfigurationError(f"lower deadband edge {T_edge} outside grid")
-    b = int(grid.temp_bin(T_edge))
-    i_edge = round((T_edge - grid.T_min) / grid.delta_tau)
-    if abs(T_edge - (grid.T_min + i_edge * grid.delta_tau)) <= 1e-9 and i_edge > 0:
-        b = i_edge - 1
-    x = np.zeros(grid.n_states)
-    x[grid.n_bins + b] = 1.0
-    return x
-
-
 _MATRIX_HEADER = "# tclflex transition matrix v1"
 
 

@@ -23,18 +23,19 @@ the achievable set:
   keeps that since r > 0 (max(r x, 0) = r max(x, 0)), so alpha(r) =
   r alpha_1 until the unit budget runs out: one run at r = 1 per fleet
   serves every target,
-* outer: an LP relaxation driven by a fictitious squeezed-deadband
-  system whose transition matrix A_out concentrates mass at the lower
-  deadband edge, solved by column generation over (step, state)
-  columns until a weak-duality bound meets the value; its validity is
-  certified empirically by comparing kernels, never assumed.
+* outer: the LP that keeps the hold rows and the unit budget but
+  relaxes admissibility to 0 <= u[k] <= x_0, which every admissible
+  plan meets since the unactuated mass never exceeds A^k x_0 = x_0; it
+  is solved by column generation over (step, state) columns until a
+  fractional-knapsack bound from the master's duals meets the value, so
+  its value is a proved upper bound on exact.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +74,7 @@ EXACT_LP_CAP = 5000
 # an exact plan, replayed by delta_p_by_stepping, may fall at most this
 # fraction of P_on_total below the value the LP claims for it
 EXACT_REPLAY_TOL_REL = 1e-9
-# the outer column generation stops once its pricing bound is within this
+# the outer column generation stops once its knapsack bound is within this
 # fraction of the master's value, and gives up after this many rounds.
 # Columns are only ever added: each master restarts HiGHS from the last
 # one's basis, so a column that sits unused costs little
@@ -85,11 +86,11 @@ DEFAULT_N_GRID = 50
 
 @dataclass
 class ResponseKernels:
-    """Iterated output kernels h_m = c A^m for the three dynamics."""
+    """Iterated output kernels h_m = c A^m for the nominal and actuated
+    dynamics."""
 
     h: np.ndarray  # (horizon+1, n_states), h[0] = c
     h_a: np.ndarray
-    h_out: np.ndarray | None
     c: OutputVector
     horizon: int
 
@@ -99,15 +100,13 @@ def response_kernels(
     A_a: TransitionMatrix,
     c: OutputVector,
     horizon: int,
-    A_out: TransitionMatrix | None = None,
 ) -> ResponseKernels:
-    """Compute h, h_a (and h_out when A_out is given) up to `horizon`
-    by iterated vector-matrix products; no matrix powers are formed."""
+    """Compute h and h_a up to `horizon` by iterated vector-matrix
+    products; no matrix powers are formed."""
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    mats = [A.P, A_a.P] + ([A_out.P] if A_out is not None else [])
     outs = []
-    for M in mats:
+    for M in (A.P, A_a.P):
         H = np.empty((horizon + 1, c.c.size))
         H[0] = c.c
         row = c.c
@@ -115,9 +114,7 @@ def response_kernels(
             row = row @ M
             H[m] = row
         outs.append(H)
-    h, h_a = outs[0], outs[1]
-    h_out = outs[2] if A_out is not None else None
-    return ResponseKernels(h=h, h_a=h_a, h_out=h_out, c=c, horizon=horizon)
+    return ResponseKernels(h=outs[0], h_a=outs[1], c=c, horizon=horizon)
 
 
 def check_plan(u, n_states: int | None = None) -> np.ndarray:
@@ -178,19 +175,6 @@ class ReachHoldPoint:
 
 
 @dataclass
-class ConditionReport:
-    """Empirical check that the squeezed-system kernel dominates the
-    reduction kernel elementwise: min over steps m and states of
-    (h_out_m - h_a_m) @ x_out - (h_m - h_a_m)."""
-
-    holds: bool
-    min_margin_kw: float
-    argmin_step: int
-    argmin_state: int
-    horizon: int
-
-
-@dataclass
 class ReachHoldSet:
     """Boundary of the achievable (P_hold, T_hold) region for one method,
     which every point shares.
@@ -203,7 +187,6 @@ class ReachHoldSet:
     points: list[ReachHoldPoint]
     method: str
     regime: dict
-    condition: ConditionReport | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -230,13 +213,6 @@ class ReachHoldSet:
                 raise FrontierMonotonicityError(
                     f"boundary P_hold {worst} exceeds P_nom {self.regime['P_nom_kw']}"
                 )
-
-    @property
-    def verified(self) -> bool | None:
-        """For outer sets with a condition report: whether the empirical
-        kernel-domination check passed.  None when no report is attached
-        (exact and inner sets carry their own guarantees)."""
-        return self.condition.holds if self.condition is not None else None
 
 
 # a shorter hold stays on a frontier only when its P_hold beats the longer
@@ -512,54 +488,6 @@ def inner_p_at(
     return lo
 
 
-def build_fictitious_system(
-    params: TclParams,
-    grid: BinGrid,
-    T_set: float,
-    deadband: float,
-    T_amb: float,
-    dt_minutes: float = 1.0,
-) -> TransitionMatrix:
-    """Squeezed companion system for the outer bound: setpoint at the
-    lower deadband edge, deadband narrowed to one bin width."""
-    T_set_out = T_set - 0.5 * deadband
-    return estimate_transition_matrix(params, grid, T_set_out, grid.delta_tau, T_amb, dt_minutes)
-
-
-# margins of different states tie up to rounding, so the condition report
-# names the first (step, state) within this fraction of the minimum
-CONDITION_TIE_REL = 1e-9
-
-
-def check_outer_condition(
-    kernels: ResponseKernels,
-    x_out: np.ndarray,
-    horizon: int | None = None,
-) -> ConditionReport:
-    """Empirical validity condition for the outer bound (see module
-    docstring); reports the worst margin and where it occurs (the
-    first step and state within CONDITION_TIE_REL of it)."""
-    if kernels.h_out is None:
-        raise InvalidInputError("kernels were built without the squeezed system")
-    K = horizon if horizon is not None else kernels.horizon
-    if K > kernels.horizon or K < 1:
-        raise InvalidInputError(f"condition horizon {K} outside 1..{kernels.horizon}")
-    d_out = (kernels.h_out[1 : K + 1] - kernels.h_a[1 : K + 1]) @ x_out  # (K,)
-    d = kernels.h[1 : K + 1] - kernels.h_a[1 : K + 1]  # (K, n_states)
-    margins = d_out[:, None] - d
-    min_margin = float(margins.min())
-    near = margins <= min_margin + CONDITION_TIE_REL * max(1.0, abs(min_margin))
-    m_idx, s_idx = divmod(int(np.argmax(near)), margins.shape[1])
-    tol = 1e-12 * max(1.0, kernels.c.P_on_total)
-    return ConditionReport(
-        holds=min_margin >= -tol,
-        min_margin_kw=min_margin,
-        argmin_step=m_idx + 1,
-        argmin_state=s_idx,
-        horizon=K,
-    )
-
-
 def _outer_columns(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> ColumnMatrix:
     """Outer-master columns of the plan entries u[steps[i]][states[i]]:
     their hold rows, then the budget row sum u <= 1."""
@@ -568,79 +496,94 @@ def _outer_columns(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray)
     return ColumnMatrix.from_entries([_hold_block(d, T, steps, states), budget], (T + 1, K))
 
 
-def solve_outer(
-    T_hold: int,
-    kernels: ResponseKernels,
-    x_out: np.ndarray,
-    support: str = "xout",
-) -> tuple[float, np.ndarray, LpSolution]:
-    """Outer-bound LP at T_hold, by column generation.
+def _knapsack(price: np.ndarray, cap: np.ndarray) -> tuple[float, np.ndarray]:
+    """The fractional knapsack with budget 1: fill the capacities cap,
+    best positive price first, until the budget is spent.  Returns its
+    value and the columns it fills, best first."""
+    order = np.argsort(-price, kind="stable")
+    order = order[price[order] > 0.0]
+    size = cap[order]
+    amount = np.clip(1.0 - (np.cumsum(size) - size), 0.0, size)
+    return float(price[order] @ amount), order[amount > 0.0]
 
-    The LP maximizes P subject to the hold rows and a unit budget on
-    nonnegative u[m][s] over s in the support.  support "full" allows mass
-    anywhere; "xout" restricts it to the squeezed system's anchor bin,
-    which eliminates most variables but stays an overestimate only when
-    the kernel-domination condition verifies, so callers gate it on
-    check_outer_condition.
+
+def solve_outer(T_hold: int, kernels: ResponseKernels, x_0: np.ndarray) -> tuple[float, np.ndarray, LpSolution]:
+    """Upper bound at T_hold: the capacity-relaxed LP, by column generation.
+
+    The LP maximizes P subject to the hold rows with kernel d = h - h_a,
+    the unit budget sum u <= 1, and 0 <= u[m][s] <= x_0[s] for s in
+    supp(x_0), where x_0 is the fleet's stationary occupancy (A x_0 =
+    x_0).  Every admissible plan meets these: the unactuated mass moves
+    on as x[k+1] = A (x[k] - u[k]) <= A x[k], so u[k] <= x[k] <=
+    A^k x_0 = x_0, which also keeps u on supp(x_0); and the fleet holds
+    one unit of mass.  So the value bounds the exact LP's from above.
 
     A master LP holds P, in column 0, and an active set of (step, state)
     columns.  With y its hold-row duals, clipped to >= 0 and scaled to
-    sum 1, column (m, s) prices at sum_{j<=T-m} y[m+j-1] d[j][s], and by
-    weak duality the largest price bounds the full LP from above.  Each
-    round appends, for every step, its best-priced column if that prices
-    above the master's value (so up to T_hold columns), and re-solves
-    the master warm, from the last round's basis; no column is dropped.
-    The loop stops once the bound is within OUTER_CG_GAP_REL of the
-    value, and raises NumericalFailureError after OUTER_CG_MAX_ROUNDS
-    rounds.
+    sum 1, column (m, s) prices at w = sum_{j<=T-m} y[m+j-1] d[j][s],
+    and by weak duality the fractional knapsack of the prices (capacities
+    x_0, budget 1) bounds the full LP from above.  Each round appends,
+    per step, its best inactive column if that prices above the master's
+    budget dual (scaled with y), and every inactive column the knapsack
+    fills, and re-solves the master warm, from the last round's basis; no
+    column is dropped.  The first round prices a flat hold and also
+    takes all of step 0, so the first master holds the plan u[0] = x_0
+    (the whole fleet actuated at once), which reaches P_nom on short
+    holds.  The loop stops once the knapsack bound is within
+    OUTER_CG_GAP_REL of the value, and raises NumericalFailureError after
+    OUTER_CG_MAX_ROUNDS rounds.
     """
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
-    if kernels.h_out is None:
-        raise InvalidInputError("kernels were built without the squeezed system")
     if kernels.horizon < T_hold:
         raise InvalidInputError("kernels horizon too short for requested T_hold")
-    n = x_out.size
-    if support == "xout":
-        cols = np.flatnonzero(x_out > 0.0)
-    elif support == "full":
-        cols = np.arange(n)
-    else:
-        raise InvalidInputError(f"support must be 'full' or 'xout', got {support!r}")
     T = T_hold
+    cols = np.flatnonzero(x_0 > 0.0)
     S = cols.size
-    d = kernels.h_out - kernels.h_a
+    d = kernels.h - kernels.h_a
     D = d[1 : T + 1][:, cols]  # D[j-1] = d[j] on the support
+    cap = np.tile(x_0[cols], T)  # cap[m*S + s]
     hankel = np.arange(T)[:, None] + np.arange(T)[None, :]  # m + j - 1
     y = np.full(T, 1.0 / T)  # the first round prices against a flat hold
+    beta = -np.inf  # and takes every step's best column
     active = np.zeros(T * S, dtype=bool)
     added = []  # the master's columns after P, in the order added
     G = ColumnMatrix(np.array([0, T]), np.arange(T), np.ones(T), (T + 1, 1))  # P in every hold row
+    hi = np.array([np.inf])
     h_vec = np.zeros(T + 1)
     h_vec[T] = 1.0
     value, sol = -np.inf, None
     for _ in range(OUTER_CG_MAX_ROUNDS):
         price = (np.concatenate([y, np.zeros(T)])[hankel] @ D).ravel()  # price[m*S + s]
-        if sol is not None and price.max() - value <= OUTER_CG_GAP_REL * max(1.0, abs(value)):
+        bound, filled = _knapsack(price, cap)
+        if sol is not None and bound - value <= OUTER_CG_GAP_REL * max(1.0, abs(value)):
             break
-        # per step, the best-priced column not yet active
         best = np.where(active, -np.inf, price).reshape(T, S).argmax(axis=1) + np.arange(T) * S
-        new = best[(price[best] > value) & ~active[best]]
+        # a mask rather than np.union1d, whose np.unique imports all of
+        # numpy.ma on its first call in a process
+        take = np.zeros(T * S, dtype=bool)
+        take[best[price[best] > beta]] = True
+        take[filled] = True
+        if sol is None:  # and step 0 on every state: the plan that actuates the whole fleet at once
+            take[:S] = True
+        new = np.flatnonzero(take & ~active)
         if new.size == 0:
             raise NumericalFailureError(
-                f"outer pricing at T={T} found no new column for a gap of {price.max() - value!r}"
+                f"outer pricing at T={T} found no new column for a gap of {bound - value!r}"
             )
         active[new] = True
         added.append(new)
         G = G.append(_outer_columns(d, T, new // S, cols[new % S]))
+        hi = np.concatenate([hi, cap[new]])
         c_obj = np.zeros(G.shape[1])
         c_obj[0] = 1.0
-        sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(G.shape[1])), warm=sol)
+        sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(G.shape[1]), hi=hi), warm=sol)
         if sol.status != OPTIMAL:
             raise NumericalFailureError(f"outer LP did not solve cleanly: status {sol.status}")
         value = float(sol.z[0])
-        y = np.clip(sol.duals_ineq[:T], 0.0, None)
-        y /= y.sum()
+        duals = np.clip(sol.duals_ineq, 0.0, None)
+        duals /= duals[:T].sum()
+        y, beta = duals[:T], duals[T]
     else:
         raise NumericalFailureError(
             f"outer column generation at T={T} did not close its gap in {OUTER_CG_MAX_ROUNDS} rounds"
@@ -648,38 +591,24 @@ def solve_outer(
     sol.release()  # the hold's model goes now, not when the caller drops sol
     z = np.zeros(T * S)
     z[np.concatenate(added)] = sol.z[1:]
-    u = np.zeros((T, n))
+    u = np.zeros((T, x_0.size))
     u[:, cols] = z.reshape(T, S)
     return value, np.clip(u, 0.0, None), sol
 
 
-def outer_boundary(
-    kernels: ResponseKernels,
-    x_out: np.ndarray,
-    t_grid: np.ndarray,
-    regime: dict,
-    condition_horizon: int | None = None,
-) -> ReachHoldSet:
-    """Outer frontier over hold durations, one LP per hold.
-
-    The tighter anchor-bin restriction is solved when the kernel-
-    domination condition verifies, and the full-support relaxation
-    otherwise; the anchor-bin columns are a subset of the full ones, so
-    the restriction is never the looser of the two.  Values are clipped
-    to P_nom (the true reduction can never exceed nominal demand) and the
-    condition report rides along so consumers can see whether the bound
-    is certified.
-    """
+def outer_boundary(kernels: ResponseKernels, x_0: np.ndarray, t_grid: np.ndarray, regime: dict) -> ReachHoldSet:
+    """Outer frontier over hold durations, one relaxed LP per hold.
+    Values are clipped to P_nom (the true reduction can never exceed
+    nominal demand); each point keeps the LP's own value as
+    raw_objective_kw."""
     p_nom = float(regime["P_nom_kw"])
-    condition = check_outer_condition(kernels, x_out, condition_horizon)
-    support = "xout" if condition.holds else "full"
     samples = []
     for T in np.asarray(t_grid, dtype=int):
-        raw, _, _ = solve_outer(int(T), kernels, x_out, support=support)
+        raw, _, _ = solve_outer(int(T), kernels, x_0)
         samples.append(
             ReachHoldPoint(P_hold_kw=float(np.clip(raw, 0.0, p_nom)), T_hold_steps=int(T), raw_objective_kw=raw)
         )
-    return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime, condition=condition)
+    return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime)
 
 
 def config_number(value, name: str) -> float:
@@ -772,7 +701,6 @@ class CharacterizedFleet:
 
     A: TransitionMatrix
     A_a: TransitionMatrix
-    A_out: TransitionMatrix | None
     x_0: np.ndarray
     c: OutputVector
     kernels: ResponseKernels
@@ -790,29 +718,20 @@ def _program(op: OperatingPoint, setpoint: float) -> tuple:
 
 
 def _fleet(
-    op: OperatingPoint,
-    A: TransitionMatrix,
-    A_a: TransitionMatrix,
-    x_0: np.ndarray,
-    T_max: int,
-    A_out: TransitionMatrix | None = None,
+    op: OperatingPoint, A: TransitionMatrix, A_a: TransitionMatrix, x_0: np.ndarray, T_max: int
 ) -> CharacterizedFleet:
     c = output_vector(op.grid, op.P_on_total_kw)
-    kernels = response_kernels(A, A_a, c, horizon=T_max + 1, A_out=A_out)
+    kernels = response_kernels(A, A_a, c, horizon=T_max + 1)
     return CharacterizedFleet(
-        A=A, A_a=A_a, A_out=A_out, x_0=x_0, c=c, kernels=kernels, regime=op.regime(float(c.c @ x_0), T_max)
+        A=A, A_a=A_a, x_0=x_0, c=c, kernels=kernels, regime=op.regime(float(c.c @ x_0), T_max)
     )
 
 
-def characterize(
-    op: OperatingPoint, T_max: int = DEFAULT_T_MAX, with_outer: bool = True
-) -> CharacterizedFleet:
-    """Build all matrices and kernels at one operating point."""
-    base = _program(op, op.T_set)
-    A = estimate_transition_matrix(*base)
+def characterize(op: OperatingPoint, T_max: int = DEFAULT_T_MAX) -> CharacterizedFleet:
+    """Build both matrices and their kernels at one operating point."""
+    A = estimate_transition_matrix(*_program(op, op.T_set))
     A_a = estimate_transition_matrix(*_program(op, op.T_set_new))
-    A_out = build_fictitious_system(*base) if with_outer else None
-    return _fleet(op, A, A_a, stationary_distribution(A).x, T_max, A_out)
+    return _fleet(op, A, A_a, stationary_distribution(A).x, T_max)
 
 
 def sweep(
@@ -838,8 +757,8 @@ def sweep(
 
 
 def save_set(rh_set: ReachHoldSet, csv_path) -> None:
-    """Write the frontier CSV plus a JSON sidecar with the regime block,
-    per-point flags, and (for outer sets) the condition report."""
+    """Write the frontier CSV plus a JSON sidecar with the regime block
+    and the per-point flags; each point's P_hold lives in the CSV only."""
     csv_path = str(csv_path)
     dt_min = float(rh_set.regime.get("dt_minutes", 1.0))
     with open(csv_path, "w") as fh:
@@ -850,11 +769,9 @@ def save_set(rh_set: ReachHoldSet, csv_path) -> None:
     sidecar = {
         "method": rh_set.method,
         "regime": rh_set.regime,
-        "condition": asdict(rh_set.condition) if rh_set.condition else None,
         "points": [
             {
                 "T_hold_steps": p.T_hold_steps,
-                "P_hold_kW": p.P_hold_kw,
                 "horizon_limited": p.horizon_limited,
                 "raw_objective_kw": p.raw_objective_kw,
             }
@@ -924,14 +841,7 @@ def load_set(csv_path) -> ReachHoldSet:
                 raw_objective_kw=meta.get("raw_objective_kw"),
             )
         )
-    condition = None
-    if sidecar.get("condition"):
-        cd = sidecar["condition"]
-        try:
-            condition = ConditionReport(**{f.name: cd[f.name] for f in fields(ConditionReport)})
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"sidecar {sidecar_path} has an incomplete condition block: {exc!r}") from exc
     try:
-        return ReachHoldSet(points=points, method=sidecar["method"], regime=sidecar["regime"], condition=condition)
+        return ReachHoldSet(points=points, method=sidecar["method"], regime=sidecar["regime"])
     except FrontierMonotonicityError as exc:
         raise InvalidInputError(f"{csv_path} is not a frontier: {exc}") from exc

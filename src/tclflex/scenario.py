@@ -29,7 +29,6 @@ from .markov import (
     estimate_transition_matrix,
     save_matrix,
     step_population,
-    x_out_vector,
 )
 from .reachhold import (
     DEFAULT_N_GRID,
@@ -334,9 +333,9 @@ def default_t_grid(T_max: int) -> list[int]:
 
 
 def run_build_model(cfg: dict, out_dir: Path) -> dict[str, str]:
-    ch = characterize(OperatingPoint.from_config(cfg), int(cfg["T_max_steps"]), with_outer=True)
+    ch = characterize(OperatingPoint.from_config(cfg), int(cfg["T_max_steps"]))
     artifacts = {}
-    for name, tm in (("A", ch.A), ("A_actuated", ch.A_a), ("A_squeezed", ch.A_out)):
+    for name, tm in (("A", ch.A), ("A_actuated", ch.A_a)):
         path = out_dir / f"{name}.csv"
         save_matrix(tm, path)
         artifacts[name] = str(path)
@@ -357,7 +356,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
     methods = cfg["reachhold"]["methods"]
     op = OperatingPoint.from_config(cfg)
     T_max = int(cfg["T_max_steps"])
-    ch = characterize(op, T_max, with_outer=OUTER in methods)
+    ch = characterize(op, T_max)
     t_grid = cfg["reachhold"]["t_grid"] or default_t_grid(T_max)
     t_grid = [int(t) for t in t_grid]
     artifacts = {}
@@ -368,14 +367,10 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
         save_set(rh, path)
         artifacts[INNER] = str(path)
     if OUTER in methods:
-        x_out = x_out_vector(op.grid, op.T_set, op.deadband)
-        rh = outer_boundary(ch.kernels, x_out, np.array(t_grid), ch.regime)
+        rh = outer_boundary(ch.kernels, ch.x_0, np.array(t_grid), ch.regime)
         path = out_dir / "outer.csv"
         save_set(rh, path)
         artifacts[OUTER] = str(path)
-        cond_path = out_dir / "condition.json"
-        _write_json({**asdict(rh.condition), "verified": rh.verified}, cond_path)
-        artifacts["condition"] = str(cond_path)
     if EXACT in methods:
         n = ch.x_0.size
         t_exact = [t for t in t_grid if t * n <= EXACT_LP_CAP]
@@ -415,7 +410,7 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     micro run was degraded by actuation shortfalls."""
     op = OperatingPoint.from_config(cfg)
     T_max = int(cfg["T_max_steps"])
-    ch = characterize(op, T_max, with_outer=False)
+    ch = characterize(op, T_max)
     v = cfg["validate"]
     p_on_total = op.P_on_total_kw
     n_units = int(cfg["fleet"]["n_units"])
@@ -530,7 +525,7 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
     """Invariant suite over the configured model; raises on any failure
     after persisting the full report."""
     op = OperatingPoint.from_config(cfg)
-    ch = characterize(op, int(cfg["T_max_steps"]), with_outer=True)
+    ch = characterize(op, int(cfg["T_max_steps"]))
     n = ch.x_0.size
     rng = np.random.default_rng(0)  # fixed probe controls, part of the check
     checks = []
@@ -539,9 +534,9 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     try:
-        for tm in (ch.A, ch.A_a, ch.A_out):
+        for tm in (ch.A, ch.A_a):
             tm.validate(tol=1e-9)
-        record("column_stochastic", True, "all three matrices within 1e-9")
+        record("column_stochastic", True, "both matrices within 1e-9")
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         record("column_stochastic", False, str(exc))
 

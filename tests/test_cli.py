@@ -347,9 +347,9 @@ class TestBuildModel:
     def test_artifacts_and_model_summary(self, tiny_config_path, tmp_path):
         out = tmp_path / "bm"
         assert main(["build-model", "--config", tiny_config_path, "--out", str(out)]) == EXIT_OK
-        for name in ("A.csv", "A_actuated.csv", "A_squeezed.csv", "x0.csv",
-                     "model.json", "effective_config.json"):
+        for name in ("A.csv", "A_actuated.csv", "x0.csv", "model.json", "effective_config.json"):
             assert (out / name).exists()
+        assert not (out / "A_squeezed.csv").exists()
         model = json.loads((out / "model.json").read_text())
         assert model["stationary_residual"] <= 1e-10
         assert model["regime"]["n_bins"] == 10
@@ -362,8 +362,6 @@ class TestBuildModel:
         np.testing.assert_allclose(tm.P.sum(axis=0), 1.0, atol=1e-9)
         tm_a = load_matrix(out / "A_actuated.csv")
         assert tm_a.T_set == 22.0
-        tm_out = load_matrix(out / "A_squeezed.csv")
-        assert tm_out.T_set == 19.5
 
     def test_x0_column_matches_model(self, tiny_config_path, tmp_path):
         out = tmp_path / "bm"
@@ -377,11 +375,10 @@ class TestBuildModel:
 
 class TestReachhold:
     def test_all_methods_emit_frontiers(self, reachhold_out):
-        for name in ("inner.csv", "outer.csv", "exact.csv", "condition.json"):
+        for name in ("inner.csv", "outer.csv", "exact.csv"):
             assert (reachhold_out / name).exists()
-        cond = json.loads((reachhold_out / "condition.json").read_text())
-        assert cond["verified"] is False  # fails at these defaults
-        assert cond["min_margin_kw"] < 0.0
+        assert not (reachhold_out / "condition.json").exists()
+        assert "condition" not in json.loads((reachhold_out / "outer.json").read_text())
 
     def test_frontiers_load_back(self, reachhold_out):
         for name in ("inner", "outer", "exact"):
@@ -401,7 +398,7 @@ class TestReachhold:
         echo = reachhold_out / "effective_config.json"
         out2 = tmp_path / "again"
         assert main(["reachhold", "--config", str(echo), "--out", str(out2)]) == EXIT_OK
-        for name in ("inner.csv", "outer.csv", "exact.csv", "condition.json",
+        for name in ("inner.csv", "outer.csv", "exact.csv",
                      "inner.json", "outer.json", "exact.json", "effective_config.json"):
             assert (out2 / name).read_bytes() == (reachhold_out / name).read_bytes()
 
@@ -533,12 +530,11 @@ class TestAggregate:
         [
             ("inner", lambda s: s["points"][0].pop("T_hold_steps")),
             ("inner", lambda s: s.update(regime="default")),
-            ("outer", lambda s: s["condition"].pop("min_margin_kw")),
             ("inner", lambda s: s["regime"].update(P_on_total_kw="x")),
             ("inner", lambda s: s["regime"].update(P_nom_kw="x")),
         ],
         ids=[
-            "point_without_T_hold", "regime_not_object", "condition_without_field",
+            "point_without_T_hold", "regime_not_object",
             "P_on_total_not_numeric", "P_nom_not_numeric",
         ],
     )

@@ -16,6 +16,7 @@ import pytest
 import tclflex.lp
 import tclflex.reachhold
 from tclflex.errors import InvalidInputError
+from tclflex.etp import DEFAULT_PARAMS
 from tclflex.lp import (
     FEASIBILITY_TOL,
     INFEASIBLE,
@@ -31,10 +32,10 @@ from tclflex.lp import (
     run_highs,
     solve,
 )
-from tclflex.markov import x_out_vector
-from tclflex.reachhold import solve_exact, solve_outer
+from tclflex.reachhold import OperatingPoint, characterize, solve_exact, solve_outer
 
-from conftest import DEADBAND, T_SET
+from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -507,11 +508,12 @@ class TestRunHighs:
         (lp,) = reachhold_lps(monkeypatch, lambda: solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a))
         self.assert_same(lp, monkeypatch)
 
-    def test_outer_masters(self, char10, monkeypatch):
-        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
-        lps = []
-        for support in ("xout", "full"):
-            lps += reachhold_lps(monkeypatch, lambda: solve_outer(20, char10.kernels, x_out, support=support))
+    def test_outer_masters(self, grid40, monkeypatch):
+        # at 10 bins one master settles every hold, so this takes the
+        # default 40-bin fleet at a hold that needs several rounds
+        op = OperatingPoint(DEFAULT_PARAMS, grid40, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL)
+        ch = characterize(op, T_max=90)
+        lps = reachhold_lps(monkeypatch, lambda: solve_outer(90, ch.kernels, ch.x_0))
         assert len(lps) >= 2
         for lp in lps:
             self.assert_same(lp, monkeypatch)

@@ -27,7 +27,6 @@ from tclflex.markov import (
     save_matrix,
     stationary_distribution,
     step_population,
-    x_out_vector,
 )
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET
@@ -270,26 +269,6 @@ class TestRemarkOneZero:
         # stationary on unit off within one step
         val = float(c_out.c @ (tm_actuated.P @ x0_nominal.x))
         assert abs(val) <= 1e-12 * P_ON_TOTAL
-
-
-class TestXOutVector:
-    def test_edge_coincides_uses_colder_bin(self):
-        grid = build_grid(18.0, 24.0, 12)  # delta_tau = 0.5, edges on halves
-        x = x_out_vector(grid, T_set=20.0, deadband=1.0)  # edge 19.5 == bin edge
-        s = int(np.argmax(x))
-        b = s - grid.n_bins
-        assert grid.edges[b + 1] == pytest.approx(19.5)
-        assert x.sum() == 1.0 and x[s] == 1.0
-
-    def test_interior_edge_uses_containing_bin(self, grid40):
-        x = x_out_vector(grid40, T_set=20.05, deadband=1.0)  # edge at 19.55
-        b = int(np.argmax(x)) - grid40.n_bins
-        assert grid40.edges[b] < 19.55 < grid40.edges[b + 1]
-
-    def test_mass_is_in_on_block(self, grid40):
-        x = x_out_vector(grid40, T_set=20.0, deadband=1.0)
-        assert x[: grid40.n_bins].sum() == 0.0
-        assert x[grid40.n_bins :].sum() == 1.0
 
 
 class TestSerialization:

@@ -1,5 +1,5 @@
 """Tests for reach-and-hold characterization: kernels, the three boundary
-routes, the empirical outer-bound condition, and set persistence."""
+routes, and set persistence."""
 
 import json
 import tracemalloc
@@ -25,7 +25,6 @@ from tclflex.markov import (
     TransitionMatrix,
     build_grid,
     output_vector,
-    x_out_vector,
 )
 from tclflex.reachhold import (
     EXACT_LP_CAP,
@@ -33,12 +32,10 @@ from tclflex.reachhold import (
     OUTER,
     OperatingPoint,
     ReachHoldPoint,
-    ResponseKernels,
     ReachHoldSet,
     _hold_block,
     _outer_columns,
     characterize,
-    check_outer_condition,
     default_p_grid,
     delta_p_by_stepping,
     inner_boundary,
@@ -122,16 +119,14 @@ def kernel_response(alpha: np.ndarray, kernels, x_0: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.convolve(alpha, s)[: s.size]])
 
 
-def tiny_system(A, A_a, horizon=10, p_on=10.0, A_out=None):
+def tiny_system(A, A_a, horizon=10, p_on=10.0):
     """Kernels over a 2-state (single-bin) system with hand-checkable rows."""
     grid = build_grid(0.0, 1.0, 1)
     mk = lambda M: TransitionMatrix(
         P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
         T_set=0.5, T_amb=1.0, deadband=1.0,
     )
-    c = output_vector(grid, p_on)
-    out = mk(A_out) if A_out is not None else None
-    return response_kernels(mk(A), mk(A_a), c, horizon=horizon, A_out=out)
+    return response_kernels(mk(A), mk(A_a), output_vector(grid, p_on), horizon=horizon)
 
 
 def full_support_exact(T, kernels, x_0, A):
@@ -204,35 +199,47 @@ def dense_exact(T, kernels, x_0, A):
     return solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo, hi=hi))
 
 
-def full_column_outer(T, kernels, x_out, support):
-    """Oracle for solve_outer: the outer LP with every (step, state)
-    column of the support written out at once.  Returns the LP value."""
-    cols = np.flatnonzero(x_out > 0.0) if support == "xout" else np.arange(x_out.size)
+def full_column_outer(T, kernels, x_0):
+    """Oracle for solve_outer: the relaxed LP with every (step, state)
+    column on supp(x_0) written out at once, each capped at x_0, under
+    the unit budget.  Returns the LP value."""
+    cols = np.flatnonzero(x_0 > 0.0)
     S = cols.size
     n_vars = T * S + 1
     c_obj = np.zeros(n_vars)
     c_obj[-1] = 1.0
     G = np.zeros((T + 1, n_vars))
     h_vec = np.zeros(T + 1)
-    fill_hold_rows(G, kernels.h_out - kernels.h_a, cols, T)
+    fill_hold_rows(G, kernels.h - kernels.h_a, cols, T)
     G[T, : T * S] = 1.0  # total budget <= 1
     h_vec[T] = 1.0
-    sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(n_vars)))
+    hi = np.append(np.tile(x_0[cols], T), np.inf)
+    sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(n_vars), hi=hi))
     assert sol.status == OPTIMAL
     return float(sol.z[-1])
 
 
-def pricing_bound(T, kernels, x_out, support, duals):
-    """Weak-duality bound from the hold-row duals of a master: with y
-    clipped to >= 0 and scaled to sum 1, the largest price
-    sum_{k>m} y[k-1] d[k-m][s] over every step m and support state s."""
-    cols = np.flatnonzero(x_out > 0.0) if support == "xout" else np.arange(x_out.size)
-    d = (kernels.h_out - kernels.h_a)[:, cols]
+def knapsack_bound(T, kernels, x_0, duals):
+    """Weak-duality bound from the duals of a master: with y its hold-row
+    duals clipped to >= 0 and scaled to sum 1, each (step m, state s) on
+    supp(x_0) prices at sum_{k>m} y[k-1] d[k-m][s]; fill capacity x_0[s]
+    per column, best positive price first, until one unit is spent."""
+    cols = np.flatnonzero(x_0 > 0.0)
+    d = (kernels.h - kernels.h_a)[:, cols]
     y = np.clip(duals[:T], 0.0, None)
     y = y / y.sum()
-    return max(
-        float(sum(y[k - 1] * d[k - m] for k in range(m + 1, T + 1)).max()) for m in range(T)
-    )
+    items = []
+    for m in range(T):
+        price = sum(y[k - 1] * d[k - m] for k in range(m + 1, T + 1))
+        items += [(float(w), float(x_0[s])) for w, s in zip(price, cols)]
+    bound, left = 0.0, 1.0
+    for w, cap in sorted(items, reverse=True):
+        if w <= 0.0 or left <= 0.0:
+            break
+        take = min(cap, left)
+        bound += w * take
+        left -= take
+    return bound
 
 
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
@@ -450,7 +457,7 @@ class TestInnerBoundary:
         # a cohort raised by exactly one deadband still draws c A_a x_0, so
         # the full-nominal target holds no step; that sample claims nothing
         # and stays off the frontier
-        ch = characterize(replace(point(40), T_set_new=T_SET + DEADBAND), T_max=120, with_outer=False)
+        ch = characterize(replace(point(40), T_set_new=T_SET + DEADBAND), T_max=120)
         assert inner_point(ch.p_nom_kw, ch.kernels, ch.x_0, 120).point.T_hold_steps == 0
         rh = inner_boundary(ch.kernels, ch.x_0, 120, regime=ch.regime)
         assert rh.points and all(p.T_hold_steps >= 1 for p in rh.points)
@@ -480,7 +487,7 @@ class TestInnerProfile:
         op = OperatingPoint(
             DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
-        ch = characterize(op, T_max=T_max, with_outer=False)
+        ch = characterize(op, T_max=T_max)
         for P in default_p_grid(ch.p_nom_kw):
             ip = inner_point(float(P), ch.kernels, ch.x_0, T_max)
             alpha, _, T_h, limited = reference_inner_point(float(P), ch.kernels, ch.x_0, T_max)
@@ -615,7 +622,7 @@ class TestSolveExact:
         op = OperatingPoint(
             DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
-        ch = characterize(op, T_max=T, with_outer=False)
+        ch = characterize(op, T_max=T)
         P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
         assert P == pytest.approx(reference_exact(T, ch.kernels, ch.x_0, ch.A)[0], abs=LP_TOL)
         dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, T)
@@ -704,46 +711,42 @@ class TestSparseBuilders:
         raise_k=st.floats(0.5, 3.0),
         n_bins=st.sampled_from([10, 20, 40]),
         T_share=st.floats(0.0, 1.0),
-        full=st.booleans(),
         density=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40, T_share=1.0, full=True, density=1.0, seed=0)
-    def test_match_dense_reference(self, T_amb, raise_k, n_bins, T_share, full, density, seed):
+    @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40, T_share=1.0, density=1.0, seed=0)
+    def test_match_dense_reference(self, T_amb, raise_k, n_bins, T_share, density, seed):
         op = OperatingPoint(
             DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         T_cap = EXACT_LP_CAP // (2 * n_bins)  # 2 * n_bins states
         T = max(1, round(T_share * T_cap))
-        ch = characterize(op, T_max=T, with_outer=True)
+        ch = characterize(op, T_max=T)
         lp = captured_exact_lp(T, ch)
         assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_exact_matrix(T, ch.kernels, ch.x_0, ch.A)))
 
-        # P, then the columns of a random active set of either support
-        # with the budget row, as solve_outer appends them to a master
-        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
-        cols = np.arange(x_out.size) if full else np.flatnonzero(x_out > 0.0)
+        # P, then the columns of a random active set on supp(x_0) with
+        # the budget row, as solve_outer appends them to a master
+        cols = np.flatnonzero(ch.x_0 > 0.0)
         S = cols.size
         idx = np.flatnonzero(np.random.default_rng(seed).random(T * S) < density)
-        d = ch.kernels.h_out - ch.kernels.h_a
+        d = ch.kernels.h - ch.kernels.h_a
         steps, states = idx // S, cols[idx % S]
         p_column = ColumnMatrix.from_dense(np.r_[np.ones(T), 0.0][:, None])
         master = p_column.append(_outer_columns(d, T, steps, states))
         assert_bitwise_equal(master, ColumnMatrix.from_dense(dense_outer_matrix(d, T, steps, states)))
 
-    @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
-    def test_outer_masters_match_dense_reference(self, fleet, T, support, request, monkeypatch):
+    def test_outer_masters_match_dense_reference(self, fleet, T, request, monkeypatch):
         # every master solve_outer poses: P, then every column added so
         # far, in the order of the rounds that added them
         ch = request.getfixturevalue(fleet)
-        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
-        d = ch.kernels.h_out - ch.kernels.h_a
+        d = ch.kernels.h - ch.kernels.h_a
         blocks, lps = [], []
         hold_block, solve_lp = tclflex.reachhold._hold_block, tclflex.reachhold.solve
         monkeypatch.setattr(tclflex.reachhold, "_hold_block", lambda *a: blocks.append(a[2:]) or hold_block(*a))
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: lps.append(lp) or solve_lp(lp, warm))
-        solve_outer(T, ch.kernels, x_out, support=support)
+        solve_outer(T, ch.kernels, ch.x_0)
         assert len(lps) == len(blocks) >= 1
         for i, lp in enumerate(lps):
             steps, states = (np.concatenate(part) for part in zip(*blocks[: i + 1]))
@@ -768,114 +771,59 @@ class TestInvariantSupport:
         assert invariant_support(A, np.array([0.0, 1.0, 0.0, 0.0])).tolist() == [1, 2, 3]
 
 
-class TestOuterCondition:
-    def test_defaults_fail_and_report_location(self, char40):
-        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
-        rep = check_outer_condition(char40.kernels, x_out)
-        assert not rep.holds
-        assert rep.min_margin_kw < 0.0
-        assert 1 <= rep.argmin_step <= rep.horizon
-        assert 0 <= rep.argmin_state < char40.x_0.size
-        m, s = rep.argmin_step, rep.argmin_state
-        d_out = (char40.kernels.h_out[m] - char40.kernels.h_a[m]) @ x_out
-        d = (char40.kernels.h[m] - char40.kernels.h_a[m])[s]
-        assert rep.min_margin_kw == pytest.approx(d_out - d)
-
-    def test_synthetic_domination_holds(self):
-        kernels = tiny_system(ABSORB_OFF, ABSORB_OFF, A_out=IDENTITY)
-        x_out = np.array([0.0, 1.0])
-        rep = check_outer_condition(kernels, x_out)
-        assert rep.holds
-        assert rep.min_margin_kw == pytest.approx(10.0)
-
-    def test_tied_minimum_reports_first_state(self):
-        # state 1's margin is 1e-13 kW below state 0's: a rounding-level
-        # tie, so the report names state 0 and keeps the exact minimum
-        c = output_vector(build_grid(0.0, 1.0, 1), 10.0)
-        h = np.array([[0.0, 0.0], [1.0, 1.0 + 1e-13]])
-        zero = np.zeros_like(h)
-        kernels = ResponseKernels(h=h, h_a=zero, h_out=zero, c=c, horizon=1)
-        rep = check_outer_condition(kernels, np.array([0.0, 1.0]))
-        assert (rep.argmin_step, rep.argmin_state) == (1, 0)
-        assert rep.min_margin_kw == -(1.0 + 1e-13)
-
-    def test_requires_squeezed_kernels(self, char40):
-        bare = response_kernels(char40.A, char40.A_a, char40.c, horizon=5)
-        with pytest.raises(InvalidInputError):
-            check_outer_condition(bare, np.zeros(char40.x_0.size))
-
-    def test_horizon_bounds_checked(self, char40):
-        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
-        with pytest.raises(InvalidInputError):
-            check_outer_condition(char40.kernels, x_out, horizon=0)
-        with pytest.raises(InvalidInputError):
-            check_outer_condition(char40.kernels, x_out, horizon=10_000)
-
-
 class TestSolveOuter:
     def test_upper_bounds_exact_here(self, char10):
-        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         for T in (2, 5, 10):
             exact, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)
-            relax, _, _ = solve_outer(T, char10.kernels, x_out, support="full")
+            relax, _, _ = solve_outer(T, char10.kernels, char10.x_0)
             assert min(relax, char10.p_nom_kw) >= exact - LP_TOL
 
     def test_nonincreasing_in_hold_length(self, char10):
-        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
-        vals = [solve_outer(T, char10.kernels, x_out, support="full")[0] for T in (1, 5, 10, 20)]
+        vals = [solve_outer(T, char10.kernels, char10.x_0)[0] for T in (1, 5, 10, 20)]
         assert all(a >= b - LP_TOL for a, b in zip(vals, vals[1:]))
 
-    def test_restricted_support_on_certified_synthetic(self):
-        kernels = tiny_system(ABSORB_OFF, ABSORB_OFF, A_out=IDENTITY, horizon=12)
-        x_out = np.array([0.0, 1.0])
-        P_full, _, _ = solve_outer(8, kernels, x_out, support="full")
-        P_xout, plan, _ = solve_outer(8, kernels, x_out, support="xout")
-        # the anchored unit keeps drawing 10 kW forever, so both supports
-        # spend the whole budget at step 0
-        assert P_full == pytest.approx(10.0, abs=1e-7)
-        assert P_xout == pytest.approx(10.0, abs=1e-7)
-        assert plan[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
+    def test_capacity_binds_on_synthetic(self):
+        # units stay put unless actuated, and actuated units switch off for
+        # good: only the on half of the fleet, actuated at step 0, holds,
+        # so the cap u <= x_0 halves what the budget alone would allow
+        kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=12)
+        x_0 = np.array([0.5, 0.5])
+        P, plan, _ = solve_outer(8, kernels, x_0)
+        assert P == pytest.approx(5.0, abs=1e-7)
+        assert plan[0, 1] == pytest.approx(0.5, abs=1e-9)
+        assert np.all(plan <= x_0 + 1e-12)
 
-    def test_bad_support_rejected(self, char10):
-        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
-        with pytest.raises(InvalidInputError, match="support"):
-            solve_outer(2, char10.kernels, x_out, support="everything")
-
-    @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize(
         "fleet, T",
         [("char10", 1), ("char10", 5), ("char10", 10), ("char10", 20), ("char40", 60), ("char40", 120)],
     )
-    def test_matches_full_column_oracle(self, fleet, T, support, request):
+    def test_matches_full_column_oracle(self, fleet, T, request):
         ch = request.getfixturevalue(fleet)
-        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
-        P, u, sol = solve_outer(T, ch.kernels, x_out, support=support)
-        assert P == pytest.approx(full_column_outer(T, ch.kernels, x_out, support), abs=LP_TOL)
+        P, u, sol = solve_outer(T, ch.kernels, ch.x_0)
+        assert P == pytest.approx(full_column_outer(T, ch.kernels, ch.x_0), abs=LP_TOL)
         # the last master's duals prove the value for every column
-        assert pricing_bound(T, ch.kernels, x_out, support, sol.duals_ineq) <= P * (1.0 + 1e-9)
-        # its plan stays on the support, within the budget, and holds P
-        assert u.shape == (T, x_out.size)
-        if support == "xout":
-            assert np.all(u[:, x_out <= 0.0] == 0.0)
+        assert knapsack_bound(T, ch.kernels, ch.x_0, sol.duals_ineq) <= P * (1.0 + 1e-9)
+        # its plan stays on supp(x_0), within the capacities and the
+        # budget, and holds P
+        assert u.shape == (T, ch.x_0.size)
+        assert np.all(u[:, ch.x_0 <= 0.0] == 0.0)
+        assert np.all(u <= ch.x_0 + 1e-9)
         assert u.sum() <= 1.0 + 1e-9
-        d = ch.kernels.h_out - ch.kernels.h_a
+        d = ch.kernels.h - ch.kernels.h_a
         held = [sum(d[k - m] @ u[m] for m in range(k)) for k in range(1, T + 1)]
         assert min(held) >= P - LP_TOL
 
     def test_failing_master_raises(self, char10, monkeypatch):
-        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         failed = LpSolution(NUMERICAL_FAILURE, None, None, None)
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: failed)
         with pytest.raises(NumericalFailureError, match="outer LP"):
-            solve_outer(10, char10.kernels, x_out, support="full")
+            solve_outer(10, char10.kernels, char10.x_0)
 
-    @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
-    def test_warm_masters_match_cold(self, fleet, T, support, request, monkeypatch):
+    def test_warm_masters_match_cold(self, fleet, T, request, monkeypatch):
         # each master is solved warm from the last; a cold solve of the
         # same LP, and a cold column generation, reach the same values
         ch = request.getfixturevalue(fleet)
-        x_out = x_out_vector(ch.A.grid, T_SET, DEADBAND)
         real = tclflex.reachhold.solve
         masters = []
 
@@ -886,78 +834,82 @@ class TestSolveOuter:
         with monkeypatch.context() as mp:
             cold_starts = record_highs(mp)
             mp.setattr(tclflex.reachhold, "solve", solve_recorded)
-            P, _, _ = solve_outer(T, ch.kernels, x_out, support=support)
+            P, _, _ = solve_outer(T, ch.kernels, ch.x_0)
         assert cold_starts == [(None, 0)] and masters  # the first master only
         for lp, sol in masters:
             assert sol.objective_value == pytest.approx(real(lp).objective_value, abs=LP_TOL)
         with monkeypatch.context() as mp:
             mp.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: real(lp))
-            P_cold, _, _ = solve_outer(T, ch.kernels, x_out, support=support)
+            P_cold, _, _ = solve_outer(T, ch.kernels, ch.x_0)
         assert P == pytest.approx(P_cold, abs=LP_TOL)
 
     def test_one_cold_start_per_hold(self, char40, monkeypatch):
         # guards the warm start against silently turning off
-        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
         solve_lp, masters = tclflex.reachhold.solve, []
         cold_starts = record_highs(monkeypatch)
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: masters.append(lp) or solve_lp(lp, warm))
         holds = np.array([1, 5, 20, 60, 120])
-        outer_boundary(char40.kernels, x_out, holds, char40.regime)
+        outer_boundary(char40.kernels, char40.x_0, holds, char40.regime)
         assert cold_starts == [(None, 0)] * holds.size
         assert len(masters) > holds.size  # the longer holds take several rounds
 
     def test_round_cap_raises(self, char40, monkeypatch):
-        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
         monkeypatch.setattr(tclflex.reachhold, "OUTER_CG_MAX_ROUNDS", 1)
         with pytest.raises(NumericalFailureError, match="rounds"):
-            solve_outer(60, char40.kernels, x_out, support="full")
+            solve_outer(120, char40.kernels, char40.x_0)
 
 
 class TestOuterBoundary:
-    def test_unverified_falls_back_to_full_support(self, char40):
-        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
+    def test_points_clip_the_relaxed_values(self, char40):
         p_nom = char40.regime["P_nom_kw"]
-        rh = outer_boundary(char40.kernels, x_out, np.array([5, 20, 60, 120]), char40.regime)
+        rh = outer_boundary(char40.kernels, char40.x_0, np.array([5, 20, 60, 120]), char40.regime)
         assert rh.method == OUTER
-        assert rh.verified is False
-        assert rh.condition is not None and not rh.condition.holds
         assert rh.points  # the longest hold always survives pruning
         for pt in rh.points:
-            raw_full, _, _ = solve_outer(pt.T_hold_steps, char40.kernels, x_out, support="full")
-            assert pt.raw_objective_kw == pytest.approx(raw_full)
-            assert pt.P_hold_kw == pytest.approx(min(raw_full, p_nom))
+            raw, _, _ = solve_outer(pt.T_hold_steps, char40.kernels, char40.x_0)
+            assert pt.raw_objective_kw == pytest.approx(raw)
+            assert pt.P_hold_kw == pytest.approx(min(raw, p_nom))
             assert pt.P_hold_kw <= p_nom + 1e-9
 
-    def test_certified_synthetic_uses_tighter_support(self, monkeypatch):
-        kernels = tiny_system(ABSORB_OFF, ABSORB_OFF, A_out=IDENTITY, horizon=12)
-        x_out = np.array([0.0, 1.0])
+    def test_synthetic_one_lp_per_hold(self, monkeypatch):
+        kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=12)
+        x_0 = np.array([0.5, 0.5])
         regime = {"P_nom_kw": 5.0, "dt_minutes": 1.0, "P_on_total_kw": 10.0}
         real = tclflex.reachhold.solve_outer
         solves = []
-
-        def counted(T, *args, support):
-            solves.append((T, support))
-            return real(T, *args, support=support)
-
-        monkeypatch.setattr(tclflex.reachhold, "solve_outer", counted)
-        rh = outer_boundary(kernels, x_out, np.array([3, 6]), regime)
-        assert rh.verified is True
-        assert solves == [(3, "xout"), (6, "xout")]  # one LP per hold
-        # both holds clip to P_nom, so pruning keeps only the longer one
-        assert len(rh.points) == 1
-        pt = rh.points[0]
-        assert pt.T_hold_steps == 6
-        assert pt.P_hold_kw == pytest.approx(5.0)
-        assert pt.raw_objective_kw == pytest.approx(10.0, abs=1e-7)
+        monkeypatch.setattr(tclflex.reachhold, "solve_outer", lambda T, *args: solves.append(T) or real(T, *args))
+        rh = outer_boundary(kernels, x_0, np.array([3, 6]), regime)
+        assert solves == [3, 6]
+        # both holds reach P_nom, so pruning keeps only the longer one
+        assert [p.T_hold_steps for p in rh.points] == [6]
+        assert rh.points[0].P_hold_kw == pytest.approx(5.0)
+        assert rh.points[0].raw_objective_kw == pytest.approx(5.0, abs=1e-7)
 
     def test_sandwich_against_inner(self, char10):
-        x_out = x_out_vector(char10.A.grid, T_SET, DEADBAND)
         for T in (5, 10):
             lo = inner_p_at(T, char10.kernels, char10.x_0, T_max=60)
             mid, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)
-            hi, _, _ = solve_outer(T, char10.kernels, x_out, support="full")
+            hi, _, _ = solve_outer(T, char10.kernels, char10.x_0)
             assert lo <= mid + LP_TOL
             assert mid <= min(hi, char10.p_nom_kw) + LP_TOL
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        T_amb=st.floats(29.0, 35.0),
+        raise_k=st.floats(0.5, 3.0),
+        n_bins=st.sampled_from([10, 20]),
+        T=st.integers(1, 20),
+    )
+    def test_sandwich_across_regimes(self, T_amb, raise_k, n_bins, T):
+        op = OperatingPoint(
+            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+        )
+        ch = characterize(op, T_max=T)
+        lo = inner_p_at(T, ch.kernels, ch.x_0, T_max=T)
+        mid, _, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
+        hi, _, _ = solve_outer(T, ch.kernels, ch.x_0)
+        assert lo <= mid + LP_TOL
+        assert mid <= min(hi, ch.p_nom_kw) + LP_TOL
 
 
 class TestFrontierAssembly:
@@ -1025,7 +977,6 @@ class TestCharacterize:
         b = characterize(point(10), T_max=10)
         assert np.array_equal(a.A.P, b.A.P)
         assert np.array_equal(a.A_a.P, b.A_a.P)
-        assert np.array_equal(a.A_out.P, b.A_out.P)
         assert np.array_equal(a.x_0, b.x_0)
 
     def test_nominal_power_near_duty_estimate(self, char40):
@@ -1037,10 +988,6 @@ class TestCharacterize:
         assert r["T_set"] == T_SET and r["T_set_new"] == T_SET_NEW
         assert r["n_bins"] == 40 and r["P_on_total_kw"] == P_ON_TOTAL
         assert r["P_nom_kw"] == pytest.approx(char40.p_nom_kw)
-
-    def test_squeezed_system_has_narrow_band(self, char40):
-        assert char40.A_out.T_set == pytest.approx(T_SET - DEADBAND / 2)
-        assert char40.A_out.deadband == pytest.approx(char40.A.grid.delta_tau)
 
 
 class TestOperatingPoint:
@@ -1088,15 +1035,14 @@ class TestSweeps:
 
 class TestSetPersistence:
     def test_round_trip_preserves_everything(self, char40, tmp_path):
-        x_out = x_out_vector(char40.A.grid, T_SET, DEADBAND)
-        rh = outer_boundary(char40.kernels, x_out, np.array([5, 30, 90]), char40.regime)
+        rh = outer_boundary(char40.kernels, char40.x_0, np.array([5, 30, 90]), char40.regime)
         path = tmp_path / "outer.csv"
         save_set(rh, path)
         back = load_set(path)
         assert back.method == rh.method
         assert back.regime == pytest.approx(rh.regime)
-        assert back.condition.holds == rh.condition.holds
-        assert back.condition.min_margin_kw == rh.condition.min_margin_kw
+        # each P_hold is written once, to the CSV
+        assert all("P_hold_kW" not in p for p in json.loads((tmp_path / "outer.json").read_text())["points"])
         assert len(back.points) == len(rh.points)
         for p, q in zip(back.points, rh.points):
             assert (p.T_hold_steps, p.P_hold_kw) == (q.T_hold_steps, q.P_hold_kw)
