@@ -219,6 +219,16 @@ def full_column_outer(T, kernels, x_0):
     return float(sol.z[-1])
 
 
+def capacities(x_0, support):
+    """The capacity vector an outer LP is posed on.  "xout" is the
+    stationary occupancy x_0 itself, which leaves out the states no unit
+    occupies; "full" mixes x_0 half and half with the uniform vector, so
+    every state carries capacity.  Either holds one unit of mass."""
+    if support == "xout":
+        return x_0
+    return 0.5 * x_0 + 0.5 / x_0.size
+
+
 def knapsack_bound(T, kernels, x_0, duals):
     """Weak-duality bound from the duals of a master: with y its hold-row
     duals clipped to >= 0 and scaled to sum 1, each (step m, state s) on
@@ -736,17 +746,19 @@ class TestSparseBuilders:
         master = p_column.append(_outer_columns(d, T, steps, states))
         assert_bitwise_equal(master, ColumnMatrix.from_dense(dense_outer_matrix(d, T, steps, states)))
 
+    @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
-    def test_outer_masters_match_dense_reference(self, fleet, T, request, monkeypatch):
+    def test_outer_masters_match_dense_reference(self, fleet, T, support, request, monkeypatch):
         # every master solve_outer poses: P, then every column added so
         # far, in the order of the rounds that added them
         ch = request.getfixturevalue(fleet)
+        x_0 = capacities(ch.x_0, support)
         d = ch.kernels.h - ch.kernels.h_a
         blocks, lps = [], []
         hold_block, solve_lp = tclflex.reachhold._hold_block, tclflex.reachhold.solve
         monkeypatch.setattr(tclflex.reachhold, "_hold_block", lambda *a: blocks.append(a[2:]) or hold_block(*a))
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: lps.append(lp) or solve_lp(lp, warm))
-        solve_outer(T, ch.kernels, ch.x_0)
+        solve_outer(T, ch.kernels, x_0)
         assert len(lps) == len(blocks) >= 1
         for i, lp in enumerate(lps):
             steps, states = (np.concatenate(part) for part in zip(*blocks[: i + 1]))
@@ -793,21 +805,23 @@ class TestSolveOuter:
         assert plan[0, 1] == pytest.approx(0.5, abs=1e-9)
         assert np.all(plan <= x_0 + 1e-12)
 
+    @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize(
         "fleet, T",
         [("char10", 1), ("char10", 5), ("char10", 10), ("char10", 20), ("char40", 60), ("char40", 120)],
     )
-    def test_matches_full_column_oracle(self, fleet, T, request):
+    def test_matches_full_column_oracle(self, fleet, T, support, request):
         ch = request.getfixturevalue(fleet)
-        P, u, sol = solve_outer(T, ch.kernels, ch.x_0)
-        assert P == pytest.approx(full_column_outer(T, ch.kernels, ch.x_0), abs=LP_TOL)
+        x_0 = capacities(ch.x_0, support)
+        P, u, sol = solve_outer(T, ch.kernels, x_0)
+        assert P == pytest.approx(full_column_outer(T, ch.kernels, x_0), abs=LP_TOL)
         # the last master's duals prove the value for every column
-        assert knapsack_bound(T, ch.kernels, ch.x_0, sol.duals_ineq) <= P * (1.0 + 1e-9)
+        assert knapsack_bound(T, ch.kernels, x_0, sol.duals_ineq) <= P * (1.0 + 1e-9)
         # its plan stays on supp(x_0), within the capacities and the
         # budget, and holds P
-        assert u.shape == (T, ch.x_0.size)
-        assert np.all(u[:, ch.x_0 <= 0.0] == 0.0)
-        assert np.all(u <= ch.x_0 + 1e-9)
+        assert u.shape == (T, x_0.size)
+        assert np.all(u[:, x_0 <= 0.0] == 0.0)
+        assert np.all(u <= x_0 + 1e-9)
         assert u.sum() <= 1.0 + 1e-9
         d = ch.kernels.h - ch.kernels.h_a
         held = [sum(d[k - m] @ u[m] for m in range(k)) for k in range(1, T + 1)]
@@ -819,11 +833,13 @@ class TestSolveOuter:
         with pytest.raises(NumericalFailureError, match="outer LP"):
             solve_outer(10, char10.kernels, char10.x_0)
 
+    @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize("fleet, T", [("char10", 20), ("char40", 120)])
-    def test_warm_masters_match_cold(self, fleet, T, request, monkeypatch):
+    def test_warm_masters_match_cold(self, fleet, T, support, request, monkeypatch):
         # each master is solved warm from the last; a cold solve of the
         # same LP, and a cold column generation, reach the same values
         ch = request.getfixturevalue(fleet)
+        x_0 = capacities(ch.x_0, support)
         real = tclflex.reachhold.solve
         masters = []
 
@@ -834,13 +850,13 @@ class TestSolveOuter:
         with monkeypatch.context() as mp:
             cold_starts = record_highs(mp)
             mp.setattr(tclflex.reachhold, "solve", solve_recorded)
-            P, _, _ = solve_outer(T, ch.kernels, ch.x_0)
+            P, _, _ = solve_outer(T, ch.kernels, x_0)
         assert cold_starts == [(None, 0)] and masters  # the first master only
         for lp, sol in masters:
             assert sol.objective_value == pytest.approx(real(lp).objective_value, abs=LP_TOL)
         with monkeypatch.context() as mp:
             mp.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: real(lp))
-            P_cold, _, _ = solve_outer(T, ch.kernels, ch.x_0)
+            P_cold, _, _ = solve_outer(T, ch.kernels, x_0)
         assert P == pytest.approx(P_cold, abs=LP_TOL)
 
     def test_one_cold_start_per_hold(self, char40, monkeypatch):
