@@ -654,16 +654,13 @@ class OperatingPoint:
         for name in ("dt_minutes", "P_on_total_kw"):
             if not getattr(self, name) > 0.0:
                 raise InvalidConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        self.check_band(self.T_set, "T_set")
-        self.check_band(self.T_set_new, "T_set_new")
-
-    def check_band(self, setpoint: float, label: str) -> None:
-        """Raise unless the deadband around setpoint sits strictly inside the grid."""
-        if not self.grid.band_strictly_inside(setpoint, self.deadband):
-            raise InvalidConfigurationError(
-                f"{label} band [{setpoint - self.deadband / 2}, {setpoint + self.deadband / 2}] is not "
-                f"strictly inside the grid [{self.grid.T_min}, {self.grid.T_max}]"
-            )
+        for name in ("T_set", "T_set_new"):
+            setpoint = getattr(self, name)
+            if not self.grid.band_strictly_inside(setpoint, self.deadband):
+                raise InvalidConfigurationError(
+                    f"{name} band [{setpoint - self.deadband / 2}, {setpoint + self.deadband / 2}] is not "
+                    f"strictly inside the grid [{self.grid.T_min}, {self.grid.T_max}]"
+                )
 
     @classmethod
     def from_config(cls, cfg: dict) -> OperatingPoint:
@@ -717,32 +714,13 @@ def _program(op: OperatingPoint, setpoint: float) -> tuple:
     return (op.params, op.grid, setpoint, op.deadband, op.T_amb, op.dt_minutes)
 
 
-def _fleet(
-    op: OperatingPoint, A: TransitionMatrix, A_a: TransitionMatrix, x_0: np.ndarray, T_max: int
-) -> CharacterizedFleet:
-    c = output_vector(op.grid, op.P_on_total_kw)
-    kernels = response_kernels(A, A_a, c, horizon=T_max + 1)
-    return CharacterizedFleet(
-        A=A, A_a=A_a, x_0=x_0, c=c, kernels=kernels, regime=op.regime(float(c.c @ x_0), T_max)
-    )
-
-
-def characterize(op: OperatingPoint, T_max: int = DEFAULT_T_MAX) -> CharacterizedFleet:
-    """Build both matrices and their kernels at one operating point."""
-    A = estimate_transition_matrix(*_program(op, op.T_set))
-    A_a = estimate_transition_matrix(*_program(op, op.T_set_new))
-    return _fleet(op, A, A_a, stationary_distribution(A).x, T_max)
-
-
-def sweep(
-    points: list[OperatingPoint], T_max: int = DEFAULT_T_MAX, n_grid: int = DEFAULT_N_GRID
-) -> list[ReachHoldSet]:
-    """Inner frontier at each point.  Each distinct thermostat program is
-    built once and each distinct baseline occupancy solved once, so points
-    that differ only in T_set_new share their baseline."""
+def _characterized(points: list[OperatingPoint], T_max: int):
+    """Yield each point's matrices, stationary state and kernels.  Each
+    distinct thermostat program is built once and each distinct baseline
+    occupancy solved once, so points that differ only in T_set_new share
+    their baseline."""
     matrices: dict[tuple, TransitionMatrix] = {}
     occupancy: dict[tuple, np.ndarray] = {}
-    sets = []
     for op in points:
         base, actuated = _program(op, op.T_set), _program(op, op.T_set_new)
         for key in (base, actuated):
@@ -750,10 +728,26 @@ def sweep(
                 matrices[key] = estimate_transition_matrix(*key)
         if base not in occupancy:
             occupancy[base] = stationary_distribution(matrices[base]).x
-        fleet = _fleet(op, matrices[base], matrices[actuated], occupancy[base], T_max)
-        p_grid = default_p_grid(fleet.p_nom_kw, n_grid)
-        sets.append(inner_boundary(fleet.kernels, fleet.x_0, T_max, p_grid, regime=fleet.regime))
-    return sets
+        A, A_a, x_0 = matrices[base], matrices[actuated], occupancy[base]
+        c = output_vector(op.grid, op.P_on_total_kw)
+        kernels = response_kernels(A, A_a, c, horizon=T_max + 1)
+        yield CharacterizedFleet(A=A, A_a=A_a, x_0=x_0, c=c, kernels=kernels, regime=op.regime(float(c.c @ x_0), T_max))
+
+
+def characterize(op: OperatingPoint, T_max: int = DEFAULT_T_MAX) -> CharacterizedFleet:
+    """Build both matrices and their kernels at one operating point."""
+    return next(_characterized([op], T_max))
+
+
+def sweep(
+    points: list[OperatingPoint], T_max: int = DEFAULT_T_MAX, n_grid: int = DEFAULT_N_GRID
+) -> list[ReachHoldSet]:
+    """Inner frontier at each point, characterized as `_characterized`
+    shares matrices and baselines between points."""
+    return [
+        inner_boundary(fleet.kernels, fleet.x_0, T_max, default_p_grid(fleet.p_nom_kw, n_grid), regime=fleet.regime)
+        for fleet in _characterized(points, T_max)
+    ]
 
 
 def save_set(rh_set: ReachHoldSet, csv_path) -> None:

@@ -74,6 +74,7 @@ SUBCOMMANDS = (
     "sweep-precool",
     "selfcheck",
 )
+SWEEPS = ("sweep-setpoint", "sweep-precool")
 
 # Everything a run depends on has a default here except seeds, which must
 # always be spelled out by the caller (config file, preset, or override).
@@ -227,7 +228,7 @@ def validate_config(cfg: dict, subcommand: str) -> None:
     if T_max < 1:
         raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {T_max}")
     op = OperatingPoint.from_config(cfg)
-    if subcommand in ("reachhold", "sweep-setpoint", "sweep-precool"):
+    if subcommand in ("reachhold", *SWEEPS):
         if config_count(cfg["reachhold"].get("p_grid_points", 0), "reachhold.p_grid_points") < 1:
             raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
     if subcommand == "reachhold":
@@ -269,15 +270,8 @@ def validate_config(cfg: dict, subcommand: str) -> None:
         horizon = v.get("horizon")
         if horizon is not None and config_count(horizon, "validate.horizon") < 1:
             raise InvalidConfigurationError("validate.horizon must be >= 1 when given")
-    if subcommand == "sweep-setpoint":
-        setpoints = _config_list(cfg["sweep"].get("new_setpoints"), "sweep.new_setpoints")
-        if not setpoints:
-            raise InvalidConfigurationError("sweep.new_setpoints must be nonempty")
-        for T_new in setpoints:
-            op.check_band(config_number(T_new, "sweep.new_setpoints entry"), f"new setpoint {T_new}")
-    if subcommand == "sweep-precool":
-        T_pre = config_number(cfg["precool"]["T_set_precool"], "precool.T_set_precool")
-        op.check_band(T_pre, "pre-cool setpoint")
+    if subcommand in SWEEPS:
+        _sweep_points(cfg, subcommand)
 
 
 def resolve_config(
@@ -426,15 +420,13 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
         stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]))
         fleet = stepper.fleet
         burn_in(stepper, burn_steps)
-        # a step actuates a uniformly random fraction of units, so it can
-        # never run short; per-bin selection is the plan-driven blocks path
-        if fraction >= 1.0:
-            fleet.T_set = np.full(n_units, op.T_set_new)
-        else:
-            rng = np.random.default_rng(selection_seed)
-            switch = rng.choice(n_units, size=round(fraction * n_units), replace=False)
-            fleet.T_set = fleet.T_set.copy()
-            fleet.T_set[switch] = op.T_set_new
+        # a step actuates a uniformly random fraction of units (all of
+        # them at fraction 1), so it can never run short; per-bin
+        # selection is the plan-driven blocks path
+        rng = np.random.default_rng(selection_seed)
+        switch = rng.choice(n_units, size=round(fraction * n_units), replace=False)
+        fleet.T_set = fleet.T_set.copy()
+        fleet.T_set[switch] = op.T_set_new
         micro = simulate_fleet(stepper, horizon)
         report = compare_traces(markov, micro, p_on_total)
         save_validation_report(
@@ -487,36 +479,44 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     return artifacts, any_degraded
 
 
-def run_setpoint_sweep(cfg: dict, out_dir: Path) -> dict[str, str]:
+def _sweep_points(cfg: dict, subcommand: str) -> tuple[str, list[tuple[str, OperatingPoint]]]:
+    """The operating-point field a sweep subcommand varies, and its (CSV
+    stem, point) pairs: one per new setpoint, or the baseline and the
+    pre-cooled point.  OperatingPoint checks each point; its error names
+    the config key the point came from."""
     op = OperatingPoint.from_config(cfg)
-    setpoints = [float(t) for t in cfg["sweep"]["new_setpoints"]]
-    points = [replace(op, T_set_new=T_new) for T_new in setpoints]
-    sets = sweep(points, int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
+    if subcommand == "sweep-setpoint":
+        field, key = "T_set_new", "sweep.new_setpoints"
+        values = [config_number(t, f"{key} entry") for t in _config_list(cfg["sweep"].get("new_setpoints"), key)]
+        if not values:
+            raise InvalidConfigurationError(f"{key} must be nonempty")
+        stems = [f"frontier_setpoint_{t:g}" for t in values]
+        clash = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
+        if clash:
+            raise InvalidConfigurationError(f"{key} holds two setpoints that would both write {clash[0]}.csv")
+    else:
+        field, key = "T_set", "precool.T_set_precool"
+        values = [op.T_set, config_number(cfg["precool"]["T_set_precool"], key)]
+        stems = ["baseline", "precooled"]
+    try:
+        return field, [(stem, replace(op, **{field: value})) for stem, value in zip(stems, values)]
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"{key}: {exc}") from exc
+
+
+def run_sweep(cfg: dict, out_dir: Path, subcommand: str) -> dict[str, str]:
+    """Inner frontier at each point of a sweep subcommand, one CSV each,
+    and a summary.json listing each point's swept value, P_nom and file."""
+    field, points = _sweep_points(cfg, subcommand)
+    sets = sweep([op for _, op in points], int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
     artifacts = {}
     entries = []
-    for T_new, rh in zip(setpoints, sets):
-        path = out_dir / f"frontier_setpoint_{T_new:g}.csv"
+    for (stem, _), rh in zip(points, sets):
+        path = out_dir / f"{stem}.csv"
         save_set(rh, path)
-        artifacts[f"{T_new:g}"] = str(path)
-        entries.append({"T_set_new": T_new, "P_nom_kw": rh.regime["P_nom_kw"], "file": path.name})
+        artifacts[stem] = str(path)
+        entries.append({field: rh.regime[field], "P_nom_kw": rh.regime["P_nom_kw"], "file": path.name})
     _write_json({"frontiers": entries}, out_dir / "summary.json")
-    artifacts["summary"] = str(out_dir / "summary.json")
-    return artifacts
-
-
-def run_precool_sweep(cfg: dict, out_dir: Path) -> dict[str, str]:
-    op = OperatingPoint.from_config(cfg)
-    points = [op, replace(op, T_set=float(cfg["precool"]["T_set_precool"]))]
-    sets = sweep(points, int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
-    artifacts = {}
-    for label, rh in zip(("baseline", "precooled"), sets):
-        path = out_dir / f"{label}.csv"
-        save_set(rh, path)
-        artifacts[label] = str(path)
-    _write_json(
-        {"P_nom_baseline_kw": sets[0].regime["P_nom_kw"], "P_nom_precooled_kw": sets[1].regime["P_nom_kw"]},
-        out_dir / "summary.json",
-    )
     artifacts["summary"] = str(out_dir / "summary.json")
     return artifacts
 
@@ -594,10 +594,8 @@ def run(subcommand: str, cfg: dict, out_dir) -> tuple[dict[str, str], bool]:
         return run_aggregate(cfg, out_dir), False
     if subcommand == "validate":
         return run_validate(cfg, out_dir)
-    if subcommand == "sweep-setpoint":
-        return run_setpoint_sweep(cfg, out_dir), False
-    if subcommand == "sweep-precool":
-        return run_precool_sweep(cfg, out_dir), False
+    if subcommand in SWEEPS:
+        return run_sweep(cfg, out_dir, subcommand), False
     if subcommand == "selfcheck":
         return run_selfcheck(cfg, out_dir), False
     raise InvalidConfigurationError(f"unknown subcommand {subcommand!r}")

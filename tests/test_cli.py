@@ -85,9 +85,10 @@ FRACTIONAL_COUNTS = [
     ),
 ]
 
-# each value is of the wrong type or range for its key and must be
-# refused when the config loads; validate cases carry the seeds that
-# subcommand requires
+# each value is of the wrong type or range for its key, or makes an
+# operating point whose band leaves the grid, or two setpoints that share
+# a file name, and must be refused when the config loads, naming its key;
+# validate cases carry the seeds that subcommand requires
 VALIDATE_SEEDS = {"fleet": {"seed": 1}, "validate": {"selection_seed": 1}}
 BLOCKS = {"selection_seed": 1, "mode": "blocks"}
 MISTYPED_CONFIGS = [
@@ -106,6 +107,18 @@ MISTYPED_CONFIGS = [
     ),
     pytest.param(
         "sweep-precool", {"precool": {"T_set_precool": None}}, "precool.T_set_precool", id="precool.T_set_precool-null"
+    ),
+    pytest.param(
+        "sweep-setpoint", {"sweep": {"new_setpoints": [21.0, 23.8]}}, "sweep.new_setpoints", id="sweep.new_setpoints-band"
+    ),
+    pytest.param(
+        "sweep-setpoint",
+        {"sweep": {"new_setpoints": [21.0, 21.0000001]}},
+        "sweep.new_setpoints",
+        id="sweep.new_setpoints-same-file",
+    ),
+    pytest.param(
+        "sweep-precool", {"precool": {"T_set_precool": 18.2}}, "precool.T_set_precool", id="precool.T_set_precool-band"
     ),
     pytest.param(
         "validate", {**VALIDATE_SEEDS, "validate": {"selection_seed": 1, "fraction": None}}, "validate.fraction",
@@ -549,6 +562,24 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+SWEEP = {
+    "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
+    "T_max_steps": 20,
+    "reachhold": {"p_grid_points": 3},
+    "sweep": {"new_setpoints": [21.0, 22.0]},
+    "precool": {"T_set_precool": 19.0},
+}
+
+
+@pytest.fixture(scope="module", params=["sweep-setpoint", "sweep-precool"])
+def sweep_out(request, tmp_path_factory):
+    """(subcommand, output directory) of one run of each sweep."""
+    root = tmp_path_factory.mktemp(request.param)
+    path = write_config(root / "c.json", SWEEP)
+    assert main([request.param, "--config", path, "--out", str(root / "out")]) == EXIT_OK
+    return request.param, root / "out"
+
+
 class TestSweeps:
     def test_setpoint_sweep_artifacts(self, tmp_path):
         cfg = {
@@ -575,10 +606,34 @@ class TestSweeps:
         path = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "out"
         assert main(["sweep-precool", "--config", path, "--out", str(out)]) == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["P_nom_precooled_kw"] > summary["P_nom_baseline_kw"]
+        # the pre-cool summary lists both points in the setpoint sweep's schema
+        base, pre = json.loads((out / "summary.json").read_text())["frontiers"]
+        assert (base["T_set"], base["file"]) == (20.0, "baseline.csv")
+        assert (pre["T_set"], pre["file"]) == (19.0, "precooled.csv")
+        assert pre["P_nom_kw"] > base["P_nom_kw"]
         assert load_set(out / "baseline.csv").regime["T_set"] == 20.0
         assert load_set(out / "precooled.csv").regime["T_set"] == 19.0
+
+    def test_summary_names_each_frontier(self, sweep_out):
+        subcommand, out = sweep_out
+        field = {"sweep-setpoint": "T_set_new", "sweep-precool": "T_set"}[subcommand]
+        entries = json.loads((out / "summary.json").read_text())["frontiers"]
+        assert len(entries) == 2
+        for entry in entries:
+            assert set(entry) == {field, "P_nom_kw", "file"}
+            regime = load_set(out / entry["file"]).regime
+            assert (entry[field], entry["P_nom_kw"]) == (regime[field], regime["P_nom_kw"])
+        assert sorted(e["file"] for e in entries) == sorted(p.name for p in out.glob("*.csv"))
+
+    def test_rerun_from_echo_is_byte_identical(self, sweep_out, tmp_path):
+        subcommand, out = sweep_out
+        out2 = tmp_path / "again"
+        assert main([subcommand, "--config", str(out / "effective_config.json"), "--out", str(out2)]) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert len(names) == 6  # the echo, the summary, and two frontiers with their sidecars
+        for name in names:
+            assert (out2 / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestSelfcheck:
