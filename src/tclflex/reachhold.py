@@ -34,7 +34,6 @@ the achievable set:
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ from .markov import (
     PopulationState,
     TransitionMatrix,
     aggregate_power,
-    build_grid,
     estimate_transition_matrix,
     output_vector,
     reachable,
@@ -611,23 +609,6 @@ def outer_boundary(kernels: ResponseKernels, x_0: np.ndarray, t_grid: np.ndarray
     return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime)
 
 
-def config_number(value, name: str) -> float:
-    """A real number read from a config: a finite int or float, not a
-    bool.  Anything else raises InvalidConfigurationError naming the key."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise InvalidConfigurationError(f"{name} must be a finite number, got {value!r}")
-
-
-def config_count(value, name: str) -> int:
-    """A count read from a config: a config_number with no fractional
-    part.  Anything else raises InvalidConfigurationError rather than
-    being truncated."""
-    if config_number(value, name).is_integer():
-        return int(value)
-    raise InvalidConfigurationError(f"{name} must be a whole number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """One operating point of a fleet: its unit model, bin grid, nominal
@@ -644,7 +625,7 @@ class OperatingPoint:
     P_on_total_kw: float
     dt_minutes: float = 1.0
 
-    # the numbers a config gives at its top level, and a regime records
+    # the scalar fields, which a regime records
     SCALARS = ("T_set", "T_set_new", "deadband", "T_amb", "P_on_total_kw", "dt_minutes")
 
     def __post_init__(self) -> None:
@@ -661,24 +642,6 @@ class OperatingPoint:
                     f"{name} band [{setpoint - self.deadband / 2}, {setpoint + self.deadband / 2}] is not "
                     f"strictly inside the grid [{self.grid.T_min}, {self.grid.T_max}]"
                 )
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> OperatingPoint:
-        """The point a scenario config describes."""
-        try:
-            params = TclParams(**{k: config_number(v, f"params.{k}") for k, v in cfg["params"].items()})
-        except (TypeError, AttributeError) as exc:
-            raise InvalidConfigurationError(f"bad params section: {exc}") from exc
-        g = cfg["grid"]
-        return cls(
-            params=params,
-            grid=build_grid(
-                config_number(g["T_min"], "grid.T_min"),
-                config_number(g["T_max"], "grid.T_max"),
-                config_count(g["n_bins"], "grid.n_bins"),
-            ),
-            **{name: config_number(cfg[name], name) for name in cls.SCALARS},
-        )
 
     def regime(self, P_nom: float, T_max: int) -> dict:
         """The sidecar block that records this point and its normalization."""

@@ -2,16 +2,19 @@
 
 One JSON config describes one experiment.  Defaults cover every field
 except seeds: a config that uses randomness anywhere must say which seed
-drives it, or loading fails.  The merged ("effective") config is echoed
-into the output directory, and re-running from that echo reproduces
-every CSV byte for byte; floats are always written with repr and no
-artifact contains a timestamp.
+drives it, or loading fails.  Each subcommand has one reader that checks
+every key its runner uses and returns the runner's inputs, so no runner
+reads the config.  The merged ("effective") config is echoed into the
+output directory, and re-running from that echo reproduces every CSV
+byte for byte; floats are always written with repr and no artifact
+contains a timestamp.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from .errors import (
     InvalidConfigurationError,
     NumericalFailureError,
 )
-from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
+from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet, simulate_fleet
 from .markov import (
     PopulationState,
     build_grid,
@@ -42,8 +45,6 @@ from .reachhold import (
     ReachHoldPoint,
     ReachHoldSet,
     characterize,
-    config_count,
-    config_number,
     default_p_grid,
     delta_p_by_stepping,
     inner_boundary,
@@ -65,16 +66,8 @@ from .validation import (
     save_validation_report,
 )
 
-SUBCOMMANDS = (
-    "build-model",
-    "reachhold",
-    "aggregate",
-    "validate",
-    "sweep-setpoint",
-    "sweep-precool",
-    "selfcheck",
-)
-SWEEPS = ("sweep-setpoint", "sweep-precool")
+# the only config keys no default holds, as section.key
+SEED_KEYS = ("fleet.seed", "validate.selection_seed")
 
 # Everything a run depends on has a default here except seeds, which must
 # always be spelled out by the caller (config file, preset, or override).
@@ -143,7 +136,7 @@ def _deep_merge(base: dict, override: dict, where: str = "") -> dict:
     non-object, and no key is new to base but the seeds."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if key not in out and f"{where}{key}" not in ("fleet.seed", "validate.selection_seed"):
+        if key not in out and f"{where}{key}" not in SEED_KEYS:
             raise InvalidConfigurationError(f"unknown config key {where}{key}")
         if isinstance(out.get(key), dict):
             if not isinstance(value, dict):
@@ -182,13 +175,21 @@ def load_config(path) -> dict:
     return effective_config(user)
 
 
-def _require_seed(section: dict, key: str, where: str) -> None:
-    if key not in section or section[key] is None:
-        raise InvalidConfigurationError(
-            f"{where} is required; randomness is never seeded implicitly"
-        )
-    if not isinstance(section[key], int):
-        raise InvalidConfigurationError(f"{where} must be an integer, got {section[key]!r}")
+def config_number(value, name: str) -> float:
+    """A real number read from a config: a finite int or float, not a
+    bool.  Anything else raises InvalidConfigurationError naming the key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InvalidConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def config_count(value, name: str) -> int:
+    """A count read from a config: a config_number with no fractional
+    part.  Anything else raises InvalidConfigurationError rather than
+    being truncated."""
+    if config_number(value, name).is_integer():
+        return int(value)
+    raise InvalidConfigurationError(f"{name} must be a whole number, got {value!r}")
 
 
 def _config_list(value, name: str) -> list:
@@ -197,81 +198,25 @@ def _config_list(value, name: str) -> list:
     return value
 
 
-def _fleet_spec(cfg: dict, op: OperatingPoint, seed: int) -> FleetSpec:
-    """The config's micro fleet at the operating point; FleetSpec checks
-    its ranges."""
-    fleet = cfg["fleet"]
-    return FleetSpec(
-        n_units=config_count(fleet.get("n_units"), "fleet.n_units"),
-        nominal=op.params,
-        heterogeneity=config_number(fleet.get("heterogeneity"), "fleet.heterogeneity"),
-        deadband=op.deadband,
-        T_amb=op.T_amb,
-        T_set=op.T_set,
-        seed=seed,
-    )
+def _seed(cfg: dict, key: str) -> int:
+    """The seed at one of SEED_KEYS: a nonnegative integer, as numpy's
+    generators take, and never a default."""
+    section, name = key.split(".")
+    value = cfg[section].get(name)
+    if value is None:
+        raise InvalidConfigurationError(f"{key} is required; randomness is never seeded implicitly")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InvalidConfigurationError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
 
 
-def validate_config(cfg: dict, subcommand: str) -> None:
-    """Load-time checks: shapes, numbers, ranges, band containment, and
-    explicit seeds for whatever randomness the subcommand will actually
-    consume."""
+def validate_config(cfg: dict, subcommand: str) -> tuple:
+    """Load-time checks of every key the subcommand reads: shapes, numbers,
+    ranges, band containment, and explicit seeds for whatever randomness
+    it will actually consume.  Returns the inputs of its runner."""
     if subcommand not in SUBCOMMANDS:
         raise InvalidConfigurationError(f"unknown subcommand {subcommand!r}")
-    if subcommand == "aggregate":
-        inputs = cfg["aggregate"].get("inputs", [])
-        if not isinstance(inputs, list) or len(inputs) != 2:
-            raise InvalidConfigurationError("aggregate.inputs must list exactly two saved sets")
-        return  # pure set algebra: no model build, no randomness
-
-    T_max = config_count(cfg["T_max_steps"], "T_max_steps")
-    if T_max < 1:
-        raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {T_max}")
-    op = OperatingPoint.from_config(cfg)
-    if subcommand in ("reachhold", *SWEEPS):
-        if config_count(cfg["reachhold"].get("p_grid_points", 0), "reachhold.p_grid_points") < 1:
-            raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
-    if subcommand == "reachhold":
-        rh = cfg["reachhold"]
-        methods = _config_list(rh.get("methods"), "reachhold.methods")
-        if not methods or any(m not in METHODS for m in methods):
-            raise InvalidConfigurationError(
-                f"reachhold.methods must be a nonempty subset of {METHODS}, got {methods!r}"
-            )
-        t_grid = rh.get("t_grid")
-        if t_grid is not None:
-            entries = _config_list(t_grid, "reachhold.t_grid")
-            if not entries or any(not 1 <= config_count(t, "reachhold.t_grid entry") <= T_max for t in entries):
-                raise InvalidConfigurationError("reachhold.t_grid entries must lie in 1..T_max_steps")
-    if subcommand == "validate":
-        _require_seed(cfg["fleet"], "seed", "fleet.seed")
-        spec = _fleet_spec(cfg, op, cfg["fleet"]["seed"])
-        # the micro fleet and the bin model must describe the same load
-        connected = spec.n_units * op.params.P_rate
-        if abs(connected - op.P_on_total_kw) > 1e-6 * op.P_on_total_kw:
-            raise InvalidConfigurationError(
-                f"fleet.n_units x params.P_rate = {connected} kW does not match "
-                f"P_on_total_kw = {cfg['P_on_total_kw']}"
-            )
-        v = cfg["validate"]
-        _require_seed(v, "selection_seed", "validate.selection_seed")
-        if v.get("mode") not in ("step", "blocks"):
-            raise InvalidConfigurationError(f"validate.mode must be 'step' or 'blocks', got {v.get('mode')!r}")
-        if not 0.0 <= config_number(v.get("fraction"), "validate.fraction") <= 1.0:
-            raise InvalidConfigurationError("validate.fraction must lie in [0, 1]")
-        if v["mode"] == "blocks":
-            holds = _config_list(v.get("hold_steps"), "validate.hold_steps")
-            if not holds or any(not 1 <= config_count(t, "validate.hold_steps entry") <= T_max for t in holds):
-                raise InvalidConfigurationError("validate.hold_steps must lie in 1..T_max_steps")
-            if config_number(v.get("hold_tol_fraction"), "validate.hold_tol_fraction") < 0.0:
-                raise InvalidConfigurationError("validate.hold_tol_fraction must be >= 0")
-        if config_count(v.get("burn_in_steps", 0), "validate.burn_in_steps") < 1:
-            raise InvalidConfigurationError("validate.burn_in_steps must be >= 1")
-        horizon = v.get("horizon")
-        if horizon is not None and config_count(horizon, "validate.horizon") < 1:
-            raise InvalidConfigurationError("validate.horizon must be >= 1 when given")
-    if subcommand in SWEEPS:
-        _sweep_points(cfg, subcommand)
+    return SUBCOMMANDS[subcommand][0](cfg)
 
 
 def resolve_config(
@@ -292,8 +237,8 @@ def resolve_config(
                 f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
         cfg = effective_config(PRESETS[preset])
-    elif subcommand == "selfcheck":
-        cfg = effective_config(PRESETS["selfcheck"])
+    elif subcommand in PRESETS:  # selfcheck runs its own preset
+        cfg = effective_config(PRESETS[subcommand])
     else:
         raise InvalidConfigurationError("a --config file or --preset is required")
     if methods is not None:
@@ -301,8 +246,9 @@ def resolve_config(
             raise InvalidConfigurationError("--methods applies to the reachhold subcommand only")
         cfg["reachhold"]["methods"] = list(methods)
     if seed_override is not None:
-        cfg["fleet"]["seed"] = int(seed_override)
-        cfg["validate"]["selection_seed"] = int(seed_override)
+        for key in SEED_KEYS:
+            section, name = key.split(".")
+            cfg[section][name] = int(seed_override)
     validate_config(cfg, subcommand)
     return cfg
 
@@ -320,14 +266,37 @@ _write_json = write_json
 
 def default_t_grid(T_max: int) -> list[int]:
     ramp = [1, 2, 3, 5, 8, 12, 20, 30, 45, 60, 90, 120, 180, 240, 360, 480]
-    grid = [t for t in ramp if t <= T_max]
-    if grid and grid[-1] != T_max:
-        grid.append(int(T_max))
-    return grid or [int(T_max)]
+    return [t for t in ramp if t < T_max] + [T_max]
 
 
-def run_build_model(cfg: dict, out_dir: Path) -> dict[str, str]:
-    ch = characterize(OperatingPoint.from_config(cfg), int(cfg["T_max_steps"]))
+def _read_model(cfg: dict) -> tuple[OperatingPoint, int]:
+    """The operating point a config describes and T_max_steps, the inputs
+    of build-model and selfcheck, which every other model run extends."""
+    T_max = config_count(cfg["T_max_steps"], "T_max_steps")
+    if T_max < 1:
+        raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {T_max}")
+    g = cfg["grid"]
+    op = OperatingPoint(
+        params=TclParams(**{k: config_number(v, f"params.{k}") for k, v in cfg["params"].items()}),
+        grid=build_grid(
+            config_number(g["T_min"], "grid.T_min"),
+            config_number(g["T_max"], "grid.T_max"),
+            config_count(g["n_bins"], "grid.n_bins"),
+        ),
+        **{name: config_number(cfg[name], name) for name in OperatingPoint.SCALARS},
+    )
+    return op, T_max
+
+
+def _read_n_grid(cfg: dict) -> int:
+    n_grid = config_count(cfg["reachhold"].get("p_grid_points"), "reachhold.p_grid_points")
+    if n_grid < 1:
+        raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
+    return n_grid
+
+
+def run_build_model(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict[str, str], bool]:
+    ch = characterize(op, T_max)
     artifacts = {}
     for name, tm in (("A", ch.A), ("A_actuated", ch.A_a)):
         path = out_dir / f"{name}.csv"
@@ -343,19 +312,39 @@ def run_build_model(cfg: dict, out_dir: Path) -> dict[str, str]:
     model_path = out_dir / "model.json"
     _write_json({"regime": ch.regime, "stationary_residual": residual}, model_path)
     artifacts["model"] = str(model_path)
-    return artifacts
+    return artifacts, False
 
 
-def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
-    methods = cfg["reachhold"]["methods"]
-    op = OperatingPoint.from_config(cfg)
-    T_max = int(cfg["T_max_steps"])
+def _read_reachhold(cfg: dict) -> tuple:
+    """build-model's inputs, the methods, the holds to bound (t_grid sorted
+    and without repeats, as the exact route's running minimum along T
+    needs, or the default ramp) and the inner frontier's grid size."""
+    op, T_max = _read_model(cfg)
+    n_grid = _read_n_grid(cfg)
+    rh = cfg["reachhold"]
+    methods = _config_list(rh.get("methods"), "reachhold.methods")
+    if not methods or any(m not in METHODS for m in methods):
+        raise InvalidConfigurationError(
+            f"reachhold.methods must be a nonempty subset of {METHODS}, got {methods!r}"
+        )
+    entries = default_t_grid(T_max) if rh.get("t_grid") is None else _config_list(rh["t_grid"], "reachhold.t_grid")
+    t_grid = sorted({config_count(t, "reachhold.t_grid entry") for t in entries})
+    if not t_grid or not 1 <= t_grid[0] <= t_grid[-1] <= T_max:
+        raise InvalidConfigurationError("reachhold.t_grid entries must lie in 1..T_max_steps")
+    if EXACT in methods and t_grid[0] * op.grid.n_states > EXACT_LP_CAP:
+        raise InvalidConfigurationError(
+            f"every reachhold.t_grid entry exceeds the exact-LP cap ({EXACT_LP_CAP} variables)"
+        )
+    return op, T_max, methods, t_grid, n_grid
+
+
+def run_reachhold(
+    out_dir: Path, op: OperatingPoint, T_max: int, methods: list[str], t_grid: list[int], n_grid: int
+) -> tuple[dict[str, str], bool]:
     ch = characterize(op, T_max)
-    t_grid = cfg["reachhold"]["t_grid"] or default_t_grid(T_max)
-    t_grid = [int(t) for t in t_grid]
     artifacts = {}
     if INNER in methods:
-        p_grid = default_p_grid(ch.p_nom_kw, int(cfg["reachhold"]["p_grid_points"]))
+        p_grid = default_p_grid(ch.p_nom_kw, n_grid)
         rh = inner_boundary(ch.kernels, ch.x_0, T_max, p_grid, regime=ch.regime)
         path = out_dir / "inner.csv"
         save_set(rh, path)
@@ -366,12 +355,7 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
         save_set(rh, path)
         artifacts[OUTER] = str(path)
     if EXACT in methods:
-        n = ch.x_0.size
-        t_exact = [t for t in t_grid if t * n <= EXACT_LP_CAP]
-        if not t_exact:
-            raise InvalidConfigurationError(
-                f"every t_grid entry exceeds the exact-LP cap ({EXACT_LP_CAP} variables)"
-            )
+        t_exact = [t for t in t_grid if t * ch.x_0.size <= EXACT_LP_CAP]
         vals = [solve_exact(t, ch.kernels, ch.x_0, ch.A, ch.A_a)[0] for t in t_exact]
         # the true boundary is nonincreasing; a running min trims LP noise
         vals = np.minimum.accumulate(vals)
@@ -383,52 +367,96 @@ def run_reachhold(cfg: dict, out_dir: Path) -> dict[str, str]:
         path = out_dir / "exact.csv"
         save_set(rh, path)
         artifacts[EXACT] = str(path)
-    return artifacts
+    return artifacts, False
 
 
-def run_aggregate(cfg: dict, out_dir: Path) -> dict[str, str]:
-    first, second = cfg["aggregate"]["inputs"]
+def _read_aggregate(cfg: dict) -> list:
+    """The two saved sets to combine: pure set algebra, so no model build
+    and no randomness."""
+    inputs = cfg["aggregate"].get("inputs", [])
+    if not isinstance(inputs, list) or len(inputs) != 2:
+        raise InvalidConfigurationError("aggregate.inputs must list exactly two saved sets")
+    return inputs
+
+
+def run_aggregate(out_dir: Path, first, second) -> tuple[dict[str, str], bool]:
     combined = combine(load_set(first), load_set(second))
     path = out_dir / "combined.csv"
     save_combined(combined, path)
-    return {"combined": str(path)}
+    return {"combined": str(path)}, False
 
 
-def _config_stepper(cfg: dict, op: OperatingPoint, seed: int) -> FleetStepper:
-    """A stepper over the config's fleet, sampled at the operating point."""
-    return FleetStepper(sample_fleet(_fleet_spec(cfg, op, seed)), op.dt_minutes)
+def _read_validate(cfg: dict) -> tuple:
+    """build-model's inputs, the seeded micro fleet, the selection seed,
+    burn-in length and step horizon, the step's fraction, and the blocks'
+    holds (None in step mode) and hold tolerance in kW."""
+    op, T_max = _read_model(cfg)
+    fleet_seed, selection_seed = (_seed(cfg, key) for key in SEED_KEYS)
+    fleet, v = cfg["fleet"], cfg["validate"]
+    # FleetSpec checks its own ranges
+    spec = FleetSpec(
+        n_units=config_count(fleet.get("n_units"), "fleet.n_units"), nominal=op.params,
+        heterogeneity=config_number(fleet.get("heterogeneity"), "fleet.heterogeneity"),
+        deadband=op.deadband, T_amb=op.T_amb, T_set=op.T_set, seed=fleet_seed,
+    )
+    # the micro fleet and the bin model must describe the same load
+    connected = spec.n_units * op.params.P_rate
+    if abs(connected - op.P_on_total_kw) > 1e-6 * op.P_on_total_kw:
+        raise InvalidConfigurationError(
+            f"fleet.n_units x params.P_rate = {connected} kW does not match "
+            f"P_on_total_kw = {op.P_on_total_kw}"
+        )
+    if v.get("mode") not in ("step", "blocks"):
+        raise InvalidConfigurationError(f"validate.mode must be 'step' or 'blocks', got {v.get('mode')!r}")
+    fraction = config_number(v.get("fraction"), "validate.fraction")
+    if not 0.0 <= fraction <= 1.0:
+        raise InvalidConfigurationError("validate.fraction must lie in [0, 1]")
+    holds = hold_tol_kw = None
+    if v["mode"] == "blocks":
+        entries = _config_list(v.get("hold_steps"), "validate.hold_steps")
+        holds = [config_count(t, "validate.hold_steps entry") for t in entries]
+        if not holds or any(not 1 <= t <= T_max for t in holds):
+            raise InvalidConfigurationError("validate.hold_steps must lie in 1..T_max_steps")
+        if len(set(holds)) < len(holds):
+            raise InvalidConfigurationError(f"validate.hold_steps must be distinct, got {holds}")
+        hold_tol = config_number(v.get("hold_tol_fraction"), "validate.hold_tol_fraction")
+        if hold_tol < 0.0:
+            raise InvalidConfigurationError("validate.hold_tol_fraction must be >= 0")
+        hold_tol_kw = hold_tol * op.P_on_total_kw
+    burn_steps = config_count(v.get("burn_in_steps"), "validate.burn_in_steps")
+    if burn_steps < 1:
+        raise InvalidConfigurationError("validate.burn_in_steps must be >= 1")
+    horizon = T_max if v.get("horizon") is None else config_count(v["horizon"], "validate.horizon")
+    if horizon < 1:
+        raise InvalidConfigurationError("validate.horizon must be >= 1 when given")
+    return op, T_max, spec, selection_seed, burn_steps, horizon, fraction, holds, hold_tol_kw
 
 
-def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
-    """Markov-versus-micro comparison; returns artifacts and whether any
-    micro run was degraded by actuation shortfalls."""
-    op = OperatingPoint.from_config(cfg)
-    T_max = int(cfg["T_max_steps"])
+def run_validate(
+    out_dir: Path, op: OperatingPoint, T_max: int, spec: FleetSpec, selection_seed: int, burn_steps: int,
+    horizon: int, fraction: float, holds: list[int] | None, hold_tol_kw: float | None,
+) -> tuple[dict[str, str], bool]:
+    """Markov-versus-micro comparison, a step or (given holds) one block
+    per hold; returns artifacts and whether any micro run was degraded by
+    actuation shortfalls."""
     ch = characterize(op, T_max)
-    v = cfg["validate"]
-    p_on_total = op.P_on_total_kw
-    n_units = int(cfg["fleet"]["n_units"])
-    burn_steps = int(v["burn_in_steps"])
-    selection_seed = int(v["selection_seed"])
-    horizon = int(v["horizon"]) if v.get("horizon") else T_max
     artifacts: dict[str, str] = {}
 
-    if v["mode"] == "step":
-        fraction = float(v["fraction"])
+    if holds is None:
         dp = delta_p_by_stepping((fraction * ch.x_0)[None, :], ch.A, ch.A_a, ch.c, ch.x_0, horizon)
         markov = ch.p_nom_kw - dp
-        stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]))
+        stepper = FleetStepper(sample_fleet(spec), op.dt_minutes)
         fleet = stepper.fleet
         burn_in(stepper, burn_steps)
         # a step actuates a uniformly random fraction of units (all of
         # them at fraction 1), so it can never run short; per-bin
         # selection is the plan-driven blocks path
         rng = np.random.default_rng(selection_seed)
-        switch = rng.choice(n_units, size=round(fraction * n_units), replace=False)
+        switch = rng.choice(spec.n_units, size=round(fraction * spec.n_units), replace=False)
         fleet.T_set = fleet.T_set.copy()
         fleet.T_set[switch] = op.T_set_new
         micro = simulate_fleet(stepper, horizon)
-        report = compare_traces(markov, micro, p_on_total)
+        report = compare_traces(markov, micro, op.P_on_total_kw)
         save_validation_report(
             report, markov, micro, out_dir / "report.json", out_dir / "traces.csv"
         )
@@ -437,23 +465,22 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
         return artifacts, report.degraded
 
     # blocks: one hold study per requested duration, fresh fleet each time
-    hold_tol_kw = float(v["hold_tol_fraction"]) * p_on_total
     summary = []
     any_degraded = False
-    for T_hold in [int(t) for t in v["hold_steps"]]:
+    for T_hold in holds:
         P_hold = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
         ip = inner_point(P_hold, ch.kernels, ch.x_0, T_max)
         u = ip.alpha[:, None] * ch.x_0[None, :]
         block_horizon = min(T_max, T_hold + 60)
         dp = delta_p_by_stepping(u, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon)
         markov = ch.p_nom_kw - dp
-        stepper = _config_stepper(cfg, op, int(cfg["fleet"]["seed"]) + T_hold)
+        stepper = FleetStepper(sample_fleet(replace(spec, seed=spec.seed + T_hold)), op.dt_minutes)
         baseline = burn_in(stepper, burn_steps)
-        dplan = discretize_plan(u[:block_horizon], n_units)
+        dplan = discretize_plan(u[:block_horizon], spec.n_units)
         run = apply_plan_micro(stepper, dplan, op.grid, op.T_set_new, block_horizon, selection_seed)
         del stepper  # frees this block's fleet before the next one is sampled
         report = compare_traces(
-            markov, run.power_kw, p_on_total,
+            markov, run.power_kw, op.P_on_total_kw,
             P_hold_kw=P_hold, T_hold_steps=T_hold, baseline_kw=baseline,
             hold_tol_kw=hold_tol_kw,
             shortfall_events=run.shortfall_events, degraded=run.degraded,
@@ -479,36 +506,45 @@ def run_validate(cfg: dict, out_dir: Path) -> tuple[dict[str, str], bool]:
     return artifacts, any_degraded
 
 
-def _sweep_points(cfg: dict, subcommand: str) -> tuple[str, list[tuple[str, OperatingPoint]]]:
-    """The operating-point field a sweep subcommand varies, and its (CSV
-    stem, point) pairs: one per new setpoint, or the baseline and the
-    pre-cooled point.  OperatingPoint checks each point; its error names
-    the config key the point came from."""
-    op = OperatingPoint.from_config(cfg)
-    if subcommand == "sweep-setpoint":
-        field, key = "T_set_new", "sweep.new_setpoints"
-        values = [config_number(t, f"{key} entry") for t in _config_list(cfg["sweep"].get("new_setpoints"), key)]
-        if not values:
-            raise InvalidConfigurationError(f"{key} must be nonempty")
-        stems = [f"frontier_setpoint_{t:g}" for t in values]
-        clash = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
-        if clash:
-            raise InvalidConfigurationError(f"{key} holds two setpoints that would both write {clash[0]}.csv")
-    else:
-        field, key = "T_set", "precool.T_set_precool"
-        values = [op.T_set, config_number(cfg["precool"]["T_set_precool"], key)]
-        stems = ["baseline", "precooled"]
+def _sweep_inputs(cfg: dict, op: OperatingPoint, T_max: int, field: str, key: str, stems: list, values: list) -> tuple:
+    """T_max, the inner grid size, the swept field and the (CSV stem,
+    point) pairs, op with its `field` set to each value.  OperatingPoint
+    checks each point; its error names the config key the value came from."""
     try:
-        return field, [(stem, replace(op, **{field: value})) for stem, value in zip(stems, values)]
+        points = [(stem, replace(op, **{field: value})) for stem, value in zip(stems, values)]
     except InvalidConfigurationError as exc:
         raise InvalidConfigurationError(f"{key}: {exc}") from exc
+    return T_max, _read_n_grid(cfg), field, points
 
 
-def run_sweep(cfg: dict, out_dir: Path, subcommand: str) -> dict[str, str]:
-    """Inner frontier at each point of a sweep subcommand, one CSV each,
-    and a summary.json listing each point's swept value, P_nom and file."""
-    field, points = _sweep_points(cfg, subcommand)
-    sets = sweep([op for _, op in points], int(cfg["T_max_steps"]), int(cfg["reachhold"]["p_grid_points"]))
+def _read_setpoint_sweep(cfg: dict) -> tuple:
+    """A sweep's inputs, one point per new setpoint."""
+    op, T_max = _read_model(cfg)
+    key = "sweep.new_setpoints"
+    values = [config_number(t, f"{key} entry") for t in _config_list(cfg["sweep"].get("new_setpoints"), key)]
+    if not values:
+        raise InvalidConfigurationError(f"{key} must be nonempty")
+    stems = [f"frontier_setpoint_{t:g}" for t in values]
+    clash = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
+    if clash:
+        raise InvalidConfigurationError(f"{key} holds two setpoints that would both write {clash[0]}.csv")
+    return _sweep_inputs(cfg, op, T_max, "T_set_new", key, stems, values)
+
+
+def _read_precool_sweep(cfg: dict) -> tuple:
+    """A sweep's inputs, the baseline and the pre-cooled point."""
+    op, T_max = _read_model(cfg)
+    key = "precool.T_set_precool"
+    values = [op.T_set, config_number(cfg["precool"]["T_set_precool"], key)]
+    return _sweep_inputs(cfg, op, T_max, "T_set", key, ["baseline", "precooled"], values)
+
+
+def run_sweep(
+    out_dir: Path, T_max: int, n_grid: int, field: str, points: list[tuple[str, OperatingPoint]]
+) -> tuple[dict[str, str], bool]:
+    """Inner frontier at each (CSV stem, point) of a sweep, one CSV each,
+    and a summary.json listing each point's swept field, P_nom and file."""
+    sets = sweep([op for _, op in points], T_max, n_grid)
     artifacts = {}
     entries = []
     for (stem, _), rh in zip(points, sets):
@@ -518,14 +554,13 @@ def run_sweep(cfg: dict, out_dir: Path, subcommand: str) -> dict[str, str]:
         entries.append({field: rh.regime[field], "P_nom_kw": rh.regime["P_nom_kw"], "file": path.name})
     _write_json({"frontiers": entries}, out_dir / "summary.json")
     artifacts["summary"] = str(out_dir / "summary.json")
-    return artifacts
+    return artifacts, False
 
 
-def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
+def run_selfcheck(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict[str, str], bool]:
     """Invariant suite over the configured model; raises on any failure
     after persisting the full report."""
-    op = OperatingPoint.from_config(cfg)
-    ch = characterize(op, int(cfg["T_max_steps"]))
+    ch = characterize(op, T_max)
     n = ch.x_0.size
     rng = np.random.default_rng(0)  # fixed probe controls, part of the check
     checks = []
@@ -552,7 +587,7 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
     record("mass_conservation", worst_mass <= 1e-12, f"worst drift {worst_mass:.3e}")
 
     try:
-        T_short = min(int(cfg["T_max_steps"]), 60)
+        T_short = min(T_max, 60)
         rh = inner_boundary(
             ch.kernels, ch.x_0, T_short, default_p_grid(ch.p_nom_kw, 10), regime=ch.regime
         )
@@ -580,22 +615,24 @@ def run_selfcheck(cfg: dict, out_dir: Path) -> dict[str, str]:
     if not all_passed:
         failed = ", ".join(c["name"] for c in checks if not c["passed"])
         raise NumericalFailureError(f"selfcheck failed: {failed}")
-    return {"selfcheck": str(path)}
+    return {"selfcheck": str(path)}, False
+
+
+# each subcommand's reader checks every config key its runner uses and
+# returns the runner's inputs, which follow the output directory
+SUBCOMMANDS = {
+    "build-model": (_read_model, run_build_model),
+    "reachhold": (_read_reachhold, run_reachhold),
+    "aggregate": (_read_aggregate, run_aggregate),
+    "validate": (_read_validate, run_validate),
+    "sweep-setpoint": (_read_setpoint_sweep, run_sweep),
+    "sweep-precool": (_read_precool_sweep, run_sweep),
+    "selfcheck": (_read_model, run_selfcheck),
+}
 
 
 def run(subcommand: str, cfg: dict, out_dir) -> tuple[dict[str, str], bool]:
-    """Dispatch one subcommand; returns (artifact paths, degraded flag)."""
-    out_dir = Path(out_dir)
-    if subcommand == "build-model":
-        return run_build_model(cfg, out_dir), False
-    if subcommand == "reachhold":
-        return run_reachhold(cfg, out_dir), False
-    if subcommand == "aggregate":
-        return run_aggregate(cfg, out_dir), False
-    if subcommand == "validate":
-        return run_validate(cfg, out_dir)
-    if subcommand in SWEEPS:
-        return run_sweep(cfg, out_dir, subcommand), False
-    if subcommand == "selfcheck":
-        return run_selfcheck(cfg, out_dir), False
-    raise InvalidConfigurationError(f"unknown subcommand {subcommand!r}")
+    """Read the config for one subcommand and run it; returns (artifact
+    paths, degraded flag)."""
+    inputs = validate_config(cfg, subcommand)
+    return SUBCOMMANDS[subcommand][1](Path(out_dir), *inputs)

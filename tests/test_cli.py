@@ -11,7 +11,7 @@ import pytest
 
 from tclflex.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from tclflex.markov import load_matrix
-from tclflex.reachhold import OperatingPoint, load_set
+from tclflex.reachhold import load_set
 from tclflex.scenario import DEFAULTS, PRESETS, effective_config, resolve_config, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,9 +86,10 @@ FRACTIONAL_COUNTS = [
 ]
 
 # each value is of the wrong type or range for its key, or makes an
-# operating point whose band leaves the grid, or two setpoints that share
-# a file name, and must be refused when the config loads, naming its key;
-# validate cases carry the seeds that subcommand requires
+# operating point whose band leaves the grid, or exact holds past the
+# LP cap, or two setpoints or holds that share a file name, and must be
+# refused when the config loads, naming its key; validate cases carry
+# the seeds that subcommand requires
 VALIDATE_SEEDS = {"fleet": {"seed": 1}, "validate": {"selection_seed": 1}}
 BLOCKS = {"selection_seed": 1, "mode": "blocks"}
 MISTYPED_CONFIGS = [
@@ -99,6 +100,9 @@ MISTYPED_CONFIGS = [
     pytest.param("build-model", {"T_max_steps": 10**400}, "T_max_steps", id="T_max_steps-beyond-float"),
     pytest.param("reachhold", {"reachhold": {"t_grid": 5}}, "reachhold.t_grid", id="reachhold.t_grid-scalar"),
     pytest.param("reachhold", {"reachhold": {"methods": 5}}, "reachhold.methods", id="reachhold.methods-scalar"),
+    pytest.param(
+        "reachhold", {"reachhold": {"methods": ["exact"], "t_grid": [480]}}, "reachhold.t_grid", id="reachhold.t_grid-cap"
+    ),
     pytest.param(
         "sweep-setpoint", {"sweep": {"new_setpoints": 21}}, "sweep.new_setpoints", id="sweep.new_setpoints-scalar"
     ),
@@ -127,6 +131,21 @@ MISTYPED_CONFIGS = [
     pytest.param(
         "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_steps": 120}}, "validate.hold_steps",
         id="validate.hold_steps-scalar",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_steps": [30, 30]}}, "validate.hold_steps",
+        id="validate.hold_steps-repeated",
+    ),
+    pytest.param("validate", {**VALIDATE_SEEDS, "fleet": {"seed": True}}, "fleet.seed", id="fleet.seed-bool"),
+    pytest.param("validate", {**VALIDATE_SEEDS, "fleet": {"seed": -1}}, "fleet.seed", id="fleet.seed-negative"),
+    pytest.param("validate", {**VALIDATE_SEEDS, "fleet": {"seed": 1.0}}, "fleet.seed", id="fleet.seed-float"),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {"selection_seed": False}}, "validate.selection_seed",
+        id="validate.selection_seed-bool",
+    ),
+    pytest.param(
+        "validate", {**VALIDATE_SEEDS, "validate": {"selection_seed": -3}}, "validate.selection_seed",
+        id="validate.selection_seed-negative",
     ),
     pytest.param(
         "validate", {**VALIDATE_SEEDS, "fleet": {"seed": 1, "heterogeneity": "x"}}, "fleet.heterogeneity",
@@ -300,8 +319,8 @@ class TestConfigResolution:
 
     def test_integral_float_count_is_accepted(self):
         cfg = effective_config({"grid": {"n_bins": 10.0}, "T_max_steps": 30.0})
-        assert OperatingPoint.from_config(cfg).grid.n_bins == 10
-        validate_config(cfg, "build-model")
+        op, T_max = validate_config(cfg, "build-model")
+        assert (op.grid.n_bins, T_max) == (10, 30)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -340,6 +359,13 @@ class TestConfigResolution:
             assert "estimation" not in echo
             outs.append((out / "A.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["validate", "--preset", "fig2", "--seed-override", "-5", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "fleet.seed must be a nonnegative integer" in err
+        assert not (out / "effective_config.json").exists()
 
     def test_seed_override_reaches_every_seed(self):
         cfg = resolve_config("validate", preset="fig2", seed_override=11)
@@ -414,6 +440,18 @@ class TestReachhold:
         for name in ("inner.csv", "outer.csv", "exact.csv",
                      "inner.json", "outer.json", "exact.json", "effective_config.json"):
             assert (out2 / name).read_bytes() == (reachhold_out / name).read_bytes()
+
+    def test_t_grid_order_changes_nothing(self, tmp_path):
+        # the exact route's running minimum runs along the sorted holds,
+        # so listing them backwards, or twice, must write the same set
+        outs = []
+        for tag, t_grid in (("up", [1, 30]), ("down", [30, 1, 30])):
+            cfg = dict(TINY, reachhold={"methods": ["exact"], "t_grid": t_grid})
+            path, out = write_config(tmp_path / f"{tag}.json", cfg), tmp_path / tag
+            assert main(["reachhold", "--config", path, "--out", str(out)]) == EXIT_OK
+            outs.append([(out / name).read_bytes() for name in ("exact.csv", "exact.json")])
+        assert outs[0] == outs[1]
+        assert outs[0][0].decode().count("\n") == 3  # the header and both holds
 
     def test_methods_flag_restricts_output(self, tiny_config_path, tmp_path):
         out = tmp_path / "only_inner"

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import tclflex
+from tclflex import scenario
+from tclflex.cli import build_parser
 
 
 def test_all_lists_exactly_the_imported_public_names():
@@ -26,3 +28,12 @@ def test_readme_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_cli_and_scenario_list_the_same_subcommands():
+    # the scenario table is the one list; the CLI and the README follow it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (table,) = re.findall(r"Subcommands:\n\n((?:\|.*\n)+)", readme)
+    documented = [name for row in table.splitlines()[2:] for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    (positional,) = [action for action in build_parser()._actions if action.dest == "subcommand"]
+    assert documented == list(positional.choices) == list(scenario.SUBCOMMANDS)
