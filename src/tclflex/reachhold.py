@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,6 @@ class ResponseKernels:
 
     h: np.ndarray  # (horizon+1, n_states), h[0] = c
     h_a: np.ndarray
-    c: OutputVector
     horizon: int
 
 
@@ -112,7 +112,7 @@ def response_kernels(
             row = row @ M
             H[m] = row
         outs.append(H)
-    return ResponseKernels(h=outs[0], h_a=outs[1], c=c, horizon=horizon)
+    return ResponseKernels(h=outs[0], h_a=outs[1], horizon=horizon)
 
 
 def check_plan(u, n_states: int | None = None) -> np.ndarray:
@@ -126,19 +126,13 @@ def check_plan(u, n_states: int | None = None) -> np.ndarray:
     return u
 
 
-def delta_p_by_stepping(
-    u: np.ndarray,
-    A: TransitionMatrix,
-    A_a: TransitionMatrix,
-    c: OutputVector,
-    x_0: np.ndarray,
-    horizon: int,
-) -> np.ndarray:
-    """Reduction trace dP[k], k = 0..horizon, of plan u by direct population
-    stepping (independent of the kernel algebra; used for cross-checks and
-    plan certification).  dP[k] is measured from the unactuated trajectory
-    c A^k x_0, stepped alongside, as every LP and the inner recursion
-    measure it; that is P_nom only when x_0 is stationary."""
+def delta_p_by_stepping(u: np.ndarray, fleet: CharacterizedFleet, horizon: int) -> np.ndarray:
+    """Reduction trace dP[k], k = 0..horizon, of plan u on `fleet` by direct
+    population stepping (independent of the kernel algebra; used for
+    cross-checks and plan certification).  dP[k] is measured from the
+    unactuated trajectory c A^k x_0, stepped alongside, as every LP and the
+    inner recursion measure it; that is P_nom only when x_0 is stationary."""
+    A, A_a, x_0 = fleet.A, fleet.A_a, fleet.x_0
     u = check_plan(u, x_0.size)
     T = u.shape[0]
     state = PopulationState(x=x_0.copy(), x_a=np.zeros_like(x_0))
@@ -151,7 +145,7 @@ def delta_p_by_stepping(
         u_k = np.minimum(np.clip(u[k], 0.0, None), state.x) if k < T else zero
         state = step_population(state, u_k, A, A_a)
         free = A.P @ free
-        out[k + 1] = float(c.c @ free) - aggregate_power(state, c)
+        out[k + 1] = float(fleet.c.c @ free) - aggregate_power(state, fleet.c)
     return out
 
 
@@ -257,14 +251,9 @@ def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) ->
     return steps[col] + lag - 1, col, -d[lag, states[col]]
 
 
-def solve_exact(
-    T_hold: int,
-    kernels: ResponseKernels,
-    x_0: np.ndarray,
-    A: TransitionMatrix,
-    A_a: TransitionMatrix,
-) -> tuple[float, np.ndarray, LpSolution]:
-    """Exact boundary value at T_hold by the LP over the unactuated mass.
+def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarray, LpSolution]:
+    """Exact boundary value of `fleet` at T_hold by the LP over the
+    unactuated mass.
 
     w[k] = x[k] - u[k] is the mass left unactuated after step k; it moves
     on as x[k+1] = A w[k] from x[0] = x_0, so the plan is
@@ -281,6 +270,7 @@ def solve_exact(
     step of the hold raises NumericalFailureError.  Desk-scale only:
     refuses problems with T_hold * n_states above EXACT_LP_CAP.
     """
+    kernels, x_0, A = fleet.kernels, fleet.x_0, fleet.A
     n = x_0.size
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
@@ -330,8 +320,8 @@ def solve_exact(
     u[1:, cols] = w[:-1] @ A_S.T - w[1:]
     value = float(sol.z[n_w])
     plan = np.clip(u, 0.0, None)
-    margin = float(delta_p_by_stepping(plan, A, A_a, kernels.c, x_0, T)[1:].min()) - value
-    if margin < -EXACT_REPLAY_TOL_REL * kernels.c.P_on_total:
+    margin = float(delta_p_by_stepping(plan, fleet, T)[1:].min()) - value
+    if margin < -EXACT_REPLAY_TOL_REL * fleet.c.P_on_total:
         raise NumericalFailureError(
             f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
         )
@@ -352,10 +342,10 @@ class InnerProfile:
     """The greedy allocation of one fleet at P_hold = P_nom with no budget.
 
     Every target's allocation is r alpha_1 until the budget runs out (see
-    the module docstring), so `point` scales and truncates this profile
-    instead of re-running the recursion of `inner_profile`.  alpha_1 holds
-    inf from the first step no finite allocation covers (a cohort with no
-    gain)."""
+    the module docstring), so `inner_point` scales and truncates this
+    profile instead of re-running the recursion of `inner_profile`.
+    alpha_1 holds inf from the first step no finite allocation covers (a
+    cohort with no gain)."""
 
     alpha_1: np.ndarray  # (T_max,)
     spent: np.ndarray  # running sum of alpha_1
@@ -363,38 +353,10 @@ class InnerProfile:
     p_nom: float
     hold_tol: float
 
-    def point(self, P_hold: float) -> InnerPoint:
-        """Greedy-minimal feasible allocation for P_hold: r alpha_1 until
-        the unit budget depletes at the first step k with r spent[k] >= 1,
-        whose share is what is left of the budget.  The hold duration is
-        the last step before the reduction first falls below P_hold (T_max
-        if it never does, flagged horizon-limited)."""
-        p_nom = self.p_nom
-        if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
-            raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
-        P_hold = float(np.clip(P_hold, 0.0, p_nom))
-        r = P_hold / p_nom
-        T_max = self.alpha_1.size
-        alpha = np.zeros(T_max)
-        if r > 0.0:  # at r = 0 the plan is empty, and 0 * inf would be NaN
-            out = r * self.spent >= 1.0
-            if out.any():
-                depletion = int(np.argmax(out))
-                alpha[:depletion] = r * self.alpha_1[:depletion]
-                alpha[depletion] = 1.0 - (r * self.spent[depletion - 1] if depletion else 0.0)
-            else:
-                alpha[:] = r * self.alpha_1
-        # below[k-1]: dP[k] misses P_hold.  Steps where alpha sat exactly at
-        # its lower bound satisfy the hold with equality, so the violation
-        # test needs room for rounding noise
-        below = np.convolve(alpha, self.s)[:T_max] < P_hold - self.hold_tol
-        horizon_limited = not below.any()
-        T_hold = T_max if horizon_limited else int(np.argmax(below))
-        return InnerPoint(ReachHoldPoint(P_hold, T_hold, horizon_limited), alpha)
 
-
-def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAULT_T_MAX) -> InnerProfile:
-    """Run the greedy recursion once, at r = 1 and without the budget.
+def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
+    """Run the greedy recursion once, at r = 1 and without the budget,
+    over the fleet's T_max steps; `fleet.inner` keeps the result.
 
     alpha_1[k] is the least allocation that keeps dP[k+1] >= P_nom.  With
     rec[m] = c A_a^{m+1} x_0 and A x_0 = x_0, dP[k+1] = sum_{n<=k}
@@ -402,9 +364,8 @@ def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAUL
     prefix misses, divided by the gain 1 - rec[0] / P_nom of a freshly
     actuated cohort.  No finite alpha[k] helps when that gain is not
     positive."""
+    kernels, x_0, T_max = fleet.kernels, fleet.x_0, fleet.T_max
     p_nom = float(kernels.h[0] @ x_0)
-    if kernels.horizon < T_max:
-        raise InvalidInputError(f"kernels horizon {kernels.horizon} < T_max {T_max}")
     rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
     gain = 1.0 - float(rec[0]) / p_nom
     alpha_1 = np.zeros(T_max)
@@ -427,19 +388,39 @@ def inner_profile(kernels: ResponseKernels, x_0: np.ndarray, T_max: int = DEFAUL
         spent=spent,
         s=(kernels.h - kernels.h_a)[1:] @ x_0,
         p_nom=p_nom,
-        hold_tol=1e-10 * max(1.0, kernels.c.P_on_total),
+        hold_tol=1e-10 * max(1.0, fleet.c.P_on_total),
     )
 
 
-def inner_point(
-    P_hold: float,
-    kernels: ResponseKernels,
-    x_0: np.ndarray,
-    T_max: int = DEFAULT_T_MAX,
-) -> InnerPoint:
-    """Greedy-minimal feasible allocation for one target (see
-    `InnerProfile.point`)."""
-    return inner_profile(kernels, x_0, T_max).point(P_hold)
+def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
+    """Greedy-minimal feasible allocation for P_hold, from the fleet's one
+    profile: r alpha_1 until the unit budget depletes at the first step k
+    with r spent[k] >= 1, whose share is what is left of the budget.  The
+    hold duration is the last step before the reduction first falls below
+    P_hold (T_max if it never does, flagged horizon-limited)."""
+    profile = fleet.inner
+    p_nom = profile.p_nom
+    if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
+        raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
+    P_hold = float(np.clip(P_hold, 0.0, p_nom))
+    r = P_hold / p_nom
+    T_max = profile.alpha_1.size
+    alpha = np.zeros(T_max)
+    if r > 0.0:  # at r = 0 the plan is empty, and 0 * inf would be NaN
+        out = r * profile.spent >= 1.0
+        if out.any():
+            depletion = int(np.argmax(out))
+            alpha[:depletion] = r * profile.alpha_1[:depletion]
+            alpha[depletion] = 1.0 - (r * profile.spent[depletion - 1] if depletion else 0.0)
+        else:
+            alpha[:] = r * profile.alpha_1
+    # below[k-1]: dP[k] misses P_hold.  Steps where alpha sat exactly at
+    # its lower bound satisfy the hold with equality, so the violation
+    # test needs room for rounding noise
+    below = np.convolve(alpha, profile.s)[:T_max] < P_hold - profile.hold_tol
+    horizon_limited = not below.any()
+    T_hold = T_max if horizon_limited else int(np.argmax(below))
+    return InnerPoint(ReachHoldPoint(P_hold, T_hold, horizon_limited), alpha)
 
 
 def default_p_grid(p_nom: float, n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
@@ -447,39 +428,23 @@ def default_p_grid(p_nom: float, n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
     return np.linspace(p_nom / n_grid, p_nom, n_grid)
 
 
-def inner_boundary(
-    kernels: ResponseKernels,
-    x_0: np.ndarray,
-    T_max: int = DEFAULT_T_MAX,
-    p_grid: np.ndarray | None = None,
-    *,
-    regime: dict,
-) -> ReachHoldSet:
-    """Inner frontier over a grid of target reductions, all from one
-    profile; `regime` is the fleet's (CharacterizedFleet.regime)."""
-    profile = inner_profile(kernels, x_0, T_max)
-    if p_grid is None:
-        p_grid = default_p_grid(profile.p_nom)
-    samples = [profile.point(float(P)).point for P in p_grid]
-    return ReachHoldSet(points=prune_to_frontier(samples), method=INNER, regime=regime)
+def inner_boundary(fleet: CharacterizedFleet, n_grid: int) -> ReachHoldSet:
+    """Inner frontier of `fleet` over n_grid target reductions evenly
+    spaced in (0, P_nom]."""
+    samples = [inner_point(float(P), fleet).point for P in default_p_grid(fleet.p_nom_kw, n_grid)]
+    return ReachHoldSet(points=prune_to_frontier(samples), method=INNER, regime=fleet.regime)
 
 
-def inner_p_at(
-    T_hold: int,
-    kernels: ResponseKernels,
-    x_0: np.ndarray,
-    T_max: int = DEFAULT_T_MAX,
-) -> float:
+def inner_p_at(T_hold: int, fleet: CharacterizedFleet) -> float:
     """Largest grid-free inner reduction holdable for T_hold steps, by
     bisection on the monotone feasibility predicate to 1e-9 of P_nom."""
-    profile = inner_profile(kernels, x_0, T_max)
-    p_nom = profile.p_nom
-    if profile.point(p_nom).point.T_hold_steps >= T_hold:
+    p_nom = fleet.inner.p_nom
+    if inner_point(p_nom, fleet).point.T_hold_steps >= T_hold:
         return p_nom
     lo, hi = 0.0, p_nom  # lo feasible, hi not
     while hi - lo > 1e-9 * p_nom:
         mid = 0.5 * (lo + hi)
-        if profile.point(mid).point.T_hold_steps >= T_hold:
+        if inner_point(mid, fleet).point.T_hold_steps >= T_hold:
             lo = mid
         else:
             hi = mid
@@ -505,8 +470,9 @@ def _knapsack(price: np.ndarray, cap: np.ndarray) -> tuple[float, np.ndarray]:
     return float(price[order] @ amount), order[amount > 0.0]
 
 
-def solve_outer(T_hold: int, kernels: ResponseKernels, x_0: np.ndarray) -> tuple[float, np.ndarray, LpSolution]:
-    """Upper bound at T_hold: the capacity-relaxed LP, by column generation.
+def solve_outer(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarray, LpSolution]:
+    """Upper bound of `fleet` at T_hold: the capacity-relaxed LP, by column
+    generation.
 
     The LP maximizes P subject to the hold rows with kernel d = h - h_a,
     the unit budget sum u <= 1, and 0 <= u[m][s] <= x_0[s] for s in
@@ -531,6 +497,7 @@ def solve_outer(T_hold: int, kernels: ResponseKernels, x_0: np.ndarray) -> tuple
     OUTER_CG_GAP_REL of the value, and raises NumericalFailureError after
     OUTER_CG_MAX_ROUNDS rounds.
     """
+    kernels, x_0 = fleet.kernels, fleet.x_0
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
     if kernels.horizon < T_hold:
@@ -594,19 +561,19 @@ def solve_outer(T_hold: int, kernels: ResponseKernels, x_0: np.ndarray) -> tuple
     return value, np.clip(u, 0.0, None), sol
 
 
-def outer_boundary(kernels: ResponseKernels, x_0: np.ndarray, t_grid: np.ndarray, regime: dict) -> ReachHoldSet:
-    """Outer frontier over hold durations, one relaxed LP per hold.
-    Values are clipped to P_nom (the true reduction can never exceed
-    nominal demand); each point keeps the LP's own value as
+def outer_boundary(fleet: CharacterizedFleet, t_grid: np.ndarray) -> ReachHoldSet:
+    """Outer frontier of `fleet` over hold durations, one relaxed LP per
+    hold.  Values are clipped to P_nom (the true reduction can never
+    exceed nominal demand); each point keeps the LP's own value as
     raw_objective_kw."""
-    p_nom = float(regime["P_nom_kw"])
+    p_nom = fleet.p_nom_kw
     samples = []
     for T in np.asarray(t_grid, dtype=int):
-        raw, _, _ = solve_outer(int(T), kernels, x_0)
+        raw, _, _ = solve_outer(int(T), fleet)
         samples.append(
             ReachHoldPoint(P_hold_kw=float(np.clip(raw, 0.0, p_nom)), T_hold_steps=int(T), raw_objective_kw=raw)
         )
-    return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=regime)
+    return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=fleet.regime)
 
 
 @dataclass(frozen=True)
@@ -657,18 +624,31 @@ class OperatingPoint:
 
 @dataclass
 class CharacterizedFleet:
-    """Matrices, stationary state, and kernels for one operating point."""
+    """Matrices, stationary state, and kernels for one operating point:
+    the one argument of every bound and of the replay.  `characterize`
+    makes x_0 the stationary occupancy of A, as the outer bound's proof
+    needs."""
 
     A: TransitionMatrix
     A_a: TransitionMatrix
     x_0: np.ndarray
     c: OutputVector
-    kernels: ResponseKernels
+    kernels: ResponseKernels  # up to T_max + 1 steps
     regime: dict
 
     @property
     def p_nom_kw(self) -> float:
         return float(self.c.c @ self.x_0)
+
+    @property
+    def T_max(self) -> int:
+        """The longest hold, in steps, the fleet was characterized for."""
+        return self.regime["T_max_steps"]
+
+    @cached_property
+    def inner(self) -> InnerProfile:
+        """The fleet's one inner profile, built on first use."""
+        return inner_profile(self)
 
 
 def _program(op: OperatingPoint, setpoint: float) -> tuple:
@@ -707,10 +687,7 @@ def sweep(
 ) -> list[ReachHoldSet]:
     """Inner frontier at each point, characterized as `_characterized`
     shares matrices and baselines between points."""
-    return [
-        inner_boundary(fleet.kernels, fleet.x_0, T_max, default_p_grid(fleet.p_nom_kw, n_grid), regime=fleet.regime)
-        for fleet in _characterized(points, T_max)
-    ]
+    return [inner_boundary(fleet, n_grid) for fleet in _characterized(points, T_max)]
 
 
 def save_set(rh_set: ReachHoldSet, csv_path) -> None:

@@ -45,7 +45,6 @@ from .reachhold import (
     ReachHoldPoint,
     ReachHoldSet,
     characterize,
-    default_p_grid,
     delta_p_by_stepping,
     inner_boundary,
     inner_p_at,
@@ -344,19 +343,18 @@ def run_reachhold(
     ch = characterize(op, T_max)
     artifacts = {}
     if INNER in methods:
-        p_grid = default_p_grid(ch.p_nom_kw, n_grid)
-        rh = inner_boundary(ch.kernels, ch.x_0, T_max, p_grid, regime=ch.regime)
+        rh = inner_boundary(ch, n_grid)
         path = out_dir / "inner.csv"
         save_set(rh, path)
         artifacts[INNER] = str(path)
     if OUTER in methods:
-        rh = outer_boundary(ch.kernels, ch.x_0, np.array(t_grid), ch.regime)
+        rh = outer_boundary(ch, np.array(t_grid))
         path = out_dir / "outer.csv"
         save_set(rh, path)
         artifacts[OUTER] = str(path)
     if EXACT in methods:
         t_exact = [t for t in t_grid if t * ch.x_0.size <= EXACT_LP_CAP]
-        vals = [solve_exact(t, ch.kernels, ch.x_0, ch.A, ch.A_a)[0] for t in t_exact]
+        vals = [solve_exact(t, ch)[0] for t in t_exact]
         # the true boundary is nonincreasing; a running min trims LP noise
         vals = np.minimum.accumulate(vals)
         samples = [
@@ -374,8 +372,8 @@ def _read_aggregate(cfg: dict) -> list:
     """The two saved sets to combine: pure set algebra, so no model build
     and no randomness."""
     inputs = cfg["aggregate"].get("inputs", [])
-    if not isinstance(inputs, list) or len(inputs) != 2:
-        raise InvalidConfigurationError("aggregate.inputs must list exactly two saved sets")
+    if not isinstance(inputs, list) or len(inputs) != 2 or not all(isinstance(p, str) for p in inputs):
+        raise InvalidConfigurationError(f"aggregate.inputs must list two saved sets' paths, got {inputs!r}")
     return inputs
 
 
@@ -443,7 +441,7 @@ def run_validate(
     artifacts: dict[str, str] = {}
 
     if holds is None:
-        dp = delta_p_by_stepping((fraction * ch.x_0)[None, :], ch.A, ch.A_a, ch.c, ch.x_0, horizon)
+        dp = delta_p_by_stepping((fraction * ch.x_0)[None, :], ch, horizon)
         markov = ch.p_nom_kw - dp
         stepper = FleetStepper(sample_fleet(spec), op.dt_minutes)
         fleet = stepper.fleet
@@ -468,11 +466,11 @@ def run_validate(
     summary = []
     any_degraded = False
     for T_hold in holds:
-        P_hold = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
-        ip = inner_point(P_hold, ch.kernels, ch.x_0, T_max)
+        P_hold = inner_p_at(T_hold, ch)
+        ip = inner_point(P_hold, ch)
         u = ip.alpha[:, None] * ch.x_0[None, :]
         block_horizon = min(T_max, T_hold + 60)
-        dp = delta_p_by_stepping(u, ch.A, ch.A_a, ch.c, ch.x_0, block_horizon)
+        dp = delta_p_by_stepping(u, ch, block_horizon)
         markov = ch.p_nom_kw - dp
         stepper = FleetStepper(sample_fleet(replace(spec, seed=spec.seed + T_hold)), op.dt_minutes)
         baseline = burn_in(stepper, burn_steps)
@@ -558,9 +556,10 @@ def run_sweep(
 
 
 def run_selfcheck(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict[str, str], bool]:
-    """Invariant suite over the configured model; raises on any failure
-    after persisting the full report."""
-    ch = characterize(op, T_max)
+    """Invariant suite over the configured model, its frontier check on
+    holds up to 60 steps; raises on any failure after persisting the full
+    report."""
+    ch = characterize(op, min(T_max, 60))
     n = ch.x_0.size
     rng = np.random.default_rng(0)  # fixed probe controls, part of the check
     checks = []
@@ -587,10 +586,7 @@ def run_selfcheck(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict[s
     record("mass_conservation", worst_mass <= 1e-12, f"worst drift {worst_mass:.3e}")
 
     try:
-        T_short = min(T_max, 60)
-        rh = inner_boundary(
-            ch.kernels, ch.x_0, T_short, default_p_grid(ch.p_nom_kw, 10), regime=ch.regime
-        )
+        rh = inner_boundary(ch, 10)
         ps = [p.P_hold_kw for p in rh.points]
         record("frontier_monotone", all(a >= b for a, b in zip(ps, ps[1:])), f"{len(ps)} points")
     except Exception as exc:  # noqa: BLE001

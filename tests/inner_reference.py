@@ -11,8 +11,10 @@ Tests use it as an independent oracle for `inner_point` and `inner_p_at`.
 import numpy as np
 
 
-def reference_inner_point(P_hold, kernels, x_0, T_max):
-    """(alpha, depletion step or None, T_hold, horizon_limited) for P_hold."""
+def reference_inner_point(P_hold, fleet):
+    """(alpha, depletion step or None, T_hold, horizon_limited) for P_hold
+    on `fleet`, over its T_max steps."""
+    kernels, x_0, T_max = fleet.kernels, fleet.x_0, fleet.T_max
     p_nom = float(kernels.h[0] @ x_0)
     P_hold = float(np.clip(P_hold, 0.0, p_nom))
     rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
@@ -35,18 +37,18 @@ def reference_inner_point(P_hold, kernels, x_0, T_max):
         committed += a
     s = (kernels.h[1:] - kernels.h_a[1:]) @ x_0
     dp = np.concatenate([[0.0], np.convolve(alpha, s)[: s.size]])
-    hold_tol = 1e-10 * max(1.0, kernels.c.P_on_total)
+    hold_tol = 1e-10 * max(1.0, fleet.c.P_on_total)
     for k in range(1, T_max + 1):
         if dp[k] < P_hold - hold_tol:
             return alpha, depletion, k - 1, False
     return alpha, depletion, T_max, True
 
 
-def reference_p_at(T_hold, kernels, x_0, T_max):
+def reference_p_at(T_hold, fleet):
     """Largest target whose reference hold reaches T_hold, by bisection
     to 1e-9 of P_nom."""
-    p_nom = float(kernels.h[0] @ x_0)
-    holds = lambda P: reference_inner_point(P, kernels, x_0, T_max)[2] >= T_hold
+    p_nom = float(fleet.kernels.h[0] @ fleet.x_0)
+    holds = lambda P: reference_inner_point(P, fleet)[2] >= T_hold
     if holds(p_nom):
         return p_nom
     lo, hi = 0.0, p_nom

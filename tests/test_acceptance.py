@@ -55,9 +55,9 @@ def test_criterion_01_sandwich_inner_exact_outer():
     tol = 1e-6 * P_ON
     gaps = []
     for T in (5, 10, 20, 40):
-        p_inner = inner_p_at(T, ch.kernels, ch.x_0, T_max=60)
-        p_exact = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)[0]
-        raw = solve_outer(T, ch.kernels, ch.x_0)[0]
+        p_inner = inner_p_at(T, ch)
+        p_exact = solve_exact(T, ch)[0]
+        raw = solve_outer(T, ch)[0]
         p_outer = min(raw, ch.p_nom_kw)
         assert p_inner <= p_exact + tol, f"T={T}: inner {p_inner} > exact {p_exact}"
         assert p_exact <= p_outer + tol, f"T={T}: exact {p_exact} > outer {p_outer}"
@@ -75,9 +75,9 @@ def test_criterion_01_sandwich_at_paper_scale(fleet40):
     tol = 1e-6 * P_ON
     gaps = []
     for T in (30, 60):
-        p_inner = inner_p_at(T, fleet40.kernels, fleet40.x_0, T_max=480)
-        p_exact = solve_exact(T, fleet40.kernels, fleet40.x_0, fleet40.A, fleet40.A_a)[0]
-        raw = solve_outer(T, fleet40.kernels, fleet40.x_0)[0]
+        p_inner = inner_p_at(T, fleet40)
+        p_exact = solve_exact(T, fleet40)[0]
+        raw = solve_outer(T, fleet40)[0]
         p_outer = min(raw, fleet40.p_nom_kw)
         assert p_inner <= p_exact + tol, f"T={T}: inner {p_inner} > exact {p_exact}"
         assert p_exact <= p_outer + tol, f"T={T}: exact {p_exact} > outer {p_outer}"
@@ -91,10 +91,10 @@ def test_criterion_02_inner_plans_feasible_when_repropagated(fleet40):
     tol = 1e-9 * P_ON
     worst = np.inf
     for P in default_p_grid(fleet40.p_nom_kw, 20):
-        ip = inner_point(P, fleet40.kernels, fleet40.x_0, T_max=480)
+        ip = inner_point(P, fleet40)
         T_h = ip.point.T_hold_steps
         u = ip.alpha[:, None] * fleet40.x_0[None, :]
-        dp = delta_p_by_stepping(u, fleet40.A, fleet40.A_a, fleet40.c, fleet40.x_0, horizon=max(T_h, 1))
+        dp = delta_p_by_stepping(u, fleet40, horizon=max(T_h, 1))
         margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
         worst = min(worst, margin)
         assert margin >= -tol, f"P={P:.1f} kW, T={T_h}: hold margin {margin} kW"
@@ -116,10 +116,10 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
     tol = 1e-9 * P_ON
     worst = np.inf
     for P in default_p_grid(ch.p_nom_kw):
-        ip = inner_point(P, ch.kernels, ch.x_0, T_max=480)
+        ip = inner_point(P, ch)
         T_h = ip.point.T_hold_steps
         u = ip.alpha[:, None] * ch.x_0[None, :]
-        dp = delta_p_by_stepping(u, ch.A, ch.A_a, ch.c, ch.x_0, horizon=max(T_h, 1))
+        dp = delta_p_by_stepping(u, ch, horizon=max(T_h, 1))
         margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
         worst = min(worst, margin)
         assert margin >= -tol, f"P={P:.1f} kW, T={T_h}: hold margin {margin} kW"
@@ -148,11 +148,11 @@ def test_criterion_04_upper_bound_proved_at_40_bins(fleet40):
     x_0 = fleet40.x_0
     cols = np.flatnonzero(x_0 > 0.0)
     d = (fleet40.kernels.h - fleet40.kernels.h_a)[:, cols]
-    raw60 = solve_outer(60, fleet40.kernels, x_0)[0]
+    raw60 = solve_outer(60, fleet40)[0]
     assert raw60 == pytest.approx(fleet40.p_nom_kw, abs=1e-9 * P_ON), "outer below P_nom at T=60"
     gaps = []
     for T, want in OUTER_40_KW.items():
-        P, _, sol = solve_outer(T, fleet40.kernels, x_0)
+        P, _, sol = solve_outer(T, fleet40)
         assert abs(P - want) <= 0.01, f"T={T}: outer {P} kW, expected {want} kW"
         y = np.clip(sol.duals_ineq[:T], 0.0, None)
         y /= y.sum()
@@ -171,9 +171,7 @@ def test_criterion_04_upper_bound_proved_at_40_bins(fleet40):
 def test_criterion_05_markov_vs_micro_full_step(fleet40):
     t0 = time.perf_counter()
     horizon = 480
-    dp = delta_p_by_stepping(
-        fleet40.x_0[None, :], fleet40.A, fleet40.A_a, fleet40.c, fleet40.x_0, horizon
-    )
+    dp = delta_p_by_stepping(fleet40.x_0[None, :], fleet40, horizon)
     markov = fleet40.p_nom_kw - dp
     fleet = sample_fleet(
         FleetSpec(
@@ -254,10 +252,7 @@ def test_criterion_08_precooling_dominates():
 
 
 def test_criterion_09_identical_fleet_aggregation(fleet40):
-    rh = inner_boundary(
-        fleet40.kernels, fleet40.x_0, 480, default_p_grid(fleet40.p_nom_kw, 20),
-        regime=fleet40.regime,
-    )
+    rh = inner_boundary(fleet40, 20)
     comb = combine(rh, rh)
     sim = comb.to_reach_hold_set("simultaneous")
     cons = comb.to_reach_hold_set("consecutive")
@@ -271,10 +266,8 @@ def test_criterion_09_identical_fleet_aggregation(fleet40):
     # fleet's hold expires, and the summed reduction must cover the claim
     mid = rh.points[len(rh.points) // 2]
     P, T = mid.P_hold_kw, mid.T_hold_steps
-    alpha = inner_point(P, fleet40.kernels, fleet40.x_0, T_max=480).alpha
-    dp = delta_p_by_stepping(
-        alpha[:, None] * fleet40.x_0[None, :], fleet40.A, fleet40.A_a, fleet40.c, fleet40.x_0, horizon=2 * T
-    )
+    alpha = inner_point(P, fleet40).alpha
+    dp = delta_p_by_stepping(alpha[:, None] * fleet40.x_0[None, :], fleet40, horizon=2 * T)
     total = dp.copy()
     total[T + 1 :] += dp[1 : T + 1]
     worst = float((total[1 : 2 * T + 1] - P).min())

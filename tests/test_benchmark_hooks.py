@@ -44,8 +44,8 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
 ch = reachhold.characterize(op, T_max=20)
-scenario.solve_exact(5, ch.kernels, ch.x_0, ch.A, ch.A_a)
-reachhold.solve_outer(20, ch.kernels, ch.x_0)
+scenario.solve_exact(5, ch)
+reachhold.solve_outer(20, ch)
 spans = tracer.spans
 print(json.dumps({
     "support": int(reachhold.invariant_support(ch.A, ch.x_0).size),
@@ -164,15 +164,22 @@ def test_sweeps_solve_each_baseline_once():
         assert name in out["spans"]
 
 
+# inner_point calls of one block: inner_p_at probes P_nom, then halves
+# [0, P_nom] until the bracket is within 1e-9 of P_nom (30 halvings, as
+# 2**-30 < 1e-9 < 2**-29), and the block's plan takes one more
+INNER_POINT_CALLS_PER_BLOCK = 1 + 30 + 1
+
+
 def test_blocks_validate_builds_one_stepper_per_block():
     # burn-in and plan replay share one stepper per block; the micro-path
     # spans keep the fields the per-layer metrics read, and each block
-    # finds its target and plan through the wrapped inner names
+    # finds its target and plan through the wrapped inner names, every
+    # inner point included
     out = run_traced(VALIDATE_SCRIPT)
     spans = out["spans"]
     names = [name for name, _ in spans]
     assert names.count("reachhold.inner_p_at") == 2
-    assert names.count("reachhold.inner_point") == 2
+    assert names.count("reachhold.inner_point") == 2 * INNER_POINT_CALLS_PER_BLOCK
     assert names.count("etp.FleetStepper") == 2
     assert names.count("validation.burn_in") == 2
     assert names.count("validation.apply_plan_micro") == 2
@@ -186,4 +193,5 @@ def test_blocks_validate_builds_one_stepper_per_block():
     assert m["etp.steppers"] == 2
     assert m["etp.unit_steps"] == 200 * names.count("etp.advance")
     assert m["validation.burn_in_s"] > 0.0 and m["validation.apply_plan_s"] > 0.0
-    assert m["reachhold.inner_p_at_s"] > 0.0 and m["reachhold.inner_point_calls"] == 2
+    assert m["reachhold.inner_p_at_s"] > 0.0
+    assert m["reachhold.inner_point_calls"] == 2 * INNER_POINT_CALLS_PER_BLOCK

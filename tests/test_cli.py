@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tclflex.reachhold
 from tclflex.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from tclflex.markov import load_matrix
 from tclflex.reachhold import load_set
@@ -136,6 +137,7 @@ MISTYPED_CONFIGS = [
         "validate", {**VALIDATE_SEEDS, "validate": {**BLOCKS, "hold_steps": [30, 30]}}, "validate.hold_steps",
         id="validate.hold_steps-repeated",
     ),
+    pytest.param("aggregate", {"aggregate": {"inputs": [1, 2]}}, "aggregate.inputs", id="aggregate.inputs-numbers"),
     pytest.param("validate", {**VALIDATE_SEEDS, "fleet": {"seed": True}}, "fleet.seed", id="fleet.seed-bool"),
     pytest.param("validate", {**VALIDATE_SEEDS, "fleet": {"seed": -1}}, "fleet.seed", id="fleet.seed-negative"),
     pytest.param("validate", {**VALIDATE_SEEDS, "fleet": {"seed": 1.0}}, "fleet.seed", id="fleet.seed-float"),
@@ -508,6 +510,25 @@ class TestValidate:
         assert summary["blocks"][0]["degraded"] is True
         report = json.loads((out / "block_10_report.json").read_text())
         assert report["shortfall_events"]
+
+    @pytest.mark.filterwarnings("ignore::tclflex.validation.ValidationDegradedWarning")
+    def test_blocks_mode_builds_one_inner_profile(self, tmp_path, monkeypatch):
+        # every block's target and plan read the fleet's one inner profile;
+        # 200 units on 20 states run short of actuations, which is beside
+        # the point here
+        real, built = tclflex.reachhold.inner_profile, []
+        monkeypatch.setattr(tclflex.reachhold, "inner_profile", lambda *args: built.append(args) or real(*args))
+        cfg = {
+            "grid": {"n_bins": 10},
+            "T_max_steps": 60,
+            "P_on_total_kw": 700.0,
+            "fleet": {"n_units": 200, "heterogeneity": 0.15, "seed": 5},
+            "validate": {"mode": "blocks", "hold_steps": [5, 10, 20], "burn_in_steps": 60, "selection_seed": 9},
+        }
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_DEGRADED)
+        assert len(json.loads((tmp_path / "o" / "summary.json").read_text())["blocks"]) == 3
+        assert len(built) == 1
 
     def test_fleet_scale_must_match_bin_model(self, tmp_path):
         cfg = {

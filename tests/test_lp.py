@@ -505,7 +505,7 @@ class TestRunHighs:
 
     @pytest.mark.parametrize("T", [1, 5, 20])
     def test_exact_lps(self, char10, T, monkeypatch):
-        (lp,) = reachhold_lps(monkeypatch, lambda: solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a))
+        (lp,) = reachhold_lps(monkeypatch, lambda: solve_exact(T, char10))
         self.assert_same(lp, monkeypatch)
 
     def test_outer_masters(self, grid40, monkeypatch):
@@ -513,7 +513,7 @@ class TestRunHighs:
         # default 40-bin fleet at a hold that needs several rounds
         op = OperatingPoint(DEFAULT_PARAMS, grid40, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL)
         ch = characterize(op, T_max=90)
-        lps = reachhold_lps(monkeypatch, lambda: solve_outer(90, ch.kernels, ch.x_0))
+        lps = reachhold_lps(monkeypatch, lambda: solve_outer(90, ch))
         assert len(lps) >= 2
         for lp in lps:
             self.assert_same(lp, monkeypatch)
@@ -529,7 +529,7 @@ from tclflex.etp import DEFAULT_PARAMS
 from tclflex.markov import build_grid
 op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
 ch = reachhold.characterize(op, T_max=20)
-P, _, _ = reachhold.solve_exact(5, ch.kernels, ch.x_0, ch.A, ch.A_a)
+P, _, _ = reachhold.solve_exact(5, ch)
 solved_without_optimize = "scipy.optimize" not in sys.modules
 solved_without_scipy = "scipy" not in sys.modules
 from scipy.optimize import linprog

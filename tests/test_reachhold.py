@@ -27,9 +27,11 @@ from tclflex.markov import (
     output_vector,
 )
 from tclflex.reachhold import (
+    DEFAULT_N_GRID,
     EXACT_LP_CAP,
     INNER,
     OUTER,
+    CharacterizedFleet,
     OperatingPoint,
     ReachHoldPoint,
     ReachHoldSet,
@@ -41,7 +43,6 @@ from tclflex.reachhold import (
     inner_boundary,
     inner_p_at,
     inner_point,
-    inner_profile,
     invariant_support,
     load_set,
     outer_boundary,
@@ -116,7 +117,7 @@ def dense_exact_40():
 def replay(alpha: np.ndarray, ch, horizon: int) -> np.ndarray:
     """dP[0..horizon] of the inner allocation alpha, whose plan is
     alpha[k] x_0, by population stepping on fleet ch."""
-    return delta_p_by_stepping(alpha[:, None] * ch.x_0[None, :], ch.A, ch.A_a, ch.c, ch.x_0, horizon)
+    return delta_p_by_stepping(alpha[:, None] * ch.x_0[None, :], ch, horizon)
 
 
 def kernel_response(alpha: np.ndarray, kernels, x_0: np.ndarray) -> np.ndarray:
@@ -126,14 +127,28 @@ def kernel_response(alpha: np.ndarray, kernels, x_0: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.convolve(alpha, s)[: s.size]])
 
 
-def tiny_system(A, A_a, horizon=10, p_on=10.0):
-    """Kernels over a 2-state (single-bin) system with hand-checkable rows."""
-    grid = build_grid(0.0, 1.0, 1)
+def hand_fleet(A, A_a, x_0, T_max, n_bins=1, p_on=10.0):
+    """A fleet over hand-written matrices on an n_bins grid over 0-1 C,
+    characterized for holds up to T_max steps; x_0 need not be stationary."""
+    grid = build_grid(0.0, 1.0, n_bins)
     mk = lambda M: TransitionMatrix(
         P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
         T_set=0.5, T_amb=1.0, deadband=1.0,
     )
-    return response_kernels(mk(A), mk(A_a), output_vector(grid, p_on), horizon=horizon)
+    A, A_a, c, x_0 = mk(A), mk(A_a), output_vector(grid, p_on), np.asarray(x_0, dtype=float)
+    regime = {"dt_minutes": 1.0, "P_on_total_kw": p_on, "P_nom_kw": float(c.c @ x_0), "T_max_steps": T_max}
+    return CharacterizedFleet(A, A_a, x_0, c, response_kernels(A, A_a, c, horizon=T_max + 1), regime)
+
+
+def tiny_fleet(A, A_a, T_max=9):
+    """A 2-state (single-bin) fleet with hand-checkable rows, half on
+    (p_nom = 5 kW of 10)."""
+    return hand_fleet(A, A_a, [0.5, 0.5], T_max)
+
+
+def with_capacities(ch, support):
+    """ch with its occupancy replaced by the capacities of `support`."""
+    return replace(ch, x_0=capacities(ch.x_0, support))
 
 
 def full_support_exact(T, kernels, x_0, A):
@@ -289,24 +304,24 @@ class TestPlanInput:
     """A plan is one (T, n_states) array; delta_p_by_stepping checks it."""
 
     def test_wrong_shape_rejected(self):
-        A, A_a, kernels, x_0 = growing_support_system()
+        fleet = growing_support_system()
         for u in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))):
             with pytest.raises(InvalidInputError, match="shape"):
-                delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
+                delta_p_by_stepping(u, fleet, 3)
 
     def test_negative_entries_rejected(self):
-        A, A_a, kernels, x_0 = growing_support_system()
+        fleet = growing_support_system()
         u = np.zeros((2, 4))
         u[1, 2] = -1e-9
         with pytest.raises(InvalidInputError, match="nonnegative"):
-            delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
+            delta_p_by_stepping(u, fleet, 3)
         u[1, 2] = -1e-13  # solver dust: accepted and clipped away
-        assert np.array_equal(delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3), np.zeros(4))
+        assert np.array_equal(delta_p_by_stepping(u, fleet, 3), np.zeros(4))
 
 
 class TestDeltaP:
     def test_impulse_recovers_nominal_power(self, char40):
-        ip = inner_point(char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(char40.p_nom_kw, char40)
         assert ip.alpha[0] == 1.0 and not ip.alpha[1:].any()
         dp = replay(ip.alpha, char40, 1)
         assert dp[0] == 0.0
@@ -314,7 +329,7 @@ class TestDeltaP:
 
     def test_profile_plan_matches_stepping(self, char40):
         K = char40.kernels.horizon
-        ip = inner_point(0.6 * char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(0.6 * char40.p_nom_kw, char40)
         algebra = kernel_response(ip.alpha, char40.kernels, char40.x_0)
         assert algebra == pytest.approx(replay(ip.alpha, char40, K), abs=1e-8 * P_ON_TOTAL)
 
@@ -332,84 +347,71 @@ class TestDeltaP:
         d = char40.kernels.h - char40.kernels.h_a
         steps, states = np.repeat(np.arange(T), n), np.tile(np.arange(n), T)
         block = ColumnMatrix.from_entries([_hold_block(d, T, steps, states)], (T, T * n + 1))
-        stepped = delta_p_by_stepping(u, char40.A, char40.A_a, char40.c, char40.x_0, horizon=T)
+        stepped = delta_p_by_stepping(u, char40, horizon=T)
         assert stepped[1:].max() > 0.1 * char40.p_nom_kw
         assert block @ np.append(u.ravel(), 0.0) == pytest.approx(-stepped[1:], abs=1e-8 * P_ON_TOTAL)  # at P = 0
 
     def test_empty_plan_reduces_nothing_off_stationarity(self):
         # the reduction is measured from the unactuated trajectory c A^k x_0,
         # which here jumps from 0 to 10 kW, not from c x_0
-        A, A_a, kernels, x_0 = growing_support_system()
-        dp = delta_p_by_stepping(np.zeros((6, 4)), A, A_a, kernels.c, x_0, 6)
+        dp = delta_p_by_stepping(np.zeros((6, 4)), growing_support_system(), 6)
         assert np.array_equal(dp, np.zeros(7))
 
     def test_matches_kernel_algebra_off_stationarity(self):
         # the LP hold rows and the replay agree even when x_0 is not stationary
-        A, A_a, kernels, x_0 = growing_support_system()
+        fleet = growing_support_system()
         u = np.zeros((3, 4))
         u[1, 2] = 0.5
-        d = kernels.h - kernels.h_a
+        d = fleet.kernels.h - fleet.kernels.h_a
         steps, states = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
         block = ColumnMatrix.from_entries([_hold_block(d, 3, steps, states)], (3, 13))
-        dp = delta_p_by_stepping(u, A, A_a, kernels.c, x_0, 3)
+        dp = delta_p_by_stepping(u, fleet, 3)
         assert dp[2] == pytest.approx(5.0)
         assert block @ np.append(u.ravel(), 0.0) == pytest.approx(-dp[1:], abs=1e-12)  # at P = 0
 
 
 class TestAlphaLowerBound:
-    """The greedy lower bounds alpha[k], read off `inner_profile(...).point`."""
+    """The greedy lower bounds alpha[k], read off `inner_point`."""
 
     def test_first_step_is_target_fraction(self):
-        kernels = tiny_system(IDENTITY, ABSORB_OFF)
-        x_0 = np.array([0.5, 0.5])  # p_nom = 5
-        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).alpha
+        alpha = inner_point(2.0, tiny_fleet(IDENTITY, ABSORB_OFF)).alpha  # p_nom = 5
         assert alpha[0] == pytest.approx(0.4)
 
     def test_second_step_vanishes_without_recovery(self):
         # actuated mass that never draws power again: the committed
         # alpha[0] keeps covering the target, so the bound drops to zero
-        kernels = tiny_system(IDENTITY, ABSORB_OFF)
-        x_0 = np.array([0.5, 0.5])
-        alpha = inner_profile(kernels, x_0, T_max=9).point(2.0).alpha
+        alpha = inner_point(2.0, tiny_fleet(IDENTITY, ABSORB_OFF)).alpha
         assert alpha[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_second_step_refills_under_full_recovery(self):
         # mixing actuated dynamics put half the unit mass back on at once,
         # so c A_a x_0 = p_nom: an actuated cohort saves nothing and no
         # finite allocation holds the target, from the first step on
-        kernels = tiny_system(IDENTITY, MIXING)
-        x_0 = np.array([0.5, 0.5])
-        profile = inner_profile(kernels, x_0, T_max=9)
-        assert np.isinf(profile.alpha_1).all()
-        ip = profile.point(2.0)
+        fleet = tiny_fleet(IDENTITY, MIXING)
+        assert np.isinf(fleet.inner.alpha_1).all()
+        ip = inner_point(2.0, fleet)
         assert ip.alpha[0] == 1.0 and not ip.alpha[1:].any()  # the budget goes at once
 
     def test_partial_recovery_divides_by_gain(self):
         # A_a leaves a quarter of the mass on each step: c A_a^m x_0 = 2.5
         # = p_nom / 2 for every m >= 1, so each unit of alpha buys half
         # its nominal share and the bounds below hold dP at exactly 2 kW
-        kernels = tiny_system(IDENTITY, PARTIAL)
-        x_0 = np.array([0.5, 0.5])
-        ip = inner_profile(kernels, x_0, T_max=9).point(2.0)
+        fleet = tiny_fleet(IDENTITY, PARTIAL)
+        ip = inner_point(2.0, fleet)
         assert ip.alpha[0] == pytest.approx(0.8)
         assert ip.alpha[1] == pytest.approx(0.0, abs=1e-15)
-        assert kernel_response(ip.alpha, kernels, x_0)[1:3] == pytest.approx([2.0, 2.0])
-
-    def test_horizon_guard(self):
-        kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=3)
-        with pytest.raises(InvalidInputError):
-            inner_profile(kernels, np.array([0.5, 0.5]), T_max=4)
+        assert kernel_response(ip.alpha, fleet.kernels, fleet.x_0)[1:3] == pytest.approx([2.0, 2.0])
 
 
 class TestInnerPoint:
     def test_zero_target_runs_to_horizon(self, char40):
-        ip = inner_point(0.0, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(0.0, char40)
         assert ip.point.T_hold_steps == 120
         assert ip.point.horizon_limited
         assert ip.alpha.sum() == 0.0
 
     def test_full_nominal_depletes_immediately(self, char40):
-        ip = inner_point(char40.p_nom_kw, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(char40.p_nom_kw, char40)
         assert ip.alpha[0] == pytest.approx(1.0) and not ip.alpha[1:].any()
         # the whole fleet parks off, so the hold survives at least until
         # the actuated cohort warms back into the new band
@@ -417,7 +419,7 @@ class TestInnerPoint:
 
     def test_plan_certifies_by_stepping(self, char40):
         P = 0.6 * char40.p_nom_kw
-        ip = inner_point(P, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(P, char40)
         T_h = ip.point.T_hold_steps
         assert T_h >= 1
         dp = replay(ip.alpha, char40, T_h)
@@ -425,15 +427,13 @@ class TestInnerPoint:
 
     def test_hold_ends_at_first_violation(self, char40):
         P = 0.8 * char40.p_nom_kw
-        ip = inner_point(P, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(P, char40)
         T_h = ip.point.T_hold_steps
         assert not ip.point.horizon_limited
         assert replay(ip.alpha, char40, T_h + 1)[T_h + 1] < P - 1e-10 * P_ON_TOTAL
 
     def test_absorbing_synthetic_holds_forever(self):
-        kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=20)
-        x_0 = np.array([0.5, 0.5])
-        ip = inner_point(2.5, kernels, x_0, T_max=19)
+        ip = inner_point(2.5, tiny_fleet(IDENTITY, ABSORB_OFF, T_max=19))
         assert ip.point.horizon_limited and ip.point.T_hold_steps == 19
         assert ip.alpha[0] == pytest.approx(0.5)
         assert ip.alpha[1:].sum() == pytest.approx(0.0, abs=1e-15)
@@ -441,21 +441,20 @@ class TestInnerPoint:
     def test_no_gain_holds_nothing(self):
         # a fresh cohort that draws its full share again saves nothing:
         # the budget goes at once and no positive target holds a step
-        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
-        ip = inner_point(2.0, kernels, np.array([0.5, 0.5]), T_max=19)
+        ip = inner_point(2.0, tiny_fleet(IDENTITY, MIXING, T_max=19))
         assert ip.alpha[0] == 1.0
         assert ip.point.T_hold_steps == 0 and not ip.point.horizon_limited
 
     def test_target_outside_range_rejected(self, char40):
         with pytest.raises(InvalidInputError):
-            inner_point(-1.0, char40.kernels, char40.x_0, T_max=120)
+            inner_point(-1.0, char40)
         with pytest.raises(InvalidInputError):
-            inner_point(char40.p_nom_kw * 1.01, char40.kernels, char40.x_0, T_max=120)
+            inner_point(char40.p_nom_kw * 1.01, char40)
 
 
 class TestInnerBoundary:
     def test_frontier_monotone(self, char40):
-        rh = inner_boundary(char40.kernels, char40.x_0, T_max=120, regime=char40.regime)
+        rh = inner_boundary(char40, DEFAULT_N_GRID)
         assert rh.points
         ts = [p.T_hold_steps for p in rh.points]
         ps = [p.P_hold_kw for p in rh.points]
@@ -464,23 +463,23 @@ class TestInnerBoundary:
 
     def test_p_at_bisection_is_tight(self, char40):
         T = 60
-        p = inner_p_at(T, char40.kernels, char40.x_0, T_max=120)
-        assert inner_point(p, char40.kernels, char40.x_0, 120).point.T_hold_steps >= T
+        p = inner_p_at(T, char40)
+        assert inner_point(p, char40).point.T_hold_steps >= T
         if p < char40.p_nom_kw:  # interior boundary point: a nudge above must fail
             bumped = min(p + 1e-6 * char40.p_nom_kw, char40.p_nom_kw)
-            assert inner_point(bumped, char40.kernels, char40.x_0, 120).point.T_hold_steps < T
+            assert inner_point(bumped, char40).point.T_hold_steps < T
 
     def test_one_deadband_raise_keeps_no_zero_hold(self):
         # a cohort raised by exactly one deadband still draws c A_a x_0, so
         # the full-nominal target holds no step; that sample claims nothing
         # and stays off the frontier
         ch = characterize(replace(point(40), T_set_new=T_SET + DEADBAND), T_max=120)
-        assert inner_point(ch.p_nom_kw, ch.kernels, ch.x_0, 120).point.T_hold_steps == 0
-        rh = inner_boundary(ch.kernels, ch.x_0, 120, regime=ch.regime)
+        assert inner_point(ch.p_nom_kw, ch).point.T_hold_steps == 0
+        rh = inner_boundary(ch, DEFAULT_N_GRID)
         assert rh.points and all(p.T_hold_steps >= 1 for p in rh.points)
 
     def test_short_holds_reach_full_nominal(self, char40):
-        assert inner_p_at(1, char40.kernels, char40.x_0, T_max=120) == char40.p_nom_kw
+        assert inner_p_at(1, char40) == char40.p_nom_kw
 
     def test_default_p_grid_spans_to_nominal(self):
         g = default_p_grid(1000.0, 4)
@@ -506,29 +505,25 @@ class TestInnerProfile:
         )
         ch = characterize(op, T_max=T_max)
         for P in default_p_grid(ch.p_nom_kw):
-            ip = inner_point(float(P), ch.kernels, ch.x_0, T_max)
-            alpha, _, T_h, limited = reference_inner_point(float(P), ch.kernels, ch.x_0, T_max)
+            ip = inner_point(float(P), ch)
+            alpha, _, T_h, limited = reference_inner_point(float(P), ch)
             assert (ip.point.T_hold_steps, ip.point.horizon_limited) == (T_h, limited)
             assert np.abs(ip.alpha - alpha).max() <= 1e-12 * alpha.max()
-        got = inner_p_at(T_hold, ch.kernels, ch.x_0, T_max)
-        assert got == pytest.approx(reference_p_at(T_hold, ch.kernels, ch.x_0, T_max), abs=1e-9 * ch.p_nom_kw)
+        got = inner_p_at(T_hold, ch)
+        assert got == pytest.approx(reference_p_at(T_hold, ch), abs=1e-9 * ch.p_nom_kw)
 
     def test_no_gain_profile_holds_inf(self):
-        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
-        profile = inner_profile(kernels, np.array([0.5, 0.5]), T_max=19)
-        assert np.all(profile.alpha_1 == np.inf)
+        assert np.all(tiny_fleet(IDENTITY, MIXING, T_max=19).inner.alpha_1 == np.inf)
 
     def test_no_gain_zero_target_is_empty_plan(self):
         # 0 * inf would put NaN in the plan
-        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
-        ip = inner_point(0.0, kernels, np.array([0.5, 0.5]), T_max=19)
+        ip = inner_point(0.0, tiny_fleet(IDENTITY, MIXING, T_max=19))
         assert np.all(ip.alpha == 0.0)
         assert ip.point.T_hold_steps == 19 and ip.point.horizon_limited
 
     @pytest.mark.parametrize("P", [1e-9, 0.5, 2.0, 5.0])
     def test_no_gain_positive_target_depletes_at_once(self, P):
-        kernels = tiny_system(IDENTITY, MIXING, horizon=20)
-        ip = inner_point(P, kernels, np.array([0.5, 0.5]), T_max=19)  # p_nom = 5
+        ip = inner_point(P, tiny_fleet(IDENTITY, MIXING, T_max=19))  # p_nom = 5
         assert ip.alpha[0] == 1.0 and np.all(ip.alpha[1:] == 0.0)
 
     def test_depleted_plans_pass_the_budget_check(self, char40):
@@ -537,9 +532,9 @@ class TestInnerProfile:
         # allocation must keep to
         depleted = 0
         for P in np.linspace(0.01, 1.0, 200) * char40.p_nom_kw:
-            alpha = inner_point(float(P), char40.kernels, char40.x_0, T_max=120).alpha
+            alpha = inner_point(float(P), char40).alpha
             assert np.all(alpha >= 0.0) and alpha.sum() <= 1.0 + 1e-9
-            if reference_inner_point(float(P), char40.kernels, char40.x_0, 120)[1] is not None:
+            if reference_inner_point(float(P), char40)[1] is not None:
                 depleted += 1
                 assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert depleted > 0
@@ -549,56 +544,50 @@ def growing_support_system():
     """x_0 on state 1 only; A carries it on to 2 and then 3, so x_0 is not
     stationary.  Actuated units switch off for one step and then rebound,
     so a two-step hold splits the mass between states 1 and 2."""
-    grid = build_grid(0.0, 1.0, 2)
-    mk = lambda M: TransitionMatrix(
-        P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
-        T_set=0.5, T_amb=1.0, deadband=1.0,
-    )
-    A = mk([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
-    A_a = mk(np.eye(4)[[3, 0, 0, 0]].T)  # 1, 2, 3 -> 0 (off) -> 3 (on)
-    kernels = response_kernels(A, A_a, output_vector(grid, 10.0), horizon=6)
-    return A, A_a, kernels, np.array([0.0, 1.0, 0.0, 0.0])
+    A = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
+    A_a = np.eye(4)[[3, 0, 0, 0]].T  # 1, 2, 3 -> 0 (off) -> 3 (on)
+    return hand_fleet(A, A_a, [0.0, 1.0, 0.0, 0.0], T_max=5, n_bins=2)
 
 
 class TestSolveExact:
     def test_single_step_recovers_nominal(self, char40):
-        P, plan, _ = solve_exact(1, char40.kernels, char40.x_0, char40.A, char40.A_a)
+        P, plan, _ = solve_exact(1, char40)
         assert P == pytest.approx(char40.p_nom_kw, abs=LP_TOL)
         assert plan.shape == (1, char40.x_0.size)
 
     def test_nonincreasing_in_hold_length(self, char10):
-        vals = [solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)[0] for T in (2, 5, 10)]
+        vals = [solve_exact(T, char10)[0] for T in (2, 5, 10)]
         assert vals[0] >= vals[1] - LP_TOL >= vals[2] - 2 * LP_TOL
 
     def test_plan_is_admissible_and_achieves_value(self, char10):
-        P, plan, _ = solve_exact(8, char10.kernels, char10.x_0, char10.A, char10.A_a)
-        dp = delta_p_by_stepping(plan, char10.A, char10.A_a, char10.c, char10.x_0, 8)
+        P, plan, _ = solve_exact(8, char10)
+        dp = delta_p_by_stepping(plan, char10, 8)
         assert np.all(dp[1:9] >= P - LP_TOL)
 
     def test_size_cap_enforced(self, char40):
         too_big = EXACT_LP_CAP // char40.x_0.size + 1
         with pytest.raises(InvalidInputError, match="cap"):
-            solve_exact(too_big, char40.kernels, char40.x_0, char40.A, char40.A_a)
+            solve_exact(too_big, char40)
 
     def test_bad_hold_rejected(self, char10):
         with pytest.raises(InvalidInputError):
-            solve_exact(0, char10.kernels, char10.x_0, char10.A, char10.A_a)
+            solve_exact(0, char10)
 
     @pytest.mark.parametrize("fleet, T", [("char10", 2), ("char10", 5), ("char10", 10), ("char40", 20)])
     def test_matches_full_support_oracle(self, fleet, T, request):
         ch = request.getfixturevalue(fleet)
-        P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
+        P, plan, _ = solve_exact(T, ch)
         assert P == pytest.approx(full_support_exact(T, ch.kernels, ch.x_0, ch.A), abs=LP_TOL)
         off = np.setdiff1d(np.arange(ch.x_0.size), invariant_support(ch.A, ch.x_0))
         assert plan.shape == (T, ch.x_0.size)
         assert np.all(plan[:, off] == 0.0)
 
     def test_matches_oracle_when_support_grows(self):
-        A, A_a, kernels, x_0 = growing_support_system()
-        assert invariant_support(A, x_0).tolist() == [1, 2, 3]
+        fleet = growing_support_system()
+        assert invariant_support(fleet.A, fleet.x_0).tolist() == [1, 2, 3]
         for T in (1, 2, 3, 6):
-            P, plan, _ = solve_exact(T, kernels, x_0, A, A_a)
-            assert P == pytest.approx(full_support_exact(T, kernels, x_0, A), abs=1e-7)
+            P, plan, _ = solve_exact(T, fleet)
+            assert P == pytest.approx(full_support_exact(T, fleet.kernels, fleet.x_0, fleet.A), abs=1e-7)
             assert plan.shape == (T, 4)
             assert np.all(plan[:, 0] == 0.0)
         assert P == pytest.approx(5.0, abs=1e-7)
@@ -614,16 +603,16 @@ class TestSolveExact:
 
     def test_lifted_instance_solves_at_first_attempt(self, char40, monkeypatch):
         seen = record_highs(monkeypatch)
-        P, _, sol = solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
+        P, _, sol = solve_exact(60, char40)
         assert seen == [(None, 0)]
         assert sol.status == OPTIMAL
         assert P == pytest.approx(EXACT_T60_KW, abs=LP_TOL)
 
     @pytest.mark.parametrize("T", [30, 45, 60])
     def test_matches_dense_oracle(self, char40, dense_exact_40, T):
-        P, plan, _ = solve_exact(T, char40.kernels, char40.x_0, char40.A, char40.A_a)
+        P, plan, _ = solve_exact(T, char40)
         assert P == pytest.approx(dense_exact_40[T][1].z[-1], abs=LP_TOL)
-        dp = delta_p_by_stepping(plan, char40.A, char40.A_a, char40.c, char40.x_0, T)
+        dp = delta_p_by_stepping(plan, char40, T)
         assert np.all(dp[1 : T + 1] >= P - LP_TOL)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -640,9 +629,9 @@ class TestSolveExact:
             DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         ch = characterize(op, T_max=T)
-        P, plan, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
+        P, plan, _ = solve_exact(T, ch)
         assert P == pytest.approx(reference_exact(T, ch.kernels, ch.x_0, ch.A)[0], abs=LP_TOL)
-        dp = delta_p_by_stepping(plan, ch.A, ch.A_a, ch.c, ch.x_0, T)
+        dp = delta_p_by_stepping(plan, ch, T)
         assert dp[1:].min() - P >= -1e-9 * P_ON_TOTAL
 
     @pytest.mark.parametrize(
@@ -662,7 +651,7 @@ class TestSolveExact:
 
         monkeypatch.setattr(tclflex.reachhold, "solve", corrupted)
         with pytest.raises(NumericalFailureError, match="replays"):
-            solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
+            solve_exact(60, char40)
 
     def test_lp_is_sparse(self, char40, monkeypatch):
         # pins the formulation, not a value: the unactuated mass w on S per
@@ -671,7 +660,7 @@ class TestSolveExact:
         real = tclflex.reachhold.solve
         lps = []
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or real(lp))
-        solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
+        solve_exact(60, char40)
         (lp,) = lps
         S = invariant_support(char40.A, char40.x_0).size
         assert lp.n_vars == 60 * S + 2
@@ -681,10 +670,10 @@ class TestSolveExact:
 
     def test_builds_no_dense_matrix(self, char40):
         # a dense G is 7.85 MB here, and a transposed copy of it as much again
-        solve_exact(1, char40.kernels, char40.x_0, char40.A, char40.A_a)  # loads HiGHS
+        solve_exact(1, char40)  # loads HiGHS
         tracemalloc.start()
         try:
-            solve_exact(60, char40.kernels, char40.x_0, char40.A, char40.A_a)
+            solve_exact(60, char40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -706,7 +695,7 @@ def captured_exact_lp(T, ch) -> LinearProgram:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tclflex.reachhold, "solve", capture)
         with pytest.raises(LpCaptured):
-            solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
+            solve_exact(T, ch)
     return lps[0]
 
 
@@ -759,13 +748,12 @@ class TestSparseBuilders:
         # every master solve_outer poses: P, then every column added so
         # far, in the order of the rounds that added them
         ch = request.getfixturevalue(fleet)
-        x_0 = capacities(ch.x_0, support)
         d = ch.kernels.h - ch.kernels.h_a
         blocks, lps = [], []
         hold_block, solve_lp = tclflex.reachhold._hold_block, tclflex.reachhold.solve
         monkeypatch.setattr(tclflex.reachhold, "_hold_block", lambda *a: blocks.append(a[2:]) or hold_block(*a))
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: lps.append(lp) or solve_lp(lp, warm))
-        solve_outer(T, ch.kernels, x_0)
+        solve_outer(T, with_capacities(ch, support))
         assert len(lps) == len(blocks) >= 2  # at least one round appends columns
         for i, lp in enumerate(lps):
             steps, states = (np.concatenate(part) for part in zip(*blocks[: i + 1]))
@@ -793,24 +781,23 @@ class TestInvariantSupport:
 class TestSolveOuter:
     def test_upper_bounds_exact_here(self, char10):
         for T in (2, 5, 10):
-            exact, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)
-            relax, _, _ = solve_outer(T, char10.kernels, char10.x_0)
+            exact, _, _ = solve_exact(T, char10)
+            relax, _, _ = solve_outer(T, char10)
             assert min(relax, char10.p_nom_kw) >= exact - LP_TOL
 
     def test_nonincreasing_in_hold_length(self, char10):
-        vals = [solve_outer(T, char10.kernels, char10.x_0)[0] for T in (1, 5, 10, 20)]
+        vals = [solve_outer(T, char10)[0] for T in (1, 5, 10, 20)]
         assert all(a >= b - LP_TOL for a, b in zip(vals, vals[1:]))
 
     def test_capacity_binds_on_synthetic(self):
         # units stay put unless actuated, and actuated units switch off for
         # good: only the on half of the fleet, actuated at step 0, holds,
         # so the cap u <= x_0 halves what the budget alone would allow
-        kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=12)
-        x_0 = np.array([0.5, 0.5])
-        P, plan, _ = solve_outer(8, kernels, x_0)
+        fleet = tiny_fleet(IDENTITY, ABSORB_OFF, T_max=11)
+        P, plan, _ = solve_outer(8, fleet)
         assert P == pytest.approx(5.0, abs=1e-7)
         assert plan[0, 1] == pytest.approx(0.5, abs=1e-9)
-        assert np.all(plan <= x_0 + 1e-12)
+        assert np.all(plan <= fleet.x_0 + 1e-12)
 
     @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize(
@@ -820,7 +807,7 @@ class TestSolveOuter:
     def test_matches_full_column_oracle(self, fleet, T, support, request):
         ch = request.getfixturevalue(fleet)
         x_0 = capacities(ch.x_0, support)
-        P, u, sol = solve_outer(T, ch.kernels, x_0)
+        P, u, sol = solve_outer(T, replace(ch, x_0=x_0))
         assert P == pytest.approx(full_column_outer(T, ch.kernels, x_0), abs=LP_TOL)
         # the last master's duals prove the value for every column
         assert knapsack_bound(T, ch.kernels, x_0, sol.duals_ineq) <= P * (1.0 + 1e-9)
@@ -838,7 +825,7 @@ class TestSolveOuter:
         failed = LpSolution(NUMERICAL_FAILURE, None, None, None)
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: failed)
         with pytest.raises(NumericalFailureError, match="outer LP"):
-            solve_outer(10, char10.kernels, char10.x_0)
+            solve_outer(10, char10)
 
     @pytest.mark.parametrize("support", ["full", "xout"])
     @pytest.mark.parametrize("fleet, T", [("char10_120", 120), ("char40", 120)])
@@ -846,7 +833,7 @@ class TestSolveOuter:
         # each master is solved warm from the last; a cold solve of the
         # same LP, and a cold column generation, reach the same values
         ch = request.getfixturevalue(fleet)
-        x_0 = capacities(ch.x_0, support)
+        fleet = with_capacities(ch, support)
         real = tclflex.reachhold.solve
         masters = []
 
@@ -857,14 +844,14 @@ class TestSolveOuter:
         with monkeypatch.context() as mp:
             cold_starts = record_highs(mp)
             mp.setattr(tclflex.reachhold, "solve", solve_recorded)
-            P, _, _ = solve_outer(T, ch.kernels, x_0)
+            P, _, _ = solve_outer(T, fleet)
         assert cold_starts == [(None, 0)]  # the first master only
         assert len(masters) >= 2  # so at least one master is solved warm
         for lp, sol in masters:
             assert sol.objective_value == pytest.approx(real(lp).objective_value, abs=LP_TOL)
         with monkeypatch.context() as mp:
             mp.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: real(lp))
-            P_cold, _, _ = solve_outer(T, ch.kernels, x_0)
+            P_cold, _, _ = solve_outer(T, fleet)
         assert P == pytest.approx(P_cold, abs=LP_TOL)
 
     def test_one_cold_start_per_hold(self, char40, monkeypatch):
@@ -873,36 +860,34 @@ class TestSolveOuter:
         cold_starts = record_highs(monkeypatch)
         monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: masters.append(lp) or solve_lp(lp, warm))
         holds = np.array([1, 5, 20, 60, 120])
-        outer_boundary(char40.kernels, char40.x_0, holds, char40.regime)
+        outer_boundary(char40, holds)
         assert cold_starts == [(None, 0)] * holds.size
         assert len(masters) > holds.size  # the longer holds take several rounds
 
     def test_round_cap_raises(self, char40, monkeypatch):
         monkeypatch.setattr(tclflex.reachhold, "OUTER_CG_MAX_ROUNDS", 1)
         with pytest.raises(NumericalFailureError, match="rounds"):
-            solve_outer(120, char40.kernels, char40.x_0)
+            solve_outer(120, char40)
 
 
 class TestOuterBoundary:
     def test_points_clip_the_relaxed_values(self, char40):
         p_nom = char40.regime["P_nom_kw"]
-        rh = outer_boundary(char40.kernels, char40.x_0, np.array([5, 20, 60, 120]), char40.regime)
+        rh = outer_boundary(char40, np.array([5, 20, 60, 120]))
         assert rh.method == OUTER
         assert rh.points  # the longest hold always survives pruning
         for pt in rh.points:
-            raw, _, _ = solve_outer(pt.T_hold_steps, char40.kernels, char40.x_0)
+            raw, _, _ = solve_outer(pt.T_hold_steps, char40)
             assert pt.raw_objective_kw == pytest.approx(raw)
             assert pt.P_hold_kw == pytest.approx(min(raw, p_nom))
             assert pt.P_hold_kw <= p_nom + 1e-9
 
     def test_synthetic_one_lp_per_hold(self, monkeypatch):
-        kernels = tiny_system(IDENTITY, ABSORB_OFF, horizon=12)
-        x_0 = np.array([0.5, 0.5])
-        regime = {"P_nom_kw": 5.0, "dt_minutes": 1.0, "P_on_total_kw": 10.0}
+        fleet = tiny_fleet(IDENTITY, ABSORB_OFF, T_max=11)
         real = tclflex.reachhold.solve_outer
         solves = []
         monkeypatch.setattr(tclflex.reachhold, "solve_outer", lambda T, *args: solves.append(T) or real(T, *args))
-        rh = outer_boundary(kernels, x_0, np.array([3, 6]), regime)
+        rh = outer_boundary(fleet, np.array([3, 6]))
         assert solves == [3, 6]
         # both holds reach P_nom, so pruning keeps only the longer one
         assert [p.T_hold_steps for p in rh.points] == [6]
@@ -911,9 +896,9 @@ class TestOuterBoundary:
 
     def test_sandwich_against_inner(self, char10):
         for T in (5, 10):
-            lo = inner_p_at(T, char10.kernels, char10.x_0, T_max=60)
-            mid, _, _ = solve_exact(T, char10.kernels, char10.x_0, char10.A, char10.A_a)
-            hi, _, _ = solve_outer(T, char10.kernels, char10.x_0)
+            lo = inner_p_at(T, char10)
+            mid, _, _ = solve_exact(T, char10)
+            hi, _, _ = solve_outer(T, char10)
             assert lo <= mid + LP_TOL
             assert mid <= min(hi, char10.p_nom_kw) + LP_TOL
 
@@ -929,9 +914,9 @@ class TestOuterBoundary:
             DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         ch = characterize(op, T_max=T)
-        lo = inner_p_at(T, ch.kernels, ch.x_0, T_max=T)
-        mid, _, _ = solve_exact(T, ch.kernels, ch.x_0, ch.A, ch.A_a)
-        hi, _, _ = solve_outer(T, ch.kernels, ch.x_0)
+        lo = inner_p_at(T, ch)
+        mid, _, _ = solve_exact(T, ch)
+        hi, _, _ = solve_outer(T, ch)
         assert lo <= mid + LP_TOL
         assert mid <= min(hi, ch.p_nom_kw) + LP_TOL
 
@@ -1059,7 +1044,7 @@ class TestSweeps:
 
 class TestSetPersistence:
     def test_round_trip_preserves_everything(self, char40, tmp_path):
-        rh = outer_boundary(char40.kernels, char40.x_0, np.array([5, 30, 90]), char40.regime)
+        rh = outer_boundary(char40, np.array([5, 30, 90]))
         path = tmp_path / "outer.csv"
         save_set(rh, path)
         back = load_set(path)
@@ -1074,10 +1059,7 @@ class TestSetPersistence:
             assert p.horizon_limited == q.horizon_limited
 
     def test_rewrite_is_byte_identical(self, char40, tmp_path):
-        rh = inner_boundary(
-            char40.kernels, char40.x_0, T_max=120,
-            p_grid=np.array([300.0, 900.0]), regime=char40.regime,
-        )
+        rh = inner_boundary(char40, 2)
         save_set(rh, tmp_path / "a.csv")
         save_set(rh, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -1090,7 +1072,7 @@ class TestSetPersistence:
             load_set(tmp_path / "x.csv")
 
     def test_horizon_limited_flag_survives(self, char40, tmp_path):
-        ip = inner_point(0.0, char40.kernels, char40.x_0, T_max=120)
+        ip = inner_point(0.0, char40)
         rh = ReachHoldSet(points=[ip.point], method=INNER, regime=char40.regime)
         save_set(rh, tmp_path / "h.csv")
         assert load_set(tmp_path / "h.csv").points[0].horizon_limited
