@@ -19,7 +19,8 @@ re-verified against the raw problem data here, independently of the
 solver's own bookkeeping: a solution whose constraint violation exceeds
 the tolerance is downgraded to numerical-failure rather than trusted.
 Any numerical failure, including an answer HiGHS itself gives up on, is
-re-solved once with tighter HiGHS tolerances before it is reported.
+re-solved cold on the next rung of `LADDER` before it is reported, and a
+caller that refuses an optimum on checks of its own sends it there too.
 """
 
 from __future__ import annotations
@@ -35,9 +36,13 @@ from .errors import InvalidInputError
 
 FEASIBILITY_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
-# HiGHS options for the single re-solve of a numerical failure; its
-# default feasibility tolerances are 1e-7
+# tight HiGHS tolerances, LADDER's second rung; its default feasibility
+# tolerances are 1e-7
 RETRY_OPTIONS = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
+# HiGHS options of the cold solves of one LP, in the order they are tried:
+# the defaults, tight tolerances, then the interior-point solver with
+# crossover.  A rung runs only when every earlier one's answer was refused
+LADDER = (None, RETRY_OPTIONS, {"solver": "ipm"})
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -180,6 +185,7 @@ class LpSolution:
     duals_ineq: np.ndarray | None = None
     _lp: LinearProgram | None = field(default=None, repr=False, compare=False)
     _highs: object = field(default=None, repr=False, compare=False)
+    _rung: int = field(default=-1, repr=False, compare=False)  # LADDER index of a cold optimum
 
     def release(self) -> None:
         """Free the live solver now rather than with the solution; a
@@ -359,35 +365,44 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     to be at most FEASIBILITY_TOL, and complementary slackness of the
     reported duals is checked as well.  A numerical failure (an answer
     that fails either check, or one HiGHS cannot finish, such as its
-    status 4) is re-solved once with RETRY_OPTIONS; the re-solved answer
-    faces the same checks.
+    status 4) is re-solved cold on the next rung of LADDER; each answer
+    faces the same checks, and a failure on the last rung is reported.
 
-    warm, an optimal solution of an earlier `solve`, warm-starts lp when
-    lp is warm's LP with columns appended (same G rows and h, no E;
-    anything else raises InvalidInputError): the new columns are added
+    warm is an optimum of an earlier `solve`.  When lp is warm's LP with
+    columns appended (same G rows and h, no E), the new columns are added
     to warm's live solver, which restarts from its last basis and then
     belongs to the answer, so a second use of warm solves cold.  That
     answer faces the same checks, and one that fails them or is not
-    optimal is solved cold as above.
+    optimal is solved cold as above.  When lp is warm's LP itself, the
+    caller refuses warm, and lp is solved cold on the rungs after the one
+    that found warm (from the first for a warm-started answer):
+    numerical failure once no rung is left.  Any other warm raises
+    InvalidInputError.
     """
     if lp.lo is not None and lp.hi is not None and np.any(lp.lo > lp.hi):
         raise InvalidInputError("lower bound exceeds upper bound")
+    first = 0
     if warm is not None:
-        if warm.status != OPTIMAL or warm._lp is None or not _extends(lp, warm._lp):
-            raise InvalidInputError("warm must be an optimum of an LP whose columns lead lp's, on the same rows")
-        sol = _certify(lp, _rerun(lp, warm))
-        if sol.status == OPTIMAL:
-            return sol
-    for options in (None, RETRY_OPTIONS):
-        sol = _certify(lp, run_highs(lp, options))
+        if warm.status != OPTIMAL or warm._lp is None or not (warm._lp is lp or _extends(lp, warm._lp)):
+            raise InvalidInputError("warm must be an optimum of lp or of an LP whose columns lead lp's")
+        if warm._lp is lp:
+            first = warm._rung + 1
+        else:
+            sol = _certify(lp, _rerun(lp, warm), -1)
+            if sol.status == OPTIMAL:
+                return sol
+    sol = LpSolution(NUMERICAL_FAILURE, None, None, None)
+    for rung in range(first, len(LADDER)):
+        sol = _certify(lp, run_highs(lp, LADDER[rung]), rung)
         if sol.status != NUMERICAL_FAILURE:
             break
     return sol
 
 
-def _certify(lp: LinearProgram, res: HighsResult) -> LpSolution:
-    """Map a HiGHS result to an LpSolution, downgrading an optimum that
-    fails the violation or complementarity check (such answers keep z)."""
+def _certify(lp: LinearProgram, res: HighsResult, rung: int) -> LpSolution:
+    """Map a HiGHS result of LADDER's `rung` (-1 for a warm restart) to an
+    LpSolution, downgrading an optimum that fails the violation or
+    complementarity check (such answers keep z)."""
     if res.status == 2:
         return LpSolution(INFEASIBLE, None, None, None)
     if res.status == 3:
@@ -417,4 +432,5 @@ def _certify(lp: LinearProgram, res: HighsResult) -> LpSolution:
         duals_ineq=duals_ineq,
         _lp=lp if optimal else None,
         _highs=res.highs if optimal else None,
+        _rung=rung,
     )

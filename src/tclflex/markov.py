@@ -108,15 +108,15 @@ class TransitionMatrix:
     T_amb: float
     deadband: float
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         n = self.grid.n_states
         if self.P.shape != (n, n):
             raise InvalidInputError(f"matrix shape {self.P.shape} does not match grid ({n} states)")
         if np.any(self.P < 0.0):
             raise NumericalFailureError("transition matrix has negative entries")
         worst = np.abs(self.P.sum(axis=0) - 1.0).max()
-        if worst > tol:
-            raise NumericalFailureError(f"column sums deviate from 1 by {worst:.3e} (> {tol:.1e})")
+        if worst > 1e-9:
+            raise NumericalFailureError(f"column sums deviate from 1 by {worst:.3e} (> 1e-9)")
 
 
 def estimate_transition_matrix(

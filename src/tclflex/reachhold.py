@@ -160,8 +160,8 @@ class ReachHoldPoint:
     raw_objective_kw: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.P_hold_kw >= 0.0:  # NaN fails too
-            raise InvalidInputError(f"P_hold_kw must be >= 0, got {self.P_hold_kw}")
+        if not 0.0 <= self.P_hold_kw < np.inf:  # NaN fails too
+            raise InvalidInputError(f"P_hold_kw must be finite and >= 0, got {self.P_hold_kw}")
         if self.T_hold_steps < 0:
             raise InvalidInputError(f"T_hold_steps must be >= 0, got {self.T_hold_steps}")
 
@@ -215,11 +215,12 @@ FRONTIER_TIE_REL = 1e-9
 def prune_to_frontier(samples: list[ReachHoldPoint]) -> list[ReachHoldPoint]:
     """Max P_hold per T_hold, then drop points dominated by a longer hold
     at equal or larger P (within FRONTIER_TIE_REL); sorted by T_hold.
-    Samples that hold for no step are dropped: they claim nothing."""
+    Samples that hold for no step or reduce nothing are dropped: they
+    claim nothing."""
     best: dict[int, ReachHoldPoint] = {}
     for p in samples:
         cur = best.get(p.T_hold_steps)
-        if p.T_hold_steps >= 1 and (cur is None or p.P_hold_kw > cur.P_hold_kw):
+        if p.T_hold_steps >= 1 and p.P_hold_kw > 0.0 and (cur is None or p.P_hold_kw > cur.P_hold_kw):
             best[p.T_hold_steps] = p
     keep: list[ReachHoldPoint] = []
     run_max = -np.inf
@@ -265,9 +266,11 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     does too) over w[0..T-1], then P, then a variable fixed at 1 that
     carries the x_0 terms, so every right-hand side is 0 and the solver's
     violation check keeps its unit scale.  The plan comes back on all
-    states and is replayed by delta_p_by_stepping: a plan whose reduction
+    states and is replayed by delta_p_by_stepping.  An answer whose plan
     falls more than EXACT_REPLAY_TOL_REL P_on_total below the value at any
-    step of the hold raises NumericalFailureError.  Desk-scale only:
+    step of the hold is refused like one that fails certification, and
+    re-solved on the next rung of `lp.LADDER`; NumericalFailureError once
+    no rung gives an answer that certifies and replays.  Desk-scale only:
     refuses problems with T_hold * n_states above EXACT_LP_CAP.
     """
     kernels, x_0, A = fleet.kernels, fleet.x_0, fleet.A
@@ -310,22 +313,22 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     hi = np.full(n_w + 2, np.inf)
     lo[-1] = hi[-1] = 1.0
     lp = LinearProgram(c=c_obj, G=G, h=np.zeros(T + n_w), lo=lo, hi=hi)
-    sol = solve(lp)
-    sol.release()  # nothing warm-starts from it: free HiGHS before the replay
-    if sol.status != OPTIMAL:
-        raise NumericalFailureError(f"exact LP did not solve cleanly: status {sol.status}")
-    w = sol.z[:n_w].reshape(T, S)
-    u = np.zeros((T, n))
-    u[0, cols] = x_S - w[0]
-    u[1:, cols] = w[:-1] @ A_S.T - w[1:]
-    value = float(sol.z[n_w])
-    plan = np.clip(u, 0.0, None)
-    margin = float(delta_p_by_stepping(plan, fleet, T)[1:].min()) - value
-    if margin < -EXACT_REPLAY_TOL_REL * fleet.c.P_on_total:
-        raise NumericalFailureError(
-            f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
-        )
-    return value, plan, sol
+    sol = refused = None
+    while True:  # handed back, a refused answer is re-solved on the next rung
+        sol = solve(lp, warm=sol)
+        sol.release()  # nothing warm-starts from it: free HiGHS before the replay
+        if sol.status != OPTIMAL:
+            raise NumericalFailureError(refused or f"exact LP did not solve cleanly: status {sol.status}")
+        w = sol.z[:n_w].reshape(T, S)
+        u = np.zeros((T, n))
+        u[0, cols] = x_S - w[0]
+        u[1:, cols] = w[:-1] @ A_S.T - w[1:]
+        value = float(sol.z[n_w])
+        plan = np.clip(u, 0.0, None)
+        margin = float(delta_p_by_stepping(plan, fleet, T)[1:].min()) - value
+        if margin >= -EXACT_REPLAY_TOL_REL * fleet.c.P_on_total:
+            return value, plan, sol
+        refused = f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
 
 
 @dataclass
@@ -599,7 +602,7 @@ class OperatingPoint:
         for name in self.SCALARS:
             if not np.isfinite(getattr(self, name)):
                 raise InvalidConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("dt_minutes", "P_on_total_kw"):
+        for name in ("dt_minutes", "P_on_total_kw", "deadband"):
             if not getattr(self, name) > 0.0:
                 raise InvalidConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("T_set", "T_set_new"):
@@ -759,22 +762,20 @@ def load_set(csv_path) -> ReachHoldSet:
     for row in rows:
         try:
             t_str, _, p_str, method = row
-            t, P = int(t_str), float(p_str)
-        except ValueError as exc:
+            meta = flags.get(int(t_str), {})
+            point = ReachHoldPoint(
+                P_hold_kw=float(p_str),
+                T_hold_steps=int(t_str),
+                horizon_limited=bool(meta.get("horizon_limited", False)),
+                raw_objective_kw=meta.get("raw_objective_kw"),
+            )
+        except (ValueError, InvalidInputError) as exc:
             raise InvalidInputError(f"frontier row {','.join(row)!r} in {csv_path}: {exc}") from exc
         if method != sidecar["method"]:
             raise InvalidInputError(
                 f"frontier row {','.join(row)!r} in {csv_path} says {method!r}, its sidecar {sidecar['method']!r}"
             )
-        meta = flags.get(t, {})
-        points.append(
-            ReachHoldPoint(
-                P_hold_kw=P,
-                T_hold_steps=t,
-                horizon_limited=bool(meta.get("horizon_limited", False)),
-                raw_objective_kw=meta.get("raw_objective_kw"),
-            )
-        )
+        points.append(point)
     try:
         return ReachHoldSet(points=points, method=sidecar["method"], regime=sidecar["regime"])
     except FrontierMonotonicityError as exc:

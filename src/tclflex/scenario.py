@@ -20,24 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import combine, save_combined
-from .errors import (
-    InvalidConfigurationError,
-    NumericalFailureError,
-)
+from .aggregation import combine, query_p_at_t, save_combined
+from .errors import InvalidConfigurationError, NumericalFailureError
 from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet, simulate_fleet
-from .markov import (
-    PopulationState,
-    build_grid,
-    estimate_transition_matrix,
-    save_matrix,
-    step_population,
-)
+from .markov import build_grid, save_matrix
 from .reachhold import (
     DEFAULT_N_GRID,
     DEFAULT_T_MAX,
     EXACT,
     EXACT_LP_CAP,
+    EXACT_REPLAY_TOL_REL,
     INNER,
     METHODS,
     OUTER,
@@ -122,10 +114,6 @@ PRESETS: dict[str, dict] = {
             "burn_in_steps": 240,
             "selection_seed": 55,
         },
-    },
-    "selfcheck": {
-        "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
-        "T_max_steps": 60,
     },
 }
 
@@ -236,8 +224,6 @@ def resolve_config(
                 f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
         cfg = effective_config(PRESETS[preset])
-    elif subcommand in PRESETS:  # selfcheck runs its own preset
-        cfg = effective_config(PRESETS[subcommand])
     else:
         raise InvalidConfigurationError("a --config file or --preset is required")
     if methods is not None:
@@ -270,7 +256,7 @@ def default_t_grid(T_max: int) -> list[int]:
 
 def _read_model(cfg: dict) -> tuple[OperatingPoint, int]:
     """The operating point a config describes and T_max_steps, the inputs
-    of build-model and selfcheck, which every other model run extends."""
+    of build-model, which every other model run extends."""
     T_max = config_count(cfg["T_max_steps"], "T_max_steps")
     if T_max < 1:
         raise InvalidConfigurationError(f"T_max_steps must be >= 1, got {T_max}")
@@ -340,20 +326,18 @@ def _read_reachhold(cfg: dict) -> tuple:
 def run_reachhold(
     out_dir: Path, op: OperatingPoint, T_max: int, methods: list[str], t_grid: list[int], n_grid: int
 ) -> tuple[dict[str, str], bool]:
+    """Every requested frontier, written only once they keep inner <= exact
+    <= outer at each hold both bound (exact's holds are those under the
+    cap), within the replay tolerance; frontiers that cross raise
+    NumericalFailureError and write nothing."""
     ch = characterize(op, T_max)
-    artifacts = {}
+    sets = {}
     if INNER in methods:
-        rh = inner_boundary(ch, n_grid)
-        path = out_dir / "inner.csv"
-        save_set(rh, path)
-        artifacts[INNER] = str(path)
+        sets[INNER] = inner_boundary(ch, n_grid)
     if OUTER in methods:
-        rh = outer_boundary(ch, np.array(t_grid))
-        path = out_dir / "outer.csv"
-        save_set(rh, path)
-        artifacts[OUTER] = str(path)
+        sets[OUTER] = outer_boundary(ch, np.array(t_grid))
+    t_exact = [t for t in t_grid if t * ch.x_0.size <= EXACT_LP_CAP]
     if EXACT in methods:
-        t_exact = [t for t in t_grid if t * ch.x_0.size <= EXACT_LP_CAP]
         vals = [solve_exact(t, ch)[0] for t in t_exact]
         # the true boundary is nonincreasing; a running min trims LP noise
         vals = np.minimum.accumulate(vals)
@@ -361,10 +345,19 @@ def run_reachhold(
             ReachHoldPoint(P_hold_kw=float(np.clip(v, 0.0, ch.p_nom_kw)), T_hold_steps=t, raw_objective_kw=float(v))
             for t, v in zip(t_exact, vals)
         ]
-        rh = ReachHoldSet(points=prune_to_frontier(samples), method=EXACT, regime=ch.regime)
-        path = out_dir / "exact.csv"
+        sets[EXACT] = ReachHoldSet(points=prune_to_frontier(samples), method=EXACT, regime=ch.regime)
+    tol = EXACT_REPLAY_TOL_REL * op.P_on_total_kw
+    for lower, upper in ((INNER, EXACT), (EXACT, OUTER), (INNER, OUTER)):
+        if lower in sets and upper in sets:
+            for t in t_exact if EXACT in (lower, upper) else t_grid:
+                low, up = query_p_at_t(sets[lower], t), query_p_at_t(sets[upper], t)
+                if low > up + tol:
+                    raise NumericalFailureError(f"{lower} frontier exceeds {upper} at T={t}: {low!r} > {up!r} kW")
+    artifacts = {}
+    for method, rh in sets.items():
+        path = out_dir / f"{method}.csv"
         save_set(rh, path)
-        artifacts[EXACT] = str(path)
+        artifacts[method] = str(path)
     return artifacts, False
 
 
@@ -555,65 +548,6 @@ def run_sweep(
     return artifacts, False
 
 
-def run_selfcheck(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict[str, str], bool]:
-    """Invariant suite over the configured model, its frontier check on
-    holds up to 60 steps; raises on any failure after persisting the full
-    report."""
-    ch = characterize(op, min(T_max, 60))
-    n = ch.x_0.size
-    rng = np.random.default_rng(0)  # fixed probe controls, part of the check
-    checks = []
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    try:
-        for tm in (ch.A, ch.A_a):
-            tm.validate(tol=1e-9)
-        record("column_stochastic", True, "both matrices within 1e-9")
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        record("column_stochastic", False, str(exc))
-
-    residual = float(np.abs(ch.A.P @ ch.x_0 - ch.x_0).max())
-    record("stationarity_residual", residual <= 1e-10, f"residual {residual:.3e}")
-
-    state = PopulationState(x=ch.x_0.copy(), x_a=np.zeros(n))
-    worst_mass = 0.0
-    for _ in range(20):
-        u = rng.uniform(0.0, 1.0, n) * state.x
-        state = step_population(state, u, ch.A, ch.A_a)
-        worst_mass = max(worst_mass, abs(float(state.x.sum() + state.x_a.sum()) - 1.0))
-    record("mass_conservation", worst_mass <= 1e-12, f"worst drift {worst_mass:.3e}")
-
-    try:
-        rh = inner_boundary(ch, 10)
-        ps = [p.P_hold_kw for p in rh.points]
-        record("frontier_monotone", all(a >= b for a, b in zip(ps, ps[1:])), f"{len(ps)} points")
-    except Exception as exc:  # noqa: BLE001
-        record("frontier_monotone", False, str(exc))
-
-    u = rng.uniform(size=(30, n))
-    u = u * (0.7 / u.sum())  # request 70% of the fleet overall
-    dplan = discretize_plan(u, 1000)
-    per_state = np.abs(dplan.counts.sum(axis=0) - u.sum(axis=0) * 1000)
-    record(
-        "discretization_fidelity",
-        bool((per_state <= 1.0 + 1e-9).all()),
-        f"max cumulative count error {per_state.max():.3e} (bound 1 per state, {n} states)",
-    )
-
-    A_again = estimate_transition_matrix(op.params, op.grid, op.T_set, op.deadband, op.T_amb, op.dt_minutes)
-    record("determinism", bool(np.array_equal(A_again.P, ch.A.P)), "rebuilt matrix matches bitwise")
-
-    all_passed = all(c["passed"] for c in checks)
-    path = out_dir / "selfcheck.json"
-    _write_json({"checks": checks, "all_passed": all_passed}, path)
-    if not all_passed:
-        failed = ", ".join(c["name"] for c in checks if not c["passed"])
-        raise NumericalFailureError(f"selfcheck failed: {failed}")
-    return {"selfcheck": str(path)}, False
-
-
 # each subcommand's reader checks every config key its runner uses and
 # returns the runner's inputs, which follow the output directory
 SUBCOMMANDS = {
@@ -623,7 +557,6 @@ SUBCOMMANDS = {
     "validate": (_read_validate, run_validate),
     "sweep-setpoint": (_read_setpoint_sweep, run_sweep),
     "sweep-precool": (_read_precool_sweep, run_sweep),
-    "selfcheck": (_read_model, run_selfcheck),
 }
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import tclflex.reachhold
-from tclflex.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
+import tclflex.scenario
+from tclflex.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_NUMERICAL, EXIT_OK, main
 from tclflex.markov import load_matrix
 from tclflex.reachhold import load_set
 from tclflex.scenario import DEFAULTS, PRESETS, effective_config, resolve_config, validate_config
@@ -99,6 +100,8 @@ MISTYPED_CONFIGS = [
     pytest.param("build-model", {"dt_minutes": "1"}, "dt_minutes", id="dt_minutes-string"),
     pytest.param("build-model", {"params": {"Q_m": True}}, "params.Q_m", id="params.Q_m-bool"),
     pytest.param("build-model", {"T_max_steps": 10**400}, "T_max_steps", id="T_max_steps-beyond-float"),
+    pytest.param("build-model", {"deadband": 0}, "deadband", id="deadband-zero"),
+    pytest.param("reachhold", {"deadband": -1}, "deadband", id="deadband-negative"),
     pytest.param("reachhold", {"reachhold": {"t_grid": 5}}, "reachhold.t_grid", id="reachhold.t_grid-scalar"),
     pytest.param("reachhold", {"reachhold": {"methods": 5}}, "reachhold.methods", id="reachhold.methods-scalar"),
     pytest.param(
@@ -377,7 +380,7 @@ class TestConfigResolution:
     def test_presets_all_resolve(self):
         for name, sub in [
             ("fig2", "validate"), ("fig4", "reachhold"), ("fig5", "sweep-setpoint"),
-            ("fig6", "sweep-precool"), ("fig7", "validate"), ("selfcheck", "selfcheck"),
+            ("fig6", "sweep-precool"), ("fig7", "validate"),
         ]:
             assert name in PRESETS
             cfg = resolve_config(sub, preset=name)
@@ -403,6 +406,15 @@ class TestBuildModel:
         np.testing.assert_allclose(tm.P.sum(axis=0), 1.0, atol=1e-9)
         tm_a = load_matrix(out / "A_actuated.csv")
         assert tm_a.T_set == 22.0
+
+    def test_console_script_entry_point(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tclflex.cli", "build-model", "--preset", "fig4", "--out", str(tmp_path / "bm")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "model.json" in proc.stdout
 
     def test_x0_column_matches_model(self, tiny_config_path, tmp_path):
         out = tmp_path / "bm"
@@ -454,6 +466,36 @@ class TestReachhold:
             outs.append([(out / name).read_bytes() for name in ("exact.csv", "exact.json")])
         assert outs[0] == outs[1]
         assert outs[0][0].decode().count("\n") == 3  # the header and both holds
+
+    # on TINY's fleet exact and outer both read 1388.17 kW at T=5, 2.6 kW
+    # under P_nom, so either shift makes exact exceed outer there
+    @pytest.mark.parametrize(
+        "owner, name, shift",
+        [
+            pytest.param(tclflex.reachhold, "solve_outer", -100.0, id="outer-low"),
+            pytest.param(tclflex.scenario, "solve_exact", 100.0, id="exact-high"),
+        ],
+    )
+    def test_crossing_frontiers_are_refused(self, owner, name, shift, tiny_config_path, tmp_path, monkeypatch, capsys):
+        real = getattr(owner, name)
+
+        def shifted(T, fleet):
+            value, plan, sol = real(T, fleet)
+            return value + shift, plan, sol
+
+        monkeypatch.setattr(owner, name, shifted)
+        out = tmp_path / "o"
+        assert main(["reachhold", "--config", tiny_config_path, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "exact frontier exceeds outer at T=5:" in err
+        assert not list(out.glob("*.csv"))
+
+    def test_zero_reduction_claims_nothing(self, tmp_path):
+        # raising the setpoint to itself reduces nothing at any hold
+        path, out = write_config(tmp_path / "c.json", {**TINY, "T_set_new": DEFAULTS["T_set"]}), tmp_path / "o"
+        assert main(["reachhold", "--config", path, "--out", str(out)]) == EXIT_OK
+        for name in ("inner", "outer", "exact"):
+            assert (out / f"{name}.csv").read_text() == "T_hold_steps,T_hold_hours,P_hold_kW,method\n"
 
     def test_methods_flag_restricts_output(self, tiny_config_path, tmp_path):
         out = tmp_path / "only_inner"
@@ -597,6 +639,21 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    def test_non_finite_reduction_is_config_error(self, reachhold_out, tmp_path, capsys):
+        # without P_nom_kw in the sidecar no bound caps the row's reduction
+        lines = (reachhold_out / "inner.csv").read_text().splitlines()
+        lines.insert(1, "5,0.08,inf,inner")
+        sidecar = json.loads((reachhold_out / "inner.json").read_text())
+        del sidecar["regime"]["P_nom_kw"]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.json").write_text(json.dumps(sidecar))
+        cfg = {"aggregate": {"inputs": [str(tmp_path / "bad.csv"), str(reachhold_out / "inner.csv")]}}
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(tmp_path / "bad.csv") in err and "finite" in err
+        assert not (tmp_path / "o" / "combined.csv").exists()
+
     @pytest.mark.parametrize(
         "source, breaks",
         [
@@ -693,25 +750,3 @@ class TestSweeps:
         assert len(names) == 6  # the echo, the summary, and two frontiers with their sidecars
         for name in names:
             assert (out2 / name).read_bytes() == (out / name).read_bytes()
-
-
-class TestSelfcheck:
-    def test_runs_without_config(self, tmp_path):
-        out = tmp_path / "sc"
-        assert main(["selfcheck", "--out", str(out)]) == EXIT_OK
-        payload = json.loads((out / "selfcheck.json").read_text())
-        assert payload["all_passed"] is True
-        names = {c["name"] for c in payload["checks"]}
-        assert names == {
-            "column_stochastic", "stationarity_residual", "mass_conservation",
-            "frontier_monotone", "discretization_fidelity", "determinism",
-        }
-
-    def test_console_script_entry_point(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tclflex.cli", "selfcheck", "--out", str(tmp_path / "sc")],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "selfcheck" in proc.stdout

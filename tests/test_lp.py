@@ -20,6 +20,7 @@ from tclflex.etp import DEFAULT_PARAMS
 from tclflex.lp import (
     FEASIBILITY_TOL,
     INFEASIBLE,
+    LADDER,
     NUMERICAL_FAILURE,
     OPTIMAL,
     RETRY_OPTIONS,
@@ -287,8 +288,9 @@ def patch_highs(monkeypatch, spoil=None, n_spoiled=0):
 
 class TestRetry:
     """A numerical failure (an answer the checks reject, or none at all)
-    is re-solved once with tight tolerances, and only a second failure is
-    reported."""
+    is re-solved cold on the next rung of LADDER, tight tolerances and
+    then the interior-point solver, and only a failure on every rung is
+    reported.  An optimum handed back as refused goes on down the ladder."""
 
     @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
     def test_spoiled_first_answer_is_resolved_tightly(self, monkeypatch, spoil):
@@ -304,11 +306,32 @@ class TestRetry:
         assert sol.max_constraint_violation <= 1e-7 * max(1.0, np.abs(lp.h).max())
 
     @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
-    def test_second_spoiled_answer_is_numerical_failure(self, monkeypatch, spoil):
-        lp, _, _ = known_optimum_lp()
+    def test_second_spoiled_answer_is_resolved_by_interior_point(self, monkeypatch, spoil):
+        lp, _, obj_star = known_optimum_lp()
         seen = patch_highs(monkeypatch, spoil, n_spoiled=2)
+        sol = solve(lp)
+        assert seen == [None, RETRY_OPTIONS, {"solver": "ipm"}] == list(LADDER)
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(obj_star, rel=1e-6)
+
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
+    def test_third_spoiled_answer_is_numerical_failure(self, monkeypatch, spoil):
+        lp, _, _ = known_optimum_lp()
+        seen = patch_highs(monkeypatch, spoil, n_spoiled=3)
         assert solve(lp).status == NUMERICAL_FAILURE
-        assert seen == [None, RETRY_OPTIONS]
+        assert seen == list(LADDER)
+
+    def test_refused_optimum_goes_on_down_the_ladder(self, monkeypatch):
+        lp, _, obj_star = known_optimum_lp()
+        seen = patch_highs(monkeypatch)
+        sol = solve(lp)
+        for rung in LADDER[1:]:
+            sol = solve(lp, warm=sol)
+            assert sol.status == OPTIMAL
+            assert sol.objective_value == pytest.approx(obj_star, rel=1e-6)
+            assert seen[-1] == rung
+        assert solve(lp, warm=sol).status == NUMERICAL_FAILURE
+        assert seen == list(LADDER)
 
     def test_clean_answer_is_solved_once_with_default_options(self, monkeypatch):
         lp, _, _ = known_optimum_lp()

@@ -226,7 +226,7 @@ class TestPopulationStepping:
             u = state.x * rng.uniform(0.0, 0.3)
             state = step_population(state, u, tm_nominal, tm_actuated)
             total = state.x.sum() + state.x_a.sum()
-            assert total == pytest.approx(1.0, abs=1e-9)
+            assert total == pytest.approx(1.0, abs=1e-12)
             assert np.all(state.x >= -1e-12)
             assert np.all(state.x_a >= -1e-12)
 

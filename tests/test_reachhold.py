@@ -20,7 +20,7 @@ from tclflex.errors import (
     NumericalFailureError,
 )
 from tclflex.etp import DEFAULT_PARAMS
-from tclflex.lp import NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, ColumnMatrix, LinearProgram, LpSolution, solve
+from tclflex.lp import LADDER, NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, ColumnMatrix, LinearProgram, LpSolution, solve
 from tclflex.markov import (
     TransitionMatrix,
     build_grid,
@@ -608,6 +608,29 @@ class TestSolveExact:
         assert sol.status == OPTIMAL
         assert P == pytest.approx(EXACT_T60_KW, abs=LP_TOL)
 
+    @pytest.mark.parametrize(
+        "T_amb, T_set_new, deadband, T, rungs",
+        [
+            # the defaults' plan replays 2.5e-4 kW short; tight tolerances fix it
+            pytest.param(35.0, 23.0, 1.0, 45, 2, id="short-replay"),
+            # a short replay, then an answer that fails certification
+            pytest.param(29.0, 22.0, 0.5, 45, 3, id="short-replay-then-uncertified"),
+            # both simplex rungs fail certification
+            pytest.param(34.0, 21.0, 1.0, 60, 3, id="uncertified-twice"),
+        ],
+    )
+    def test_refused_answers_go_down_the_ladder(self, T_amb, T_set_new, deadband, T, rungs, monkeypatch):
+        # three of the eleven 40-bin survey pairs whose exact LP raised
+        # before the ladder had its interior-point rung and took short
+        # replays as refusals
+        op = OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_set_new, deadband, T_amb, P_ON_TOTAL)
+        ch = characterize(op, T_max=T)
+        seen = record_highs(monkeypatch)
+        P, plan, sol = solve_exact(T, ch)
+        assert [options for options, _ in seen] == list(LADDER[:rungs])
+        assert sol.status == OPTIMAL
+        assert delta_p_by_stepping(plan, ch, T)[1:].min() - P >= -1e-9 * P_ON_TOTAL
+
     @pytest.mark.parametrize("T", [30, 45, 60])
     def test_matches_dense_oracle(self, char40, dense_exact_40, T):
         P, plan, _ = solve_exact(T, char40)
@@ -644,9 +667,10 @@ class TestSolveExact:
     def test_replay_rejects_corrupted_answer(self, char40, corrupt, monkeypatch):
         real = tclflex.reachhold.solve
 
-        def corrupted(lp):
-            sol = real(lp)
-            corrupt(sol.z)
+        def corrupted(lp, warm=None):  # every rung's answer
+            sol = real(lp, warm)
+            if sol.status == OPTIMAL:
+                corrupt(sol.z)
             return sol
 
         monkeypatch.setattr(tclflex.reachhold, "solve", corrupted)
@@ -659,7 +683,7 @@ class TestSolveExact:
         # rows (no equalities) and about half the lifted form's nonzeros
         real = tclflex.reachhold.solve
         lps = []
-        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp: lps.append(lp) or real(lp))
+        monkeypatch.setattr(tclflex.reachhold, "solve", lambda lp, warm=None: lps.append(lp) or real(lp, warm))
         solve_exact(60, char40)
         (lp,) = lps
         S = invariant_support(char40.A, char40.x_0).size
@@ -688,7 +712,7 @@ def captured_exact_lp(T, ch) -> LinearProgram:
     """The LinearProgram solve_exact hands to `solve`, without solving it."""
     lps = []
 
-    def capture(lp):
+    def capture(lp, warm=None):
         lps.append(lp)
         raise LpCaptured
 

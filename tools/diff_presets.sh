@@ -37,8 +37,6 @@ run_presets() {
     tclflex sweep-precool --preset fig6 --out fig6
     tclflex validate --preset fig2 --out fig2
     tclflex validate --preset fig7 --out fig7
-    tclflex selfcheck --out selfcheck
-    tclflex selfcheck --preset fig4 --out selfcheck-fig4
     echo '{"aggregate": {"inputs": ["fig5/frontier_setpoint_22.csv", "fig6/precooled.csv"]}}' >aggregate.json
     tclflex aggregate --config aggregate.json --out aggregate
 }
