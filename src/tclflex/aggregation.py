@@ -13,8 +13,6 @@ so every combined point inherits feasibility from component points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInputError
 from .reachhold import ReachHoldPoint, ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
 
@@ -43,44 +41,11 @@ def query_t_at_p(rh_set: ReachHoldSet, p: float) -> int:
     return max(vals) if vals else 0
 
 
-@dataclass
-class CombinedSet:
-    """Pairwise combination of two reach-and-hold sets.
-
-    Each frontier is a list of (T_hold, P_hold) boundary points; `union`
-    is the upper envelope of the other three and represents the overall
-    capability when the scheduler may pick any of the modes.
-    """
-
-    components: tuple[ReachHoldSet, ReachHoldSet]
-    exclusive: list[ReachHoldPoint]
-    simultaneous: list[ReachHoldPoint]
-    consecutive: list[ReachHoldPoint]
-    union: list[ReachHoldPoint]
-    dt_minutes: float
-    method: str
-
-    def frontier(self, mode: str) -> list[ReachHoldPoint]:
-        if mode not in MODES:
-            raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
-        return getattr(self, mode)
-
-    def to_reach_hold_set(self, mode: str) -> ReachHoldSet:
-        """Re-package one frontier as a standalone set (used when folding
-        more than two fleets; the result is an inner bound of the true
-        multi-fleet capability)."""
-        regime = {"dt_minutes": self.dt_minutes, "combined_mode": mode}
-        for key in ("P_on_total_kw", "P_nom_kw"):
-            vals = [s.regime.get(key) for s in self.components]
-            if all(v is not None for v in vals):
-                regime[key] = float(sum(vals))
-        return ReachHoldSet(
-            points=list(self.frontier(mode)), method=self.method, regime=regime
-        )
-
-
-def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
-    """All three pairwise scheduling modes plus their upper envelope.
+def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, list[ReachHoldPoint]]:
+    """All three pairwise scheduling modes plus their upper envelope, keyed
+    by MODES; each frontier is a list of (T_hold, P_hold) boundary points,
+    and `union`, the envelope of the other three, is the overall capability
+    when the scheduler may pick any of the modes.
 
     The components must share the step length and the method class, so
     the combined frontier keeps a single feasibility guarantee.
@@ -91,7 +56,6 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
         )
     if set1.method != set2.method:
         raise InvalidInputError(f"method mismatch: {set1.method} vs {set2.method}")
-    dt = float(set1.regime.get("dt_minutes", 1.0))
     t_grid = sorted({p.T_hold_steps for s in (set1, set2) for p in s.points})
     p_grid = sorted({p.P_hold_kw for s in (set1, set2) for p in s.points})
 
@@ -102,43 +66,54 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> CombinedSet:
     simultaneous = as_frontier((t, query_p_at_t(set1, t) + query_p_at_t(set2, t)) for t in t_grid)
     consecutive = as_frontier((query_t_at_p(set1, p) + query_t_at_p(set2, p), p) for p in p_grid)
     union = prune_to_frontier(exclusive + simultaneous + consecutive)
-    return CombinedSet(
-        components=(set1, set2),
-        exclusive=exclusive,
-        simultaneous=simultaneous,
-        consecutive=consecutive,
-        union=union,
-        dt_minutes=dt,
-        method=set1.method,
-    )
+    return {EXCLUSIVE: exclusive, SIMULTANEOUS: simultaneous, CONSECUTIVE: consecutive, UNION: union}
 
 
-def combine_many(sets: list[ReachHoldSet]) -> CombinedSet:
+def combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str) -> ReachHoldSet:
+    """One frontier of combine(set1, set2) as a standalone set, whose regime
+    sums the components' P_on_total_kw and P_nom_kw where both record them
+    (used when folding more than two fleets)."""
+    if mode not in MODES:
+        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    regime = {"dt_minutes": float(set1.regime.get("dt_minutes", 1.0)), "combined_mode": mode}
+    for key in ("P_on_total_kw", "P_nom_kw"):
+        vals = [s.regime.get(key) for s in (set1, set2)]
+        if all(v is not None for v in vals):
+            regime[key] = float(sum(vals))
+    return ReachHoldSet(points=combine(set1, set2)[mode], method=set1.method, regime=regime)
+
+
+def combine_many(sets: list[ReachHoldSet]) -> dict[str, list[ReachHoldPoint]]:
     """Left-fold of combine over more than two fleets, carrying the union
-    frontier between stages; an inner bound of the true joint set since
-    mixed schedules across stages are not enumerated."""
+    frontier between stages; returns the last stage's frontiers, an inner
+    bound of the true joint set since mixed schedules across stages are
+    not enumerated."""
     if len(sets) < 2:
         raise InvalidInputError(f"need at least two sets, got {len(sets)}")
-    combined = combine(sets[0], sets[1])
-    for s in sets[2:]:
-        combined = combine(combined.to_reach_hold_set(UNION), s)
-    return combined
+    folded = sets[0]
+    for s in sets[1:-1]:
+        folded = combined_set(folded, s, UNION)
+    return combine(folded, sets[-1])
 
 
-def save_combined(combined: CombinedSet, csv_path) -> None:
-    """One CSV with a mode column covering all four frontiers, plus a JSON
-    sidecar recording the component regimes."""
+def save_combined(
+    set1: ReachHoldSet, set2: ReachHoldSet, frontiers: dict[str, list[ReachHoldPoint]], csv_path
+) -> None:
+    """One CSV with a mode column covering the four frontiers of
+    combine(set1, set2), plus a JSON sidecar recording the component
+    regimes."""
     csv_path = str(csv_path)
+    dt = float(set1.regime.get("dt_minutes", 1.0))
     with open(csv_path, "w") as fh:
         fh.write("T_hold_steps,T_hold_hours,P_hold_kW,mode\n")
         for mode in MODES:
-            for p in combined.frontier(mode):
-                hours = p.T_hold_steps * combined.dt_minutes / 60.0
+            for p in frontiers[mode]:
+                hours = p.T_hold_steps * dt / 60.0
                 fh.write(f"{p.T_hold_steps},{hours!r},{p.P_hold_kw!r},{mode}\n")
     sidecar = {
-        "method": combined.method,
-        "dt_minutes": combined.dt_minutes,
-        "component_regimes": [s.regime for s in combined.components],
+        "method": set1.method,
+        "dt_minutes": dt,
+        "component_regimes": [set1.regime, set2.regime],
         "modes": list(MODES),
     }
     write_json(sidecar, _sidecar_path(csv_path))

@@ -29,16 +29,17 @@ from .etp import TclParams, apply_thermostat, step_maps
 
 @dataclass(frozen=True)
 class BinGrid:
-    """Uniform temperature grid over [T_min, T_max] with n_bins bins.
+    """Uniform temperature grid over [T_min, T_max] with n_bins bins,
+    by default 40 bins on 18-24 degC.
 
     Bins are half-open [edge_i, edge_{i+1}) except the last, which is
     closed.  State indices 0..n_bins-1 are the off block and
     n_bins..2*n_bins-1 the on block, both ordered cold to hot.
     """
 
-    T_min: float
-    T_max: float
-    n_bins: int
+    T_min: float = 18.0
+    T_max: float = 24.0
+    n_bins: int = 40
 
     def __post_init__(self) -> None:
         if not self.T_max > self.T_min:
@@ -85,11 +86,6 @@ class BinGrid:
 
     def band_strictly_inside(self, T_set: float, deadband: float) -> bool:
         return self.T_min < T_set - 0.5 * deadband and T_set + 0.5 * deadband < self.T_max
-
-
-def build_grid(T_min: float = 18.0, T_max: float = 24.0, n_bins: int = 40) -> BinGrid:
-    """Construct the default-shaped temperature grid."""
-    return BinGrid(T_min=T_min, T_max=T_max, n_bins=n_bins)
 
 
 @dataclass
@@ -258,19 +254,12 @@ class PopulationState:
             raise InvalidInputError(f"total population mass {mass!r} deviates from 1 by > 1e-9")
 
 
-@dataclass(frozen=True)
-class OutputVector:
-    """Maps a population vector to aggregate demand in kW."""
-
-    c: np.ndarray
-    P_on_total: float
-
-
-def output_vector(grid: BinGrid, P_on_total: float) -> OutputVector:
-    """Demand readout: P_on_total on the on block, zero on the off block."""
+def output_vector(grid: BinGrid, P_on_total: float) -> np.ndarray:
+    """Demand readout c, which maps a population vector to aggregate demand
+    in kW: P_on_total on the on block, zero on the off block."""
     if P_on_total <= 0.0:
         raise InvalidInputError(f"P_on_total must be positive, got {P_on_total}")
-    return OutputVector(c=np.where(grid.on_mask(), P_on_total, 0.0), P_on_total=P_on_total)
+    return np.where(grid.on_mask(), P_on_total, 0.0)
 
 
 def step_population(
@@ -299,9 +288,9 @@ def step_population(
     return PopulationState(x=A.P @ (state.x - u), x_a=A_a.P @ (state.x_a + u))
 
 
-def aggregate_power(state: PopulationState, c: OutputVector) -> float:
-    """Total demand of both populations, kW."""
-    return float(c.c @ (state.x + state.x_a))
+def aggregate_power(state: PopulationState, c: np.ndarray) -> float:
+    """Total demand of both populations through the readout c, kW."""
+    return float(c @ (state.x + state.x_a))
 
 
 _MATRIX_HEADER = "# tclflex transition matrix v1"

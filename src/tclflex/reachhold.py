@@ -49,7 +49,6 @@ from .etp import TclParams
 from .lp import OPTIMAL, ColumnMatrix, LinearProgram, LpSolution, solve
 from .markov import (
     BinGrid,
-    OutputVector,
     PopulationState,
     TransitionMatrix,
     aggregate_power,
@@ -83,36 +82,33 @@ DEFAULT_T_MAX = 480  # steps; 8 h at one-minute resolution
 DEFAULT_N_GRID = 50
 
 
-@dataclass
-class ResponseKernels:
-    """Iterated output kernels h_m = c A^m for the nominal and actuated
-    dynamics."""
-
-    h: np.ndarray  # (horizon+1, n_states), h[0] = c
-    h_a: np.ndarray
-    horizon: int
-
-
 def response_kernels(
     A: TransitionMatrix,
     A_a: TransitionMatrix,
-    c: OutputVector,
+    c: np.ndarray,
     horizon: int,
-) -> ResponseKernels:
-    """Compute h and h_a up to `horizon` by iterated vector-matrix
-    products; no matrix powers are formed."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The output kernels h_m = c A^m and h_a_m = c A_a^m, m = 0..horizon,
+    as (horizon+1, n_states) arrays whose rows 0 are c, by iterated
+    vector-matrix products; no matrix powers are formed."""
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
     outs = []
     for M in (A.P, A_a.P):
-        H = np.empty((horizon + 1, c.c.size))
-        H[0] = c.c
-        row = c.c
+        H = np.empty((horizon + 1, c.size))
+        H[0] = c
+        row = c
         for m in range(1, horizon + 1):
             row = row @ M
             H[m] = row
         outs.append(H)
-    return ResponseKernels(h=outs[0], h_a=outs[1], horizon=horizon)
+    return outs[0], outs[1]
+
+
+def exact_fits(T_hold: int, n_states: int) -> bool:
+    """Whether the exact LP at T_hold on n_states states is within
+    EXACT_LP_CAP."""
+    return T_hold * n_states <= EXACT_LP_CAP
 
 
 def check_plan(u, n_states: int | None = None) -> np.ndarray:
@@ -145,7 +141,7 @@ def delta_p_by_stepping(u: np.ndarray, fleet: CharacterizedFleet, horizon: int) 
         u_k = np.minimum(np.clip(u[k], 0.0, None), state.x) if k < T else zero
         state = step_population(state, u_k, A, A_a)
         free = A.P @ free
-        out[k + 1] = float(fleet.c.c @ free) - aggregate_power(state, fleet.c)
+        out[k + 1] = float(fleet.c @ free) - aggregate_power(state, fleet.c)
     return out
 
 
@@ -273,15 +269,15 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     no rung gives an answer that certifies and replays.  Desk-scale only:
     refuses problems with T_hold * n_states above EXACT_LP_CAP.
     """
-    kernels, x_0, A = fleet.kernels, fleet.x_0, fleet.A
+    x_0, A = fleet.x_0, fleet.A
     n = x_0.size
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
-    if T_hold * n > EXACT_LP_CAP:
+    if not exact_fits(T_hold, n):
         raise InvalidInputError(
             f"exact LP size {T_hold * n} exceeds cap {EXACT_LP_CAP}; use inner/outer"
         )
-    if kernels.horizon < T_hold:
+    if fleet.h.shape[0] <= T_hold:
         raise InvalidInputError("kernels horizon too short for requested T_hold")
     T = T_hold
     cols = invariant_support(A, x_0)
@@ -289,7 +285,7 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     n_w = T * S
     A_S = A.P[np.ix_(cols, cols)]
     x_S = x_0[cols]
-    d = kernels.h[: T + 1, cols] - kernels.h_a[: T + 1, cols]
+    d = fleet.h[: T + 1, cols] - fleet.h_a[: T + 1, cols]
     e = d.copy()  # e[0] is never read
     e[2:] -= d[1:T] @ A_S
     # variables: w[0..T-1] on S flattened, then P, then one
@@ -326,7 +322,7 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
         value = float(sol.z[n_w])
         plan = np.clip(u, 0.0, None)
         margin = float(delta_p_by_stepping(plan, fleet, T)[1:].min()) - value
-        if margin >= -EXACT_REPLAY_TOL_REL * fleet.c.P_on_total:
+        if margin >= -EXACT_REPLAY_TOL_REL * fleet.regime["P_on_total_kw"]:
             return value, plan, sol
         refused = f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
 
@@ -353,8 +349,6 @@ class InnerProfile:
     alpha_1: np.ndarray  # (T_max,)
     spent: np.ndarray  # running sum of alpha_1
     s: np.ndarray  # s[m-1] = (h_m - h_a_m) @ x_0, m = 1..horizon
-    p_nom: float
-    hold_tol: float
 
 
 def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
@@ -367,9 +361,8 @@ def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
     prefix misses, divided by the gain 1 - rec[0] / P_nom of a freshly
     actuated cohort.  No finite alpha[k] helps when that gain is not
     positive."""
-    kernels, x_0, T_max = fleet.kernels, fleet.x_0, fleet.T_max
-    p_nom = float(kernels.h[0] @ x_0)
-    rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
+    x_0, T_max, p_nom = fleet.x_0, fleet.T_max, fleet.p_nom_kw
+    rec = fleet.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
     gain = 1.0 - float(rec[0]) / p_nom
     alpha_1 = np.zeros(T_max)
     spent = np.zeros(T_max)
@@ -386,13 +379,7 @@ def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
         alpha_1[k] = a
         committed += a
         spent[k] = committed
-    return InnerProfile(
-        alpha_1=alpha_1,
-        spent=spent,
-        s=(kernels.h - kernels.h_a)[1:] @ x_0,
-        p_nom=p_nom,
-        hold_tol=1e-10 * max(1.0, fleet.c.P_on_total),
-    )
+    return InnerProfile(alpha_1=alpha_1, spent=spent, s=(fleet.h - fleet.h_a)[1:] @ x_0)
 
 
 def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
@@ -401,8 +388,7 @@ def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
     with r spent[k] >= 1, whose share is what is left of the budget.  The
     hold duration is the last step before the reduction first falls below
     P_hold (T_max if it never does, flagged horizon-limited)."""
-    profile = fleet.inner
-    p_nom = profile.p_nom
+    profile, p_nom = fleet.inner, fleet.p_nom_kw
     if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
         raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
     P_hold = float(np.clip(P_hold, 0.0, p_nom))
@@ -419,8 +405,9 @@ def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
             alpha[:] = r * profile.alpha_1
     # below[k-1]: dP[k] misses P_hold.  Steps where alpha sat exactly at
     # its lower bound satisfy the hold with equality, so the violation
-    # test needs room for rounding noise
-    below = np.convolve(alpha, profile.s)[:T_max] < P_hold - profile.hold_tol
+    # test needs room for rounding noise, 1e-10 of P_on_total
+    tol = 1e-10 * max(1.0, fleet.regime["P_on_total_kw"])
+    below = np.convolve(alpha, profile.s)[:T_max] < P_hold - tol
     horizon_limited = not below.any()
     T_hold = T_max if horizon_limited else int(np.argmax(below))
     return InnerPoint(ReachHoldPoint(P_hold, T_hold, horizon_limited), alpha)
@@ -441,7 +428,7 @@ def inner_boundary(fleet: CharacterizedFleet, n_grid: int) -> ReachHoldSet:
 def inner_p_at(T_hold: int, fleet: CharacterizedFleet) -> float:
     """Largest grid-free inner reduction holdable for T_hold steps, by
     bisection on the monotone feasibility predicate to 1e-9 of P_nom."""
-    p_nom = fleet.inner.p_nom
+    p_nom = fleet.p_nom_kw
     if inner_point(p_nom, fleet).point.T_hold_steps >= T_hold:
         return p_nom
     lo, hi = 0.0, p_nom  # lo feasible, hi not
@@ -500,15 +487,15 @@ def solve_outer(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     OUTER_CG_GAP_REL of the value, and raises NumericalFailureError after
     OUTER_CG_MAX_ROUNDS rounds.
     """
-    kernels, x_0 = fleet.kernels, fleet.x_0
+    x_0 = fleet.x_0
     if T_hold < 1:
         raise InvalidInputError(f"T_hold must be >= 1, got {T_hold}")
-    if kernels.horizon < T_hold:
+    if fleet.h.shape[0] <= T_hold:
         raise InvalidInputError("kernels horizon too short for requested T_hold")
     T = T_hold
     cols = np.flatnonzero(x_0 > 0.0)
     S = cols.size
-    d = kernels.h - kernels.h_a
+    d = fleet.h - fleet.h_a
     D = d[1 : T + 1][:, cols]  # D[j-1] = d[j] on the support
     cap = np.tile(x_0[cols], T)  # cap[m*S + s]
     hankel = np.arange(T)[:, None] + np.arange(T)[None, :]  # m + j - 1
@@ -627,21 +614,24 @@ class OperatingPoint:
 
 @dataclass
 class CharacterizedFleet:
-    """Matrices, stationary state, and kernels for one operating point:
-    the one argument of every bound and of the replay.  `characterize`
-    makes x_0 the stationary occupancy of A, as the outer bound's proof
-    needs."""
+    """Matrices, stationary state, readout and kernels for one operating
+    point: the one argument of every bound and of the replay.
+    `characterize` makes x_0 the stationary occupancy of A, as the outer
+    bound's proof needs.  The sidecar `regime` is the one record of
+    P_on_total_kw, P_nom_kw and T_max_steps."""
 
     A: TransitionMatrix
     A_a: TransitionMatrix
     x_0: np.ndarray
-    c: OutputVector
-    kernels: ResponseKernels  # up to T_max + 1 steps
+    c: np.ndarray  # the readout output_vector
+    h: np.ndarray  # the kernels of response_kernels, up to T_max + 1 steps
+    h_a: np.ndarray
     regime: dict
 
     @property
     def p_nom_kw(self) -> float:
-        return float(self.c.c @ self.x_0)
+        """Nominal demand c @ x_0, as the regime records it."""
+        return self.regime["P_nom_kw"]
 
     @property
     def T_max(self) -> int:
@@ -676,8 +666,8 @@ def _characterized(points: list[OperatingPoint], T_max: int):
             occupancy[base] = stationary_distribution(matrices[base]).x
         A, A_a, x_0 = matrices[base], matrices[actuated], occupancy[base]
         c = output_vector(op.grid, op.P_on_total_kw)
-        kernels = response_kernels(A, A_a, c, horizon=T_max + 1)
-        yield CharacterizedFleet(A=A, A_a=A_a, x_0=x_0, c=c, kernels=kernels, regime=op.regime(float(c.c @ x_0), T_max))
+        h, h_a = response_kernels(A, A_a, c, horizon=T_max + 1)
+        yield CharacterizedFleet(A, A_a, x_0, c, h, h_a, op.regime(float(c @ x_0), T_max))
 
 
 def characterize(op: OperatingPoint, T_max: int = DEFAULT_T_MAX) -> CharacterizedFleet:

@@ -23,7 +23,7 @@ import numpy as np
 from .aggregation import combine, query_p_at_t, save_combined
 from .errors import InvalidConfigurationError, NumericalFailureError
 from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet, simulate_fleet
-from .markov import build_grid, save_matrix
+from .markov import BinGrid, save_matrix
 from .reachhold import (
     DEFAULT_N_GRID,
     DEFAULT_T_MAX,
@@ -38,6 +38,7 @@ from .reachhold import (
     ReachHoldSet,
     characterize,
     delta_p_by_stepping,
+    exact_fits,
     inner_boundary,
     inner_p_at,
     inner_point,
@@ -71,7 +72,7 @@ DEFAULTS: dict = {
     "deadband": 1.0,
     "T_max_steps": DEFAULT_T_MAX,
     "P_on_total_kw": 3500.0,
-    "grid": asdict(build_grid()),
+    "grid": asdict(BinGrid()),
     "params": asdict(DEFAULT_PARAMS),
     "reachhold": {"methods": ["inner", "outer"], "p_grid_points": DEFAULT_N_GRID, "t_grid": None},
     "fleet": {"n_units": 1000, "heterogeneity": 0.1},
@@ -263,7 +264,7 @@ def _read_model(cfg: dict) -> tuple[OperatingPoint, int]:
     g = cfg["grid"]
     op = OperatingPoint(
         params=TclParams(**{k: config_number(v, f"params.{k}") for k, v in cfg["params"].items()}),
-        grid=build_grid(
+        grid=BinGrid(
             config_number(g["T_min"], "grid.T_min"),
             config_number(g["T_max"], "grid.T_max"),
             config_count(g["n_bins"], "grid.n_bins"),
@@ -316,7 +317,7 @@ def _read_reachhold(cfg: dict) -> tuple:
     t_grid = sorted({config_count(t, "reachhold.t_grid entry") for t in entries})
     if not t_grid or not 1 <= t_grid[0] <= t_grid[-1] <= T_max:
         raise InvalidConfigurationError("reachhold.t_grid entries must lie in 1..T_max_steps")
-    if EXACT in methods and t_grid[0] * op.grid.n_states > EXACT_LP_CAP:
+    if EXACT in methods and not exact_fits(t_grid[0], op.grid.n_states):
         raise InvalidConfigurationError(
             f"every reachhold.t_grid entry exceeds the exact-LP cap ({EXACT_LP_CAP} variables)"
         )
@@ -336,7 +337,7 @@ def run_reachhold(
         sets[INNER] = inner_boundary(ch, n_grid)
     if OUTER in methods:
         sets[OUTER] = outer_boundary(ch, np.array(t_grid))
-    t_exact = [t for t in t_grid if t * ch.x_0.size <= EXACT_LP_CAP]
+    t_exact = [t for t in t_grid if exact_fits(t, ch.x_0.size)]
     if EXACT in methods:
         vals = [solve_exact(t, ch)[0] for t in t_exact]
         # the true boundary is nonincreasing; a running min trims LP noise
@@ -371,9 +372,9 @@ def _read_aggregate(cfg: dict) -> list:
 
 
 def run_aggregate(out_dir: Path, first, second) -> tuple[dict[str, str], bool]:
-    combined = combine(load_set(first), load_set(second))
+    set1, set2 = load_set(first), load_set(second)
     path = out_dir / "combined.csv"
-    save_combined(combined, path)
+    save_combined(set1, set2, combine(set1, set2), path)
     return {"combined": str(path)}, False
 
 

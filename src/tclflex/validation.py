@@ -17,7 +17,6 @@ compared against the bin model's prediction.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -278,8 +277,7 @@ def save_validation_report(
     micro_kw = np.asarray(micro_kw, dtype=float)
     if markov_kw.shape != micro_kw.shape:
         raise InvalidInputError("paired traces must have equal length")
-    with open(str(csv_path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "markov_kW", "micro_kW"])
+    with open(str(csv_path), "w") as fh:
+        fh.write("step,markov_kW,micro_kW\n")
         for k in range(markov_kw.size):
-            writer.writerow([k, repr(float(markov_kw[k])), repr(float(micro_kw[k]))])
+            fh.write(f"{k},{float(markov_kw[k])!r},{float(micro_kw[k])!r}\n")

@@ -4,7 +4,7 @@ import pytest
 
 from tclflex.etp import DEFAULT_PARAMS
 from tclflex.markov import (
-    build_grid,
+    BinGrid,
     estimate_transition_matrix,
     output_vector,
     stationary_distribution,
@@ -20,7 +20,7 @@ P_ON_TOTAL = 3500.0  # 1000 units at the nominal 3.5 kW rating
 
 @pytest.fixture(scope="session")
 def grid40():
-    return build_grid(18.0, 24.0, 40)
+    return BinGrid(18.0, 24.0, 40)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +49,7 @@ def c_out(grid40):
 
 @pytest.fixture(scope="session")
 def char10():
-    grid = build_grid(18.0, 24.0, 10)
+    grid = BinGrid(18.0, 24.0, 10)
     return characterize(
         OperatingPoint(DEFAULT_PARAMS, grid, T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL),
         T_max=60,

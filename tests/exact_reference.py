@@ -15,7 +15,7 @@ from tclflex.reachhold import invariant_support
 from lp_reference import dense_hold_block
 
 
-def reference_exact(T, kernels, x_0, A):
+def reference_exact(T, fleet, x_0, A):
     """(P, u) of the lifted exact LP at hold T; u is (T, n_states)."""
     n = x_0.size
     cols = invariant_support(A, x_0)
@@ -25,7 +25,7 @@ def reference_exact(T, kernels, x_0, A):
     c_obj = np.zeros(n_vars)
     c_obj[-1] = 1.0
     G = np.zeros((T, n_vars))
-    G[:, :n_u] = dense_hold_block(kernels.h - kernels.h_a, T, np.repeat(np.arange(T), S), np.tile(cols, T))
+    G[:, :n_u] = dense_hold_block(fleet.h - fleet.h_a, T, np.repeat(np.arange(T), S), np.tile(cols, T))
     G[:, -1] = 1.0
     E = np.zeros((n_u, n_vars))
     diag = np.arange(n_u)

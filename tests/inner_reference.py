@@ -14,10 +14,10 @@ import numpy as np
 def reference_inner_point(P_hold, fleet):
     """(alpha, depletion step or None, T_hold, horizon_limited) for P_hold
     on `fleet`, over its T_max steps."""
-    kernels, x_0, T_max = fleet.kernels, fleet.x_0, fleet.T_max
-    p_nom = float(kernels.h[0] @ x_0)
+    x_0, T_max = fleet.x_0, fleet.T_max
+    p_nom = float(fleet.h[0] @ x_0)
     P_hold = float(np.clip(P_hold, 0.0, p_nom))
-    rec = kernels.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
+    rec = fleet.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
     r = P_hold / p_nom
     gain = 1.0 - float(rec[0]) / p_nom
     alpha = np.zeros(T_max)
@@ -35,9 +35,9 @@ def reference_inner_point(P_hold, fleet):
             break
         alpha[k] = a
         committed += a
-    s = (kernels.h[1:] - kernels.h_a[1:]) @ x_0
+    s = (fleet.h[1:] - fleet.h_a[1:]) @ x_0
     dp = np.concatenate([[0.0], np.convolve(alpha, s)[: s.size]])
-    hold_tol = 1e-10 * max(1.0, fleet.c.P_on_total)
+    hold_tol = 1e-10 * max(1.0, fleet.regime["P_on_total_kw"])
     for k in range(1, T_max + 1):
         if dp[k] < P_hold - hold_tol:
             return alpha, depletion, k - 1, False
@@ -47,7 +47,7 @@ def reference_inner_point(P_hold, fleet):
 def reference_p_at(T_hold, fleet):
     """Largest target whose reference hold reaches T_hold, by bisection
     to 1e-9 of P_nom."""
-    p_nom = float(fleet.kernels.h[0] @ fleet.x_0)
+    p_nom = float(fleet.h[0] @ fleet.x_0)
     holds = lambda P: reference_inner_point(P, fleet)[2] >= T_hold
     if holds(p_nom):
         return p_nom

@@ -20,7 +20,7 @@ def dense_hold_block(d, T, steps, states):
     return np.where(lag > 0, -d[np.maximum(lag, 0), states[None, :]], 0.0)
 
 
-def dense_exact_matrix(T, kernels, x_0, A):
+def dense_exact_matrix(T, fleet, x_0, A):
     """G of the exact LP over the unactuated mass w on the invariant
     support, then P, then the variable fixed at 1."""
     cols = invariant_support(A, x_0)
@@ -28,7 +28,7 @@ def dense_exact_matrix(T, kernels, x_0, A):
     n_w = T * S
     A_S = A.P[np.ix_(cols, cols)]
     x_S = x_0[cols]
-    d = kernels.h[: T + 1, cols] - kernels.h_a[: T + 1, cols]
+    d = fleet.h[: T + 1, cols] - fleet.h_a[: T + 1, cols]
     e = d.copy()
     e[2:] -= d[1:T] @ A_S
     G = np.zeros((T + n_w, n_w + 2))

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from tclflex import reachhold
-from tclflex.aggregation import combine, query_p_at_t, query_t_at_p
+from tclflex.aggregation import combined_set, query_p_at_t, query_t_at_p
 from tclflex.cli import EXIT_NUMERICAL, EXIT_OK, main
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
-from tclflex.markov import build_grid
+from tclflex.markov import BinGrid
 from tclflex.reachhold import (
     OUTER_CG_GAP_REL,
     OperatingPoint,
@@ -43,7 +43,7 @@ DEADBAND = 1.0
 def fleet40():
     """Shipped-default regime: 40-bin grid, 20 -> 22 step, 8-hour horizon."""
     return characterize(
-        OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON),
+        OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON),
         T_max=480,
     )
 
@@ -51,7 +51,7 @@ def fleet40():
 def test_criterion_01_sandwich_inner_exact_outer():
     t0 = time.perf_counter()
     ch = characterize(
-        OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON),
+        OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 10), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON),
         T_max=60,
     )
     tol = 1e-6 * P_ON
@@ -111,10 +111,10 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
     # survive re-propagation from the first step on
     t0 = time.perf_counter()
     ch = characterize(
-        OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET + DEADBAND, DEADBAND, T_AMB, P_ON),
+        OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_SET + DEADBAND, DEADBAND, T_AMB, P_ON),
         T_max=480,
     )
-    assert float(ch.kernels.h_a[1] @ ch.x_0) > 0.05 * ch.p_nom_kw
+    assert float(ch.h_a[1] @ ch.x_0) > 0.05 * ch.p_nom_kw
     tol = 1e-9 * P_ON
     worst = np.inf
     for P in default_p_grid(ch.p_nom_kw):
@@ -132,7 +132,7 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
 def test_criterion_03_actuated_on_power_structural_zero(fleet40):
     # setpoint shift (2 C) >= deadband (1 C): every actuated unit lands
     # below its new band, so the one-step actuated ON power vanishes
-    residual = abs(float(fleet40.kernels.h_a[1] @ fleet40.x_0))
+    residual = abs(float(fleet40.h_a[1] @ fleet40.x_0))
     assert residual <= 1e-12 * P_ON, f"|c A_a x_0| = {residual} kW"
     print(f"[criterion 3] PASS |c A_a x_0| = {residual:.3e} kW <= {1e-12 * P_ON:.1e}")
 
@@ -149,7 +149,7 @@ def test_criterion_04_upper_bound_proved_at_40_bins(fleet40):
     t0 = time.perf_counter()
     x_0 = fleet40.x_0
     cols = np.flatnonzero(x_0 > 0.0)
-    d = (fleet40.kernels.h - fleet40.kernels.h_a)[:, cols]
+    d = (fleet40.h - fleet40.h_a)[:, cols]
     raw60 = solve_outer(60, fleet40)[0]
     assert raw60 == pytest.approx(fleet40.p_nom_kw, abs=1e-9 * P_ON), "outer below P_nom at T=60"
     gaps = []
@@ -228,7 +228,7 @@ def test_criterion_06_inner_holds_verified_by_micro(tmp_path):
 
 
 def test_criterion_07_hold_duration_monotone_in_setpoint():
-    base = OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
+    base = OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
     sets = sweep([replace(base, T_set_new=T) for T in (21.0, 21.5, 22.0)], T_max=480, n_grid=50)
     holds = [query_t_at_p(s, 400.0) for s in sets]
     assert all(t > 0 for t in holds)
@@ -237,7 +237,7 @@ def test_criterion_07_hold_duration_monotone_in_setpoint():
 
 
 def test_criterion_08_precooling_dominates():
-    nominal = OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
+    nominal = OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
     base, pre = sweep([nominal, replace(nominal, T_set=19.0)], T_max=480, n_grid=50)
     p_nom_base = base.regime["P_nom_kw"]
     p_nom_pre = pre.regime["P_nom_kw"]
@@ -255,9 +255,8 @@ def test_criterion_08_precooling_dominates():
 
 def test_criterion_09_identical_fleet_aggregation(fleet40):
     rh = inner_boundary(fleet40, 20)
-    comb = combine(rh, rh)
-    sim = comb.to_reach_hold_set("simultaneous")
-    cons = comb.to_reach_hold_set("consecutive")
+    sim = combined_set(rh, rh, "simultaneous")
+    cons = combined_set(rh, rh, "consecutive")
     for pt in rh.points:
         assert query_p_at_t(sim, pt.T_hold_steps) == pytest.approx(
             2.0 * pt.P_hold_kw, abs=1e-9

@@ -9,6 +9,7 @@ from tclflex.aggregation import (
     MODES,
     combine,
     combine_many,
+    combined_set,
     query_p_at_t,
     query_t_at_p,
     save_combined,
@@ -22,6 +23,11 @@ def make_set(pairs, method=INNER, dt=1.0, **extra):
     regime = {"dt_minutes": dt, **extra}
     points = [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs]
     return ReachHoldSet(points=points, method=method, regime=regime)
+
+
+def as_set(points):
+    """A frontier of combine as a set the queries read."""
+    return ReachHoldSet(points=points, method=INNER, regime={"dt_minutes": 1.0})
 
 
 def random_set(rng, n_points=5, p_top=2000.0):
@@ -67,7 +73,7 @@ class TestCombine:
         empty = make_set([])
         combined = combine(s1, empty)
         for mode in ("exclusive", "simultaneous", "consecutive", "union"):
-            pts = [(p.T_hold_steps, p.P_hold_kw) for p in combined.frontier(mode)]
+            pts = [(p.T_hold_steps, p.P_hold_kw) for p in combined[mode]]
             assert pts == FRONTIER
 
     def test_commutative_on_all_frontiers(self):
@@ -76,21 +82,20 @@ class TestCombine:
             s1, s2 = random_set(rng), random_set(rng)
             a, b = combine(s1, s2), combine(s2, s1)
             for mode in MODES:
-                pa = [(p.T_hold_steps, p.P_hold_kw) for p in a.frontier(mode)]
-                pb = [(p.T_hold_steps, p.P_hold_kw) for p in b.frontier(mode)]
+                pa = [(p.T_hold_steps, p.P_hold_kw) for p in a[mode]]
+                pb = [(p.T_hold_steps, p.P_hold_kw) for p in b[mode]]
                 assert pa == pb
 
     def test_identical_fleets_double_p_simultaneously(self):
         s = make_set(FRONTIER)
-        combined = combine(s, s)
-        sim = combined.to_reach_hold_set("simultaneous")
+        sim = as_set(combine(s, s)["simultaneous"])
         for t in (0, 10, 15, 20, 40):
             assert query_p_at_t(sim, t) == 2 * query_p_at_t(s, t)
         assert query_p_at_t(sim, 41) == 0.0
 
     def test_identical_fleets_double_t_consecutively(self):
         s = make_set(FRONTIER)
-        con = combine(s, s).to_reach_hold_set("consecutive")
+        con = as_set(combine(s, s)["consecutive"])
         for p in (10.0, 50.0, 80.0, 100.0):
             assert query_t_at_p(con, p) == 2 * query_t_at_p(s, p)
         assert query_t_at_p(con, 100.5) == 0
@@ -98,7 +103,7 @@ class TestCombine:
     def test_exclusive_is_pointwise_max(self):
         s1 = make_set([(10, 100.0), (30, 40.0)])
         s2 = make_set([(20, 70.0), (50, 20.0)])
-        ex = combine(s1, s2).to_reach_hold_set("exclusive")
+        ex = as_set(combine(s1, s2)["exclusive"])
         for t in range(0, 55):
             assert query_p_at_t(ex, t) == max(query_p_at_t(s1, t), query_p_at_t(s2, t))
 
@@ -107,19 +112,19 @@ class TestCombine:
         for _ in range(5):
             s1, s2 = random_set(rng), random_set(rng)
             combined = combine(s1, s2)
-            union = combined.to_reach_hold_set("union")
+            union = as_set(combined["union"])
             for t in range(0, 220, 7):
                 u = query_p_at_t(union, t)
                 assert u >= query_p_at_t(s1, t) - 1e-12
                 assert u >= query_p_at_t(s2, t) - 1e-12
                 for mode in ("exclusive", "simultaneous", "consecutive"):
-                    assert u >= query_p_at_t(combined.to_reach_hold_set(mode), t) - 1e-12
+                    assert u >= query_p_at_t(as_set(combined[mode]), t) - 1e-12
 
     def test_union_matches_lattice_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(8):
             s1, s2 = random_set(rng), random_set(rng)
-            union = combine(s1, s2).to_reach_hold_set("union")
+            union = as_set(combine(s1, s2)["union"])
             p_candidates = sorted({p.P_hold_kw for s in (s1, s2) for p in s.points})
             for t in range(0, 210, 3):
                 best_consec = max(
@@ -147,9 +152,20 @@ class TestCombine:
     def test_regime_power_fields_sum(self):
         s1 = make_set(FRONTIER, P_on_total_kw=3500.0, P_nom_kw=1400.0)
         s2 = make_set([(5, 200.0)], P_on_total_kw=700.0, P_nom_kw=300.0)
-        sim = combine(s1, s2).to_reach_hold_set("simultaneous")
+        sim = combined_set(s1, s2, "simultaneous")
         assert sim.regime["P_on_total_kw"] == 4200.0
         assert sim.regime["P_nom_kw"] == 1700.0
+        assert sim.points == combine(s1, s2)["simultaneous"]
+
+    def test_frontiers_are_keyed_by_mode(self):
+        combined = combine(make_set(FRONTIER), make_set([(15, 60.0), (25, 30.0)]))
+        assert tuple(combined) == MODES
+        assert all(isinstance(p, ReachHoldPoint) for mode in MODES for p in combined[mode])
+
+    def test_unknown_mode_rejected(self):
+        s = make_set(FRONTIER)
+        with pytest.raises(InvalidInputError, match="mode"):
+            combined_set(s, s, "sequential")
 
 
 class TestCombineMany:
@@ -158,7 +174,7 @@ class TestCombineMany:
         combined = combine_many([s, s, s])
         # the fold carries the pairwise union, so the final consecutive
         # frontier chains (s + s) with s
-        con = combined.to_reach_hold_set("consecutive")
+        con = as_set(combined["consecutive"])
         assert query_t_at_p(con, 50.0) >= 3 * query_t_at_p(s, 50.0)
 
     def test_needs_two_sets(self):
@@ -172,7 +188,7 @@ class TestSaveCombined:
         s2 = make_set([(15, 60.0), (25, 30.0)], P_on_total_kw=700.0)
         combined = combine(s1, s2)
         path = tmp_path / "combined.csv"
-        save_combined(combined, path)
+        save_combined(s1, s2, combined, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "T_hold_steps,T_hold_hours,P_hold_kW,mode"
         modes_seen = {line.split(",")[-1] for line in lines[1:]}
@@ -180,5 +196,5 @@ class TestSaveCombined:
         sidecar = json.loads((tmp_path / "combined.json").read_text())
         assert sidecar["method"] == INNER
         assert len(sidecar["component_regimes"]) == 2
-        save_combined(combined, tmp_path / "again.csv")
+        save_combined(s1, s2, combined, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()

@@ -19,11 +19,11 @@ sys.path.insert(0, "perfbench")
 import tracing
 from tclflex import reachhold
 from tclflex.etp import DEFAULT_PARAMS
-from tclflex.markov import build_grid
+from tclflex.markov import BinGrid
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
-tm = reachhold.estimate_transition_matrix(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 1.0, 32.0)
+tm = reachhold.estimate_transition_matrix(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 10), 20.0, 1.0, 32.0)
 res = reachhold.stationary_distribution(tm)
 print(json.dumps({
     "mass": float(res.x.sum()),
@@ -38,11 +38,11 @@ sys.path.insert(0, "perfbench")
 import layers, tracing
 from tclflex import reachhold, scenario
 from tclflex.etp import DEFAULT_PARAMS
-from tclflex.markov import build_grid
+from tclflex.markov import BinGrid
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
-op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
+op = reachhold.OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
 ch = reachhold.characterize(op, T_max=20)
 scenario.solve_exact(5, ch)
 reachhold.solve_outer(20, ch)
@@ -114,6 +114,33 @@ spans = tracer.spans
 print(json.dumps({
     "spans": [[s[0], s[4]] for s in spans if s[0].startswith(("etp.", "validation.", "reachhold.inner_p"))],
     "metrics": layers.from_spans(spans, 0),
+}))
+"""
+
+
+AGGREGATE_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import layers, tracing
+from tclflex import scenario
+from tclflex.reachhold import INNER, ReachHoldPoint, ReachHoldSet, save_set
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+with tempfile.TemporaryDirectory() as tmp:
+    inputs = []
+    for name, pairs in (("a", [(10, 100.0), (40, 50.0)]), ("b", [(15, 60.0), (25, 30.0)])):
+        points = [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs]
+        save_set(ReachHoldSet(points=points, method=INNER, regime={"dt_minutes": 1.0}), Path(tmp) / f"{name}.csv")
+        inputs.append(str(Path(tmp) / f"{name}.csv"))
+    cfg = scenario.effective_config({"aggregate": {"inputs": inputs}})
+    scenario.run("aggregate", cfg, Path(tmp))
+    rows = (Path(tmp) / "combined.csv").read_text().splitlines()
+print(json.dumps({
+    "rows": len(rows),
+    "spans": [s[0] for s in tracer.spans],
+    "metrics": layers.from_spans(tracer.spans, 0),
 }))
 """
 
@@ -195,3 +222,17 @@ def test_blocks_validate_builds_one_stepper_per_block():
     assert m["validation.burn_in_s"] > 0.0 and m["validation.apply_plan_s"] > 0.0
     assert m["reachhold.inner_p_at_s"] > 0.0
     assert m["reachhold.inner_point_calls"] == 2 * INNER_POINT_CALLS_PER_BLOCK
+
+
+def test_aggregate_runs_through_the_wrapped_names():
+    # run_aggregate must load, combine and save through scenario's names,
+    # or the benchmark's aggregation metrics read 0
+    out = run_traced(AGGREGATE_SCRIPT)
+    assert out["rows"] > 1
+    names = out["spans"]
+    assert names.count("aggregation.load_set") == 2
+    assert names.count("aggregation.combine") == 1
+    assert names.count("scenario.save") == 1
+    m = out["metrics"]
+    assert m["aggregation.combine_s"] > 0.0 and m["aggregation.load_s"] > 0.0 and m["scenario.save_s"] > 0.0
+

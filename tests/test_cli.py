@@ -214,6 +214,27 @@ UNKNOWN_KEYS = [
     pytest.param("validate", dict(SEEDS, estimation={"seed": 1}, fleets={}), "fleets", id="beside-seeds"),
 ]
 
+# combined.csv of the pair in TestAggregate whose points sit just above P_nom
+COMBINED_PAIR_CSV = """\
+T_hold_steps,T_hold_hours,P_hold_kW,mode
+8,0.13333333333333333,0.2500000009,exclusive
+20,0.3333333333333333,0.1,exclusive
+30,0.5,0.05,exclusive
+5,0.08333333333333333,0.5000000018,simultaneous
+8,0.13333333333333333,0.35000000090000005,simultaneous
+20,0.3333333333333333,0.15000000000000002,simultaneous
+30,0.5,0.05,simultaneous
+13,0.21666666666666667,0.2500000009,consecutive
+28,0.4666666666666667,0.1,consecutive
+50,0.8333333333333334,0.05,consecutive
+5,0.08333333333333333,0.5000000018,union
+8,0.13333333333333333,0.35000000090000005,union
+13,0.21666666666666667,0.2500000009,union
+20,0.3333333333333333,0.15000000000000002,union
+28,0.4666666666666667,0.1,union
+50,0.8333333333333334,0.05,union
+"""
+
 
 def write_config(path, overrides):
     path.write_text(json.dumps(overrides, indent=2) + "\n")
@@ -572,6 +593,25 @@ class TestValidate:
         assert len(json.loads((tmp_path / "o" / "summary.json").read_text())["blocks"]) == 3
         assert len(built) == 1
 
+    @pytest.mark.filterwarnings("ignore::tclflex.validation.ValidationDegradedWarning")
+    @pytest.mark.parametrize("mode", [{"mode": "step", "horizon": 30}, {"mode": "blocks", "hold_steps": [5, 10]}])
+    def test_csv_lines_end_in_newline_only(self, tmp_path, mode):
+        # every artifact ends its lines with \n, the traces included
+        cfg = {
+            "grid": {"n_bins": 10},
+            "T_max_steps": 30,
+            "P_on_total_kw": 700.0,
+            "fleet": {"n_units": 200, "heterogeneity": 0.15, "seed": 5},
+            "validate": {"burn_in_steps": 30, "selection_seed": 9, **mode},
+        }
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", path, "--out", str(out)]) in (EXIT_OK, EXIT_DEGRADED)
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs
+        for csv_path in csvs:
+            assert b"\r" not in csv_path.read_bytes(), csv_path.name
+
     def test_fleet_scale_must_match_bin_model(self, tmp_path):
         cfg = {
                     "fleet": {"n_units": 200, "heterogeneity": 0.1, "seed": 1},
@@ -602,6 +642,32 @@ class TestAggregate:
         rows = (out / "combined.csv").read_text().splitlines()
         assert rows[0] == "T_hold_steps,T_hold_hours,P_hold_kW,mode"
         assert len(rows) > 1
+
+    def test_components_just_above_their_nominal_demand_combine(self, tmp_path):
+        # each hand-written 0.5 kW set peaks 0.9e-9 kW above its P_nom, inside
+        # its own 1e-9 kW tolerance; summed, the simultaneous frontier sits
+        # 1.8e-9 kW above the summed P_nom, which no set of the pair's
+        # tolerance would take, and combine builds none
+        for name, rows in (
+            ("a", ["5,0.08333333333333333,0.2500000009", "20,0.3333333333333333,0.1"]),
+            ("b", ["8,0.13333333333333333,0.2500000009", "30,0.5,0.05"]),
+        ):
+            lines = ["T_hold_steps,T_hold_hours,P_hold_kW,method"] + [f"{row},inner" for row in rows]
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            regime = {"P_on_total_kw": 0.5, "P_nom_kw": 0.25, "dt_minutes": 1.0}
+            (tmp_path / f"{name}.json").write_text(json.dumps({"method": "inner", "regime": regime}))
+        cfg = {"aggregate": {"inputs": [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]}}
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["aggregate", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert (out / "combined.csv").read_text() == COMBINED_PAIR_CSV
+        sidecar = {
+            "component_regimes": [regime, regime],
+            "dt_minutes": 1.0,
+            "method": "inner",
+            "modes": ["exclusive", "simultaneous", "consecutive", "union"],
+        }
+        assert (out / "combined.json").read_text() == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
 
     def test_wrong_input_count(self, reachhold_out, tmp_path):
         cfg = {"aggregate": {"inputs": [str(reachhold_out / "inner.csv")]}}

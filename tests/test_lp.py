@@ -549,8 +549,8 @@ from tclflex import scenario
 heavy = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.sparse") if m in sys.modules]
 from tclflex import lp, reachhold
 from tclflex.etp import DEFAULT_PARAMS
-from tclflex.markov import build_grid
-op = reachhold.OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
+from tclflex.markov import BinGrid
+op = reachhold.OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 10), 20.0, 22.0, 1.0, 32.0, 3500.0)
 ch = reachhold.characterize(op, T_max=20)
 P, _, _ = reachhold.solve_exact(5, ch)
 solved_without_optimize = "scipy.optimize" not in sys.modules

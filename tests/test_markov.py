@@ -19,7 +19,6 @@ from tclflex.markov import (
     PopulationState,
     TransitionMatrix,
     aggregate_power,
-    build_grid,
     estimate_transition_matrix,
     load_matrix,
     output_vector,
@@ -34,14 +33,18 @@ from mc_reference import monte_carlo_matrix
 
 
 class TestBinGrid:
-    def test_build_grid_example(self):
-        grid = build_grid(19.0, 23.0, 8)
+    def test_grid_example(self):
+        grid = BinGrid(19.0, 23.0, 8)
         assert grid.delta_tau == pytest.approx(0.5)
         assert grid.n_states == 16
         assert grid.edges[0] == 19.0 and grid.edges[-1] == 23.0
 
+    def test_defaults_are_the_paper_grid(self):
+        # the config's default grid, echoed in every effective_config.json
+        assert BinGrid() == BinGrid(18.0, 24.0, 40)
+
     def test_interior_points_round_trip(self):
-        grid = build_grid(19.0, 23.0, 8)
+        grid = BinGrid(19.0, 23.0, 8)
         rng = np.random.default_rng(42)
         for _ in range(1000):
             b = rng.integers(0, 8)
@@ -52,25 +55,25 @@ class TestBinGrid:
             assert grid.state_index(T, True) == b + 8
 
     def test_out_of_range_clips_to_boundary_bins(self):
-        grid = build_grid(19.0, 23.0, 8)
+        grid = BinGrid(19.0, 23.0, 8)
         assert grid.temp_bin(10.0) == 0
         assert grid.temp_bin(40.0) == 7
         assert grid.temp_bin(23.0) == 7  # top edge belongs to the last bin
 
     def test_far_excursions_clip_before_the_int_cast(self):
-        grid = build_grid(18.0, 24.0, 40)
+        grid = BinGrid(18.0, 24.0, 40)
         assert grid.temp_bin([1e300, -1e300, 30.0, 10.0]).tolist() == [39, 0, 39, 0]
 
     @pytest.mark.parametrize("T", [np.inf, -np.inf, np.nan])
     def test_nonfinite_temperature_rejected(self, T):
         with pytest.raises(InvalidInputError, match="finite"):
-            build_grid(18.0, 24.0, 40).temp_bin([20.0, T])
+            BinGrid(18.0, 24.0, 40).temp_bin([20.0, T])
 
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInputError):
-            build_grid(23.0, 19.0, 8)
+            BinGrid(23.0, 19.0, 8)
         with pytest.raises(InvalidInputError):
-            build_grid(19.0, 23.0, 0)
+            BinGrid(19.0, 23.0, 0)
 
 
 class TestEstimateTransitionMatrix:
@@ -116,7 +119,7 @@ class TestEstimateTransitionMatrix:
         assert (z < 3.0).mean() >= 0.99
 
     def test_band_must_be_inside_grid(self):
-        grid = build_grid(19.8, 23.0, 8)
+        grid = BinGrid(19.8, 23.0, 8)
         with pytest.raises(InvalidConfigurationError):
             estimate_transition_matrix(DEFAULT_PARAMS, grid, T_SET, DEADBAND, T_AMB)
 
@@ -140,7 +143,7 @@ class TestMonteCarloOracle:
     )
     @example(T_amb=T_AMB, T_set=T_SET, deadband=DEADBAND, n_bins=40)
     def test_within_five_binomial_standard_errors(self, T_amb, T_set, deadband, n_bins):
-        grid = build_grid(18.0, 24.0, n_bins)
+        grid = BinGrid(18.0, 24.0, n_bins)
         P = estimate_transition_matrix(DEFAULT_PARAMS, grid, T_set, deadband, T_amb).P
         n = self.N_SAMPLES
         mc = monte_carlo_matrix(DEFAULT_PARAMS, grid, T_set, deadband, T_amb, n_samples=n, seed=n_bins)
@@ -187,7 +190,7 @@ class TestStationaryDistribution:
         assert np.sum(np.abs(np.linalg.eigvals(A) - 1.0) < 1e-8) == 1
 
     def test_nominal_power_matches_micro_long_run(self, tm_nominal, x0_nominal, c_out):
-        p_nom = float(c_out.c @ x0_nominal.x)
+        p_nom = float(c_out @ x0_nominal.x)
         spec = FleetSpec(n_units=800, heterogeneity=0.0, seed=71)
         fleet = sample_fleet(spec)
         power = simulate_fleet(FleetStepper(fleet), 24 * 60)
@@ -267,7 +270,7 @@ class TestRemarkOneZero:
     def test_actuated_column_empties_on_block(self, tm_actuated, x0_nominal, c_out):
         # a setpoint raise of 2 degC with a 1 degC band switches every
         # stationary on unit off within one step
-        val = float(c_out.c @ (tm_actuated.P @ x0_nominal.x))
+        val = float(c_out @ (tm_actuated.P @ x0_nominal.x))
         assert abs(val) <= 1e-12 * P_ON_TOTAL
 
 

@@ -21,11 +21,7 @@ from tclflex.errors import (
 )
 from tclflex.etp import DEFAULT_PARAMS
 from tclflex.lp import LADDER, NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, ColumnMatrix, LinearProgram, LpSolution, solve
-from tclflex.markov import (
-    TransitionMatrix,
-    build_grid,
-    output_vector,
-)
+from tclflex.markov import BinGrid, TransitionMatrix, output_vector
 from tclflex.reachhold import (
     DEFAULT_N_GRID,
     EXACT_LP_CAP,
@@ -80,7 +76,7 @@ def char10_120():
 def point(n_bins: int) -> OperatingPoint:
     """The default operating point on an n_bins grid over 18-24 C."""
     return OperatingPoint(
-        DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL
+        DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON_TOTAL
     )
 
 
@@ -110,7 +106,7 @@ def dense_exact_40():
     for T in (30, 45, 60):
         with pytest.MonkeyPatch.context() as mp:
             seen = record_highs(mp)
-            out[T] = (seen, dense_exact(T, ch.kernels, ch.x_0, ch.A))
+            out[T] = (seen, dense_exact(T, ch, ch.x_0, ch.A))
     return out
 
 
@@ -120,24 +116,24 @@ def replay(alpha: np.ndarray, ch, horizon: int) -> np.ndarray:
     return delta_p_by_stepping(alpha[:, None] * ch.x_0[None, :], ch, horizon)
 
 
-def kernel_response(alpha: np.ndarray, kernels, x_0: np.ndarray) -> np.ndarray:
-    """dP[0..kernels.horizon] of the inner allocation alpha by the kernel
+def kernel_response(alpha: np.ndarray, fleet, x_0: np.ndarray) -> np.ndarray:
+    """dP[0..horizon] of the inner allocation alpha by the kernel
     algebra: dP[k] = sum_{m<k} alpha[m] (h_{k-m} - h_{a,k-m}) @ x_0."""
-    s = (kernels.h - kernels.h_a)[1:] @ x_0
+    s = (fleet.h - fleet.h_a)[1:] @ x_0
     return np.concatenate([[0.0], np.convolve(alpha, s)[: s.size]])
 
 
 def hand_fleet(A, A_a, x_0, T_max, n_bins=1, p_on=10.0):
     """A fleet over hand-written matrices on an n_bins grid over 0-1 C,
     characterized for holds up to T_max steps; x_0 need not be stationary."""
-    grid = build_grid(0.0, 1.0, n_bins)
+    grid = BinGrid(0.0, 1.0, n_bins)
     mk = lambda M: TransitionMatrix(
         P=np.asarray(M, dtype=float), grid=grid, dt_minutes=1.0,
         T_set=0.5, T_amb=1.0, deadband=1.0,
     )
     A, A_a, c, x_0 = mk(A), mk(A_a), output_vector(grid, p_on), np.asarray(x_0, dtype=float)
-    regime = {"dt_minutes": 1.0, "P_on_total_kw": p_on, "P_nom_kw": float(c.c @ x_0), "T_max_steps": T_max}
-    return CharacterizedFleet(A, A_a, x_0, c, response_kernels(A, A_a, c, horizon=T_max + 1), regime)
+    regime = {"dt_minutes": 1.0, "P_on_total_kw": p_on, "P_nom_kw": float(c @ x_0), "T_max_steps": T_max}
+    return CharacterizedFleet(A, A_a, x_0, c, *response_kernels(A, A_a, c, horizon=T_max + 1), regime)
 
 
 def tiny_fleet(A, A_a, T_max=9):
@@ -151,11 +147,11 @@ def with_capacities(ch, support):
     return replace(ch, x_0=capacities(ch.x_0, support))
 
 
-def full_support_exact(T, kernels, x_0, A):
+def full_support_exact(T, fleet, x_0, A):
     """Oracle for solve_exact: the exact LP written out over every state,
     hold rows then admissibility rows u[k] + sum A^{k-m} u[m] <= A^k x_0."""
     n = x_0.size
-    d = kernels.h - kernels.h_a
+    d = fleet.h - fleet.h_a
     n_vars = T * n + 1
     rows, rhs = [], []
     for k in range(1, T + 1):
@@ -191,7 +187,7 @@ def fill_hold_rows(G, d, cols, T):
     G[:T, -1] = 1.0
 
 
-def dense_exact(T, kernels, x_0, A):
+def dense_exact(T, fleet, x_0, A):
     """Oracle for solve_exact: the same LP on the invariant support with
     admissibility written out through dense A^p blocks,
     u[k] + sum_{m<k} A^{k-m} u[m] <= A^k x_0.  Returns the LP answer."""
@@ -203,7 +199,7 @@ def dense_exact(T, kernels, x_0, A):
     c_obj[-1] = 1.0
     G = np.zeros((T + (T - 1) * S, n_vars))
     h_vec = np.zeros(G.shape[0])
-    fill_hold_rows(G, kernels.h - kernels.h_a, cols, T)
+    fill_hold_rows(G, fleet.h - fleet.h_a, cols, T)
     Apow = np.eye(S)
     base = x_0[cols]
     for p in range(1, T):
@@ -221,7 +217,7 @@ def dense_exact(T, kernels, x_0, A):
     return solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo, hi=hi))
 
 
-def full_column_outer(T, kernels, x_0):
+def full_column_outer(T, fleet, x_0):
     """Oracle for solve_outer: the relaxed LP with every (step, state)
     column on supp(x_0) written out at once, each capped at x_0, under
     the unit budget.  Returns the LP value."""
@@ -232,7 +228,7 @@ def full_column_outer(T, kernels, x_0):
     c_obj[-1] = 1.0
     G = np.zeros((T + 1, n_vars))
     h_vec = np.zeros(T + 1)
-    fill_hold_rows(G, kernels.h - kernels.h_a, cols, T)
+    fill_hold_rows(G, fleet.h - fleet.h_a, cols, T)
     G[T, : T * S] = 1.0  # total budget <= 1
     h_vec[T] = 1.0
     hi = np.append(np.tile(x_0[cols], T), np.inf)
@@ -251,13 +247,13 @@ def capacities(x_0, support):
     return 0.5 * x_0 + 0.5 / x_0.size
 
 
-def knapsack_bound(T, kernels, x_0, duals):
+def knapsack_bound(T, fleet, x_0, duals):
     """Weak-duality bound from the duals of a master: with y its hold-row
     duals clipped to >= 0 and scaled to sum 1, each (step m, state s) on
     supp(x_0) prices at sum_{k>m} y[k-1] d[k-m][s]; fill capacity x_0[s]
     per column, best positive price first, until one unit is spent."""
     cols = np.flatnonzero(x_0 > 0.0)
-    d = (kernels.h - kernels.h_a)[:, cols]
+    d = (fleet.h - fleet.h_a)[:, cols]
     y = np.clip(duals[:T], 0.0, None)
     y = y / y.sum()
     items = []
@@ -282,22 +278,36 @@ PARTIAL = [[0.75, 0.75], [0.25, 0.25]]
 
 class TestResponseKernels:
     def test_first_row_is_output_vector(self, char40):
-        assert np.array_equal(char40.kernels.h[0], char40.c.c)
-        assert np.array_equal(char40.kernels.h_a[0], char40.c.c)
+        assert np.array_equal(char40.h[0], char40.c)
+        assert np.array_equal(char40.h_a[0], char40.c)
 
     def test_stationary_baseline_is_flat(self, char40):
         # h_m @ x_0 = P_nom up to the stationary-solve residual
-        drift = char40.kernels.h[1:] @ char40.x_0 - char40.p_nom_kw
+        drift = char40.h[1:] @ char40.x_0 - char40.p_nom_kw
         assert np.abs(drift).max() <= 1e-8 * P_ON_TOTAL
 
     def test_matches_matrix_powers(self, char10):
         A = char10.A.P
-        row = char10.c.c @ np.linalg.matrix_power(A, 7)
-        assert char10.kernels.h[7] == pytest.approx(row, abs=1e-9 * P_ON_TOTAL)
+        row = char10.c @ np.linalg.matrix_power(A, 7)
+        assert char10.h[7] == pytest.approx(row, abs=1e-9 * P_ON_TOTAL)
 
     def test_rejects_zero_horizon(self, char10):
         with pytest.raises(InvalidInputError):
             response_kernels(char10.A, char10.A_a, char10.c, horizon=0)
+
+    def test_returns_two_arrays_from_the_readout(self, char10):
+        h, h_a = response_kernels(char10.A, char10.A_a, char10.c, horizon=5)
+        for H in (h, h_a):
+            assert isinstance(H, np.ndarray) and H.shape == (6, char10.c.size)
+            assert np.array_equal(H[0], char10.c)
+        assert np.array_equal(h, char10.h[:6]) and np.array_equal(h_a, char10.h_a[:6])
+
+    def test_short_kernels_are_refused(self, char10):
+        # char10 holds kernels to T_max + 1 = 61 steps
+        with pytest.raises(InvalidInputError, match="horizon too short"):
+            solve_outer(62, char10)
+        with pytest.raises(InvalidInputError, match="horizon too short"):
+            solve_exact(62, replace(char10, h=char10.h[:30]))
 
 
 class TestPlanInput:
@@ -328,9 +338,9 @@ class TestDeltaP:
         assert dp[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
 
     def test_profile_plan_matches_stepping(self, char40):
-        K = char40.kernels.horizon
+        K = char40.h.shape[0] - 1
         ip = inner_point(0.6 * char40.p_nom_kw, char40)
-        algebra = kernel_response(ip.alpha, char40.kernels, char40.x_0)
+        algebra = kernel_response(ip.alpha, char40, char40.x_0)
         assert algebra == pytest.approx(replay(ip.alpha, char40, K), abs=1e-8 * P_ON_TOTAL)
 
     def test_general_plan_matches_stepping(self, char40):
@@ -344,7 +354,7 @@ class TestDeltaP:
         for k in range(T):
             u[k] = rng.uniform(0.0, 0.3, n) * x  # strictly admissible
             x = char40.A.P @ (x - u[k])
-        d = char40.kernels.h - char40.kernels.h_a
+        d = char40.h - char40.h_a
         steps, states = np.repeat(np.arange(T), n), np.tile(np.arange(n), T)
         block = ColumnMatrix.from_entries([_hold_block(d, T, steps, states)], (T, T * n + 1))
         stepped = delta_p_by_stepping(u, char40, horizon=T)
@@ -362,7 +372,7 @@ class TestDeltaP:
         fleet = growing_support_system()
         u = np.zeros((3, 4))
         u[1, 2] = 0.5
-        d = fleet.kernels.h - fleet.kernels.h_a
+        d = fleet.h - fleet.h_a
         steps, states = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
         block = ColumnMatrix.from_entries([_hold_block(d, 3, steps, states)], (3, 13))
         dp = delta_p_by_stepping(u, fleet, 3)
@@ -400,7 +410,7 @@ class TestAlphaLowerBound:
         ip = inner_point(2.0, fleet)
         assert ip.alpha[0] == pytest.approx(0.8)
         assert ip.alpha[1] == pytest.approx(0.0, abs=1e-15)
-        assert kernel_response(ip.alpha, fleet.kernels, fleet.x_0)[1:3] == pytest.approx([2.0, 2.0])
+        assert kernel_response(ip.alpha, fleet, fleet.x_0)[1:3] == pytest.approx([2.0, 2.0])
 
 
 class TestInnerPoint:
@@ -501,7 +511,7 @@ class TestInnerProfile:
     def test_matches_per_target_reference(self, T_amb, raise_k, n_bins, T_hold):
         T_max = 240
         op = OperatingPoint(
-            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+            DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         ch = characterize(op, T_max=T_max)
         for P in default_p_grid(ch.p_nom_kw):
@@ -577,7 +587,7 @@ class TestSolveExact:
     def test_matches_full_support_oracle(self, fleet, T, request):
         ch = request.getfixturevalue(fleet)
         P, plan, _ = solve_exact(T, ch)
-        assert P == pytest.approx(full_support_exact(T, ch.kernels, ch.x_0, ch.A), abs=LP_TOL)
+        assert P == pytest.approx(full_support_exact(T, ch, ch.x_0, ch.A), abs=LP_TOL)
         off = np.setdiff1d(np.arange(ch.x_0.size), invariant_support(ch.A, ch.x_0))
         assert plan.shape == (T, ch.x_0.size)
         assert np.all(plan[:, off] == 0.0)
@@ -587,7 +597,7 @@ class TestSolveExact:
         assert invariant_support(fleet.A, fleet.x_0).tolist() == [1, 2, 3]
         for T in (1, 2, 3, 6):
             P, plan, _ = solve_exact(T, fleet)
-            assert P == pytest.approx(full_support_exact(T, fleet.kernels, fleet.x_0, fleet.A), abs=1e-7)
+            assert P == pytest.approx(full_support_exact(T, fleet, fleet.x_0, fleet.A), abs=1e-7)
             assert plan.shape == (T, 4)
             assert np.all(plan[:, 0] == 0.0)
         assert P == pytest.approx(5.0, abs=1e-7)
@@ -623,7 +633,7 @@ class TestSolveExact:
         # three of the eleven 40-bin survey pairs whose exact LP raised
         # before the ladder had its interior-point rung and took short
         # replays as refusals
-        op = OperatingPoint(DEFAULT_PARAMS, build_grid(18.0, 24.0, 40), T_SET, T_set_new, deadband, T_amb, P_ON_TOTAL)
+        op = OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_set_new, deadband, T_amb, P_ON_TOTAL)
         ch = characterize(op, T_max=T)
         seen = record_highs(monkeypatch)
         P, plan, sol = solve_exact(T, ch)
@@ -649,11 +659,11 @@ class TestSolveExact:
     def test_matches_lifted_reference(self, T_amb, raise_k, n_bins, T):
         # the u/w lifted LP of exact_reference poses the same feasible set
         op = OperatingPoint(
-            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+            DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         ch = characterize(op, T_max=T)
         P, plan, _ = solve_exact(T, ch)
-        assert P == pytest.approx(reference_exact(T, ch.kernels, ch.x_0, ch.A)[0], abs=LP_TOL)
+        assert P == pytest.approx(reference_exact(T, ch, ch.x_0, ch.A)[0], abs=LP_TOL)
         dp = delta_p_by_stepping(plan, ch, T)
         assert dp[1:].min() - P >= -1e-9 * P_ON_TOTAL
 
@@ -747,20 +757,20 @@ class TestSparseBuilders:
     @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40, T_share=1.0, density=1.0, seed=0)
     def test_match_dense_reference(self, T_amb, raise_k, n_bins, T_share, density, seed):
         op = OperatingPoint(
-            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+            DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         T_cap = EXACT_LP_CAP // (2 * n_bins)  # 2 * n_bins states
         T = max(1, round(T_share * T_cap))
         ch = characterize(op, T_max=T)
         lp = captured_exact_lp(T, ch)
-        assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_exact_matrix(T, ch.kernels, ch.x_0, ch.A)))
+        assert_bitwise_equal(lp.G, ColumnMatrix.from_dense(dense_exact_matrix(T, ch, ch.x_0, ch.A)))
 
         # P, then the columns of a random active set on supp(x_0) with
         # the budget row, as solve_outer appends them to a master
         cols = np.flatnonzero(ch.x_0 > 0.0)
         S = cols.size
         idx = np.flatnonzero(np.random.default_rng(seed).random(T * S) < density)
-        d = ch.kernels.h - ch.kernels.h_a
+        d = ch.h - ch.h_a
         steps, states = idx // S, cols[idx % S]
         p_column = ColumnMatrix.from_dense(np.r_[np.ones(T), 0.0][:, None])
         master = p_column.append(_outer_columns(d, T, steps, states))
@@ -772,7 +782,7 @@ class TestSparseBuilders:
         # every master solve_outer poses: P, then every column added so
         # far, in the order of the rounds that added them
         ch = request.getfixturevalue(fleet)
-        d = ch.kernels.h - ch.kernels.h_a
+        d = ch.h - ch.h_a
         blocks, lps = [], []
         hold_block, solve_lp = tclflex.reachhold._hold_block, tclflex.reachhold.solve
         monkeypatch.setattr(tclflex.reachhold, "_hold_block", lambda *a: blocks.append(a[2:]) or hold_block(*a))
@@ -796,7 +806,7 @@ class TestInvariantSupport:
         assert np.array_equal(inside, ch.x_0 > 0.0)
 
     def test_grows_along_transitions(self):
-        grid = build_grid(0.0, 1.0, 2)
+        grid = BinGrid(0.0, 1.0, 2)
         chain = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
         A = TransitionMatrix(P=chain, grid=grid, dt_minutes=1.0, T_set=0.5, T_amb=1.0, deadband=1.0)
         assert invariant_support(A, np.array([0.0, 1.0, 0.0, 0.0])).tolist() == [1, 2, 3]
@@ -832,16 +842,16 @@ class TestSolveOuter:
         ch = request.getfixturevalue(fleet)
         x_0 = capacities(ch.x_0, support)
         P, u, sol = solve_outer(T, replace(ch, x_0=x_0))
-        assert P == pytest.approx(full_column_outer(T, ch.kernels, x_0), abs=LP_TOL)
+        assert P == pytest.approx(full_column_outer(T, ch, x_0), abs=LP_TOL)
         # the last master's duals prove the value for every column
-        assert knapsack_bound(T, ch.kernels, x_0, sol.duals_ineq) <= P * (1.0 + 1e-9)
+        assert knapsack_bound(T, ch, x_0, sol.duals_ineq) <= P * (1.0 + 1e-9)
         # its plan stays on supp(x_0), within the capacities and the
         # budget, and holds P
         assert u.shape == (T, x_0.size)
         assert np.all(u[:, x_0 <= 0.0] == 0.0)
         assert np.all(u <= x_0 + 1e-9)
         assert u.sum() <= 1.0 + 1e-9
-        d = ch.kernels.h - ch.kernels.h_a
+        d = ch.h - ch.h_a
         held = [sum(d[k - m] @ u[m] for m in range(k)) for k in range(1, T + 1)]
         assert min(held) >= P - LP_TOL
 
@@ -935,7 +945,7 @@ class TestOuterBoundary:
     )
     def test_sandwich_across_regimes(self, T_amb, raise_k, n_bins, T):
         op = OperatingPoint(
-            DEFAULT_PARAMS, build_grid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+            DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         ch = characterize(op, T_max=T)
         lo = inner_p_at(T, ch)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tclflex.errors import InvalidInputError, ValidationDegradedWarning
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
-from tclflex.markov import build_grid
+from tclflex.markov import BinGrid
 from tclflex.validation import (
     DiscretizedPlan,
     _state_pools,
@@ -100,7 +100,7 @@ def settled_fleet():
 
 class TestStatePools:
     def test_grouped_pools_equal_flatnonzero_pools(self):
-        grid = build_grid(18.0, 24.0, 40)
+        grid = BinGrid(18.0, 24.0, 40)
         fleet = sample_fleet(FleetSpec(n_units=5000, heterogeneity=0.15, seed=37))
         burn_in(FleetStepper(fleet), steps=30)
         actuated = np.random.default_rng(41).uniform(size=fleet.n_units) < 0.3
@@ -118,7 +118,7 @@ class TestStatePools:
 
 class TestApplyPlanMicro:
     def test_zero_plan_matches_unactuated_baseline(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         plan = DiscretizedPlan(
             counts=np.zeros((5, grid.n_states), dtype=int),
             n_units=200,
@@ -132,7 +132,7 @@ class TestApplyPlanMicro:
         assert run.total_selected == 0 and not run.shortfall_events
 
     def test_actuate_everyone_collapses_demand(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         fleet = copy.deepcopy(settled_fleet)
         state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
         counts = np.zeros((1, grid.n_states), dtype=int)
@@ -146,7 +146,7 @@ class TestApplyPlanMicro:
         assert np.all(fleet.T_set == T_SET_NEW)
 
     def test_same_seed_reproduces_trace(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         counts = np.zeros((6, grid.n_states), dtype=int)
         counts[::2, grid.n_bins + 5] = 3  # pull from an on bin near the band
         counts[1::2, 6] = 2  # and an off bin inside it
@@ -164,7 +164,7 @@ class TestApplyPlanMicro:
         # validate carries one stepper from burn-in into the replay; that
         # gives the same trace, bit for bit, as a fresh stepper per phase
         spec = FleetSpec(n_units=300, heterogeneity=0.15, deadband=0.8, T_amb=34.0, seed=43)
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         counts = np.zeros((6, grid.n_states), dtype=int)
         counts[::2, grid.n_bins + 5] = 3
         counts[1::2, 6] = 2
@@ -193,7 +193,7 @@ class TestApplyPlanMicro:
     @example(n_bins=10, fleet_seed=4, plan_seed=5, selection_seed=6, max_count=1)
     def test_matches_reference_replay(self, n_bins, fleet_seed, plan_seed, selection_seed, max_count):
         spec = FleetSpec(n_units=240, heterogeneity=0.15, seed=fleet_seed)
-        grid = build_grid(18.0, 24.0, n_bins)
+        grid = BinGrid(18.0, 24.0, n_bins)
         rng = np.random.default_rng(plan_seed)
         # a dozen units well outside [T_min, T_max] exercise the key clip
         fleet = sample_fleet(spec)
@@ -218,7 +218,7 @@ class TestApplyPlanMicro:
         assert run.total_selected == int(actuated.sum())
 
     def test_empty_bin_shortfall_warns(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         counts = np.zeros((1, grid.n_states), dtype=int)
         counts[0, 0] = 10  # 18.0-18.3 degC: unoccupied at steady state
         plan = DiscretizedPlan(counts=counts, n_units=200)
@@ -231,7 +231,7 @@ class TestApplyPlanMicro:
         assert run.shortfall_events[0]["selected"] == 0
 
     def test_units_never_actuated_twice(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         fleet = copy.deepcopy(settled_fleet)
         state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
         occupancy = np.bincount(state_idx, minlength=grid.n_states)
@@ -245,7 +245,7 @@ class TestApplyPlanMicro:
         assert int(run.actuated.sum()) == run.total_selected
 
     def test_fleet_size_mismatch_rejected(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         plan = DiscretizedPlan(
             counts=np.zeros((1, grid.n_states), dtype=int),
             n_units=999,
@@ -254,7 +254,7 @@ class TestApplyPlanMicro:
             apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW)
 
     def test_horizon_shorter_than_plan_rejected(self, settled_fleet):
-        grid = build_grid(18.0, 24.0, 20)
+        grid = BinGrid(18.0, 24.0, 20)
         plan = DiscretizedPlan(
             counts=np.zeros((5, grid.n_states), dtype=int),
             n_units=200,
