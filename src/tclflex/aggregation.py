@@ -13,6 +13,8 @@ so every combined point inherits feasibility from component points.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import InvalidInputError
 from .reachhold import ReachHoldPoint, ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
 
@@ -72,7 +74,9 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, list[ReachHoldP
 def combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str) -> ReachHoldSet:
     """One frontier of combine(set1, set2) as a standalone set, whose regime
     sums the components' P_on_total_kw and P_nom_kw where both record them
-    (used when folding more than two fleets)."""
+    (used when folding more than two fleets).  Points are then clipped to
+    the summed P_nom_kw: each component passed its own P_nom check, so any
+    excess is only the components' summed rounding tolerance."""
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     regime = {"dt_minutes": float(set1.regime.get("dt_minutes", 1.0)), "combined_mode": mode}
@@ -80,20 +84,24 @@ def combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str) -> ReachHold
         vals = [s.regime.get(key) for s in (set1, set2)]
         if all(v is not None for v in vals):
             regime[key] = float(sum(vals))
-    return ReachHoldSet(points=combine(set1, set2)[mode], method=set1.method, regime=regime)
+    points = combine(set1, set2)[mode]
+    if "P_nom_kw" in regime:
+        p_nom = regime["P_nom_kw"]
+        points = prune_to_frontier([replace(p, P_hold_kw=min(p.P_hold_kw, p_nom)) for p in points])
+    return ReachHoldSet(points=points, method=set1.method, regime=regime)
 
 
 def combine_many(sets: list[ReachHoldSet]) -> dict[str, list[ReachHoldPoint]]:
-    """Left-fold of combine over more than two fleets, carrying the union
-    frontier between stages; returns the last stage's frontiers, an inner
-    bound of the true joint set since mixed schedules across stages are
-    not enumerated."""
+    """Left-fold of combined_set over more than two fleets, carrying the
+    union frontier between stages; returns the last stage's frontiers by
+    mode, an inner bound of the true joint set since mixed schedules across
+    stages are not enumerated."""
     if len(sets) < 2:
         raise InvalidInputError(f"need at least two sets, got {len(sets)}")
     folded = sets[0]
     for s in sets[1:-1]:
         folded = combined_set(folded, s, UNION)
-    return combine(folded, sets[-1])
+    return {mode: combined_set(folded, sets[-1], mode).points for mode in MODES}
 
 
 def save_combined(

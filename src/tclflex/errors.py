@@ -20,10 +20,6 @@ class InvalidConfigurationError(TclFlexError):
     """A scenario or model configuration is inconsistent or incomplete."""
 
 
-class ConstraintViolationError(TclFlexError):
-    """A control input violates the admissible set (e.g. u outside [0, x])."""
-
-
 class NumericalFailureError(TclFlexError):
     """An iterative or external numerical routine failed to converge or
     returned a result that does not pass independent verification."""

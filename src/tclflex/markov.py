@@ -8,7 +8,9 @@ exact step of a representative unit spread uniformly over each bin.
 
 Population fractions live in [0, 1] and sum to one over the whole fleet;
 multiplying by the fleet's connected power via the output vector turns
-occupancy of the on-block into aggregate demand in kW.
+occupancy of the on-block into aggregate demand in kW.  This module
+builds the model; `reachhold.delta_p_by_stepping` steps a plan through
+it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
-    ConstraintViolationError,
     InvalidConfigurationError,
     InvalidInputError,
     NumericalFailureError,
@@ -234,63 +235,12 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryResult:
     return StationaryResult(x=x, residual=residual, iterations=passes_r + passes_c)
 
 
-@dataclass
-class PopulationState:
-    """Fractions of the fleet in each state, split into the nominal-setpoint
-    population x and the actuated population x_a."""
-
-    x: np.ndarray
-    x_a: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.x_a = np.asarray(self.x_a, dtype=float)
-        if self.x.shape != self.x_a.shape:
-            raise InvalidInputError("x and x_a must have the same shape")
-        if np.any(self.x < -1e-12) or np.any(self.x_a < -1e-12):
-            raise InvalidInputError("population fractions must be nonnegative")
-        mass = self.x.sum() + self.x_a.sum()
-        if abs(mass - 1.0) > 1e-9:
-            raise InvalidInputError(f"total population mass {mass!r} deviates from 1 by > 1e-9")
-
-
 def output_vector(grid: BinGrid, P_on_total: float) -> np.ndarray:
     """Demand readout c, which maps a population vector to aggregate demand
     in kW: P_on_total on the on block, zero on the off block."""
     if P_on_total <= 0.0:
         raise InvalidInputError(f"P_on_total must be positive, got {P_on_total}")
     return np.where(grid.on_mask(), P_on_total, 0.0)
-
-
-def step_population(
-    state: PopulationState,
-    u: np.ndarray,
-    A: TransitionMatrix,
-    A_a: TransitionMatrix,
-) -> PopulationState:
-    """Advance one step, moving control mass u from x into the actuated
-    population: x' = A (x - u), x_a' = A_a (x_a + u).
-
-    u must satisfy 0 <= u <= x elementwise (small numerical slack is
-    tolerated and clipped)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != state.x.shape:
-        raise InvalidInputError(f"u shape {u.shape} does not match state {state.x.shape}")
-    slack = 1e-9 * max(1.0, float(state.x.max(initial=0.0)))
-    low = u < -slack
-    high = u > state.x + slack
-    if np.any(low | high):
-        i = int(np.argmax(low | high))
-        raise ConstraintViolationError(
-            f"u[{i}]={u[i]!r} outside [0, x[{i}]={state.x[i]!r}]"
-        )
-    u = np.clip(u, 0.0, state.x)
-    return PopulationState(x=A.P @ (state.x - u), x_a=A_a.P @ (state.x_a + u))
-
-
-def aggregate_power(state: PopulationState, c: np.ndarray) -> float:
-    """Total demand of both populations through the readout c, kW."""
-    return float(c @ (state.x + state.x_a))
 
 
 _MATRIX_HEADER = "# tclflex transition matrix v1"

@@ -49,14 +49,11 @@ from .etp import TclParams
 from .lp import OPTIMAL, ColumnMatrix, LinearProgram, LpSolution, solve
 from .markov import (
     BinGrid,
-    PopulationState,
     TransitionMatrix,
-    aggregate_power,
     estimate_transition_matrix,
     output_vector,
     reachable,
     stationary_distribution,
-    step_population,
 )
 
 EXACT = "exact"
@@ -125,23 +122,27 @@ def check_plan(u, n_states: int | None = None) -> np.ndarray:
 def delta_p_by_stepping(u: np.ndarray, fleet: CharacterizedFleet, horizon: int) -> np.ndarray:
     """Reduction trace dP[k], k = 0..horizon, of plan u on `fleet` by direct
     population stepping (independent of the kernel algebra; used for
-    cross-checks and plan certification).  dP[k] is measured from the
-    unactuated trajectory c A^k x_0, stepped alongside, as every LP and the
-    inner recursion measure it; that is P_nom only when x_0 is stationary."""
-    A, A_a, x_0 = fleet.A, fleet.A_a, fleet.x_0
+    cross-checks and plan certification): the nominal population x and the
+    actuated x_a move on as x' = A (x - u[k]), x_a' = A_a (x_a + u[k]).
+    dP[k] is measured from the unactuated trajectory c A^k x_0, stepped
+    alongside, as every LP and the inner recursion measure it; that is
+    P_nom only when x_0 is stationary.  Matrices that are not column-
+    stochastic raise NumericalFailureError before any step."""
+    A, A_a, x_0, c = fleet.A.P, fleet.A_a.P, fleet.x_0, fleet.c
+    fleet.A.validate()
+    fleet.A_a.validate()
     u = check_plan(u, x_0.size)
     T = u.shape[0]
-    state = PopulationState(x=x_0.copy(), x_a=np.zeros_like(x_0))
-    free = x_0
+    x, x_a, free = x_0, np.zeros_like(x_0), x_0
     out = np.zeros(horizon + 1)
     zero = np.zeros_like(x_0)
     for k in range(horizon):
-        # project onto the admissible set: LP answers carry solver-level
-        # slack, and shrinking u only understates the reduction
-        u_k = np.minimum(np.clip(u[k], 0.0, None), state.x) if k < T else zero
-        state = step_population(state, u_k, A, A_a)
-        free = A.P @ free
-        out[k + 1] = float(fleet.c @ free) - aggregate_power(state, fleet.c)
+        # project onto the admissible set 0 <= u[k] <= x: LP answers carry
+        # solver-level slack, and shrinking u only understates the reduction
+        u_k = np.minimum(np.clip(u[k], 0.0, None), x) if k < T else zero
+        x, x_a = A @ (x - u_k), A_a @ (x_a + u_k)
+        free = A @ free
+        out[k + 1] = float(c @ free) - float(c @ (x + x_a))
     return out
 
 
@@ -551,19 +552,23 @@ def solve_outer(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     return value, np.clip(u, 0.0, None), sol
 
 
+def lp_frontier(fleet: CharacterizedFleet, holds, values, method: str) -> ReachHoldSet:
+    """Frontier of `fleet` from one LP value per hold: each value is
+    clipped to [0, P_nom] (the true reduction can never exceed nominal
+    demand) and kept as the point's raw_objective_kw, then pruned."""
+    p_nom = fleet.p_nom_kw
+    samples = [
+        ReachHoldPoint(P_hold_kw=float(np.clip(v, 0.0, p_nom)), T_hold_steps=int(T), raw_objective_kw=float(v))
+        for T, v in zip(holds, values)
+    ]
+    return ReachHoldSet(points=prune_to_frontier(samples), method=method, regime=fleet.regime)
+
+
 def outer_boundary(fleet: CharacterizedFleet, t_grid: np.ndarray) -> ReachHoldSet:
     """Outer frontier of `fleet` over hold durations, one relaxed LP per
-    hold.  Values are clipped to P_nom (the true reduction can never
-    exceed nominal demand); each point keeps the LP's own value as
-    raw_objective_kw."""
-    p_nom = fleet.p_nom_kw
-    samples = []
-    for T in np.asarray(t_grid, dtype=int):
-        raw, _, _ = solve_outer(int(T), fleet)
-        samples.append(
-            ReachHoldPoint(P_hold_kw=float(np.clip(raw, 0.0, p_nom)), T_hold_steps=int(T), raw_objective_kw=raw)
-        )
-    return ReachHoldSet(points=prune_to_frontier(samples), method=OUTER, regime=fleet.regime)
+    hold, assembled by lp_frontier."""
+    holds = np.asarray(t_grid, dtype=int)
+    return lp_frontier(fleet, holds, [solve_outer(int(T), fleet)[0] for T in holds], OUTER)
 
 
 @dataclass(frozen=True)

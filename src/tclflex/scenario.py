@@ -34,8 +34,6 @@ from .reachhold import (
     METHODS,
     OUTER,
     OperatingPoint,
-    ReachHoldPoint,
-    ReachHoldSet,
     characterize,
     delta_p_by_stepping,
     exact_fits,
@@ -43,8 +41,8 @@ from .reachhold import (
     inner_p_at,
     inner_point,
     load_set,
+    lp_frontier,
     outer_boundary,
-    prune_to_frontier,
     save_set,
     solve_exact,
     sweep,
@@ -341,12 +339,7 @@ def run_reachhold(
     if EXACT in methods:
         vals = [solve_exact(t, ch)[0] for t in t_exact]
         # the true boundary is nonincreasing; a running min trims LP noise
-        vals = np.minimum.accumulate(vals)
-        samples = [
-            ReachHoldPoint(P_hold_kw=float(np.clip(v, 0.0, ch.p_nom_kw)), T_hold_steps=t, raw_objective_kw=float(v))
-            for t, v in zip(t_exact, vals)
-        ]
-        sets[EXACT] = ReachHoldSet(points=prune_to_frontier(samples), method=EXACT, regime=ch.regime)
+        sets[EXACT] = lp_frontier(ch, t_exact, np.minimum.accumulate(vals), EXACT)
     tol = EXACT_REPLAY_TOL_REL * op.P_on_total_kw
     for lower, upper in ((INNER, EXACT), (EXACT, OUTER), (INNER, OUTER)):
         if lower in sets and upper in sets:

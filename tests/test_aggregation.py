@@ -177,6 +177,17 @@ class TestCombineMany:
         con = as_set(combined["consecutive"])
         assert query_t_at_p(con, 50.0) >= 3 * query_t_at_p(s, 50.0)
 
+    def test_components_just_above_their_nominal_demand_fold(self):
+        # each 0.25 kW-nominal set peaks 0.9e-9 kW above its P_nom, inside its
+        # own tolerance; the excess adds up over the fold, and is clipped
+        regime = {"P_on_total_kw": 0.5, "P_nom_kw": 0.25}
+        a = make_set([(5, 0.2500000009), (20, 0.1)], **regime)
+        b = make_set([(8, 0.2500000009), (30, 0.05)], **regime)
+        combined = combine_many([a, b, a])
+        assert tuple(combined) == MODES
+        assert max(p.P_hold_kw for mode in MODES for p in combined[mode]) <= 0.75
+        assert combined_set(a, b, "union").points[0].P_hold_kw == 0.5
+
     def test_needs_two_sets(self):
         with pytest.raises(InvalidInputError):
             combine_many([make_set(FRONTIER)])

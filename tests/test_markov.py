@@ -1,6 +1,6 @@
 """Tests for the bin model: grids, the closed-form transition matrix
-against a Monte-Carlo oracle, stationary distributions, population
-stepping, and serialization."""
+against a Monte-Carlo oracle, stationary distributions, the readout,
+and serialization."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tclflex.errors import (
-    ConstraintViolationError,
     InvalidConfigurationError,
     InvalidInputError,
     NumericalFailureError,
@@ -16,19 +15,16 @@ from tclflex.errors import (
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import (
     BinGrid,
-    PopulationState,
     TransitionMatrix,
-    aggregate_power,
     estimate_transition_matrix,
     load_matrix,
     output_vector,
     reachable,
     save_matrix,
     stationary_distribution,
-    step_population,
 )
 
-from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET
+from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
 from mc_reference import monte_carlo_matrix
 
 
@@ -77,10 +73,14 @@ class TestBinGrid:
 
 
 class TestEstimateTransitionMatrix:
-    def test_columns_sum_to_one(self, tm_nominal):
-        sums = tm_nominal.P.sum(axis=0)
-        assert np.all(np.abs(sums - 1.0) <= 1e-9)
-        assert np.all(tm_nominal.P >= 0.0)
+    def test_columns_sum_to_one(self):
+        # both matrices of the default regime, A and A_a, keep the fleet's
+        # mass, which the population replay relies on at every step
+        for n_bins in (10, 40, 160):
+            for T_set in (T_SET, T_SET_NEW):
+                tm = estimate_transition_matrix(DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_set, DEADBAND, T_AMB)
+                assert np.all(np.abs(tm.P.sum(axis=0) - 1.0) <= 1e-12), (n_bins, T_set)
+                assert np.all(tm.P >= 0.0)
 
     def test_deterministic(self, grid40, tm_nominal):
         again = estimate_transition_matrix(DEFAULT_PARAMS, grid40, T_SET, DEADBAND, T_AMB)
@@ -218,52 +218,6 @@ class TestStationaryDistribution:
         )
         with pytest.raises(NumericalFailureError, match="residual"):
             stationary_distribution(leaky)
-
-
-class TestPopulationStepping:
-    def test_mass_conserved_and_nonnegative(self, tm_nominal, tm_actuated, x0_nominal):
-        x0 = x0_nominal.x
-        state = PopulationState(x=x0, x_a=np.zeros_like(x0))
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            u = state.x * rng.uniform(0.0, 0.3)
-            state = step_population(state, u, tm_nominal, tm_actuated)
-            total = state.x.sum() + state.x_a.sum()
-            assert total == pytest.approx(1.0, abs=1e-12)
-            assert np.all(state.x >= -1e-12)
-            assert np.all(state.x_a >= -1e-12)
-
-    def test_zero_control_is_pure_mixing(self, tm_nominal, tm_actuated, x0_nominal):
-        x0 = x0_nominal.x
-        state = PopulationState(x=x0, x_a=np.zeros_like(x0))
-        nxt = step_population(state, np.zeros_like(x0), tm_nominal, tm_actuated)
-        assert np.allclose(nxt.x, tm_nominal.P @ x0, atol=1e-15)
-        assert np.all(nxt.x_a == 0.0)
-
-    def test_control_bounds_enforced(self, tm_nominal, tm_actuated, x0_nominal):
-        x0 = x0_nominal.x
-        state = PopulationState(x=x0, x_a=np.zeros_like(x0))
-        u = np.zeros_like(x0)
-        u[5] = -0.01
-        with pytest.raises(ConstraintViolationError, match=r"u\[5\]"):
-            step_population(state, u, tm_nominal, tm_actuated)
-        u = x0 + 0.01
-        with pytest.raises(ConstraintViolationError):
-            step_population(state, u, tm_nominal, tm_actuated)
-
-    def test_state_validation(self):
-        with pytest.raises(InvalidInputError):
-            PopulationState(x=np.array([0.6, 0.6]), x_a=np.array([0.0, 0.0]))
-        with pytest.raises(InvalidInputError):
-            PopulationState(x=np.array([-0.1, 1.1]), x_a=np.array([0.0, 0.0]))
-
-    def test_aggregate_power_reads_on_block(self, grid40, c_out):
-        n = grid40.n_bins
-        x = np.zeros(grid40.n_states)
-        x[: n] = 0.6 / n
-        x[n :] = 0.4 / n
-        state = PopulationState(x=x, x_a=np.zeros_like(x))
-        assert aggregate_power(state, c_out) == pytest.approx(0.4 * P_ON_TOTAL, rel=1e-12)
 
 
 class TestRemarkOneZero:

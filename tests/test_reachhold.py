@@ -379,6 +379,26 @@ class TestDeltaP:
         assert dp[2] == pytest.approx(5.0)
         assert block @ np.append(u.ravel(), 0.0) == pytest.approx(-dp[1:], abs=1e-12)  # at P = 0
 
+    def test_plan_above_the_unactuated_mass_replays_as_the_admissible_one(self, char40):
+        # the replay moves at most the unactuated mass x[k]; asking for
+        # twice x_0 at the first step is the plan that actuates all of it
+        x_0 = char40.x_0
+        admissible = np.zeros((3, x_0.size))
+        admissible[0] = x_0
+        excess = admissible.copy()
+        excess[0] = 2.0 * x_0
+        dp = delta_p_by_stepping(excess, char40, 10)
+        assert np.array_equal(dp, delta_p_by_stepping(admissible, char40, 10))
+        assert dp[1] == pytest.approx(char40.p_nom_kw, abs=1e-9 * P_ON_TOTAL)
+
+    def test_leaky_matrix_refused(self):
+        # A loses a tenth of the off state's mass at every step
+        fleet = tiny_fleet([[0.8, 0.5], [0.1, 0.5]], MIXING)
+        with pytest.raises(NumericalFailureError, match="column sums"):
+            delta_p_by_stepping(np.zeros((2, 2)), fleet, 2)
+        with pytest.raises(NumericalFailureError, match="column sums"):
+            delta_p_by_stepping(np.zeros((2, 2)), tiny_fleet(MIXING, [[0.8, 0.5], [0.1, 0.5]]), 2)
+
 
 class TestAlphaLowerBound:
     """The greedy lower bounds alpha[k], read off `inner_point`."""

@@ -8,8 +8,11 @@
 # REV is exported with `git archive` into a temporary directory; both
 # trees run with the same Python.  Each command's exit status is recorded
 # beside its artifacts, so a run that fails on one side shows up in the
-# diff too.  Prints nothing and exits 0 when the two trees agree byte for
-# byte; full fig4 (exact included) dominates the run time.
+# diff too; a command that fails on both sides diffs clean, so every
+# nonzero status on either side is printed after the diff as well.
+# Prints nothing and exits 0 when every command succeeds on both sides
+# and the two trees agree byte for byte; full fig4 (exact included)
+# dominates the run time.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_presets.sh REV}
@@ -46,4 +49,9 @@ run_presets "$tmp/rev-tree/src" "$tmp/rev" &
 run_presets "$root/src" "$tmp/work" &
 wait
 cd "$tmp"
-diff -r rev work
+status=0
+diff -r rev work || status=1
+if grep -H -v '^0 ' rev/exit_status.txt work/exit_status.txt; then
+    status=1
+fi
+exit "$status"
