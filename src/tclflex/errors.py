@@ -1,4 +1,4 @@
-"""Shared exception types and warning categories.
+"""Shared exception types.
 
 Every module raises one of these instead of bare ValueError so callers
 (and the CLI exit-code mapping) can tell bad inputs apart from numerical
@@ -27,7 +27,3 @@ class NumericalFailureError(TclFlexError):
 
 class FrontierMonotonicityError(TclFlexError):
     """A computed boundary violates the monotone frontier invariant."""
-
-
-class ValidationDegradedWarning(UserWarning):
-    """Cross-validation ran but actuation requests could not be met in full."""

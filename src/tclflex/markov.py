@@ -109,10 +109,11 @@ class TransitionMatrix:
         n = self.grid.n_states
         if self.P.shape != (n, n):
             raise InvalidInputError(f"matrix shape {self.P.shape} does not match grid ({n} states)")
-        if np.any(self.P < 0.0):
-            raise NumericalFailureError("transition matrix has negative entries")
+        # phrased so that a NaN entry fails each test
+        if not np.all(self.P >= 0.0):
+            raise NumericalFailureError("transition matrix has negative or NaN entries")
         worst = np.abs(self.P.sum(axis=0) - 1.0).max()
-        if worst > 1e-9:
+        if not worst <= 1e-9:
             raise NumericalFailureError(f"column sums deviate from 1 by {worst:.3e} (> 1e-9)")
 
 
@@ -270,23 +271,34 @@ def save_matrix(tm: TransitionMatrix, path) -> None:
 
 
 def load_matrix(path) -> TransitionMatrix:
-    """Read a matrix written by save_matrix and re-validate it."""
+    """Read a matrix written by save_matrix and re-validate it.  A line
+    that does not parse, rows of unequal length or a fractional n_bins
+    raise InvalidInputError."""
     meta: dict[str, float] = {}
     rows: list[list[float]] = []
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != _MATRIX_HEADER:
             raise InvalidInputError(f"unrecognized matrix file header: {first!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = float(value)
-            else:
-                rows.append([float(tok) for tok in line.split(",")])
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    meta[key.strip()] = float(value)
+                else:
+                    rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise InvalidInputError(f"matrix file line {lineno} does not parse: {line!r}") from exc
+            if rows and len(rows[-1]) != len(rows[0]):
+                raise InvalidInputError(
+                    f"matrix file line {lineno} holds {len(rows[-1])} entries, the first row {len(rows[0])}"
+                )
     try:
+        if not meta["n_bins"].is_integer():
+            raise InvalidInputError(f"matrix file field n_bins must be an integer, got {meta['n_bins']!r}")
         grid = BinGrid(T_min=meta["T_min"], T_max=meta["T_max"], n_bins=int(meta["n_bins"]))
         tm = TransitionMatrix(
             P=np.array(rows),

@@ -110,10 +110,12 @@ def exact_fits(T_hold: int, n_states: int) -> bool:
 
 def check_plan(u, n_states: int | None = None) -> np.ndarray:
     """u as a float plan (T, n_states); InvalidInputError when it has
-    another shape or an entry below -1e-12."""
+    another shape or an entry that is not finite or below -1e-12."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or (n_states is not None and u.shape[1] != n_states):
         raise InvalidInputError(f"a plan needs one row per step and one column per state, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidInputError("plan entries must be finite")
     if np.any(u < -1e-12):
         raise InvalidInputError("plan entries must be nonnegative")
     return u

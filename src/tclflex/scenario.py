@@ -431,23 +431,22 @@ def run_validate(
         dp = delta_p_by_stepping((fraction * ch.x_0)[None, :], ch, horizon)
         markov = ch.p_nom_kw - dp
         stepper = FleetStepper(sample_fleet(spec), op.dt_minutes)
-        fleet = stepper.fleet
         burn_in(stepper, burn_steps)
         # a step actuates a uniformly random fraction of units (all of
         # them at fraction 1), so it can never run short; per-bin
         # selection is the plan-driven blocks path
         rng = np.random.default_rng(selection_seed)
         switch = rng.choice(spec.n_units, size=round(fraction * spec.n_units), replace=False)
-        fleet.T_set = fleet.T_set.copy()
-        fleet.T_set[switch] = op.T_set_new
+        stepper.fleet.T_set[switch] = op.T_set_new
         micro = simulate_fleet(stepper, horizon)
         report = compare_traces(markov, micro, op.P_on_total_kw)
+        report.update(shortfall_events=[], degraded=False)
         save_validation_report(
             report, markov, micro, out_dir / "report.json", out_dir / "traces.csv"
         )
         artifacts["report"] = str(out_dir / "report.json")
         artifacts["traces"] = str(out_dir / "traces.csv")
-        return artifacts, report.degraded
+        return artifacts, False
 
     # blocks: one hold study per requested duration, fresh fleet each time
     summary = []
@@ -461,29 +460,29 @@ def run_validate(
         markov = ch.p_nom_kw - dp
         stepper = FleetStepper(sample_fleet(replace(spec, seed=spec.seed + T_hold)), op.dt_minutes)
         baseline = burn_in(stepper, burn_steps)
-        dplan = discretize_plan(u[:block_horizon], spec.n_units)
-        run = apply_plan_micro(stepper, dplan, op.grid, op.T_set_new, block_horizon, selection_seed)
+        counts = discretize_plan(u[:block_horizon], spec.n_units)
+        run = apply_plan_micro(stepper, counts, op.grid, op.T_set_new, block_horizon, selection_seed)
         del stepper  # frees this block's fleet before the next one is sampled
         report = compare_traces(
             markov, run.power_kw, op.P_on_total_kw,
             P_hold_kw=P_hold, T_hold_steps=T_hold, baseline_kw=baseline,
             hold_tol_kw=hold_tol_kw,
-            shortfall_events=run.shortfall_events, degraded=run.degraded,
         )
+        report.update(shortfall_events=run.shortfall_events, degraded=run.degraded)
         stem = f"block_{T_hold}"
         save_validation_report(
             report, markov, run.power_kw,
             out_dir / f"{stem}_report.json", out_dir / f"{stem}_traces.csv",
         )
         artifacts[stem] = str(out_dir / f"{stem}_traces.csv")
-        any_degraded = any_degraded or report.degraded
+        any_degraded = any_degraded or run.degraded
         summary.append(
             {
                 "T_hold_steps": T_hold,
                 "P_hold_kw": P_hold,
-                "hold_satisfied_fraction": report.hold_satisfied_fraction,
-                "rmse": report.rmse,
-                "degraded": report.degraded,
+                "hold_satisfied_fraction": report["hold_satisfied_fraction"],
+                "rmse": report["rmse"],
+                "degraded": run.degraded,
             }
         )
     _write_json({"blocks": summary}, out_dir / "summary.json")

@@ -9,20 +9,20 @@ per-bin error carry,
     e[k+1] = U[k] + e[k] - u_hat[k]
 
 which keeps the cumulative actuated unit count within one unit per bin
-of the continuous prescription.  The discretized plan is then applied
-to an agent-based fleet (uniform random unit selection inside each bin,
-each unit switched at most once) and the resulting aggregate power is
-compared against the bin model's prediction.
+of the continuous prescription.  The counts are then applied to an
+agent-based fleet (uniform random unit selection inside each bin, each
+unit switched at most once), which marks the run degraded when too few
+units were eligible, and the resulting aggregate power is compared
+against the bin model's prediction.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ValidationDegradedWarning
+from .errors import InvalidInputError
 from .etp import FleetStepper, simulate_fleet
 from .markov import BinGrid
 from .reachhold import check_plan, write_json
@@ -31,32 +31,9 @@ SHORTFALL_WARN_FRACTION = 0.05
 FLOOR_NUDGE = 1e-9  # absorbs float dust so exact integers floor cleanly
 
 
-@dataclass
-class DiscretizedPlan:
-    """Integer actuation schedule: counts[k, i] units to switch out of
-    state i at step k."""
-
-    counts: np.ndarray  # (T, n_states) int
-    n_units: int
-
-    def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts)
-        if self.counts.ndim != 2 or not np.issubdtype(self.counts.dtype, np.integer):
-            raise InvalidInputError("counts must be a 2-D integer array")
-        if np.any(self.counts < 0):
-            raise InvalidInputError("counts must be nonnegative")
-        if int(self.counts.sum()) > self.n_units:
-            raise InvalidInputError(
-                f"plan actuates {int(self.counts.sum())} units but the fleet has {self.n_units}"
-            )
-
-    @property
-    def total_requested(self) -> int:
-        return int(self.counts.sum())
-
-
-def discretize_plan(u: np.ndarray, n_units: int) -> DiscretizedPlan:
-    """Floor-with-carry conversion of a fractional plan u to unit counts."""
+def discretize_plan(u: np.ndarray, n_units: int) -> np.ndarray:
+    """Floor-with-carry conversion of a fractional plan u to unit counts:
+    counts[k, i] units to switch out of state i at step k."""
     if n_units < 1:
         raise InvalidInputError(f"n_units must be >= 1, got {n_units}")
     U = np.clip(check_plan(u), 0.0, None) * n_units
@@ -68,7 +45,7 @@ def discretize_plan(u: np.ndarray, n_units: int) -> DiscretizedPlan:
         c = np.floor(tot + FLOOR_NUDGE).astype(int)
         counts[k] = c
         e = tot - c
-    return DiscretizedPlan(counts=counts, n_units=n_units)
+    return counts
 
 
 @dataclass
@@ -82,14 +59,11 @@ class MicroRun:
     total_selected: int
 
     @property
-    def shortfall_fraction(self) -> float:
-        if self.total_requested == 0:
-            return 0.0
-        return 1.0 - self.total_selected / self.total_requested
-
-    @property
     def degraded(self) -> bool:
-        return self.shortfall_fraction > SHORTFALL_WARN_FRACTION
+        """More than SHORTFALL_WARN_FRACTION of the requested actuations went unmet."""
+        if self.total_requested == 0:
+            return False
+        return 1.0 - self.total_selected / self.total_requested > SHORTFALL_WARN_FRACTION
 
 
 def _state_pools(keys: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
@@ -105,36 +79,34 @@ def _state_pools(keys: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
 
 def apply_plan_micro(
     stepper: FleetStepper,
-    plan: DiscretizedPlan,
+    counts: np.ndarray,
     grid: BinGrid,
     T_set_new: float,
     horizon: int | None = None,
     seed: int = 0,
 ) -> MicroRun:
-    """Run the stepper's fleet forward, switching plan.counts[k, i]
+    """Run the stepper's fleet forward, switching counts[k, i]
     not-yet-actuated units out of state i at each step k (uniform random
-    within the bin, deterministic in the seed).  The fleet is advanced in
-    place.
-
-    If a bin holds fewer eligible units than requested, all of them are
-    taken and the shortfall is logged; a total shortfall above
-    SHORTFALL_WARN_FRACTION of the requested actuations raises a
-    validation-degraded warning.
+    within the bin, deterministic in the seed).  counts is a nonnegative
+    integer (T, n_states) array that actuates at most the fleet's units.
+    The fleet is advanced in place.  If a bin holds fewer eligible units
+    than requested, all of them are taken and the shortfall is logged.
     """
-    counts = plan.counts
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
+        raise InvalidInputError("counts must be a 2-D integer array")
+    if np.any(counts < 0):
+        raise InvalidInputError("counts must be nonnegative")
     T = counts.shape[0]
     K = T if horizon is None else int(horizon)
     if K < T:
         raise InvalidInputError(f"horizon {K} shorter than the plan ({T} steps)")
     if counts.shape[1] != grid.n_states:
-        raise InvalidInputError(
-            f"plan has {counts.shape[1]} states but the grid has {grid.n_states}"
-        )
+        raise InvalidInputError(f"plan has {counts.shape[1]} states but the grid has {grid.n_states}")
     fleet = stepper.fleet
-    if plan.n_units != fleet.n_units:
-        raise InvalidInputError(
-            f"plan discretized for {plan.n_units} units, fleet has {fleet.n_units}"
-        )
+    requested = int(counts.sum())
+    if requested > fleet.n_units:
+        raise InvalidInputError(f"plan actuates {requested} units but the fleet has {fleet.n_units}")
     rng = np.random.default_rng(seed)
     actuated = np.zeros(fleet.n_units, dtype=bool)
     power = np.empty(K + 1)
@@ -176,19 +148,7 @@ def apply_plan_micro(
                     selected_total += take
         stepper.advance()
         power[k + 1] = stepper.power_kw()
-    run = MicroRun(
-        power_kw=power,
-        actuated=actuated,
-        shortfall_events=shortfalls,
-        total_requested=plan.total_requested,
-        total_selected=selected_total,
-    )
-    if run.degraded:
-        warnings.warn(
-            f"micro run short {run.shortfall_fraction:.1%} of requested actuations",
-            ValidationDegradedWarning,
-        )
-    return run
+    return MicroRun(power, actuated, shortfalls, requested, selected_total)
 
 
 def burn_in(stepper: FleetStepper, steps: int) -> float:
@@ -200,22 +160,6 @@ def burn_in(stepper: FleetStepper, steps: int) -> float:
     return float(simulate_fleet(stepper, steps)[-max(1, steps // 2) :].mean())
 
 
-@dataclass
-class ValidationReport:
-    """Agreement metrics between a bin-model trace and a micro trace.
-
-    rmse and max_abs_dev are normalized by the fleet's connected power;
-    hold metrics are present only when a hold target was supplied.
-    """
-
-    rmse: float
-    max_abs_dev: float
-    hold_satisfied_fraction: float | None
-    p_on_total_kw: float
-    shortfall_events: list[dict]
-    degraded: bool
-
-
 def compare_traces(
     markov_kw: np.ndarray,
     micro_kw: np.ndarray,
@@ -224,55 +168,41 @@ def compare_traces(
     T_hold_steps: int | None = None,
     baseline_kw: float | None = None,
     hold_tol_kw: float | None = None,
-    shortfall_events: list[dict] | None = None,
-    degraded: bool = False,
-) -> ValidationReport:
-    """Normalized agreement metrics on two equal-length power traces.
+) -> dict:
+    """Agreement metrics on two equal-length power traces: the dict of
+    rmse and max_abs_dev, both normalized by the connected power
+    p_on_total, hold_satisfied_fraction and p_on_total_kw.
 
     When a hold target (P_hold_kw, T_hold_steps) is given, the fraction
     of hold steps whose micro demand reduction baseline_kw - micro_kw[k]
-    stays within hold_tol_kw of the target is reported as well.
+    stays within hold_tol_kw of the target is reported; otherwise None.
     """
     markov_kw = np.asarray(markov_kw, dtype=float)
     micro_kw = np.asarray(micro_kw, dtype=float)
     if markov_kw.shape != micro_kw.shape or markov_kw.ndim != 1:
-        raise InvalidInputError(
-            f"traces must be equal-length 1-D arrays, got {markov_kw.shape} and {micro_kw.shape}"
-        )
+        raise InvalidInputError(f"traces must be equal-length 1-D arrays, got {markov_kw.shape} and {micro_kw.shape}")
     if p_on_total <= 0.0:
         raise InvalidInputError(f"p_on_total must be positive, got {p_on_total}")
     dev = markov_kw - micro_kw
-    rmse = float(np.sqrt(np.mean(dev**2)) / p_on_total)
-    max_abs = float(np.max(np.abs(dev)) / p_on_total)
     fraction = None
     if P_hold_kw is not None:
         if T_hold_steps is None or baseline_kw is None or hold_tol_kw is None:
             raise InvalidInputError("hold checks need T_hold_steps, baseline_kw and hold_tol_kw")
         if not 1 <= T_hold_steps < micro_kw.size:
-            raise InvalidInputError(
-                f"T_hold_steps {T_hold_steps} outside the trace (len {micro_kw.size})"
-            )
+            raise InvalidInputError(f"T_hold_steps {T_hold_steps} outside the trace (len {micro_kw.size})")
         reduction = baseline_kw - micro_kw[1 : T_hold_steps + 1]
         fraction = float(np.mean(reduction >= P_hold_kw - hold_tol_kw))
-    return ValidationReport(
-        rmse=rmse,
-        max_abs_dev=max_abs,
-        hold_satisfied_fraction=fraction,
-        p_on_total_kw=float(p_on_total),
-        shortfall_events=shortfall_events or [],
-        degraded=degraded,
-    )
+    return {
+        "rmse": float(np.sqrt(np.mean(dev**2)) / p_on_total),
+        "max_abs_dev": float(np.max(np.abs(dev)) / p_on_total),
+        "hold_satisfied_fraction": fraction,
+        "p_on_total_kw": float(p_on_total),
+    }
 
 
-def save_validation_report(
-    report: ValidationReport,
-    markov_kw: np.ndarray,
-    micro_kw: np.ndarray,
-    json_path,
-    csv_path,
-) -> None:
-    """Persist the metrics as JSON and the paired traces as CSV."""
-    write_json(asdict(report), json_path)
+def save_validation_report(report: dict, markov_kw: np.ndarray, micro_kw: np.ndarray, json_path, csv_path) -> None:
+    """Persist the report dict as JSON and the paired traces as CSV."""
+    write_json(report, json_path)
     markov_kw = np.asarray(markov_kw, dtype=float)
     micro_kw = np.asarray(micro_kw, dtype=float)
     if markov_kw.shape != micro_kw.shape:

@@ -186,7 +186,7 @@ def test_criterion_05_markov_vs_micro_full_step(fleet40):
     fleet.T_set = np.full(1000, T_SET_NEW)
     micro = simulate_fleet(stepper, horizon)
     report = compare_traces(markov, micro, P_ON)
-    assert report.rmse <= 0.10, f"normalized RMSE {report.rmse:.4f} > 0.10"
+    assert report["rmse"] <= 0.10, f"normalized RMSE {report['rmse']:.4f} > 0.10"
 
     assert markov[1:].min() <= 0.05 * fleet40.p_nom_kw, "bin-model demand does not collapse"
     assert micro[1:].min() <= 0.05 * fleet40.p_nom_kw, "micro demand does not collapse"
@@ -206,7 +206,7 @@ def test_criterion_05_markov_vs_micro_full_step(fleet40):
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"step comparison took {elapsed:.1f}s"
     print(
-        f"[criterion 5] PASS rmse {report.rmse:.4f}, micro peak {micro_peak:.1f} kW > "
+        f"[criterion 5] PASS rmse {report['rmse']:.4f}, micro peak {micro_peak:.1f} kW > "
         f"P_nom {fleet40.p_nom_kw:.1f} kW, chain peak {chain_peak:.1f} kW > "
         f"settle {chain_settle:.1f} kW ({elapsed:.1f}s)"
     )

@@ -563,18 +563,17 @@ class TestValidate:
         assert trace_rows[0] == "step,markov_kW,micro_kW"
         assert len(trace_rows) == 42  # header + horizon+1 samples
 
-    def test_blocks_mode_shortfall_degrades(self, tmp_path):
+    def test_blocks_mode_shortfall_degrades(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", DEGRADING_BLOCKS)
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="short"):
-            rc = main(["validate", "--config", path, "--out", str(out)])
+        rc = main(["validate", "--config", path, "--out", str(out)])
         assert rc == EXIT_DEGRADED
+        assert capsys.readouterr().err.startswith("validation degraded: ")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["blocks"][0]["degraded"] is True
         report = json.loads((out / "block_10_report.json").read_text())
         assert report["shortfall_events"]
 
-    @pytest.mark.filterwarnings("ignore::tclflex.validation.ValidationDegradedWarning")
     def test_blocks_mode_builds_one_inner_profile(self, tmp_path, monkeypatch):
         # every block's target and plan read the fleet's one inner profile;
         # 200 units on 20 states run short of actuations, which is beside
@@ -593,7 +592,6 @@ class TestValidate:
         assert len(json.loads((tmp_path / "o" / "summary.json").read_text())["blocks"]) == 3
         assert len(built) == 1
 
-    @pytest.mark.filterwarnings("ignore::tclflex.validation.ValidationDegradedWarning")
     @pytest.mark.parametrize("mode", [{"mode": "step", "horizon": 30}, {"mode": "blocks", "hold_steps": [5, 10]}])
     def test_csv_lines_end_in_newline_only(self, tmp_path, mode):
         # every artifact ends its lines with \n, the traces included

@@ -254,3 +254,33 @@ class TestSerialization:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(NumericalFailureError):
             load_matrix(path)
+
+    def test_loader_refuses_nan_entry(self, tm_nominal, tmp_path):
+        # NaN passes `P < 0` and `worst > 1e-9` alike; validate is phrased
+        # so that it fails both tests instead
+        path = tmp_path / "matrix.csv"
+        save_matrix(tm_nominal, path)
+        text = path.read_text().splitlines()
+        text[8] = ",".join(["nan"] + text[8].split(",")[1:])
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(NumericalFailureError, match="NaN"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "line, edit, match",
+        [
+            (8, lambda row: row.replace(",", ",x", 1), "line 9"),  # a value that is not a number
+            (3, lambda row: "# T_amb=warm", "T_amb=warm"),  # a metadata field that is not a number
+            (9, lambda row: row.rsplit(",", 1)[0], "line 10 holds 79 entries"),  # a short row
+            (7, lambda row: "# n_bins=40.5", "n_bins must be an integer"),  # not read as 40 bins
+        ],
+        ids=["value", "field", "ragged", "n_bins"],
+    )
+    def test_loader_refuses_malformed_lines(self, tm_nominal, tmp_path, line, edit, match):
+        path = tmp_path / "matrix.csv"
+        save_matrix(tm_nominal, path)
+        text = path.read_text().splitlines()
+        text[line] = edit(text[line])
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(InvalidInputError, match=match):
+            load_matrix(path)

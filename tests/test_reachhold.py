@@ -49,6 +49,7 @@ from tclflex.reachhold import (
     solve_outer,
     sweep,
 )
+from tclflex.validation import discretize_plan
 
 from conftest import DEADBAND, P_ON_TOTAL, T_AMB, T_SET, T_SET_NEW
 from expm_reference import expm_step_maps
@@ -328,6 +329,17 @@ class TestPlanInput:
         u[1, 2] = -1e-13  # solver dust: accepted and clipped away
         assert np.array_equal(delta_p_by_stepping(u, fleet, 3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN compares False against the nonnegativity bound, so the replay
+        # and the unit discretization both need the finiteness check
+        u = np.zeros((2, 4))
+        u[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            delta_p_by_stepping(u, growing_support_system(), 3)
+        with pytest.raises(InvalidInputError, match="finite"):
+            discretize_plan(u, n_units=10)
+
 
 class TestDeltaP:
     def test_impulse_recovers_nominal_power(self, char40):
@@ -398,6 +410,12 @@ class TestDeltaP:
             delta_p_by_stepping(np.zeros((2, 2)), fleet, 2)
         with pytest.raises(NumericalFailureError, match="column sums"):
             delta_p_by_stepping(np.zeros((2, 2)), tiny_fleet(MIXING, [[0.8, 0.5], [0.1, 0.5]]), 2)
+
+    def test_nan_matrix_refused(self):
+        # a NaN entry would otherwise replay to a NaN trace
+        for A, A_a in (([[np.nan, 0.5], [0.5, 0.5]], MIXING), (MIXING, [[0.5, 0.5], [0.5, np.nan]])):
+            with pytest.raises(NumericalFailureError, match="NaN"):
+                delta_p_by_stepping(np.zeros((2, 2)), tiny_fleet(A, A_a), 2)
 
 
 class TestAlphaLowerBound:

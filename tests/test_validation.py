@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tclflex.errors import InvalidInputError, ValidationDegradedWarning
+import warnings
+
+from tclflex.errors import InvalidInputError
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import BinGrid
 from tclflex.validation import (
-    DiscretizedPlan,
     _state_pools,
     apply_plan_micro,
     burn_in,
@@ -38,18 +39,18 @@ class TestDiscretizePlan:
         # the carry after step k is what the cumulative counts still owe
         plan = single_bin_plan(0.4 / 1000, steps=10)
         d = discretize_plan(plan, n_units=1000)
-        assert d.counts[:, 1].tolist() == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1]
+        assert d[:, 1].tolist() == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1]
         expected_carry = [0.4, 0.8, 0.2, 0.6, 0.0, 0.4, 0.8, 0.2, 0.6, 0.0]
-        owed = 0.4 * np.arange(1, 11) - np.cumsum(d.counts[:, 1])
+        owed = 0.4 * np.arange(1, 11) - np.cumsum(d[:, 1])
         assert owed == pytest.approx(expected_carry, abs=1e-9)
-        assert d.counts[:, 0].sum() == 0 and d.counts[:, 2:].sum() == 0
+        assert d[:, 0].sum() == 0 and d[:, 2:].sum() == 0
 
     def test_integer_multiples_floor_exactly(self):
         u = np.zeros((5, 3))
         u[:, 0] = np.array([3, 0, 2, 1, 4]) / 200.0
         d = discretize_plan(u, n_units=200)
-        assert d.counts[:, 0].tolist() == [3, 0, 2, 1, 4]
-        assert np.array_equal(np.cumsum(d.counts, axis=0), np.cumsum(np.rint(u * 200), axis=0))
+        assert d[:, 0].tolist() == [3, 0, 2, 1, 4]
+        assert np.array_equal(np.cumsum(d, axis=0), np.cumsum(np.rint(u * 200), axis=0))
 
     def test_cumulative_fidelity_within_one_unit_per_state(self):
         rng = np.random.default_rng(11)
@@ -57,16 +58,16 @@ class TestDiscretizePlan:
         u *= 0.9 / u.sum()  # admissible total budget
         d = discretize_plan(u, n_units=750)
         exact = np.cumsum(u * 750, axis=0)
-        got = np.cumsum(d.counts, axis=0)
+        got = np.cumsum(d, axis=0)
         assert np.all(np.abs(got - exact) <= 1.0 + 1e-9)
-        assert d.counts.sum() <= 750
+        assert d.sum() <= 750
 
     def test_alpha_plan_expands_through_x0(self):
         x_0 = np.array([0.5, 0.25, 0.25, 0.0])
         alpha = np.array([0.2, 0.0, 0.8])
         d = discretize_plan(alpha[:, None] * x_0[None, :], n_units=100)
-        assert d.counts[0].tolist() == [10, 5, 5, 0]  # floor of 0.2 * x_0 * 100
-        assert d.counts.sum() == pytest.approx(100, abs=len(x_0))
+        assert d[0].tolist() == [10, 5, 5, 0]  # floor of 0.2 * x_0 * 100
+        assert d.sum() == pytest.approx(100, abs=len(x_0))
 
     def test_alpha_plan_without_x0_rejected(self):
         # a bare allocation is not a plan until it is expanded through x_0
@@ -79,15 +80,10 @@ class TestDiscretizePlan:
         with pytest.raises(InvalidInputError, match="nonnegative"):
             discretize_plan(u, n_units=10)
 
-    def test_over_budget_counts_rejected(self):
-        u = np.full((4, 2), 0.25)  # total mass 2.0 > 1
-        with pytest.raises(InvalidInputError, match="actuates"):
-            discretize_plan(u, n_units=40)
-
-    def test_requested_total_matches_counts(self):
-        plan = single_bin_plan(0.4 / 50, steps=10)
-        d = discretize_plan(plan, n_units=50)
-        assert d.total_requested == int(d.counts.sum())
+    def test_counts_are_an_integer_array(self):
+        d = discretize_plan(single_bin_plan(0.4 / 50, steps=10), n_units=50)
+        assert isinstance(d, np.ndarray) and d.shape == (10, 4)
+        assert np.issubdtype(d.dtype, np.integer)
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +115,7 @@ class TestStatePools:
 class TestApplyPlanMicro:
     def test_zero_plan_matches_unactuated_baseline(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)
-        plan = DiscretizedPlan(
-            counts=np.zeros((5, grid.n_states), dtype=int),
-            n_units=200,
-        )
+        plan = np.zeros((5, grid.n_states), dtype=int)
         ref = copy.deepcopy(settled_fleet)
         power = simulate_fleet(FleetStepper(ref), 12)
         run = apply_plan_micro(
@@ -130,6 +123,7 @@ class TestApplyPlanMicro:
         )
         assert run.power_kw == pytest.approx(power, abs=1e-12)
         assert run.total_selected == 0 and not run.shortfall_events
+        assert run.total_requested == 0 and not run.degraded
 
     def test_actuate_everyone_collapses_demand(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)
@@ -138,9 +132,8 @@ class TestApplyPlanMicro:
         counts = np.zeros((1, grid.n_states), dtype=int)
         for i in state_idx:
             counts[0, i] += 1
-        plan = DiscretizedPlan(counts=counts, n_units=200)
-        run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=20, seed=5)
-        assert run.total_selected == 200
+        run = apply_plan_micro(FleetStepper(fleet), counts, grid, T_SET_NEW, horizon=20, seed=5)
+        assert run.total_requested == run.total_selected == 200
         # a 2 degC raise with a 1 degC band shuts every compressor within a step
         assert run.power_kw[2] == 0.0
         assert np.all(fleet.T_set == T_SET_NEW)
@@ -150,10 +143,9 @@ class TestApplyPlanMicro:
         counts = np.zeros((6, grid.n_states), dtype=int)
         counts[::2, grid.n_bins + 5] = 3  # pull from an on bin near the band
         counts[1::2, 6] = 2  # and an off bin inside it
-        plan = DiscretizedPlan(counts=counts, n_units=200)
         runs = [
             apply_plan_micro(
-                FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=30, seed=9
+                FleetStepper(copy.deepcopy(settled_fleet)), counts, grid, T_SET_NEW, horizon=30, seed=9
             )
             for _ in range(2)
         ]
@@ -168,19 +160,17 @@ class TestApplyPlanMicro:
         counts = np.zeros((6, grid.n_states), dtype=int)
         counts[::2, grid.n_bins + 5] = 3
         counts[1::2, 6] = 2
-        plan = DiscretizedPlan(counts=counts, n_units=300)
         carried = FleetStepper(sample_fleet(spec))
         baseline = burn_in(carried, 120)
-        run = apply_plan_micro(carried, plan, grid, T_SET_NEW, horizon=30, seed=9)
+        run = apply_plan_micro(carried, counts, grid, T_SET_NEW, horizon=30, seed=9)
         fleet = sample_fleet(spec)
         fresh_baseline = burn_in(FleetStepper(fleet), 120)
-        fresh = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=30, seed=9)
+        fresh = apply_plan_micro(FleetStepper(fleet), counts, grid, T_SET_NEW, horizon=30, seed=9)
         assert run.total_selected > 0
         assert baseline == fresh_baseline
         assert np.array_equal(run.power_kw, fresh.power_kw)
         assert np.array_equal(run.actuated, fresh.actuated)
 
-    @pytest.mark.filterwarnings("ignore::tclflex.errors.ValidationDegradedWarning")
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         n_bins=st.sampled_from([10, 20, 40]),
@@ -205,9 +195,8 @@ class TestApplyPlanMicro:
         counts *= rng.uniform(size=counts.shape) < 0.15
         while counts.sum() > spec.n_units:
             counts //= 2
-        plan = DiscretizedPlan(counts=counts, n_units=spec.n_units)
         ref_fleet = copy.deepcopy(fleet)
-        run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, 12, selection_seed)
+        run = apply_plan_micro(FleetStepper(fleet), counts, grid, T_SET_NEW, 12, selection_seed)
         power, actuated, shortfalls = reference_apply_plan_micro(
             ReferenceStepper(ref_fleet), counts, grid, T_SET_NEW, 12, selection_seed
         )
@@ -217,14 +206,14 @@ class TestApplyPlanMicro:
         assert np.array_equal(fleet.T_set, ref_fleet.T_set)
         assert run.total_selected == int(actuated.sum())
 
-    def test_empty_bin_shortfall_warns(self, settled_fleet):
+    def test_empty_bin_shortfall_degrades_without_warning(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)
         counts = np.zeros((1, grid.n_states), dtype=int)
         counts[0, 0] = 10  # 18.0-18.3 degC: unoccupied at steady state
-        plan = DiscretizedPlan(counts=counts, n_units=200)
-        with pytest.warns(ValidationDegradedWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             run = apply_plan_micro(
-                FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=3, seed=1
+                FleetStepper(copy.deepcopy(settled_fleet)), counts, grid, T_SET_NEW, horizon=3, seed=1
             )
         assert run.degraded
         assert run.shortfall_events[0]["requested"] == 10
@@ -240,25 +229,45 @@ class TestApplyPlanMicro:
         take = int(occupancy[busy]) // 2
         counts = np.zeros((2, grid.n_states), dtype=int)
         counts[:, busy] = take
-        plan = DiscretizedPlan(counts=counts, n_units=200)
-        run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=4, seed=2)
+        run = apply_plan_micro(FleetStepper(fleet), counts, grid, T_SET_NEW, horizon=4, seed=2)
         assert int(run.actuated.sum()) == run.total_selected
 
-    def test_fleet_size_mismatch_rejected(self, settled_fleet):
+    def test_zero_plan_replays_on_any_fleet_and_over_budget_refused(self, settled_fleet):
+        # the counts record no fleet size: a zero plan discretized for 999
+        # units replays on the 200-unit fleet, one for 201 units does not
         grid = BinGrid(18.0, 24.0, 20)
-        plan = DiscretizedPlan(
-            counts=np.zeros((1, grid.n_states), dtype=int),
-            n_units=999,
-        )
-        with pytest.raises(InvalidInputError, match="999"):
-            apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW)
+        zero = discretize_plan(np.zeros((1, grid.n_states)), n_units=999)
+        run = apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), zero, grid, T_SET_NEW)
+        assert run.total_requested == 0
+        over = np.zeros((2, grid.n_states), dtype=int)
+        over[:, grid.n_bins + 5] = [150, 51]
+        with pytest.raises(InvalidInputError, match="plan actuates 201 units but the fleet has 200"):
+            apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), over, grid, T_SET_NEW)
+
+    def test_over_budget_counts_rejected(self, settled_fleet):
+        grid = BinGrid(18.0, 24.0, 20)
+        u = np.full((4, grid.n_states), 0.25)  # total mass 10.0 > 1
+        counts = discretize_plan(u, n_units=200)
+        with pytest.raises(InvalidInputError, match="actuates"):
+            apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), counts, grid, T_SET_NEW)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            (np.zeros(40, dtype=int), "2-D integer"),
+            (np.zeros((1, 40)), "2-D integer"),
+            (np.full((1, 40), -1), "nonnegative"),
+            (np.zeros((1, 39), dtype=int), "states"),
+        ],
+    )
+    def test_malformed_counts_rejected(self, settled_fleet, counts, match):
+        grid = BinGrid(18.0, 24.0, 20)
+        with pytest.raises(InvalidInputError, match=match):
+            apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), counts, grid, T_SET_NEW)
 
     def test_horizon_shorter_than_plan_rejected(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)
-        plan = DiscretizedPlan(
-            counts=np.zeros((5, grid.n_states), dtype=int),
-            n_units=200,
-        )
+        plan = np.zeros((5, grid.n_states), dtype=int)
         with pytest.raises(InvalidInputError, match="horizon"):
             apply_plan_micro(
                 FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=3
@@ -290,15 +299,15 @@ class TestCompareTraces:
         rep = compare_traces(
             t, t, p_on_total=3500.0, P_hold_kw=600.0, T_hold_steps=3, baseline_kw=1000.0, hold_tol_kw=0.0
         )
-        assert rep.rmse == 0.0 and rep.max_abs_dev == 0.0
-        assert rep.hold_satisfied_fraction == 1.0
+        assert rep["rmse"] == 0.0 and rep["max_abs_dev"] == 0.0
+        assert rep["hold_satisfied_fraction"] == 1.0
 
     def test_constant_offset_sets_max_dev(self):
         a = np.linspace(900.0, 1100.0, 7)
         rep = compare_traces(a, a - 70.0, p_on_total=3500.0)
-        assert rep.max_abs_dev == pytest.approx(70.0 / 3500.0)
-        assert rep.rmse == pytest.approx(70.0 / 3500.0)
-        assert rep.hold_satisfied_fraction is None
+        assert rep["max_abs_dev"] == pytest.approx(70.0 / 3500.0)
+        assert rep["rmse"] == pytest.approx(70.0 / 3500.0)
+        assert rep["hold_satisfied_fraction"] is None
 
     def test_hold_fraction_counts_tolerant_steps(self):
         micro = np.array([1000.0, 500.0, 520.0, 700.0, 500.0])
@@ -307,7 +316,7 @@ class TestCompareTraces:
             P_hold_kw=450.0, T_hold_steps=4, baseline_kw=1000.0, hold_tol_kw=50.0,
         )
         # reductions 500, 480, 300, 500 against the 400 kW floor
-        assert rep.hold_satisfied_fraction == pytest.approx(0.75)
+        assert rep["hold_satisfied_fraction"] == pytest.approx(0.75)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -329,13 +338,13 @@ class TestSaveReport:
         markov = np.array([100.0, 50.25, 30.5])
         micro = np.array([100.0, 48.0, 33.125])
         rep = compare_traces(markov, micro, p_on_total=350.0)
+        assert set(rep) == {"rmse", "max_abs_dev", "hold_satisfied_fraction", "p_on_total_kw"}
+        rep.update(shortfall_events=[], degraded=False)
         jp, cp = tmp_path / "report.json", tmp_path / "paired.csv"
         save_validation_report(rep, markov, micro, jp, cp)
         data = json.loads(jp.read_text())
-        assert set(data) == {
-            "rmse", "max_abs_dev", "hold_satisfied_fraction",
-            "p_on_total_kw", "shortfall_events", "degraded",
-        }
+        assert data == rep
+        assert list(data) == sorted(data)
         lines = cp.read_text().splitlines()
         assert lines[0] == "step,markov_kW,micro_kW"
         assert lines[2].split(",") == ["1", repr(50.25), repr(48.0)]
