@@ -3,10 +3,10 @@
 Problems are stated in maximize form
 
     max  c @ z
-    s.t. G z <= h,  E z == f,  lo <= z <= hi
+    s.t. G z <= h,  lo <= z <= hi
 
-with G and E stored column-wise and sparse (`ColumnMatrix`, the layout
-HiGHS takes), and handed to HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
+with G stored column-wise and sparse (`ColumnMatrix`, the layout HiGHS
+takes), and handed to HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
 2018) through the `_Highs` class of the HiGHS extension that scipy ships.
 The extension is loaded from its file at the first solve, without
 running scipy's package code, so importing tclflex costs no solver
@@ -107,13 +107,9 @@ class ColumnMatrix:
             (self.shape[0], self.shape[1] + other.shape[1]),
         )
 
-    def columns(self) -> np.ndarray:
-        """The column of each stored entry."""
-        return np.repeat(np.arange(self.shape[1]), np.diff(self.start))
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=dtype or float)
-        dense[self.index, self.columns()] = self.value
+        dense[self.index, np.repeat(np.arange(self.shape[1]), np.diff(self.start))] = self.value
         return dense
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
@@ -123,49 +119,37 @@ class ColumnMatrix:
 
 @dataclass
 class LinearProgram:
-    """LP in maximize form; any constraint block may be omitted.  G and E
-    are stored as ColumnMatrix; a dense array is converted once here."""
+    """LP in maximize form: inequality rows G z <= h, with G a
+    ColumnMatrix, and the box lo <= z <= hi (entries may be infinite)."""
 
     c: np.ndarray
-    G: ColumnMatrix | np.ndarray | None = None
-    h: np.ndarray | None = None
-    E: ColumnMatrix | np.ndarray | None = None
-    f: np.ndarray | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    G: ColumnMatrix
+    h: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    # no equality rows; kept as a class attribute because the benchmark's
+    # tracer reads lp.E when it sizes a solve
+    E = None
 
     def __post_init__(self) -> None:
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
         n = self.c.size
         if not np.isfinite(self.c).all():
             raise InvalidInputError("c must be finite")
-        for mat_name, vec_name in (("G", "h"), ("E", "f")):
-            mat = getattr(self, mat_name)
-            vec = getattr(self, vec_name)
-            if (mat is None) != (vec is None):
-                raise InvalidInputError(f"{mat_name} and {vec_name} must be given together")
-            if mat is not None:
-                vec = np.atleast_1d(np.asarray(vec, dtype=float))
-                if not isinstance(mat, ColumnMatrix):
-                    mat = ColumnMatrix.from_dense(np.atleast_2d(np.asarray(mat, dtype=float)))
-                if mat.shape != (vec.size, n):
-                    raise InvalidInputError(
-                        f"{mat_name} shape {mat.shape} incompatible with "
-                        f"{vec_name} ({vec.size}) and c ({n})"
-                    )
-                if not np.isfinite(vec).all():
-                    raise InvalidInputError(f"{vec_name} must be finite")
-                setattr(self, mat_name, mat)
-                setattr(self, vec_name, vec)
+        if not isinstance(self.G, ColumnMatrix):
+            raise InvalidInputError(f"G must be a ColumnMatrix, not {type(self.G).__name__}")
+        self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
+        if self.G.shape != (self.h.size, n):
+            raise InvalidInputError(f"G shape {self.G.shape} incompatible with h ({self.h.size}) and c ({n})")
+        if not np.isfinite(self.h).all():
+            raise InvalidInputError("h must be finite")
         for name in ("lo", "hi"):
-            bound = getattr(self, name)
-            if bound is not None:
-                bound = np.atleast_1d(np.asarray(bound, dtype=float))
-                if bound.size != n:
-                    raise InvalidInputError(f"{name} has size {bound.size}, expected {n}")
-                if np.isnan(bound).any():
-                    raise InvalidInputError(f"{name} must not contain NaN")
-                setattr(self, name, bound)
+            bound = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if bound.size != n:
+                raise InvalidInputError(f"{name} has size {bound.size}, expected {n}")
+            if np.isnan(bound).any():
+                raise InvalidInputError(f"{name} must not contain NaN")
+            setattr(self, name, bound)
 
     @property
     def n_vars(self) -> int:
@@ -195,25 +179,18 @@ class LpSolution:
 
 def _constraint_scale(lp: LinearProgram) -> float:
     scale = 1.0
-    for vec in (lp.h, lp.f, lp.lo, lp.hi):
-        if vec is not None:
-            finite = vec[np.isfinite(vec)]
-            if finite.size:
-                scale = max(scale, float(np.abs(finite).max()))
+    for vec in (lp.h, lp.lo, lp.hi):
+        finite = vec[np.isfinite(vec)]
+        if finite.size:
+            scale = max(scale, float(np.abs(finite).max()))
     return scale
 
 
 def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
     """Worst absolute constraint violation of z against the raw data."""
     worst = 0.0
-    if lp.G is not None:
-        worst = max(worst, float(np.maximum(lp.G @ z - lp.h, 0.0).max(initial=0.0)))
-    if lp.E is not None:
-        worst = max(worst, float(np.abs(lp.E @ z - lp.f).max(initial=0.0)))
-    if lp.lo is not None:
-        worst = max(worst, float(np.maximum(lp.lo - z, 0.0).max(initial=0.0)))
-    if lp.hi is not None:
-        worst = max(worst, float(np.maximum(z - lp.hi, 0.0).max(initial=0.0)))
+    for excess in (lp.G @ z - lp.h, lp.lo - z, z - lp.hi):
+        worst = max(worst, float(np.maximum(excess, 0.0).max(initial=0.0)))
     return worst
 
 
@@ -262,30 +239,22 @@ def _highs_core():
 
 def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
     """One HiGHS solve of the LP, posed as linprog(method="highs") poses it:
-    minimize -c over the G rows (-inf, h] then the E rows [f, f], as one
-    column-wise matrix, with presolve on and the dual simplex.  options
-    are further HiGHS options set on top."""
+    minimize -c over the G rows (-inf, h] and the bounds [lo, hi], with
+    presolve on and the dual simplex.  options are further HiGHS options
+    set on top."""
     core = _highs_core()
-    n = lp.n_vars
-    A = lp.G if lp.G is not None else ColumnMatrix.from_dense(np.zeros((0, n)))
-    h = np.zeros(0) if lp.G is None else lp.h
-    f = np.zeros(0) if lp.E is None else lp.f
-    if lp.E is not None:  # E's rows under G's, column by column
-        pieces = [(A.index, A.columns(), A.value), (lp.E.index + A.shape[0], lp.E.columns(), lp.E.value)]
-        A = ColumnMatrix.from_entries(pieces, (A.shape[0] + lp.E.shape[0], n))
-
     model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = lp.h.size
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = A.start
-    model.a_matrix_.index_ = A.index
-    model.a_matrix_.value_ = A.value
+    model.a_matrix_.start_ = lp.G.start
+    model.a_matrix_.index_ = lp.G.index
+    model.a_matrix_.value_ = lp.G.value
     model.col_cost_ = -lp.c
-    model.col_lower_ = np.full(n, -np.inf) if lp.lo is None else lp.lo
-    model.col_upper_ = np.full(n, np.inf) if lp.hi is None else lp.hi
-    model.row_lower_ = np.concatenate((np.full(h.size, -np.inf), f))
-    model.row_upper_ = np.concatenate((h, f))
+    model.col_lower_ = lp.lo
+    model.col_upper_ = lp.hi
+    model.row_lower_ = np.full(lp.h.size, -np.inf)
+    model.row_upper_ = lp.h
 
     settings = core.HighsOptions()
     settings.presolve = "on"
@@ -300,12 +269,11 @@ def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
         # e.g. a lower bound of +inf; run() would then solve an empty
         # model and call it optimal.  linprog reports such a model as 2.
         return HighsResult(2)
-    return _run(highs, h.size)
+    return _run(highs)
 
 
-def _run(highs, n_ineq: int) -> HighsResult:
-    """Run a HiGHS instance that holds its model; the first n_ineq rows
-    are the G rows whose marginals are reported."""
+def _run(highs) -> HighsResult:
+    """Run a HiGHS instance that holds its model."""
     core = _highs_core()
     highs.run()
     codes = {
@@ -320,21 +288,17 @@ def _run(highs, n_ineq: int) -> HighsResult:
     if status != 0:
         return HighsResult(status)
     solution = highs.getSolution()
-    return HighsResult(0, np.array(solution.col_value), np.array(solution.row_dual)[:n_ineq], highs)
+    return HighsResult(0, np.array(solution.col_value), np.array(solution.row_dual), highs)
 
 
 def _extends(lp: LinearProgram, old: LinearProgram) -> bool:
-    """Whether lp is old with columns appended: the same G rows and h, no
-    E, and old's columns (G entries, c, lo, hi) leading lp's."""
-    if lp.E is not None or old.E is not None or lp.G is None or old.G is None:
-        return False
-    if (lp.lo is None) != (old.lo is None) or (lp.hi is None) != (old.hi is None):
-        return False
+    """Whether lp is old with columns appended: the same G rows and h,
+    and old's columns (G entries, c, lo, hi) leading lp's."""
     n, nnz = old.n_vars, old.G.value.size
     if lp.n_vars < n or lp.G.shape[0] != old.G.shape[0] or not np.array_equal(lp.h, old.h):
         return False
     pairs = [(lp.G.start[: n + 1], old.G.start), (lp.G.index[:nnz], old.G.index), (lp.G.value[:nnz], old.G.value)]
-    pairs += [(new[:n], prev) for new, prev in ((lp.c, old.c), (lp.lo, old.lo), (lp.hi, old.hi)) if new is not None]
+    pairs += [(new[:n], prev) for new, prev in ((lp.c, old.c), (lp.lo, old.lo), (lp.hi, old.hi))]
     return all(np.array_equal(a, b) for a, b in pairs)
 
 
@@ -347,14 +311,13 @@ def _rerun(lp: LinearProgram, warm: LpSolution) -> HighsResult:
         return HighsResult(4)
     G, m = lp.G, lp.n_vars
     first = G.start[n]
-    lo = np.full(m - n, -np.inf) if lp.lo is None else lp.lo[n:]
-    hi = np.full(m - n, np.inf) if lp.hi is None else lp.hi[n:]
     status = highs.addCols(
-        m - n, -lp.c[n:], lo, hi, G.value.size - first, G.start[n:-1] - first, G.index[first:], G.value[first:]
+        m - n, -lp.c[n:], lp.lo[n:], lp.hi[n:],
+        G.value.size - first, G.start[n:-1] - first, G.index[first:], G.value[first:],
     )
     if status == _highs_core().HighsStatus.kError:
         return HighsResult(4)
-    return _run(highs, lp.h.size)
+    return _run(highs)
 
 
 def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
@@ -369,7 +332,7 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     faces the same checks, and a failure on the last rung is reported.
 
     warm is an optimum of an earlier `solve`.  When lp is warm's LP with
-    columns appended (same G rows and h, no E), the new columns are added
+    columns appended (same G rows and h), the new columns are added
     to warm's live solver, which restarts from its last basis and then
     belongs to the answer, so a second use of warm solves cold.  That
     answer faces the same checks, and one that fails them or is not
@@ -379,7 +342,7 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     numerical failure once no rung is left.  Any other warm raises
     InvalidInputError.
     """
-    if lp.lo is not None and lp.hi is not None and np.any(lp.lo > lp.hi):
+    if np.any(lp.lo > lp.hi):
         raise InvalidInputError("lower bound exceeds upper bound")
     first = 0
     if warm is not None:
@@ -416,7 +379,7 @@ def _certify(lp: LinearProgram, res: HighsResult, rung: int) -> LpSolution:
     status = OPTIMAL
     if violation > FEASIBILITY_TOL * scale:
         status = NUMERICAL_FAILURE
-    if status == OPTIMAL and lp.G is not None:
+    if status == OPTIMAL:
         # minimize form reports nonpositive marginals for <= rows
         duals_ineq = -np.asarray(res.marginals, dtype=float)
         slack = lp.h - lp.G @ z

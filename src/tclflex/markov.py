@@ -272,8 +272,9 @@ def save_matrix(tm: TransitionMatrix, path) -> None:
 
 def load_matrix(path) -> TransitionMatrix:
     """Read a matrix written by save_matrix and re-validate it.  A line
-    that does not parse, rows of unequal length or a fractional n_bins
-    raise InvalidInputError."""
+    that does not parse, rows of unequal length, a fractional n_bins, a
+    non-finite field, or a step or deadband that is not positive raise
+    InvalidInputError."""
     meta: dict[str, float] = {}
     rows: list[list[float]] = []
     with open(path) as fh:
@@ -299,6 +300,12 @@ def load_matrix(path) -> TransitionMatrix:
     try:
         if not meta["n_bins"].is_integer():
             raise InvalidInputError(f"matrix file field n_bins must be an integer, got {meta['n_bins']!r}")
+        for key in ("T_min", "T_max", "dt_minutes", "T_set", "T_amb", "deadband"):
+            if not np.isfinite(meta[key]):
+                raise InvalidInputError(f"matrix file field {key} must be finite, got {meta[key]!r}")
+        for key in ("dt_minutes", "deadband"):
+            if meta[key] <= 0.0:
+                raise InvalidInputError(f"matrix file field {key} must be positive, got {meta[key]!r}")
         grid = BinGrid(T_min=meta["T_min"], T_max=meta["T_max"], n_bins=int(meta["n_bins"]))
         tm = TransitionMatrix(
             P=np.array(rows),

@@ -350,7 +350,6 @@ class InnerProfile:
     cohort with no gain)."""
 
     alpha_1: np.ndarray  # (T_max,)
-    spent: np.ndarray  # running sum of alpha_1
     s: np.ndarray  # s[m-1] = (h_m - h_a_m) @ x_0, m = 1..horizon
 
 
@@ -368,7 +367,6 @@ def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
     rec = fleet.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
     gain = 1.0 - float(rec[0]) / p_nom
     alpha_1 = np.zeros(T_max)
-    spent = np.zeros(T_max)
     committed = 0.0
     for k in range(T_max):
         lb = 1.0 if k == 0 else 1.0 - committed + float(alpha_1[:k] @ rec[k:0:-1]) / p_nom
@@ -377,20 +375,20 @@ def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
         else:
             a = max(lb / gain, 0.0)
         if a == np.inf:  # every positive target depletes here
-            alpha_1[k:] = spent[k:] = np.inf
+            alpha_1[k:] = np.inf
             break
         alpha_1[k] = a
         committed += a
-        spent[k] = committed
-    return InnerProfile(alpha_1=alpha_1, spent=spent, s=(fleet.h - fleet.h_a)[1:] @ x_0)
+    return InnerProfile(alpha_1=alpha_1, s=(fleet.h - fleet.h_a)[1:] @ x_0)
 
 
 def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
     """Greedy-minimal feasible allocation for P_hold, from the fleet's one
     profile: r alpha_1 until the unit budget depletes at the first step k
-    with r spent[k] >= 1, whose share is what is left of the budget.  The
-    hold duration is the last step before the reduction first falls below
-    P_hold (T_max if it never does, flagged horizon-limited)."""
+    with r (alpha_1[0] + ... + alpha_1[k]) >= 1, whose share is what is
+    left of the budget.  The hold duration is the last step before the
+    reduction first falls below P_hold (T_max if it never does, flagged
+    horizon-limited)."""
     profile, p_nom = fleet.inner, fleet.p_nom_kw
     if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
         raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
@@ -399,11 +397,12 @@ def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
     T_max = profile.alpha_1.size
     alpha = np.zeros(T_max)
     if r > 0.0:  # at r = 0 the plan is empty, and 0 * inf would be NaN
-        out = r * profile.spent >= 1.0
+        spent = np.cumsum(profile.alpha_1)
+        out = r * spent >= 1.0
         if out.any():
             depletion = int(np.argmax(out))
             alpha[:depletion] = r * profile.alpha_1[:depletion]
-            alpha[depletion] = 1.0 - (r * profile.spent[depletion - 1] if depletion else 0.0)
+            alpha[depletion] = 1.0 - (r * spent[depletion - 1] if depletion else 0.0)
         else:
             alpha[:] = r * profile.alpha_1
     # below[k-1]: dP[k] misses P_hold.  Steps where alpha sat exactly at
@@ -729,8 +728,9 @@ def _sidecar_path(csv_path: str) -> str:
 
 def load_set(csv_path) -> ReachHoldSet:
     """Read a frontier written by save_set; a malformed row or sidecar, a
-    row whose method is not the sidecar's, or rows that do not form a
-    frontier raise InvalidInputError."""
+    non-finite regime power, a step that is not positive and finite, a row
+    whose method is not the sidecar's, or rows that do not form a frontier
+    raise InvalidInputError."""
     csv_path = str(csv_path)
     sidecar_path = _sidecar_path(csv_path)
     with open(sidecar_path) as fh:
@@ -742,10 +742,14 @@ def load_set(csv_path) -> ReachHoldSet:
         raise InvalidInputError(f"sidecar {sidecar_path} lacks a method or regime")
     if not isinstance(sidecar["regime"], dict):
         raise InvalidInputError(f"sidecar {sidecar_path} has a regime that is not an object")
-    for key in ("P_on_total_kw", "P_nom_kw"):
-        value = sidecar["regime"].get(key, 0.0)
+    for key in ("P_on_total_kw", "P_nom_kw", "dt_minutes"):
+        value = sidecar["regime"].get(key, 1.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidInputError(f"sidecar {sidecar_path} has a non-numeric regime {key}: {value!r}")
+        # NaN fails this comparison, which unlike np.isfinite takes any int
+        low = 0.0 if key == "dt_minutes" else -np.inf
+        if not low < value < np.inf:
+            raise InvalidInputError(f"sidecar {sidecar_path} has an unusable regime {key}: {value!r}")
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "T_hold_steps,T_hold_hours,P_hold_kW,method":

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +62,30 @@ def known_optimum_lp(seed=77, n=20, n_slack_rows=30):
     c = G_active.T @ lam
     lp = LinearProgram(
         c=c,
-        G=np.vstack([G_active, G_slack]),
+        G=ColumnMatrix.from_dense(np.vstack([G_active, G_slack])),
         h=np.concatenate([h_active, h_slack]),
         lo=np.zeros(n),
+        hi=np.full(n, np.inf),
     )
     return lp, z_star, float(c @ z_star)
 
 
+def box_lp(c, lo, hi):
+    """The LP over the box lo <= z <= hi alone: G has no rows."""
+    c = np.asarray(c, dtype=float)
+    return LinearProgram(c=c, G=ColumnMatrix.from_dense(np.zeros((0, c.size))), h=np.zeros(0), lo=lo, hi=hi)
+
+
+def one_row_lp(c, row, h):
+    """max c @ z over row @ z <= h and z >= 0."""
+    n = len(c)
+    G = ColumnMatrix.from_dense(np.array([row], dtype=float))
+    return LinearProgram(c=np.asarray(c, dtype=float), G=G, h=np.array([h]), lo=np.zeros(n), hi=np.full(n, np.inf))
+
+
 class TestSolve:
     def test_tiny_box_problem(self):
-        lp = LinearProgram(c=np.array([1.0, 1.0]), lo=np.zeros(2), hi=np.array([1.0, 2.0]))
+        lp = box_lp(c=np.array([1.0, 1.0]), lo=np.zeros(2), hi=np.array([1.0, 2.0]))
         sol = solve(lp)
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
@@ -85,25 +100,11 @@ class TestSolve:
         assert sol.max_constraint_violation <= 1e-7 * max(1.0, np.abs(lp.h).max())
 
     def test_infeasible(self):
-        lp = LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1))
-        assert solve(lp).status == INFEASIBLE
+        assert solve(one_row_lp([1.0], [1.0], -1.0)).status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = LinearProgram(c=np.array([1.0]), lo=np.zeros(1))
+        lp = box_lp(c=np.array([1.0]), lo=np.zeros(1), hi=np.full(1, np.inf))
         assert solve(lp).status == UNBOUNDED
-
-    def test_equality_rows(self):
-        lp = LinearProgram(
-            c=np.array([2.0, 1.0]),
-            E=np.array([[1.0, 1.0]]),
-            f=np.array([1.0]),
-            lo=np.zeros(2),
-            hi=np.ones(2),
-        )
-        sol = solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
-        assert sol.z == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_duals_complementary(self):
         lp, _, _ = known_optimum_lp(seed=31)
@@ -115,31 +116,32 @@ class TestSolve:
         assert comp.max() <= 1e-6 * max(1.0, np.abs(lp.h).max(), sol.duals_ineq.max())
 
     def test_dimension_mismatch_rejected(self):
+        G = ColumnMatrix.from_dense(np.ones((2, 2)))
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(3), G=np.ones((2, 2)), h=np.ones(2))
+            LinearProgram(c=np.ones(3), G=G, h=np.ones(2), lo=np.zeros(3), hi=np.ones(3))
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), G=np.ones((2, 2)), h=None)
+            LinearProgram(c=np.ones(2), G=G, h=np.ones(3), lo=np.zeros(2), hi=np.ones(2))
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), lo=np.zeros(3))
+            box_lp(c=np.ones(2), lo=np.zeros(3), hi=np.ones(2))
 
     def test_nonfinite_data_rejected(self):
         # HiGHS itself reports an LP with a NaN cost as solved
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.array([np.nan, 1.0]), lo=np.zeros(2), hi=np.ones(2))
+            box_lp(c=np.array([np.nan, 1.0]), lo=np.zeros(2), hi=np.ones(2))
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), G=np.array([[np.inf, 1.0]]), h=np.ones(1))
+            one_row_lp(np.ones(2), [np.inf, 1.0], 1.0)
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), E=np.ones((1, 2)), f=np.array([np.nan]))
+            one_row_lp(np.ones(2), [1.0, 1.0], np.nan)
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), lo=np.array([0.0, np.nan]))
+            box_lp(c=np.ones(2), lo=np.array([0.0, np.nan]), hi=np.ones(2))
 
     def test_model_highs_rejects_is_infeasible(self):
-        lp = LinearProgram(c=np.array([1.0]), lo=np.array([np.inf]))
+        lp = box_lp(c=np.array([1.0]), lo=np.array([np.inf]), hi=np.array([np.inf]))
         assert run_highs(lp).status == 2
         assert solve(lp).status == INFEASIBLE
 
     def test_crossed_bounds_rejected(self):
-        lp = LinearProgram(c=np.ones(1), lo=np.array([2.0]), hi=np.array([1.0]))
+        lp = box_lp(c=np.ones(1), lo=np.array([2.0]), hi=np.array([1.0]))
         with pytest.raises(InvalidInputError):
             solve(lp)
 
@@ -226,19 +228,29 @@ class TestColumnMatrix:
     def test_linear_program_checks_a_sparse_shape(self):
         G = ColumnMatrix.from_dense(np.ones((2, 3)))
         with pytest.raises(InvalidInputError, match="shape"):
-            LinearProgram(c=np.ones(2), G=G, h=np.ones(2))
-        assert LinearProgram(c=np.ones(3), G=G, h=np.ones(2)).G is G
+            LinearProgram(c=np.ones(2), G=G, h=np.ones(2), lo=np.zeros(2), hi=np.ones(2))
+        assert LinearProgram(c=np.ones(3), G=G, h=np.ones(2), lo=np.zeros(3), hi=np.ones(3)).G is G
+
+    @pytest.mark.parametrize("G", [np.ones((2, 3)), [[1.0, 1.0, 1.0]] * 2], ids=["array", "list"])
+    def test_linear_program_refuses_a_dense_matrix(self, G):
+        with pytest.raises(InvalidInputError, match="ColumnMatrix"):
+            LinearProgram(c=np.ones(3), G=G, h=np.ones(2), lo=np.zeros(3), hi=np.ones(3))
+
+    def test_linear_program_has_no_equality_rows(self):
+        G = ColumnMatrix.from_dense(np.ones((2, 3)))
+        with pytest.raises(TypeError):
+            LinearProgram(c=np.ones(3), G=G, h=np.ones(2), E=G, f=np.ones(2), lo=np.zeros(3), hi=np.ones(3))
+        assert LinearProgram.E is None
 
 
 class TestVerification:
     def test_max_violation_measures_raw_data(self):
         lp = LinearProgram(
             c=np.ones(2),
-            G=np.array([[1.0, 0.0]]),
+            G=ColumnMatrix.from_dense(np.array([[1.0, 0.0]])),
             h=np.array([1.0]),
-            E=np.array([[0.0, 1.0]]),
-            f=np.array([0.5]),
             lo=np.zeros(2),
+            hi=np.array([np.inf, 0.5]),
         )
         assert max_violation(lp, np.array([0.5, 0.5])) == 0.0
         assert max_violation(lp, np.array([2.0, 0.5])) == pytest.approx(1.0)
@@ -340,7 +352,7 @@ class TestRetry:
         assert seen == [None]
 
     def test_infeasible_is_not_retried(self, monkeypatch):
-        lp = LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1))
+        lp = one_row_lp([1.0], [1.0], -1.0)
         seen = patch_highs(monkeypatch)
         assert solve(lp).status == INFEASIBLE
         assert seen == [None]
@@ -352,12 +364,14 @@ def packing_lp(n, seed=9, n_rows=12):
     rng = np.random.default_rng(seed)
     G = np.where(rng.random((n_rows, n)) < 0.5, rng.uniform(0.1, 1.0, (n_rows, n)), 0.0)
     G[rng.integers(n_rows, size=n), np.arange(n)] = rng.uniform(0.1, 1.0, n)  # no empty column
-    return LinearProgram(c=rng.uniform(0.5, 2.0, n), G=G, h=np.ones(n_rows), lo=np.zeros(n))
+    G = ColumnMatrix.from_dense(G)
+    return LinearProgram(c=rng.uniform(0.5, 2.0, n), G=G, h=np.ones(n_rows), lo=np.zeros(n), hi=np.full(n, np.inf))
 
 
 def leading(lp, k):
     """The LP of lp's first k columns."""
-    return LinearProgram(c=lp.c[:k], G=np.asarray(lp.G)[:, :k], h=lp.h, lo=lp.lo[:k])
+    G = ColumnMatrix.from_dense(np.asarray(lp.G)[:, :k])
+    return LinearProgram(c=lp.c[:k], G=G, h=lp.h, lo=lp.lo[:k], hi=lp.hi[:k])
 
 
 class TestWarmStart:
@@ -424,20 +438,16 @@ class TestWarmStart:
         "change",
         [
             pytest.param(lambda lp: leading(lp, 5), id="fewer-columns"),
-            pytest.param(lambda lp: LinearProgram(lp.c, lp.G, 2.0 * lp.h, lo=lp.lo), id="other-h"),
-            pytest.param(lambda lp: LinearProgram(lp.c, np.asarray(lp.G)[:-1], lp.h[:-1], lo=lp.lo), id="other-rows"),
+            pytest.param(lambda lp: replace(lp, h=2.0 * lp.h), id="other-h"),
             pytest.param(
-                lambda lp: LinearProgram(np.r_[2.0, lp.c[1:]], lp.G, lp.h, lo=lp.lo), id="leading-cost-changed"
+                lambda lp: replace(lp, G=ColumnMatrix.from_dense(np.asarray(lp.G)[:-1]), h=lp.h[:-1]), id="other-rows"
             ),
+            pytest.param(lambda lp: replace(lp, c=np.r_[2.0, lp.c[1:]]), id="leading-cost-changed"),
             pytest.param(
-                lambda lp: LinearProgram(lp.c, -np.asarray(lp.G), lp.h, lo=lp.lo), id="leading-entries-changed"
+                lambda lp: replace(lp, G=ColumnMatrix.from_dense(-np.asarray(lp.G))), id="leading-entries-changed"
             ),
-            pytest.param(lambda lp: LinearProgram(lp.c, lp.G, lp.h, lo=np.r_[1.0, lp.lo[1:]]), id="leading-lo-changed"),
-            pytest.param(lambda lp: LinearProgram(lp.c, lp.G, lp.h, lo=lp.lo, hi=np.ones(lp.n_vars)), id="hi-added"),
-            pytest.param(
-                lambda lp: LinearProgram(lp.c, lp.G, lp.h, E=np.ones((1, lp.n_vars)), f=np.ones(1), lo=lp.lo),
-                id="equality-rows",
-            ),
+            pytest.param(lambda lp: replace(lp, lo=np.r_[1.0, lp.lo[1:]]), id="leading-lo-changed"),
+            pytest.param(lambda lp: replace(lp, hi=np.r_[1.0, lp.hi[1:]]), id="leading-hi-changed"),
         ],
     )
     def test_lp_that_does_not_extend_warm_is_rejected(self, change):
@@ -459,13 +469,8 @@ def linprog_answer(lp, options=None):
     posed as `solve` posed it before it drove HiGHS itself."""
     from scipy.optimize import linprog
 
-    n = lp.n_vars
-    lo = lp.lo if lp.lo is not None else np.full(n, -np.inf)
-    hi = lp.hi if lp.hi is not None else np.full(n, np.inf)
-    bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None) for l, u in zip(lo, hi)]
-    res = linprog(
-        -lp.c, A_ub=lp.G, b_ub=lp.h, A_eq=lp.E, b_eq=lp.f, bounds=bounds, method="highs", options=options,
-    )
+    bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None) for l, u in zip(lp.lo, lp.hi)]
+    res = linprog(-lp.c, A_ub=lp.G, b_ub=lp.h, bounds=bounds, method="highs", options=options)
     if res.x is None:
         return HighsResult(res.status)
     return HighsResult(res.status, res.x, res.ineqlin.marginals)
@@ -483,13 +488,10 @@ def reachhold_lps(monkeypatch, run):
 
 SMALL_LPS = {
     "known-optimum": known_optimum_lp()[0],
-    "equality-only": LinearProgram(
-        c=np.array([2.0, 1.0, -1.0]), E=np.array([[1.0, 1.0, 1.0]]), f=np.array([1.0]), lo=np.zeros(3)
-    ),
-    "bounds-only": LinearProgram(c=np.array([1.0, -2.0]), lo=np.array([0.0, -1.0]), hi=np.array([1.0, 2.0])),
-    "unconstrained": LinearProgram(c=np.zeros(3)),
-    "infeasible": LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-1.0]), lo=np.zeros(1)),
-    "unbounded": LinearProgram(c=np.array([1.0, 1.0]), G=np.array([[1.0, -1.0]]), h=np.array([1.0]), lo=np.zeros(2)),
+    "bounds-only": box_lp(c=np.array([1.0, -2.0]), lo=np.array([0.0, -1.0]), hi=np.array([1.0, 2.0])),
+    "unconstrained": box_lp(c=np.zeros(3), lo=np.full(3, -np.inf), hi=np.full(3, np.inf)),
+    "infeasible": one_row_lp([1.0], [1.0], -1.0),
+    "unbounded": one_row_lp([1.0, 1.0], [1.0, -1.0], 1.0),
 }
 
 
@@ -521,10 +523,7 @@ class TestRunHighs:
 
     def test_statuses_cover_every_outcome(self):
         status = {name: run_highs(lp).status for name, lp in SMALL_LPS.items()}
-        assert status == {
-            "known-optimum": 0, "equality-only": 0, "bounds-only": 0, "unconstrained": 0,
-            "infeasible": 2, "unbounded": 3,
-        }
+        assert status == {"known-optimum": 0, "bounds-only": 0, "unconstrained": 0, "infeasible": 2, "unbounded": 3}
 
     @pytest.mark.parametrize("T", [1, 5, 20])
     def test_exact_lps(self, char10, T, monkeypatch):
@@ -598,4 +597,4 @@ class TestHighsLoading:
         monkeypatch.setattr(importlib.util, "find_spec", find_spec)
         monkeypatch.setattr(tclflex.lp, "_core", None)
         with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core not found .*\(scipy \d"):
-            solve(LinearProgram(c=np.ones(1), lo=np.zeros(1), hi=np.ones(1)))
+            solve(box_lp(c=np.ones(1), lo=np.zeros(1), hi=np.ones(1)))

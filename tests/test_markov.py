@@ -273,8 +273,19 @@ class TestSerialization:
             (3, lambda row: "# T_amb=warm", "T_amb=warm"),  # a metadata field that is not a number
             (9, lambda row: row.rsplit(",", 1)[0], "line 10 holds 79 entries"),  # a short row
             (7, lambda row: "# n_bins=40.5", "n_bins must be an integer"),  # not read as 40 bins
+            # an operating point that parses but cannot be used
+            (1, lambda row: "# dt_minutes=nan", "dt_minutes must be finite"),
+            (2, lambda row: "# T_set=inf", "T_set must be finite"),
+            (3, lambda row: "# T_amb=-inf", "T_amb must be finite"),
+            (4, lambda row: "# deadband=nan", "deadband must be finite"),
+            (5, lambda row: "# T_min=-inf", "T_min must be finite"),
+            (1, lambda row: "# dt_minutes=0.0", "dt_minutes must be positive"),
+            (4, lambda row: "# deadband=-1.0", "deadband must be positive"),
         ],
-        ids=["value", "field", "ragged", "n_bins"],
+        ids=[
+            "value", "field", "ragged", "n_bins", "dt_minutes_nan", "T_set_inf", "T_amb_-inf", "deadband_nan",
+            "T_min_-inf", "dt_minutes_zero", "deadband_negative",
+        ],
     )
     def test_loader_refuses_malformed_lines(self, tm_nominal, tmp_path, line, edit, match):
         path = tmp_path / "matrix.csv"

@@ -173,7 +173,8 @@ def full_support_exact(T, fleet, x_0, A):
     hi[:n] = x_0
     c = np.zeros(n_vars)
     c[-1] = 1.0
-    sol = solve(LinearProgram(c=c, G=np.vstack(rows), h=np.concatenate(rhs), lo=np.zeros(n_vars), hi=hi))
+    G = ColumnMatrix.from_dense(np.vstack(rows))
+    sol = solve(LinearProgram(c=c, G=G, h=np.concatenate(rhs), lo=np.zeros(n_vars), hi=hi))
     assert sol.status == OPTIMAL
     return float(sol.z[-1])
 
@@ -215,7 +216,7 @@ def dense_exact(T, fleet, x_0, A):
     lo = np.zeros(n_vars)
     hi = np.full(n_vars, np.inf)
     hi[:S] = x_0[cols]  # u[0] <= x[0]
-    return solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=lo, hi=hi))
+    return solve(LinearProgram(c=c_obj, G=ColumnMatrix.from_dense(G), h=h_vec, lo=lo, hi=hi))
 
 
 def full_column_outer(T, fleet, x_0):
@@ -233,7 +234,7 @@ def full_column_outer(T, fleet, x_0):
     G[T, : T * S] = 1.0  # total budget <= 1
     h_vec[T] = 1.0
     hi = np.append(np.tile(x_0[cols], T), np.inf)
-    sol = solve(LinearProgram(c=c_obj, G=G, h=h_vec, lo=np.zeros(n_vars), hi=hi))
+    sol = solve(LinearProgram(c=c_obj, G=ColumnMatrix.from_dense(G), h=h_vec, lo=np.zeros(n_vars), hi=hi))
     assert sol.status == OPTIMAL
     return float(sol.z[-1])
 
@@ -1136,6 +1137,26 @@ class TestSetPersistence:
         save_set(rh, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("P_on_total_kw", np.inf),
+            ("P_nom_kw", np.nan),
+            ("dt_minutes", np.inf),
+            ("dt_minutes", np.nan),
+            ("dt_minutes", 0.0),
+            ("dt_minutes", -1.0),
+        ],
+    )
+    def test_unusable_regime_number_rejected(self, char40, tmp_path, key, value):
+        # json writes NaN and Infinity, and reads them back
+        save_set(inner_boundary(char40, 2), tmp_path / "s.csv")
+        sidecar = json.loads((tmp_path / "s.json").read_text())
+        sidecar["regime"][key] = value
+        (tmp_path / "s.json").write_text(json.dumps(sidecar))
+        with pytest.raises(InvalidInputError, match=key):
+            load_set(tmp_path / "s.csv")
 
     def test_foreign_header_rejected(self, tmp_path):
         (tmp_path / "x.csv").write_text("time,power\n1,2\n")
