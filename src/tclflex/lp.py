@@ -12,12 +12,17 @@ The extension is loaded from its file at the first solve, without
 running scipy's package code, so importing tclflex costs no solver
 start-up; the model, options and status codes are those
 `linprog(method="highs")` would use.  An optimal solution keeps its live
-solver, so an LP that extends it by new columns (column generation)
+solver, so an LP that extends it by appended columns (column
+generation) or rows and columns (a model that grows with its horizon)
 is solved by appending them and restarting the simplex from the last
-basis rather than from scratch.  Every reported optimum is
-re-verified against the raw problem data here, independently of the
-solver's own bookkeeping: a solution whose constraint violation exceeds
-the tolerance is downgraded to numerical-failure rather than trusted.
+basis rather than from scratch: the primal simplex when only columns
+were appended, which keeps the basis primal feasible, and the dual
+simplex once a row was, which keeps it dual feasible.  Every reported
+optimum is re-verified against the raw problem data here, independently
+of the solver's own bookkeeping: a solution whose constraint violation
+exceeds the tolerance is downgraded to numerical-failure rather than
+trusted (a restarted one is first recomputed from a fresh factorization
+of its final basis).
 Any numerical failure, including an answer HiGHS itself gives up on, is
 re-solved cold on the next rung of `LADDER` before it is reported, and a
 caller that refuses an optimum on checks of its own sends it there too.
@@ -237,35 +242,36 @@ def _highs_core():
     return _core
 
 
-def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
-    """One HiGHS solve of the LP, posed as linprog(method="highs") poses it:
-    minimize -c over the G rows (-inf, h] and the bounds [lo, hi], with
-    presolve on and the dual simplex.  options are further HiGHS options
-    set on top."""
+def _settings(options: dict | None, strategy: str = "kSimplexStrategyDual"):
+    """HiGHS options as linprog(method="highs") sets them, with presolve on
+    and the simplex `strategy`, then `options` on top."""
     core = _highs_core()
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
-    model.num_row_ = model.a_matrix_.num_row_ = lp.h.size
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = lp.G.start
-    model.a_matrix_.index_ = lp.G.index
-    model.a_matrix_.value_ = lp.G.value
-    model.col_cost_ = -lp.c
-    model.col_lower_ = lp.lo
-    model.col_upper_ = lp.hi
-    model.row_lower_ = np.full(lp.h.size, -np.inf)
-    model.row_upper_ = lp.h
-
     settings = core.HighsOptions()
     settings.presolve = "on"
-    settings.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    settings.simplex_strategy = getattr(core.simplex_constants.SimplexStrategy, strategy)
     settings.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     settings.output_flag = settings.log_to_console = False
     for key, value in (options or {}).items():
         setattr(settings, key, value)
+    return settings
+
+
+def run_highs(lp: LinearProgram, options: dict | None = None) -> HighsResult:
+    """One HiGHS solve of the LP, posed as linprog(method="highs") poses it:
+    minimize -c over the G rows (-inf, h] and the bounds [lo, hi], with
+    presolve on and the dual simplex.  options are further HiGHS options
+    set on top.  The model goes over as arrays, which pybind hands on
+    without converting them element by element."""
+    core = _highs_core()
     highs = core._Highs()
-    highs.passOptions(settings)
-    if highs.passModel(model) == core.HighsStatus.kError:
+    highs.passOptions(_settings(options))
+    n, m, G = lp.n_vars, lp.h.size, lp.G
+    status = highs.passModel(
+        n, m, G.value.size, int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
+        -lp.c, lp.lo, lp.hi, np.full(m, -np.inf), lp.h, G.start, G.index, G.value,
+        np.zeros(n, dtype=np.int32),  # all continuous; an empty array is read as a pointer
+    )
+    if status == core.HighsStatus.kError:
         # e.g. a lower bound of +inf; run() would then solve an empty
         # model and call it optimal.  linprog reports such a model as 2.
         return HighsResult(2)
@@ -292,31 +298,75 @@ def _run(highs) -> HighsResult:
 
 
 def _extends(lp: LinearProgram, old: LinearProgram) -> bool:
-    """Whether lp is old with columns appended: the same G rows and h,
-    and old's columns (G entries, c, lo, hi) leading lp's."""
-    n, nnz = old.n_vars, old.G.value.size
-    if lp.n_vars < n or lp.G.shape[0] != old.G.shape[0] or not np.array_equal(lp.h, old.h):
+    """Whether lp is old with rows, columns or both appended: old's block
+    leads lp's (the same G entries in old's rows and columns, the same h
+    on old's rows and the same c, lo and hi on its columns), and lp's
+    other rows come after old's.  New rows may hold entries in old
+    columns and new columns entries in old rows."""
+    n, m, G = old.n_vars, old.h.size, lp.G
+    if lp.n_vars < n or lp.h.size < m or not np.array_equal(lp.h[:m], old.h):
         return False
-    pairs = [(lp.G.start[: n + 1], old.G.start), (lp.G.index[:nnz], old.G.index), (lp.G.value[:nnz], old.G.value)]
-    pairs += [(new[:n], prev) for new, prev in ((lp.c, old.c), (lp.lo, old.lo), (lp.hi, old.hi))]
-    return all(np.array_equal(a, b) for a, b in pairs)
+    if not all(np.array_equal(new[:n], prev) for new, prev in ((lp.c, old.c), (lp.lo, old.lo), (lp.hi, old.hi))):
+        return False
+    end = G.start[n]
+    lead = G.index[:end] < m  # the entries of old's columns in old's rows
+    counts = np.bincount(np.repeat(np.arange(n), np.diff(G.start[: n + 1]))[lead], minlength=n)
+    return (
+        np.array_equal(counts, np.diff(old.G.start))
+        and np.array_equal(G.index[:end][lead], old.G.index)
+        and np.array_equal(G.value[:end][lead], old.G.value)
+    )
 
 
 def _rerun(lp: LinearProgram, warm: LpSolution) -> HighsResult:
-    """Append lp's new columns to warm's live solver and run it again,
-    which restarts the simplex from warm's basis.  Status 4 when warm
-    kept no solver, released it, or its solver has since been extended."""
-    highs, n = warm._highs, warm._lp.n_vars
-    if highs is None or highs.getNumCol() != n:
+    """Append lp's new columns, then its new rows, to warm's live solver
+    and run it again from warm's basis, with the default rung's options
+    whatever rung found warm.  The restart follows what was appended:
+    with columns alone the old basis stays primal feasible and the primal
+    simplex restarts from it; once a row is appended it stays dual
+    feasible, and the dual simplex does.  Status 4 when warm kept no
+    solver, released it, or its solver has since been extended."""
+    highs, n, m = warm._highs, warm._lp.n_vars, warm._lp.h.size
+    if highs is None or highs.getNumCol() != n or highs.getNumRow() != m:
         return HighsResult(4)
-    G, m = lp.G, lp.n_vars
-    first = G.start[n]
-    status = highs.addCols(
-        m - n, -lp.c[n:], lp.lo[n:], lp.hi[n:],
-        G.value.size - first, G.start[n:-1] - first, G.index[first:], G.value[first:],
-    )
-    if status == _highs_core().HighsStatus.kError:
+    core = _highs_core()
+    G, n_new, m_new = lp.G, lp.n_vars - n, lp.h.size - m
+    col = np.repeat(np.arange(lp.n_vars), np.diff(G.start))
+    old_row = G.index < m
+    # the new columns' entries in the old rows, column-wise
+    in_cols = old_row & (col >= n)
+    col_start = np.concatenate(([0], np.cumsum(np.bincount(col[in_cols] - n, minlength=n_new))[:-1]))
+    # the new rows over every column, row-wise: a stable sort by row keeps
+    # each row's columns ascending
+    in_rows = np.flatnonzero(~old_row)
+    order = in_rows[np.argsort(G.index[in_rows], kind="stable")]
+    row_start = np.concatenate(([0], np.cumsum(np.bincount(G.index[in_rows] - m, minlength=m_new))[:-1]))
+    highs.passOptions(_settings(None, "kSimplexStrategyDual" if m_new else "kSimplexStrategyPrimal"))
+    appended = []
+    if n_new:
+        appended.append(highs.addCols(
+            n_new, -lp.c[n:], lp.lo[n:], lp.hi[n:],
+            int(in_cols.sum()), col_start.astype(np.int32), G.index[in_cols], G.value[in_cols],
+        ))
+    if m_new:
+        appended.append(highs.addRows(
+            m_new, np.full(m_new, -np.inf), lp.h[m:],
+            order.size, row_start.astype(np.int32), col[order].astype(np.int32), G.value[order],
+        ))
+    if core.HighsStatus.kError in appended:
         return HighsResult(4)
+    return _run(highs)
+
+
+def _refactor(highs) -> HighsResult:
+    """Run the solver again from a fresh factorization of its final basis.
+    A restarted simplex carries its values through many basis updates, and
+    their rounding can leave an optimal basis with values that fail the
+    violation check; recomputed from the factorization, those of an
+    optimal basis need no iteration."""
+    basis = highs.getBasis()
+    highs.clearSolver()
+    highs.setBasis(basis)
     return _run(highs)
 
 
@@ -331,14 +381,18 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     status 4) is re-solved cold on the next rung of LADDER; each answer
     faces the same checks, and a failure on the last rung is reported.
 
-    warm is an optimum of an earlier `solve`.  When lp is warm's LP with
-    columns appended (same G rows and h), the new columns are added
-    to warm's live solver, which restarts from its last basis and then
-    belongs to the answer, so a second use of warm solves cold.  That
-    answer faces the same checks, and one that fails them or is not
-    optimal is solved cold as above.  When lp is warm's LP itself, the
-    caller refuses warm, and lp is solved cold on the rungs after the one
-    that found warm (from the first for a warm-started answer):
+    warm is an optimum of an earlier `solve`.  When lp extends warm's LP
+    (warm's rows and columns lead lp's unchanged, and lp appends rows,
+    columns or both; see `_extends`), the new columns and rows are added
+    to warm's live solver, which restarts from its last basis with the
+    default rung's options (the primal simplex when only columns were
+    appended, else the dual simplex) and then belongs to the answer, so a
+    second use of warm solves cold.  That answer faces the same checks;
+    one that fails them is computed once more from a fresh factorization
+    of its final basis and checked again, and one that still fails or is
+    not optimal is solved cold as above.  When lp is warm's LP itself,
+    the caller refuses warm, and lp is solved cold on the rungs after the
+    one that found warm (from the first for a warm-started answer):
     numerical failure once no rung is left.  Any other warm raises
     InvalidInputError.
     """
@@ -347,11 +401,14 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     first = 0
     if warm is not None:
         if warm.status != OPTIMAL or warm._lp is None or not (warm._lp is lp or _extends(lp, warm._lp)):
-            raise InvalidInputError("warm must be an optimum of lp or of an LP whose columns lead lp's")
+            raise InvalidInputError("warm must be an optimum of lp or of an LP that leads lp's rows and columns")
         if warm._lp is lp:
             first = warm._rung + 1
         else:
-            sol = _certify(lp, _rerun(lp, warm), -1)
+            res = _rerun(lp, warm)
+            sol = _certify(lp, res, -1)
+            if sol.status == NUMERICAL_FAILURE and res.highs is not None:
+                sol = _certify(lp, _refactor(res.highs), -1)
             if sol.status == OPTIMAL:
                 return sol
     sol = LpSolution(NUMERICAL_FAILURE, None, None, None)

@@ -251,7 +251,9 @@ def _hold_block(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) ->
     return steps[col] + lag - 1, col, -d[lag, states[col]]
 
 
-def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarray, LpSolution]:
+def solve_exact(
+    T_hold: int, fleet: CharacterizedFleet, warm: LpSolution | None = None
+) -> tuple[float, np.ndarray, LpSolution]:
     """Exact boundary value of `fleet` at T_hold by the LP over the
     unactuated mass.
 
@@ -262,15 +264,21 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     the hold rows gives dP[k] = d[k] @ x_0 - sum_{m<k} e[k-m] @ w[m] with
     e[1] = d[1] and e[j] = d[j] - d[j-1] A.  The LP is posed on S =
     invariant_support (A^k x_0 vanishes off S, so every admissible plan
-    does too) over w[0..T-1], then P, then a variable fixed at 1 that
-    carries the x_0 terms, so every right-hand side is 0 and the solver's
-    violation check keeps its unit scale.  The plan comes back on all
-    states and is replayed by delta_p_by_stepping.  An answer whose plan
-    falls more than EXACT_REPLAY_TOL_REL P_on_total below the value at any
-    step of the hold is refused like one that fails certification, and
-    re-solved on the next rung of `lp.LADDER`; NumericalFailureError once
-    no rung gives an answer that certifies and replays.  Desk-scale only:
-    refuses problems with T_hold * n_states above EXACT_LP_CAP.
+    does too) over P, then a variable fixed at 1 that carries the x_0
+    terms, so every right-hand side is 0 and the solver's violation check
+    keeps its unit scale, then w[0], w[1], ...  Its rows come per step
+    k = 1..T: hold row k, then the admissibility rows of w[k-1].  So the
+    LP at a longer hold extends this one by appended rows and columns,
+    and `warm`, the LpSolution of an earlier call at a shorter hold on
+    the same fleet, restarts from that hold's basis (`lp.solve`).  The
+    plan comes back on all states and is replayed by delta_p_by_stepping.
+    An answer whose plan falls more than EXACT_REPLAY_TOL_REL P_on_total
+    below the value at any step of the hold is refused like one that
+    fails certification, and re-solved cold on the next rung of
+    `lp.LADDER`; NumericalFailureError once no rung gives an answer that
+    certifies and replays.  The returned LpSolution keeps its solver for
+    the next hold until it is released.  Desk-scale only: refuses
+    problems with T_hold * n_states above EXACT_LP_CAP.
     """
     x_0, A = fleet.x_0, fleet.A
     n = x_0.size
@@ -288,45 +296,52 @@ def solve_exact(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
     n_w = T * S
     A_S = A.P[np.ix_(cols, cols)]
     x_S = x_0[cols]
-    d = fleet.h[: T + 1, cols] - fleet.h_a[: T + 1, cols]
+    # over the fleet's whole horizon, so that a row's coefficients do not
+    # depend on T and every longer hold's LP extends this one bit for bit
+    d = fleet.h[:, cols] - fleet.h_a[:, cols]
     e = d.copy()  # e[0] is never read
-    e[2:] -= d[1:T] @ A_S
-    # variables: w[0..T-1] on S flattened, then P, then one
+    e[2:] -= d[1:-1] @ A_S
+    one_x = -(d[1:] @ x_S)[:T]
+    # variables: P, one, then w[0..T-1] on S flattened.  Rows come in step
+    # blocks of 1 + S: hold row k, then the admissibility rows of w[k-1];
+    # hold[k-1] and adm[k*S + s] are their indices
+    hold, adm = (S + 1) * np.arange(T), 1 + np.arange(n_w) + np.arange(n_w) // S
+    h_row, h_col, h_val = _hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T))
     a_row, a_col = np.nonzero(A_S)
     shift = S * np.arange(T - 1)[:, None]  # -A_S pairs w[k-1] with the rows of w[k]
     G = ColumnMatrix.from_entries(
         [
-            _hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T)),
-            (np.arange(T), np.full(T, n_w), np.ones(T)),
-            (np.arange(T), np.full(T, n_w + 1), -(d[1:] @ x_S)),
+            (hold, np.zeros(T, dtype=int), np.ones(T)),
+            (hold, np.ones(T, dtype=int), one_x),
+            (hold[h_row], 2 + h_col, h_val),
             # admissibility rows: w[0] - x_S <= 0 and w[k] - A_S w[k-1] <= 0
-            (T + np.arange(n_w), np.arange(n_w), np.ones(n_w)),
-            (T + np.arange(S), np.full(S, n_w + 1), -x_S),
-            ((T + S + shift + a_row).ravel(), (shift + a_col).ravel(), np.tile(-A_S[a_row, a_col], T - 1)),
+            (adm, 2 + np.arange(n_w), np.ones(n_w)),
+            (adm[:S], np.ones(S, dtype=int), -x_S),
+            (adm[S + shift + a_row].ravel(), (2 + shift + a_col).ravel(), np.tile(-A_S[a_row, a_col], T - 1)),
         ],
         (T + n_w, n_w + 2),
     )
     c_obj = np.zeros(n_w + 2)
-    c_obj[n_w] = 1.0
+    c_obj[0] = 1.0
     lo = np.zeros(n_w + 2)
     hi = np.full(n_w + 2, np.inf)
-    lo[-1] = hi[-1] = 1.0
+    lo[1] = hi[1] = 1.0
     lp = LinearProgram(c=c_obj, G=G, h=np.zeros(T + n_w), lo=lo, hi=hi)
-    sol = refused = None
+    sol, refused = warm, None
     while True:  # handed back, a refused answer is re-solved on the next rung
         sol = solve(lp, warm=sol)
-        sol.release()  # nothing warm-starts from it: free HiGHS before the replay
         if sol.status != OPTIMAL:
             raise NumericalFailureError(refused or f"exact LP did not solve cleanly: status {sol.status}")
-        w = sol.z[:n_w].reshape(T, S)
+        w = sol.z[2:].reshape(T, S)
         u = np.zeros((T, n))
         u[0, cols] = x_S - w[0]
         u[1:, cols] = w[:-1] @ A_S.T - w[1:]
-        value = float(sol.z[n_w])
+        value = float(sol.z[0])
         plan = np.clip(u, 0.0, None)
         margin = float(delta_p_by_stepping(plan, fleet, T)[1:].min()) - value
         if margin >= -EXACT_REPLAY_TOL_REL * fleet.regime["P_on_total_kw"]:
             return value, plan, sol
+        sol.release()  # the re-solve is cold
         refused = f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
 
 

@@ -337,7 +337,13 @@ def run_reachhold(
         sets[OUTER] = outer_boundary(ch, np.array(t_grid))
     t_exact = [t for t in t_grid if exact_fits(t, ch.x_0.size)]
     if EXACT in methods:
-        vals = [solve_exact(t, ch)[0] for t in t_exact]
+        # ascending holds grow one LP: each answer warm-starts the next
+        vals, sol = [], None
+        for t in t_exact:
+            value, _, sol = solve_exact(t, ch, warm=sol)
+            vals.append(value)
+        if sol is not None:
+            sol.release()
         # the true boundary is nonincreasing; a running min trims LP noise
         sets[EXACT] = lp_frontier(ch, t_exact, np.minimum.accumulate(vals), EXACT)
     tol = EXACT_REPLAY_TOL_REL * op.P_on_total_kw

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .etp import FleetStepper, simulate_fleet
+from .etp import FleetStepper
 from .markov import BinGrid
 from .reachhold import check_plan, write_json
 
@@ -157,7 +157,14 @@ def burn_in(stepper: FleetStepper, steps: int) -> float:
     serves as the micro-side nominal demand estimate."""
     if steps < 1:
         raise InvalidInputError(f"steps must be >= 1, got {steps}")
-    return float(simulate_fleet(stepper, steps)[-max(1, steps // 2) :].mean())
+    half = max(1, steps // 2)
+    for _ in range(steps - half):  # power is read only over the half averaged
+        stepper.advance()
+    power = np.empty(half)
+    for k in range(half):
+        stepper.advance()
+        power[k] = stepper.power_kw()
+    return float(power.mean())
 
 
 def compare_traces(

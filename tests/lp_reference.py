@@ -1,7 +1,8 @@
 """Dense reference for the constraint matrices of the exact and outer LPs.
 
-These are the dense constructions the library used before it built its
-LPs column-wise: a (rows, columns) array with every zero written out.
+These are dense constructions of the LPs the library builds column-wise
+(the exact LP in its per-step layout): a (rows, columns) array with
+every zero written out.
 Converted by `ColumnMatrix.from_dense`, which drops zeros (-0.0 too) and
 lists each column's rows in ascending order, as the library's former
 HiGHS hand-off did, they are the oracle for the sparse builders: the
@@ -21,25 +22,29 @@ def dense_hold_block(d, T, steps, states):
 
 
 def dense_exact_matrix(T, fleet, x_0, A):
-    """G of the exact LP over the unactuated mass w on the invariant
-    support, then P, then the variable fixed at 1."""
+    """G of the exact LP on the invariant support: columns P, the variable
+    fixed at 1, then the unactuated mass w[0..T-1]; rows per step k =
+    1..T, hold row k and then the admissibility rows of w[k-1]."""
     cols = invariant_support(A, x_0)
     S = cols.size
     n_w = T * S
     A_S = A.P[np.ix_(cols, cols)]
     x_S = x_0[cols]
-    d = fleet.h[: T + 1, cols] - fleet.h_a[: T + 1, cols]
+    d = fleet.h[:, cols] - fleet.h_a[:, cols]
     e = d.copy()
-    e[2:] -= d[1:T] @ A_S
+    e[2:] -= d[1:-1] @ A_S
     G = np.zeros((T + n_w, n_w + 2))
-    G[:T, :n_w] = dense_hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T))
-    G[:T, n_w] = 1.0
-    G[:T, n_w + 1] = -(d[1:] @ x_S)
-    diag = np.arange(n_w)
-    G[T + diag, diag] = 1.0
-    G[T : T + S, n_w + 1] = -x_S
-    for k in range(1, T):
-        G[T + k * S : T + (k + 1) * S, (k - 1) * S : k * S] = -A_S
+    hold = (S + 1) * np.arange(T)
+    G[hold, 2:] = dense_hold_block(-e, T, np.repeat(np.arange(T), S), np.tile(np.arange(S), T))
+    G[hold, 0] = 1.0
+    G[hold, 1] = -(d[1:] @ x_S)[:T]
+    for k in range(T):
+        adm = hold[k] + 1 + np.arange(S)  # the rows of w[k]
+        G[adm, 2 + k * S + np.arange(S)] = 1.0
+        if k == 0:
+            G[adm, 1] = -x_S
+        else:
+            G[np.ix_(adm, 2 + (k - 1) * S + np.arange(S))] = -A_S
     return G
 
 

@@ -488,6 +488,25 @@ class TestReachhold:
         assert outs[0] == outs[1]
         assert outs[0][0].decode().count("\n") == 3  # the header and both holds
 
+    def test_exact_holds_grow_one_model(self, tmp_path, monkeypatch):
+        # each exact hold restarts from the answer at the hold before it,
+        # in ascending order, and the last answer's solver is released
+        real, calls = tclflex.scenario.solve_exact, []
+
+        def recorded(T, fleet, warm=None):
+            answer = real(T, fleet, warm=warm)
+            calls.append((T, warm, answer[2]))
+            return answer
+
+        monkeypatch.setattr(tclflex.scenario, "solve_exact", recorded)
+        cfg = dict(TINY, reachhold={"methods": ["exact"], "t_grid": [30, 1, 10, 5]})
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["reachhold", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [T for T, _, _ in calls] == [1, 5, 10, 30]
+        assert calls[0][1] is None
+        assert all(warm is before for (_, warm, _), (_, _, before) in zip(calls[1:], calls))
+        assert calls[-1][2]._highs is None
+
     # on TINY's fleet exact and outer both read 1388.17 kW at T=5, 2.6 kW
     # under P_nom, so either shift makes exact exceed outer there
     @pytest.mark.parametrize(
@@ -500,8 +519,8 @@ class TestReachhold:
     def test_crossing_frontiers_are_refused(self, owner, name, shift, tiny_config_path, tmp_path, monkeypatch, capsys):
         real = getattr(owner, name)
 
-        def shifted(T, fleet):
-            value, plan, sol = real(T, fleet)
+        def shifted(T, fleet, **kwargs):
+            value, plan, sol = real(T, fleet, **kwargs)
             return value + shift, plan, sol
 
         monkeypatch.setattr(owner, name, shifted)

@@ -368,16 +368,39 @@ def packing_lp(n, seed=9, n_rows=12):
     return LinearProgram(c=rng.uniform(0.5, 2.0, n), G=G, h=np.ones(n_rows), lo=np.zeros(n), hi=np.full(n, np.inf))
 
 
-def leading(lp, k):
-    """The LP of lp's first k columns."""
-    G = ColumnMatrix.from_dense(np.asarray(lp.G)[:, :k])
-    return LinearProgram(c=lp.c[:k], G=G, h=lp.h, lo=lp.lo[:k], hi=lp.hi[:k])
+def leading(lp, k, rows=None):
+    """The LP of lp's first k columns and first `rows` rows (all of them
+    by default)."""
+    G = ColumnMatrix.from_dense(np.asarray(lp.G)[:rows, :k])
+    return LinearProgram(c=lp.c[:k], G=G, h=lp.h[:rows], lo=lp.lo[:k], hi=lp.hi[:k])
+
+
+def strategy(name):
+    return int(getattr(tclflex.lp._highs_core().simplex_constants.SimplexStrategy, name))
+
+
+def inserted_row(lp):
+    """lp with its last row moved to the front, ahead of warm's rows."""
+    order = np.r_[lp.h.size - 1, : lp.h.size - 1]
+    return replace(lp, G=ColumnMatrix.from_dense(np.asarray(lp.G)[order]), h=lp.h[order])
+
+
+def swapped_old_rows(lp):
+    """lp with its first two rows swapped."""
+    order = np.r_[1, 0, 2 : lp.h.size]
+    return replace(lp, G=ColumnMatrix.from_dense(np.asarray(lp.G)[order]), h=lp.h[order])
+
+
+def changed_old_row_entry(lp):
+    G = np.asarray(lp.G)
+    G[0, np.flatnonzero(G[0, :10])[0]] *= 2.0  # in an old column
+    return replace(lp, G=ColumnMatrix.from_dense(G))
 
 
 class TestWarmStart:
-    """An LP that extends an earlier optimum by new columns restarts that
-    optimum's solver instead of solving from scratch, and faces the same
-    checks."""
+    """An LP that extends an earlier optimum by appended rows, columns or
+    both restarts that optimum's solver instead of solving from scratch,
+    and faces the same checks."""
 
     def test_appended_columns_solve_warm(self, monkeypatch):
         full = packing_lp(40)
@@ -390,8 +413,67 @@ class TestWarmStart:
         assert len(seen) == 1 + 4  # the first solve and the four cold references
         assert sol.max_constraint_violation <= FEASIBILITY_TOL
 
-    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
-    def test_warm_answer_that_fails_is_solved_cold(self, monkeypatch, spoil):
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            pytest.param([(10, 30), (10, 40)], id="rows"),
+            pytest.param([(10, 12), (15, 20), (15, 30), (30, 40)], id="rows-and-columns"),
+        ],
+    )
+    def test_appended_rows_solve_warm(self, monkeypatch, shapes):
+        # every new row holds entries in old columns (G is half full)
+        full = packing_lp(40, n_rows=30)
+        seen = patch_highs(monkeypatch)
+        sol = solve(leading(full, 10, rows=12))
+        for k, rows in shapes:
+            lp = leading(full, k, rows)
+            sol = solve(lp, warm=sol)
+            assert sol.status == OPTIMAL and sol._rung == -1  # restarted, not solved cold
+            assert sol.objective_value == pytest.approx(solve(lp).objective_value, abs=1e-9)
+            assert sol.max_constraint_violation <= FEASIBILITY_TOL
+        assert len(seen) == 1 + len(shapes)  # the first solve and the cold references
+
+    @pytest.mark.parametrize(
+        "k, rows, name",
+        [
+            pytest.param(20, 12, "kSimplexStrategyPrimal", id="columns"),
+            pytest.param(10, 20, "kSimplexStrategyDual", id="rows"),
+            pytest.param(20, 20, "kSimplexStrategyDual", id="rows-and-columns"),
+        ],
+    )
+    def test_restart_follows_what_was_appended(self, k, rows, name):
+        # appended columns keep the basis primal feasible, appended rows
+        # keep it dual feasible
+        full = packing_lp(40, n_rows=30)
+        first = solve(leading(full, 10, rows=12))
+        assert first._highs.getOptions().simplex_strategy == strategy("kSimplexStrategyDual")
+        grown = solve(leading(full, k, rows), warm=first)
+        assert grown._rung == -1
+        assert grown._highs.getOptions().simplex_strategy == strategy(name)
+
+    @pytest.mark.parametrize("rung", [1, 2])
+    def test_extension_runs_with_default_options(self, monkeypatch, rung):
+        # an answer found on a later rung does not pass that rung's
+        # options on to the LPs that extend it
+        full = packing_lp(40, n_rows=30)
+        with monkeypatch.context() as mp:
+            seen = patch_highs(mp, spoil_x, n_spoiled=rung)
+            first = solve(leading(full, 10, rows=12))
+        assert first._rung == rung and seen == list(LADDER[: rung + 1])
+        rung_options = first._highs.getOptions()
+        for key, value in LADDER[rung].items():
+            assert getattr(rung_options, key) == value
+        grown = solve(leading(full, 20, rows=20), warm=first)
+        assert grown._rung == -1
+        options = grown._highs.getOptions()
+        assert options.solver == "choose"
+        assert options.primal_feasibility_tolerance == options.dual_feasibility_tolerance == 1e-7
+        assert grown.objective_value == pytest.approx(solve(leading(full, 20, rows=20)).objective_value, abs=1e-9)
+
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals])
+    def test_warm_answer_that_fails_is_recomputed_from_its_basis(self, monkeypatch, spoil):
+        # a fresh factorization of the restart's final basis gives back
+        # the values the spoiled answer lost, with no cold solve
         full = packing_lp(40)
         first = solve(leading(full, 10))
         real = tclflex.lp._rerun
@@ -402,6 +484,28 @@ class TestWarmStart:
             return res
 
         monkeypatch.setattr(tclflex.lp, "_rerun", spoiled)
+        seen = patch_highs(monkeypatch)
+        sol = solve(full, warm=first)
+        assert seen == []
+        assert sol.status == OPTIMAL and sol._rung == -1
+        assert sol.objective_value == pytest.approx(solve(full).objective_value, abs=1e-9)
+        assert sol.max_constraint_violation <= FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("spoil", [spoil_x, spoil_duals, give_up])
+    def test_warm_answer_that_fails_is_solved_cold(self, monkeypatch, spoil):
+        full = packing_lp(40)
+        first = solve(leading(full, 10))
+
+        def spoiled(run):  # the restart and its recomputation both fail
+            def run_and_spoil(*args):
+                res = run(*args)
+                spoil(full, res)
+                return res
+
+            return run_and_spoil
+
+        monkeypatch.setattr(tclflex.lp, "_rerun", spoiled(tclflex.lp._rerun))
+        monkeypatch.setattr(tclflex.lp, "_refactor", spoiled(tclflex.lp._refactor))
         seen = patch_highs(monkeypatch)
         sol = solve(full, warm=first)
         assert seen == [None]
@@ -455,6 +559,31 @@ class TestWarmStart:
         first = solve(leading(full, 10))
         with pytest.raises(InvalidInputError, match="warm"):
             solve(change(full), warm=first)
+
+    @pytest.mark.parametrize("change", [inserted_row, swapped_old_rows, changed_old_row_entry])
+    @pytest.mark.parametrize("unit", [False, True], ids=["values", "unit-values"])
+    def test_grown_lp_that_does_not_extend_warm_is_rejected(self, change, unit):
+        # with unit values a moved row changes only where the entries sit
+        full = packing_lp(20, n_rows=20)
+        if unit:
+            full = replace(full, G=replace(full.G, value=np.ones(full.G.value.size)))
+        first = solve(leading(full, 10, rows=12))
+        grown = leading(full, 20, rows=16)
+        assert solve(grown, warm=solve(leading(full, 10, rows=12))).status == OPTIMAL
+        with pytest.raises(InvalidInputError, match="warm"):
+            solve(change(grown), warm=first)
+
+    def test_entry_moved_between_old_columns_is_rejected(self):
+        # the old rows' entries read the same in column order; only the
+        # column that holds one of them changed
+        def unit_lp(dense):
+            dense = np.asarray(dense, dtype=float)
+            n = dense.shape[1]
+            return LinearProgram(np.ones(n), ColumnMatrix.from_dense(dense), np.ones(dense.shape[0]), np.zeros(n), np.ones(n))
+
+        first = solve(unit_lp([[1, 0], [1, 0], [0, 1]]))
+        with pytest.raises(InvalidInputError, match="warm"):
+            solve(unit_lp([[1, 0], [0, 1], [0, 1], [1, 1]]), warm=first)
 
     def test_warm_must_be_optimal(self):
         full = packing_lp(20)

@@ -25,6 +25,7 @@ from tclflex.markov import BinGrid, TransitionMatrix, output_vector
 from tclflex.reachhold import (
     DEFAULT_N_GRID,
     EXACT_LP_CAP,
+    EXACT_REPLAY_TOL_REL,
     INNER,
     OUTER,
     CharacterizedFleet,
@@ -36,6 +37,7 @@ from tclflex.reachhold import (
     characterize,
     default_p_grid,
     delta_p_by_stepping,
+    exact_fits,
     inner_boundary,
     inner_p_at,
     inner_point,
@@ -706,11 +708,41 @@ class TestSolveExact:
         dp = delta_p_by_stepping(plan, ch, T)
         assert dp[1:].min() - P >= -1e-9 * P_ON_TOTAL
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        T_amb=st.floats(28.0, 36.0),
+        raise_k=st.floats(0.5, 3.0),
+        n_bins=st.sampled_from([10, 20, 40]),
+    )
+    @example(T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, n_bins=40)
+    def test_chained_holds_match_cold_solves(self, T_amb, raise_k, n_bins):
+        # the exact LP at a longer hold extends the one at a shorter hold,
+        # so each answer warm-starts the next, as `reachhold` runs them
+        op = OperatingPoint(
+            DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
+        )
+        holds = [T for T in (1, 2, 3, 5, 8, 12, 20, 30, 45, 60) if exact_fits(T, 2 * n_bins)]
+        ch = characterize(op, T_max=holds[-1])
+        tol = EXACT_REPLAY_TOL_REL * P_ON_TOTAL
+        sol, restarted = None, 0
+        for T in holds:
+            P, plan, sol = solve_exact(T, ch, warm=sol)
+            restarted += sol._rung == -1
+            assert P == pytest.approx(solve_exact(T, ch)[0], abs=tol)
+            assert delta_p_by_stepping(plan, ch, T)[1:].min() - P >= -tol
+        sol.release()
+        assert restarted >= 1
+
+    def test_warm_from_another_fleet_is_rejected(self, char10, char40):
+        _, _, sol = solve_exact(5, char10)
+        with pytest.raises(InvalidInputError, match="warm"):
+            solve_exact(8, char40, warm=sol)
+
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda z: z.__setitem__(slice(None, -2), 0.0), id="plan"),  # all mass at step 0
-            pytest.param(lambda z: z.__setitem__(-2, z[-2] + 1e-8 * P_ON_TOTAL), id="value"),
+            pytest.param(lambda z: z.__setitem__(slice(2, None), 0.0), id="plan"),  # all mass at step 0
+            pytest.param(lambda z: z.__setitem__(0, z[0] + 1e-8 * P_ON_TOTAL), id="value"),
         ],
     )
     def test_replay_rejects_corrupted_answer(self, char40, corrupt, monkeypatch):
@@ -727,8 +759,8 @@ class TestSolveExact:
             solve_exact(60, char40)
 
     def test_lp_is_sparse(self, char40, monkeypatch):
-        # pins the formulation, not a value: the unactuated mass w on S per
-        # step, then P and the fixed one, with admissibility as inequality
+        # pins the formulation, not a value: P and the fixed one, then the
+        # unactuated mass w on S per step, with admissibility as inequality
         # rows (no equalities) and about half the lifted form's nonzeros
         real = tclflex.reachhold.solve
         lps = []

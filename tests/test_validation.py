@@ -287,6 +287,14 @@ class TestBurnIn:
         assert burn_in(FleetStepper(sample_fleet(spec)), 9) == float(power[-4:].mean())
         assert burn_in(FleetStepper(sample_fleet(spec)), 1) == power[1]
 
+    @pytest.mark.parametrize("steps", [1, 2, 9, 240])
+    def test_reads_power_only_over_the_averaged_half(self, steps, monkeypatch):
+        stepper = FleetStepper(sample_fleet(FleetSpec(n_units=50, seed=3)))
+        real, reads = stepper.power_kw, []
+        monkeypatch.setattr(stepper, "power_kw", lambda: reads.append(steps) or real())
+        burn_in(stepper, steps)
+        assert len(reads) == max(1, steps // 2)
+
     def test_requires_positive_steps(self):
         fleet = sample_fleet(FleetSpec(n_units=2, seed=0))
         with pytest.raises(InvalidInputError):

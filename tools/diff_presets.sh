@@ -12,7 +12,11 @@
 # nonzero status on either side is printed after the diff as well.
 # Prints nothing and exits 0 when every command succeeds on both sides
 # and the two trees agree byte for byte; full fig4 (exact included)
-# dominates the run time.
+# dominates the run time.  After the diff, each file that differs gets
+# one line per numeric column that changed, with the largest absolute
+# change in it (a CSV column by its header, a JSON number by its key path
+# with list indices dropped); the summary does not change the exit
+# status.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_presets.sh REV}
@@ -51,6 +55,51 @@ wait
 cd "$tmp"
 status=0
 diff -r rev work || status=1
+# largest absolute change per numeric column of each file that differs
+diff -rq rev work | sed -n 's/^Files rev\/\(.*\) and work\/.* differ$/\1/p' | python3 -c '
+import csv, json, sys
+
+def columns(path):
+    """{column: [numbers]} of a CSV (by header) or JSON (by key path)."""
+    cols = {}
+    with open(path) as fh:
+        if path.endswith(".json"):
+            def walk(node, key):
+                if isinstance(node, dict):
+                    for k, v in node.items():
+                        walk(v, f"{key}.{k}" if key else k)
+                elif isinstance(node, list):
+                    for v in node:
+                        walk(v, key + "[]")
+                elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                    cols.setdefault(key, []).append(float(node))
+            walk(json.load(fh), "")
+            return cols
+        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
+    for name, *values in zip(*rows) if rows else ():
+        try:
+            cols[name] = [float(v) for v in values]
+        except ValueError:
+            pass
+    return cols
+
+for name in sys.stdin.read().split():
+    try:
+        old, new = columns("rev/" + name), columns("work/" + name)
+    except (OSError, ValueError, UnicodeDecodeError) as exc:
+        print(f"{name}: not compared ({type(exc).__name__})")
+        continue
+    moved = 0
+    for col in sorted(old.keys() & new.keys()):
+        a, b = old[col], new[col]
+        if len(a) != len(b):
+            print(f"{name}: {col}: {len(a)} -> {len(b)} values")
+        elif a != b:
+            print(f"{name}: {col}: largest change {max(abs(x - y) for x, y in zip(a, b))!r}")
+        moved += a != b
+    if not moved:
+        print(f"{name}: no numeric column changed")
+' || true
 if grep -H -v '^0 ' rev/exit_status.txt work/exit_status.txt; then
     status=1
 fi
