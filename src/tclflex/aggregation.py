@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .reachhold import ReachHoldPoint, ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
 
@@ -25,22 +27,31 @@ UNION = "union"
 MODES = (EXCLUSIVE, SIMULTANEOUS, CONSECUTIVE, UNION)
 
 
+def _step_lookup(rh_set: ReachHoldSet, query: np.ndarray, by_hold: bool) -> np.ndarray:
+    """The frontier's step function at each query, by binary search over its
+    holds and best, the suffix maximum of P: at holds t, the largest P held
+    t steps or more; at reductions p, the last hold whose best is p or more; else 0."""
+    T = np.array([pt.T_hold_steps for pt in rh_set.points], dtype=int)
+    best = np.maximum.accumulate(np.array([pt.P_hold_kw for pt in rh_set.points])[::-1])[::-1]
+    if by_hold:
+        return np.append(best, 0.0)[np.searchsorted(T, query)]
+    return np.append(0, T)[np.searchsorted(-best, -query, side="right")]
+
+
 def query_p_at_t(rh_set: ReachHoldSet, t: int) -> float:
     """Largest boundary reduction sustainable for at least t steps; 0 when
     t lies beyond the frontier."""
     if t < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
-    vals = [p.P_hold_kw for p in rh_set.points if p.T_hold_steps >= t]
-    return max(vals) if vals else 0.0
+    return float(_step_lookup(rh_set, np.array([t]), by_hold=True)[0])
 
 
 def query_t_at_p(rh_set: ReachHoldSet, p: float) -> int:
     """Longest boundary hold at a reduction of at least p kW; 0 when p
     exceeds the frontier."""
-    if p < 0.0:
+    if not p >= 0.0:  # NaN too, which the binary search would rank last
         raise InvalidInputError(f"p must be >= 0, got {p}")
-    vals = [pt.T_hold_steps for pt in rh_set.points if pt.P_hold_kw >= p]
-    return max(vals) if vals else 0
+    return int(_step_lookup(rh_set, np.array([p], dtype=float), by_hold=False)[0])
 
 
 def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, list[ReachHoldPoint]]:
@@ -58,15 +69,17 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, list[ReachHoldP
         )
     if set1.method != set2.method:
         raise InvalidInputError(f"method mismatch: {set1.method} vs {set2.method}")
-    t_grid = sorted({p.T_hold_steps for s in (set1, set2) for p in s.points})
-    p_grid = sorted({p.P_hold_kw for s in (set1, set2) for p in s.points})
+    t_grid = np.array(sorted({p.T_hold_steps for s in (set1, set2) for p in s.points}), dtype=int)
+    p_grid = np.array(sorted({p.P_hold_kw for s in (set1, set2) for p in s.points}), dtype=float)
+    p1, p2 = (_step_lookup(s, t_grid, by_hold=True) for s in (set1, set2))
+    t1, t2 = (_step_lookup(s, p_grid, by_hold=False) for s in (set1, set2))
 
-    def as_frontier(pairs) -> list[ReachHoldPoint]:
-        return prune_to_frontier([ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs])
+    def as_frontier(ts, ps) -> list[ReachHoldPoint]:
+        return prune_to_frontier([ReachHoldPoint(p, t) for t, p in zip(ts.tolist(), ps.tolist())])
 
-    exclusive = as_frontier((t, max(query_p_at_t(set1, t), query_p_at_t(set2, t))) for t in t_grid)
-    simultaneous = as_frontier((t, query_p_at_t(set1, t) + query_p_at_t(set2, t)) for t in t_grid)
-    consecutive = as_frontier((query_t_at_p(set1, p) + query_t_at_p(set2, p), p) for p in p_grid)
+    exclusive = as_frontier(t_grid, np.maximum(p1, p2))
+    simultaneous = as_frontier(t_grid, p1 + p2)
+    consecutive = as_frontier(t1 + t2, p_grid)
     union = prune_to_frontier(exclusive + simultaneous + consecutive)
     return {EXCLUSIVE: exclusive, SIMULTANEOUS: simultaneous, CONSECUTIVE: consecutive, UNION: union}
 

@@ -22,7 +22,7 @@ the achievable set:
   in r = P_hold / P_nom and in the committed prefix, and its clip at zero
   keeps that since r > 0 (max(r x, 0) = r max(x, 0)), so alpha(r) =
   r alpha_1 until the unit budget runs out: one run at r = 1 per fleet
-  serves every target,
+  serves every target and, in closed form, every hold (`inner_values`),
 * outer: the LP that keeps the hold rows and the unit budget but
   relaxes admissibility to 0 <= u[k] <= x_0, which every admissible
   plan meets since the unactuated mass never exceeds A^k x_0 = x_0; it
@@ -76,7 +76,6 @@ EXACT_REPLAY_TOL_REL = 1e-9
 OUTER_CG_GAP_REL = 1e-9
 OUTER_CG_MAX_ROUNDS = 200
 DEFAULT_T_MAX = 480  # steps; 8 h at one-minute resolution
-DEFAULT_N_GRID = 50
 
 
 def response_kernels(
@@ -359,10 +358,9 @@ class InnerProfile:
     """The greedy allocation of one fleet at P_hold = P_nom with no budget.
 
     Every target's allocation is r alpha_1 until the budget runs out (see
-    the module docstring), so `inner_point` scales and truncates this
-    profile instead of re-running the recursion of `inner_profile`.
-    alpha_1 holds inf from the first step no finite allocation covers (a
-    cohort with no gain)."""
+    the module docstring), so `inner_point` and `inner_values` read this
+    profile.  alpha_1 holds inf from the first step no finite allocation
+    covers (a cohort with no gain)."""
 
     alpha_1: np.ndarray  # (T_max,)
     s: np.ndarray  # s[m-1] = (h_m - h_a_m) @ x_0, m = 1..horizon
@@ -430,32 +428,34 @@ def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
     return InnerPoint(ReachHoldPoint(P_hold, T_hold, horizon_limited), alpha)
 
 
-def default_p_grid(p_nom: float, n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
-    """n_grid reductions evenly spaced in (0, P_nom]."""
-    return np.linspace(p_nom / n_grid, p_nom, n_grid)
+def inner_values(fleet: CharacterizedFleet) -> np.ndarray:
+    """The inner value at every hold T = 1..T_max: P_nom min(1, 1 /
+    spent[T-1]), spent = cumsum(alpha_1) of the fleet's one profile, and
+    0 where alpha_1 is inf (no gain).  With r = P_hold / P_nom:
+
+    * at r <= 1 / spent[T-1] the budget lasts through step T-1, so the
+      plan there is r alpha_1, which holds r P_nom at every step up to T
+      by the greedy construction;
+    * at a larger r the budget runs out at a step k_d <= T-1 where
+      alpha_1[k_d] > 0, short by delta = r spent[k_d] - 1 > 0.  Since
+      alpha_1[k_d] covered its target exactly, dP[k_d+1] = r P_nom -
+      delta s[0] < r P_nom, so the hold ends before T.
+    """
+    return fleet.p_nom_kw * np.minimum(1.0, 1.0 / np.cumsum(fleet.inner.alpha_1))
 
 
-def inner_boundary(fleet: CharacterizedFleet, n_grid: int) -> ReachHoldSet:
-    """Inner frontier of `fleet` over n_grid target reductions evenly
-    spaced in (0, P_nom]."""
-    samples = [inner_point(float(P), fleet).point for P in default_p_grid(fleet.p_nom_kw, n_grid)]
+def inner_boundary(fleet: CharacterizedFleet) -> ReachHoldSet:
+    """Inner frontier of `fleet`: inner_values, pruned; only its T_max point is horizon-limited."""
+    values = inner_values(fleet).tolist()
+    samples = [ReachHoldPoint(P, T, T == len(values)) for T, P in enumerate(values, 1)]
     return ReachHoldSet(points=prune_to_frontier(samples), method=INNER, regime=fleet.regime)
 
 
 def inner_p_at(T_hold: int, fleet: CharacterizedFleet) -> float:
-    """Largest grid-free inner reduction holdable for T_hold steps, by
-    bisection on the monotone feasibility predicate to 1e-9 of P_nom."""
-    p_nom = fleet.p_nom_kw
-    if inner_point(p_nom, fleet).point.T_hold_steps >= T_hold:
-        return p_nom
-    lo, hi = 0.0, p_nom  # lo feasible, hi not
-    while hi - lo > 1e-9 * p_nom:
-        mid = 0.5 * (lo + hi)
-        if inner_point(mid, fleet).point.T_hold_steps >= T_hold:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The inner value of `fleet` at hold T_hold, which lies in 1..T_max."""
+    if not 1 <= T_hold <= fleet.T_max:
+        raise InvalidInputError(f"T_hold must lie in 1..T_max={fleet.T_max}, got {T_hold}")
+    return float(inner_values(fleet)[T_hold - 1])
 
 
 def _outer_columns(d: np.ndarray, T: int, steps: np.ndarray, states: np.ndarray) -> ColumnMatrix:
@@ -696,17 +696,16 @@ def characterize(op: OperatingPoint, T_max: int = DEFAULT_T_MAX) -> Characterize
     return next(_characterized([op], T_max))
 
 
-def sweep(
-    points: list[OperatingPoint], T_max: int = DEFAULT_T_MAX, n_grid: int = DEFAULT_N_GRID
-) -> list[ReachHoldSet]:
+def sweep(points: list[OperatingPoint], T_max: int = DEFAULT_T_MAX) -> list[ReachHoldSet]:
     """Inner frontier at each point, characterized as `_characterized`
     shares matrices and baselines between points."""
-    return [inner_boundary(fleet, n_grid) for fleet in _characterized(points, T_max)]
+    return [inner_boundary(fleet) for fleet in _characterized(points, T_max)]
 
 
 def save_set(rh_set: ReachHoldSet, csv_path) -> None:
     """Write the frontier CSV plus a JSON sidecar with the regime block
-    and the per-point flags; each point's P_hold lives in the CSV only."""
+    and the flags of the points that carry one (horizon_limited, or a
+    raw_objective_kw); each point's P_hold lives in the CSV only."""
     csv_path = str(csv_path)
     dt_min = float(rh_set.regime.get("dt_minutes", 1.0))
     with open(csv_path, "w") as fh:
@@ -718,12 +717,9 @@ def save_set(rh_set: ReachHoldSet, csv_path) -> None:
         "method": rh_set.method,
         "regime": rh_set.regime,
         "points": [
-            {
-                "T_hold_steps": p.T_hold_steps,
-                "horizon_limited": p.horizon_limited,
-                "raw_objective_kw": p.raw_objective_kw,
-            }
+            {key: getattr(p, key) for key in ("T_hold_steps", "horizon_limited", "raw_objective_kw")}
             for p in rh_set.points
+            if p.horizon_limited or p.raw_objective_kw is not None
         ],
     }
     write_json(sidecar, _sidecar_path(csv_path))

@@ -25,7 +25,6 @@ from .errors import InvalidConfigurationError, NumericalFailureError
 from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet, simulate_fleet
 from .markov import BinGrid, save_matrix
 from .reachhold import (
-    DEFAULT_N_GRID,
     DEFAULT_T_MAX,
     EXACT,
     EXACT_LP_CAP,
@@ -72,7 +71,7 @@ DEFAULTS: dict = {
     "P_on_total_kw": 3500.0,
     "grid": asdict(BinGrid()),
     "params": asdict(DEFAULT_PARAMS),
-    "reachhold": {"methods": ["inner", "outer"], "p_grid_points": DEFAULT_N_GRID, "t_grid": None},
+    "reachhold": {"methods": ["inner", "outer"], "t_grid": None},
     "fleet": {"n_units": 1000, "heterogeneity": 0.1},
     "validate": {
         "mode": "step",
@@ -272,13 +271,6 @@ def _read_model(cfg: dict) -> tuple[OperatingPoint, int]:
     return op, T_max
 
 
-def _read_n_grid(cfg: dict) -> int:
-    n_grid = config_count(cfg["reachhold"].get("p_grid_points"), "reachhold.p_grid_points")
-    if n_grid < 1:
-        raise InvalidConfigurationError("reachhold.p_grid_points must be >= 1")
-    return n_grid
-
-
 def run_build_model(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict[str, str], bool]:
     ch = characterize(op, T_max)
     artifacts = {}
@@ -302,9 +294,8 @@ def run_build_model(out_dir: Path, op: OperatingPoint, T_max: int) -> tuple[dict
 def _read_reachhold(cfg: dict) -> tuple:
     """build-model's inputs, the methods, the holds to bound (t_grid sorted
     and without repeats, as the exact route's running minimum along T
-    needs, or the default ramp) and the inner frontier's grid size."""
+    needs, or the default ramp)."""
     op, T_max = _read_model(cfg)
-    n_grid = _read_n_grid(cfg)
     rh = cfg["reachhold"]
     methods = _config_list(rh.get("methods"), "reachhold.methods")
     if not methods or any(m not in METHODS for m in methods):
@@ -319,11 +310,11 @@ def _read_reachhold(cfg: dict) -> tuple:
         raise InvalidConfigurationError(
             f"every reachhold.t_grid entry exceeds the exact-LP cap ({EXACT_LP_CAP} variables)"
         )
-    return op, T_max, methods, t_grid, n_grid
+    return op, T_max, methods, t_grid
 
 
 def run_reachhold(
-    out_dir: Path, op: OperatingPoint, T_max: int, methods: list[str], t_grid: list[int], n_grid: int
+    out_dir: Path, op: OperatingPoint, T_max: int, methods: list[str], t_grid: list[int]
 ) -> tuple[dict[str, str], bool]:
     """Every requested frontier, written only once they keep inner <= exact
     <= outer at each hold both bound (exact's holds are those under the
@@ -332,7 +323,7 @@ def run_reachhold(
     ch = characterize(op, T_max)
     sets = {}
     if INNER in methods:
-        sets[INNER] = inner_boundary(ch, n_grid)
+        sets[INNER] = inner_boundary(ch)
     if OUTER in methods:
         sets[OUTER] = outer_boundary(ch, np.array(t_grid))
     t_exact = [t for t in t_grid if exact_fits(t, ch.x_0.size)]
@@ -459,8 +450,7 @@ def run_validate(
     any_degraded = False
     for T_hold in holds:
         P_hold = inner_p_at(T_hold, ch)
-        ip = inner_point(P_hold, ch)
-        u = ip.alpha[:, None] * ch.x_0[None, :]
+        u = inner_point(P_hold, ch).alpha[:, None] * ch.x_0[None, :]
         block_horizon = min(T_max, T_hold + 60)
         dp = delta_p_by_stepping(u, ch, block_horizon)
         markov = ch.p_nom_kw - dp
@@ -496,15 +486,15 @@ def run_validate(
     return artifacts, any_degraded
 
 
-def _sweep_inputs(cfg: dict, op: OperatingPoint, T_max: int, field: str, key: str, stems: list, values: list) -> tuple:
-    """T_max, the inner grid size, the swept field and the (CSV stem,
-    point) pairs, op with its `field` set to each value.  OperatingPoint
-    checks each point; its error names the config key the value came from."""
+def _sweep_inputs(op: OperatingPoint, T_max: int, field: str, key: str, stems: list, values: list) -> tuple:
+    """T_max, the swept field and the (CSV stem, point) pairs, op with its
+    `field` set to each value.  OperatingPoint checks each point; its
+    error names the config key the value came from."""
     try:
         points = [(stem, replace(op, **{field: value})) for stem, value in zip(stems, values)]
     except InvalidConfigurationError as exc:
         raise InvalidConfigurationError(f"{key}: {exc}") from exc
-    return T_max, _read_n_grid(cfg), field, points
+    return T_max, field, points
 
 
 def _read_setpoint_sweep(cfg: dict) -> tuple:
@@ -518,7 +508,7 @@ def _read_setpoint_sweep(cfg: dict) -> tuple:
     clash = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
     if clash:
         raise InvalidConfigurationError(f"{key} holds two setpoints that would both write {clash[0]}.csv")
-    return _sweep_inputs(cfg, op, T_max, "T_set_new", key, stems, values)
+    return _sweep_inputs(op, T_max, "T_set_new", key, stems, values)
 
 
 def _read_precool_sweep(cfg: dict) -> tuple:
@@ -526,15 +516,15 @@ def _read_precool_sweep(cfg: dict) -> tuple:
     op, T_max = _read_model(cfg)
     key = "precool.T_set_precool"
     values = [op.T_set, config_number(cfg["precool"]["T_set_precool"], key)]
-    return _sweep_inputs(cfg, op, T_max, "T_set", key, ["baseline", "precooled"], values)
+    return _sweep_inputs(op, T_max, "T_set", key, ["baseline", "precooled"], values)
 
 
 def run_sweep(
-    out_dir: Path, T_max: int, n_grid: int, field: str, points: list[tuple[str, OperatingPoint]]
+    out_dir: Path, T_max: int, field: str, points: list[tuple[str, OperatingPoint]]
 ) -> tuple[dict[str, str], bool]:
     """Inner frontier at each (CSV stem, point) of a sweep, one CSV each,
     and a summary.json listing each point's swept field, P_nom and file."""
-    sets = sweep([op for _, op in points], T_max, n_grid)
+    sets = sweep([op for _, op in points], T_max)
     artifacts = {}
     entries = []
     for (stem, _), rh in zip(points, sets):

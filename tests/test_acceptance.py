@@ -20,7 +20,6 @@ from tclflex.reachhold import (
     OUTER_CG_GAP_REL,
     OperatingPoint,
     characterize,
-    default_p_grid,
     delta_p_by_stepping,
     inner_boundary,
     inner_p_at,
@@ -92,7 +91,7 @@ def test_criterion_02_inner_plans_feasible_when_repropagated(fleet40):
     t0 = time.perf_counter()
     tol = 1e-9 * P_ON
     worst = np.inf
-    for P in default_p_grid(fleet40.p_nom_kw, 20):
+    for P in np.linspace(fleet40.p_nom_kw / 20, fleet40.p_nom_kw, 20):
         ip = inner_point(P, fleet40)
         T_h = ip.point.T_hold_steps
         u = ip.alpha[:, None] * fleet40.x_0[None, :]
@@ -117,7 +116,7 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
     assert float(ch.h_a[1] @ ch.x_0) > 0.05 * ch.p_nom_kw
     tol = 1e-9 * P_ON
     worst = np.inf
-    for P in default_p_grid(ch.p_nom_kw):
+    for P in np.linspace(ch.p_nom_kw / 50, ch.p_nom_kw, 50):
         ip = inner_point(P, ch)
         T_h = ip.point.T_hold_steps
         u = ip.alpha[:, None] * ch.x_0[None, :]
@@ -229,7 +228,7 @@ def test_criterion_06_inner_holds_verified_by_micro(tmp_path):
 
 def test_criterion_07_hold_duration_monotone_in_setpoint():
     base = OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
-    sets = sweep([replace(base, T_set_new=T) for T in (21.0, 21.5, 22.0)], T_max=480, n_grid=50)
+    sets = sweep([replace(base, T_set_new=T) for T in (21.0, 21.5, 22.0)], T_max=480)
     holds = [query_t_at_p(s, 400.0) for s in sets]
     assert all(t > 0 for t in holds)
     assert holds[0] <= holds[1] <= holds[2], f"T_hold at 400 kW not monotone: {holds}"
@@ -238,7 +237,7 @@ def test_criterion_07_hold_duration_monotone_in_setpoint():
 
 def test_criterion_08_precooling_dominates():
     nominal = OperatingPoint(DEFAULT_PARAMS, BinGrid(18.0, 24.0, 40), T_SET, T_SET_NEW, DEADBAND, T_AMB, P_ON)
-    base, pre = sweep([nominal, replace(nominal, T_set=19.0)], T_max=480, n_grid=50)
+    base, pre = sweep([nominal, replace(nominal, T_set=19.0)], T_max=480)
     p_nom_base = base.regime["P_nom_kw"]
     p_nom_pre = pre.regime["P_nom_kw"]
     assert p_nom_pre > p_nom_base
@@ -254,7 +253,7 @@ def test_criterion_08_precooling_dominates():
 
 
 def test_criterion_09_identical_fleet_aggregation(fleet40):
-    rh = inner_boundary(fleet40, 20)
+    rh = inner_boundary(fleet40)
     sim = combined_set(rh, rh, "simultaneous")
     cons = combined_set(rh, rh, "consecutive")
     for pt in rh.points:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tclflex.aggregation import (
     MODES,
@@ -16,6 +18,8 @@ from tclflex.aggregation import (
 )
 from tclflex.errors import InvalidInputError
 from tclflex.reachhold import INNER, ReachHoldPoint, ReachHoldSet
+
+from aggregation_reference import reference_combine, reference_p_at_t, reference_t_at_p
 
 
 def make_set(pairs, method=INNER, dt=1.0, **extra):
@@ -65,6 +69,44 @@ class TestQueries:
             query_p_at_t(s, -1)
         with pytest.raises(InvalidInputError):
             query_t_at_p(s, -0.5)
+
+
+# a loaded set may rise along T by up to its tolerance, 1e-9 P_on_total
+LOADED_ON_TOTAL_KW = 3500.0
+
+
+@st.composite
+def loaded_sets(draw):
+    """A set as load_set may return it: distinct holds, P nonincreasing
+    but for rises within the frontier's tolerance, and possibly empty."""
+    holds = sorted(draw(st.sets(st.integers(1, 60), max_size=8)))
+    tol = 1e-9 * LOADED_ON_TOTAL_KW
+    p, pairs = draw(st.floats(1.0, 2000.0)), []
+    for t in holds:
+        pairs.append((t, p))
+        # repeated values exercise the ties, tiny rises the suffix maximum
+        p = max(0.5, p + draw(st.sampled_from([0.0, tol, 0.5 * tol, -tol, -1.0, -100.0])))
+    return make_set(pairs, P_on_total_kw=LOADED_ON_TOTAL_KW)
+
+
+class TestAgainstListReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s1=loaded_sets(), s2=loaded_sets())
+    def test_queries_and_every_mode_match_the_list_scan(self, s1, s2):
+        for s in (s1, s2):
+            for t in range(0, 62):
+                assert query_p_at_t(s, t) == reference_p_at_t(s, t)
+            for p in [0.0, 0.25, 3000.0] + [pt.P_hold_kw for pt in s.points]:
+                assert query_t_at_p(s, p) == reference_t_at_p(s, p)
+        got, want = combine(s1, s2), reference_combine(s1, s2)
+        for mode in MODES:
+            assert [(p.T_hold_steps, p.P_hold_kw) for p in got[mode]] == [
+                (p.T_hold_steps, p.P_hold_kw) for p in want[mode]
+            ]
+
+    def test_nan_reduction_rejected(self):
+        with pytest.raises(InvalidInputError):
+            query_t_at_p(make_set(FRONTIER), float("nan"))
 
 
 class TestCombine:

@@ -191,10 +191,9 @@ def test_sweeps_solve_each_baseline_once():
         assert name in out["spans"]
 
 
-# inner_point calls of one block: inner_p_at probes P_nom, then halves
-# [0, P_nom] until the bracket is within 1e-9 of P_nom (30 halvings, as
-# 2**-30 < 1e-9 < 2**-29), and the block's plan takes one more
-INNER_POINT_CALLS_PER_BLOCK = 1 + 30 + 1
+# inner_point calls of one block: the block's plan.  inner_p_at reads
+# the hold's value from inner_values and calls no inner_point
+INNER_POINT_CALLS_PER_BLOCK = 1
 
 
 def test_blocks_validate_builds_one_stepper_per_block():

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TINY = {
     "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
     "T_max_steps": 30,
-    "reachhold": {"methods": ["inner", "outer", "exact"], "p_grid_points": 4, "t_grid": [5, 10]},
+    "reachhold": {"methods": ["inner", "outer", "exact"], "t_grid": [5, 10]},
 }
 
 # pinned to a run that demonstrably exceeds the 5% shortfall threshold:
@@ -39,7 +39,6 @@ DEGRADING_BLOCKS = {
 NONFINITE_CONFIGS = [
     pytest.param("build-model", '{"T_max_steps": Infinity}', id="T_max_steps"),
     pytest.param("build-model", '{"grid": {"n_bins": Infinity}}', id="grid.n_bins"),
-    pytest.param("reachhold", '{"reachhold": {"p_grid_points": Infinity}}', id="reachhold.p_grid_points"),
     pytest.param("reachhold", '{"reachhold": {"t_grid": [5, Infinity]}}', id="reachhold.t_grid"),
     pytest.param(
         "validate",
@@ -64,9 +63,7 @@ FLEET_SEED = {"seed": 1}
 FRACTIONAL_COUNTS = [
     pytest.param("build-model", {"grid": {"n_bins": 40.7}}, id="grid.n_bins"),
     pytest.param("build-model", {"T_max_steps": 60.9}, id="T_max_steps"),
-    pytest.param("reachhold", {"reachhold": {"p_grid_points": 4.5}}, id="reachhold.p_grid_points"),
     pytest.param("reachhold", {"reachhold": {"t_grid": [5, 10.5]}}, id="reachhold.t_grid"),
-    pytest.param("sweep-setpoint", {"reachhold": {"p_grid_points": 4.5}}, id="sweep.p_grid_points"),
     pytest.param(
         "validate", {"fleet": {"n_units": 1000.5, "seed": 1}, "validate": {"selection_seed": 1}}, id="fleet.n_units"
     ),
@@ -204,6 +201,10 @@ UNKNOWN_KEYS = [
     pytest.param("build-model", {"grid": {"n_bin": 10}}, "grid.n_bin", id="grid.n_bin"),
     pytest.param("build-model", {"params": {"C_x": 1.0}}, "params.C_x", id="params.C_x"),
     pytest.param("reachhold", {"reachhold": {"method": ["exact"]}}, "reachhold.method", id="reachhold.method"),
+    # the inner frontier's target grid is gone: every hold has its value
+    pytest.param(
+        "sweep-setpoint", {"reachhold": {"p_grid_points": 50}}, "reachhold.p_grid_points", id="reachhold.p_grid_points"
+    ),
     pytest.param("build-model", {"seed": 1}, "seed", id="seed-at-top"),
     pytest.param(
         "validate",
@@ -764,7 +765,6 @@ class TestAggregate:
 SWEEP = {
     "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
     "T_max_steps": 20,
-    "reachhold": {"p_grid_points": 3},
     "sweep": {"new_setpoints": [21.0, 22.0]},
     "precool": {"T_set_precool": 19.0},
 }
@@ -784,7 +784,6 @@ class TestSweeps:
         cfg = {
             "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
             "T_max_steps": 20,
-                    "reachhold": {"p_grid_points": 3},
             "sweep": {"new_setpoints": [21.0, 22.0]},
         }
         path = write_config(tmp_path / "c.json", cfg)
@@ -799,7 +798,6 @@ class TestSweeps:
         cfg = {
             "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},
             "T_max_steps": 20,
-                    "reachhold": {"p_grid_points": 3},
             "precool": {"T_set_precool": 19.0},
         }
         path = write_config(tmp_path / "c.json", cfg)

@@ -23,7 +23,6 @@ from tclflex.etp import DEFAULT_PARAMS
 from tclflex.lp import LADDER, NUMERICAL_FAILURE, OPTIMAL, RETRY_OPTIONS, ColumnMatrix, LinearProgram, LpSolution, solve
 from tclflex.markov import BinGrid, TransitionMatrix, output_vector
 from tclflex.reachhold import (
-    DEFAULT_N_GRID,
     EXACT_LP_CAP,
     EXACT_REPLAY_TOL_REL,
     INNER,
@@ -35,12 +34,12 @@ from tclflex.reachhold import (
     _hold_block,
     _outer_columns,
     characterize,
-    default_p_grid,
     delta_p_by_stepping,
     exact_fits,
     inner_boundary,
     inner_p_at,
     inner_point,
+    inner_values,
     invariant_support,
     load_set,
     outer_boundary,
@@ -505,20 +504,64 @@ class TestInnerPoint:
 
 class TestInnerBoundary:
     def test_frontier_monotone(self, char40):
-        rh = inner_boundary(char40, DEFAULT_N_GRID)
+        rh = inner_boundary(char40)
         assert rh.points
         ts = [p.T_hold_steps for p in rh.points]
         ps = [p.P_hold_kw for p in rh.points]
         assert ts == sorted(ts)
         assert all(a >= b for a, b in zip(ps, ps[1:]))
 
-    def test_p_at_bisection_is_tight(self, char40):
-        T = 60
-        p = inner_p_at(T, char40)
-        assert inner_point(p, char40).point.T_hold_steps >= T
-        if p < char40.p_nom_kw:  # interior boundary point: a nudge above must fail
-            bumped = min(p + 1e-6 * char40.p_nom_kw, char40.p_nom_kw)
-            assert inner_point(bumped, char40).point.T_hold_steps < T
+    def test_frontier_is_the_pruned_values(self, char40):
+        # a point wherever the value falls, and only the T_max sample is
+        # horizon-limited
+        v = inner_values(char40)
+        rh = inner_boundary(char40)
+        want = prune_to_frontier([ReachHoldPoint(float(p), T) for T, p in enumerate(v, 1)])
+        assert [(p.T_hold_steps, p.P_hold_kw) for p in rh.points] == [(p.T_hold_steps, p.P_hold_kw) for p in want]
+        assert [p.T_hold_steps for p in rh.points if p.horizon_limited] == [char40.T_max]
+        assert all(p.raw_objective_kw is None for p in rh.points)
+        for p in rh.points:
+            assert inner_p_at(p.T_hold_steps, char40) == p.P_hold_kw
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        n_bins=st.sampled_from([10, 20, 40, 160]),
+        T_amb=st.floats(26.0, 38.0),
+        raise_k=st.floats(0.3, 3.0),
+        deadband=st.floats(0.5, 1.5),
+        holds=st.lists(st.integers(1, 120), min_size=1, max_size=3),
+    )
+    @example(n_bins=40, T_amb=T_AMB, raise_k=T_SET_NEW - T_SET, deadband=DEADBAND, holds=[60, 120])
+    def test_values_are_tight_at_every_hold(self, n_bins, T_amb, raise_k, deadband, holds):
+        # the closed form against the per-target bisection oracle at the
+        # drawn holds; at every hold its target holds that long, and a
+        # nudge of 1e-6 P_nom above does not, wherever it is more than 1e-9
+        # of P_nom below P_nom.  Closer, P_nom itself may hold within
+        # inner_point's tolerance: at the defaults holds 14-17 sit 1e-13
+        # to 3e-10 of P_nom under it, and P_nom holds 17 steps
+        op = OperatingPoint(
+            DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, deadband, T_amb, P_ON_TOTAL
+        )
+        ch = characterize(op, T_max=120)
+        p_nom = ch.p_nom_kw
+        v = inner_values(ch)
+        assert v.shape == (120,) and np.all((0.0 <= v) & (v <= p_nom))
+        for T in holds:
+            assert abs(v[T - 1] - reference_p_at(T, ch)) <= 1e-9 * p_nom
+        for T, p in enumerate(v.tolist(), 1):
+            assert inner_point(p, ch).point.T_hold_steps >= T
+            if p < p_nom * (1.0 - 1e-9):
+                assert inner_point(min(p + 1e-6 * p_nom, p_nom), ch).point.T_hold_steps < T
+
+    def test_no_gain_values_are_zero(self):
+        fleet = tiny_fleet(IDENTITY, MIXING, T_max=19)
+        assert np.all(inner_values(fleet) == 0.0)
+        assert inner_boundary(fleet).points == []
+
+    @pytest.mark.parametrize("T_hold", [0, -5, 121], ids=["zero", "negative", "past_T_max"])
+    def test_p_at_outside_the_holds_rejected(self, char40, T_hold):
+        with pytest.raises(InvalidInputError, match=rf"T_hold must lie in 1\.\.T_max=120, got {T_hold}"):
+            inner_p_at(T_hold, char40)
 
     def test_one_deadband_raise_keeps_no_zero_hold(self):
         # a cohort raised by exactly one deadband still draws c A_a x_0, so
@@ -526,15 +569,11 @@ class TestInnerBoundary:
         # and stays off the frontier
         ch = characterize(replace(point(40), T_set_new=T_SET + DEADBAND), T_max=120)
         assert inner_point(ch.p_nom_kw, ch).point.T_hold_steps == 0
-        rh = inner_boundary(ch, DEFAULT_N_GRID)
+        rh = inner_boundary(ch)
         assert rh.points and all(p.T_hold_steps >= 1 for p in rh.points)
 
     def test_short_holds_reach_full_nominal(self, char40):
         assert inner_p_at(1, char40) == char40.p_nom_kw
-
-    def test_default_p_grid_spans_to_nominal(self):
-        g = default_p_grid(1000.0, 4)
-        assert g == pytest.approx([250.0, 500.0, 750.0, 1000.0])
 
 
 class TestInnerProfile:
@@ -555,7 +594,7 @@ class TestInnerProfile:
             DEFAULT_PARAMS, BinGrid(18.0, 24.0, n_bins), T_SET, T_SET + raise_k, DEADBAND, T_amb, P_ON_TOTAL
         )
         ch = characterize(op, T_max=T_max)
-        for P in default_p_grid(ch.p_nom_kw):
+        for P in np.linspace(ch.p_nom_kw / 50, ch.p_nom_kw, 50):
             ip = inner_point(float(P), ch)
             alpha, _, T_h, limited = reference_inner_point(float(P), ch)
             assert (ip.point.T_hold_steps, ip.point.horizon_limited) == (T_h, limited)
@@ -1136,13 +1175,13 @@ class TestOperatingPoint:
 
 class TestSweeps:
     def test_setpoint_sweep_produces_regimes(self):
-        sets = sweep([replace(point(10), T_set_new=T) for T in (21.0, 22.0)], T_max=40, n_grid=5)
+        sets = sweep([replace(point(10), T_set_new=T) for T in (21.0, 22.0)], T_max=40)
         assert [s.regime["T_set_new"] for s in sets] == [21.0, 22.0]
         assert all(s.method == INNER for s in sets)
         assert all(s.points for s in sets)
 
     def test_precool_lifts_nominal_power(self):
-        base, pre = sweep([point(10), replace(point(10), T_set=19.0)], T_max=40, n_grid=5)
+        base, pre = sweep([point(10), replace(point(10), T_set=19.0)], T_max=40)
         assert pre.regime["T_set"] == 19.0
         assert pre.regime["P_nom_kw"] > base.regime["P_nom_kw"]
 
@@ -1164,7 +1203,7 @@ class TestSetPersistence:
             assert p.horizon_limited == q.horizon_limited
 
     def test_rewrite_is_byte_identical(self, char40, tmp_path):
-        rh = inner_boundary(char40, 2)
+        rh = inner_boundary(char40)
         save_set(rh, tmp_path / "a.csv")
         save_set(rh, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -1183,7 +1222,7 @@ class TestSetPersistence:
     )
     def test_unusable_regime_number_rejected(self, char40, tmp_path, key, value):
         # json writes NaN and Infinity, and reads them back
-        save_set(inner_boundary(char40, 2), tmp_path / "s.csv")
+        save_set(inner_boundary(char40), tmp_path / "s.csv")
         sidecar = json.loads((tmp_path / "s.json").read_text())
         sidecar["regime"][key] = value
         (tmp_path / "s.json").write_text(json.dumps(sidecar))
@@ -1195,6 +1234,18 @@ class TestSetPersistence:
         (tmp_path / "x.json").write_text(json.dumps({"method": INNER, "regime": {}}))
         with pytest.raises(InvalidInputError, match="header"):
             load_set(tmp_path / "x.csv")
+
+    def test_sidecar_lists_only_flagged_points(self, char40, tmp_path):
+        # an inner frontier's only flag is its T_max point's; the other
+        # points load with the defaults
+        rh = inner_boundary(char40)
+        save_set(rh, tmp_path / "inner.csv")
+        listed = json.loads((tmp_path / "inner.json").read_text())["points"]
+        assert listed == [{"T_hold_steps": char40.T_max, "horizon_limited": True, "raw_objective_kw": None}]
+        back = load_set(tmp_path / "inner.csv")
+        assert [(p.T_hold_steps, p.horizon_limited) for p in back.points] == [
+            (p.T_hold_steps, p.horizon_limited) for p in rh.points
+        ]
 
     def test_horizon_limited_flag_survives(self, char40, tmp_path):
         ip = inner_point(0.0, char40)

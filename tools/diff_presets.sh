@@ -15,7 +15,10 @@
 # dominates the run time.  After the diff, each file that differs gets
 # one line per numeric column that changed, with the largest absolute
 # change in it (a CSV column by its header, a JSON number by its key path
-# with list indices dropped); the summary does not change the exit
+# with list indices dropped).  A frontier CSV whose row count changed
+# also gets the largest rise and the largest fall of its step function
+# p_at(t), the largest P held for at least t steps, over t = 1..max T,
+# per mode where it has one.  The summary does not change the exit
 # status.
 set -euo pipefail
 
@@ -83,22 +86,60 @@ def columns(path):
             pass
     return cols
 
+def step_functions(path):
+    """{mode: p_at(t) for t = 1..max T} of a frontier CSV (mode None when
+    it has no mode column), or {} when it is not a frontier."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows or not {"T_hold_steps", "P_hold_kW"} <= rows[0].keys():
+        return {}
+    groups = {}
+    for r in rows:
+        groups.setdefault(r.get("mode"), []).append((int(r["T_hold_steps"]), float(r["P_hold_kW"])))
+    out = {}
+    for mode, points in groups.items():
+        best = [0.0] * (max(t for t, _ in points) + 2)
+        for t, p in points:
+            best[t] = max(best[t], p)
+        for t in range(len(best) - 2, 0, -1):
+            best[t] = max(best[t], best[t + 1])
+        out[mode] = best[1:-1]
+    return out
+
+def moves(name):
+    """Largest rise and fall of each step function of a frontier CSV."""
+    old, new = step_functions("rev/" + name), step_functions("work/" + name)
+    for mode in sorted(old.keys() & new.keys(), key=str):
+        a, b = old[mode], new[mode]
+        n = max(len(a), len(b))
+        a, b = a + [0.0] * (n - len(a)), b + [0.0] * (n - len(b))
+        rise = max(range(n), key=lambda i: b[i] - a[i])
+        fall = max(range(n), key=lambda i: a[i] - b[i])
+        where = f" [{mode}]" if mode is not None else ""
+        print(
+            f"{name}{where}: p_at(t), t = 1..{n}: largest rise {max(b[rise] - a[rise], 0.0)!r} at t={rise + 1}, "
+            f"largest fall {max(a[fall] - b[fall], 0.0)!r} at t={fall + 1}"
+        )
+
 for name in sys.stdin.read().split():
     try:
         old, new = columns("rev/" + name), columns("work/" + name)
     except (OSError, ValueError, UnicodeDecodeError) as exc:
         print(f"{name}: not compared ({type(exc).__name__})")
         continue
-    moved = 0
+    moved = rows_changed = 0
     for col in sorted(old.keys() & new.keys()):
         a, b = old[col], new[col]
         if len(a) != len(b):
             print(f"{name}: {col}: {len(a)} -> {len(b)} values")
+            rows_changed = 1
         elif a != b:
             print(f"{name}: {col}: largest change {max(abs(x - y) for x, y in zip(a, b))!r}")
         moved += a != b
     if not moved:
         print(f"{name}: no numeric column changed")
+    if rows_changed and name.endswith(".csv"):
+        moves(name)
 ' || true
 if grep -H -v '^0 ' rev/exit_status.txt work/exit_status.txt; then
     status=1
