@@ -186,10 +186,20 @@ def step_maps(params, T_amb, dt_minutes: float):
 
 def apply_thermostat(T_a, T_set, on, deadband):
     """Hysteresis logic for a cooling TCL; works elementwise on arrays."""
-    upper = T_set + 0.5 * deadband
-    lower = T_set - 0.5 * deadband
-    # on at the upper edge, else keep the mode unless at the lower edge
-    return np.logical_or(T_a >= upper, np.logical_and(on, np.logical_not(T_a <= lower)))
+    return _thermostat(T_a, T_set, on, deadband, None, None, None)
+
+
+def _thermostat(T_a, T_set, on, deadband, edge, high, keep):
+    """apply_thermostat, with its intermediates written into the given
+    buffers (a float and two bool arrays shaped like T_a, or None to
+    allocate).  The new mode is always a fresh array."""
+    # on at the upper edge, else keep the mode unless at the lower edge;
+    # each result goes to the buffer given, never over a scalar result
+    upper = np.add(T_set, 0.5 * deadband, out=edge)
+    high = np.greater_equal(T_a, upper, out=high)
+    lower = np.subtract(T_set, 0.5 * deadband, out=edge)
+    stay = np.logical_not(np.less_equal(T_a, lower, out=keep), out=keep)
+    return np.logical_or(high, np.logical_and(on, stay, out=keep))
 
 
 def sample_fleet(spec: FleetSpec) -> Fleet:
@@ -226,8 +236,9 @@ class FleetStepper:
 
     Caches the exact one-step maps (`step_maps`) at the fleet's own
     ambient temperature (fleet.spec.T_amb) and step length, so the
-    per-step work is one shared 2x2 linear map plus a per-mode offset;
-    the thermostat switches on the fleet's deadband (fleet.spec.deadband).
+    per-step work is one shared 2x2 linear map (A_d, held as one
+    (2, 2, n_units) array) plus a per-mode offset; the thermostat
+    switches on the fleet's deadband (fleet.spec.deadband).
 
     The offsets of the mode each unit had at the last step are kept per
     unit, beside a private copy of that mode mask; each step refreshes
@@ -235,31 +246,45 @@ class FleetStepper:
     a cycling fleet), instead of gathering both offsets through the whole
     mask.  The comparison is against the live fleet.on, so a caller may
     replace or edit fleet.on (or fleet.T_set) between steps.
+
+    Each step writes a fresh (2, n_units) state whose rows become
+    fleet.T_a and fleet.T_m, and a fresh fleet.on, so earlier states
+    stay valid.  The next step integrates that state array directly while
+    both rows are still the fleet's; a caller may edit them in place, or
+    replace either, between steps.
     """
 
     def __init__(self, fleet: Fleet, dt_minutes: float = DEFAULT_DT_MINUTES):
         self.fleet = fleet
-        # shared A_d, row-major, and per-mode offsets; index 0: off, 1: on
+        n = fleet.n_units
+        # per-mode offsets; index 0: off, 1: on
         A_d, self.b_d = step_maps(fleet.params, fleet.spec.T_amb, dt_minutes)
-        self.a00, self.a01, self.a10, self.a11 = A_d
-        (off_a, off_m), (on_a, on_m) = self.b_d
+        self.A_d = np.reshape(A_d, (2, 2, n))
+        # each state component's offsets of both modes, unit i's mode m at m*n + i
+        self._offsets = [np.concatenate(pair) for pair in zip(*self.b_d)]
         self._mode = fleet.on.copy()
-        self._b_a = np.where(self._mode, on_a, off_a)
-        self._b_m = np.where(self._mode, on_m, off_m)
+        self._b = np.stack([np.where(self._mode, on, off) for off, on in zip(*self.b_d)])
+        self._x, self._rows = None, (None, None)  # the last state and its rows as handed to the fleet
+        self._work = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
     def advance(self) -> None:
-        """One in-place step of the whole fleet: integrate, then thermostat."""
+        """One step of the whole fleet: integrate, then thermostat."""
         f = self.fleet
-        (off_a, off_m), (on_a, on_m) = self.b_d
         switched = np.flatnonzero(f.on != self._mode)
         mode = f.on[switched]
-        self._b_a[switched] = np.where(mode, on_a[switched], off_a[switched])
-        self._b_m[switched] = np.where(mode, on_m[switched], off_m[switched])
+        at = switched + mode * f.n_units
+        for b, offsets in zip(self._b, self._offsets):
+            b[switched] = offsets[at]
         self._mode[switched] = mode
-        T_a = self.a00 * f.T_a + self.a01 * f.T_m + self._b_a
-        T_m = self.a10 * f.T_a + self.a11 * f.T_m + self._b_m
-        f.T_a, f.T_m = T_a, T_m
-        f.on = apply_thermostat(f.T_a, f.T_set, f.on, f.spec.deadband)
+        x = self._x
+        if f.T_a is not self._rows[0] or f.T_m is not self._rows[1]:
+            x = np.stack((f.T_a, f.T_m))
+        # a00*T_a + a01*T_m per row: the same products, summed in the same order
+        x = np.einsum("ijn,jn->in", self.A_d, x)
+        x += self._b
+        self._x = x
+        f.T_a, f.T_m = self._rows = tuple(x)
+        f.on = _thermostat(f.T_a, f.T_set, f.on, f.spec.deadband, *self._work)
 
     def power_kw(self) -> float:
         """Current aggregate electrical demand, kW."""

@@ -420,7 +420,9 @@ def run_validate(
 ) -> tuple[dict[str, str], bool]:
     """Markov-versus-micro comparison, a step or (given holds) one block
     per hold; returns artifacts and whether any micro run was degraded by
-    actuation shortfalls."""
+    actuation shortfalls.  Every block replays on the one fleet sampled
+    at spec.seed and burned in once, from that settled state, and shares
+    its baseline."""
     ch = characterize(op, T_max)
     artifacts: dict[str, str] = {}
 
@@ -445,7 +447,14 @@ def run_validate(
         artifacts["traces"] = str(out_dir / "traces.csv")
         return artifacts, False
 
-    # blocks: one hold study per requested duration, fresh fleet each time
+    # blocks: one hold study per requested duration.  Each restores the
+    # settled state in place and draws with the same selection seed, so
+    # all holds replay on one instance (common random numbers) and a
+    # block's artifacts do not depend on which other holds ran
+    stepper = FleetStepper(sample_fleet(spec), op.dt_minutes)
+    baseline = burn_in(stepper, burn_steps)
+    fleet = stepper.fleet
+    settled = {name: getattr(fleet, name).copy() for name in ("T_a", "T_m", "on", "T_set")}
     summary = []
     any_degraded = False
     for T_hold in holds:
@@ -454,11 +463,10 @@ def run_validate(
         block_horizon = min(T_max, T_hold + 60)
         dp = delta_p_by_stepping(u, ch, block_horizon)
         markov = ch.p_nom_kw - dp
-        stepper = FleetStepper(sample_fleet(replace(spec, seed=spec.seed + T_hold)), op.dt_minutes)
-        baseline = burn_in(stepper, burn_steps)
+        for name, value in settled.items():
+            np.copyto(getattr(fleet, name), value)
         counts = discretize_plan(u[:block_horizon], spec.n_units)
         run = apply_plan_micro(stepper, counts, op.grid, op.T_set_new, block_horizon, selection_seed)
-        del stepper  # frees this block's fleet before the next one is sampled
         report = compare_traces(
             markov, run.power_kw, op.P_on_total_kw,
             P_hold_kw=P_hold, T_hold_steps=T_hold, baseline_kw=baseline,

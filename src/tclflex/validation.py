@@ -66,15 +66,65 @@ class MicroRun:
         return 1.0 - self.total_selected / self.total_requested > SHORTFALL_WARN_FRACTION
 
 
-def _state_pools(keys: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
-    """For each of `states`, the ascending indices of the units with that
-    key (np.flatnonzero(keys == i)), from one stable sort of the keys."""
+def _state_pools(keys: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of the keys, and for each of `states` the
+    start and size of its run there: order[start:start + size] are the
+    ascending indices of the units with that key (np.flatnonzero(keys == i))."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     states = states.astype(keys.dtype)
     starts = np.searchsorted(sorted_keys, states, side="left")
     ends = np.searchsorted(sorted_keys, states, side="right")
-    return [order[lo:hi] for lo, hi in zip(starts, ends)]
+    return order, starts, ends - starts
+
+
+def _choice_positions(rng: np.random.Generator, pools: list[tuple[int, int, int]]) -> list[int]:
+    """start + p for each p that rng.choice(n, size=k, replace=False)
+    picks, for every pool (start, n, k) in turn, 1 <= k <= n, from the
+    same draws and leaving rng in the same state.
+
+    choice runs Floyd's algorithm (Bentley & Floyd, "A sample of
+    brilliance", CACM 30(9), 1987): for j = n-k .. n-1 it draws v in
+    [0, j] and picks v, or j when v is already picked; then it shuffles
+    the k picks with draws in [0, i] for i = k-1 .. 1.  Both draw through
+    the bounded-integer routine of rng.integers, so one integers call
+    over the exclusive highs n-k+1 .. n, then k .. 2, of each pool draws
+    the same numbers.  The shuffle only orders the picks, which the
+    caller ignores.  A pool past choice's tail-shuffle threshold (n >
+    10 000 and k > n // 50) calls choice itself, at its place in turn.
+    """
+    positions: list[int] = []
+    floyd: list[tuple[int, int, int]] = []
+    for start, n, k in pools:
+        if n > 10_000 and k > n // 50:
+            _floyd_positions(rng, floyd, positions)
+            floyd = []
+            positions += (start + rng.choice(n, size=k, replace=False)).tolist()
+        else:
+            floyd.append((start, n, k))
+    _floyd_positions(rng, floyd, positions)
+    return positions
+
+
+def _floyd_positions(rng: np.random.Generator, pools: list[tuple[int, int, int]], positions: list[int]) -> None:
+    """Append to positions the Floyd picks of every pool (start, n, k),
+    from one rng.integers call (see _choice_positions)."""
+    if not pools:
+        return
+    highs: list[int] = []
+    for _, n, k in pools:
+        highs += range(n - k + 1, n + 1)
+        highs += range(k, 1, -1)
+    draws = rng.integers(0, highs).tolist()
+    at = 0
+    for start, n, k in pools:
+        picks = draws[at : at + k]
+        if len(set(picks)) < k:  # a draw repeats an earlier pick: Floyd picks j instead
+            picks = set()
+            for j, v in zip(range(n - k, n), draws[at : at + k]):
+                picks.add(j if v in picks else v)
+        positions += [start + p for p in picks]
+        at += 2 * k - 1
 
 
 def apply_plan_micro(
@@ -131,21 +181,21 @@ def apply_plan_micro(
             keys = b.astype(key_type)
             keys += np.multiply(fleet.on[eligible], n_bins, dtype=key_type)
             wanted = np.flatnonzero(counts[k])
-            for i, sub in zip(wanted, _state_pools(keys, wanted)):
-                pool = eligible[sub]
-                want = int(counts[k][i])
-                take = min(want, pool.size)
+            order, starts, sizes = _state_pools(keys, wanted)
+            pools = []
+            for i, start, size in zip(wanted.tolist(), starts.tolist(), sizes.tolist()):
+                want = int(counts[k, i])
+                take = min(want, size)
                 if take < want:
-                    shortfalls.append(
-                        {"step": k, "state": int(i), "requested": want, "selected": take}
-                    )
+                    shortfalls.append({"step": k, "state": i, "requested": want, "selected": take})
                 if take > 0:
-                    # the same units, from the same draws, as
-                    # rng.choice(pool, size=take, replace=False)
-                    chosen = pool[rng.choice(pool.size, size=take, replace=False)]
-                    fleet.T_set[chosen] = T_set_new
-                    actuated[chosen] = True
-                    selected_total += take
+                    pools.append((start, size, take))
+            # the same units, from the same draws, as one
+            # rng.choice(pool, size=take, replace=False) per pool
+            chosen = eligible[order[_choice_positions(rng, pools)]]
+            fleet.T_set[chosen] = T_set_new
+            actuated[chosen] = True
+            selected_total += chosen.size
         stepper.advance()
         power[k + 1] = stepper.power_kw()
     return MicroRun(power, actuated, shortfalls, requested, selected_total)

@@ -20,8 +20,9 @@ class ReferenceStepper(FleetStepper):
     def advance(self):
         f = self.fleet
         (off_a, off_m), (on_a, on_m) = self.b_d
-        T_a = self.a00 * f.T_a + self.a01 * f.T_m + np.where(f.on, on_a, off_a)
-        T_m = self.a10 * f.T_a + self.a11 * f.T_m + np.where(f.on, on_m, off_m)
+        (a00, a01), (a10, a11) = self.A_d
+        T_a = a00 * f.T_a + a01 * f.T_m + np.where(f.on, on_a, off_a)
+        T_m = a10 * f.T_a + a11 * f.T_m + np.where(f.on, on_m, off_m)
         f.T_a, f.T_m = T_a, T_m
         f.on = apply_thermostat(f.T_a, f.T_set, f.on, f.spec.deadband)
 

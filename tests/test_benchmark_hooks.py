@@ -196,18 +196,18 @@ def test_sweeps_solve_each_baseline_once():
 INNER_POINT_CALLS_PER_BLOCK = 1
 
 
-def test_blocks_validate_builds_one_stepper_per_block():
-    # burn-in and plan replay share one stepper per block; the micro-path
-    # spans keep the fields the per-layer metrics read, and each block
-    # finds its target and plan through the wrapped inner names, every
-    # inner point included
+def test_blocks_validate_builds_one_stepper_per_run():
+    # every block replays from the one fleet, burned in once by one
+    # stepper; the micro-path spans keep the fields the per-layer metrics
+    # read, and each block finds its target and plan through the wrapped
+    # inner names, every inner point included
     out = run_traced(VALIDATE_SCRIPT)
     spans = out["spans"]
     names = [name for name, _ in spans]
     assert names.count("reachhold.inner_p_at") == 2
     assert names.count("reachhold.inner_point") == 2 * INNER_POINT_CALLS_PER_BLOCK
-    assert names.count("etp.FleetStepper") == 2
-    assert names.count("validation.burn_in") == 2
+    assert names.count("etp.FleetStepper") == 1
+    assert names.count("validation.burn_in") == 1
     assert names.count("validation.apply_plan_micro") == 2
     for name, info in spans:
         if name in ("etp.FleetStepper", "etp.advance"):
@@ -216,8 +216,10 @@ def test_blocks_validate_builds_one_stepper_per_block():
             assert set(info) == {"requested", "selected", "shortfall_events"}
             assert info["requested"] >= info["selected"] > 0
     m = out["metrics"]
-    assert m["etp.steppers"] == 2
+    assert m["etp.steppers"] == 1
     assert m["etp.unit_steps"] == 200 * names.count("etp.advance")
+    # one burn-in of 60 steps, then each block's replay of min(T_max, T + 60)
+    assert names.count("etp.advance") == 60 + 60 + 60
     assert m["validation.burn_in_s"] > 0.0 and m["validation.apply_plan_s"] > 0.0
     assert m["reachhold.inner_p_at_s"] > 0.0
     assert m["reachhold.inner_point_calls"] == 2 * INNER_POINT_CALLS_PER_BLOCK

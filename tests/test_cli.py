@@ -612,6 +612,28 @@ class TestValidate:
         assert len(json.loads((tmp_path / "o" / "summary.json").read_text())["blocks"]) == 3
         assert len(built) == 1
 
+    def test_block_artifacts_do_not_depend_on_other_holds(self, tmp_path):
+        # every block replays from the one fleet burned in at fleet.seed,
+        # with the same selection seed, so a block's artifacts are the
+        # same whichever holds run beside it, and each starts at the same
+        # micro demand
+        outs = {}
+        for holds in ([120, 240], [240]):
+            cfg = {
+                "grid": {"n_bins": 10},
+                "T_max_steps": 300,
+                "P_on_total_kw": 700.0,
+                "fleet": {"n_units": 200, "heterogeneity": 0.15, "seed": 5},
+                "validate": {"mode": "blocks", "hold_steps": holds, "burn_in_steps": 60, "selection_seed": 9},
+            }
+            out = outs[len(holds)] = tmp_path / f"out{len(holds)}"
+            path = write_config(tmp_path / f"c{len(holds)}.json", cfg)
+            assert main(["validate", "--config", path, "--out", str(out)]) in (EXIT_OK, EXIT_DEGRADED)
+        for name in ("block_240_report.json", "block_240_traces.csv"):
+            assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes()
+        micro_0 = [(outs[2] / f"block_{t}_traces.csv").read_text().splitlines()[1].split(",")[2] for t in (120, 240)]
+        assert micro_0[0] == micro_0[1]
+
     @pytest.mark.parametrize("mode", [{"mode": "step", "horizon": 30}, {"mode": "blocks", "hold_steps": [5, 10]}])
     def test_csv_lines_end_in_newline_only(self, tmp_path, mode):
         # every artifact ends its lines with \n, the traces included

@@ -26,6 +26,7 @@ from tclflex.etp import (
 )
 
 from expm_reference import expm_maps, expm_step_maps
+from micro_reference import ReferenceStepper
 
 
 def rk4_reference(T_a, T_m, on, T_set, params, T_amb, deadband, minutes, sub_dt_s=1.0):
@@ -381,6 +382,37 @@ class TestSimulateFleet:
             assert np.array_equal(got[0], power)
             assert np.abs(got[1] - T_a).max() <= 1e-11
 
+    @pytest.mark.parametrize(
+        "replaced", [(), ("T_a", "T_m", "on", "T_set"), ("T_a", "on"), ("T_m", "T_set")]
+    )
+    def test_restored_state_replays_bit_for_bit(self, replaced):
+        # validate's blocks restore one settled state (T_a, T_m, on and
+        # T_set) between replays; copied in place, or with the `replaced`
+        # fields given as new arrays, it must give the run from that state
+        # again, and the oracle's trajectory
+        spec = FleetSpec(n_units=1000, heterogeneity=0.15, seed=29)
+        raised = np.random.default_rng(7).choice(spec.n_units, 300, replace=False)
+        names = ("T_a", "T_m", "on", "T_set")
+        fast, oracle = FleetStepper(sample_fleet(spec)), ReferenceStepper(sample_fleet(spec))
+        for stepper in (fast, oracle):
+            step_states(stepper, 30)
+        settled = [getattr(fast.fleet, name).copy() for name in names]
+        runs = []
+        for _ in range(2):
+            for stepper in (fast, oracle):
+                for name, value in zip(names, settled):
+                    if name in replaced:
+                        setattr(stepper.fleet, name, value.copy())
+                    else:
+                        np.copyto(getattr(stepper.fleet, name), value)
+                stepper.fleet.T_set[raised] = 22.0
+            runs.append(step_states(fast, 40))
+            for got, want in zip(runs[-1], step_states(oracle, 40)):
+                assert np.array_equal(got, want)
+        for first, again in zip(*runs):
+            assert np.array_equal(first, again)
+        assert np.array_equal(runs[0][1][0], settled[0])
+
 
 class TestFleetStepper:
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -397,9 +429,7 @@ class TestFleetStepper:
         fleet = sample_fleet(FleetSpec(n_units=64, heterogeneity=heterogeneity, T_amb=T_amb, seed=31))
         stepper = FleetStepper(fleet, dt)
         oracle = ExpmStepper(fleet, dt)
-        A_d = np.stack(
-            [np.stack([stepper.a00, stepper.a01], -1), np.stack([stepper.a10, stepper.a11], -1)], -2
-        )
+        A_d = np.moveaxis(stepper.A_d, -1, 0)
         for mode in (0, 1):
             assert close_per_unit(A_d, oracle.A_d[mode], (1, 2))
             b_d = np.stack(stepper.b_d[mode], -1)

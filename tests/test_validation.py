@@ -14,6 +14,7 @@ from tclflex.errors import InvalidInputError
 from tclflex.etp import DEFAULT_PARAMS, FleetSpec, FleetStepper, sample_fleet, simulate_fleet
 from tclflex.markov import BinGrid
 from tclflex.validation import (
+    _choice_positions,
     _state_pools,
     apply_plan_micro,
     burn_in,
@@ -106,10 +107,47 @@ class TestStatePools:
         keys = grid.state_index(fleet.T_a[eligible], fleet.on[eligible])
         keys = keys.astype(np.min_scalar_type(grid.n_states - 1))
         states = np.arange(grid.n_states)
-        pools = [eligible[sub] for sub in _state_pools(keys, states)]
+        order, starts, sizes = _state_pools(keys, states)
+        pools = [eligible[order[lo : lo + n]] for lo, n in zip(starts, sizes)]
         assert sum(p.size for p in pools) == eligible.size
         for i, pool in zip(states, pools):
             assert np.array_equal(pool, np.flatnonzero(~actuated & (state_idx == i)))
+
+
+# a pool of n units with take k, 1 <= k <= n: take 1, the whole pool,
+# a few or any share of it; pools past Generator.choice's tail-shuffle
+# threshold (n > 10 000, k > n // 50), and large pools just inside it
+SMALL_POOL = st.integers(1, 3000).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(st.just(1), st.just(n), st.integers(1, min(n, 40)), st.integers(1, n)))
+)
+TAIL_POOL = st.integers(10_001, 20_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(n // 50 + 1, n)))
+LARGE_FLOYD_POOL = st.integers(10_001, 20_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n // 50)))
+
+
+class TestChoicePositions:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        pools=st.lists(st.one_of(SMALL_POOL, SMALL_POOL, SMALL_POOL, TAIL_POOL, LARGE_FLOYD_POOL), min_size=1, max_size=19),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pools=[(447, 1)], seed=0)
+    @example(pools=[(1, 1), (5, 5), (447, 447)], seed=1)
+    @example(pools=[(447, 7)] * 19, seed=2)
+    @example(pools=[(300, 4), (12_000, 241), (300, 4), (12_000, 240)], seed=3)
+    def test_picks_what_choice_picks(self, pools, seed):
+        # one rng.integers call per run of Floyd pools stands in for one
+        # rng.choice(n, size=k, replace=False) per pool: the same index
+        # set from each pool, and the generator left where choice leaves it
+        starts = np.cumsum([0] + [n for n, _ in pools[:-1]]).tolist()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _choice_positions(rng, [(start, n, k) for start, (n, k) in zip(starts, pools)])
+        at = 0
+        for start, (n, k) in zip(starts, pools):
+            want = start + ref.choice(n, size=k, replace=False)
+            assert sorted(got[at : at + k]) == sorted(want.tolist())
+            at += k
+        assert at == len(got)
+        assert rng.integers(2**63) == ref.integers(2**63)
 
 
 class TestApplyPlanMicro:
