@@ -9,16 +9,16 @@ pointwise upper envelope of the three.
 
 All frontier queries use conservative step interpolation, never linear,
 so every combined point inherits feasibility from component points.
+Every frontier here is a pair of arrays (T_hold_steps, P_hold_kw), as a
+`ReachHoldSet` holds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import InvalidInputError
-from .reachhold import ReachHoldPoint, ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
+from .reachhold import ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
 
 EXCLUSIVE = "exclusive"
 SIMULTANEOUS = "simultaneous"
@@ -31,8 +31,8 @@ def _step_lookup(rh_set: ReachHoldSet, query: np.ndarray, by_hold: bool) -> np.n
     """The frontier's step function at each query, by binary search over its
     holds and best, the suffix maximum of P: at holds t, the largest P held
     t steps or more; at reductions p, the last hold whose best is p or more; else 0."""
-    T = np.array([pt.T_hold_steps for pt in rh_set.points], dtype=int)
-    best = np.maximum.accumulate(np.array([pt.P_hold_kw for pt in rh_set.points])[::-1])[::-1]
+    T = rh_set.T_hold_steps
+    best = np.maximum.accumulate(rh_set.P_hold_kw[::-1])[::-1]
     if by_hold:
         return np.append(best, 0.0)[np.searchsorted(T, query)]
     return np.append(0, T)[np.searchsorted(-best, -query, side="right")]
@@ -54,9 +54,15 @@ def query_t_at_p(rh_set: ReachHoldSet, p: float) -> int:
     return int(_step_lookup(rh_set, np.array([p], dtype=float), by_hold=False)[0])
 
 
-def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, list[ReachHoldPoint]]:
+def _frontier(T: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frontier of the samples (T[i], P[i]), as arrays."""
+    keep = prune_to_frontier(T, P)
+    return T[keep], P[keep]
+
+
+def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """All three pairwise scheduling modes plus their upper envelope, keyed
-    by MODES; each frontier is a list of (T_hold, P_hold) boundary points,
+    by MODES; each frontier is a pair of arrays (T_hold_steps, P_hold_kw),
     and `union`, the envelope of the other three, is the overall capability
     when the scheduler may pick any of the modes.
 
@@ -69,27 +75,28 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, list[ReachHoldP
         )
     if set1.method != set2.method:
         raise InvalidInputError(f"method mismatch: {set1.method} vs {set2.method}")
-    t_grid = np.array(sorted({p.T_hold_steps for s in (set1, set2) for p in s.points}), dtype=int)
-    p_grid = np.array(sorted({p.P_hold_kw for s in (set1, set2) for p in s.points}), dtype=float)
+    # both sets' holds and reductions; a repeat gives a repeated sample,
+    # which pruning keeps once
+    t_grid = np.concatenate([set1.T_hold_steps, set2.T_hold_steps])
+    p_grid = np.concatenate([set1.P_hold_kw, set2.P_hold_kw])
     p1, p2 = (_step_lookup(s, t_grid, by_hold=True) for s in (set1, set2))
     t1, t2 = (_step_lookup(s, p_grid, by_hold=False) for s in (set1, set2))
-
-    def as_frontier(ts, ps) -> list[ReachHoldPoint]:
-        return prune_to_frontier([ReachHoldPoint(p, t) for t, p in zip(ts.tolist(), ps.tolist())])
-
-    exclusive = as_frontier(t_grid, np.maximum(p1, p2))
-    simultaneous = as_frontier(t_grid, p1 + p2)
-    consecutive = as_frontier(t1 + t2, p_grid)
-    union = prune_to_frontier(exclusive + simultaneous + consecutive)
-    return {EXCLUSIVE: exclusive, SIMULTANEOUS: simultaneous, CONSECUTIVE: consecutive, UNION: union}
+    frontiers = {
+        EXCLUSIVE: _frontier(t_grid, np.maximum(p1, p2)),
+        SIMULTANEOUS: _frontier(t_grid, p1 + p2),
+        CONSECUTIVE: _frontier(t1 + t2, p_grid),
+    }
+    holds, reductions = zip(*frontiers.values())
+    frontiers[UNION] = _frontier(np.concatenate(holds), np.concatenate(reductions))
+    return frontiers
 
 
 def combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str) -> ReachHoldSet:
     """One frontier of combine(set1, set2) as a standalone set, whose regime
     sums the components' P_on_total_kw and P_nom_kw where both record them
-    (used when folding more than two fleets).  Points are then clipped to
-    the summed P_nom_kw: each component passed its own P_nom check, so any
-    excess is only the components' summed rounding tolerance."""
+    (used when folding more than two fleets).  Reductions are then clipped
+    to the summed P_nom_kw: each component passed its own P_nom check, so
+    any excess is only the components' summed rounding tolerance."""
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     regime = {"dt_minutes": float(set1.regime.get("dt_minutes", 1.0)), "combined_mode": mode}
@@ -97,14 +104,13 @@ def combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str) -> ReachHold
         vals = [s.regime.get(key) for s in (set1, set2)]
         if all(v is not None for v in vals):
             regime[key] = float(sum(vals))
-    points = combine(set1, set2)[mode]
+    T, P = combine(set1, set2)[mode]
     if "P_nom_kw" in regime:
-        p_nom = regime["P_nom_kw"]
-        points = prune_to_frontier([replace(p, P_hold_kw=min(p.P_hold_kw, p_nom)) for p in points])
-    return ReachHoldSet(points=points, method=set1.method, regime=regime)
+        T, P = _frontier(T, np.minimum(P, regime["P_nom_kw"]))
+    return ReachHoldSet(T, P, set1.method, regime)
 
 
-def combine_many(sets: list[ReachHoldSet]) -> dict[str, list[ReachHoldPoint]]:
+def combine_many(sets: list[ReachHoldSet]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Left-fold of combined_set over more than two fleets, carrying the
     union frontier between stages; returns the last stage's frontiers by
     mode, an inner bound of the true joint set since mixed schedules across
@@ -114,11 +120,12 @@ def combine_many(sets: list[ReachHoldSet]) -> dict[str, list[ReachHoldPoint]]:
     folded = sets[0]
     for s in sets[1:-1]:
         folded = combined_set(folded, s, UNION)
-    return {mode: combined_set(folded, sets[-1], mode).points for mode in MODES}
+    last = {mode: combined_set(folded, sets[-1], mode) for mode in MODES}
+    return {mode: (rh.T_hold_steps, rh.P_hold_kw) for mode, rh in last.items()}
 
 
 def save_combined(
-    set1: ReachHoldSet, set2: ReachHoldSet, frontiers: dict[str, list[ReachHoldPoint]], csv_path
+    set1: ReachHoldSet, set2: ReachHoldSet, frontiers: dict[str, tuple[np.ndarray, np.ndarray]], csv_path
 ) -> None:
     """One CSV with a mode column covering the four frontiers of
     combine(set1, set2), plus a JSON sidecar recording the component
@@ -128,9 +135,9 @@ def save_combined(
     with open(csv_path, "w") as fh:
         fh.write("T_hold_steps,T_hold_hours,P_hold_kW,mode\n")
         for mode in MODES:
-            for p in frontiers[mode]:
-                hours = p.T_hold_steps * dt / 60.0
-                fh.write(f"{p.T_hold_steps},{hours!r},{p.P_hold_kw!r},{mode}\n")
+            T, P = frontiers[mode]
+            for t, p in zip(T.tolist(), P.tolist()):
+                fh.write(f"{t},{t * dt / 60.0!r},{p!r},{mode}\n")
     sidecar = {
         "method": set1.method,
         "dt_minutes": dt,

@@ -17,18 +17,21 @@ the achievable set:
   value (desk scale only),
 * inner: a feasible budget-allocation policy u[k] = alpha[k] x_0 whose
   lower-bound recursion discounts the power a freshly actuated cohort
-  still draws (c A_a x_0, zero once the raise exceeds one deadband),
-  and whose hold is scanned from the first step.  The recursion is linear
-  in r = P_hold / P_nom and in the committed prefix, and its clip at zero
-  keeps that since r > 0 (max(r x, 0) = r max(x, 0)), so alpha(r) =
-  r alpha_1 until the unit budget runs out: one run at r = 1 per fleet
-  serves every target and, in closed form, every hold (`inner_values`),
+  still draws (c A_a x_0, zero once the raise exceeds one deadband).
+  The recursion is linear in r = P_hold / P_nom and in the committed
+  prefix, and its clip at zero keeps that since r > 0 (max(r x, 0) =
+  r max(x, 0)), so alpha(r) = r alpha_1 until the unit budget runs out:
+  one run at r = 1 per fleet serves every target and, in closed form,
+  every hold (`inner_values`),
 * outer: the LP that keeps the hold rows and the unit budget but
   relaxes admissibility to 0 <= u[k] <= x_0, which every admissible
   plan meets since the unactuated mass never exceeds A^k x_0 = x_0; it
   is solved by column generation over (step, state) columns until a
   fractional-knapsack bound from the master's duals meets the value, so
   its value is a proved upper bound on exact.
+
+Every route hands its values to `prune_to_frontier`, and a frontier is
+a `ReachHoldSet`: two arrays, the holds and their reductions.
 """
 
 from __future__ import annotations
@@ -148,61 +151,56 @@ def delta_p_by_stepping(u: np.ndarray, fleet: CharacterizedFleet, horizon: int) 
 
 
 @dataclass
-class ReachHoldPoint:
-    """One boundary sample: reduction P_hold_kw sustainable for
-    T_hold_steps consecutive steps by the method of its set."""
-
-    P_hold_kw: float
-    T_hold_steps: int
-    horizon_limited: bool = False
-    raw_objective_kw: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.P_hold_kw < np.inf:  # NaN fails too
-            raise InvalidInputError(f"P_hold_kw must be finite and >= 0, got {self.P_hold_kw}")
-        if self.T_hold_steps < 0:
-            raise InvalidInputError(f"T_hold_steps must be >= 0, got {self.T_hold_steps}")
-
-
-@dataclass
 class ReachHoldSet:
-    """Boundary of the achievable (P_hold, T_hold) region for one method,
-    which every point shares.
+    """Boundary of the achievable (P_hold, T_hold) region for one method.
 
-    Points are kept sorted by T_hold ascending with P_hold nonincreasing
-    (strictly a frontier).  `regime` records the operating point and
-    normalization so a set is self-describing on disk.
+    The frontier is two arrays: the holds T_hold_steps, strictly
+    ascending, and their reductions P_hold_kw, finite, nonincreasing
+    (within 1e-9 of P_on_total) and at most P_nom.  An LP set keeps each
+    hold's unclipped LP value in raw_objective_kw; horizon_limited says
+    that the longest hold reached T_max_steps, the last step the route
+    looked at.  `regime` records the operating point and normalization
+    so a set is self-describing on disk.
     """
 
-    points: list[ReachHoldPoint]
+    T_hold_steps: np.ndarray
+    P_hold_kw: np.ndarray
     method: str
     regime: dict
+    raw_objective_kw: np.ndarray | None = None
+    horizon_limited: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidInputError(f"method must be one of {METHODS}, got {self.method!r}")
-        self.points = sorted(self.points, key=lambda p: (p.T_hold_steps, -p.P_hold_kw))
-        self._check_frontier()
-
-    def _check_frontier(self) -> None:
+        T = self.T_hold_steps = np.asarray(self.T_hold_steps, dtype=int)
+        P = self.P_hold_kw = np.asarray(self.P_hold_kw, dtype=float)
+        raw = self.raw_objective_kw
+        if raw is not None:
+            raw = self.raw_objective_kw = np.asarray(raw, dtype=float)
+        if T.ndim != 1 or P.shape != T.shape or raw is not None and raw.shape != T.shape:
+            raise InvalidInputError("a frontier needs one reduction, and at most one raw value, per hold")
+        bad = ~((0.0 <= P) & (P < np.inf))  # NaN fails too
+        if bad.any():
+            raise InvalidInputError(f"P_hold_kw must be finite and >= 0, got {float(P[bad][0])}")
+        if (T < 0).any():
+            raise InvalidInputError(f"T_hold_steps must be >= 0, got {int(T.min())}")
         tol = 1e-9 * max(1.0, float(self.regime.get("P_on_total_kw", 1.0)))
-        prev_T = -1
-        prev_P = np.inf
-        for p in self.points:
-            if p.T_hold_steps == prev_T:
-                raise FrontierMonotonicityError(f"duplicate T_hold {p.T_hold_steps} on frontier")
-            if p.P_hold_kw > prev_P + tol:
-                raise FrontierMonotonicityError(
-                    f"P_hold increases along T_hold at T={p.T_hold_steps}: "
-                    f"{p.P_hold_kw} after {prev_P}"
-                )
-            prev_T, prev_P = p.T_hold_steps, p.P_hold_kw
-        if self.points and "P_nom_kw" in self.regime:
-            worst = max(p.P_hold_kw for p in self.points)
-            if worst > self.regime["P_nom_kw"] + tol:
-                raise FrontierMonotonicityError(
-                    f"boundary P_hold {worst} exceeds P_nom {self.regime['P_nom_kw']}"
-                )
+        fall, rise = np.flatnonzero(T[1:] <= T[:-1]), np.flatnonzero(P[1:] > P[:-1] + tol)
+        if fall.size:
+            i = fall[0] + 1
+            if T[i] == T[i - 1]:
+                raise FrontierMonotonicityError(f"duplicate T_hold {T[i]} on frontier")
+            raise FrontierMonotonicityError(f"T_hold {T[i]} follows {T[i - 1]}: holds must ascend")
+        if rise.size:
+            i = rise[0] + 1
+            raise FrontierMonotonicityError(
+                f"P_hold increases along T_hold at T={T[i]}: {float(P[i])} after {float(P[i - 1])}"
+            )
+        if T.size and "P_nom_kw" in self.regime and P.max() > self.regime["P_nom_kw"] + tol:
+            raise FrontierMonotonicityError(
+                f"boundary P_hold {float(P.max())} exceeds P_nom {self.regime['P_nom_kw']}"
+            )
 
 
 # a shorter hold stays on a frontier only when its P_hold beats the longer
@@ -210,25 +208,22 @@ class ReachHoldSet:
 FRONTIER_TIE_REL = 1e-9
 
 
-def prune_to_frontier(samples: list[ReachHoldPoint]) -> list[ReachHoldPoint]:
-    """Max P_hold per T_hold, then drop points dominated by a longer hold
-    at equal or larger P (within FRONTIER_TIE_REL); sorted by T_hold.
-    Samples that hold for no step or reduce nothing are dropped: they
-    claim nothing."""
-    best: dict[int, ReachHoldPoint] = {}
-    for p in samples:
-        cur = best.get(p.T_hold_steps)
-        if p.T_hold_steps >= 1 and p.P_hold_kw > 0.0 and (cur is None or p.P_hold_kw > cur.P_hold_kw):
-            best[p.T_hold_steps] = p
-    keep: list[ReachHoldPoint] = []
-    run_max = -np.inf
-    for t in sorted(best, reverse=True):  # longest holds first
-        p = best[t]
-        if not keep or p.P_hold_kw > run_max + FRONTIER_TIE_REL * max(1.0, run_max):
-            keep.append(p)
-            run_max = p.P_hold_kw
-    keep.reverse()
-    return keep
+def prune_to_frontier(T_hold, P_hold) -> np.ndarray:
+    """Indices of the samples (T_hold[i], P_hold[i]) that form a frontier,
+    by ascending hold: the largest P_hold per T_hold (the first of equal
+    ones), then, longest hold first, only the holds whose P_hold beats the
+    longer holds kept by more than FRONTIER_TIE_REL.  Samples that hold
+    for no step or reduce nothing are dropped: they claim nothing."""
+    T, P = np.asarray(T_hold), np.asarray(P_hold, dtype=float)
+    idx = np.flatnonzero((T >= 1) & (P > 0.0))
+    idx = idx[np.lexsort((-P[idx], T[idx]))]  # stable: equal samples keep their order
+    best = idx[np.diff(T[idx], prepend=0) != 0][::-1]  # the first of each hold, longest first
+    keep, run_max = [], -np.inf
+    for i, p in zip(best.tolist(), P[best].tolist()):
+        if p > run_max + FRONTIER_TIE_REL * max(1.0, run_max):
+            keep.append(i)
+            run_max = p
+    return np.array(keep[::-1], dtype=int)
 
 
 def invariant_support(A: TransitionMatrix, x_0: np.ndarray) -> np.ndarray:
@@ -344,38 +339,19 @@ def solve_exact(
         refused = f"exact plan at T={T} replays {margin!r} kW below its value {value!r} kW"
 
 
-@dataclass
-class InnerPoint:
-    """Result of the budget-allocation construction for one P_hold: its
-    boundary point and the allocation alpha, whose plan is alpha[k] x_0."""
-
-    point: ReachHoldPoint
-    alpha: np.ndarray  # (T_max,)
-
-
-@dataclass
-class InnerProfile:
-    """The greedy allocation of one fleet at P_hold = P_nom with no budget.
-
-    Every target's allocation is r alpha_1 until the budget runs out (see
-    the module docstring), so `inner_point` and `inner_values` read this
-    profile.  alpha_1 holds inf from the first step no finite allocation
-    covers (a cohort with no gain)."""
-
-    alpha_1: np.ndarray  # (T_max,)
-    s: np.ndarray  # s[m-1] = (h_m - h_a_m) @ x_0, m = 1..horizon
-
-
-def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
-    """Run the greedy recursion once, at r = 1 and without the budget,
-    over the fleet's T_max steps; `fleet.inner` keeps the result.
+def inner_profile(fleet: CharacterizedFleet) -> np.ndarray:
+    """The greedy allocation alpha_1 of one fleet at P_hold = P_nom with no
+    budget, over its T_max steps; `fleet.inner` keeps it.  Every target's
+    allocation is r alpha_1 until the budget runs out (see the module
+    docstring), so `inner_point` and `inner_values` read it.
 
     alpha_1[k] is the least allocation that keeps dP[k+1] >= P_nom.  With
     rec[m] = c A_a^{m+1} x_0 and A x_0 = x_0, dP[k+1] = sum_{n<=k}
     alpha[n] (P_nom - rec[k-n]), so alpha[k] covers what the committed
     prefix misses, divided by the gain 1 - rec[0] / P_nom of a freshly
     actuated cohort.  No finite alpha[k] helps when that gain is not
-    positive."""
+    positive, so alpha_1 holds inf from the first step no finite
+    allocation covers."""
     x_0, T_max, p_nom = fleet.x_0, fleet.T_max, fleet.p_nom_kw
     rec = fleet.h_a[1:] @ x_0  # c A_a^m x_0, m = 1..horizon
     gain = 1.0 - float(rec[0]) / p_nom
@@ -392,40 +368,31 @@ def inner_profile(fleet: CharacterizedFleet) -> InnerProfile:
             break
         alpha_1[k] = a
         committed += a
-    return InnerProfile(alpha_1=alpha_1, s=(fleet.h - fleet.h_a)[1:] @ x_0)
+    return alpha_1
 
 
-def inner_point(P_hold: float, fleet: CharacterizedFleet) -> InnerPoint:
-    """Greedy-minimal feasible allocation for P_hold, from the fleet's one
-    profile: r alpha_1 until the unit budget depletes at the first step k
-    with r (alpha_1[0] + ... + alpha_1[k]) >= 1, whose share is what is
-    left of the budget.  The hold duration is the last step before the
-    reduction first falls below P_hold (T_max if it never does, flagged
-    horizon-limited)."""
-    profile, p_nom = fleet.inner, fleet.p_nom_kw
+def inner_point(P_hold: float, fleet: CharacterizedFleet) -> np.ndarray:
+    """Greedy-minimal feasible allocation alpha for P_hold, whose plan is
+    alpha[k] x_0, from the fleet's one profile `fleet.inner`: r alpha_1
+    until the unit budget depletes at the first step k with
+    r (alpha_1[0] + ... + alpha_1[k]) >= 1, whose share is what is left of
+    the budget.  It holds P_hold at every hold whose inner_values entry is
+    P_hold or more."""
+    alpha_1, p_nom = fleet.inner, fleet.p_nom_kw
     if not -1e-12 * p_nom <= P_hold <= p_nom * (1.0 + 1e-12):
         raise InvalidInputError(f"P_hold {P_hold} outside [0, P_nom={p_nom}]")
-    P_hold = float(np.clip(P_hold, 0.0, p_nom))
-    r = P_hold / p_nom
-    T_max = profile.alpha_1.size
-    alpha = np.zeros(T_max)
+    r = float(np.clip(P_hold, 0.0, p_nom)) / p_nom
+    alpha = np.zeros(alpha_1.size)
     if r > 0.0:  # at r = 0 the plan is empty, and 0 * inf would be NaN
-        spent = np.cumsum(profile.alpha_1)
+        spent = np.cumsum(alpha_1)
         out = r * spent >= 1.0
         if out.any():
             depletion = int(np.argmax(out))
-            alpha[:depletion] = r * profile.alpha_1[:depletion]
+            alpha[:depletion] = r * alpha_1[:depletion]
             alpha[depletion] = 1.0 - (r * spent[depletion - 1] if depletion else 0.0)
         else:
-            alpha[:] = r * profile.alpha_1
-    # below[k-1]: dP[k] misses P_hold.  Steps where alpha sat exactly at
-    # its lower bound satisfy the hold with equality, so the violation
-    # test needs room for rounding noise, 1e-10 of P_on_total
-    tol = 1e-10 * max(1.0, fleet.regime["P_on_total_kw"])
-    below = np.convolve(alpha, profile.s)[:T_max] < P_hold - tol
-    horizon_limited = not below.any()
-    T_hold = T_max if horizon_limited else int(np.argmax(below))
-    return InnerPoint(ReachHoldPoint(P_hold, T_hold, horizon_limited), alpha)
+            alpha[:] = r * alpha_1
+    return alpha
 
 
 def inner_values(fleet: CharacterizedFleet) -> np.ndarray:
@@ -439,16 +406,19 @@ def inner_values(fleet: CharacterizedFleet) -> np.ndarray:
     * at a larger r the budget runs out at a step k_d <= T-1 where
       alpha_1[k_d] > 0, short by delta = r spent[k_d] - 1 > 0.  Since
       alpha_1[k_d] covered its target exactly, dP[k_d+1] = r P_nom -
-      delta s[0] < r P_nom, so the hold ends before T.
+      delta (h_1 - h_a_1) @ x_0 < r P_nom, so the hold ends before T.
     """
-    return fleet.p_nom_kw * np.minimum(1.0, 1.0 / np.cumsum(fleet.inner.alpha_1))
+    return fleet.p_nom_kw * np.minimum(1.0, 1.0 / np.cumsum(fleet.inner))
 
 
 def inner_boundary(fleet: CharacterizedFleet) -> ReachHoldSet:
-    """Inner frontier of `fleet`: inner_values, pruned; only its T_max point is horizon-limited."""
-    values = inner_values(fleet).tolist()
-    samples = [ReachHoldPoint(P, T, T == len(values)) for T, P in enumerate(values, 1)]
-    return ReachHoldSet(points=prune_to_frontier(samples), method=INNER, regime=fleet.regime)
+    """Inner frontier of `fleet`: inner_values, pruned; horizon-limited when
+    its longest hold is T_max."""
+    values = inner_values(fleet)
+    T = np.arange(1, values.size + 1)
+    keep = prune_to_frontier(T, values)
+    limited = keep.size > 0 and T[keep[-1]] == fleet.T_max
+    return ReachHoldSet(T[keep], values[keep], INNER, fleet.regime, horizon_limited=bool(limited))
 
 
 def inner_p_at(T_hold: int, fleet: CharacterizedFleet) -> float:
@@ -571,13 +541,11 @@ def solve_outer(T_hold: int, fleet: CharacterizedFleet) -> tuple[float, np.ndarr
 def lp_frontier(fleet: CharacterizedFleet, holds, values, method: str) -> ReachHoldSet:
     """Frontier of `fleet` from one LP value per hold: each value is
     clipped to [0, P_nom] (the true reduction can never exceed nominal
-    demand) and kept as the point's raw_objective_kw, then pruned."""
-    p_nom = fleet.p_nom_kw
-    samples = [
-        ReachHoldPoint(P_hold_kw=float(np.clip(v, 0.0, p_nom)), T_hold_steps=int(T), raw_objective_kw=float(v))
-        for T, v in zip(holds, values)
-    ]
-    return ReachHoldSet(points=prune_to_frontier(samples), method=method, regime=fleet.regime)
+    demand) and kept as the hold's raw_objective_kw, then pruned."""
+    T, raw = np.asarray(holds, dtype=int), np.asarray(values, dtype=float)
+    P = np.clip(raw, 0.0, fleet.p_nom_kw)
+    keep = prune_to_frontier(T, P)
+    return ReachHoldSet(T[keep], P[keep], method, fleet.regime, raw_objective_kw=raw[keep])
 
 
 def outer_boundary(fleet: CharacterizedFleet, t_grid: np.ndarray) -> ReachHoldSet:
@@ -660,8 +628,9 @@ class CharacterizedFleet:
         return self.regime["T_max_steps"]
 
     @cached_property
-    def inner(self) -> InnerProfile:
-        """The fleet's one inner profile, built on first use."""
+    def inner(self) -> np.ndarray:
+        """The fleet's one inner profile alpha_1 (`inner_profile`), built on
+        first use."""
         return inner_profile(self)
 
 
@@ -704,22 +673,24 @@ def sweep(points: list[OperatingPoint], T_max: int = DEFAULT_T_MAX) -> list[Reac
 
 def save_set(rh_set: ReachHoldSet, csv_path) -> None:
     """Write the frontier CSV plus a JSON sidecar with the regime block
-    and the flags of the points that carry one (horizon_limited, or a
-    raw_objective_kw); each point's P_hold lives in the CSV only."""
+    and the flags of the holds that carry one (horizon_limited, or a
+    raw_objective_kw); each hold's P_hold lives in the CSV only."""
     csv_path = str(csv_path)
     dt_min = float(rh_set.regime.get("dt_minutes", 1.0))
+    T = rh_set.T_hold_steps.tolist()
     with open(csv_path, "w") as fh:
         fh.write("T_hold_steps,T_hold_hours,P_hold_kW,method\n")
-        for p in rh_set.points:
-            hours = p.T_hold_steps * dt_min / 60.0
-            fh.write(f"{p.T_hold_steps},{hours!r},{p.P_hold_kw!r},{rh_set.method}\n")
+        for t, p in zip(T, rh_set.P_hold_kw.tolist()):
+            fh.write(f"{t},{t * dt_min / 60.0!r},{p!r},{rh_set.method}\n")
+    raw = [None] * len(T) if rh_set.raw_objective_kw is None else rh_set.raw_objective_kw.tolist()
+    limited = [False] * (len(T) - 1) + [rh_set.horizon_limited]  # the longest hold's flag
     sidecar = {
         "method": rh_set.method,
         "regime": rh_set.regime,
         "points": [
-            {key: getattr(p, key) for key in ("T_hold_steps", "horizon_limited", "raw_objective_kw")}
-            for p in rh_set.points
-            if p.horizon_limited or p.raw_objective_kw is not None
+            {"T_hold_steps": t, "horizon_limited": h, "raw_objective_kw": r}
+            for t, h, r in zip(T, limited, raw)
+            if h or r is not None
         ],
     }
     write_json(sidecar, _sidecar_path(csv_path))
@@ -740,8 +711,12 @@ def _sidecar_path(csv_path: str) -> str:
 def load_set(csv_path) -> ReachHoldSet:
     """Read a frontier written by save_set; a malformed row or sidecar, a
     non-finite regime power, a step that is not positive and finite, a row
-    whose method is not the sidecar's, or rows that do not form a frontier
-    raise InvalidInputError."""
+    whose method is not the sidecar's, rows that do not form a frontier,
+    or sidecar flags that save_set cannot have written raise
+    InvalidInputError.  Those flags are: a listed hold with no CSV row, a
+    horizon_limited that is not a JSON boolean or marks another hold than
+    the longest, and raw_objective_kw values that are not finite numbers
+    or are given for some holds only."""
     csv_path = str(csv_path)
     sidecar_path = _sidecar_path(csv_path)
     with open(sidecar_path) as fh:
@@ -766,29 +741,44 @@ def load_set(csv_path) -> ReachHoldSet:
         if header != "T_hold_steps,T_hold_hours,P_hold_kW,method":
             raise InvalidInputError(f"unrecognized frontier header: {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    try:
-        flags = {p["T_hold_steps"]: p for p in sidecar.get("points", [])}
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"sidecar {sidecar_path} has malformed points: {exc!r}") from exc
-    points = []
+    T, P = [], []
     for row in rows:
         try:
             t_str, _, p_str, method = row
-            meta = flags.get(int(t_str), {})
-            point = ReachHoldPoint(
-                P_hold_kw=float(p_str),
-                T_hold_steps=int(t_str),
-                horizon_limited=bool(meta.get("horizon_limited", False)),
-                raw_objective_kw=meta.get("raw_objective_kw"),
-            )
-        except (ValueError, InvalidInputError) as exc:
+            T.append(int(t_str))
+            P.append(float(p_str))
+        except ValueError as exc:
             raise InvalidInputError(f"frontier row {','.join(row)!r} in {csv_path}: {exc}") from exc
         if method != sidecar["method"]:
             raise InvalidInputError(
                 f"frontier row {','.join(row)!r} in {csv_path} says {method!r}, its sidecar {sidecar['method']!r}"
             )
-        points.append(point)
     try:
-        return ReachHoldSet(points=points, method=sidecar["method"], regime=sidecar["regime"])
-    except FrontierMonotonicityError as exc:
+        flags = {p["T_hold_steps"]: p for p in sidecar.get("points", [])}
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(f"sidecar {sidecar_path} has malformed points: {exc!r}") from exc
+    holds = set(T)
+    for t, flag in flags.items():
+        limited, value = flag.get("horizon_limited", False), flag.get("raw_objective_kw")
+        if t not in holds:
+            raise InvalidInputError(f"sidecar {sidecar_path} lists hold {t!r}, which has no row in {csv_path}")
+        if not isinstance(limited, bool):
+            raise InvalidInputError(f"sidecar {sidecar_path} has horizon_limited {limited!r} at T={t}, not a boolean")
+        if limited and t != max(T):
+            raise InvalidInputError(f"sidecar {sidecar_path} marks T={t}, not its longest hold, horizon-limited")
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, (int, float)) or not -np.inf < value < np.inf
+        ):
+            raise InvalidInputError(f"sidecar {sidecar_path} has an unusable raw_objective_kw at T={t}: {value!r}")
+    raw = [flags.get(t, {}).get("raw_objective_kw") for t in T]
+    given = sum(r is not None for r in raw)
+    if 0 < given < len(raw):
+        raise InvalidInputError(f"sidecar {sidecar_path} gives raw_objective_kw for {given} of {len(raw)} holds")
+    try:
+        return ReachHoldSet(
+            T, P, sidecar["method"], sidecar["regime"],
+            raw_objective_kw=raw if given else None,
+            horizon_limited=any(flag.get("horizon_limited", False) for flag in flags.values()),
+        )
+    except (FrontierMonotonicityError, InvalidInputError) as exc:
         raise InvalidInputError(f"{csv_path} is not a frontier: {exc}") from exc

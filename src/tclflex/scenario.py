@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import combine, query_p_at_t, save_combined
+from .aggregation import _step_lookup, combine, save_combined
 from .errors import InvalidConfigurationError, NumericalFailureError
 from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet, simulate_fleet
 from .markov import BinGrid, save_matrix
@@ -340,10 +340,14 @@ def run_reachhold(
     tol = EXACT_REPLAY_TOL_REL * op.P_on_total_kw
     for lower, upper in ((INNER, EXACT), (EXACT, OUTER), (INNER, OUTER)):
         if lower in sets and upper in sets:
-            for t in t_exact if EXACT in (lower, upper) else t_grid:
-                low, up = query_p_at_t(sets[lower], t), query_p_at_t(sets[upper], t)
-                if low > up + tol:
-                    raise NumericalFailureError(f"{lower} frontier exceeds {upper} at T={t}: {low!r} > {up!r} kW")
+            holds = np.array(t_exact if EXACT in (lower, upper) else t_grid, dtype=int)
+            low, up = (_step_lookup(sets[method], holds, by_hold=True) for method in (lower, upper))
+            crossed = np.flatnonzero(low > up + tol)
+            if crossed.size:
+                i = crossed[0]
+                raise NumericalFailureError(
+                    f"{lower} frontier exceeds {upper} at T={holds[i]}: {float(low[i])!r} > {float(up[i])!r} kW"
+                )
     artifacts = {}
     for method, rh in sets.items():
         path = out_dir / f"{method}.csv"
@@ -459,7 +463,7 @@ def run_validate(
     any_degraded = False
     for T_hold in holds:
         P_hold = inner_p_at(T_hold, ch)
-        u = inner_point(P_hold, ch).alpha[:, None] * ch.x_0[None, :]
+        u = inner_point(P_hold, ch)[:, None] * ch.x_0[None, :]
         block_horizon = min(T_max, T_hold + 60)
         dp = delta_p_by_stepping(u, ch, block_horizon)
         markov = ch.p_nom_kw - dp

@@ -24,6 +24,7 @@ from tclflex.reachhold import (
     inner_boundary,
     inner_p_at,
     inner_point,
+    inner_values,
     solve_exact,
     solve_outer,
     sweep,
@@ -87,14 +88,22 @@ def test_criterion_01_sandwich_at_paper_scale(fleet40):
     print(f"[criterion 1] PASS 40-bin sandwich holds at T=30,60 ({elapsed:.1f}s): {gaps}")
 
 
+def claimed_hold(P, values):
+    """The hold the inner values claim for target P: the largest T with
+    values[T-1] >= P, or 0 when there is none."""
+    held = np.flatnonzero(values >= P)
+    return int(held[-1]) + 1 if held.size else 0
+
+
 def test_criterion_02_inner_plans_feasible_when_repropagated(fleet40):
+    # each target's plan, replayed up to the hold inner_values claims for it
     t0 = time.perf_counter()
     tol = 1e-9 * P_ON
     worst = np.inf
+    values = inner_values(fleet40)
     for P in np.linspace(fleet40.p_nom_kw / 20, fleet40.p_nom_kw, 20):
-        ip = inner_point(P, fleet40)
-        T_h = ip.point.T_hold_steps
-        u = ip.alpha[:, None] * fleet40.x_0[None, :]
+        T_h = claimed_hold(P, values)
+        u = inner_point(P, fleet40)[:, None] * fleet40.x_0[None, :]
         dp = delta_p_by_stepping(u, fleet40, horizon=max(T_h, 1))
         margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
         worst = min(worst, margin)
@@ -116,10 +125,10 @@ def test_criterion_02_inner_plans_feasible_with_partial_raise():
     assert float(ch.h_a[1] @ ch.x_0) > 0.05 * ch.p_nom_kw
     tol = 1e-9 * P_ON
     worst = np.inf
+    values = inner_values(ch)
     for P in np.linspace(ch.p_nom_kw / 50, ch.p_nom_kw, 50):
-        ip = inner_point(P, ch)
-        T_h = ip.point.T_hold_steps
-        u = ip.alpha[:, None] * ch.x_0[None, :]
+        T_h = claimed_hold(P, values)
+        u = inner_point(P, ch)[:, None] * ch.x_0[None, :]
         dp = delta_p_by_stepping(u, ch, horizon=max(T_h, 1))
         margin = float((dp[1 : T_h + 1] - P).min()) if T_h >= 1 else 0.0
         worst = min(worst, margin)
@@ -242,9 +251,9 @@ def test_criterion_08_precooling_dominates():
     p_nom_pre = pre.regime["P_nom_kw"]
     assert p_nom_pre > p_nom_base
     gaps = []
-    for pt in base.points:
-        gap = query_p_at_t(pre, pt.T_hold_steps) - pt.P_hold_kw
-        assert gap >= -1e-9, f"pre-cooled frontier dips below baseline at T={pt.T_hold_steps}"
+    for T, P in zip(base.T_hold_steps.tolist(), base.P_hold_kw.tolist()):
+        gap = query_p_at_t(pre, T) - P
+        assert gap >= -1e-9, f"pre-cooled frontier dips below baseline at T={T}"
         gaps.append(gap)
     print(
         f"[criterion 8] PASS P_nom {p_nom_pre:.2f} > {p_nom_base:.2f} kW, "
@@ -256,17 +265,15 @@ def test_criterion_09_identical_fleet_aggregation(fleet40):
     rh = inner_boundary(fleet40)
     sim = combined_set(rh, rh, "simultaneous")
     cons = combined_set(rh, rh, "consecutive")
-    for pt in rh.points:
-        assert query_p_at_t(sim, pt.T_hold_steps) == pytest.approx(
-            2.0 * pt.P_hold_kw, abs=1e-9
-        )
-        assert query_t_at_p(cons, pt.P_hold_kw) == 2 * pt.T_hold_steps
+    for T, P in zip(rh.T_hold_steps.tolist(), rh.P_hold_kw.tolist()):
+        assert query_p_at_t(sim, T) == pytest.approx(2.0 * P, abs=1e-9)
+        assert query_t_at_p(cons, P) == 2 * T
 
     # replay one consecutive point: the second fleet starts as the first
     # fleet's hold expires, and the summed reduction must cover the claim
-    mid = rh.points[len(rh.points) // 2]
-    P, T = mid.P_hold_kw, mid.T_hold_steps
-    alpha = inner_point(P, fleet40).alpha
+    mid = rh.T_hold_steps.size // 2
+    P, T = float(rh.P_hold_kw[mid]), int(rh.T_hold_steps[mid])
+    alpha = inner_point(P, fleet40)
     dp = delta_p_by_stepping(alpha[:, None] * fleet40.x_0[None, :], fleet40, horizon=2 * T)
     total = dp.copy()
     total[T + 1 :] += dp[1 : T + 1]
@@ -275,7 +282,7 @@ def test_criterion_09_identical_fleet_aggregation(fleet40):
         f"combined hold misses its claim by {worst} kW at (P={P:.1f}, 2T={2 * T})"
     )
     print(
-        f"[criterion 9] PASS doubling exact on {len(rh.points)} points; "
+        f"[criterion 9] PASS doubling exact on {rh.T_hold_steps.size} points; "
         f"replayed (P={P:.1f} kW, 2T={2 * T}) with margin {worst:.3e} kW"
     )
 

@@ -17,21 +17,27 @@ from tclflex.aggregation import (
     save_combined,
 )
 from tclflex.errors import InvalidInputError
-from tclflex.reachhold import INNER, ReachHoldPoint, ReachHoldSet
+from tclflex.reachhold import INNER, ReachHoldSet
 
-from aggregation_reference import reference_combine, reference_p_at_t, reference_t_at_p
+from aggregation_reference import pairs, reference_combine, reference_p_at_t, reference_t_at_p
 
 
-def make_set(pairs, method=INNER, dt=1.0, **extra):
+def make_set(samples, method=INNER, dt=1.0, **extra):
     """Frontier from (T_hold, P_hold) pairs."""
     regime = {"dt_minutes": dt, **extra}
-    points = [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs]
-    return ReachHoldSet(points=points, method=method, regime=regime)
+    return ReachHoldSet([t for t, _ in samples], [p for _, p in samples], method, regime)
 
 
-def as_set(points):
-    """A frontier of combine as a set the queries read."""
-    return ReachHoldSet(points=points, method=INNER, regime={"dt_minutes": 1.0})
+def as_set(frontier):
+    """A frontier of combine, the arrays (T_hold, P_hold), as a set the
+    queries read."""
+    return ReachHoldSet(*frontier, INNER, {"dt_minutes": 1.0})
+
+
+def as_pairs(frontier):
+    """A frontier of combine as a list of (T_hold, P_hold) pairs."""
+    T, P = frontier
+    return list(zip(T.tolist(), P.tolist()))
 
 
 def random_set(rng, n_points=5, p_top=2000.0):
@@ -60,7 +66,7 @@ class TestQueries:
         s = make_set(FRONTIER)
         for t in range(0, 45):
             v = query_p_at_t(s, t)
-            above = [p.P_hold_kw for p in s.points if p.T_hold_steps >= t]
+            above = [p for T, p in pairs(s) if T >= t]
             assert v == (max(above) if above else 0.0)
 
     def test_negative_arguments_rejected(self):
@@ -81,12 +87,12 @@ def loaded_sets(draw):
     but for rises within the frontier's tolerance, and possibly empty."""
     holds = sorted(draw(st.sets(st.integers(1, 60), max_size=8)))
     tol = 1e-9 * LOADED_ON_TOTAL_KW
-    p, pairs = draw(st.floats(1.0, 2000.0)), []
+    p, samples = draw(st.floats(1.0, 2000.0)), []
     for t in holds:
-        pairs.append((t, p))
+        samples.append((t, p))
         # repeated values exercise the ties, tiny rises the suffix maximum
         p = max(0.5, p + draw(st.sampled_from([0.0, tol, 0.5 * tol, -tol, -1.0, -100.0])))
-    return make_set(pairs, P_on_total_kw=LOADED_ON_TOTAL_KW)
+    return make_set(samples, P_on_total_kw=LOADED_ON_TOTAL_KW)
 
 
 class TestAgainstListReference:
@@ -96,13 +102,11 @@ class TestAgainstListReference:
         for s in (s1, s2):
             for t in range(0, 62):
                 assert query_p_at_t(s, t) == reference_p_at_t(s, t)
-            for p in [0.0, 0.25, 3000.0] + [pt.P_hold_kw for pt in s.points]:
+            for p in [0.0, 0.25, 3000.0] + s.P_hold_kw.tolist():
                 assert query_t_at_p(s, p) == reference_t_at_p(s, p)
         got, want = combine(s1, s2), reference_combine(s1, s2)
         for mode in MODES:
-            assert [(p.T_hold_steps, p.P_hold_kw) for p in got[mode]] == [
-                (p.T_hold_steps, p.P_hold_kw) for p in want[mode]
-            ]
+            assert as_pairs(got[mode]) == want[mode]
 
     def test_nan_reduction_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -115,8 +119,7 @@ class TestCombine:
         empty = make_set([])
         combined = combine(s1, empty)
         for mode in ("exclusive", "simultaneous", "consecutive", "union"):
-            pts = [(p.T_hold_steps, p.P_hold_kw) for p in combined[mode]]
-            assert pts == FRONTIER
+            assert as_pairs(combined[mode]) == FRONTIER
 
     def test_commutative_on_all_frontiers(self):
         rng = np.random.default_rng(3)
@@ -124,9 +127,7 @@ class TestCombine:
             s1, s2 = random_set(rng), random_set(rng)
             a, b = combine(s1, s2), combine(s2, s1)
             for mode in MODES:
-                pa = [(p.T_hold_steps, p.P_hold_kw) for p in a[mode]]
-                pb = [(p.T_hold_steps, p.P_hold_kw) for p in b[mode]]
-                assert pa == pb
+                assert as_pairs(a[mode]) == as_pairs(b[mode])
 
     def test_identical_fleets_double_p_simultaneously(self):
         s = make_set(FRONTIER)
@@ -167,7 +168,7 @@ class TestCombine:
         for _ in range(8):
             s1, s2 = random_set(rng), random_set(rng)
             union = as_set(combine(s1, s2)["union"])
-            p_candidates = sorted({p.P_hold_kw for s in (s1, s2) for p in s.points})
+            p_candidates = sorted({p for s in (s1, s2) for p in s.P_hold_kw.tolist()})
             for t in range(0, 210, 3):
                 best_consec = max(
                     (p for p in p_candidates if query_t_at_p(s1, p) + query_t_at_p(s2, p) >= t),
@@ -197,12 +198,13 @@ class TestCombine:
         sim = combined_set(s1, s2, "simultaneous")
         assert sim.regime["P_on_total_kw"] == 4200.0
         assert sim.regime["P_nom_kw"] == 1700.0
-        assert sim.points == combine(s1, s2)["simultaneous"]
+        assert pairs(sim) == as_pairs(combine(s1, s2)["simultaneous"])
 
     def test_frontiers_are_keyed_by_mode(self):
         combined = combine(make_set(FRONTIER), make_set([(15, 60.0), (25, 30.0)]))
         assert tuple(combined) == MODES
-        assert all(isinstance(p, ReachHoldPoint) for mode in MODES for p in combined[mode])
+        for T, P in combined.values():
+            assert T.dtype.kind == "i" and P.dtype.kind == "f" and T.shape == P.shape
 
     def test_unknown_mode_rejected(self):
         s = make_set(FRONTIER)
@@ -227,8 +229,8 @@ class TestCombineMany:
         b = make_set([(8, 0.2500000009), (30, 0.05)], **regime)
         combined = combine_many([a, b, a])
         assert tuple(combined) == MODES
-        assert max(p.P_hold_kw for mode in MODES for p in combined[mode]) <= 0.75
-        assert combined_set(a, b, "union").points[0].P_hold_kw == 0.5
+        assert max(P.max() for _, P in combined.values()) <= 0.75
+        assert combined_set(a, b, "union").P_hold_kw[0] == 0.5
 
     def test_needs_two_sets(self):
         with pytest.raises(InvalidInputError):

@@ -124,15 +124,14 @@ from pathlib import Path
 sys.path.insert(0, "perfbench")
 import layers, tracing
 from tclflex import scenario
-from tclflex.reachhold import INNER, ReachHoldPoint, ReachHoldSet, save_set
+from tclflex.reachhold import INNER, ReachHoldSet, save_set
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
 with tempfile.TemporaryDirectory() as tmp:
     inputs = []
-    for name, pairs in (("a", [(10, 100.0), (40, 50.0)]), ("b", [(15, 60.0), (25, 30.0)])):
-        points = [ReachHoldPoint(P_hold_kw=p, T_hold_steps=t) for t, p in pairs]
-        save_set(ReachHoldSet(points=points, method=INNER, regime={"dt_minutes": 1.0}), Path(tmp) / f"{name}.csv")
+    for name, T, P in (("a", [10, 40], [100.0, 50.0]), ("b", [15, 25], [60.0, 30.0])):
+        save_set(ReachHoldSet(T, P, INNER, {"dt_minutes": 1.0}), Path(tmp) / f"{name}.csv")
         inputs.append(str(Path(tmp) / f"{name}.csv"))
     cfg = scenario.effective_config({"aggregate": {"inputs": inputs}})
     scenario.run("aggregate", cfg, Path(tmp))

@@ -459,15 +459,14 @@ class TestReachhold:
         for name in ("inner", "outer", "exact"):
             rh = load_set(reachhold_out / f"{name}.csv")
             assert rh.method == name
-            assert len(rh.points) >= 1
+            assert rh.T_hold_steps.size >= 1
 
     def test_exact_between_runs_of_inner_and_outer(self, reachhold_out):
         exact = load_set(reachhold_out / "exact.csv")
         outer = load_set(reachhold_out / "outer.csv")
         p_nom = exact.regime["P_nom_kw"]
-        for pt in exact.points:
-            assert pt.P_hold_kw <= p_nom + 1e-6 * exact.regime["P_on_total_kw"]
-            assert pt.P_hold_kw <= max(o.P_hold_kw for o in outer.points) + 1e-6 * 3500.0
+        assert exact.P_hold_kw.max() <= p_nom + 1e-6 * exact.regime["P_on_total_kw"]
+        assert exact.P_hold_kw.max() <= outer.P_hold_kw.max() + 1e-6 * 3500.0
 
     def test_rerun_from_echo_is_byte_identical(self, reachhold_out, tmp_path):
         echo = reachhold_out / "effective_config.json"
@@ -767,10 +766,18 @@ class TestAggregate:
             ("inner", lambda s: s.update(regime="default")),
             ("inner", lambda s: s["regime"].update(P_on_total_kw="x")),
             ("inner", lambda s: s["regime"].update(P_nom_kw="x")),
+            ("inner", lambda s: s["points"][0].update(horizon_limited="false")),
+            ("exact", lambda s: s["points"][0].update(raw_objective_kw="not a number")),
+            ("exact", lambda s: s["points"][0].update(raw_objective_kw=float("nan"))),
+            ("inner", lambda s: s["points"][0].update(raw_objective_kw=1.0)),
+            ("inner", lambda s: s["points"][0].update(T_hold_steps=s["regime"]["T_max_steps"] + 1)),
+            ("inner", lambda s: s["points"][0].update(T_hold_steps=s["regime"]["T_max_steps"] - 1)),
         ],
         ids=[
             "point_without_T_hold", "regime_not_object",
             "P_on_total_not_numeric", "P_nom_not_numeric",
+            "horizon_limited_not_boolean", "raw_not_numeric", "raw_not_finite",
+            "raw_for_some_holds_only", "hold_without_row", "horizon_limited_short_hold",
         ],
     )
     def test_malformed_sidecar_is_config_error(self, reachhold_out, tmp_path, capsys, source, breaks):
@@ -783,6 +790,7 @@ class TestAggregate:
         assert main(["aggregate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert str(tmp_path / "bad.json") in err
 
 SWEEP = {
     "grid": {"T_min": 18.0, "T_max": 24.0, "n_bins": 10},

@@ -49,6 +49,17 @@ run_presets() {
     tclflex validate --preset fig7 --out fig7
     echo '{"aggregate": {"inputs": ["fig5/frontier_setpoint_22.csv", "fig6/precooled.csv"]}}' >aggregate.json
     tclflex aggregate --config aggregate.json --out aggregate
+    # a setpoint raised to itself reduces nothing: a header-only frontier,
+    # then combined with the 22 C frontier of the same sweep
+    echo '{"sweep": {"new_setpoints": [20.0, 22.0]}}' >header_only.json
+    tclflex sweep-setpoint --config header_only.json --out header_only
+    echo '{"aggregate": {"inputs": ["header_only/frontier_setpoint_20.csv", "header_only/frontier_setpoint_22.csv"]}}' \
+        >aggregate_header_only.json
+    tclflex aggregate --config aggregate_header_only.json --out aggregate_header_only
+    # LP sets load with their raw values, and a set combined with itself
+    # repeats every hold in the consecutive mode's samples
+    echo '{"aggregate": {"inputs": ["fig4/exact.csv", "fig4/exact.csv"]}}' >aggregate_exact.json
+    tclflex aggregate --config aggregate_exact.json --out aggregate_exact
 }
 
 # the two trees run side by side, one process each
