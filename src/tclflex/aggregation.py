@@ -92,19 +92,25 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, tuple[np.ndarra
 
 
 def combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str) -> ReachHoldSet:
-    """One frontier of combine(set1, set2) as a standalone set, whose regime
-    sums the components' P_on_total_kw and P_nom_kw where both record them
-    (used when folding more than two fleets).  Reductions are then clipped
-    to the summed P_nom_kw: each component passed its own P_nom check, so
-    any excess is only the components' summed rounding tolerance."""
+    """One frontier of combine(set1, set2) as a standalone set; see _as_combined_set."""
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    return _as_combined_set(set1, set2, mode, combine(set1, set2)[mode])
+
+
+def _as_combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str, frontier: tuple) -> ReachHoldSet:
+    """The mode's frontier of combine(set1, set2) as a set (used when
+    folding more than two fleets) whose regime sums the components'
+    P_on_total_kw and P_nom_kw where both record them.
+    Reductions are then clipped to the summed P_nom_kw: each component
+    passed its own P_nom check, so any excess is only the components'
+    summed rounding tolerance."""
     regime = {"dt_minutes": float(set1.regime.get("dt_minutes", 1.0)), "combined_mode": mode}
     for key in ("P_on_total_kw", "P_nom_kw"):
         vals = [s.regime.get(key) for s in (set1, set2)]
         if all(v is not None for v in vals):
             regime[key] = float(sum(vals))
-    T, P = combine(set1, set2)[mode]
+    T, P = frontier
     if "P_nom_kw" in regime:
         T, P = _frontier(T, np.minimum(P, regime["P_nom_kw"]))
     return ReachHoldSet(T, P, set1.method, regime)
@@ -114,13 +120,13 @@ def combine_many(sets: list[ReachHoldSet]) -> dict[str, tuple[np.ndarray, np.nda
     """Left-fold of combined_set over more than two fleets, carrying the
     union frontier between stages; returns the last stage's frontiers by
     mode, an inner bound of the true joint set since mixed schedules across
-    stages are not enumerated."""
+    stages are not enumerated.  Each stage runs one combine."""
     if len(sets) < 2:
         raise InvalidInputError(f"need at least two sets, got {len(sets)}")
     folded = sets[0]
     for s in sets[1:-1]:
         folded = combined_set(folded, s, UNION)
-    last = {mode: combined_set(folded, sets[-1], mode) for mode in MODES}
+    last = {mode: _as_combined_set(folded, sets[-1], mode, f) for mode, f in combine(folded, sets[-1]).items()}
     return {mode: (rh.T_hold_steps, rh.P_hold_kw) for mode, rh in last.items()}
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validation ran but was degraded (artifacts are still written).
+Exit codes: 0 success, 2 configuration error (an --out that cannot be
+made or written included), 3 numerical failure, 4 validation ran but
+was degraded (artifacts are still written).
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    echo = write_effective_config(cfg, args.out)
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        echo = write_effective_config(cfg, args.out)
         artifacts, degraded = run(args.subcommand, cfg, args.out)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .aggregation import _step_lookup, combine, save_combined
 from .errors import InvalidConfigurationError, NumericalFailureError
-from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet, simulate_fleet
+from .etp import DEFAULT_DT_MINUTES, DEFAULT_PARAMS, FleetSpec, FleetStepper, TclParams, sample_fleet
 from .markov import BinGrid, save_matrix
 from .reachhold import (
     DEFAULT_T_MAX,
@@ -424,66 +424,49 @@ def run_validate(
 ) -> tuple[dict[str, str], bool]:
     """Markov-versus-micro comparison, a step or (given holds) one block
     per hold; returns artifacts and whether any micro run was degraded by
-    actuation shortfalls.  Every block replays on the one fleet sampled
-    at spec.seed and burned in once, from that settled state, and shares
-    its baseline."""
+    actuation shortfalls.  Every study replays on the one fleet sampled
+    at spec.seed and burned in once: each restores that settled state in
+    place and draws with the same selection seed, so all holds replay on
+    one instance (common random numbers), share its baseline, and a
+    block's artifacts do not depend on which other holds ran."""
     ch = characterize(op, T_max)
-    artifacts: dict[str, str] = {}
-
-    if holds is None:
-        dp = delta_p_by_stepping((fraction * ch.x_0)[None, :], ch, horizon)
-        markov = ch.p_nom_kw - dp
-        stepper = FleetStepper(sample_fleet(spec), op.dt_minutes)
-        burn_in(stepper, burn_steps)
-        # a step actuates a uniformly random fraction of units (all of
-        # them at fraction 1), so it can never run short; per-bin
-        # selection is the plan-driven blocks path
-        rng = np.random.default_rng(selection_seed)
-        switch = rng.choice(spec.n_units, size=round(fraction * spec.n_units), replace=False)
-        stepper.fleet.T_set[switch] = op.T_set_new
-        micro = simulate_fleet(stepper, horizon)
-        report = compare_traces(markov, micro, op.P_on_total_kw)
-        report.update(shortfall_events=[], degraded=False)
-        save_validation_report(
-            report, markov, micro, out_dir / "report.json", out_dir / "traces.csv"
-        )
-        artifacts["report"] = str(out_dir / "report.json")
-        artifacts["traces"] = str(out_dir / "traces.csv")
-        return artifacts, False
-
-    # blocks: one hold study per requested duration.  Each restores the
-    # settled state in place and draws with the same selection seed, so
-    # all holds replay on one instance (common random numbers) and a
-    # block's artifacts do not depend on which other holds ran
     stepper = FleetStepper(sample_fleet(spec), op.dt_minutes)
     baseline = burn_in(stepper, burn_steps)
     fleet = stepper.fleet
     settled = {name: getattr(fleet, name).copy() for name in ("T_a", "T_m", "on", "T_set")}
+    artifacts: dict[str, str] = {}
     summary = []
     any_degraded = False
-    for T_hold in holds:
-        P_hold = inner_p_at(T_hold, ch)
-        u = inner_point(P_hold, ch)[:, None] * ch.x_0[None, :]
-        block_horizon = min(T_max, T_hold + 60)
-        dp = delta_p_by_stepping(u, ch, block_horizon)
-        markov = ch.p_nom_kw - dp
+    for T_hold in holds or [None]:
         for name, value in settled.items():
             np.copyto(getattr(fleet, name), value)
-        counts = discretize_plan(u[:block_horizon], spec.n_units)
-        run = apply_plan_micro(stepper, counts, op.grid, op.T_set_new, block_horizon, selection_seed)
-        report = compare_traces(
-            markov, run.power_kw, op.P_on_total_kw,
-            P_hold_kw=P_hold, T_hold_steps=T_hold, baseline_kw=baseline,
-            hold_tol_kw=hold_tol_kw,
-        )
+        if T_hold is None:
+            # a step actuates a uniformly random fraction of units (all of
+            # them at fraction 1) before the replay, whose plan is empty,
+            # so it can never run short; per-bin selection is for blocks
+            u, study_horizon, hold, stem = (fraction * ch.x_0)[None, :], horizon, {}, ""
+            rng = np.random.default_rng(selection_seed)
+            switch = rng.choice(spec.n_units, size=round(fraction * spec.n_units), replace=False)
+            fleet.T_set[switch] = op.T_set_new
+            counts = np.zeros((0, op.grid.n_states), dtype=int)
+        else:
+            P_hold = inner_p_at(T_hold, ch)
+            u = inner_point(P_hold, ch)[:, None] * ch.x_0[None, :]
+            study_horizon = min(T_max, T_hold + 60)
+            hold = dict(P_hold_kw=P_hold, T_hold_steps=T_hold, baseline_kw=baseline, hold_tol_kw=hold_tol_kw)
+            stem = f"block_{T_hold}_"
+            counts = discretize_plan(u[:study_horizon], spec.n_units)
+        markov = ch.p_nom_kw - delta_p_by_stepping(u, ch, study_horizon)
+        run = apply_plan_micro(stepper, counts, op.grid, op.T_set_new, study_horizon, selection_seed)
+        report = compare_traces(markov, run.power_kw, op.P_on_total_kw, **hold)
         report.update(shortfall_events=run.shortfall_events, degraded=run.degraded)
-        stem = f"block_{T_hold}"
-        save_validation_report(
-            report, markov, run.power_kw,
-            out_dir / f"{stem}_report.json", out_dir / f"{stem}_traces.csv",
-        )
-        artifacts[stem] = str(out_dir / f"{stem}_traces.csv")
+        report_path, traces_path = out_dir / f"{stem}report.json", out_dir / f"{stem}traces.csv"
+        save_validation_report(report, markov, run.power_kw, report_path, traces_path)
         any_degraded = any_degraded or run.degraded
+        if T_hold is None:
+            artifacts.update(report=str(report_path), traces=str(traces_path))
+            continue
+        artifacts[f"block_{T_hold}"] = str(traces_path)
         summary.append(
             {
                 "T_hold_steps": T_hold,
@@ -493,8 +476,9 @@ def run_validate(
                 "degraded": run.degraded,
             }
         )
-    _write_json({"blocks": summary}, out_dir / "summary.json")
-    artifacts["summary"] = str(out_dir / "summary.json")
+    if holds:
+        _write_json({"blocks": summary}, out_dir / "summary.json")
+        artifacts["summary"] = str(out_dir / "summary.json")
     return artifacts, any_degraded
 
 

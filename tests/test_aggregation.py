@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tclflex import aggregation
 from tclflex.aggregation import (
     MODES,
     combine,
@@ -231,6 +232,21 @@ class TestCombineMany:
         assert tuple(combined) == MODES
         assert max(P.max() for _, P in combined.values()) <= 0.75
         assert combined_set(a, b, "union").P_hold_kw[0] == 0.5
+
+    def test_each_stage_combines_once(self, monkeypatch):
+        # the last stage's four frontiers come from one combine, clipped
+        # as combined_set clips each of them
+        regime = {"P_on_total_kw": 0.5, "P_nom_kw": 0.25}
+        a = make_set([(5, 0.2500000009), (20, 0.1)], **regime)
+        b = make_set([(8, 0.2500000009), (30, 0.05)], **regime)
+        expected = {mode: combined_set(combined_set(a, b, "union"), a, mode) for mode in MODES}
+        calls = []
+        monkeypatch.setattr(aggregation, "combine", lambda *sets: calls.append(sets) or combine(*sets))
+        combined = combine_many([a, b, a])
+        assert len(calls) == 2
+        for mode in MODES:
+            T, P = combined[mode]
+            assert np.array_equal(T, expected[mode].T_hold_steps) and np.array_equal(P, expected[mode].P_hold_kw)
 
     def test_needs_two_sets(self):
         with pytest.raises(InvalidInputError):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -104,7 +106,7 @@ cfg = scenario.effective_config({
     "T_max_steps": 60,
     "P_on_total_kw": 700.0,
     "fleet": {"n_units": 200, "heterogeneity": 0.15, "seed": 5},
-    "validate": {"mode": "blocks", "hold_steps": [5, 10], "burn_in_steps": 60, "selection_seed": 9},
+    "validate": {"burn_in_steps": 60, "selection_seed": 9, **MODE},
 })
 scenario.validate_config(cfg, "validate")
 with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -195,33 +197,48 @@ def test_sweeps_solve_each_baseline_once():
 INNER_POINT_CALLS_PER_BLOCK = 1
 
 
-def test_blocks_validate_builds_one_stepper_per_run():
-    # every block replays from the one fleet, burned in once by one
-    # stepper; the micro-path spans keep the fields the per-layer metrics
-    # read, and each block finds its target and plan through the wrapped
-    # inner names, every inner point included
-    out = run_traced(VALIDATE_SCRIPT)
+# each validate mode as the settings VALIDATE_SCRIPT runs it with, and the
+# holds it replays: one block per hold, or the step as one study
+VALIDATE_MODES = {
+    "blocks": ({"mode": "blocks", "hold_steps": [5, 10]}, 2),
+    "step": ({"mode": "step", "fraction": 0.5}, 0),
+}
+
+
+@pytest.mark.parametrize("mode", VALIDATE_MODES)
+def test_validate_builds_one_stepper_per_run(mode):
+    # every study (the step, or one block per hold) replays from the one
+    # fleet, burned in once by one stepper, through apply_plan_micro; the
+    # micro-path spans keep the fields the per-layer metrics read, and
+    # each block finds its target and plan through the wrapped inner
+    # names, every inner point included
+    settings, n_holds = VALIDATE_MODES[mode]
+    out = run_traced(VALIDATE_SCRIPT.replace("**MODE", f"**{settings!r}"))
     spans = out["spans"]
     names = [name for name, _ in spans]
-    assert names.count("reachhold.inner_p_at") == 2
-    assert names.count("reachhold.inner_point") == 2 * INNER_POINT_CALLS_PER_BLOCK
+    assert names.count("reachhold.inner_p_at") == n_holds
+    assert names.count("reachhold.inner_point") == n_holds * INNER_POINT_CALLS_PER_BLOCK
     assert names.count("etp.FleetStepper") == 1
     assert names.count("validation.burn_in") == 1
-    assert names.count("validation.apply_plan_micro") == 2
+    assert names.count("validation.apply_plan_micro") == max(n_holds, 1)
     for name, info in spans:
         if name in ("etp.FleetStepper", "etp.advance"):
             assert info == {"units": 200}
         elif name == "validation.apply_plan_micro":
             assert set(info) == {"requested", "selected", "shortfall_events"}
-            assert info["requested"] >= info["selected"] > 0
+            if n_holds:
+                assert info["requested"] >= info["selected"] > 0
+            else:  # the step switches its units itself and replays an empty plan
+                assert info == {"requested": 0, "selected": 0, "shortfall_events": 0}
     m = out["metrics"]
     assert m["etp.steppers"] == 1
     assert m["etp.unit_steps"] == 200 * names.count("etp.advance")
-    # one burn-in of 60 steps, then each block's replay of min(T_max, T + 60)
-    assert names.count("etp.advance") == 60 + 60 + 60
+    # one burn-in of 60 steps, then each block's replay of min(T_max, T + 60),
+    # or the step's over the horizon, T_max
+    assert names.count("etp.advance") == 60 + 60 * max(n_holds, 1)
     assert m["validation.burn_in_s"] > 0.0 and m["validation.apply_plan_s"] > 0.0
-    assert m["reachhold.inner_p_at_s"] > 0.0
-    assert m["reachhold.inner_point_calls"] == 2 * INNER_POINT_CALLS_PER_BLOCK
+    assert (m["reachhold.inner_p_at_s"] > 0.0) == bool(n_holds)
+    assert m["reachhold.inner_point_calls"] == n_holds * INNER_POINT_CALLS_PER_BLOCK
 
 
 def test_aggregate_runs_through_the_wrapped_names():

@@ -438,6 +438,16 @@ class TestBuildModel:
         assert proc.returncode == 0
         assert "model.json" in proc.stdout
 
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        # the artifact directory is made before the run, under the same
+        # handler: a regular file in its place is a config error naming it
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["build-model", "--preset", "fig4", "--out", str(afile)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(afile) in err
+        assert afile.read_text() == "kept\n"
+
     def test_x0_column_matches_model(self, tiny_config_path, tmp_path):
         out = tmp_path / "bm"
         main(["build-model", "--config", tiny_config_path, "--out", str(out)])

@@ -152,16 +152,21 @@ class TestChoicePositions:
 
 class TestApplyPlanMicro:
     def test_zero_plan_matches_unactuated_baseline(self, settled_fleet):
+        # validate's step switches its units itself and then replays an
+        # empty plan, so that replay must be simulate_fleet bit for bit
         grid = BinGrid(18.0, 24.0, 20)
-        plan = np.zeros((5, grid.n_states), dtype=int)
-        ref = copy.deepcopy(settled_fleet)
-        power = simulate_fleet(FleetStepper(ref), 12)
-        run = apply_plan_micro(
-            FleetStepper(copy.deepcopy(settled_fleet)), plan, grid, T_SET_NEW, horizon=12, seed=3
-        )
-        assert run.power_kw == pytest.approx(power, abs=1e-12)
-        assert run.total_selected == 0 and not run.shortfall_events
-        assert run.total_requested == 0 and not run.degraded
+        for plan_steps in (0, 5):
+            plan = np.zeros((plan_steps, grid.n_states), dtype=int)
+            ref, fleet = copy.deepcopy(settled_fleet), copy.deepcopy(settled_fleet)
+            for f in (ref, fleet):
+                f.T_set[::2] = T_SET_NEW
+            power = simulate_fleet(FleetStepper(ref), 12)
+            run = apply_plan_micro(FleetStepper(fleet), plan, grid, T_SET_NEW, horizon=12, seed=3)
+            assert np.array_equal(run.power_kw, power), plan_steps
+            for name in ("T_a", "T_m", "on", "T_set"):
+                assert np.array_equal(getattr(fleet, name), getattr(ref, name)), (plan_steps, name)
+            assert run.total_selected == 0 and not run.shortfall_events
+            assert run.total_requested == 0 and not run.degraded
 
     def test_actuate_everyone_collapses_demand(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)

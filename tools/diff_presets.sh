@@ -47,6 +47,16 @@ run_presets() {
     tclflex sweep-precool --preset fig6 --out fig6
     tclflex validate --preset fig2 --out fig2
     tclflex validate --preset fig7 --out fig7
+    # fig7's fleet and seeds: a step at the default fraction 1.0 switches
+    # every unit, and a lone 480-step block has its horizon clipped to
+    # T_max; both replay on the one burned-in fleet
+    echo '{"fleet": {"n_units": 1000, "heterogeneity": 0.15, "seed": 777},
+        "validate": {"mode": "step", "burn_in_steps": 240, "selection_seed": 55}}' >step_all.json
+    tclflex validate --config step_all.json --out step_all
+    echo '{"fleet": {"n_units": 1000, "heterogeneity": 0.15, "seed": 777},
+        "validate": {"mode": "blocks", "hold_steps": [480], "burn_in_steps": 240, "selection_seed": 55}}' \
+        >block_480.json
+    tclflex validate --config block_480.json --out block_480
     echo '{"aggregate": {"inputs": ["fig5/frontier_setpoint_22.csv", "fig6/precooled.csv"]}}' >aggregate.json
     tclflex aggregate --config aggregate.json --out aggregate
     # a setpoint raised to itself reduces nothing: a header-only frontier,
