@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .reachhold import ReachHoldSet, _sidecar_path, prune_to_frontier, write_json
+from .reachhold import ReachHoldSet, _sidecar_path, prune_to_frontier, write_frontier_rows, write_json
 
 EXCLUSIVE = "exclusive"
 SIMULTANEOUS = "simultaneous"
@@ -69,10 +69,8 @@ def combine(set1: ReachHoldSet, set2: ReachHoldSet) -> dict[str, tuple[np.ndarra
     The components must share the step length and the method class, so
     the combined frontier keeps a single feasibility guarantee.
     """
-    if set1.regime.get("dt_minutes") != set2.regime.get("dt_minutes"):
-        raise InvalidInputError(
-            f"step mismatch: {set1.regime.get('dt_minutes')} vs {set2.regime.get('dt_minutes')} minutes"
-        )
+    if set1.dt_minutes != set2.dt_minutes:
+        raise InvalidInputError(f"step mismatch: {set1.dt_minutes} vs {set2.dt_minutes} minutes")
     if set1.method != set2.method:
         raise InvalidInputError(f"method mismatch: {set1.method} vs {set2.method}")
     # both sets' holds and reductions; a repeat gives a repeated sample,
@@ -105,7 +103,7 @@ def _as_combined_set(set1: ReachHoldSet, set2: ReachHoldSet, mode: str, frontier
     Reductions are then clipped to the summed P_nom_kw: each component
     passed its own P_nom check, so any excess is only the components'
     summed rounding tolerance."""
-    regime = {"dt_minutes": float(set1.regime.get("dt_minutes", 1.0)), "combined_mode": mode}
+    regime = {"dt_minutes": set1.dt_minutes, "combined_mode": mode}
     for key in ("P_on_total_kw", "P_nom_kw"):
         vals = [s.regime.get(key) for s in (set1, set2)]
         if all(v is not None for v in vals):
@@ -137,16 +135,10 @@ def save_combined(
     combine(set1, set2), plus a JSON sidecar recording the component
     regimes."""
     csv_path = str(csv_path)
-    dt = float(set1.regime.get("dt_minutes", 1.0))
-    with open(csv_path, "w") as fh:
-        fh.write("T_hold_steps,T_hold_hours,P_hold_kW,mode\n")
-        for mode in MODES:
-            T, P = frontiers[mode]
-            for t, p in zip(T.tolist(), P.tolist()):
-                fh.write(f"{t},{t * dt / 60.0!r},{p!r},{mode}\n")
+    write_frontier_rows(csv_path, set1.dt_minutes, "mode", [(mode, *frontiers[mode]) for mode in MODES])
     sidecar = {
         "method": set1.method,
-        "dt_minutes": dt,
+        "dt_minutes": set1.dt_minutes,
         "component_regimes": [set1.regime, set2.regime],
         "modes": list(MODES),
     }

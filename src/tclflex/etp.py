@@ -184,15 +184,11 @@ def step_maps(params, T_amb, dt_minutes: float):
     return A_d, tuple((g00 * g + g01 * g_m, g10 * g + g11 * g_m) for g in g_a)
 
 
-def apply_thermostat(T_a, T_set, on, deadband):
-    """Hysteresis logic for a cooling TCL; works elementwise on arrays."""
-    return _thermostat(T_a, T_set, on, deadband, None, None, None)
-
-
-def _thermostat(T_a, T_set, on, deadband, edge, high, keep):
-    """apply_thermostat, with its intermediates written into the given
-    buffers (a float and two bool arrays shaped like T_a, or None to
-    allocate).  The new mode is always a fresh array."""
+def apply_thermostat(T_a, T_set, on, deadband, edge=None, high=None, keep=None):
+    """Hysteresis logic for a cooling TCL; works elementwise on arrays.
+    The intermediates go to the given work buffers (a float and two bool
+    arrays shaped like T_a, as FleetStepper keeps), or fresh ones when
+    None; the new mode is always a fresh array."""
     # on at the upper edge, else keep the mode unless at the lower edge;
     # each result goes to the buffer given, never over a scalar result
     upper = np.add(T_set, 0.5 * deadband, out=edge)
@@ -257,11 +253,12 @@ class FleetStepper:
     def __init__(self, fleet: Fleet, dt_minutes: float = DEFAULT_DT_MINUTES):
         self.fleet = fleet
         n = fleet.n_units
-        # per-mode offsets; index 0: off, 1: on
-        A_d, self.b_d = step_maps(fleet.params, fleet.spec.T_amb, dt_minutes)
+        A_d, b_d = step_maps(fleet.params, fleet.spec.T_amb, dt_minutes)
         self.A_d = np.reshape(A_d, (2, 2, n))
-        # each state component's offsets of both modes, unit i's mode m at m*n + i
-        self._offsets = [np.concatenate(pair) for pair in zip(*self.b_d)]
+        # each state component's offsets of both modes, unit i's mode m at
+        # m*n + i; b_d[m] (m = 0 off, 1 on) views mode m's (T_a, T_m) there
+        self._offsets = np.stack(b_d, axis=1).reshape(2, 2 * n)
+        self.b_d = tuple(zip(*self._offsets.reshape(2, 2, n)))
         self._mode = fleet.on.copy()
         self._b = np.stack([np.where(self._mode, on, off) for off, on in zip(*self.b_d)])
         self._x, self._rows = None, (None, None)  # the last state and its rows as handed to the fleet
@@ -284,7 +281,7 @@ class FleetStepper:
         x += self._b
         self._x = x
         f.T_a, f.T_m = self._rows = tuple(x)
-        f.on = _thermostat(f.T_a, f.T_set, f.on, f.spec.deadband, *self._work)
+        f.on = apply_thermostat(f.T_a, f.T_set, f.on, f.spec.deadband, *self._work)
 
     def power_kw(self) -> float:
         """Current aggregate electrical demand, kW."""

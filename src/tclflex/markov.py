@@ -69,15 +69,18 @@ class BinGrid:
         """Temperature bin index (0..n_bins-1); excursions beyond the grid
         clip into the boundary bins.  Non-finite temperatures raise
         InvalidInputError."""
-        T_a = np.asarray(T_a, dtype=float)
-        if not np.isfinite(T_a).all():
+        b = np.array(T_a, dtype=float)  # a copy, binned in place
+        if not np.isfinite(b).all():
             raise InvalidInputError("temperatures must be finite to be binned")
+        b -= self.T_min
+        b /= self.delta_tau
         # clip in float before the cast, which has no int for a far excursion
-        return np.clip(np.floor((T_a - self.T_min) / self.delta_tau), 0, self.n_bins - 1).astype(int)
+        return np.clip(np.floor(b, out=b), 0, self.n_bins - 1, out=b).astype(int)
 
     def state_index(self, T_a, on) -> np.ndarray:
-        """Full state index combining temperature bin and mode block."""
-        return self.temp_bin(T_a) + self.n_bins * np.asarray(on).astype(int)
+        """Full state index combining temperature bin and mode block: the
+        one binning rule, of the matrix and of the micro replay's pools."""
+        return self.temp_bin(T_a) + np.multiply(on, self.n_bins, dtype=int)
 
     def on_mask(self) -> np.ndarray:
         """Boolean mask of length 2*n_bins selecting the on block."""

@@ -48,7 +48,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .etp import TclParams
+from .etp import DEFAULT_DT_MINUTES, TclParams
 from .lp import OPTIMAL, ColumnMatrix, LinearProgram, LpSolution, solve
 from .markov import (
     BinGrid,
@@ -201,6 +201,12 @@ class ReachHoldSet:
             raise FrontierMonotonicityError(
                 f"boundary P_hold {float(P.max())} exceeds P_nom {self.regime['P_nom_kw']}"
             )
+
+    @property
+    def dt_minutes(self) -> float:
+        """The step length in minutes, DEFAULT_DT_MINUTES when the regime
+        records none: the one reading of a frontier's step."""
+        return float(self.regime.get("dt_minutes", DEFAULT_DT_MINUTES))
 
 
 # a shorter hold stays on a frontier only when its P_hold beats the longer
@@ -676,12 +682,8 @@ def save_set(rh_set: ReachHoldSet, csv_path) -> None:
     and the flags of the holds that carry one (horizon_limited, or a
     raw_objective_kw); each hold's P_hold lives in the CSV only."""
     csv_path = str(csv_path)
-    dt_min = float(rh_set.regime.get("dt_minutes", 1.0))
+    write_frontier_rows(csv_path, rh_set.dt_minutes, "method", [(rh_set.method, rh_set.T_hold_steps, rh_set.P_hold_kw)])
     T = rh_set.T_hold_steps.tolist()
-    with open(csv_path, "w") as fh:
-        fh.write("T_hold_steps,T_hold_hours,P_hold_kW,method\n")
-        for t, p in zip(T, rh_set.P_hold_kw.tolist()):
-            fh.write(f"{t},{t * dt_min / 60.0!r},{p!r},{rh_set.method}\n")
     raw = [None] * len(T) if rh_set.raw_objective_kw is None else rh_set.raw_objective_kw.tolist()
     limited = [False] * (len(T) - 1) + [rh_set.horizon_limited]  # the longest hold's flag
     sidecar = {
@@ -694,6 +696,17 @@ def save_set(rh_set: ReachHoldSet, csv_path) -> None:
         ],
     }
     write_json(sidecar, _sidecar_path(csv_path))
+
+
+def write_frontier_rows(csv_path: str, dt_minutes: float, label: str, frontiers) -> None:
+    """Write the CSV of one or more frontiers, given as (value, T_hold_steps,
+    P_hold_kw): a T_hold_steps,T_hold_hours,P_hold_kW,<label> header, then
+    each frontier's rows in turn with its value in the label column."""
+    with open(csv_path, "w") as fh:
+        fh.write(f"T_hold_steps,T_hold_hours,P_hold_kW,{label}\n")
+        for value, T, P in frontiers:
+            for t, p in zip(T.tolist(), P.tolist()):
+                fh.write(f"{t},{t * dt_minutes / 60.0!r},{p!r},{value}\n")
 
 
 def write_json(payload: dict, path) -> None:

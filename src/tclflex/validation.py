@@ -140,7 +140,9 @@ def apply_plan_micro(
     within the bin, deterministic in the seed).  counts is a nonnegative
     integer (T, n_states) array that actuates at most the fleet's units.
     The fleet is advanced in place.  If a bin holds fewer eligible units
-    than requested, all of them are taken and the shortfall is logged.
+    than requested, all of them are taken and the shortfall is logged; an
+    eligible unit whose T_a is not finite raises InvalidInputError when
+    a step keys it.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
@@ -163,23 +165,15 @@ def apply_plan_micro(
     power[0] = stepper.power_kw()
     shortfalls: list[dict] = []
     selected_total = 0
-    # each selection step keys only the units not yet actuated, with
-    # grid.state_index of their T_a and mode computed in one in-place
-    # pass; keys stay below n_states, which fits 8 bits up to 128 bins
-    # and makes the stable sort in _state_pools a radix sort
-    n_bins = grid.n_bins
+    # each selection step keys only the units not yet actuated, by their
+    # bin model state; keys stay below n_states, and narrowed to the
+    # smallest type that holds them (8 bits up to 128 bins, else 16) they
+    # make the stable sort in _state_pools a radix sort
     key_type = np.min_scalar_type(grid.n_states - 1)
     for k in range(K):
         if k < T and counts[k].any():
             eligible = np.flatnonzero(~actuated)
-            b = fleet.T_a[eligible]
-            b -= grid.T_min
-            b /= grid.delta_tau
-            np.floor(b, out=b)
-            np.maximum(b, 0, out=b)
-            np.minimum(b, n_bins - 1, out=b)
-            keys = b.astype(key_type)
-            keys += np.multiply(fleet.on[eligible], n_bins, dtype=key_type)
+            keys = grid.state_index(fleet.T_a[eligible], fleet.on[eligible]).astype(key_type)
             wanted = np.flatnonzero(counts[k])
             order, starts, sizes = _state_pools(keys, wanted)
             pools = []

@@ -18,7 +18,7 @@ from tclflex.aggregation import (
     save_combined,
 )
 from tclflex.errors import InvalidInputError
-from tclflex.reachhold import INNER, ReachHoldSet
+from tclflex.reachhold import INNER, ReachHoldSet, load_set, save_set
 
 from aggregation_reference import pairs, reference_combine, reference_p_at_t, reference_t_at_p
 
@@ -186,6 +186,26 @@ class TestCombine:
         s2 = make_set(FRONTIER, dt=5.0)
         with pytest.raises(InvalidInputError, match="step"):
             combine(s1, s2)
+
+    def test_missing_step_reads_as_one_minute(self, tmp_path):
+        # save_set writes a set whose regime records no step with 1-minute
+        # hours, so combine reads it as 1.0 too; two explicit steps that
+        # differ, or a missing one against another step, are still refused
+        paths = {}
+        for name, regime in [("one", {"dt_minutes": 1.0}), ("missing", {}), ("five", {"dt_minutes": 5.0})]:
+            paths[name] = tmp_path / f"{name}.csv"
+            save_set(ReachHoldSet([10, 20, 40], [100.0, 80.0, 50.0], INNER, regime), paths[name])
+        hours = [float(line.split(",")[1]) for line in paths["missing"].read_text().splitlines()[1:]]
+        assert hours == [10 / 60.0, 20 / 60.0, 40 / 60.0]
+        one, missing, five = (load_set(paths[name]) for name in ("one", "missing", "five"))
+        got = combine(one, missing)
+        want = combine(make_set(FRONTIER), make_set(FRONTIER))
+        for mode in MODES:
+            assert as_pairs(got[mode]) == as_pairs(want[mode])
+        assert combined_set(missing, one, "union").regime["dt_minutes"] == 1.0
+        for s1, s2 in [(one, five), (missing, five), (five, missing)]:
+            with pytest.raises(InvalidInputError, match="step mismatch"):
+                combine(s1, s2)
 
     def test_method_mismatch_rejected(self):
         s1 = make_set(FRONTIER, method="inner")

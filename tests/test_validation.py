@@ -171,7 +171,7 @@ class TestApplyPlanMicro:
     def test_actuate_everyone_collapses_demand(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)
         fleet = copy.deepcopy(settled_fleet)
-        state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
+        state_idx = grid.state_index(fleet.T_a, fleet.on)
         counts = np.zeros((1, grid.n_states), dtype=int)
         for i in state_idx:
             counts[0, i] += 1
@@ -216,7 +216,8 @@ class TestApplyPlanMicro:
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
-        n_bins=st.sampled_from([10, 20, 40]),
+        # 128 and 160 bins put keys at and past 8 bits (256 and 320 states)
+        n_bins=st.sampled_from([10, 20, 40, 128, 160]),
         fleet_seed=st.integers(0, 2**16),
         plan_seed=st.integers(0, 2**16),
         selection_seed=st.integers(0, 2**16),
@@ -224,6 +225,8 @@ class TestApplyPlanMicro:
     )
     @example(n_bins=40, fleet_seed=1, plan_seed=2, selection_seed=3, max_count=12)
     @example(n_bins=10, fleet_seed=4, plan_seed=5, selection_seed=6, max_count=1)
+    @example(n_bins=128, fleet_seed=7, plan_seed=8, selection_seed=9, max_count=12)
+    @example(n_bins=160, fleet_seed=10, plan_seed=11, selection_seed=12, max_count=12)
     def test_matches_reference_replay(self, n_bins, fleet_seed, plan_seed, selection_seed, max_count):
         spec = FleetSpec(n_units=240, heterogeneity=0.15, seed=fleet_seed)
         grid = BinGrid(18.0, 24.0, n_bins)
@@ -265,7 +268,7 @@ class TestApplyPlanMicro:
     def test_units_never_actuated_twice(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)
         fleet = copy.deepcopy(settled_fleet)
-        state_idx = grid.temp_bin(fleet.T_a) + grid.n_bins * fleet.on.astype(int)
+        state_idx = grid.state_index(fleet.T_a, fleet.on)
         occupancy = np.bincount(state_idx, minlength=grid.n_states)
         # ask for the same busy bin twice; second round must draw fresh units
         busy = int(np.argmax(occupancy))
@@ -307,6 +310,18 @@ class TestApplyPlanMicro:
         grid = BinGrid(18.0, 24.0, 20)
         with pytest.raises(InvalidInputError, match=match):
             apply_plan_micro(FleetStepper(copy.deepcopy(settled_fleet)), counts, grid, T_SET_NEW)
+
+    @pytest.mark.parametrize("T_a", [np.nan, np.inf, -np.inf])
+    def test_unit_that_cannot_be_binned_rejected(self, settled_fleet, T_a):
+        # the selection keys units through grid.state_index, which refuses
+        # a temperature it cannot bin rather than casting it to some state
+        grid = BinGrid(18.0, 24.0, 20)
+        fleet = copy.deepcopy(settled_fleet)
+        fleet.T_a[7] = T_a
+        counts = np.zeros((1, grid.n_states), dtype=int)
+        counts[0, grid.n_bins + 5] = 1
+        with pytest.raises(InvalidInputError, match="finite"):
+            apply_plan_micro(FleetStepper(fleet), counts, grid, T_SET_NEW)
 
     def test_horizon_shorter_than_plan_rejected(self, settled_fleet):
         grid = BinGrid(18.0, 24.0, 20)

@@ -57,6 +57,13 @@ run_presets() {
         "validate": {"mode": "blocks", "hold_steps": [480], "burn_in_steps": 240, "selection_seed": 55}}' \
         >block_480.json
     tclflex validate --config block_480.json --out block_480
+    # 160 bins on 14-24 C put the deadband's on states near 248-264, so the
+    # replay keys units on both sides of the 8-bit boundary (on 18-24 C
+    # they stay below 228)
+    echo '{"fleet": {"n_units": 1000, "heterogeneity": 0.15, "seed": 777}, "grid": {"n_bins": 160, "T_min": 14.0},
+        "validate": {"mode": "blocks", "hold_steps": [120], "burn_in_steps": 240, "selection_seed": 55}}' \
+        >block_160_bins.json
+    tclflex validate --config block_160_bins.json --out block_160_bins
     echo '{"aggregate": {"inputs": ["fig5/frontier_setpoint_22.csv", "fig6/precooled.csv"]}}' >aggregate.json
     tclflex aggregate --config aggregate.json --out aggregate
     # a setpoint raised to itself reduces nothing: a header-only frontier,
